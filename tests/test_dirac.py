@@ -17,6 +17,7 @@ from qsolidtorus.dirac import (
     field_to_file,
     h0_norm,
     random_field,
+    trace_bound_terms,
 )
 from qsolidtorus.parametrix import RhsPair
 
@@ -171,3 +172,82 @@ def test_minus_coefficient_roundtrip_ulp():
     for k in range(3):
         got = extract_minus(rep, a, 2, 2, k)
         assert got == pytest.approx(coeff[k], rel=4e-15)
+
+
+def _dense_monomial(rep, m, n):
+    """V^m U^n (V^m (U*)^-n for n < 0) as a product of dense matrix powers."""
+    v = rep.V if m >= 0 else rep.V.conj().T
+    u = rep.U if n >= 0 else rep.U.conj().T
+    return np.linalg.matrix_power(v, abs(m)) @ np.linalg.matrix_power(u, abs(n))
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.25, GOLDEN])
+def test_monomials_match_dense_products(theta):
+    rep = TruncatedAlgebraRep(theta, 12, 6)
+    for m in range(-3, 4):
+        for n in (0, 1, 2, 3, -1, -2, -3):
+            dense = _dense_monomial(rep, m, n)
+            rows, cols, weights = rep.monomial(m, n)
+            shifted = np.zeros_like(dense)
+            shifted[rows, cols] = weights
+            assert len(set(zip(rows, cols))) == len(rows)
+            assert np.array_equal(shifted != 0, dense != 0), (m, n)
+            for part in (np.real, np.imag):
+                x, y = part(shifted), part(dense)
+                assert np.all(np.abs(x - y) <= np.spacing(np.abs(y))), (m, n)
+
+
+def test_trace_block_formula_matches_dense():
+    rep = TruncatedAlgebraRep(GOLDEN, 12, 6)
+    inner = [
+        rep.idx(k, l) for k in range(1, rep.k_cut) for l in range(-rep.l_cut + 1, rep.l_cut)
+    ]
+    q0 = [i for i, j in enumerate(inner) if rep.Ldiag[j] == 0]
+    rng = np.random.default_rng(5)
+
+    def trace_q0(x):
+        return sum(x[rep.idx(k, 0), rep.idx(k, 0)] for k in range(rep.k_cut + 1))
+
+    for _ in range(4):
+        blocks = [
+            rng.standard_normal((len(inner),) * 2) + 1j * rng.standard_normal((len(inner),) * 2)
+            for _ in range(2)
+        ]
+        a, b = (np.zeros((rep.dim, rep.dim), dtype=complex) for _ in range(2))
+        a[np.ix_(inner, inner)], b[np.ix_(inner, inner)] = blocks
+        lhs, rhs = trace_bound_terms(*blocks, np.asarray(q0))
+        ref_lhs = abs(trace_q0(a @ b))
+        ref_rhs = np.linalg.norm(a, 2) * np.sqrt(abs(trace_q0(b.conj().T @ b)))
+        assert lhs == pytest.approx(ref_lhs, rel=1e-13)
+        assert rhs == pytest.approx(ref_rhs, rel=1e-13)
+
+
+@pytest.mark.parametrize("theta", [float("nan"), float("inf")])
+def test_algebra_sanity_fails_on_non_finite_theta(theta):
+    with np.errstate(invalid="ignore"):
+        report = algebra_sanity(TruncatedAlgebraRep(theta, 8, 3), np.random.default_rng(1))
+    passed = {ch.name: ch.passed for ch in report.checks}
+    for name in ("commutation_VU_phase_UV", "diagonal_function_shifts", "fourier_roundtrip_minus_ulp"):
+        assert not passed[name], report.as_dict()
+    # the raising roundtrip and the trace check never meet theta (phase(0) = 1)
+    assert passed["fourier_roundtrip_plus_exact"] and passed["trace_functional_bound"]
+
+
+@pytest.mark.parametrize("k_cut", [0, 5, 6])
+def test_small_cutoffs_fail_roundtrips(k_cut):
+    report = algebra_sanity(TruncatedAlgebraRep(0.25, k_cut, 3), np.random.default_rng(1))
+    by_name = {ch.name: ch for ch in report.checks}
+    for name in ("fourier_roundtrip_plus_exact", "fourier_roundtrip_minus_ulp"):
+        assert not by_name[name].passed
+        assert f"k_cut = {k_cut} < 7" in by_name[name].witness
+    assert by_name["commutation_VU_phase_UV"].passed
+    # k_cut = 0 leaves the trace check an empty block: it fails, not passes vacuously
+    assert by_name["trace_functional_bound"].passed == (k_cut >= 2)
+
+
+def test_idx_rejects_out_of_range_labels():
+    rep = TruncatedAlgebraRep(0.25, 4, 2)
+    assert rep.idx(0, -2) == 0 and rep.idx(4, 2) == rep.dim - 1
+    for k, l in ((0, 3), (1, -3), (-1, 0), (5, 0)):
+        with pytest.raises(ValueError):
+            rep.idx(k, l)
