@@ -171,7 +171,7 @@ def cmd_scan(
         if m == 0:
             continue
         for n in cfg.n_list:
-            sol = build_solution(ModeIndex(m, n), cfg.weights, cfg.coeffs, k_max, rule=cfg.boundary_rule)
+            sol = table.solutions[(m, n)]
             rep = verify_lemma_suite(sol, cfg.weights, cfg.coeffs)
             wr = float(np.max(wronskian_residuals(sol, cfg.coeffs)))
             lemma_rows.append(
@@ -193,6 +193,9 @@ def cmd_scan(
         print(f"[{'pass' if ch.passed else 'FAIL'}] {ch.name}: {ch.witness}")
     n_bounds = sum(1 for r in table.rows if not r.all_bounds_hold)
     print(f"scan: {len(table.rows)} modes, {n_bounds} bound violations")
+    n_nonfinite = sum(1 for r in table.rows if not r.all_finite)
+    if n_nonfinite:
+        print(f"scan: {n_nonfinite} modes with a non-finite HS sum, bound, proxy or tail estimate")
     if first_bad is not None:
         print(f"first inequality counterexample at mode {first_bad[:2]}: {first_bad[2]}")
     return EXIT_OK if ok else EXIT_VIOLATION

@@ -21,6 +21,7 @@ class ConfigError(ValueError):
 
 DEFAULT_GRID_M = (0, 1, -1, 2, -2, 4, -4, 8, -8, 16, -16, 32, -32)
 DEFAULT_GRID_N = (0, 1, 2, 4, 8, 16)
+OUTPUT_FORMATS = ("csv", "json")
 
 
 @dataclass(frozen=True)
@@ -126,8 +127,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
         tol_residual = float(trunc.get("tol_residual", 1e-9))
         out = raw.get("output", {})
         out_dir = str(out.get("dir", "out"))
-        formats = tuple(out.get("formats", ("csv", "json")))
-    except (TypeError, ValueError) as exc:
+        formats = out.get("formats", list(OUTPUT_FORMATS))
+    except (AttributeError, TypeError, ValueError) as exc:
+        # AttributeError: a section that is not a JSON object
         raise ConfigError(f"bad configuration value: {exc}") from exc
     if not m_list or not n_list:
         raise ConfigError("grid must be nonempty")
@@ -137,6 +139,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError("radial levels must be >= 0")
     if k_max < 2:
         raise ConfigError("k_max must be at least 2")
+    if not isinstance(formats, list) or not all(f in OUTPUT_FORMATS for f in formats):
+        raise ConfigError(f"output.formats must be a list of names from {list(OUTPUT_FORMATS)}")
     return ExperimentConfig(
         weights=weights,
         coeffs=coeffs,
@@ -149,7 +153,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
         tol_tail=tol_tail,
         tol_residual=tol_residual,
         out_dir=out_dir,
-        formats=formats,
+        formats=tuple(formats),
         raw=raw,
     )
 
@@ -166,5 +170,5 @@ def default_config_dict() -> dict:
             "tol_tail": 1e-12,
             "tol_residual": 1e-9,
         },
-        "output": {"dir": "out", "formats": ["csv", "json"]},
+        "output": {"dir": "out", "formats": list(OUTPUT_FORMATS)},
     }

@@ -11,8 +11,10 @@ The inverse is assembled from the I/K kernel tables by variation of constants;
 in expanded form it is a sum of upper-tail (X-type), lower-triangle (Y-type)
 and, on the diagonal mode m = 0, cumulative (Z-type) kernel operators.
 
-An independent dense linear solver over the same truncated system serves as
-the oracle for every identity the explicit formulas are supposed to satisfy.
+An independent banded LU solve of the same truncated system (elimination on
+the raw equations, not variation of constants) serves as the oracle for every
+identity the explicit formulas are supposed to satisfy; it needs O(K) memory
+and time, so it runs at any truncation the tables reach.
 """
 
 from __future__ import annotations
@@ -341,7 +343,9 @@ def oracle_matrix(
 
     Unknowns are ordered [x(0), y(0), x(1), y(1), ...]; rows are the 2*k_max
     block equations, the initial regularity row, and (unless dropped) the
-    boundary row at the truncation edge.
+    boundary row at the truncation edge.  O(k_max^2) memory: it is the dense
+    reference for tests and the input of the ``sigma_min`` SVD; the oracle
+    solve itself works on the band.
     """
     m, n = mode.m, mode.n
     size = 2 * (k_max + 1)
@@ -372,6 +376,40 @@ class OracleSolution:
     sigma_min: float | None = None
 
 
+def _oracle_band(
+    mode: ModeIndex,
+    w: WeightFamily,
+    c: CoefficientFamily,
+    k_max: int,
+    boundary_vec: tuple[float, float],
+) -> np.ndarray:
+    """The constrained system of ``oracle_matrix`` in ``solve_banded`` (2, 1) form.
+
+    Same unknowns and entries, with the initial regularity row moved first:
+    row 0 is the datum row, rows 2k+1 and 2k+2 the block equations of step k,
+    row 2K+1 the boundary row.  Entry (i, j) sits at ``band[1 + i - j, j]``.
+    """
+    m, n = mode.m, mode.n
+    ks = np.arange(k_max)
+    a00 = np.asarray(w.a(n + 1, ks), dtype=float) * np.asarray(c.c(1, n, ks), dtype=float)
+    a11 = np.asarray(w.a(n, ks + 1), dtype=float)
+    c_arr = build_C_range(mode, w, c, k_max)
+    band = np.zeros((4, 2 * (k_max + 1)))
+    band[1, 0] = m
+    band[0, 1] = w.a(n, 0)
+    # block rows A(k+1) h(k+1) - A(k+1) C(k) h(k)
+    band[2, 0 : 2 * k_max : 2] = -a00 * c_arr[:, 0, 0]
+    band[1, 1 : 2 * k_max : 2] = -a00 * c_arr[:, 0, 1]
+    band[0, 2 : 2 * k_max + 1 : 2] = a00
+    band[3, 0 : 2 * k_max : 2] = -(m * c_arr[:, 0, 0] + a11 * c_arr[:, 1, 0])
+    band[2, 1 : 2 * k_max : 2] = -(m * c_arr[:, 0, 1] + a11 * c_arr[:, 1, 1])
+    band[1, 2 : 2 * k_max + 1 : 2] = m
+    band[0, 3 : 2 * k_max + 2 : 2] = a11
+    band[2, 2 * k_max] = boundary_vec[1]
+    band[1, 2 * k_max + 1] = -boundary_vec[0]
+    return band
+
+
 def oracle_solve(
     mode: ModeIndex,
     w: WeightFamily,
@@ -382,11 +420,14 @@ def oracle_solve(
     k_max: int | None = None,
     with_sigma: bool = False,
 ) -> OracleSolution:
-    """Direct dense solve of the truncated constrained system.
+    """Banded LU solve of the truncated constrained system, O(k_max) memory.
 
     The boundary row uses the K table's value at the truncation edge when a
     kernel solution is supplied (identical to the rule values when the seed
-    sits there), otherwise the rule values from ``bd``.
+    sits there), otherwise the rule values from ``bd``.  One step of
+    iterative refinement against the residual of the raw system (``apply_A``
+    plus the boundary row) follows the LU solve.  ``with_sigma`` adds the
+    smallest singular value of the dense ``oracle_matrix``.
     """
     n = mode.n
     if k_max is None:
@@ -397,15 +438,23 @@ def oracle_solve(
         bvec = bd.K_inf
     else:
         raise ValueError("need a kernel solution or boundary data for the boundary row")
-    mat = oracle_matrix(mode, w, c, k_max, bvec)
-    rhs = np.zeros(2 * (k_max + 1))
+    band = _oracle_band(mode, w, c, k_max, bvec)
     n_fill = min(k_max, len(r.r1.values))
-    rhs[0 : 2 * n_fill : 2] = r.r1.values[:n_fill]
-    rhs[1 : 2 * n_fill + 1 : 2] = r.r2.values[:n_fill]
-    rhs[2 * k_max] = r.q0
-    hvec = scipy.linalg.solve(mat, rhs)
+    rhs = np.zeros(2 * (k_max + 1))
+    rhs[0] = r.q0
+    rhs[1 : 2 * n_fill : 2] = r.r1.values[:n_fill]
+    rhs[2 : 2 * n_fill + 1 : 2] = r.r2.values[:n_fill]
+    hvec = scipy.linalg.solve_banded((2, 1), band, rhs)
+    back = apply_A(mode, w, c, WeightedSeq(hvec[0::2], n), WeightedSeq(hvec[1::2], n + 1))
+    resid = rhs.copy()
+    resid[0] -= back.q0
+    resid[1 : 2 * k_max : 2] -= back.r1.values
+    resid[2 : 2 * k_max + 1 : 2] -= back.r2.values
+    resid[-1] -= bvec[1] * hvec[-2] - bvec[0] * hvec[-1]
+    hvec = hvec + scipy.linalg.solve_banded((2, 1), band, resid)
     sigma = None
     if with_sigma:
+        mat = oracle_matrix(mode, w, c, k_max, bvec)
         sigma = float(np.linalg.svd(mat, compute_uv=False)[-1])
     return OracleSolution(
         h_g=WeightedSeq(hvec[0::2], n),

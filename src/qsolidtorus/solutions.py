@@ -119,11 +119,13 @@ def compute_I(
 ) -> np.ndarray:
     """Forward table I(0..k_hi) from the normalization I(0) = (-1, m/a_n(0))."""
     c_arr = build_C_range(mode, w, c, k_hi)
-    out = np.empty((k_hi + 1, 2))
-    out[0] = (-1.0, mode.m / w.a(mode.n, 0))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(k_hi):
-            out[k + 1] = c_arr[k] @ out[k]
+    x, y = -1.0, float(mode.m / w.a(mode.n, 0))
+    rows = [(x, y)]
+    # plain floats overflow to inf without raising; the guard below catches it
+    for c00, c01, c10, c11 in c_arr.reshape(-1, 4).tolist():
+        x, y = c00 * x + c01 * y, c10 * x + c11 * y
+        rows.append((x, y))
+    out = np.array(rows)
     if not np.all(np.isfinite(out)) or np.max(np.abs(out)) > 1e280:
         raise RangeOverflowError(
             "forward recursion overflow; rescale the data or lower |m| * K "
@@ -161,16 +163,17 @@ def compute_K(
                 f"seed tail certificate {tail:.3g} above requested tol {tol:.3g}"
             )
     c_arr = build_C_range(mode, w, c, k_seed)
-    full = np.empty((k_seed + 1, 2))
-    full[k_seed] = bd.K_inf
     c1 = np.asarray(c.c(1, mode.n, np.arange(k_seed)), dtype=float)
     c2 = np.asarray(c.c(2, mode.n, np.arange(k_seed)), dtype=float)
-    dets = c2 / c1
-    for k in range(k_seed - 1, -1, -1):
-        mat = c_arr[k]
-        # explicit 2x2 inverse keeps the backward sweep allocation-free
-        inv = np.array([[mat[1, 1], -mat[0, 1]], [-mat[1, 0], mat[0, 0]]]) / dets[k]
-        full[k] = inv @ full[k + 1]
+    # explicit 2x2 inverses adj(C)/det C for every step, then a plain-float sweep
+    inv = np.stack((c_arr[:, 1, 1], -c_arr[:, 0, 1], -c_arr[:, 1, 0], c_arr[:, 0, 0]), axis=1)
+    inv /= (c2 / c1)[:, None]
+    x, y = float(bd.K_inf[0]), float(bd.K_inf[1])
+    rows = [(x, y)]
+    for i00, i01, i10, i11 in reversed(inv.tolist()):
+        x, y = i00 * x + i01 * y, i10 * x + i11 * y
+        rows.append((x, y))
+    full = np.array(rows[::-1])
     tail = tail_sum_C_minus_I(mode, w, c, k_seed)
     return full[: k_hi + 1], tail
 

@@ -109,12 +109,18 @@ def mat_abs_norm(mat: np.ndarray) -> float:
 
 def partial_products(c_arr: np.ndarray) -> np.ndarray:
     """P(0)=I and P(k+1) = C(k) P(k) for a stack of C matrices."""
-    k_hi = c_arr.shape[0]
-    out = np.empty((k_hi + 1, 2, 2))
-    out[0] = np.eye(2)
-    for k in range(k_hi):
-        out[k + 1] = c_arr[k] @ out[k]
-    return out
+    p00, p01, p10, p11 = 1.0, 0.0, 0.0, 1.0
+    flat = [(p00, p01, p10, p11)]
+    # plain-float recurrence: a numpy 2x2 product per step costs more than the arithmetic
+    for a, b, c, d in c_arr.reshape(-1, 4).tolist():
+        p00, p01, p10, p11 = (
+            a * p00 + b * p10,
+            a * p01 + b * p11,
+            c * p00 + d * p10,
+            c * p01 + d * p11,
+        )
+        flat.append((p00, p01, p10, p11))
+    return np.array(flat).reshape(len(flat), 2, 2)
 
 
 def tail_sum_C_minus_I(

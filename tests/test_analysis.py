@@ -148,3 +148,31 @@ def test_proxy_uses_assembled_scale(families):
 def test_fubini_pair_list_is_the_documented_one():
     assert FUBINI_PAIRS[0] == (("X", 1, 2), ("Y", 2, 1))
     assert len(FUBINI_PAIRS) == 4
+
+
+def test_decay_scan_fails_on_non_finite_tail(families):
+    """At m = 8192 the tail envelope overflows to inf; the scan must not pass."""
+    w, c = families
+    table = decay_scan((1, 8192), (0, 1), w, c, 128)
+    assert not all(r.all_finite for r in table.rows)
+    assert not table.all_passed
+
+
+def test_nan_proxy_fails_envelope_checks(families, monkeypatch):
+    import dataclasses
+
+    import qsolidtorus.analysis as analysis
+
+    real = analysis.hs_norms
+
+    def nan_proxy(mode, *args, **kwargs):
+        rep = real(mode, *args, **kwargs)
+        return dataclasses.replace(rep, proxy=math.nan) if mode.m == 2 else rep
+
+    monkeypatch.setattr(analysis, "hs_norms", nan_proxy)
+    w, c = families
+    table = decay_scan((1, 2), (0, 1), w, c, 32)
+    checks = {ch.name: ch.passed for ch in table.envelope_checks}
+    assert checks["proxy_decays_in_m"] is False
+    assert checks["proxy_decays_in_n"] is False
+    assert not table.all_passed

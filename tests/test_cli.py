@@ -65,6 +65,19 @@ def test_config_validation_rules(tmp_path):
     path.write_text(json.dumps(cfg))
     with pytest.raises(ConfigError, match="positive"):
         load_config(path)
+    for formats in ("csv", ["csv", "xml"], {"csv": True}):
+        cfg = default_config_dict()
+        cfg["output"]["formats"] = formats
+        path.write_text(json.dumps(cfg))
+        with pytest.raises(ConfigError, match="formats"):
+            load_config(path)
+        assert main(["--config", str(path), "scan"]) == 2
+    for section in ("output", "grid", "truncation"):
+        cfg = default_config_dict()
+        cfg[section] = "csv"
+        path.write_text(json.dumps(cfg))
+        with pytest.raises(ConfigError):
+            load_config(path)
 
 
 def test_solve_zero_rhs(small_config, tmp_path):
@@ -159,3 +172,47 @@ def test_kmax_override(small_config):
     payload = read_out(path, "solutions.json")
     assert payload["meta"]["k_max"] == 40  # config echo; computation used the override
     assert len(payload["solutions"]) == 3
+
+
+def test_scan_builds_each_solution_once(small_config, monkeypatch):
+    import qsolidtorus.analysis as analysis
+    import qsolidtorus.cli as cli
+
+    calls = []
+    real = analysis.build_solution
+
+    def counting(mode, *args, **kwargs):
+        calls.append((mode.m, mode.n))
+        return real(mode, *args, **kwargs)
+
+    for module in (analysis, cli):
+        monkeypatch.setattr(module, "build_solution", counting)
+    path, cfg = small_config
+    assert main(["--config", str(path), "scan"]) == 0
+    assert sorted(calls) == sorted({(m, n) for m in cfg["grid"]["m_list"] for n in cfg["grid"]["n_list"]})
+
+
+def test_solve_banded_oracle_at_k65536(tmp_path):
+    """The O(K) oracle checks the inverse far beyond what a dense solve could hold."""
+    cfg = default_config_dict()
+    cfg["grid"]["m_list"] = [1]
+    cfg["grid"]["n_list"] = [0]
+    cfg["truncation"]["k_max"] = 65536
+    cfg["output"]["dir"] = str(tmp_path / "out")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["--config", str(path), "solve", "--seed", "5"]) == 0
+    (rec,) = json.loads((tmp_path / "out" / "solutions.json").read_text())["solutions"]
+    tol = cfg["truncation"]["tol_residual"]
+    assert rec["residual_oracle"] <= 10 * tol
+    assert rec["residual_right_inverse"] <= tol
+
+
+def test_scan_non_finite_tail_exit_one(tmp_path):
+    cfg = default_config_dict()
+    cfg["grid"]["m_list"] = [1, 8192]
+    cfg["grid"]["n_list"] = [0, 1]
+    cfg["output"]["dir"] = str(tmp_path / "out")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["--config", str(path), "scan"]) == 1

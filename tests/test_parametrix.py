@@ -332,3 +332,29 @@ def test_beta_stable_under_truncation_doubling(families, rng):
         res_256 = apply_Q(mode, w, c, sol, r, k_max=256)
         assert np.isfinite(res_128.beta)
         assert res_256.beta == pytest.approx(res_128.beta, rel=1e-6)
+
+
+def test_banded_oracle_matches_dense_solve(families, rng):
+    """The banded LU plus refinement reproduces a dense LU of oracle_matrix."""
+    import scipy.linalg
+
+    w, c = families
+    worst = 0.0
+    for m in (0, 1, -1, 5, -5):
+        for n in (0, 3):
+            for K in (16, 128):
+                mode = ModeIndex(m, n)
+                sol = build_solution(mode, w, c, K)
+                r = random_rhs(mode, K, rng)
+                orc = oracle_solve(mode, w, c, r, sol=sol)
+                mat = oracle_matrix(mode, w, c, K, (sol.K[K, 0], sol.K[K, 1]))
+                rhs = np.zeros(2 * (K + 1))
+                rhs[0 : 2 * K : 2] = r.r1.values
+                rhs[1 : 2 * K + 1 : 2] = r.r2.values
+                rhs[2 * K] = r.q0
+                dense = scipy.linalg.solve(mat, rhs)
+                got = np.empty_like(dense)
+                got[0::2] = orc.h_g.values
+                got[1::2] = orc.h_f.values
+                worst = max(worst, float(np.max(np.abs(got - dense)) / np.max(np.abs(dense))))
+    assert np.isfinite(worst) and worst <= 1e-12, worst

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qsolidtorus.config import DEFAULT_GRID_M, DEFAULT_GRID_N
 from qsolidtorus.families import CoefficientFamily, WeightFamily, eval_s
 from qsolidtorus.solutions import (
     BoundaryRuleError,
@@ -15,7 +16,7 @@ from qsolidtorus.solutions import (
     verify_lemma_suite,
     wronskian_residuals,
 )
-from qsolidtorus.transfer import ModeIndex
+from qsolidtorus.transfer import ModeIndex, build_C_range, partial_products
 
 
 def test_default_boundary_rule_values():
@@ -217,3 +218,40 @@ def test_seeded_solution_matches_deeper_seed_directionally(families):
     rel = np.max(np.abs(a - b)) / np.max(np.abs(b))
     assert rel <= 2 * shallow.seed_tail_bound
     assert deep.seed_tail_bound < shallow.seed_tail_bound
+
+
+def _row_rel_gap(got: np.ndarray, ref: np.ndarray) -> float:
+    """Worst per-step gap relative to that step's largest reference entry."""
+    got = got.reshape(len(got), -1)
+    ref = ref.reshape(len(ref), -1)
+    return float(np.max(np.max(np.abs(got - ref), axis=1) / np.max(np.abs(ref), axis=1)))
+
+
+def test_scalar_sweeps_match_matmul_reference(families):
+    """The plain-float I, K and P recurrences equal numpy 2x2 products to rounding."""
+    w, c = families
+    K = 128
+    worst = {"I": 0.0, "K": 0.0, "P": 0.0}
+    for m in DEFAULT_GRID_M:
+        for n in DEFAULT_GRID_N:
+            mode = ModeIndex(m, n)
+            C = build_C_range(mode, w, c, K)
+            ref_I = np.empty((K + 1, 2))
+            ref_I[0] = (-1.0, m / w.a(n, 0))
+            ref_P = np.empty((K + 1, 2, 2))
+            ref_P[0] = np.eye(2)
+            for k in range(K):
+                ref_I[k + 1] = C[k] @ ref_I[k]
+                ref_P[k + 1] = C[k] @ ref_P[k]
+            bd = choose_K_infinity(mode)
+            ks = np.arange(K)
+            dets = np.asarray(c.c(2, n, ks)) / np.asarray(c.c(1, n, ks))
+            ref_K = np.empty((K + 1, 2))
+            ref_K[K] = bd.K_inf
+            for k in range(K - 1, -1, -1):
+                adj = np.array([[C[k, 1, 1], -C[k, 0, 1]], [-C[k, 1, 0], C[k, 0, 0]]])
+                ref_K[k] = adj / dets[k] @ ref_K[k + 1]
+            worst["I"] = max(worst["I"], _row_rel_gap(compute_I(mode, w, c, K), ref_I))
+            worst["K"] = max(worst["K"], _row_rel_gap(compute_K(mode, w, c, K, bd)[0], ref_K))
+            worst["P"] = max(worst["P"], _row_rel_gap(partial_products(C), ref_P))
+    assert all(np.isfinite(v) and v <= 1e-14 for v in worst.values()), worst
