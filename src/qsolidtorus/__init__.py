@@ -22,7 +22,6 @@ from .transfer import (
     SingularMatrixError,
     TransferProduct,
     build_A,
-    build_C,
     invert,
     limit_product,
     structure_check,
@@ -77,7 +76,6 @@ __all__ = [
     "SingularMatrixError",
     "TransferProduct",
     "build_A",
-    "build_C",
     "invert",
     "limit_product",
     "structure_check",

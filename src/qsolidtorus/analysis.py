@@ -27,11 +27,12 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from .families import CoefficientFamily, WeightFamily, eval_s, tail_inv_weight
-from .solutions import KernelSolution, build_solution, scalar_det_prefix
+from .solutions import KernelSolution, build_solution, suffix_sum
 from .transfer import ModeIndex
 
 FUBINI_PAIRS = (
@@ -89,10 +90,6 @@ class HsReport:
         return rec
 
 
-def _suffix_inclusive(v: np.ndarray) -> np.ndarray:
-    return np.cumsum(v[::-1])[::-1]
-
-
 def hs_norms(
     mode: ModeIndex,
     sol: KernelSolution,
@@ -108,11 +105,11 @@ def hs_norms(
     eps = sol.eps
     tau = sol.tau
     kappa = c.kappa
+    an = sol.table.an[: k_max + 1]
+    an1 = sol.table.an1[: k_max + 1]
 
     if m == 0:
-        an = np.asarray(w.a(n, np.arange(k_max + 1)), dtype=float)
-        an1 = np.asarray(w.a(n + 1, np.arange(k_max + 1)), dtype=float)
-        c2 = np.asarray(c.c(2, n, np.arange(k_max)), dtype=float)
+        c2 = sol.table.c2
         hs_z = 0.0
         inner = 0.0
         for k in range(k_max + 1):
@@ -142,9 +139,7 @@ def hs_norms(
 
     I = sol.I[: k_max + 1]
     Kf = sol.K[: k_max + 1]
-    an = np.asarray(w.a(n, np.arange(k_max + 1)), dtype=float)
-    an1 = np.asarray(w.a(n + 1, np.arange(k_max + 1)), dtype=float)
-    R = 1.0 / scalar_det_prefix(c, n, k_max)
+    R = 1.0 / sol.table.prefix[: k_max + 1]
     a_of = {1: an, 2: an1}
     Ic = {1: I[:, 0], 2: I[:, 1]}
     Kc = {1: Kf[:, 0], 2: Kf[:, 1]}
@@ -156,11 +151,10 @@ def hs_norms(
         out_w = Ic[alpha] ** 2 / a_of[alpha]
         for beta in (1, 2):
             if beta == 1:
-                s_inner = np.zeros(k_max + 1)
-                s_inner[:-1] = _suffix_inclusive(kernel_K[1])[1:]
+                s_inner = suffix_sum(kernel_K[1])
             else:
                 # shifted kernel argument: the upper sum reaches the table end
-                s_inner = _suffix_inclusive(kernel_K[2])
+                s_inner = suffix_sum(np.append(0.0, kernel_K[2]))[:-1]
             hs[("X", alpha, beta)] = float(np.sum(out_w * s_inner))
     for alpha in (1, 2):
         out_w = Kc[alpha] ** 2 / a_of[alpha]
@@ -320,8 +314,6 @@ def decay_scan(
 
 def scan_to_files(table: ScanTable, out_dir, formats=("csv", "json"), meta: dict | None = None):
     """Write the scan outputs; returns the list of paths written."""
-    from pathlib import Path
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
@@ -334,16 +326,24 @@ def scan_to_files(table: ScanTable, out_dir, formats=("csv", "json"), meta: dict
         payload = table.to_json()
         if meta:
             payload["meta"] = meta
-        p.write_text(json.dumps(payload, indent=2, sort_keys=True, default=_json_default))
+        write_json(p, payload)
         written.append(p)
     return written
 
 
-def _json_default(obj):
+def _np_default(obj):
     if isinstance(obj, np.bool_):
         return bool(obj)
     if isinstance(obj, np.integer):
         return int(obj)
     if isinstance(obj, np.floating):
         return float(obj)
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
     raise TypeError(f"not JSON serializable: {type(obj)}")
+
+
+def write_json(path: Path, payload: dict) -> None:
+    """Write one JSON output, indented with sorted keys; numpy values become plain JSON."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=_np_default))

@@ -15,9 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import decay_scan, scan_to_files
+from .analysis import decay_scan, scan_to_files, write_json
 from .config import ConfigError, ExperimentConfig, load_config
-from .families import validate_hypotheses
+from .families import HypothesisViolation, validate_hypotheses
 from .parametrix import (
     RhsPair,
     WeightedSeq,
@@ -26,12 +26,28 @@ from .parametrix import (
     oracle_solve,
     random_rhs,
 )
-from .solutions import build_solution, verify_lemma_suite, wronskian_residuals
-from .transfer import ModeIndex, limit_product
+from .solutions import (
+    BoundaryRuleError,
+    DegeneratePairingError,
+    RangeOverflowError,
+    build_solution,
+    verify_lemma_suite,
+    wronskian_residuals,
+)
+from .transfer import ModeIndex, SingularMatrixError, limit_product
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
+
+# the per-mode failures a table build can report; anything else is a bug
+MODE_ERRORS = (
+    BoundaryRuleError,
+    DegeneratePairingError,
+    HypothesisViolation,
+    RangeOverflowError,
+    SingularMatrixError,
+)
 
 
 def _meta(cfg: ExperimentConfig, seed: int | None = None) -> dict:
@@ -45,23 +61,6 @@ def _meta(cfg: ExperimentConfig, seed: int | None = None) -> dict:
     return meta
 
 
-def _np_default(obj):
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=_np_default))
-
-
 def _modes(cfg: ExperimentConfig, only_m: list[int] | None) -> list[tuple[int, int]]:
     ms = cfg.m_list if only_m is None else tuple(m for m in cfg.m_list if m in only_m)
     if only_m is not None and not ms:
@@ -73,7 +72,7 @@ def cmd_validate(cfg: ExperimentConfig, out_dir: Path) -> int:
     report = validate_hypotheses(cfg.weights, cfg.coeffs, n_probe=cfg.n_list)
     payload = report.as_dict()
     payload["meta"] = _meta(cfg)
-    _write_json(out_dir / "validation.json", payload)
+    write_json(out_dir / "validation.json", payload)
     for ch in report.checks:
         print(f"[{'pass' if ch.passed else 'FAIL'}] {ch.name}: {ch.witness}")
     return EXIT_OK if report.all_passed else EXIT_VIOLATION
@@ -117,7 +116,7 @@ def cmd_solve(
         r = rhs_map[(m, n)]
         try:
             sol = build_solution(mode, cfg.weights, cfg.coeffs, k_max, rule=cfg.boundary_rule)
-            res = apply_Q(mode, cfg.weights, cfg.coeffs, sol, r, k_max)
+            res = apply_Q(sol, r, k_max)
             back = apply_A(mode, cfg.weights, cfg.coeffs, res.h_g, res.h_f)
             r_norm = r.norm(cfg.weights)
             diff = RhsPair(
@@ -151,7 +150,7 @@ def cmd_solve(
             records.append({"m": m, "n": n, "error": f"mode ({m}, {n}): {exc}"})
             print(f"mode ({m}, {n}) failed: {exc}", file=sys.stderr)
     payload = {"meta": _meta(cfg, seed), "solutions": records}
-    _write_json(out_dir / "solutions.json", payload)
+    write_json(out_dir / "solutions.json", payload)
     n_err = sum(1 for r in records if "error" in r)
     print(f"solved {len(records) - n_err}/{len(records)} modes; outputs in {out_dir}")
     return EXIT_OK if ok else EXIT_VIOLATION
@@ -172,8 +171,8 @@ def cmd_scan(
             continue
         for n in cfg.n_list:
             sol = table.solutions[(m, n)]
-            rep = verify_lemma_suite(sol, cfg.weights, cfg.coeffs)
-            wr = float(np.max(wronskian_residuals(sol, cfg.coeffs)))
+            rep = verify_lemma_suite(sol)
+            wr = float(np.max(wronskian_residuals(sol)))
             lemma_rows.append(
                 {
                     "m": m,
@@ -188,7 +187,7 @@ def cmd_scan(
             if not rep.all_passed and first_bad is None:
                 first_bad = (m, n, [ch.name for ch in rep.checks if not ch.passed])
                 ok = False
-    _write_json(out_dir / "lemma_summary.json", {"meta": _meta(cfg), "modes": lemma_rows})
+    write_json(out_dir / "lemma_summary.json", {"meta": _meta(cfg), "modes": lemma_rows})
     for ch in table.envelope_checks:
         print(f"[{'pass' if ch.passed else 'FAIL'}] {ch.name}: {ch.witness}")
     n_bounds = sum(1 for r in table.rows if not r.all_bounds_hold)
@@ -209,43 +208,57 @@ def cmd_dump(
     k_max: int | None,
 ) -> int:
     k_max = cfg.k_max if k_max is None else k_max
-    modes = _modes(cfg, only_m)
     rows = []
-    for (m, n) in modes:
+    ok = True
+    for (m, n) in _modes(cfg, only_m):
         mode = ModeIndex(m, n)
-        if what == "transfer":
-            tp = limit_product(mode, cfg.weights, cfg.coeffs, tol=cfg.tol_prod, k_cap=max(4 * k_max, 512), strict=False)
-            for k in range(min(k_max, tp.k_trunc)):
-                rows.append(
-                    {
-                        "m": m,
-                        "n": n,
-                        "k": k,
-                        "C": tp.matrices[k].ravel().tolist(),
-                        "P": tp.partials[k].ravel().tolist(),
-                    }
+        try:
+            if what == "transfer":
+                # P(k) for k < k_max does not depend on how far the product is grown
+                tp = limit_product(
+                    mode, cfg.weights, cfg.coeffs, tol=cfg.tol_prod, k_cap=k_max, strict=False
                 )
-        elif what == "solution":
-            sol = build_solution(mode, cfg.weights, cfg.coeffs, k_max, rule=cfg.boundary_rule)
-            wres = wronskian_residuals(sol, cfg.coeffs)
-            for k in range(k_max + 1):
-                rows.append(
-                    {
-                        "m": m,
-                        "n": n,
-                        "k": k,
-                        "I1": sol.I[k, 0],
-                        "I2": sol.I[k, 1],
-                        "K1": sol.K[k, 0],
-                        "K2": sol.K[k, 1],
-                        "wronskian_residual": wres[k],
-                    }
-                )
-        else:
-            raise ConfigError(f"unknown dump table {what!r}")
-    _write_json(out_dir / f"dump_{what}.json", {"meta": _meta(cfg), "rows": rows})
+                k_rows = min(k_max, tp.k_trunc)
+                tables = (tp.matrices[:k_rows], tp.partials[:k_rows])
+                for k in range(k_rows):
+                    rows.append(
+                        {
+                            "m": m,
+                            "n": n,
+                            "k": k,
+                            "C": tp.matrices[k].ravel().tolist(),
+                            "P": tp.partials[k].ravel().tolist(),
+                        }
+                    )
+            elif what == "solution":
+                sol = build_solution(mode, cfg.weights, cfg.coeffs, k_max, rule=cfg.boundary_rule)
+                wres = wronskian_residuals(sol)
+                tables = (sol.I, sol.K, wres)
+                for k in range(k_max + 1):
+                    rows.append(
+                        {
+                            "m": m,
+                            "n": n,
+                            "k": k,
+                            "I1": sol.I[k, 0],
+                            "I2": sol.I[k, 1],
+                            "K1": sol.K[k, 0],
+                            "K2": sol.K[k, 1],
+                            "wronskian_residual": wres[k],
+                        }
+                    )
+            else:
+                raise ConfigError(f"unknown dump table {what!r}")
+        except MODE_ERRORS as exc:
+            ok = False
+            print(f"mode ({m}, {n}) failed: {exc}", file=sys.stderr)
+            continue
+        if not all(np.all(np.isfinite(t)) for t in tables):
+            ok = False
+            print(f"mode ({m}, {n}): non-finite entries in the {what} table", file=sys.stderr)
+    write_json(out_dir / f"dump_{what}.json", {"meta": _meta(cfg), "rows": rows})
     print(f"wrote {len(rows)} rows to {out_dir / f'dump_{what}.json'}")
-    return EXIT_OK
+    return EXIT_OK if ok else EXIT_VIOLATION
 
 
 def build_parser() -> argparse.ArgumentParser:

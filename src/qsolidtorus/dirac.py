@@ -160,7 +160,7 @@ def apply_Q_global(
         k_mode = len(r.r1.values) if k_max is None else k_max
         try:
             sol = build_solution(ModeIndex(m, n), w, c, k_mode, rule=rule)
-            res = apply_Q(ModeIndex(m, n), w, c, sol, r, k_mode)
+            res = apply_Q(sol, r, k_mode)
         except Exception as exc:
             raise ModeError(f"mode ({m}, {n}): {exc}") from exc
         entries[(m, n)] = (res.h_g.values, res.h_f.values)

@@ -326,13 +326,15 @@ def validate_hypotheses(
             break
     checks.append(CheckResult("weight_positivity", pos_ok, pos_wit))
 
+    # s(n) must decrease along the levels, whatever order the probe lists them in
+    levels = sorted(set(n_probe))
     try:
-        s_vals = [eval_s(w, n, tol) for n in n_probe]
+        s_vals = [eval_s(w, n, tol) for n in levels]
         checks.append(
             CheckResult(
                 "s_summable",
                 True,
-                f"s(n) finite; s({n_probe[0]})={s_vals[0].value:.6g}",
+                f"s(n) finite; s({levels[0]})={s_vals[0].value:.6g}",
             )
         )
         dec_ok = all(
@@ -344,7 +346,7 @@ def validate_hypotheses(
             CheckResult(
                 "s_decreasing_to_zero",
                 dec_ok and van_ok,
-                f"s({n_probe[-1]})={s_vals[-1].value:.6g} vs s({n_probe[0]})={s_vals[0].value:.6g}",
+                f"s({levels[-1]})={s_vals[-1].value:.6g} vs s({levels[0]})={s_vals[0].value:.6g}",
             )
         )
     except HypothesisViolation as exc:

@@ -25,7 +25,7 @@ import numpy as np
 import scipy.linalg
 
 from .families import CoefficientFamily, WeightFamily
-from .solutions import BoundaryData, KernelSolution, scalar_det_prefix
+from .solutions import BoundaryData, KernelSolution, ModeTable, mode_table, suffix_sum
 from .transfer import ModeIndex, build_C_range, invert
 
 
@@ -147,22 +147,18 @@ def _channel_inputs(r: RhsPair, k_max: int) -> tuple[np.ndarray, np.ndarray]:
     return w2, w1
 
 
-def _kernels(
-    sol: KernelSolution, w: WeightFamily, c: CoefficientFamily, k_max: int
-) -> dict[str, np.ndarray]:
+def _kernels(sol: KernelSolution, k_max: int) -> dict[str, np.ndarray]:
     """Channel kernels of the expanded inverse, i = 0..k_max.
 
     The second-channel kernels carry a minus sign on the first solution
     component (it comes from pairing against the perp vector); the first
     channel uses the recurrence-reduced form with the shifted index i-1.
     """
-    n = sol.mode.n
     I = sol.I[: k_max + 1]
     Kf = sol.K[: k_max + 1]
-    an = np.asarray(w.a(n, np.arange(k_max + 1)), dtype=float)
-    an1 = np.asarray(w.a(n + 1, np.arange(k_max + 1)), dtype=float)
-    ratio = scalar_det_prefix(c, n, k_max)  # prod_{j<i} c2/c1
-    R = 1.0 / ratio                         # prod_{j<i} c1/c2
+    an = sol.table.an[: k_max + 1]
+    an1 = sol.table.an1[: k_max + 1]
+    R = 1.0 / sol.table.prefix[: k_max + 1]  # prod_{j<i} c1/c2
     phi_K2 = np.zeros(k_max + 1)
     phi_K2[1:] = R[:-1] * Kf[:-1, 1] / an1[:-1]
     phi_K1 = -R * Kf[:, 0] / an
@@ -172,20 +168,8 @@ def _kernels(
     return {"K2": phi_K2, "K1": phi_K1, "I2": phi_I2, "I1": phi_I1}
 
 
-def _suffix_sum(v: np.ndarray) -> np.ndarray:
-    """out[k] = sum_{i > k} v(i), with out[-1] = 0."""
-    out = np.zeros(len(v))
-    out[:-1] = np.cumsum(v[::-1])[::-1][1:]
-    return out
-
-
 def apply_Q(
-    mode: ModeIndex,
-    w: WeightFamily,
-    c: CoefficientFamily,
-    sol: KernelSolution,
-    r: RhsPair,
-    k_max: int | None = None,
+    sol: KernelSolution, r: RhsPair, k_max: int | None = None
 ) -> ParametrixResult:
     """Explicit inverse of one mode system through the I/K kernel tables.
 
@@ -193,17 +177,17 @@ def apply_Q(
     entries of r beyond it are ignored.  The result satisfies the block rows,
     reproduces q0 exactly, and is proportional to the K table at the edge.
     """
-    n = mode.n
+    n = sol.mode.n
     if r.r1.level != n + 1 or r.r2.level != n:
         raise WeightTagMismatch(f"rhs levels must be ({n + 1}, {n})")
     k_max = sol.k_table if k_max is None else k_max
     if k_max > sol.k_table:
         raise ValueError("k_max exceeds the kernel solution table")
     w2, w1 = _channel_inputs(r, k_max)
-    ker = _kernels(sol, w, c, k_max)
+    ker = _kernels(sol, k_max)
     x_terms = ker["K2"] * w2 + ker["K1"] * w1
     y_terms = ker["I2"] * w2 + ker["I1"] * w1
-    e1 = _suffix_sum(x_terms) / sol.tau
+    e1 = suffix_sum(x_terms) / sol.tau
     e2 = np.cumsum(y_terms) / sol.tau
     I = sol.I[: k_max + 1]
     Kf = sol.K[: k_max + 1]
@@ -232,14 +216,7 @@ def apply_Q(
 
 
 def apply_XYZ(
-    kind: str,
-    alpha: int,
-    beta: int,
-    mode: ModeIndex,
-    sol: KernelSolution,
-    w: WeightFamily,
-    c: CoefficientFamily,
-    r: WeightedSeq,
+    kind: str, alpha: int, beta: int, sol: KernelSolution, r: WeightedSeq
 ) -> WeightedSeq:
     """The kernel integral operators in their expanded form.
 
@@ -248,14 +225,16 @@ def apply_XYZ(
     c1/c2; Z (m = 0 only) is the cumulative c2-product kernel.  Input tags
     must match a_{n-1+beta} for X/Y and a_n for Z.
     """
-    n = mode.n
+    n = sol.mode.n
+    t = sol.table
     vals = np.asarray(r.values, dtype=float)
     k_max = len(vals) - 1
+    if k_max > sol.k_table:
+        raise ValueError("input longer than the kernel solution table")
     if kind == "Z":
         if r.level != n:
             raise WeightTagMismatch("Z input must live at level n")
-        an = np.asarray(w.a(n, np.arange(k_max + 1)), dtype=float)
-        c2 = np.asarray(c.c(2, n, np.arange(k_max)), dtype=float)
+        an, c2 = t.an, t.c2
         out = np.empty(k_max + 1)
         acc = 0.0
         for k in range(k_max + 1):
@@ -269,10 +248,8 @@ def apply_XYZ(
         raise ValueError("kind must be X/Y/Z with alpha, beta in {1, 2}")
     if r.level != n - 1 + beta:
         raise WeightTagMismatch(f"{kind}^{alpha}{beta} input must live at level {n - 1 + beta}")
-    if k_max > sol.k_table:
-        raise ValueError("input longer than the kernel solution table")
-    R = 1.0 / scalar_det_prefix(c, n, k_max)
-    a_in = np.asarray(w.a(n - 1 + beta, np.arange(k_max + 1)), dtype=float)
+    R = 1.0 / t.prefix[: k_max + 1]
+    a_in = (t.an if beta == 1 else t.an1)[: k_max + 1]
     H = sol.K if kind == "X" else sol.I
     outer = (sol.I if kind == "X" else sol.K)[: k_max + 1, alpha - 1]
     phi = np.zeros(k_max + 1)
@@ -282,7 +259,7 @@ def apply_XYZ(
     else:
         phi = R * H[: k_max + 1, 0] / a_in
     terms = phi * vals
-    inner = _suffix_sum(terms) if kind == "X" else np.cumsum(terms)
+    inner = suffix_sum(terms) if kind == "X" else np.cumsum(terms)
     return WeightedSeq(outer * inner, n - 1 + alpha)
 
 
@@ -377,11 +354,7 @@ class OracleSolution:
 
 
 def _oracle_band(
-    mode: ModeIndex,
-    w: WeightFamily,
-    c: CoefficientFamily,
-    k_max: int,
-    boundary_vec: tuple[float, float],
+    table: ModeTable, k_max: int, boundary_vec: tuple[float, float]
 ) -> np.ndarray:
     """The constrained system of ``oracle_matrix`` in ``solve_banded`` (2, 1) form.
 
@@ -389,14 +362,13 @@ def _oracle_band(
     row 0 is the datum row, rows 2k+1 and 2k+2 the block equations of step k,
     row 2K+1 the boundary row.  Entry (i, j) sits at ``band[1 + i - j, j]``.
     """
-    m, n = mode.m, mode.n
-    ks = np.arange(k_max)
-    a00 = np.asarray(w.a(n + 1, ks), dtype=float) * np.asarray(c.c(1, n, ks), dtype=float)
-    a11 = np.asarray(w.a(n, ks + 1), dtype=float)
-    c_arr = build_C_range(mode, w, c, k_max)
+    m = table.mode.m
+    a00 = table.an1[:k_max] * table.c1[:k_max]
+    a11 = table.an[1 : k_max + 1]
+    c_arr = table.C[:k_max]
     band = np.zeros((4, 2 * (k_max + 1)))
     band[1, 0] = m
-    band[0, 1] = w.a(n, 0)
+    band[0, 1] = table.an[0]
     # block rows A(k+1) h(k+1) - A(k+1) C(k) h(k)
     band[2, 0 : 2 * k_max : 2] = -a00 * c_arr[:, 0, 0]
     band[1, 1 : 2 * k_max : 2] = -a00 * c_arr[:, 0, 1]
@@ -438,7 +410,8 @@ def oracle_solve(
         bvec = bd.K_inf
     else:
         raise ValueError("need a kernel solution or boundary data for the boundary row")
-    band = _oracle_band(mode, w, c, k_max, bvec)
+    table = mode_table(mode, w, c, k_max) if sol is None else sol.table
+    band = _oracle_band(table, k_max, bvec)
     n_fill = min(k_max, len(r.r1.values))
     rhs = np.zeros(2 * (k_max + 1))
     rhs[0] = r.q0
@@ -464,16 +437,9 @@ def oracle_solve(
 
 
 def boundary_residual(
-    h_g: WeightedSeq | ParametrixResult, h_f: WeightedSeq | BoundaryData, bd: BoundaryData | None = None
+    h_g: WeightedSeq, h_f: WeightedSeq, bd: BoundaryData
 ) -> tuple[float, float]:
-    """Residual of the edge proportionality to K(inf), plus the projected beta.
-
-    Accepts either a (h_g, h_f, bd) triple of sequences or a
-    (ParametrixResult, bd) pair.
-    """
-    if isinstance(h_g, ParametrixResult):
-        result, bd = h_g, h_f
-        h_g, h_f = result.h_g, result.h_f
+    """Residual of the edge proportionality to K(inf), plus the projected beta."""
     k1, k2 = bd.K_inf
     x_end = float(h_g.values[-1])
     y_end = float(h_f.values[-1])

@@ -19,7 +19,8 @@ pairing product bounds) that the parametrix norm estimates rely on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -33,7 +34,14 @@ from .families import (
     sup_inv_weight,
     tail_inv_weight,
 )
-from .transfer import ModeIndex, build_C_range, tail_sum_C_minus_I
+from .transfer import (
+    ConvergenceError,
+    ModeIndex,
+    build_C_range,
+    invert,
+    partial_products,
+    tail_sum_C_minus_I,
+)
 
 TAU_FLOOR = 1e-250
 
@@ -114,15 +122,60 @@ def choose_K_infinity(
     return BoundaryData(mode=mode, K_inf=(k1, k2), rule=name)
 
 
+@dataclass(frozen=True)
+class ModeTable:
+    """Per-mode data on the window 0 <= k <= k_hi, evaluated once.
+
+    ``an`` and ``an1`` hold a_n(k) and a_{n+1}(k) for k = 0..k_hi; ``c1``,
+    ``c2`` and the propagation matrices ``C`` cover k = 0..k_hi-1; ``prefix[k]``
+    is prod_{i<k} c_2(i)/c_1(i).  No entry depends on a later index, so a
+    shorter window is a slice of a longer one, bit for bit.
+    """
+
+    mode: ModeIndex
+    k_hi: int
+    an: np.ndarray
+    an1: np.ndarray
+    c1: np.ndarray
+    c2: np.ndarray
+    C: np.ndarray
+    prefix: np.ndarray
+
+
+@functools.lru_cache(maxsize=1)
+def mode_table(
+    mode: ModeIndex, w: WeightFamily, c: CoefficientFamily, k_hi: int
+) -> ModeTable:
+    """Evaluate one mode's weights, gaps, C stack and c2/c1 prefix.
+
+    The table is a pure function of its frozen arguments and its arrays are
+    read-only, so the last result is kept: a solution build and its I and K
+    sweeps share one evaluation.
+    """
+    n = mode.n
+    ks = np.arange(k_hi + 1)
+    arrays = {
+        "an": np.asarray(w.a(n, ks), dtype=float),
+        "an1": np.asarray(w.a(n + 1, ks), dtype=float),
+        "c1": np.asarray(c.c(1, n, ks[:-1]), dtype=float),
+        "c2": np.asarray(c.c(2, n, ks[:-1]), dtype=float),
+        "C": build_C_range(mode, w, c, k_hi),
+        "prefix": scalar_det_prefix(c, n, k_hi),
+    }
+    for arr in arrays.values():
+        arr.setflags(write=False)
+    return ModeTable(mode=mode, k_hi=k_hi, **arrays)
+
+
 def compute_I(
     mode: ModeIndex, w: WeightFamily, c: CoefficientFamily, k_hi: int
 ) -> np.ndarray:
     """Forward table I(0..k_hi) from the normalization I(0) = (-1, m/a_n(0))."""
-    c_arr = build_C_range(mode, w, c, k_hi)
-    x, y = -1.0, float(mode.m / w.a(mode.n, 0))
+    table = mode_table(mode, w, c, k_hi)
+    x, y = -1.0, float(mode.m / table.an[0])
     rows = [(x, y)]
     # plain floats overflow to inf without raising; the guard below catches it
-    for c00, c01, c10, c11 in c_arr.reshape(-1, 4).tolist():
+    for c00, c01, c10, c11 in table.C.reshape(-1, 4).tolist():
         x, y = c00 * x + c01 * y, c10 * x + c11 * y
         rows.append((x, y))
     out = np.array(rows)
@@ -140,42 +193,32 @@ def compute_K(
     c: CoefficientFamily,
     k_hi: int,
     bd: BoundaryData,
-    k_seed: int | None = None,
     tol: float | None = None,
 ) -> tuple[np.ndarray, float]:
-    """Backward table K(0..k_hi) seeded by K(k_seed) := K(inf).
+    """Backward table K(0..k_hi) seeded by K(k_hi) := K(inf).
 
-    Returns the table and the tail certificate sum_{k >= k_seed} ||C - I||_1,
+    Returns the table and the tail certificate sum_{k >= k_hi} ||C - I||_1,
     which controls how far the seeded solution can drift from one seeded
     deeper.  Backward recursion keeps the recessive solution stable.  When a
     tol is requested and the certificate exceeds it, the seed is too shallow
     for the asked accuracy and a ConvergenceError is raised.
     """
-    from .transfer import ConvergenceError
-
-    k_seed = k_hi if k_seed is None else k_seed
-    if k_seed < k_hi:
-        raise ValueError("seed index must be at or beyond the table end")
-    if tol is not None:
-        tail = tail_sum_C_minus_I(mode, w, c, k_seed)
-        if tail > tol:
-            raise ConvergenceError(
-                f"seed tail certificate {tail:.3g} above requested tol {tol:.3g}"
-            )
-    c_arr = build_C_range(mode, w, c, k_seed)
-    c1 = np.asarray(c.c(1, mode.n, np.arange(k_seed)), dtype=float)
-    c2 = np.asarray(c.c(2, mode.n, np.arange(k_seed)), dtype=float)
+    tail = tail_sum_C_minus_I(mode, w, c, k_hi)
+    if tol is not None and tail > tol:
+        raise ConvergenceError(
+            f"seed tail certificate {tail:.3g} above requested tol {tol:.3g}"
+        )
+    table = mode_table(mode, w, c, k_hi)
+    c_arr = table.C
     # explicit 2x2 inverses adj(C)/det C for every step, then a plain-float sweep
     inv = np.stack((c_arr[:, 1, 1], -c_arr[:, 0, 1], -c_arr[:, 1, 0], c_arr[:, 0, 0]), axis=1)
-    inv /= (c2 / c1)[:, None]
+    inv /= (table.c2 / table.c1)[:, None]
     x, y = float(bd.K_inf[0]), float(bd.K_inf[1])
     rows = [(x, y)]
     for i00, i01, i10, i11 in reversed(inv.tolist()):
         x, y = i00 * x + i01 * y, i10 * x + i11 * y
         rows.append((x, y))
-    full = np.array(rows[::-1])
-    tail = tail_sum_C_minus_I(mode, w, c, k_seed)
-    return full[: k_hi + 1], tail
+    return np.array(rows[::-1]), tail
 
 
 @dataclass(frozen=True)
@@ -183,8 +226,6 @@ class KernelSolution:
     """Per-mode I/K tables with pairing, decay quantity and tail certificates."""
 
     mode: ModeIndex
-    k_table: int
-    k_seed: int
     I: np.ndarray
     K: np.ndarray
     K_inf: tuple[float, float]
@@ -192,15 +233,11 @@ class KernelSolution:
     tau: float
     eps: SeriesValue
     seed_tail_bound: float
+    table: ModeTable = field(repr=False)
 
     @property
-    def I_at_infinity(self) -> tuple[float, float]:
-        """Proxy for the limit of I: deepest table value (error O(tail bound))."""
-        return (float(self.I[-1, 0]), float(self.I[-1, 1]))
-
-    @property
-    def K_at_infinity(self) -> tuple[float, float]:
-        return self.K_inf
+    def k_table(self) -> int:
+        return self.table.k_hi
 
     @property
     def ratio_at_infinity(self) -> float:
@@ -229,7 +266,7 @@ def epsilon(
     an = np.asarray(w.a(n, ks), dtype=float)
     an1 = np.asarray(w.a(n + 1, ks), dtype=float)
     head = float(np.sum(an1 / (m * m + an * an1)))
-    if w.kind == "power-family" and (w.table == () or k_head >= 1):
+    if w.kind == "power-family":
         if not w.summable():
             raise HypothesisViolation("eps diverges alongside s(n) for q <= 1")
         inv_tail = float(_zeta(w.q, k_head + 1)) / (w.lam * (n + 1) ** w.p)
@@ -257,19 +294,17 @@ def build_solution(
     c: CoefficientFamily,
     k_max: int,
     rule: str | Callable[[int], tuple[float, float]] = "default",
-    k_seed: int | None = None,
 ) -> KernelSolution:
-    """Assemble the I/K tables for one mode.
+    """Assemble the I/K tables for one mode on its table of per-mode data.
 
-    By default the K seed sits at the table end (k_seed = k_max), so the
-    boundary data holds exactly at the truncation edge; a deeper seed yields a
-    truncation-independent solution at the cost of a larger reported drift
-    certificate at k_max.
+    The K seed sits at the table end, so the boundary data holds exactly at
+    the truncation edge; ``seed_tail_bound`` certifies the drift from a
+    deeper seed.
     """
-    k_seed = k_max if k_seed is None else k_seed
     bd = choose_K_infinity(mode, rule)
-    I_tab = compute_I(mode, w, c, k_seed)
-    K_tab, seed_tail = compute_K(mode, w, c, k_seed, bd, k_seed)
+    table = mode_table(mode, w, c, k_max)
+    I_tab = compute_I(mode, w, c, k_max)
+    K_tab, seed_tail = compute_K(mode, w, c, k_max, bd)
     tau = tau_of_tables(I_tab, K_tab)
     if abs(tau) < TAU_FLOOR or not np.isfinite(tau):
         raise DegeneratePairingError(
@@ -278,8 +313,6 @@ def build_solution(
     eps = epsilon(mode, w, c)
     return KernelSolution(
         mode=mode,
-        k_table=k_seed,
-        k_seed=k_seed,
         I=I_tab,
         K=K_tab,
         K_inf=bd.K_inf,
@@ -287,6 +320,7 @@ def build_solution(
         tau=tau,
         eps=eps,
         seed_tail_bound=seed_tail,
+        table=table,
     )
 
 
@@ -300,24 +334,25 @@ def scalar_det_prefix(c: CoefficientFamily, n: int, k_hi: int) -> np.ndarray:
     return out
 
 
-def wronskian_residuals(sol: KernelSolution, c: CoefficientFamily) -> np.ndarray:
+def suffix_sum(v: np.ndarray) -> np.ndarray:
+    """out[k] = sum_{i > k} v(i), with out[-1] = 0."""
+    out = np.zeros(len(v))
+    out[:-1] = np.cumsum(v[::-1])[::-1][1:]
+    return out
+
+
+def wronskian_residuals(sol: KernelSolution) -> np.ndarray:
     """Relative error of <K(k), I(k)^perp> against tau * prod_{i<k} c2/c1."""
-    k_hi = sol.k_table
     pairing = sol.K[:, 0] * sol.I[:, 1] - sol.K[:, 1] * sol.I[:, 0]
-    expected = sol.tau * scalar_det_prefix(c, sol.mode.n, k_hi)
+    expected = sol.tau * sol.table.prefix
     return np.abs(pairing - expected) / np.abs(expected)
 
 
-def perp_transport_residual(
-    sol: KernelSolution, w: WeightFamily, c: CoefficientFamily
-) -> float:
+def perp_transport_residual(sol: KernelSolution) -> float:
     """Check K(k)^perp = prod(c2/c1) (P(k)^-1)^T K(0)^perp, worst relative error."""
-    from .transfer import invert, partial_products
-
     k_hi = min(sol.k_table, 48)
-    c_arr = build_C_range(sol.mode, w, c, k_hi)
-    parts = partial_products(c_arr)
-    pref = scalar_det_prefix(c, sol.mode.n, k_hi)
+    parts = partial_products(sol.table.C[:k_hi])
+    pref = sol.table.prefix
     k0_perp = np.array([sol.K[0, 1], -sol.K[0, 0]])
     worst = 0.0
     for k in range(k_hi + 1):
@@ -357,8 +392,6 @@ def _clause(name: str, lhs: np.ndarray, rhs: np.ndarray, slack: float) -> tuple[
 
 def verify_lemma_suite(
     sol: KernelSolution,
-    w: WeightFamily,
-    c: CoefficientFamily,
     slack: float = 1e-14,
 ) -> LemmaReport:
     """Run every inequality the norm analysis uses, over the whole table.
@@ -371,7 +404,7 @@ def verify_lemma_suite(
     # slack 0 turns float ties into findings; that strictness stress is
     # documented behavior, not an error
     mode = sol.mode
-    m, n = mode.m, mode.n
+    m = mode.m
     K_hi = sol.k_table
     checks: list[CheckResult] = []
     flagged: list[str] = []
@@ -401,12 +434,8 @@ def verify_lemma_suite(
     K2 = sol.K[:, 1]
     am = abs(m)
 
-    ks = np.arange(K_hi)
-    c1 = np.asarray(c.c(1, n, ks), dtype=float)
-    c2 = np.asarray(c.c(2, n, ks), dtype=float)
-    an = np.asarray(w.a(n, np.arange(K_hi + 1)), dtype=float)
-    an1 = np.asarray(w.a(n + 1, np.arange(K_hi + 1)), dtype=float)
-    pref = scalar_det_prefix(c, n, K_hi)
+    t = sol.table
+    c1, c2, an, an1, pref = t.c1, t.c2, t.an, t.an1, t.prefix
 
     for name, arr in (("neg_I1", mI1), ("I2", I2[1:]), ("K1", K1), ("K2", K2)):
         ok = bool(np.all(arr > 0))
@@ -436,12 +465,12 @@ def verify_lemma_suite(
     terms1 = np.zeros(K_hi + 1)
     # i runs 1..K_hi with kernel prod_{j<=i-2} c1 * K2(i-1)/a_{n+1}(i-1)
     terms1[1:] = pc1[:-1] * K2[:-1] / an1[:-1]
-    suff1 = np.concatenate((np.cumsum(terms1[::-1])[::-1][1:], [0.0]))
+    suff1 = suffix_sum(terms1)
     ch, wv = _clause("tail_sum_K2_kernel", suff1[:-1], pc1[:-1] * K1[:-1] / am, slack)
     checks.append(ch); worst = max(worst, wv)
 
     terms2 = K1 / an
-    suff2 = np.concatenate((np.cumsum(terms2[::-1])[::-1][1:], [0.0]))
+    suff2 = suffix_sum(terms2)
     ch, wv = _clause("tail_sum_K1_kernel", suff2[:-1], K2[:-1] / am, slack)
     checks.append(ch); worst = max(worst, wv)
 

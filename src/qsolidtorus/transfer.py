@@ -57,25 +57,10 @@ def build_A(mode: ModeIndex, k: int, w: WeightFamily, c: CoefficientFamily) -> n
     )
 
 
-def build_C(mode: ModeIndex, k: int, w: WeightFamily, c: CoefficientFamily) -> np.ndarray:
-    """One-step propagation matrix; det C = c_2(k)/c_1(k)."""
-    m, n = mode.m, mode.n
-    c1 = c.c(1, n, k)
-    c2 = c.c(2, n, k)
-    an1 = w.a(n + 1, k)
-    an_next = w.a(n, k + 1)
-    return np.array(
-        [
-            [1.0 / c1, -m / (an1 * c1)],
-            [-m / (an_next * c1), c2 + m * m / (an_next * an1 * c1)],
-        ]
-    )
-
-
 def build_C_range(
     mode: ModeIndex, w: WeightFamily, c: CoefficientFamily, k_hi: int
 ) -> np.ndarray:
-    """All C_{m,n}(k) for 0 <= k < k_hi as a (k_hi, 2, 2) array."""
+    """All C_{m,n}(k) for 0 <= k < k_hi as a (k_hi, 2, 2) array; det C = c_2(k)/c_1(k)."""
     m, n = mode.m, mode.n
     ks = np.arange(k_hi)
     c1 = np.asarray(c.c(1, n, ks), dtype=float)

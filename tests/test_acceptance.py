@@ -65,7 +65,7 @@ def q_results(m, n):
     if (m, n) not in _RESULTS:
         sol = solution(m, n)
         _RESULTS[(m, n)] = [
-            apply_Q(ModeIndex(m, n), W, C, sol, r) for r in fixtures(m, n)
+            apply_Q(sol, r) for r in fixtures(m, n)
         ]
     return _RESULTS[(m, n)]
 
@@ -155,7 +155,7 @@ def test_criterion_4_wronskian_identity():
     """Pairing transport relative error <= 1e-12 at all k <= 128, all modes."""
     worst = 0.0
     for (m, n) in grid_modes():
-        worst = max(worst, float(np.max(wronskian_residuals(solution(m, n), C))))
+        worst = max(worst, float(np.max(wronskian_residuals(solution(m, n)))))
     assert worst <= 1e-12, f"worst transport error {worst:.3e}"
     print(f"\n[PASS] criterion 4 Wronskian identity: worst relative error {worst:.3e}")
 
@@ -167,7 +167,7 @@ def test_criterion_5_inequality_suite():
     for m in range(1, 33):
         for n in range(0, 17):
             sol = build_solution(ModeIndex(m, n), W, C, K_MAX)
-            report = verify_lemma_suite(sol, W, C, slack=1e-14)
+            report = verify_lemma_suite(sol, slack=1e-14)
             worst_margin = max(worst_margin, report.worst_slack)
             if not report.all_passed:
                 violations.append((m, n, [ch.name for ch in report.checks if not ch.passed]))
@@ -335,8 +335,8 @@ def test_criterion_10_boundary_condition():
         mode = ModeIndex(m, n)
         sol = build_solution(mode, W, C, 2 * K_MAX)
         r = fixtures(m, n)[0]
-        res_a = apply_Q(mode, W, C, sol, r, k_max=K_MAX)
-        res_b = apply_Q(mode, W, C, sol, r, k_max=2 * K_MAX)
+        res_a = apply_Q(sol, r, k_max=K_MAX)
+        res_b = apply_Q(sol, r, k_max=2 * K_MAX)
         assert np.isfinite(res_a.beta)
         denom = max(abs(res_a.beta), 1e-300)
         change = abs(res_b.beta - res_a.beta) / denom

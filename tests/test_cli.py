@@ -216,3 +216,42 @@ def test_scan_non_finite_tail_exit_one(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert main(["--config", str(path), "scan"]) == 1
+
+
+@pytest.fixture()
+def overflow_config(tmp_path):
+    """Mode (1, 0) tabulates fine; at m = 100000 the products leave the double range."""
+    cfg = default_config_dict()
+    cfg["grid"]["m_list"] = [1, 100000]
+    cfg["grid"]["n_list"] = [0]
+    cfg["output"]["dir"] = str(tmp_path / "out")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return path, cfg
+
+
+def test_dump_transfer_non_finite_exit_one(overflow_config, capsys):
+    path, cfg = overflow_config
+    assert main(["--config", str(path), "dump", "--what", "transfer"]) == 1
+    assert "mode (100000, 0)" in capsys.readouterr().err
+    rows = read_out(path, "dump_transfer.json")["rows"]
+    assert len(rows) == 2 * cfg["truncation"]["k_max"]
+
+
+def test_dump_solution_overflow_exit_one(overflow_config, capsys):
+    path, cfg = overflow_config
+    assert main(["--config", str(path), "dump", "--what", "solution"]) == 1
+    assert "mode (100000, 0)" in capsys.readouterr().err
+    rows = read_out(path, "dump_solution.json")["rows"]
+    assert {(r["m"], r["n"]) for r in rows} == {(1, 0)}
+    assert len(rows) == cfg["truncation"]["k_max"] + 1
+
+
+def test_validate_reversed_n_list_exit_zero(tmp_path):
+    """s(n) decreases along the levels, whatever order n_list lists them in."""
+    cfg = default_config_dict()
+    cfg["grid"]["n_list"] = cfg["grid"]["n_list"][::-1]
+    cfg["output"]["dir"] = str(tmp_path / "out")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["--config", str(path), "validate"]) == 0

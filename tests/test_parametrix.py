@@ -81,7 +81,7 @@ def test_Z_operator_with_unit_coeffs(families, unit_coeffs):
     mode = ModeIndex(0, 1)
     sol = build_solution(mode, w, unit_coeffs, 8)
     r = WeightedSeq(np.arange(1.0, 10.0), 1)
-    out = apply_XYZ("Z", 0, 0, mode, sol, w, unit_coeffs, r)
+    out = apply_XYZ("Z", 0, 0, sol, r)
     a = np.asarray(w.a(1, np.arange(9)), dtype=float)
     assert np.allclose(out.values, np.cumsum(r.values / a), rtol=1e-15)
     assert out.level == 2
@@ -93,7 +93,7 @@ def test_X_vanishes_beyond_support(families):
     sol = build_solution(mode, w, c, 16)
     vals = np.zeros(17)
     vals[:5] = 1.0
-    out = apply_XYZ("X", 1, 1, mode, sol, w, c, WeightedSeq(vals, 0))
+    out = apply_XYZ("X", 1, 1, sol, WeightedSeq(vals, 0))
     assert np.all(out.values[4:] == 0.0)
 
 
@@ -112,8 +112,8 @@ def test_XY_kernels_against_brute_force(families):
         for beta in (1, 2):
             vals = rng.standard_normal(K + 1)
             lvl = n - 1 + beta
-            x_got = apply_XYZ("X", alpha, beta, mode, sol, w, c, WeightedSeq(vals, lvl))
-            y_got = apply_XYZ("Y", alpha, beta, mode, sol, w, c, WeightedSeq(vals, lvl))
+            x_got = apply_XYZ("X", alpha, beta, sol, WeightedSeq(vals, lvl))
+            y_got = apply_XYZ("Y", alpha, beta, sol, WeightedSeq(vals, lvl))
             H_X, H_Y = sol.K, sol.I
             x_exp = np.zeros(K + 1)
             y_exp = np.zeros(K + 1)
@@ -143,14 +143,14 @@ def test_XYZ_tag_mismatch(families):
     mode = ModeIndex(1, 0)
     sol = build_solution(mode, w, c, 8)
     with pytest.raises(WeightTagMismatch):
-        apply_XYZ("X", 1, 2, mode, sol, w, c, WeightedSeq(np.zeros(9), 0))
+        apply_XYZ("X", 1, 2, sol, WeightedSeq(np.zeros(9), 0))
 
 
 def test_apply_Q_zero_rhs(families):
     w, c = families
     mode = ModeIndex(4, 2)
     sol = build_solution(mode, w, c, 32)
-    res = apply_Q(mode, w, c, sol, zero_rhs(mode, 32))
+    res = apply_Q(sol, zero_rhs(mode, 32))
     assert not np.any(res.h_g.values) and not np.any(res.h_f.values)
     assert res.beta == 0.0 and res.boundary_residual == 0.0
 
@@ -161,7 +161,7 @@ def test_apply_Q_m_zero_unit_coeffs_impulse(families, unit_coeffs):
     sol = build_solution(mode, w, unit_coeffs, 16)
     r = zero_rhs(mode, 16)
     r = RhsPair(r1=r.r1, r2=r.r2, q0=1.0)
-    res = apply_Q(mode, w, unit_coeffs, sol, r)
+    res = apply_Q(sol, r)
     assert np.allclose(res.h_f.values, 1.0 / w.a(1, 0), rtol=1e-15)
     assert not np.any(res.h_g.values)
 
@@ -179,20 +179,20 @@ def test_apply_Q_assembles_from_XYZ_operators(families):
     K = 20
     sol = build_solution(mode, w, c, K)
     r = random_rhs(mode, K, np.random.default_rng(11))
-    res = apply_Q(mode, w, c, sol, r)
+    res = apply_Q(sol, r)
     u1 = WeightedSeq(np.concatenate(([0.0], r.r1.values)), n + 1)
     u2 = WeightedSeq(-np.concatenate(([r.q0], r.r2.values)), n)
     p1 = (
-        apply_XYZ("X", 1, 2, mode, sol, w, c, u1).values
-        + apply_XYZ("Y", 1, 2, mode, sol, w, c, u1).values
-        + apply_XYZ("X", 1, 1, mode, sol, w, c, u2).values
-        + apply_XYZ("Y", 1, 1, mode, sol, w, c, u2).values
+        apply_XYZ("X", 1, 2, sol, u1).values
+        + apply_XYZ("Y", 1, 2, sol, u1).values
+        + apply_XYZ("X", 1, 1, sol, u2).values
+        + apply_XYZ("Y", 1, 1, sol, u2).values
     ) / sol.tau
     p2 = (
-        apply_XYZ("X", 2, 2, mode, sol, w, c, u1).values
-        + apply_XYZ("Y", 2, 2, mode, sol, w, c, u1).values
-        + apply_XYZ("X", 2, 1, mode, sol, w, c, u2).values
-        + apply_XYZ("Y", 2, 1, mode, sol, w, c, u2).values
+        apply_XYZ("X", 2, 2, sol, u1).values
+        + apply_XYZ("Y", 2, 2, sol, u1).values
+        + apply_XYZ("X", 2, 1, sol, u2).values
+        + apply_XYZ("Y", 2, 1, sol, u2).values
     ) / sol.tau
     scale = max(np.max(np.abs(p1)), np.max(np.abs(p2)))
     assert float(np.max(np.abs(res.h_g.values - p1))) <= 1e-13 * scale
@@ -205,7 +205,7 @@ def test_right_inverse_roundtrip(families, rng):
     sol = build_solution(mode, w, c, 128)
     for _ in range(5):
         r = random_rhs(mode, 128, rng)
-        res = apply_Q(mode, w, c, sol, r)
+        res = apply_Q(sol, r)
         back = apply_A(mode, w, c, res.h_g, res.h_f)
         assert rhs_diff(back, r, w) <= 1e-9
 
@@ -217,7 +217,7 @@ def test_oracle_equivalence_small_grid(families, rng):
             mode = ModeIndex(m, n)
             sol = build_solution(mode, w, c, 48)
             r = random_rhs(mode, 48, rng)
-            res = apply_Q(mode, w, c, sol, r)
+            res = apply_Q(sol, r)
             orc = oracle_solve(mode, w, c, r, sol=sol)
             assert solution_diff(res, orc) <= 1e-8
 
@@ -229,7 +229,7 @@ def test_left_inverse_on_domain(families, rng):
         r = random_rhs(mode, 48, rng)
         orc = oracle_solve(mode, w, c, r, sol=sol)
         back = apply_A(mode, w, c, orc.h_g, orc.h_f)
-        res = apply_Q(mode, w, c, sol, back)
+        res = apply_Q(sol, back)
         num = max(
             float(np.max(np.abs(res.h_g.values - orc.h_g.values))),
             float(np.max(np.abs(res.h_f.values - orc.h_f.values))),
@@ -244,7 +244,7 @@ def test_product_form_equivalence_small_k(families, rng):
         mode = ModeIndex(m, 1)
         sol = build_solution(mode, w, c, 32)
         r = random_rhs(mode, 32, rng)
-        res = apply_Q(mode, w, c, sol, r)
+        res = apply_Q(sol, r)
         hx, hy = apply_Q_direct(mode, w, c, sol, r)
         scale = max(np.max(np.abs(res.h_g.values)), np.max(np.abs(res.h_f.values)))
         assert float(np.max(np.abs(hx - res.h_g.values))) <= 1e-9 * scale
@@ -267,17 +267,15 @@ def test_boundary_residual_cases(families):
     assert res_0 == 0.0 and beta_0 == 0.0
 
 
-def test_boundary_residual_accepts_result(families, rng):
+def test_boundary_residual_beta_matches_apply_Q(families, rng):
     w, c = families
     mode = ModeIndex(3, 0)
     sol = build_solution(mode, w, c, 24)
-    res = apply_Q(mode, w, c, sol, random_rhs(mode, 24, rng))
+    res = apply_Q(sol, random_rhs(mode, 24, rng))
     bd = choose_K_infinity(mode)
-    r1, b1 = boundary_residual(res, bd)
-    r2, b2 = boundary_residual(res.h_g, res.h_f, bd)
-    assert (r1, b1) == (r2, b2)
+    _, beta = boundary_residual(res.h_g, res.h_f, bd)
     # edge seeding: the projected multiplier equals the stored coefficient
-    assert b1 == pytest.approx(res.beta, rel=1e-12, abs=1e-300)
+    assert beta == pytest.approx(res.beta, rel=1e-12, abs=1e-300)
 
 
 def test_apply_Q_satisfies_boundary_certificate(families, rng):
@@ -285,7 +283,7 @@ def test_apply_Q_satisfies_boundary_certificate(families, rng):
     for mode in (ModeIndex(1, 0), ModeIndex(-16, 2), ModeIndex(0, 1)):
         sol = build_solution(mode, w, c, 64)
         r = random_rhs(mode, 64, rng)
-        res = apply_Q(mode, w, c, sol, r)
+        res = apply_Q(sol, r)
         assert res.boundary_residual <= res.boundary_tol
 
 
@@ -328,8 +326,8 @@ def test_beta_stable_under_truncation_doubling(families, rng):
         mode = ModeIndex(m, 0)
         sol = build_solution(mode, w, c, 256)
         r = random_rhs(mode, 128, rng)
-        res_128 = apply_Q(mode, w, c, sol, r, k_max=128)
-        res_256 = apply_Q(mode, w, c, sol, r, k_max=256)
+        res_128 = apply_Q(sol, r, k_max=128)
+        res_256 = apply_Q(sol, r, k_max=256)
         assert np.isfinite(res_128.beta)
         assert res_256.beta == pytest.approx(res_128.beta, rel=1e-6)
 

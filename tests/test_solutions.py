@@ -87,7 +87,7 @@ def test_wronskian_transport(families):
     w, c = families
     for mode in (ModeIndex(1, 0), ModeIndex(-5, 2), ModeIndex(32, 0), ModeIndex(0, 4)):
         sol = build_solution(mode, w, c, 128)
-        res = wronskian_residuals(sol, c)
+        res = wronskian_residuals(sol)
         assert float(np.max(res)) <= 1e-12
         # spot check the k = 5 instance against the scalar prefix
         pairing = sol.K[5, 0] * sol.I[5, 1] - sol.K[5, 1] * sol.I[5, 0]
@@ -139,7 +139,7 @@ def test_perp_transport(families):
     w, c = families
     for mode in (ModeIndex(2, 0), ModeIndex(-6, 1)):
         sol = build_solution(mode, w, c, 48)
-        assert perp_transport_residual(sol, w, c) <= 1e-10
+        assert perp_transport_residual(sol) <= 1e-10
 
 
 def test_lemma_suite_positive_modes(families):
@@ -147,7 +147,7 @@ def test_lemma_suite_positive_modes(families):
     for m in range(1, 9):
         for n in range(0, 5):
             sol = build_solution(ModeIndex(m, n), w, c, 128)
-            report = verify_lemma_suite(sol, w, c)
+            report = verify_lemma_suite(sol)
             assert report.all_passed, (m, n, [ch.name for ch in report.checks if not ch.passed])
             assert report.worst_slack <= 1e-14
 
@@ -160,8 +160,8 @@ def test_lemma_suite_product_bound_at_k_zero_is_tau(families):
 
 def test_lemma_suite_mirror_flagged(families):
     w, c = families
-    plus = verify_lemma_suite(build_solution(ModeIndex(4, 1), w, c, 64), w, c)
-    minus = verify_lemma_suite(build_solution(ModeIndex(-4, 1), w, c, 64), w, c)
+    plus = verify_lemma_suite(build_solution(ModeIndex(4, 1), w, c, 64))
+    minus = verify_lemma_suite(build_solution(ModeIndex(-4, 1), w, c, 64))
     assert minus.all_passed and plus.all_passed
     assert minus.flagged and not plus.flagged
     assert minus.worst_slack == plus.worst_slack
@@ -169,7 +169,7 @@ def test_lemma_suite_mirror_flagged(families):
 
 def test_lemma_suite_m_zero_pattern(families):
     w, c = families
-    report = verify_lemma_suite(build_solution(ModeIndex(0, 1), w, c, 64), w, c)
+    report = verify_lemma_suite(build_solution(ModeIndex(0, 1), w, c, 64))
     assert report.all_passed
     assert {ch.name for ch in report.checks} == {
         "diag_pattern_I",
@@ -201,7 +201,7 @@ def test_lemma_suite_zero_slack_reports_not_raises(families):
     """Strictness stress: slack 0 may surface float ties as findings."""
     w, c = families
     sol = build_solution(ModeIndex(3, 0), w, c, 64)
-    report = verify_lemma_suite(sol, w, c, slack=0.0)
+    report = verify_lemma_suite(sol, slack=0.0)
     assert isinstance(report.all_passed, bool)
     assert all(ch.witness for ch in report.checks)
 
@@ -211,7 +211,7 @@ def test_seeded_solution_matches_deeper_seed_directionally(families):
     w, c = families
     mode = ModeIndex(3, 0)
     shallow = build_solution(mode, w, c, 64)
-    deep = build_solution(mode, w, c, 64, k_seed=512)
+    deep = build_solution(mode, w, c, 512)
     # compare tau-normalized tables (the K function is scale-free in the inverse)
     a = shallow.K[:65] / shallow.tau
     b = deep.K[:65] / deep.tau

@@ -11,7 +11,6 @@ from qsolidtorus.transfer import (
     ModeIndex,
     SingularMatrixError,
     build_A,
-    build_C,
     build_C_range,
     det2,
     invert,
@@ -51,9 +50,9 @@ def test_det_A_formula(families, m, n, k):
 
 def test_build_C_worked_examples(families):
     w, c = families
-    got = build_C(ModeIndex(1, 0), 0, w, c)
+    got = build_C_range(ModeIndex(1, 0), w, c, 1)[0]
     assert np.allclose(got, [[2.0, -1.0], [-0.5, 0.75]], rtol=0, atol=0)
-    diag = build_C(ModeIndex(0, 0), 0, w, c)
+    diag = build_C_range(ModeIndex(0, 0), w, c, 1)[0]
     assert np.array_equal(diag, np.diag([2.0, 0.5]))
 
 
@@ -62,11 +61,11 @@ def test_det_C_is_coefficient_ratio():
     c = CoefficientFamily(t1=0.5, t2=0.25, kappa=2.0)
     for m in (-5, 0, 1, 9):
         for k in (0, 1, 4):
-            got = det2(build_C(ModeIndex(m, 2), k, w, c))
+            got = det2(build_C_range(ModeIndex(m, 2), w, c, k + 1)[k])
             expect = c.c(2, 2, k) / c.c(1, 2, k)
             assert got == pytest.approx(expect, rel=1e-13)
     # k = 0 instance of the worked example: c1 = 1/2, c2 = 3/4
-    got = det2(build_C(ModeIndex(7, 0), 0, w, c))
+    got = det2(build_C_range(ModeIndex(7, 0), w, c, 1)[0])
     assert got == pytest.approx(1.5, rel=1e-13)
 
 
@@ -74,7 +73,7 @@ def test_invert(families):
     w, c = families
     assert np.array_equal(invert(np.eye(2)), np.eye(2))
     assert np.array_equal(invert(np.diag([2.0, 0.5])), np.diag([0.5, 2.0]))
-    mat = build_C(ModeIndex(1, 0), 0, w, c)
+    mat = build_C_range(ModeIndex(1, 0), w, c, 1)[0]
     assert np.max(np.abs(mat @ invert(mat) - np.eye(2))) <= 1e-15
     with pytest.raises(SingularMatrixError):
         invert(np.zeros((2, 2)))
@@ -97,8 +96,8 @@ def test_partial_products_order_and_dets(families):
 
 def test_C_off_diagonals_flip_with_m(families):
     w, c = families
-    a = build_C(ModeIndex(4, 2), 3, w, c)
-    b = build_C(ModeIndex(-4, 2), 3, w, c)
+    a = build_C_range(ModeIndex(4, 2), w, c, 4)[3]
+    b = build_C_range(ModeIndex(-4, 2), w, c, 4)[3]
     assert a[0, 0] == b[0, 0] and a[1, 1] == b[1, 1]
     assert a[0, 1] == -b[0, 1] and a[1, 0] == -b[1, 0]
 
