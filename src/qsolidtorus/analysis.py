@@ -31,7 +31,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .families import CoefficientFamily, WeightFamily, eval_s, tail_inv_weight
+from .families import (
+    CheckReport,
+    CheckResult,
+    CoefficientFamily,
+    WeightFamily,
+    eval_s,
+    tail_inv_weight,
+)
 from .solutions import KernelSolution, build_solution, suffix_sum
 from .transfer import ModeIndex
 
@@ -205,8 +212,8 @@ def hs_norms(
 
 
 @dataclass(frozen=True)
-class ScanTable:
-    """Per-mode HS reports plus monotone-envelope decay summaries.
+class ScanTable(CheckReport):
+    """Per-mode HS reports plus monotone-envelope decay summaries (``checks``).
 
     ``solutions`` maps (m, n) to the kernel solution each report was built
     from, so callers can run further per-mode checks without rebuilding.
@@ -215,14 +222,12 @@ class ScanTable:
     rows: tuple[HsReport, ...]
     m_list: tuple[int, ...]
     n_list: tuple[int, ...]
-    envelope_checks: tuple = field(default_factory=tuple)
+    checks: tuple[CheckResult, ...] = field(default_factory=tuple)
     solutions: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def all_passed(self) -> bool:
-        return all(r.all_bounds_hold and r.all_finite for r in self.rows) and all(
-            ch.passed for ch in self.envelope_checks
-        )
+        return all(r.all_bounds_hold and r.all_finite for r in self.rows) and not self.failed()
 
     def report(self, m: int, n: int) -> HsReport:
         for r in self.rows:
@@ -231,13 +236,7 @@ class ScanTable:
         raise KeyError((m, n))
 
     def to_json(self) -> dict:
-        return {
-            "rows": [r.row() for r in self.rows],
-            "envelope": [
-                {"name": ch.name, "passed": ch.passed, "witness": ch.witness}
-                for ch in self.envelope_checks
-            ],
-        }
+        return {"rows": [r.row() for r in self.rows], "envelope": self.check_rows()}
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -263,8 +262,6 @@ def decay_scan(
     rule="default",
 ) -> ScanTable:
     """HS reports over a mode grid plus the decay checks along both axes."""
-    from .families import CheckResult
-
     rows = []
     sols = {}
     for m in m_list:
@@ -307,7 +304,7 @@ def decay_scan(
         rows=tuple(rows),
         m_list=tuple(m_list),
         n_list=tuple(n_list),
-        envelope_checks=tuple(checks),
+        checks=tuple(checks),
         solutions=sols,
     )
 

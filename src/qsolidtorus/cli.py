@@ -50,10 +50,10 @@ MODE_ERRORS = (
 )
 
 
-def _meta(cfg: ExperimentConfig, seed: int | None = None) -> dict:
+def _meta(cfg: ExperimentConfig, k_max: int, seed: int | None = None) -> dict:
     meta = {
         "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "k_max": cfg.k_max,
+        "k_max": k_max,
         "boundary_rule": cfg.boundary_name,
     }
     if seed is not None:
@@ -61,17 +61,19 @@ def _meta(cfg: ExperimentConfig, seed: int | None = None) -> dict:
     return meta
 
 
+def _m_list(cfg: ExperimentConfig, only_m: list[int] | None) -> tuple[int, ...]:
+    """The config's m values, or every m passed to --modes (in or out of the grid)."""
+    return cfg.m_list if only_m is None else tuple(dict.fromkeys(only_m))
+
+
 def _modes(cfg: ExperimentConfig, only_m: list[int] | None) -> list[tuple[int, int]]:
-    ms = cfg.m_list if only_m is None else tuple(m for m in cfg.m_list if m in only_m)
-    if only_m is not None and not ms:
-        ms = tuple(only_m)
-    return [(m, n) for m in ms for n in cfg.n_list]
+    return [(m, n) for m in _m_list(cfg, only_m) for n in cfg.n_list]
 
 
-def cmd_validate(cfg: ExperimentConfig, out_dir: Path) -> int:
+def cmd_validate(cfg: ExperimentConfig, out_dir: Path, k_max: int) -> int:
     report = validate_hypotheses(cfg.weights, cfg.coeffs, n_probe=cfg.n_list)
     payload = report.as_dict()
-    payload["meta"] = _meta(cfg)
+    payload["meta"] = _meta(cfg, k_max)
     write_json(out_dir / "validation.json", payload)
     for ch in report.checks:
         print(f"[{'pass' if ch.passed else 'FAIL'}] {ch.name}: {ch.witness}")
@@ -97,9 +99,8 @@ def cmd_solve(
     rhs_path: Path | None,
     seed: int,
     only_m: list[int] | None,
-    k_max: int | None,
+    k_max: int,
 ) -> int:
-    k_max = cfg.k_max if k_max is None else k_max
     modes = _modes(cfg, only_m)
     if rhs_path is not None:
         rhs_map = _load_rhs(rhs_path, cfg)
@@ -149,7 +150,7 @@ def cmd_solve(
             ok = False
             records.append({"m": m, "n": n, "error": f"mode ({m}, {n}): {exc}"})
             print(f"mode ({m}, {n}) failed: {exc}", file=sys.stderr)
-    payload = {"meta": _meta(cfg, seed), "solutions": records}
+    payload = {"meta": _meta(cfg, k_max, seed), "solutions": records}
     write_json(out_dir / "solutions.json", payload)
     n_err = sum(1 for r in records if "error" in r)
     print(f"solved {len(records) - n_err}/{len(records)} modes; outputs in {out_dir}")
@@ -157,12 +158,11 @@ def cmd_solve(
 
 
 def cmd_scan(
-    cfg: ExperimentConfig, out_dir: Path, only_m: list[int] | None, k_max: int | None
+    cfg: ExperimentConfig, out_dir: Path, only_m: list[int] | None, k_max: int
 ) -> int:
-    k_max = cfg.k_max if k_max is None else k_max
-    ms = cfg.m_list if only_m is None else tuple(only_m)
+    ms = _m_list(cfg, only_m)
     table = decay_scan(ms, cfg.n_list, cfg.weights, cfg.coeffs, k_max, rule=cfg.boundary_rule)
-    scan_to_files(table, out_dir, cfg.formats, meta=_meta(cfg))
+    scan_to_files(table, out_dir, cfg.formats, meta=_meta(cfg, k_max))
     lemma_rows = []
     ok = table.all_passed
     first_bad = None
@@ -172,6 +172,7 @@ def cmd_scan(
         for n in cfg.n_list:
             sol = table.solutions[(m, n)]
             rep = verify_lemma_suite(sol)
+            failures = [ch.name for ch in rep.failed()]
             wr = float(np.max(wronskian_residuals(sol)))
             lemma_rows.append(
                 {
@@ -181,14 +182,14 @@ def cmd_scan(
                     "worst_slack": rep.worst_slack,
                     "wronskian_worst": wr,
                     "flagged": list(rep.flagged),
-                    "failures": [ch.name for ch in rep.checks if not ch.passed],
+                    "failures": failures,
                 }
             )
             if not rep.all_passed and first_bad is None:
-                first_bad = (m, n, [ch.name for ch in rep.checks if not ch.passed])
+                first_bad = (m, n, failures)
                 ok = False
-    write_json(out_dir / "lemma_summary.json", {"meta": _meta(cfg), "modes": lemma_rows})
-    for ch in table.envelope_checks:
+    write_json(out_dir / "lemma_summary.json", {"meta": _meta(cfg, k_max), "modes": lemma_rows})
+    for ch in table.checks:
         print(f"[{'pass' if ch.passed else 'FAIL'}] {ch.name}: {ch.witness}")
     n_bounds = sum(1 for r in table.rows if not r.all_bounds_hold)
     print(f"scan: {len(table.rows)} modes, {n_bounds} bound violations")
@@ -205,9 +206,8 @@ def cmd_dump(
     out_dir: Path,
     what: str,
     only_m: list[int] | None,
-    k_max: int | None,
+    k_max: int,
 ) -> int:
-    k_max = cfg.k_max if k_max is None else k_max
     rows = []
     ok = True
     for (m, n) in _modes(cfg, only_m):
@@ -256,7 +256,7 @@ def cmd_dump(
         if not all(np.all(np.isfinite(t)) for t in tables):
             ok = False
             print(f"mode ({m}, {n}): non-finite entries in the {what} table", file=sys.stderr)
-    write_json(out_dir / f"dump_{what}.json", {"meta": _meta(cfg), "rows": rows})
+    write_json(out_dir / f"dump_{what}.json", {"meta": _meta(cfg, k_max), "rows": rows})
     print(f"wrote {len(rows)} rows to {out_dir / f'dump_{what}.json'}")
     return EXIT_OK if ok else EXIT_VIOLATION
 
@@ -268,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", default=argparse.SUPPRESS, help="path to the experiment JSON config")
     common.add_argument("--out", default=argparse.SUPPRESS, help="output directory (default: config output.dir)")
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="seed for generated fixtures")
-    common.add_argument("--modes", default=argparse.SUPPRESS, help="comma-separated m filter, e.g. 0,1,-2")
+    common.add_argument("--modes", default=argparse.SUPPRESS, help="m values to run in place of grid.m_list, e.g. 0,1,-2")
     common.add_argument("--kmax", type=int, default=argparse.SUPPRESS, help="override truncation k_max")
     parser = argparse.ArgumentParser(
         prog="qsolidtorus",
@@ -299,7 +299,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     out_dir = Path(getattr(args, "out", None) or cfg.out_dir)
     seed = getattr(args, "seed", 20250808)
-    k_max = getattr(args, "kmax", None)
+    k_max = getattr(args, "kmax", cfg.k_max)
+    if k_max < 2:
+        print("--kmax must be at least 2", file=sys.stderr)
+        return EXIT_USAGE
     only_m = None
     modes_arg = getattr(args, "modes", None)
     if modes_arg is not None:
@@ -310,7 +313,7 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_USAGE
     try:
         if args.command == "validate":
-            return cmd_validate(cfg, out_dir)
+            return cmd_validate(cfg, out_dir, k_max)
         if args.command == "solve":
             rhs = Path(args.rhs) if args.rhs else None
             if rhs is not None and not rhs.exists():

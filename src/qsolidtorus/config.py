@@ -2,13 +2,14 @@
 
 Keys: weights.{kind, lambda, p, q | table, tail}; coeffs.{kind, t1, t2,
 kappa | table1, table2, tail}; boundary.{rule, table}; grid.{m_list, n_list};
-truncation.{k_max, tol_prod, tol_tail, tol_residual}; output.{dir, formats}.
+truncation.{k_max, tol_prod, tol_residual}; output.{dir, formats}.  An
+unknown key at the top level or in grid, truncation or output is an error.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .families import CoefficientFamily, WeightFamily
@@ -22,6 +23,12 @@ class ConfigError(ValueError):
 DEFAULT_GRID_M = (0, 1, -1, 2, -2, 4, -4, 8, -8, 16, -16, 32, -32)
 DEFAULT_GRID_N = (0, 1, 2, 4, 8, 16)
 OUTPUT_FORMATS = ("csv", "json")
+KNOWN_KEYS = {
+    None: ("weights", "coeffs", "boundary", "grid", "truncation", "output"),
+    "grid": ("m_list", "n_list"),
+    "truncation": ("k_max", "tol_prod", "tol_residual"),
+    "output": ("dir", "formats"),
+}
 
 
 @dataclass(frozen=True)
@@ -34,11 +41,9 @@ class ExperimentConfig:
     n_list: tuple[int, ...]
     k_max: int
     tol_prod: float
-    tol_tail: float
     tol_residual: float
     out_dir: str
     formats: tuple[str, ...]
-    raw: dict = field(default_factory=dict, repr=False)
 
 
 def _weights_from(d: dict) -> WeightFamily:
@@ -114,6 +119,11 @@ def load_config(path: str | Path) -> ExperimentConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     try:
+        for section, known in KNOWN_KEYS.items():
+            keys = (raw if section is None else raw.get(section, {})).keys()
+            unknown = sorted(set(keys) - set(known))
+            if unknown:
+                raise ConfigError(f"unknown key(s) {unknown} in {section or 'the top level'}")
         weights = _weights_from(raw.get("weights", {}))
         coeffs = _coeffs_from(raw.get("coeffs", {}))
         rule, rule_name = _boundary_from(raw.get("boundary", {}))
@@ -123,7 +133,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
         trunc = raw.get("truncation", {})
         k_max = int(trunc.get("k_max", 128))
         tol_prod = float(trunc.get("tol_prod", 1e-10))
-        tol_tail = float(trunc.get("tol_tail", 1e-12))
         tol_residual = float(trunc.get("tol_residual", 1e-9))
         out = raw.get("output", {})
         out_dir = str(out.get("dir", "out"))
@@ -133,7 +142,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"bad configuration value: {exc}") from exc
     if not m_list or not n_list:
         raise ConfigError("grid must be nonempty")
-    if min(tol_prod, tol_tail, tol_residual) <= 0:
+    if min(tol_prod, tol_residual) <= 0:
         raise ConfigError("tolerances must be positive")
     if any(n < 0 for n in n_list):
         raise ConfigError("radial levels must be >= 0")
@@ -150,11 +159,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
         n_list=n_list,
         k_max=k_max,
         tol_prod=tol_prod,
-        tol_tail=tol_tail,
         tol_residual=tol_residual,
         out_dir=out_dir,
         formats=tuple(formats),
-        raw=raw,
     )
 
 
@@ -167,7 +174,6 @@ def default_config_dict() -> dict:
         "truncation": {
             "k_max": 128,
             "tol_prod": 1e-10,
-            "tol_tail": 1e-12,
             "tol_residual": 1e-9,
         },
         "output": {"dir": "out", "formats": list(OUTPUT_FORMATS)},

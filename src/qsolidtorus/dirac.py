@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .families import CheckResult, CoefficientFamily, WeightFamily
+from .families import CheckReport, CheckResult, CoefficientFamily, WeightFamily
 from .parametrix import ParametrixResult, RhsPair, WeightedSeq, apply_A, apply_Q
 from .solutions import build_solution
 from .transfer import ModeIndex
@@ -305,23 +305,12 @@ def _worst(values, initial: float = 0.0) -> float:
 
 
 @dataclass(frozen=True)
-class AlgebraReport:
+class AlgebraReport(CheckReport):
     checks: tuple[CheckResult, ...]
     worst: dict
 
-    @property
-    def all_passed(self) -> bool:
-        return all(ch.passed for ch in self.checks)
-
     def as_dict(self) -> dict:
-        return {
-            "all_passed": self.all_passed,
-            "checks": [
-                {"name": ch.name, "passed": ch.passed, "witness": ch.witness}
-                for ch in self.checks
-            ],
-            "worst": self.worst,
-        }
+        return {"all_passed": self.all_passed, "checks": self.check_rows(), "worst": self.worst}
 
 
 def algebra_sanity(

@@ -9,6 +9,10 @@ uniformity constant kappa >= 1 certifying 1/kappa <= c_{i,n}(k) <= 1.
 Every series or product evaluated here comes back as a SeriesValue carrying a
 rigorous bound on the omitted tail, so downstream checks can use certified
 brackets instead of bare truncations.
+
+This is the only module that reads a family's kind.  Each family is a table
+row (empty unless tabulated) over one law, evaluated vectorised over k, and
+each tail below is the row past k0 plus the law's tail from max(k0, len(row)).
 """
 
 from __future__ import annotations
@@ -61,6 +65,9 @@ class WeightFamily:
     kind "tabulated": explicit rows table[n][k] continued by the declared tail
     rule ("power" with the lam/p/q parameters, or "constant" with tail_value,
     the latter making 1/a_n non-summable).
+
+    Every kind is a table row (empty for the power family) over one law, so
+    each quantity below is the row's part plus the law's part past the row.
     """
 
     kind: str = POWER
@@ -79,32 +86,31 @@ class WeightFamily:
         if self.kind == POWER and self.p < 1:
             raise ValueError("mode exponent p must be >= 1")
         if self.kind == TABULATED:
+            if self.tail_rule not in ("power", "constant"):
+                raise ValueError(f"unknown weight tail rule {self.tail_rule!r}")
             for row in self.table:
                 if any(not (v > 0) for v in row):
                     raise ValueError("tabulated weights must be positive")
             if self.tail_rule == "constant" and not (self.tail_value > 0):
                 raise ValueError("constant tail level must be positive")
 
+    @property
+    def _constant(self) -> bool:
+        return self.kind == TABULATED and self.tail_rule == "constant"
+
+    def _row(self, n: int) -> tuple[float, ...]:
+        return self.table[n] if self.kind == TABULATED and n < len(self.table) else ()
+
+    def _scale(self, n: int) -> float:
+        return self.lam * (n + 1) ** self.p
+
     def a(self, n: int, k):
         """Evaluate a_n(k); k may be an integer or an integer array."""
-        if self.kind == POWER:
-            return self.lam * (n + 1) ** self.p * np.asarray(k + 1, dtype=float) ** self.q
-        k_arr = np.atleast_1d(np.asarray(k, dtype=int))
-        out = np.empty(k_arr.shape, dtype=float)
-        row = self.table[n] if n < len(self.table) else ()
-        for idx, kk in enumerate(k_arr):
-            if kk < len(row):
-                out[idx] = row[kk]
-            elif self.tail_rule == "power":
-                out[idx] = self.lam * (n + 1) ** self.p * (kk + 1) ** self.q
-            else:
-                out[idx] = self.tail_value
-        return out if np.ndim(k) else float(out[0])
-
-    def summable(self) -> bool:
-        if self.kind == POWER:
-            return self.q > 1
-        return self.tail_rule == "power" and self.q > 1
+        if self._constant:
+            law = np.full(np.shape(k), self.tail_value)
+        else:
+            law = self._scale(n) * np.asarray(k + 1, dtype=float) ** self.q
+        return _with_row(law, k, self._row(n))
 
 
 @dataclass(frozen=True)
@@ -114,6 +120,8 @@ class CoefficientFamily:
     kind "geometric-gap": c_{i,n}(k) = 1 - t_i**(k+1), 0 < t_i < 1.
     kind "unit": c identically 1.  kind "tabulated": explicit k-rows (shared
     across n) continued by a geometric-gap tail ("geometric") or a constant.
+    As for the weights, every kind is a row (empty unless tabulated) over one
+    law: the geometric gap, or a constant level (1 for the unit family).
     """
 
     kind: str = GEOMETRIC
@@ -133,46 +141,52 @@ class CoefficientFamily:
         if self.kappa < 1:
             raise ValueError("kappa must be >= 1")
         if self.kind == TABULATED:
+            if self.tail_rule not in ("geometric", "constant"):
+                raise ValueError(f"unknown coefficient tail rule {self.tail_rule!r}")
             for row in (self.table1, self.table2):
                 if any(not (0 < v <= 1) for v in row):
                     raise ValueError("tabulated coefficients must lie in (0, 1]")
+
+    @property
+    def _geometric(self) -> bool:
+        return self.kind == GEOMETRIC or (self.kind == TABULATED and self.tail_rule == "geometric")
+
+    @property
+    def _level(self) -> float:
+        return 1.0 if self.kind == UNIT else self.tail_value
 
     def _t(self, i: int) -> float:
         return self.t1 if i == 1 else self.t2
 
     def _row(self, i: int) -> tuple[float, ...]:
+        if self.kind != TABULATED:
+            return ()
         return self.table1 if i == 1 else self.table2
 
     def c(self, i: int, n: int, k):
         """Evaluate c_{i,n}(k); k may be an integer or an integer array."""
         if i not in (1, 2):
             raise ValueError("coefficient index must be 1 or 2")
-        if self.kind == UNIT:
-            return np.ones_like(np.asarray(k, dtype=float)) if np.ndim(k) else 1.0
-        if self.kind == GEOMETRIC:
-            t = self._t(i)
-            return 1.0 - t ** (np.asarray(k, dtype=float) + 1.0)
-        k_arr = np.atleast_1d(np.asarray(k, dtype=int))
-        row = self._row(i)
-        out = np.empty(k_arr.shape, dtype=float)
-        for idx, kk in enumerate(k_arr):
-            if kk < len(row):
-                out[idx] = row[kk]
-            elif self.tail_rule == "geometric":
-                out[idx] = 1.0 - self._t(i) ** (kk + 1)
-            else:
-                out[idx] = self.tail_value
-        return out if np.ndim(k) else float(out[0])
+        if self._geometric:
+            law = 1.0 - self._t(i) ** (np.asarray(k, dtype=float) + 1.0)
+        else:
+            law = np.full(np.shape(k), self._level)
+        return _with_row(law, k, self._row(i))
 
     def inf_c(self, i: int) -> float:
-        """Infimum of c_{i,n}(k) over all n, k (closed form per kind)."""
-        if self.kind == UNIT:
-            return 1.0
-        if self.kind == GEOMETRIC:
-            return 1.0 - self._t(i)
-        tail_inf = (1.0 - self._t(i)) if self.tail_rule == "geometric" else self.tail_value
-        row = self._row(i)
-        return min([tail_inf, *row])
+        """Infimum of c_{i,n}(k) over all n, k: the row's entries and the law's infimum."""
+        law_inf = 1.0 - self._t(i) if self._geometric else self._level
+        return min([law_inf, *self._row(i)])
+
+
+def _with_row(law, k, row: tuple[float, ...]):
+    """The law's values with those at k < len(row) read from the row; a scalar k gives a float."""
+    if not isinstance(k, np.ndarray) or k.ndim == 0:
+        return float(row[k] if k < len(row) else law)
+    if row:
+        head = k < len(row)
+        law[head] = np.asarray(row)[k[head]]
+    return law
 
 
 def default_families() -> tuple[WeightFamily, CoefficientFamily]:
@@ -180,45 +194,65 @@ def default_families() -> tuple[WeightFamily, CoefficientFamily]:
     return WeightFamily(), CoefficientFamily()
 
 
+def _inv_weight_head(w: WeightFamily, n: int, k0: int) -> tuple[float, int]:
+    """sum of 1/a_n(k) over the row past k0, and the index the power law continues from.
+
+    Raises where s(n) diverges: a constant tail, or a power law with q <= 1.
+    """
+    if w._constant:
+        raise HypothesisViolation("declared constant weight tail makes s(n) divergent")
+    if w.q <= 1:
+        raise HypothesisViolation("weight family with q <= 1 has divergent s(n)")
+    row = w._row(n)
+    return sum((1.0 / v for v in row[k0:]), 0.0), max(k0, len(row))
+
+
 def tail_inv_weight(w: WeightFamily, n: int, k0: int) -> float:
     """Rigorous upper bound for sum_{k >= k0} 1/a_n(k).
 
-    For a power tail this is first term plus integral comparison; the constant
-    tail rule is non-summable and raises.
+    The row past k0 is summed term by term; the power law's tail is bounded by
+    its first term plus the integral comparison.
     """
-    if w.kind == TABULATED:
-        if w.tail_rule == "constant":
-            raise HypothesisViolation("declared constant weight tail makes s(n) divergent")
-        row = w.table[n] if n < len(w.table) else ()
-        head = sum(1.0 / row[k] for k in range(k0, len(row)))
-        k_cont = max(k0, len(row))
-        return head + _power_tail(w, n, k_cont)
-    if not w.summable():
-        raise HypothesisViolation("weight family with q <= 1 has divergent s(n)")
-    return _power_tail(w, n, k0)
-
-
-def _power_tail(w: WeightFamily, n: int, k0: int) -> float:
+    head, k_cont = _inv_weight_head(w, n, k0)
     # sum_{k>=k0} (k+1)^-q  <=  (k0+1)^-q + (k0+1)^(1-q)/(q-1)
-    scale = 1.0 / (w.lam * (n + 1) ** w.p)
-    if w.q <= 1:
-        raise HypothesisViolation("weight family with q <= 1 has divergent s(n)")
-    x = float(k0 + 1)
-    return scale * (x ** (-w.q) + x ** (1.0 - w.q) / (w.q - 1.0))
+    x = float(k_cont + 1)
+    return head + 1.0 / w._scale(n) * (x ** (-w.q) + x ** (1.0 - w.q) / (w.q - 1.0))
+
+
+def exact_tail_inv_weight(w: WeightFamily, n: int, k0: int) -> float:
+    """sum_{k >= k0} 1/a_n(k): the row past k0 plus the Hurwitz zeta continuation."""
+    head, k_cont = _inv_weight_head(w, n, k0)
+    return head + float(zeta(w.q, k_cont + 1)) / w._scale(n)
 
 
 def sup_inv_weight(w: WeightFamily, n: int, k0: int) -> float:
-    """Upper bound for sup_{k >= k0} 1/a_n(k) (no monotonicity assumed)."""
-    if w.kind == POWER:
-        return 1.0 / w.a(n, k0)
-    row = w.table[n] if n < len(w.table) else ()
-    cands = [1.0 / row[k] for k in range(k0, len(row))]
+    """Upper bound for sup_{k >= k0} 1/a_n(k).
+
+    The row is not assumed monotone; past it the law's 1/a_n is nonincreasing
+    in k, so its first value bounds the rest.
+    """
+    row = w._row(n)
+    return max([1.0 / v for v in row[k0:]] + [1.0 / w.a(n, max(k0, len(row)))])
+
+
+def gap_tail(c: CoefficientFamily, i: int, k0: int, inverse: bool = False) -> float:
+    """Rigorous upper bound for sum_{k >= k0} (1 - c_i(k)), or (1/c_i(k) - 1) if inverse.
+
+    The row past k0 is summed term by term; the law's tail is bounded in
+    closed form, and a constant law contributes only at level 1.
+    """
+    row = c._row(i)
+    head = sum(((1.0 / v - 1.0) if inverse else (1.0 - v) for v in row[k0:]), 0.0)
     k_cont = max(k0, len(row))
-    if w.tail_rule == "power":
-        cands.append(1.0 / (w.lam * (n + 1) ** w.p * (k_cont + 1) ** w.q))
-    else:
-        cands.append(1.0 / w.tail_value)
-    return max(cands)
+    if c._geometric:
+        t = c._t(i)
+        geo = t ** (k_cont + 1) / (1.0 - t)
+        # 1/c - 1 = t^{k+1}/(1 - t^{k+1}) <= t^{k+1}/(1-t)
+        return head + (geo / (1.0 - t) if inverse else geo)
+    gap = 1.0 / c._level - 1.0 if inverse else 1.0 - c._level
+    if gap != 0.0:
+        raise HypothesisViolation("constant coefficient tail keeps ||C - I|| bounded away from 0")
+    return head
 
 
 def eval_s(w: WeightFamily, n: int, tol: float = 1e-12) -> SeriesValue:
@@ -226,38 +260,30 @@ def eval_s(w: WeightFamily, n: int, tol: float = 1e-12) -> SeriesValue:
 
     Raises HypothesisViolation when the declared tail rule is divergent.
     """
-    if w.kind == POWER:
-        if not w.summable():
-            raise HypothesisViolation("s(n) diverges: radial exponent q must exceed 1")
-        value = float(zeta(w.q)) / (w.lam * (n + 1) ** w.p)
-        return SeriesValue(value=value, k_trunc=0, tail=0.0)
-    if w.tail_rule == "constant":
-        raise HypothesisViolation("declared constant weight tail makes s(n) divergent")
-    if not w.summable():
-        raise HypothesisViolation("s(n) diverges: tail exponent q must exceed 1")
-    row = w.table[n] if n < len(w.table) else ()
-    head = sum(1.0 / v for v in row)
-    k_cont = len(row)
-    # Hurwitz zeta gives the power continuation exactly.
-    cont = float(zeta(w.q, k_cont + 1)) / (w.lam * (n + 1) ** w.p)
-    value = head + cont
-    return SeriesValue(value=value, k_trunc=k_cont, tail=min(tol, 1e-15 * abs(value)))
+    if w.kind == POWER and w.q > 1:
+        # zeta(q) itself: zeta(q, 1) differs from it in the last bit
+        return SeriesValue(value=float(zeta(w.q)) / w._scale(n), k_trunc=0, tail=0.0)
+    value = exact_tail_inv_weight(w, n, 0)
+    return SeriesValue(
+        value=value, k_trunc=len(w._row(n)), tail=min(tol, 1e-15 * abs(value))
+    )
 
 
 def eval_J(c: CoefficientFamily, i: int, n: int, tol: float = 1e-12) -> SeriesValue:
     """J_i(n) = prod_k c_{i,n}(k), via summed logarithms with a certified tail."""
     if i not in (1, 2):
         raise ValueError("coefficient index must be 1 or 2")
-    if c.kind == UNIT:
-        return SeriesValue(value=1.0, k_trunc=0, tail=0.0)
+    row = c._row(i)
 
     def log_tail(k0: int) -> float:
+        head = sum(-math.log(v) for v in row[k0:])
+        k_cont = max(k0, len(row))
         # |log(1-x)| <= x/(1-x); geometric gaps give a geometric majorant.
-        if c.kind == GEOMETRIC or (c.kind == TABULATED and c.tail_rule == "geometric"):
+        if c._geometric:
             t = c._t(i)
-            return t ** (k0 + 1) / ((1.0 - t) * (1.0 - t ** (k0 + 1)))
-        if c.tail_value >= 1.0:
-            return 0.0
+            return head + t ** (k_cont + 1) / ((1.0 - t) * (1.0 - t ** (k_cont + 1)))
+        if c._level >= 1.0:
+            return head
         raise HypothesisViolation(
             "coefficient product collapses to zero under a constant tail below 1"
         )
@@ -286,9 +312,10 @@ class CheckResult:
     witness: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    checks: tuple[CheckResult, ...] = field(default_factory=tuple)
+class CheckReport:
+    """The verdict shared by every report that holds a ``checks`` tuple."""
+
+    checks: tuple[CheckResult, ...]
 
     @property
     def all_passed(self) -> bool:
@@ -297,14 +324,16 @@ class ValidationReport:
     def failed(self) -> list[CheckResult]:
         return [ch for ch in self.checks if not ch.passed]
 
+    def check_rows(self) -> list[dict]:
+        return [{"name": ch.name, "passed": ch.passed, "witness": ch.witness} for ch in self.checks]
+
+
+@dataclass(frozen=True)
+class ValidationReport(CheckReport):
+    checks: tuple[CheckResult, ...] = field(default_factory=tuple)
+
     def as_dict(self) -> dict:
-        return {
-            "all_passed": self.all_passed,
-            "checks": [
-                {"name": ch.name, "passed": ch.passed, "witness": ch.witness}
-                for ch in self.checks
-            ],
-        }
+        return {"all_passed": self.all_passed, "checks": self.check_rows()}
 
 
 def validate_hypotheses(

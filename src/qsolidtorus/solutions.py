@@ -26,11 +26,12 @@ from typing import Callable
 import numpy as np
 
 from .families import (
+    CheckReport,
     CheckResult,
     CoefficientFamily,
-    HypothesisViolation,
     SeriesValue,
     WeightFamily,
+    exact_tail_inv_weight,
     sup_inv_weight,
     tail_inv_weight,
 )
@@ -256,22 +257,15 @@ def epsilon(
 
     Beyond the explicit head the terms equal 1/a_n(k) minus a positive
     correction of size at most m^2 / (a_n^2 a_{n+1}); the first part is the
-    closed-form tail of s(n) and the correction bounds the certificate, so no
-    deep summation is needed.
+    exact tail of s(n) (the one eval_s sums) and the correction bounds the
+    certificate, so no deep summation is needed.
     """
-    from scipy.special import zeta as _zeta
-
     m, n = mode.m, mode.n
     ks = np.arange(k_head)
     an = np.asarray(w.a(n, ks), dtype=float)
     an1 = np.asarray(w.a(n + 1, ks), dtype=float)
     head = float(np.sum(an1 / (m * m + an * an1)))
-    if w.kind == "power-family":
-        if not w.summable():
-            raise HypothesisViolation("eps diverges alongside s(n) for q <= 1")
-        inv_tail = float(_zeta(w.q, k_head + 1)) / (w.lam * (n + 1) ** w.p)
-    else:
-        inv_tail = tail_inv_weight(w, n, k_head)
+    inv_tail = exact_tail_inv_weight(w, n, k_head)
     # 1/a_n - a_{n+1}/(m^2 + a_n a_{n+1}) = m^2 / (a_n (m^2 + a_n a_{n+1}))
     # <= m^2 / (a_n^2 a_{n+1}); bound its tail by sup factors times the s-tail.
     corr = (
@@ -364,17 +358,13 @@ def perp_transport_residual(sol: KernelSolution) -> float:
 
 
 @dataclass(frozen=True)
-class LemmaReport:
+class LemmaReport(CheckReport):
     """Outcome of the inequality suite for one mode."""
 
     mode: ModeIndex
     checks: tuple[CheckResult, ...]
     worst_slack: float
     flagged: tuple[str, ...] = ()
-
-    @property
-    def all_passed(self) -> bool:
-        return all(ch.passed for ch in self.checks)
 
 
 def _clause(name: str, lhs: np.ndarray, rhs: np.ndarray, slack: float) -> tuple[CheckResult, float]:
@@ -406,82 +396,68 @@ def verify_lemma_suite(
     mode = sol.mode
     m = mode.m
     K_hi = sol.k_table
-    checks: list[CheckResult] = []
     flagged: list[str] = []
-    worst = -np.inf
 
     if m == 0:
         i2_zero = np.all(sol.I[:, 1] == 0.0)
         k1_zero = np.all(sol.K[:, 0] == 0.0)
-        checks.append(CheckResult("diag_pattern_I", bool(i2_zero), "I2 identically zero"))
-        checks.append(CheckResult("diag_pattern_K", bool(k1_zero), "K1 identically zero"))
-        ch, wv = _clause("K2_nonincreasing", sol.K[1:, 1], sol.K[:-1, 1], slack)
-        checks.append(ch)
-        worst = max(worst, wv)
-        return LemmaReport(mode, tuple(checks), worst, ())
+        checks = [
+            CheckResult("diag_pattern_I", bool(i2_zero), "I2 identically zero"),
+            CheckResult("diag_pattern_K", bool(k1_zero), "K1 identically zero"),
+        ]
+        clauses = [("K2_nonincreasing", sol.K[1:, 1], sol.K[:-1, 1])]
+    else:
+        sign = 1.0 if m > 0 else -1.0
+        if m < 0:
+            flagged.append(
+                "m<0 suite uses componentwise absolute values; signed ratio bound "
+                "involves a negative K1(inf)/K2(inf) and is not asserted"
+            )
+        # mirror to the m>0 orientation: the first I component is negative for
+        # every m != 0, while I2 and K1 carry the sign of m
+        mI1 = -sol.I[:, 0]
+        I2 = sign * sol.I[:, 1]
+        K1 = sign * sol.K[:, 0]
+        K2 = sol.K[:, 1]
+        am = abs(m)
 
-    sign = 1.0 if m > 0 else -1.0
-    if m < 0:
-        flagged.append(
-            "m<0 suite uses componentwise absolute values; signed ratio bound "
-            "involves a negative K1(inf)/K2(inf) and is not asserted"
-        )
-    # mirror to the m>0 orientation: the first I component is negative for
-    # every m != 0, while I2 and K1 carry the sign of m
-    mI1 = -sol.I[:, 0]
-    I2 = sign * sol.I[:, 1]
-    K1 = sign * sol.K[:, 0]
-    K2 = sol.K[:, 1]
-    am = abs(m)
+        t = sol.table
+        c1, an, an1, pref = t.c1, t.an, t.an1, t.prefix
+        checks = [
+            CheckResult(f"positive_{name}", bool(np.all(arr > 0)), f"min={np.min(arr):.3g}")
+            for name, arr in (("neg_I1", mI1), ("I2", I2[1:]), ("K1", K1), ("K2", K2))
+        ]
 
-    t = sol.table
-    c1, c2, an, an1, pref = t.c1, t.c2, t.an, t.an1, t.prefix
+        # Truncated tail-sum estimates.  The K2 sum uses the c1-weighted kernel of
+        # the upper-tail parametrix sums; suffix cumulation gives every k at once.
+        pc1 = np.empty(K_hi + 1)
+        pc1[0] = 1.0
+        np.cumprod(c1, out=pc1[1:])
+        terms1 = np.zeros(K_hi + 1)
+        # i runs 1..K_hi with kernel prod_{j<=i-2} c1 * K2(i-1)/a_{n+1}(i-1)
+        terms1[1:] = pc1[:-1] * K2[:-1] / an1[:-1]
+        eps_up = sol.eps.upper
+        ratio = abs(sol.ratio_at_infinity)
+        tau_abs = abs(sol.tau)
+        clauses = [
+            ("monotone_neg_I1", mI1[:-1], mI1[1:]),
+            ("monotone_I2_over_c2", I2[:-1], I2[1:] / t.c2),
+            ("monotone_K1_over_c1", K1[1:], K1[:-1] / c1),
+            ("monotone_K2", K2[1:], K2[:-1]),
+            ("ratio_bound_I", I2[:-1], am * eps_up * mI1[1:]),
+            ("ratio_bound_K", K1[1:], am * (eps_up + ratio) * K2[:-1]),
+            ("tail_sum_K2_kernel", suffix_sum(terms1)[:-1], pc1[:-1] * K1[:-1] / am),
+            ("tail_sum_K1_kernel", suffix_sum(K1 / an)[:-1], K2[:-1] / am),
+            ("product_K1_I2", K1 * I2, tau_abs * pref),
+            ("product_K2_negI1", K2 * mI1, tau_abs * pref),
+            ("product_negI1_next_K2", mI1[1:] * K2[:-1], tau_abs * pref[:-1] / c1),
+            ("product_I2_K1_next", I2[:-1] * K1[1:], tau_abs * pref[:-1] / c1),
+        ]
 
-    for name, arr in (("neg_I1", mI1), ("I2", I2[1:]), ("K1", K1), ("K2", K2)):
-        ok = bool(np.all(arr > 0))
-        checks.append(CheckResult(f"positive_{name}", ok, f"min={np.min(arr):.3g}"))
-
-    ch, wv = _clause("monotone_neg_I1", mI1[:-1], mI1[1:], slack)
-    checks.append(ch); worst = max(worst, wv)
-    ch, wv = _clause("monotone_I2_over_c2", I2[:-1], I2[1:] / c2, slack)
-    checks.append(ch); worst = max(worst, wv)
-    ch, wv = _clause("monotone_K1_over_c1", K1[1:], K1[:-1] / c1, slack)
-    checks.append(ch); worst = max(worst, wv)
-    ch, wv = _clause("monotone_K2", K2[1:], K2[:-1], slack)
-    checks.append(ch); worst = max(worst, wv)
-
-    eps_up = sol.eps.upper
-    ratio = abs(sol.ratio_at_infinity)
-    ch, wv = _clause("ratio_bound_I", I2[:-1], am * eps_up * mI1[1:], slack)
-    checks.append(ch); worst = max(worst, wv)
-    ch, wv = _clause("ratio_bound_K", K1[1:], am * (eps_up + ratio) * K2[:-1], slack)
-    checks.append(ch); worst = max(worst, wv)
-
-    # Truncated tail-sum estimates.  The K2 sum uses the c1-weighted kernel of
-    # the upper-tail parametrix sums; suffix cumulation gives every k at once.
-    pc1 = np.empty(K_hi + 1)
-    pc1[0] = 1.0
-    np.cumprod(c1, out=pc1[1:])
-    terms1 = np.zeros(K_hi + 1)
-    # i runs 1..K_hi with kernel prod_{j<=i-2} c1 * K2(i-1)/a_{n+1}(i-1)
-    terms1[1:] = pc1[:-1] * K2[:-1] / an1[:-1]
-    suff1 = suffix_sum(terms1)
-    ch, wv = _clause("tail_sum_K2_kernel", suff1[:-1], pc1[:-1] * K1[:-1] / am, slack)
-    checks.append(ch); worst = max(worst, wv)
-
-    terms2 = K1 / an
-    suff2 = suffix_sum(terms2)
-    ch, wv = _clause("tail_sum_K1_kernel", suff2[:-1], K2[:-1] / am, slack)
-    checks.append(ch); worst = max(worst, wv)
-
-    tau_abs = abs(sol.tau)
-    ch, wv = _clause("product_K1_I2", K1 * I2, tau_abs * pref, slack)
-    checks.append(ch); worst = max(worst, wv)
-    ch, wv = _clause("product_K2_negI1", K2 * mI1, tau_abs * pref, slack)
-    checks.append(ch); worst = max(worst, wv)
-    ch, wv = _clause("product_negI1_next_K2", mI1[1:] * K2[:-1], tau_abs * pref[:-1] / c1, slack)
-    checks.append(ch); worst = max(worst, wv)
-    ch, wv = _clause("product_I2_K1_next", I2[:-1] * K1[1:], tau_abs * pref[:-1] / c1, slack)
-    checks.append(ch); worst = max(worst, wv)
-
-    return LemmaReport(mode, tuple(checks), worst, tuple(flagged))
+    results = [_clause(name, lhs, rhs, slack) for name, lhs, rhs in clauses]
+    checks += [ch for ch, _ in results]
+    # np.max propagates a NaN margin, which the builtin max can drop
+    worst = float(np.max([wv for _, wv in results]))
+    return LemmaReport(
+        mode=mode, checks=tuple(checks), worst_slack=worst, flagged=tuple(flagged)
+    )

@@ -15,10 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .families import (
+    CheckReport,
+    CheckResult,
     CoefficientFamily,
-    HypothesisViolation,
     WeightFamily,
     eval_J,
+    gap_tail,
     sup_inv_weight,
     tail_inv_weight,
 )
@@ -114,35 +116,10 @@ def tail_sum_C_minus_I(
     """Rigorous upper bound for sum_{k >= k0} ||C_{m,n}(k) - I||_1."""
     m, n = mode.m, mode.n
     kappa = c.kappa
-
-    def gap_tail(i: int, one_over: bool) -> float:
-        if c.kind == "unit":
-            return 0.0
-        if c.kind == "geometric-gap" or (c.kind == "tabulated" and c.tail_rule == "geometric"):
-            t = c._t(i)
-            head = 0.0
-            k_cont = k0
-            if c.kind == "tabulated":
-                row = c._row(i)
-                for k in range(k0, len(row)):
-                    gap = 1.0 / row[k] - 1.0 if one_over else 1.0 - row[k]
-                    head += gap
-                k_cont = max(k0, len(row))
-            geo = t ** (k_cont + 1) / (1.0 - t)
-            if one_over:
-                # 1/c - 1 = t^{k+1}/(1 - t^{k+1}) <= t^{k+1}/(1-t)
-                geo = geo / (1.0 - t)
-            return head + geo
-        # constant tabulated tail: gaps do not vanish
-        gap = 1.0 / c.tail_value - 1.0 if one_over else 1.0 - c.tail_value
-        if gap > 0:
-            raise HypothesisViolation("constant coefficient tail keeps ||C - I|| bounded away from 0")
-        return 0.0
-
     t1 = tail_inv_weight(w, n + 1, k0)           # sum 1/a_{n+1}(k)
     t2 = tail_inv_weight(w, n, k0 + 1)           # sum 1/a_n(k+1)
     sup_next = sup_inv_weight(w, n, k0 + 1)      # sup 1/a_n(k+1)
-    bound = gap_tail(1, one_over=True) + gap_tail(2, one_over=False)
+    bound = gap_tail(c, 1, k0, inverse=True) + gap_tail(c, 2, k0)
     bound += abs(m) * kappa * (t1 + t2)
     bound += m * m * kappa * sup_next * t1
     return bound
@@ -208,14 +185,9 @@ def limit_product(
 
 
 @dataclass(frozen=True)
-class StructureReport:
+class StructureReport(CheckReport):
     mode: ModeIndex
-    checks: tuple
-    details: dict
-
-    @property
-    def all_passed(self) -> bool:
-        return all(ch.passed for ch in self.checks)
+    checks: tuple[CheckResult, ...]
 
 
 def structure_check(
@@ -231,8 +203,6 @@ def structure_check(
     the scalar product of c_2/c_1 (J_2/J_1 in the limit, up to the certified
     tail).
     """
-    from .families import CheckResult
-
     mode = tp.mode
     m, n = mode.m, mode.n
     K = tp.k_trunc
@@ -297,10 +267,4 @@ def structure_check(
             f"det={det_part:.12g} vs J2/J1={det_lim:.12g} (tail {tp.tail_bound:.2g})",
         )
     )
-    details = {
-        "limit": lim.tolist(),
-        "prod_inv_c1": prod_inv_c1,
-        "prod_c2": prod_c2,
-        "tail_bound": tp.tail_bound,
-    }
-    return StructureReport(mode=mode, checks=tuple(checks), details=details)
+    return StructureReport(mode=mode, checks=tuple(checks))

@@ -109,7 +109,7 @@ def test_hs_values_even_in_m(families):
 def test_decay_scan_envelopes_and_outputs(families, tmp_path):
     w, c = families
     table = decay_scan((0, 1, -1, 4, -4), (0, 1, 4), w, c, k_max=64)
-    assert table.all_passed, [ch for ch in table.envelope_checks if not ch.passed]
+    assert table.all_passed, table.failed()
     assert len(table.rows) == 15
     # m = 0 rows carry only the cumulative kernel
     z_row = table.report(0, 0)
@@ -172,7 +172,7 @@ def test_nan_proxy_fails_envelope_checks(families, monkeypatch):
     monkeypatch.setattr(analysis, "hs_norms", nan_proxy)
     w, c = families
     table = decay_scan((1, 2), (0, 1), w, c, 32)
-    checks = {ch.name: ch.passed for ch in table.envelope_checks}
+    checks = {ch.name: ch.passed for ch in table.checks}
     assert checks["proxy_decays_in_m"] is False
     assert checks["proxy_decays_in_n"] is False
     assert not table.all_passed

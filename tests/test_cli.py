@@ -78,6 +78,21 @@ def test_config_validation_rules(tmp_path):
         path.write_text(json.dumps(cfg))
         with pytest.raises(ConfigError):
             load_config(path)
+    # a misspelt or retired key is an error, not a silently ignored no-op
+    for section, key in ((None, "grids"), ("grid", "n_lst"), ("truncation", "k_mx"),
+                         ("truncation", "tol_tail"), ("output", "format")):
+        cfg = default_config_dict()
+        (cfg if section is None else cfg[section])[key] = 7
+        path.write_text(json.dumps(cfg))
+        with pytest.raises(ConfigError, match="unknown key"):
+            load_config(path)
+        assert main(["--config", str(path), "validate"]) == 2
+    for section, tail in (("weights", {"rule": "geometric"}), ("coeffs", {"rule": "power"})):
+        cfg = default_config_dict()
+        cfg[section] = {"kind": "tabulated", "tail": tail}
+        path.write_text(json.dumps(cfg))
+        with pytest.raises(ConfigError, match="tail rule"):
+            load_config(path)
 
 
 def test_solve_zero_rhs(small_config, tmp_path):
@@ -153,6 +168,16 @@ def test_dump_tables(small_config):
     assert len(rows[0]["C"]) == 4 and len(rows[0]["P"]) == 4
 
 
+def test_modes_filter_runs_every_requested_m(small_config):
+    path, _ = small_config
+    for argv in (["dump", "--what", "solution"], ["solve"]):
+        assert main(["--config", str(path), "--modes", "1,100000", "--kmax", "8", *argv]) == 0
+    rows = read_out(path, "dump_solution.json")["rows"]
+    assert sorted({row["m"] for row in rows}) == [1, 100000]
+    recs = read_out(path, "solutions.json")["solutions"]
+    assert sorted({rec["m"] for rec in recs}) == [1, 100000]
+
+
 def test_outputs_deterministic_modulo_timestamp(small_config, tmp_path):
     path, _ = small_config
     a_dir = tmp_path / "a"
@@ -170,8 +195,13 @@ def test_kmax_override(small_config):
     path, _ = small_config
     assert main(["--config", str(path), "--kmax", "24", "--modes", "1", "solve"]) == 0
     payload = read_out(path, "solutions.json")
-    assert payload["meta"]["k_max"] == 40  # config echo; computation used the override
+    assert payload["meta"]["k_max"] == 24  # the value the run used, not the config's 40
     assert len(payload["solutions"]) == 3
+    for argv in (["scan"], ["dump", "--what", "solution"]):
+        assert main(["--config", str(path), "--kmax", "24", "--modes", "1", *argv]) == 0
+    assert read_out(path, "lemma_summary.json")["meta"]["k_max"] == 24
+    assert read_out(path, "dump_solution.json")["meta"]["k_max"] == 24
+    assert main(["--config", str(path), "--kmax", "1", "solve"]) == 2
 
 
 def test_scan_builds_each_solution_once(small_config, monkeypatch):

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -255,3 +258,13 @@ def test_scalar_sweeps_match_matmul_reference(families):
             worst["K"] = max(worst["K"], _row_rel_gap(compute_K(mode, w, c, K, bd)[0], ref_K))
             worst["P"] = max(worst["P"], _row_rel_gap(partial_products(C), ref_P))
     assert all(np.isfinite(v) and v <= 1e-14 for v in worst.values()), worst
+
+
+def test_lemma_suite_worst_slack_keeps_nan(families):
+    w, c = families
+    sol = build_solution(ModeIndex(2, 1), w, c, 32)
+    K = sol.K.copy()
+    K[5, 0] = np.nan
+    rep = verify_lemma_suite(dataclasses.replace(sol, K=K))
+    assert not rep.all_passed
+    assert math.isnan(rep.worst_slack)  # the builtin max dropped it and read -2.6e-4
