@@ -98,13 +98,13 @@ class HsReport:
 
 
 def hs_norms(
-    mode: ModeIndex,
     sol: KernelSolution,
     w: WeightFamily,
     c: CoefficientFamily,
     k_max: int | None = None,
 ) -> HsReport:
-    """Direct double sums for the kernel HS norms of one mode, with bounds."""
+    """Direct double sums for the kernel HS norms of ``sol.mode``, with bounds."""
+    mode = sol.mode
     m, n = mode.m, mode.n
     k_max = sol.k_table if k_max is None else min(k_max, sol.k_table)
     s_n = eval_s(w, n)
@@ -268,7 +268,7 @@ def decay_scan(
         for n in n_list:
             sol = build_solution(ModeIndex(m, n), w, c, k_max, rule=rule)
             sols[(m, n)] = sol
-            rows.append(hs_norms(ModeIndex(m, n), sol, w, c, k_max))
+            rows.append(hs_norms(sol, w, c, k_max))
     table = {(r.mode.m, r.mode.n): r for r in rows}
     checks = []
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import operator
 import sys
 from pathlib import Path
 
@@ -40,7 +41,8 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
-# the per-mode failures a table build can report; anything else is a bug
+# the per-mode failures a table build can report (solve adds the oracle's
+# singular band, np.linalg.LinAlgError); anything else is a bug
 MODE_ERRORS = (
     BoundaryRuleError,
     DegeneratePairingError,
@@ -80,16 +82,31 @@ def cmd_validate(cfg: ExperimentConfig, out_dir: Path, k_max: int) -> int:
     return EXIT_OK if report.all_passed else EXIT_VIOLATION
 
 
-def _load_rhs(path: Path, cfg: ExperimentConfig) -> dict[tuple[int, int], RhsPair]:
-    data = json.loads(path.read_text())
+def _load_rhs(path: Path, k_max: int) -> dict[tuple[int, int], RhsPair]:
+    """The --rhs records by (m, n); a malformed file is a ConfigError (exit 2).
+
+    Each record needs integer m and n >= 0, a finite q0, and finite flat r1
+    and r2 with at least k_max entries; entries beyond k_max are ignored.
+    """
+    try:
+        parsed = [
+            (operator.index(rec["m"]), operator.index(rec["n"]),
+             np.asarray(rec["r1"], dtype=float), np.asarray(rec["r2"], dtype=float),
+             float(rec["q0"]))
+            for rec in json.loads(path.read_text())["modes"]
+        ]
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"rhs file {path}: {exc!r}") from exc
     out = {}
-    for rec in data["modes"]:
-        m, n = int(rec["m"]), int(rec["n"])
-        out[(m, n)] = RhsPair(
-            r1=WeightedSeq(np.asarray(rec["r1"], dtype=float), n + 1),
-            r2=WeightedSeq(np.asarray(rec["r2"], dtype=float), n),
-            q0=float(rec["q0"]),
-        )
+    for m, n, r1, r2, q0 in parsed:
+        where = f"rhs file {path}, mode ({m}, {n})"
+        if n < 0 or (m, n) in out:
+            raise ConfigError(f"{where}: n must be >= 0 and each mode listed once")
+        if any(seq.ndim != 1 or len(seq) < k_max for seq in (r1, r2)):
+            raise ConfigError(f"{where}: r1 and r2 need flat lists of >= k_max = {k_max} values")
+        if not (np.all(np.isfinite(r1)) and np.all(np.isfinite(r2)) and np.isfinite(q0)):
+            raise ConfigError(f"{where}: non-finite value")
+        out[(m, n)] = RhsPair(WeightedSeq(r1[:k_max], n + 1), WeightedSeq(r2[:k_max], n), q0)
     return out
 
 
@@ -101,15 +118,12 @@ def cmd_solve(
     only_m: list[int] | None,
     k_max: int,
 ) -> int:
-    modes = _modes(cfg, only_m)
     if rhs_path is not None:
-        rhs_map = _load_rhs(rhs_path, cfg)
-        modes = sorted(rhs_map)
+        rhs_map = _load_rhs(rhs_path, k_max)
     else:
         rng = np.random.default_rng(seed)
-        rhs_map = {
-            (m, n): random_rhs(ModeIndex(m, n), k_max, rng) for (m, n) in sorted(modes)
-        }
+        modes = sorted(_modes(cfg, only_m))
+        rhs_map = {(m, n): random_rhs(ModeIndex(m, n), k_max, rng) for (m, n) in modes}
     records = []
     ok = True
     for (m, n) in sorted(rhs_map):
@@ -121,12 +135,12 @@ def cmd_solve(
             back = apply_A(mode, cfg.weights, cfg.coeffs, res.h_g, res.h_f)
             r_norm = r.norm(cfg.weights)
             diff = RhsPair(
-                r1=WeightedSeq(back.r1.values - r.r1.values[:k_max], n + 1),
-                r2=WeightedSeq(back.r2.values - r.r2.values[:k_max], n),
+                r1=WeightedSeq(back.r1.values - r.r1.values, n + 1),
+                r2=WeightedSeq(back.r2.values - r.r2.values, n),
                 q0=back.q0 - r.q0,
             )
             resid_inv = diff.norm(cfg.weights) / max(r_norm, 1e-300)
-            orc = oracle_solve(mode, cfg.weights, cfg.coeffs, r, sol=sol, k_max=k_max)
+            orc = oracle_solve(sol, cfg.weights, cfg.coeffs, r, k_max)
             scale = max(res.norm(cfg.weights), 1e-300)
             d_orc = float(
                 np.sqrt(
@@ -144,9 +158,10 @@ def cmd_solve(
                     "beta": res.beta,
                 }
             )
-            if resid_inv > cfg.tol_residual or d_orc > 10 * cfg.tol_residual:
+            # written as "not <=" so that a NaN residual fails the mode
+            if not (resid_inv <= cfg.tol_residual and d_orc <= 10 * cfg.tol_residual):
                 ok = False
-        except Exception as exc:
+        except (*MODE_ERRORS, np.linalg.LinAlgError) as exc:
             ok = False
             records.append({"m": m, "n": n, "error": f"mode ({m}, {n}): {exc}"})
             print(f"mode ({m}, {n}) failed: {exc}", file=sys.stderr)
@@ -218,15 +233,15 @@ def cmd_dump(
                 tp = limit_product(
                     mode, cfg.weights, cfg.coeffs, tol=cfg.tol_prod, k_cap=k_max, strict=False
                 )
-                k_rows = min(k_max, tp.k_trunc)
-                tables = (tp.matrices[:k_rows], tp.partials[:k_rows])
+                k_rows = min(k_max, tp.table.k_hi)
+                tables = (tp.table.C[:k_rows], tp.partials[:k_rows])
                 for k in range(k_rows):
                     rows.append(
                         {
                             "m": m,
                             "n": n,
                             "k": k,
-                            "C": tp.matrices[k].ravel().tolist(),
+                            "C": tp.table.C[k].ravel().tolist(),
                             "P": tp.partials[k].ravel().tolist(),
                         }
                     )

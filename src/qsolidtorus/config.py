@@ -3,7 +3,9 @@
 Keys: weights.{kind, lambda, p, q | table, tail}; coeffs.{kind, t1, t2,
 kappa | table1, table2, tail}; boundary.{rule, table}; grid.{m_list, n_list};
 truncation.{k_max, tol_prod, tol_residual}; output.{dir, formats}.  An
-unknown key at the top level or in grid, truncation or output is an error.
+unknown key in any section is an error; which keys a family or boundary
+section accepts depends on its kind or rule (a tabulated family also reads
+lambda/p/q or t1/t2 at its top level when its tail object omits them).
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ KNOWN_KEYS = {
     "truncation": ("k_max", "tol_prod", "tol_residual"),
     "output": ("dir", "formats"),
 }
+POWER_KEYS = ("lambda", "p", "q")
+GAP_KEYS = ("t1", "t2", "kappa")
 
 
 @dataclass(frozen=True)
@@ -46,9 +50,16 @@ class ExperimentConfig:
     formats: tuple[str, ...]
 
 
+def _check_keys(d: dict, known: tuple[str, ...], where: str) -> None:
+    unknown = sorted(set(d.keys()) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown key(s) {unknown} in {where}")
+
+
 def _weights_from(d: dict) -> WeightFamily:
     kind = d.get("kind", "power-family")
     if kind == "power-family":
+        _check_keys(d, ("kind", *POWER_KEYS), "weights")
         return WeightFamily(
             kind=kind,
             lam=float(d.get("lambda", 1.0)),
@@ -57,6 +68,8 @@ def _weights_from(d: dict) -> WeightFamily:
         )
     if kind == "tabulated":
         tail = d.get("tail", {"rule": "power"})
+        _check_keys(d, ("kind", "table", "tail", *POWER_KEYS), "weights")
+        _check_keys(tail, ("rule", "value", *POWER_KEYS), "weights.tail")
         return WeightFamily(
             kind=kind,
             table=tuple(tuple(float(v) for v in row) for row in d.get("table", [])),
@@ -72,6 +85,7 @@ def _weights_from(d: dict) -> WeightFamily:
 def _coeffs_from(d: dict) -> CoefficientFamily:
     kind = d.get("kind", "geometric-gap")
     if kind in ("geometric-gap", "unit"):
+        _check_keys(d, ("kind", *GAP_KEYS), "coeffs")
         return CoefficientFamily(
             kind=kind,
             t1=float(d.get("t1", 0.5)),
@@ -80,6 +94,8 @@ def _coeffs_from(d: dict) -> CoefficientFamily:
         )
     if kind == "tabulated":
         tail = d.get("tail", {"rule": "geometric"})
+        _check_keys(d, ("kind", "table1", "table2", "tail", *GAP_KEYS), "coeffs")
+        _check_keys(tail, ("rule", "value", "t1", "t2"), "coeffs.tail")
         return CoefficientFamily(
             kind=kind,
             table1=tuple(float(v) for v in d.get("table1", [])),
@@ -96,8 +112,10 @@ def _coeffs_from(d: dict) -> CoefficientFamily:
 def _boundary_from(d: dict):
     rule = d.get("rule", "default")
     if rule == "default":
+        _check_keys(d, ("rule",), "boundary")
         return "default", "default"
     if rule == "table":
+        _check_keys(d, ("rule", "table"), "boundary")
         table = {int(k): (float(v[0]), float(v[1])) for k, v in d.get("table", {}).items()}
 
         def table_rule(m: int) -> tuple[float, float]:
@@ -120,10 +138,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     try:
         for section, known in KNOWN_KEYS.items():
-            keys = (raw if section is None else raw.get(section, {})).keys()
-            unknown = sorted(set(keys) - set(known))
-            if unknown:
-                raise ConfigError(f"unknown key(s) {unknown} in {section or 'the top level'}")
+            d = raw if section is None else raw.get(section, {})
+            _check_keys(d, known, section or "the top level")
         weights = _weights_from(raw.get("weights", {}))
         coeffs = _coeffs_from(raw.get("coeffs", {}))
         rule, rule_name = _boundary_from(raw.get("boundary", {}))

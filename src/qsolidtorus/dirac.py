@@ -24,9 +24,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
+from .analysis import write_json
 from .families import CheckReport, CheckResult, CoefficientFamily, WeightFamily
 from .parametrix import ParametrixResult, RhsPair, WeightedSeq, apply_A, apply_Q
 from .solutions import build_solution
@@ -424,8 +426,7 @@ def field_to_file(field: FourierField, path, meta: dict | None = None) -> None:
     payload = {"modes": field.to_json()}
     if meta:
         payload["meta"] = meta
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+    write_json(Path(path), payload)
 
 
 def field_from_file(path) -> FourierField:

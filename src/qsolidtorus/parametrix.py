@@ -22,11 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .families import CoefficientFamily, WeightFamily
-from .solutions import BoundaryData, KernelSolution, ModeTable, mode_table, suffix_sum
-from .transfer import ModeIndex, build_C_range, invert
+from .solutions import BoundaryData, KernelSolution, suffix_sum
+from .transfer import ModeIndex, invert, partial_products
 
 
 class WeightTagMismatch(ValueError):
@@ -264,37 +264,27 @@ def apply_XYZ(
 
 
 def apply_Q_direct(
-    mode: ModeIndex,
-    w: WeightFamily,
-    c: CoefficientFamily,
-    sol: KernelSolution,
-    r: RhsPair,
-    k_max: int | None = None,
+    sol: KernelSolution, r: RhsPair, k_max: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Variation-of-constants form of the inverse (testing path, small k only).
 
     h(k) = P(k) sum_{i<=k} P(i)^-1 v(i) + alpha I(k) with v(0) the particular
     start vector and alpha fixed by the boundary pairing against K(0)^perp.
     """
-    from .transfer import partial_products
-
-    n = mode.n
+    m = sol.mode.m
+    t = sol.table
     k_max = sol.k_table if k_max is None else k_max
-    c_arr = build_C_range(mode, w, c, k_max)
-    parts = partial_products(c_arr)
+    parts = partial_products(t.C[:k_max])
     v = np.zeros((k_max + 1, 2))
-    v[0] = (0.0, r.q0 / w.a(n, 0))
-    ks = np.arange(k_max)
-    a_row1 = np.asarray(w.a(n + 1, ks), dtype=float) * np.asarray(
-        c.c(1, n, ks), dtype=float
-    )
-    a_row2 = np.asarray(w.a(n, ks + 1), dtype=float)
+    v[0] = (0.0, r.q0 / t.an[0])
+    a_row1 = t.an1[:k_max] * t.c1[:k_max]
+    a_row2 = t.an[1 : k_max + 1]
     n_fill = min(k_max, len(r.r1.values))
     for i in range(1, n_fill + 1):
         rho = np.array([r.r1.values[i - 1], r.r2.values[i - 1]])
         # A(i)^-1 for the lower-triangular step matrix, written out
         x = rho[0] / a_row1[i - 1]
-        v[i] = (x, (rho[1] - mode.m * x) / a_row2[i - 1])
+        v[i] = (x, (rho[1] - m * x) / a_row2[i - 1])
     s = np.zeros((k_max + 1, 2))
     acc = np.zeros(2)
     for i in range(k_max + 1):
@@ -309,40 +299,34 @@ def apply_Q_direct(
 
 
 def oracle_matrix(
-    mode: ModeIndex,
-    w: WeightFamily,
-    c: CoefficientFamily,
-    k_max: int,
-    boundary_vec: tuple[float, float],
-    drop_boundary: bool = False,
+    sol: KernelSolution, k_max: int | None = None, drop_boundary: bool = False
 ) -> np.ndarray:
     """Dense matrix of the truncated constrained system.
 
     Unknowns are ordered [x(0), y(0), x(1), y(1), ...]; rows are the 2*k_max
-    block equations, the initial regularity row, and (unless dropped) the
-    boundary row at the truncation edge.  O(k_max^2) memory: it is the dense
-    reference for tests and the input of the ``sigma_min`` SVD; the oracle
-    solve itself works on the band.
+    block equations A(k+1) h(k+1) - A(k+1) C(k) h(k), the initial regularity
+    row, and (unless dropped) the boundary row, which pairs h(k_max) against
+    the K table there.  O(k_max^2) memory: it is the dense reference of the
+    tests; the oracle solve itself works on the band.
     """
-    m, n = mode.m, mode.n
+    m = sol.mode.m
+    t = sol.table
+    k_max = sol.k_table if k_max is None else k_max
     size = 2 * (k_max + 1)
     n_rows = 2 * k_max + 1 + (0 if drop_boundary else 1)
+    A = np.zeros((k_max, 2, 2))
+    A[:, 0, 0] = t.an1[:k_max] * t.c1[:k_max]
+    A[:, 1, 0] = m
+    A[:, 1, 1] = t.an[1 : k_max + 1]
+    AC = -A @ t.C[:k_max]
     mat = np.zeros((n_rows, size))
-    c_arr = build_C_range(mode, w, c, k_max)
     for k in range(k_max):
-        A = np.array(
-            [
-                [w.a(n + 1, k) * c.c(1, n, k), 0.0],
-                [float(m), w.a(n, k + 1)],
-            ]
-        )
-        mat[2 * k : 2 * k + 2, 2 * (k + 1) : 2 * (k + 1) + 2] = A
-        mat[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = -A @ c_arr[k]
+        mat[2 * k : 2 * k + 2, 2 * (k + 1) : 2 * (k + 1) + 2] = A[k]
+        mat[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = AC[k]
     mat[2 * k_max, 0] = float(m)
-    mat[2 * k_max, 1] = w.a(n, 0)
+    mat[2 * k_max, 1] = t.an[0]
     if not drop_boundary:
-        mat[2 * k_max + 1, 2 * k_max] = boundary_vec[1]
-        mat[2 * k_max + 1, 2 * k_max + 1] = -boundary_vec[0]
+        mat[2 * k_max + 1, 2 * k_max :] = (sol.K[k_max, 1], -sol.K[k_max, 0])
     return mat
 
 
@@ -350,90 +334,74 @@ def oracle_matrix(
 class OracleSolution:
     h_g: WeightedSeq
     h_f: WeightedSeq
-    sigma_min: float | None = None
 
 
-def _oracle_band(
-    table: ModeTable, k_max: int, boundary_vec: tuple[float, float]
-) -> np.ndarray:
-    """The constrained system of ``oracle_matrix`` in ``solve_banded`` (2, 1) form.
+def _oracle_band(sol: KernelSolution, k_max: int) -> np.ndarray:
+    """The constrained system of ``oracle_matrix`` in LAPACK band form, kl = 2, ku = 1.
 
     Same unknowns and entries, with the initial regularity row moved first:
     row 0 is the datum row, rows 2k+1 and 2k+2 the block equations of step k,
-    row 2K+1 the boundary row.  Entry (i, j) sits at ``band[1 + i - j, j]``.
+    row 2K+1 the boundary row.  Entry (i, j) sits at ``band[3 + i - j, j]``;
+    the two leading rows stay zero for the fill-in of the row interchanges.
     """
-    m = table.mode.m
-    a00 = table.an1[:k_max] * table.c1[:k_max]
-    a11 = table.an[1 : k_max + 1]
-    c_arr = table.C[:k_max]
-    band = np.zeros((4, 2 * (k_max + 1)))
-    band[1, 0] = m
-    band[0, 1] = table.an[0]
+    m = sol.mode.m
+    t = sol.table
+    a00 = t.an1[:k_max] * t.c1[:k_max]
+    a11 = t.an[1 : k_max + 1]
+    c_arr = t.C[:k_max]
+    band = np.zeros((6, 2 * (k_max + 1)))
+    band[3, 0] = m
+    band[2, 1] = t.an[0]
     # block rows A(k+1) h(k+1) - A(k+1) C(k) h(k)
-    band[2, 0 : 2 * k_max : 2] = -a00 * c_arr[:, 0, 0]
-    band[1, 1 : 2 * k_max : 2] = -a00 * c_arr[:, 0, 1]
-    band[0, 2 : 2 * k_max + 1 : 2] = a00
-    band[3, 0 : 2 * k_max : 2] = -(m * c_arr[:, 0, 0] + a11 * c_arr[:, 1, 0])
-    band[2, 1 : 2 * k_max : 2] = -(m * c_arr[:, 0, 1] + a11 * c_arr[:, 1, 1])
-    band[1, 2 : 2 * k_max + 1 : 2] = m
-    band[0, 3 : 2 * k_max + 2 : 2] = a11
-    band[2, 2 * k_max] = boundary_vec[1]
-    band[1, 2 * k_max + 1] = -boundary_vec[0]
+    band[4, 0 : 2 * k_max : 2] = -a00 * c_arr[:, 0, 0]
+    band[3, 1 : 2 * k_max : 2] = -a00 * c_arr[:, 0, 1]
+    band[2, 2 : 2 * k_max + 1 : 2] = a00
+    band[5, 0 : 2 * k_max : 2] = -(m * c_arr[:, 0, 0] + a11 * c_arr[:, 1, 0])
+    band[4, 1 : 2 * k_max : 2] = -(m * c_arr[:, 0, 1] + a11 * c_arr[:, 1, 1])
+    band[3, 2 : 2 * k_max + 1 : 2] = m
+    band[2, 3 : 2 * k_max + 2 : 2] = a11
+    band[4, 2 * k_max] = sol.K[k_max, 1]
+    band[3, 2 * k_max + 1] = -sol.K[k_max, 0]
     return band
 
 
 def oracle_solve(
-    mode: ModeIndex,
+    sol: KernelSolution,
     w: WeightFamily,
     c: CoefficientFamily,
     r: RhsPair,
-    bd: BoundaryData | None = None,
-    sol: KernelSolution | None = None,
     k_max: int | None = None,
-    with_sigma: bool = False,
 ) -> OracleSolution:
     """Banded LU solve of the truncated constrained system, O(k_max) memory.
 
-    The boundary row uses the K table's value at the truncation edge when a
-    kernel solution is supplied (identical to the rule values when the seed
-    sits there), otherwise the rule values from ``bd``.  One step of
-    iterative refinement against the residual of the raw system (``apply_A``
-    plus the boundary row) follows the LU solve.  ``with_sigma`` adds the
-    smallest singular value of the dense ``oracle_matrix``.
+    The band comes from the solution's table, and its boundary row pairs
+    against the K table at the truncation edge (the rule values when the
+    seed sits there).  The band is factored once; the solve is followed by
+    one step of iterative refinement against the residual of the raw system
+    (``apply_A`` on the families ``w`` and ``c``, plus the boundary row).
     """
+    mode = sol.mode
     n = mode.n
     if k_max is None:
-        k_max = len(r.r1.values) if sol is None else min(sol.k_table, len(r.r1.values))
-    if sol is not None:
-        bvec = (float(sol.K[k_max, 0]), float(sol.K[k_max, 1]))
-    elif bd is not None:
-        bvec = bd.K_inf
-    else:
-        raise ValueError("need a kernel solution or boundary data for the boundary row")
-    table = mode_table(mode, w, c, k_max) if sol is None else sol.table
-    band = _oracle_band(table, k_max, bvec)
+        k_max = min(sol.k_table, len(r.r1.values))
+    lu, piv, info = dgbtrf(_oracle_band(sol, k_max), 2, 1, overwrite_ab=True)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
     n_fill = min(k_max, len(r.r1.values))
     rhs = np.zeros(2 * (k_max + 1))
     rhs[0] = r.q0
     rhs[1 : 2 * n_fill : 2] = r.r1.values[:n_fill]
     rhs[2 : 2 * n_fill + 1 : 2] = r.r2.values[:n_fill]
-    hvec = scipy.linalg.solve_banded((2, 1), band, rhs)
+    hvec, _ = dgbtrs(lu, 2, 1, rhs, piv)
     back = apply_A(mode, w, c, WeightedSeq(hvec[0::2], n), WeightedSeq(hvec[1::2], n + 1))
+    b1, b2 = sol.K[k_max]
     resid = rhs.copy()
     resid[0] -= back.q0
     resid[1 : 2 * k_max : 2] -= back.r1.values
     resid[2 : 2 * k_max + 1 : 2] -= back.r2.values
-    resid[-1] -= bvec[1] * hvec[-2] - bvec[0] * hvec[-1]
-    hvec = hvec + scipy.linalg.solve_banded((2, 1), band, resid)
-    sigma = None
-    if with_sigma:
-        mat = oracle_matrix(mode, w, c, k_max, bvec)
-        sigma = float(np.linalg.svd(mat, compute_uv=False)[-1])
-    return OracleSolution(
-        h_g=WeightedSeq(hvec[0::2], n),
-        h_f=WeightedSeq(hvec[1::2], n + 1),
-        sigma_min=sigma,
-    )
+    resid[-1] -= b2 * hvec[-2] - b1 * hvec[-1]
+    hvec = hvec + dgbtrs(lu, 2, 1, resid, piv)[0]
+    return OracleSolution(h_g=WeightedSeq(hvec[0::2], n), h_f=WeightedSeq(hvec[1::2], n + 1))
 
 
 def boundary_residual(

@@ -19,7 +19,6 @@ pairing product bounds) that the parametrix norm estimates rely on.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -35,12 +34,17 @@ from .families import (
     sup_inv_weight,
     tail_inv_weight,
 )
+# mode_table and scalar_det_prefix live in transfer.  They are imported here
+# as well because perfbench/tracer.py wraps solutions.scalar_det_prefix and
+# tests/test_profiler_contract.py clears solutions.mode_table by these names.
 from .transfer import (
     ConvergenceError,
     ModeIndex,
-    build_C_range,
+    ModeTable,
     invert,
+    mode_table,
     partial_products,
+    scalar_det_prefix,
     tail_sum_C_minus_I,
 )
 
@@ -121,51 +125,6 @@ def choose_K_infinity(
     if not monotone or (pairs[0] > 0 and pairs[-1] > 0.5 * pairs[0]):
         raise BoundaryRuleError("|K1(inf)/K2(inf)| must decay to 0 as |m| grows")
     return BoundaryData(mode=mode, K_inf=(k1, k2), rule=name)
-
-
-@dataclass(frozen=True)
-class ModeTable:
-    """Per-mode data on the window 0 <= k <= k_hi, evaluated once.
-
-    ``an`` and ``an1`` hold a_n(k) and a_{n+1}(k) for k = 0..k_hi; ``c1``,
-    ``c2`` and the propagation matrices ``C`` cover k = 0..k_hi-1; ``prefix[k]``
-    is prod_{i<k} c_2(i)/c_1(i).  No entry depends on a later index, so a
-    shorter window is a slice of a longer one, bit for bit.
-    """
-
-    mode: ModeIndex
-    k_hi: int
-    an: np.ndarray
-    an1: np.ndarray
-    c1: np.ndarray
-    c2: np.ndarray
-    C: np.ndarray
-    prefix: np.ndarray
-
-
-@functools.lru_cache(maxsize=1)
-def mode_table(
-    mode: ModeIndex, w: WeightFamily, c: CoefficientFamily, k_hi: int
-) -> ModeTable:
-    """Evaluate one mode's weights, gaps, C stack and c2/c1 prefix.
-
-    The table is a pure function of its frozen arguments and its arrays are
-    read-only, so the last result is kept: a solution build and its I and K
-    sweeps share one evaluation.
-    """
-    n = mode.n
-    ks = np.arange(k_hi + 1)
-    arrays = {
-        "an": np.asarray(w.a(n, ks), dtype=float),
-        "an1": np.asarray(w.a(n + 1, ks), dtype=float),
-        "c1": np.asarray(c.c(1, n, ks[:-1]), dtype=float),
-        "c2": np.asarray(c.c(2, n, ks[:-1]), dtype=float),
-        "C": build_C_range(mode, w, c, k_hi),
-        "prefix": scalar_det_prefix(c, n, k_hi),
-    }
-    for arr in arrays.values():
-        arr.setflags(write=False)
-    return ModeTable(mode=mode, k_hi=k_hi, **arrays)
 
 
 def compute_I(
@@ -250,9 +209,7 @@ def tau_of_tables(I: np.ndarray, K: np.ndarray) -> float:
     return float(K[0, 0] * I[0, 1] - K[0, 1] * I[0, 0])
 
 
-def epsilon(
-    mode: ModeIndex, w: WeightFamily, c: CoefficientFamily, k_head: int = 4096
-) -> SeriesValue:
+def epsilon(mode: ModeIndex, w: WeightFamily, k_head: int = 4096) -> SeriesValue:
     """eps(m, n) = sum_k a_{n+1}(k) / (m^2 + a_n(k) a_{n+1}(k)).
 
     Beyond the explicit head the terms equal 1/a_n(k) minus a positive
@@ -304,7 +261,7 @@ def build_solution(
         raise DegeneratePairingError(
             f"tau={tau:.3g} for mode {mode}: boundary rule aligned with the I direction"
         )
-    eps = epsilon(mode, w, c)
+    eps = epsilon(mode, w)
     return KernelSolution(
         mode=mode,
         I=I_tab,
@@ -316,16 +273,6 @@ def build_solution(
         seed_tail_bound=seed_tail,
         table=table,
     )
-
-
-def scalar_det_prefix(c: CoefficientFamily, n: int, k_hi: int) -> np.ndarray:
-    """Prefix products prod_{i<k} c_2(i)/c_1(i) for k = 0..k_hi."""
-    ks = np.arange(k_hi)
-    ratio = np.asarray(c.c(2, n, ks), dtype=float) / np.asarray(c.c(1, n, ks), dtype=float)
-    out = np.empty(k_hi + 1)
-    out[0] = 1.0
-    np.cumprod(ratio, out=out[1:])
-    return out
 
 
 def suffix_sum(v: np.ndarray) -> np.ndarray:

@@ -4,12 +4,15 @@ Each mode (m, n) carries one step matrix A_{m,n}(k+1) and one propagation
 matrix C_{m,n}(k); kernel solutions of the mode system evolve by
 h(k+1) = C_{m,n}(k) h(k).  Products are ordered right-to-left,
 P(k) = C(k-1) ... C(0), and converge because sum_k ||C(k) - I||_1 is finite.
-This module builds the matrices, their partial products, a certified tail
-bound for the product remainder, and the structural checks on the limit.
+This module evaluates each mode's per-k data once (``mode_table``: the
+weights, the gap coefficients, the C stack and the c2/c1 prefix) and builds
+from it the partial products, a certified tail bound for the product
+remainder, and the structural checks on the limit.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,21 +63,73 @@ def build_A(mode: ModeIndex, k: int, w: WeightFamily, c: CoefficientFamily) -> n
 
 
 def build_C_range(
-    mode: ModeIndex, w: WeightFamily, c: CoefficientFamily, k_hi: int
+    m: int, an: np.ndarray, an1: np.ndarray, c1: np.ndarray, c2: np.ndarray
 ) -> np.ndarray:
-    """All C_{m,n}(k) for 0 <= k < k_hi as a (k_hi, 2, 2) array; det C = c_2(k)/c_1(k)."""
-    m, n = mode.m, mode.n
-    ks = np.arange(k_hi)
-    c1 = np.asarray(c.c(1, n, ks), dtype=float)
-    c2 = np.asarray(c.c(2, n, ks), dtype=float)
-    an1 = np.asarray(w.a(n + 1, ks), dtype=float)
-    an_next = np.asarray(w.a(n, ks + 1), dtype=float)
+    """All C_{m,n}(k) for 0 <= k < len(c1) as a stacked (k, 2, 2) array.
+
+    ``an`` holds a_n(0..k_hi) and ``an1`` a_{n+1}(0..k_hi-1) at least;
+    det C(k) = c_2(k)/c_1(k).
+    """
+    k_hi = len(c1)
+    an1 = an1[:k_hi]
+    an_next = an[1 : k_hi + 1]
     out = np.empty((k_hi, 2, 2))
     out[:, 0, 0] = 1.0 / c1
     out[:, 0, 1] = -m / (an1 * c1)
     out[:, 1, 0] = -m / (an_next * c1)
     out[:, 1, 1] = c2 + m * m / (an_next * an1 * c1)
     return out
+
+
+def scalar_det_prefix(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    """Prefix products prod_{i<k} c_2(i)/c_1(i) for k = 0..len(c1)."""
+    out = np.empty(len(c1) + 1)
+    out[0] = 1.0
+    np.cumprod(c2 / c1, out=out[1:])
+    return out
+
+
+@dataclass(frozen=True)
+class ModeTable:
+    """Per-mode data on the window 0 <= k <= k_hi, evaluated once.
+
+    ``an`` and ``an1`` hold a_n(k) and a_{n+1}(k) for k = 0..k_hi; ``c1``,
+    ``c2`` and the propagation matrices ``C`` cover k = 0..k_hi-1; ``prefix[k]``
+    is prod_{i<k} c_2(i)/c_1(i).  No entry depends on a later index, so a
+    shorter window is a slice of a longer one, bit for bit.
+    """
+
+    mode: ModeIndex
+    k_hi: int
+    an: np.ndarray
+    an1: np.ndarray
+    c1: np.ndarray
+    c2: np.ndarray
+    C: np.ndarray
+    prefix: np.ndarray
+
+
+@functools.lru_cache(maxsize=1)
+def mode_table(
+    mode: ModeIndex, w: WeightFamily, c: CoefficientFamily, k_hi: int
+) -> ModeTable:
+    """Evaluate one mode's weights and gaps, then its C stack and c2/c1 prefix.
+
+    These four family calls are the only ones behind the C stack, the prefix
+    and every consumer of the table; the rest is built from their arrays.
+    The table is a pure function of its frozen arguments and its arrays are
+    read-only, so the last result is kept: a solution build and its I and K
+    sweeps share one evaluation.
+    """
+    n = mode.n
+    ks = np.arange(k_hi + 1)
+    an, an1 = (np.asarray(w.a(i, ks), dtype=float) for i in (n, n + 1))
+    c1, c2 = (np.asarray(c.c(i, n, ks[:-1]), dtype=float) for i in (1, 2))
+    C = build_C_range(mode.m, an, an1, c1, c2)
+    arrays = dict(an=an, an1=an1, c1=c1, c2=c2, C=C, prefix=scalar_det_prefix(c1, c2))
+    for arr in arrays.values():
+        arr.setflags(write=False)
+    return ModeTable(mode=mode, k_hi=k_hi, **arrays)
 
 
 def det2(mat: np.ndarray) -> float:
@@ -129,20 +184,19 @@ def tail_sum_C_minus_I(
 class TransferProduct:
     """Partial products of one mode's C matrices with a convergence certificate.
 
-    ``partials[k]`` is P(k) = C(k-1)...C(0); ``limit`` is the deepest partial
-    computed and ``tail_bound`` bounds sum_{k >= k_trunc} ||C(k) - I||_1.
+    ``table`` holds the mode's per-k data up to the truncation K = table.k_hi;
+    ``partials[k]`` is P(k) = C(k-1)...C(0); ``limit`` is P(K) and
+    ``tail_bound`` bounds sum_{k >= K} ||C(k) - I||_1.
     """
 
-    mode: ModeIndex
-    k_trunc: int
-    matrices: np.ndarray
+    table: ModeTable
     partials: np.ndarray
     tail_bound: float
     converged: bool
 
     @property
     def limit(self) -> np.ndarray:
-        return self.partials[self.k_trunc]
+        return self.partials[self.table.k_hi]
 
 
 def limit_product(
@@ -170,18 +224,11 @@ def limit_product(
         raise ConvergenceError(
             f"tail bound {tail:.3g} at K={k_hi} above tol {tol:.3g} for mode {mode}"
         )
-    c_arr = build_C_range(mode, w, c, k_hi)
-    parts = partial_products(c_arr)
+    table = mode_table(mode, w, c, k_hi)
+    parts = partial_products(table.C)
     if abs(det2(parts[k_hi])) < DET_FLOOR:
         raise SingularMatrixError("limit product determinant underflowed")
-    return TransferProduct(
-        mode=mode,
-        k_trunc=k_hi,
-        matrices=c_arr,
-        partials=parts,
-        tail_bound=tail,
-        converged=converged,
-    )
+    return TransferProduct(table=table, partials=parts, tail_bound=tail, converged=converged)
 
 
 @dataclass(frozen=True)
@@ -191,25 +238,18 @@ class StructureReport(CheckReport):
 
 
 def structure_check(
-    tp: TransferProduct,
-    w: WeightFamily,
-    c: CoefficientFamily,
-    slack: float = 1e-12,
+    tp: TransferProduct, c: CoefficientFamily, slack: float = 1e-12
 ) -> StructureReport:
     """Verify the sign/ordering structure of the (truncated) limit product.
 
     For m != 0 the diagonal entries dominate the bare coefficient products,
     the off-diagonal entries carry sign -sgn(m), and the determinant equals
     the scalar product of c_2/c_1 (J_2/J_1 in the limit, up to the certified
-    tail).
+    tail); ``c`` supplies the limits J_i only.
     """
-    mode = tp.mode
+    mode, K, c1, c2 = tp.table.mode, tp.table.k_hi, tp.table.c1, tp.table.c2
     m, n = mode.m, mode.n
-    K = tp.k_trunc
     lim = tp.limit
-    ks = np.arange(K)
-    c1 = np.asarray(c.c(1, n, ks), dtype=float)
-    c2 = np.asarray(c.c(2, n, ks), dtype=float)
     prod_inv_c1 = float(np.prod(1.0 / c1))
     prod_c2 = float(np.prod(c2))
     checks = []
@@ -245,7 +285,7 @@ def structure_check(
         )
 
     det_part = det2(tp.partials[K])
-    det_scalar = float(np.prod(c2 / c1))
+    det_scalar = float(tp.table.prefix[K])
     scale = max(abs(det_part), abs(det_scalar))
     det_ok = abs(det_part - det_scalar) <= (K * 1e-14 + slack) * scale
     checks.append(

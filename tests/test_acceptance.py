@@ -25,11 +25,10 @@ from qsolidtorus.parametrix import (
 )
 from qsolidtorus.solutions import (
     build_solution,
-    scalar_det_prefix,
     verify_lemma_suite,
     wronskian_residuals,
 )
-from qsolidtorus.transfer import ModeIndex
+from qsolidtorus.transfer import ModeIndex, scalar_det_prefix
 
 W, C = default_families()
 GRID_M = (0, 1, -1, 2, -2, 4, -4, 8, -8, 16, -16, 32, -32)
@@ -99,7 +98,7 @@ def test_criterion_2_oracle_equivalence():
     worst = 0.0
     for (m, n) in grid_modes():
         sol = solution(m, n)
-        mat = oracle_matrix(ModeIndex(m, n), W, C, K_MAX, (sol.K[K_MAX, 0], sol.K[K_MAX, 1]))
+        mat = oracle_matrix(sol, K_MAX)
         lu = scipy.linalg.lu_factor(mat)
         for r, res in zip(fixtures(m, n), q_results(m, n)):
             rhs = np.zeros(2 * (K_MAX + 1))
@@ -124,8 +123,7 @@ def test_criterion_3_kernel_triviality():
     for (m, n) in grid_modes():
         mode = ModeIndex(m, n)
         sol = solution(m, n)
-        bvec = (sol.K[K_MAX, 0], sol.K[K_MAX, 1])
-        mat = oracle_matrix(mode, W, C, K_MAX, bvec)
+        mat = oracle_matrix(sol, K_MAX)
         sv = np.linalg.svd(mat, compute_uv=False)
         sigma_floor = min(sigma_floor, sv[-1] / sv[0])
         assert sv[-1] > 0.0
@@ -135,7 +133,7 @@ def test_criterion_3_kernel_triviality():
         resid = max(float(np.max(np.abs(out.r1.values))), float(np.max(np.abs(out.r2.values))), abs(out.q0)) / scale
         worst_ai = max(worst_ai, resid)
 
-        free = oracle_matrix(mode, W, C, K_MAX, bvec, drop_boundary=True)
+        free = oracle_matrix(sol, K_MAX, drop_boundary=True)
         sv_f = np.linalg.svd(free, compute_uv=False)
         assert sv_f[-1] > 1e-10 * sv_f[0], f"extra nullspace at mode ({m}, {n})"
         _, _, vt = np.linalg.svd(free)
@@ -179,7 +177,7 @@ def test_criterion_6_hs_bounds():
     """All kernel HS sums within their closed-form bounds x (1 + 1e-10)."""
     worst_frac = 0.0
     for (m, n) in grid_modes():
-        rep = hs_norms(ModeIndex(m, n), solution(m, n), W, C, K_MAX)
+        rep = hs_norms(solution(m, n), W, C, K_MAX)
         for key, val in rep.hs.items():
             frac = val / rep.bounds[key]
             worst_frac = max(worst_frac, frac)
@@ -214,13 +212,13 @@ def test_criterion_6_fubini_pairs():
     for (m, n) in grid_modes():
         if m == 0:
             continue
-        R = 1.0 / scalar_det_prefix(C, n, K_MAX)
+        R = 1.0 / scalar_det_prefix(C.c(1, n, ks[:-1]), C.c(2, n, ks[:-1]))
         assert np.all(R == 1.0), (
             f"mode ({m}, {n}): the pairs are finite-sum rearrangements only when "
             "the scalar prefix products prod c1/c2 are identically 1"
         )
         sol = solution(m, n)
-        rep = hs_norms(ModeIndex(m, n), sol, W, C, K_MAX)
+        rep = hs_norms(sol, W, C, K_MAX)
         I = sol.I[: K_MAX + 1]
         Kt = sol.K[: K_MAX + 1]
         an = np.asarray(W.a(n, ks), dtype=float)

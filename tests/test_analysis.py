@@ -5,8 +5,8 @@ import pytest
 
 from qsolidtorus.analysis import FUBINI_PAIRS, decay_scan, hs_norms, scan_to_files
 from qsolidtorus.families import CoefficientFamily, eval_s
-from qsolidtorus.solutions import build_solution, scalar_det_prefix
-from qsolidtorus.transfer import ModeIndex
+from qsolidtorus.solutions import build_solution
+from qsolidtorus.transfer import ModeIndex, scalar_det_prefix
 
 
 def test_hs_z_direct_double_sum(families, unit_coeffs):
@@ -14,7 +14,7 @@ def test_hs_z_direct_double_sum(families, unit_coeffs):
     mode = ModeIndex(0, 0)
     K = 128
     sol = build_solution(mode, w, unit_coeffs, K)
-    report = hs_norms(mode, sol, w, unit_coeffs, K)
+    report = hs_norms(sol, w, unit_coeffs, K)
     got = report.hs[("Z", 0, 0)]
     brute = 0.0
     for k in range(K + 1):
@@ -30,7 +30,7 @@ def test_hs_z_with_gap_coefficients(families):
     w, c = families
     mode = ModeIndex(0, 2)
     sol = build_solution(mode, w, c, 64)
-    report = hs_norms(mode, sol, w, c, 64)
+    report = hs_norms(sol, w, c, 64)
     got = report.hs[("Z", 0, 0)]
     brute = 0.0
     c2 = np.asarray(c.c(2, 2, np.arange(64)), dtype=float)
@@ -49,8 +49,8 @@ def test_hs_x_brute_force_single_entry(families):
     n = 1
     K = 24
     sol = build_solution(mode, w, c, K)
-    report = hs_norms(mode, sol, w, c, K)
-    R = 1.0 / scalar_det_prefix(c, n, K)
+    report = hs_norms(sol, w, c, K)
+    R = 1.0 / scalar_det_prefix(c.c(1, n, np.arange(K)), c.c(2, n, np.arange(K)))
     an = np.asarray(w.a(n, np.arange(K + 1)), dtype=float)
     an1 = np.asarray(w.a(n + 1, np.arange(K + 1)), dtype=float)
     brute = 0.0
@@ -71,13 +71,13 @@ def test_fubini_cross_pairs_match_and_diagonal_gap_identified(families):
         mode = ModeIndex(m, n)
         K = 96
         sol = build_solution(mode, w, c, K)
-        rep = hs_norms(mode, sol, w, c, K)
+        rep = hs_norms(sol, w, c, K)
         hs = rep.hs
         assert hs[("X", 1, 2)] == pytest.approx(hs[("Y", 2, 1)], rel=1e-12)
         assert hs[("X", 2, 1)] == pytest.approx(hs[("Y", 1, 2)], rel=1e-12)
         # the same-index pairs differ by exactly the lower-triangle diagonal
         # (matched default coefficients: the scalar prefix products are all 1)
-        R = 1.0 / scalar_det_prefix(c, n, K)
+        R = 1.0 / scalar_det_prefix(c.c(1, n, np.arange(K)), c.c(2, n, np.arange(K)))
         assert np.all(R == 1.0)
         an = np.asarray(w.a(n, np.arange(K + 1)), dtype=float)
         an1 = np.asarray(w.a(n + 1, np.arange(K + 1)), dtype=float)
@@ -92,15 +92,15 @@ def test_bounds_hold_with_margin(families):
     for (m, n) in ((1, 0), (8, 0), (32, 0), (2, 8), (-16, 4)):
         mode = ModeIndex(m, n)
         sol = build_solution(mode, w, c, 128)
-        rep = hs_norms(mode, sol, w, c, 128)
+        rep = hs_norms(sol, w, c, 128)
         assert rep.all_bounds_hold, rep.pass_flags
 
 
 def test_hs_values_even_in_m(families):
     w, c = families
     for n in (0, 3):
-        a = hs_norms(ModeIndex(6, n), build_solution(ModeIndex(6, n), w, c, 64), w, c, 64)
-        b = hs_norms(ModeIndex(-6, n), build_solution(ModeIndex(-6, n), w, c, 64), w, c, 64)
+        a = hs_norms(build_solution(ModeIndex(6, n), w, c, 64), w, c, 64)
+        b = hs_norms(build_solution(ModeIndex(-6, n), w, c, 64), w, c, 64)
         for key in a.hs:
             assert a.hs[key] == pytest.approx(b.hs[key], rel=1e-14)
         assert a.proxy == pytest.approx(b.proxy, rel=1e-14)
@@ -130,8 +130,8 @@ def test_assembled_kernel_values_decay_in_m(families):
     inverse divides by tau, and those are the quantities that decay.
     """
     w, c = families
-    a = hs_norms(ModeIndex(1, 0), build_solution(ModeIndex(1, 0), w, c, 128), w, c, 128)
-    b = hs_norms(ModeIndex(32, 0), build_solution(ModeIndex(32, 0), w, c, 128), w, c, 128)
+    a = hs_norms(build_solution(ModeIndex(1, 0), w, c, 128), w, c, 128)
+    b = hs_norms(build_solution(ModeIndex(32, 0), w, c, 128), w, c, 128)
     for key in a.hs:
         assert b.hs[key] / b.tau**2 < a.hs[key] / a.tau**2
 
@@ -141,7 +141,7 @@ def test_proxy_uses_assembled_scale(families):
     w, c = families
     mode = ModeIndex(8, 0)
     sol = build_solution(mode, w, c, 64)
-    rep = hs_norms(mode, sol, w, c, 64)
+    rep = hs_norms(sol, w, c, 64)
     assert rep.proxy == pytest.approx(math.sqrt(sum(rep.hs.values())) / abs(rep.tau))
 
 
@@ -165,9 +165,9 @@ def test_nan_proxy_fails_envelope_checks(families, monkeypatch):
 
     real = analysis.hs_norms
 
-    def nan_proxy(mode, *args, **kwargs):
-        rep = real(mode, *args, **kwargs)
-        return dataclasses.replace(rep, proxy=math.nan) if mode.m == 2 else rep
+    def nan_proxy(sol, *args, **kwargs):
+        rep = real(sol, *args, **kwargs)
+        return dataclasses.replace(rep, proxy=math.nan) if sol.mode.m == 2 else rep
 
     monkeypatch.setattr(analysis, "hs_norms", nan_proxy)
     w, c = families

@@ -87,6 +87,23 @@ def test_config_validation_rules(tmp_path):
         with pytest.raises(ConfigError, match="unknown key"):
             load_config(path)
         assert main(["--config", str(path), "validate"]) == 2
+    # the family and boundary sections check their keys against their kind
+    tab_w = {"kind": "tabulated", "table": [[4.0]], "tail": {"rule": "power", "qq": 2.0}}
+    tab_c = {"kind": "tabulated", "table1": [0.5], "table2": [0.5], "tail": {"rule": "constant", "lambda": 1.0}}
+    for section, value in (("weights", {"kind": "power-family", "lamda": 2.0}),
+                           ("weights", {"kind": "power-family", "table": [[4.0]]}),
+                           ("weights", tab_w),
+                           ("coeffs", {"kind": "geometric-gap", "kapa": 9.0}),
+                           ("coeffs", {"kind": "unit", "table1": [0.5]}),
+                           ("coeffs", tab_c),
+                           ("boundary", {"rul": "table"}),
+                           ("boundary", {"rule": "default", "table": {"2": [1.0, 1.0]}})):
+        cfg = default_config_dict()
+        cfg[section] = value
+        path.write_text(json.dumps(cfg))
+        with pytest.raises(ConfigError, match="unknown key"):
+            load_config(path)
+        assert main(["--config", str(path), "validate"]) == 2
     for section, tail in (("weights", {"rule": "geometric"}), ("coeffs", {"rule": "power"})):
         cfg = default_config_dict()
         cfg[section] = {"kind": "tabulated", "tail": tail}
@@ -109,6 +126,72 @@ def test_solve_zero_rhs(small_config, tmp_path):
     rec = payload["solutions"][0]
     assert rec["residual_right_inverse"] == 0.0
     assert rec["beta"] == 0.0
+
+
+_REC = {"m": 1, "n": 0, "r1": [0.0] * 40, "r2": [0.0] * 40, "q0": 0.0}
+MALFORMED_RHS = {
+    "not-json": "not json",
+    "modes-not-a-list": json.dumps({"modes": 3}),
+    "top-level-list": json.dumps([1, 2]),
+    "no-q0": json.dumps({"modes": [{k: v for k, v in _REC.items() if k != "q0"}]}),
+    "r1-shorter-than-kmax": json.dumps({"modes": [_REC | {"r1": [0.0] * 39}]}),
+    "nested-r2": json.dumps({"modes": [_REC | {"r2": [[0.0]] * 40}]}),
+    "negative-n": json.dumps({"modes": [_REC | {"n": -1}]}),
+    "fractional-m": json.dumps({"modes": [_REC | {"m": 1.5}]}),
+    "mode-listed-twice": json.dumps({"modes": [_REC, _REC]}),
+    "nan-q0": json.dumps({"modes": [_REC | {"q0": "nan"}]}),
+    "inf-in-r1": json.dumps({"modes": [_REC | {"r1": [0.0] * 39 + [float("inf")]}]}),
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED_RHS.values(), ids=MALFORMED_RHS.keys())
+def test_solve_malformed_rhs_exit_two(small_config, tmp_path, capsys, text):
+    path, _ = small_config
+    rhs_path = tmp_path / "rhs.json"
+    rhs_path.write_text(text)
+    assert main(["--config", str(path), "solve", "--rhs", str(rhs_path)]) == 2
+    assert "rhs file" in capsys.readouterr().err
+
+
+def test_solve_rhs_entries_beyond_kmax_ignored(small_config, tmp_path):
+    path, _ = small_config
+    rec = {"m": 1, "n": 0, "r1": [1.0] * 40 + [1e6], "r2": [1.0] * 50, "q0": 0.5}
+    rhs_path = tmp_path / "rhs.json"
+    rhs_path.write_text(json.dumps({"modes": [rec]}))
+    assert main(["--config", str(path), "solve", "--rhs", str(rhs_path)]) == 0
+    long = read_out(path, "solutions.json")["solutions"][0]
+    rec.update(r1=[1.0] * 40, r2=[1.0] * 40)
+    rhs_path.write_text(json.dumps({"modes": [rec]}))
+    assert main(["--config", str(path), "solve", "--rhs", str(rhs_path)]) == 0
+    assert read_out(path, "solutions.json")["solutions"][0] == long
+
+
+def test_solve_bug_propagates(small_config, monkeypatch):
+    """Only per-mode mathematical failures become exit 1; a bug is not swallowed."""
+    import qsolidtorus.cli as cli
+
+    def broken(*args, **kwargs):
+        raise TypeError("bug")
+
+    monkeypatch.setattr(cli, "apply_Q", broken)
+    path, _ = small_config
+    with pytest.raises(TypeError, match="bug"):
+        main(["--config", str(path), "solve", "--modes", "1"])
+
+
+def test_solve_nan_oracle_exit_one(small_config, monkeypatch):
+    import qsolidtorus.cli as cli
+
+    real = cli.oracle_solve
+
+    def nan_oracle(*args, **kwargs):
+        orc = real(*args, **kwargs)
+        orc.h_g.values[0] = np.nan
+        return orc
+
+    monkeypatch.setattr(cli, "oracle_solve", nan_oracle)
+    path, _ = small_config
+    assert main(["--config", str(path), "solve", "--modes", "1"]) == 1
 
 
 def test_solve_seeded_fixtures(small_config):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qsolidtorus import parametrix
 from qsolidtorus.families import CoefficientFamily, WeightFamily
 from qsolidtorus.parametrix import (
     RhsPair,
@@ -17,7 +18,7 @@ from qsolidtorus.parametrix import (
     zero_rhs,
 )
 from qsolidtorus.solutions import build_solution, choose_K_infinity
-from qsolidtorus.transfer import ModeIndex
+from qsolidtorus.transfer import ModeIndex, build_A
 
 
 def solution_diff(res, orc):
@@ -218,7 +219,7 @@ def test_oracle_equivalence_small_grid(families, rng):
             sol = build_solution(mode, w, c, 48)
             r = random_rhs(mode, 48, rng)
             res = apply_Q(sol, r)
-            orc = oracle_solve(mode, w, c, r, sol=sol)
+            orc = oracle_solve(sol, w, c, r)
             assert solution_diff(res, orc) <= 1e-8
 
 
@@ -227,7 +228,7 @@ def test_left_inverse_on_domain(families, rng):
     for mode in (ModeIndex(2, 0), ModeIndex(-4, 1)):
         sol = build_solution(mode, w, c, 48)
         r = random_rhs(mode, 48, rng)
-        orc = oracle_solve(mode, w, c, r, sol=sol)
+        orc = oracle_solve(sol, w, c, r)
         back = apply_A(mode, w, c, orc.h_g, orc.h_f)
         res = apply_Q(sol, back)
         num = max(
@@ -245,7 +246,7 @@ def test_product_form_equivalence_small_k(families, rng):
         sol = build_solution(mode, w, c, 32)
         r = random_rhs(mode, 32, rng)
         res = apply_Q(sol, r)
-        hx, hy = apply_Q_direct(mode, w, c, sol, r)
+        hx, hy = apply_Q_direct(sol, r)
         scale = max(np.max(np.abs(res.h_g.values)), np.max(np.abs(res.h_f.values)))
         assert float(np.max(np.abs(hx - res.h_g.values))) <= 1e-9 * scale
         assert float(np.max(np.abs(hy - res.h_f.values))) <= 1e-9 * scale
@@ -291,7 +292,7 @@ def test_dropping_boundary_row_leaves_I_direction(families):
     w, c = families
     for mode in (ModeIndex(1, 0), ModeIndex(-5, 1)):
         sol = build_solution(mode, w, c, 48)
-        mat = oracle_matrix(mode, w, c, 48, (sol.K[48, 0], sol.K[48, 1]), drop_boundary=True)
+        mat = oracle_matrix(sol, 48, drop_boundary=True)
         sv = np.linalg.svd(mat, compute_uv=False)
         assert sv[-1] > 1e-10 * sv[0]  # rank 2K+1: nullity exactly one
         _, _, vt = np.linalg.svd(mat)
@@ -306,17 +307,43 @@ def test_oracle_zero_data_gives_zero(families):
     w, c = families
     for mode in (ModeIndex(1, 0), ModeIndex(0, 2), ModeIndex(-7, 1)):
         sol = build_solution(mode, w, c, 32)
-        orc = oracle_solve(mode, w, c, zero_rhs(mode, 32), sol=sol)
+        orc = oracle_solve(sol, w, c, zero_rhs(mode, 32))
         assert float(np.max(np.abs(orc.h_g.values))) == 0.0
         assert float(np.max(np.abs(orc.h_f.values))) == 0.0
 
 
-def test_oracle_reports_sigma_min(families, rng):
+def test_oracle_reports_sigma_min(families):
     w, c = families
-    mode = ModeIndex(0, 0)
-    sol = build_solution(mode, w, c, 24)
-    orc = oracle_solve(mode, w, c, random_rhs(mode, 24, rng), sol=sol, with_sigma=True)
-    assert orc.sigma_min is not None and orc.sigma_min > 0
+    sol = build_solution(ModeIndex(0, 0), w, c, 24)
+    sigma_min = float(np.linalg.svd(oracle_matrix(sol, 24), compute_uv=False)[-1])
+    assert sigma_min > 0
+
+
+def test_oracle_matrix_blocks_match_build_A(families):
+    """The vectorised dense assembly equals the per-step build_A blocks to 1 ulp."""
+    w, c = families
+    K = 16
+    for m in (0, 3, -3):
+        for n in (0, 2):
+            mode = ModeIndex(m, n)
+            sol = build_solution(mode, w, c, K)
+            ref = np.zeros((2 * K + 2, 2 * K + 2))
+            for k in range(K):
+                A = build_A(mode, k, w, c)
+                ref[2 * k : 2 * k + 2, 2 * k + 2 : 2 * k + 4] = A
+                ref[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = -A @ sol.table.C[k]
+            ref[2 * K, :2] = (m, w.a(n, 0))
+            ref[2 * K + 1, 2 * K :] = (sol.K[K, 1], -sol.K[K, 0])
+            np.testing.assert_array_max_ulp(oracle_matrix(sol, K), ref, maxulp=1)
+
+
+def test_oracle_singular_band_raises(families, monkeypatch):
+    w, c = families
+    mode = ModeIndex(1, 0)
+    sol = build_solution(mode, w, c, 8)
+    monkeypatch.setattr(parametrix, "_oracle_band", lambda sol, k_max: np.zeros((6, 2 * k_max + 2)))
+    with pytest.raises(np.linalg.LinAlgError):
+        oracle_solve(sol, w, c, zero_rhs(mode, 8))
 
 
 def test_beta_stable_under_truncation_doubling(families, rng):
@@ -344,8 +371,8 @@ def test_banded_oracle_matches_dense_solve(families, rng):
                 mode = ModeIndex(m, n)
                 sol = build_solution(mode, w, c, K)
                 r = random_rhs(mode, K, rng)
-                orc = oracle_solve(mode, w, c, r, sol=sol)
-                mat = oracle_matrix(mode, w, c, K, (sol.K[K, 0], sol.K[K, 1]))
+                orc = oracle_solve(sol, w, c, r)
+                mat = oracle_matrix(sol, K)
                 rhs = np.zeros(2 * (K + 1))
                 rhs[0 : 2 * K : 2] = r.r1.values
                 rhs[1 : 2 * K + 1 : 2] = r.r2.values

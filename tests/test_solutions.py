@@ -14,12 +14,11 @@ from qsolidtorus.solutions import (
     compute_K,
     epsilon,
     perp_transport_residual,
-    scalar_det_prefix,
     tau_of_tables,
     verify_lemma_suite,
     wronskian_residuals,
 )
-from qsolidtorus.transfer import ModeIndex, build_C_range, partial_products
+from qsolidtorus.transfer import ModeIndex, mode_table, partial_products, scalar_det_prefix
 
 
 def test_default_boundary_rule_values():
@@ -94,7 +93,7 @@ def test_wronskian_transport(families):
         assert float(np.max(res)) <= 1e-12
         # spot check the k = 5 instance against the scalar prefix
         pairing = sol.K[5, 0] * sol.I[5, 1] - sol.K[5, 1] * sol.I[5, 0]
-        pref = scalar_det_prefix(c, mode.n, 5)[5]
+        pref = scalar_det_prefix(c.c(1, mode.n, np.arange(5)), c.c(2, mode.n, np.arange(5)))[5]
         assert pairing == pytest.approx(sol.tau * pref, rel=1e-12)
 
 
@@ -115,15 +114,15 @@ def test_independence_everywhere(families):
 def test_epsilon_values(families):
     w, c = families
     for n in (0, 3, 16):
-        e = epsilon(ModeIndex(0, n), w, c)
+        e = epsilon(ModeIndex(0, n), w)
         s = eval_s(w, n)
         assert e.value == pytest.approx(s.value, rel=1e-12)
     for m in (1, 4, 32):
         for n in (0, 16):
-            e = epsilon(ModeIndex(m, n), w, c)
+            e = epsilon(ModeIndex(m, n), w)
             assert e.upper <= eval_s(w, n).value * (1 + 1e-12)
-    assert epsilon(ModeIndex(32, 0), w, c).value < epsilon(ModeIndex(1, 0), w, c).value
-    assert epsilon(ModeIndex(3, 16), w, c).value < epsilon(ModeIndex(3, 0), w, c).value
+    assert epsilon(ModeIndex(32, 0), w).value < epsilon(ModeIndex(1, 0), w).value
+    assert epsilon(ModeIndex(3, 16), w).value < epsilon(ModeIndex(3, 0), w).value
 
 
 def test_epsilon_direct_summation_oracle(families):
@@ -133,7 +132,7 @@ def test_epsilon_direct_summation_oracle(families):
     an = np.asarray(w.a(n, ks), dtype=float)
     an1 = np.asarray(w.a(n + 1, ks), dtype=float)
     direct = float(np.sum(an1 / (m * m + an * an1)))
-    got = epsilon(ModeIndex(m, n), w, c)
+    got = epsilon(ModeIndex(m, n), w)
     assert got.value == pytest.approx(direct, rel=1e-5)
     assert got.tail < 1e-12
 
@@ -238,7 +237,7 @@ def test_scalar_sweeps_match_matmul_reference(families):
     for m in DEFAULT_GRID_M:
         for n in DEFAULT_GRID_N:
             mode = ModeIndex(m, n)
-            C = build_C_range(mode, w, c, K)
+            C = mode_table(mode, w, c, K).C
             ref_I = np.empty((K + 1, 2))
             ref_I[0] = (-1.0, m / w.a(n, 0))
             ref_P = np.empty((K + 1, 2, 2))

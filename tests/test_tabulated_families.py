@@ -28,7 +28,7 @@ from qsolidtorus.solutions import (
     verify_lemma_suite,
     wronskian_residuals,
 )
-from qsolidtorus.transfer import ModeIndex, tail_sum_C_minus_I, build_C_range, mat_abs_norm
+from qsolidtorus.transfer import ModeIndex, mat_abs_norm, mode_table, tail_sum_C_minus_I
 
 
 @pytest.fixture(scope="module")
@@ -71,7 +71,7 @@ def test_tabulated_hypotheses_pass(tab_families):
 def test_tabulated_tail_certificate(tab_families):
     w, c = tab_families
     mode = ModeIndex(2, 0)
-    c_arr = build_C_range(mode, w, c, 20000)
+    c_arr = mode_table(mode, w, c, 20000).C
     direct = sum(mat_abs_norm(c_arr[k] - np.eye(2)) for k in range(5, 20000))
     assert tail_sum_C_minus_I(mode, w, c, 5) >= direct
 
@@ -84,7 +84,7 @@ def test_tabulated_oracle_equivalence_and_identities(tab_families, rng):
         assert float(np.max(wronskian_residuals(sol))) <= 1e-12
         r = random_rhs(mode, 40, rng)
         res = apply_Q(sol, r)
-        orc = oracle_solve(mode, w, c, r, sol=sol)
+        orc = oracle_solve(sol, w, c, r)
         scale = max(np.max(np.abs(orc.h_g.values)), np.max(np.abs(orc.h_f.values)))
         assert np.max(np.abs(res.h_g.values - orc.h_g.values)) <= 1e-10 * scale
         assert np.max(np.abs(res.h_f.values - orc.h_f.values)) <= 1e-10 * scale
@@ -198,7 +198,7 @@ def test_tabulated_eps_below_s(tab_families):
     for n in DEFAULT_GRID_N:
         s_n = eval_s(w, n)
         for m in (0, 1, -4):
-            assert epsilon(ModeIndex(m, n), w, c).value <= s_n.upper * (1.0 + 1e-12)
+            assert epsilon(ModeIndex(m, n), w).value <= s_n.upper * (1.0 + 1e-12)
     table = decay_scan((0, 1, -2), (0, 1), w, c, 32)
     assert table.all_passed, table.failed()
 
@@ -209,7 +209,7 @@ def test_constant_tail_certificate_counts_the_row():
         kind="tabulated", table1=(0.5, 0.8), table2=(0.6,), tail_rule="constant", tail_value=1.0
     )
     mode = ModeIndex(0, 0)
-    c_arr = build_C_range(mode, w, c, 8)
+    c_arr = mode_table(mode, w, c, 8).C
     direct = sum(mat_abs_norm(c_arr[k] - np.eye(2)) for k in range(8))
     assert direct > 1.0
     assert tail_sum_C_minus_I(mode, w, c, 0) >= direct

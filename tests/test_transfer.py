@@ -11,11 +11,11 @@ from qsolidtorus.transfer import (
     ModeIndex,
     SingularMatrixError,
     build_A,
-    build_C_range,
     det2,
     invert,
     limit_product,
     mat_abs_norm,
+    mode_table,
     partial_products,
     structure_check,
     tail_sum_C_minus_I,
@@ -48,11 +48,27 @@ def test_det_A_formula(families, m, n, k):
     assert got != 0.0
 
 
+def test_mode_table_makes_four_family_calls(families, monkeypatch):
+    """a_n, a_{n+1}, c1 and c2 once each; the C stack and prefix reuse them."""
+    w, c = families
+    calls = []
+    for cls, name in ((WeightFamily, "a"), (CoefficientFamily, "c")):
+        def counted(self, *args, _orig=getattr(cls, name), _name=name):
+            calls.append(_name)
+            return _orig(self, *args)
+
+        monkeypatch.setattr(cls, name, counted)
+    mode_table.cache_clear()
+    table = mode_table(ModeIndex(3, 1), w, c, 32)
+    assert sorted(calls) == ["a", "a", "c", "c"]
+    assert table.C.shape == (32, 2, 2) and table.prefix.shape == (33,)
+
+
 def test_build_C_worked_examples(families):
     w, c = families
-    got = build_C_range(ModeIndex(1, 0), w, c, 1)[0]
+    got = mode_table(ModeIndex(1, 0), w, c, 1).C[0]
     assert np.allclose(got, [[2.0, -1.0], [-0.5, 0.75]], rtol=0, atol=0)
-    diag = build_C_range(ModeIndex(0, 0), w, c, 1)[0]
+    diag = mode_table(ModeIndex(0, 0), w, c, 1).C[0]
     assert np.array_equal(diag, np.diag([2.0, 0.5]))
 
 
@@ -61,11 +77,11 @@ def test_det_C_is_coefficient_ratio():
     c = CoefficientFamily(t1=0.5, t2=0.25, kappa=2.0)
     for m in (-5, 0, 1, 9):
         for k in (0, 1, 4):
-            got = det2(build_C_range(ModeIndex(m, 2), w, c, k + 1)[k])
+            got = det2(mode_table(ModeIndex(m, 2), w, c, k + 1).C[k])
             expect = c.c(2, 2, k) / c.c(1, 2, k)
             assert got == pytest.approx(expect, rel=1e-13)
     # k = 0 instance of the worked example: c1 = 1/2, c2 = 3/4
-    got = det2(build_C_range(ModeIndex(7, 0), w, c, 1)[0])
+    got = det2(mode_table(ModeIndex(7, 0), w, c, 1).C[0])
     assert got == pytest.approx(1.5, rel=1e-13)
 
 
@@ -73,7 +89,7 @@ def test_invert(families):
     w, c = families
     assert np.array_equal(invert(np.eye(2)), np.eye(2))
     assert np.array_equal(invert(np.diag([2.0, 0.5])), np.diag([0.5, 2.0]))
-    mat = build_C_range(ModeIndex(1, 0), w, c, 1)[0]
+    mat = mode_table(ModeIndex(1, 0), w, c, 1).C[0]
     assert np.max(np.abs(mat @ invert(mat) - np.eye(2))) <= 1e-15
     with pytest.raises(SingularMatrixError):
         invert(np.zeros((2, 2)))
@@ -83,7 +99,7 @@ def test_partial_products_order_and_dets(families):
     w, c = families
     mode = ModeIndex(3, 1)
     K = 24
-    c_arr = build_C_range(mode, w, c, K)
+    c_arr = mode_table(mode, w, c, K).C
     parts = partial_products(c_arr)
     # independent right-to-left reduction
     for k in (0, 1, 5, K):
@@ -96,8 +112,8 @@ def test_partial_products_order_and_dets(families):
 
 def test_C_off_diagonals_flip_with_m(families):
     w, c = families
-    a = build_C_range(ModeIndex(4, 2), w, c, 4)[3]
-    b = build_C_range(ModeIndex(-4, 2), w, c, 4)[3]
+    a = mode_table(ModeIndex(4, 2), w, c, 4).C[3]
+    b = mode_table(ModeIndex(-4, 2), w, c, 4).C[3]
     assert a[0, 0] == b[0, 0] and a[1, 1] == b[1, 1]
     assert a[0, 1] == -b[0, 1] and a[1, 0] == -b[1, 0]
 
@@ -135,7 +151,7 @@ def test_limit_product_strict_tolerance_unreachable(families):
 def test_tail_bound_certificate_dominates_direct_sum(families):
     w, c = families
     for mode in (ModeIndex(1, 0), ModeIndex(-7, 2), ModeIndex(0, 1)):
-        c_arr = build_C_range(mode, w, c, 50000)
+        c_arr = mode_table(mode, w, c, 50000).C
         for k0 in (4, 32, 200):
             direct = sum(mat_abs_norm(c_arr[k] - np.eye(2)) for k in range(k0, 50000))
             assert tail_sum_C_minus_I(mode, w, c, k0) >= direct
@@ -144,7 +160,7 @@ def test_tail_bound_certificate_dominates_direct_sum(families):
 def test_structure_check_positive_m(families):
     w, c = families
     tp = limit_product(ModeIndex(5, 0), w, c, tol=1e-3, k_cap=8192, strict=False)
-    report = structure_check(tp, w, c)
+    report = structure_check(tp, c)
     assert report.all_passed, [ch for ch in report.checks if not ch.passed]
     assert tp.limit[0, 1] < 0 and tp.limit[1, 0] < 0
 
@@ -152,7 +168,7 @@ def test_structure_check_positive_m(families):
 def test_structure_check_negative_m_flips_offdiagonal(families):
     w, c = families
     tp = limit_product(ModeIndex(-5, 0), w, c, tol=1e-3, k_cap=8192, strict=False)
-    report = structure_check(tp, w, c)
+    report = structure_check(tp, c)
     assert report.all_passed
     assert tp.limit[0, 1] > 0 and tp.limit[1, 0] > 0
 
@@ -160,5 +176,5 @@ def test_structure_check_negative_m_flips_offdiagonal(families):
 def test_structure_check_m_zero(families):
     w, c = families
     tp = limit_product(ModeIndex(0, 0), w, c, tol=1e-12)
-    report = structure_check(tp, w, c)
+    report = structure_check(tp, c)
     assert report.all_passed
