@@ -340,7 +340,90 @@ def _np_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
+@dataclass(frozen=True)
+class RowTable:
+    """A list of row objects held as named numpy columns, for ``write_json``.
+
+    Each column is 1-D int, 1-D float, or ``(rows, w)`` float; the last is
+    written as a list of ``w`` numbers per row.  The text equals what
+    ``json.dumps(indent=2, sort_keys=True)`` writes for the list of dicts.
+    """
+
+    columns: dict[str, np.ndarray]
+
+    def __post_init__(self):
+        if len({len(col) for col in self.columns.values()}) > 1:
+            raise ValueError("RowTable columns differ in length")
+
+    def __len__(self) -> int:
+        return len(next(iter(self.columns.values()), ()))
+
+    @classmethod
+    def concat(cls, parts: list[dict[str, np.ndarray]]) -> RowTable:
+        """One table from blocks of rows that share their column names."""
+        names = parts[0] if parts else {}
+        return cls({name: np.concatenate([p[name] for p in parts]) for name in names})
+
+
+# json's own tokens for the non-finite floats (it writes them with allow_nan)
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_cells(col: np.ndarray) -> list[str]:
+    """The JSON text of every entry of a column, in row-major order."""
+    if col.dtype.kind in "iu":
+        return list(map(int.__repr__, col.ravel().tolist()))
+    if col.dtype.kind != "f":
+        raise TypeError(f"RowTable column of dtype {col.dtype}")
+    cells = list(map(float.__repr__, col.ravel().tolist()))
+    if not np.all(np.isfinite(col)):
+        cells = [_JSON_NON_FINITE.get(s, s) for s in cells]
+    return cells
+
+
+def _render_rows(table: RowTable, indent: str) -> str:
+    """``table`` as json's indent=2 list text, opened on a line indented by ``indent``."""
+    if not len(table):
+        return "[]"
+    row_in, key_in, item_in = indent + "  ", indent + "    ", indent + "      "
+    fields, cells = [], []
+    for name in sorted(table.columns):
+        col = table.columns[name]
+        key = json.dumps(name).replace("%", "%%")
+        text = _json_cells(col)
+        if col.ndim == 1:
+            fields.append(f"{key}: %s")
+            cells.append(text)
+            continue
+        width = col.shape[1]
+        items = ",".join([f"\n{item_in}%s"] * width)
+        fields.append(f"{key}: [{items}\n{key_in}]" if width else f"{key}: []")
+        cells.extend(text[j::width] for j in range(width))
+    row = f"{row_in}{{\n{key_in}" + f",\n{key_in}".join(fields) + f"\n{row_in}}}"
+    return "[\n" + ",\n".join(map(row.__mod__, zip(*cells))) + f"\n{indent}]"
+
+
 def write_json(path: Path, payload: dict) -> None:
-    """Write one JSON output, indented with sorted keys; numpy values become plain JSON."""
+    """Write one JSON output, indented with sorted keys; numpy values become plain JSON.
+
+    A ``RowTable`` value is written from its columns, as the same bytes
+    ``json.dumps`` gives for its list of row dicts, at a fraction of the time.
+    """
+    # json writes each table as a marker string, replaced below by the table's text
+    tables = []
+
+    def default(obj):
+        if isinstance(obj, RowTable):
+            tables.append(obj)
+            return f"\0RowTable {len(tables) - 1}"
+        return _np_default(obj)
+
+    text = json.dumps(payload, indent=2, sort_keys=True, default=default)
+    for i, table in enumerate(tables):
+        marker = json.dumps(f"\0RowTable {i}")
+        at = text.index(marker)
+        line = text[text.rfind("\n", 0, at) + 1 : at]
+        rows = _render_rows(table, line[: len(line) - len(line.lstrip(" "))])
+        text = text[:at] + rows + text[at + len(marker) :]
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=_np_default))
+    path.write_text(text)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import decay_scan, scan_to_files, write_json
+from .analysis import RowTable, decay_scan, scan_to_files, write_json
 from .config import ConfigError, ExperimentConfig, load_config
 from .families import HypothesisViolation, validate_hypotheses
 from .parametrix import (
@@ -223,7 +223,7 @@ def cmd_dump(
     only_m: list[int] | None,
     k_max: int,
 ) -> int:
-    rows = []
+    blocks = []
     ok = True
     for (m, n) in _modes(cfg, only_m):
         mode = ModeIndex(m, n)
@@ -234,43 +234,32 @@ def cmd_dump(
                     mode, cfg.weights, cfg.coeffs, tol=cfg.tol_prod, k_cap=k_max, strict=False
                 )
                 k_rows = min(k_max, tp.table.k_hi)
-                tables = (tp.table.C[:k_rows], tp.partials[:k_rows])
-                for k in range(k_rows):
-                    rows.append(
-                        {
-                            "m": m,
-                            "n": n,
-                            "k": k,
-                            "C": tp.table.C[k].ravel().tolist(),
-                            "P": tp.partials[k].ravel().tolist(),
-                        }
-                    )
+                block = {
+                    "C": tp.table.C[:k_rows].reshape(k_rows, 4),
+                    "P": tp.partials[:k_rows].reshape(k_rows, 4),
+                }
             elif what == "solution":
                 sol = build_solution(mode, cfg.weights, cfg.coeffs, k_max, rule=cfg.boundary_rule)
-                wres = wronskian_residuals(sol)
-                tables = (sol.I, sol.K, wres)
-                for k in range(k_max + 1):
-                    rows.append(
-                        {
-                            "m": m,
-                            "n": n,
-                            "k": k,
-                            "I1": sol.I[k, 0],
-                            "I2": sol.I[k, 1],
-                            "K1": sol.K[k, 0],
-                            "K2": sol.K[k, 1],
-                            "wronskian_residual": wres[k],
-                        }
-                    )
+                k_rows = len(sol.I)
+                block = {
+                    "I1": sol.I[:, 0],
+                    "I2": sol.I[:, 1],
+                    "K1": sol.K[:, 0],
+                    "K2": sol.K[:, 1],
+                    "wronskian_residual": wronskian_residuals(sol),
+                }
             else:
                 raise ConfigError(f"unknown dump table {what!r}")
         except MODE_ERRORS as exc:
             ok = False
             print(f"mode ({m}, {n}) failed: {exc}", file=sys.stderr)
             continue
-        if not all(np.all(np.isfinite(t)) for t in tables):
+        if not all(np.all(np.isfinite(col)) for col in block.values()):
             ok = False
             print(f"mode ({m}, {n}): non-finite entries in the {what} table", file=sys.stderr)
+        k = np.arange(k_rows)
+        blocks.append({**block, "m": np.full_like(k, m), "n": np.full_like(k, n), "k": k})
+    rows = RowTable.concat(blocks)
     write_json(out_dir / f"dump_{what}.json", {"meta": _meta(cfg, k_max), "rows": rows})
     print(f"wrote {len(rows)} rows to {out_dir / f'dump_{what}.json'}")
     return EXIT_OK if ok else EXIT_VIOLATION
@@ -333,6 +322,9 @@ def main(argv: list[str] | None = None) -> int:
             rhs = Path(args.rhs) if args.rhs else None
             if rhs is not None and not rhs.exists():
                 print(f"rhs file not found: {rhs}", file=sys.stderr)
+                return EXIT_USAGE
+            if rhs is not None and only_m is not None:
+                print("--modes cannot be used with --rhs: the file's records are the modes", file=sys.stderr)
                 return EXIT_USAGE
             return cmd_solve(cfg, out_dir, rhs, seed, only_m, k_max)
         if args.command == "scan":

@@ -11,6 +11,7 @@ lambda/p/q or t1/t2 at its top level when its tail object omits them).
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -128,6 +129,13 @@ def _boundary_from(d: dict):
     raise ConfigError(f"unknown boundary.rule {rule!r}")
 
 
+def _int_list(values, where: str) -> tuple[int, ...]:
+    """A JSON list of integers; a fraction or a string is an error, not truncated."""
+    if not isinstance(values, list):
+        raise ConfigError(f"{where} must be a list of integers")
+    return tuple(map(operator.index, values))
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
     p = Path(path)
     if not p.exists():
@@ -144,10 +152,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
         coeffs = _coeffs_from(raw.get("coeffs", {}))
         rule, rule_name = _boundary_from(raw.get("boundary", {}))
         grid = raw.get("grid", {})
-        m_list = tuple(int(m) for m in grid.get("m_list", DEFAULT_GRID_M))
-        n_list = tuple(int(n) for n in grid.get("n_list", DEFAULT_GRID_N))
+        m_list = _int_list(grid.get("m_list", list(DEFAULT_GRID_M)), "grid.m_list")
+        n_list = _int_list(grid.get("n_list", list(DEFAULT_GRID_N)), "grid.n_list")
         trunc = raw.get("truncation", {})
-        k_max = int(trunc.get("k_max", 128))
+        k_max = operator.index(trunc.get("k_max", 128))
         tol_prod = float(trunc.get("tol_prod", 1e-10))
         tol_residual = float(trunc.get("tol_residual", 1e-9))
         out = raw.get("output", {})

@@ -110,6 +110,16 @@ def test_config_validation_rules(tmp_path):
         path.write_text(json.dumps(cfg))
         with pytest.raises(ConfigError, match="tail rule"):
             load_config(path)
+    # grid values are integers in lists: a fraction is not truncated, a string not iterated
+    for section, key, value in (("truncation", "k_max", 8.9), ("truncation", "k_max", "128"),
+                                ("grid", "m_list", [1.5]), ("grid", "m_list", "12"),
+                                ("grid", "n_list", [0, 2.0]), ("grid", "n_list", "01")):
+        cfg = default_config_dict()
+        cfg[section][key] = value
+        path.write_text(json.dumps(cfg))
+        with pytest.raises(ConfigError):
+            load_config(path)
+        assert main(["--config", str(path), "validate"]) == 2
 
 
 def test_solve_zero_rhs(small_config, tmp_path):
@@ -151,6 +161,16 @@ def test_solve_malformed_rhs_exit_two(small_config, tmp_path, capsys, text):
     rhs_path.write_text(text)
     assert main(["--config", str(path), "solve", "--rhs", str(rhs_path)]) == 2
     assert "rhs file" in capsys.readouterr().err
+
+
+def test_solve_rhs_with_modes_exit_two(small_config, tmp_path, capsys):
+    """--modes does not filter an --rhs file; asking for both is a usage error."""
+    path, _ = small_config
+    rhs_path = tmp_path / "rhs.json"
+    rhs_path.write_text(json.dumps({"modes": [_REC, _REC | {"m": 2}]}))
+    assert main(["--config", str(path), "solve", "--rhs", str(rhs_path), "--modes", "1"]) == 2
+    assert "--modes" in capsys.readouterr().err
+    assert not (path.parent / "out" / "solutions.json").exists()
 
 
 def test_solve_rhs_entries_beyond_kmax_ignored(small_config, tmp_path):
@@ -274,6 +294,22 @@ def test_outputs_deterministic_modulo_timestamp(small_config, tmp_path):
     assert a == b
 
 
+def test_json_outputs_are_canonical(small_config):
+    """Every JSON file is json.dumps(indent=2, sort_keys=True) of its own content."""
+    path, _ = small_config
+    for argv in (["validate"], ["solve", "--seed", "3"], ["scan"],
+                 ["dump", "--what", "solution"], ["dump", "--what", "transfer"]):
+        assert main(["--config", str(path), *argv]) == 0
+    files = sorted((path.parent / "out").glob("*.json"))
+    assert [f.name for f in files] == [
+        "dump_solution.json", "dump_transfer.json", "hs_scan.json",
+        "lemma_summary.json", "solutions.json", "validation.json",
+    ]
+    for f in files:
+        text = f.read_text()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True), f.name
+
+
 def test_kmax_override(small_config):
     path, _ = small_config
     assert main(["--config", str(path), "--kmax", "24", "--modes", "1", "solve"]) == 0
@@ -343,6 +379,8 @@ def overflow_config(tmp_path):
     return path, cfg
 
 
+# the injected overflow reaches transfer.det2 as inf - inf on purpose
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_dump_transfer_non_finite_exit_one(overflow_config, capsys):
     path, cfg = overflow_config
     assert main(["--config", str(path), "dump", "--what", "transfer"]) == 1
