@@ -10,14 +10,13 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
-import operator
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from .analysis import RowTable, decay_scan, scan_to_files, write_json
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import ConfigError, ExperimentConfig, json_int, load_config
 from .families import HypothesisViolation, validate_hypotheses
 from .parametrix import (
     RhsPair,
@@ -85,12 +84,13 @@ def cmd_validate(cfg: ExperimentConfig, out_dir: Path, k_max: int) -> int:
 def _load_rhs(path: Path, k_max: int) -> dict[tuple[int, int], RhsPair]:
     """The --rhs records by (m, n); a malformed file is a ConfigError (exit 2).
 
-    Each record needs integer m and n >= 0, a finite q0, and finite flat r1
-    and r2 with at least k_max entries; entries beyond k_max are ignored.
+    Each record needs JSON integers m and n >= 0 (not booleans), a finite q0,
+    and finite flat r1 and r2 with at least k_max entries; entries beyond
+    k_max are ignored.
     """
     try:
         parsed = [
-            (operator.index(rec["m"]), operator.index(rec["n"]),
+            (json_int(rec["m"], "m"), json_int(rec["n"], "n"),
              np.asarray(rec["r1"], dtype=float), np.asarray(rec["r2"], dtype=float),
              float(rec["q0"]))
             for rec in json.loads(path.read_text())["modes"]

@@ -6,12 +6,14 @@ truncation.{k_max, tol_prod, tol_residual}; output.{dir, formats}.  An
 unknown key in any section is an error; which keys a family or boundary
 section accepts depends on its kind or rule (a tabulated family also reads
 lambda/p/q or t1/t2 at its top level when its tail object omits them).
+Grid values and k_max are JSON integers and the tolerances positive finite
+JSON numbers: a boolean or a string is an error, never converted.
 """
 
 from __future__ import annotations
 
 import json
-import operator
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -129,11 +131,25 @@ def _boundary_from(d: dict):
     raise ConfigError(f"unknown boundary.rule {rule!r}")
 
 
+def json_int(value, where: str) -> int:
+    """A JSON integer; a boolean, a fraction or a string is an error, not converted."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
+def json_number(value, where: str) -> float:
+    """A JSON number as a float; a boolean or a string is an error, not converted."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where} must be a number, got {value!r}")
+    return float(value)
+
+
 def _int_list(values, where: str) -> tuple[int, ...]:
-    """A JSON list of integers; a fraction or a string is an error, not truncated."""
+    """A JSON list of integers."""
     if not isinstance(values, list):
         raise ConfigError(f"{where} must be a list of integers")
-    return tuple(map(operator.index, values))
+    return tuple(json_int(v, where) for v in values)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -155,9 +171,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
         m_list = _int_list(grid.get("m_list", list(DEFAULT_GRID_M)), "grid.m_list")
         n_list = _int_list(grid.get("n_list", list(DEFAULT_GRID_N)), "grid.n_list")
         trunc = raw.get("truncation", {})
-        k_max = operator.index(trunc.get("k_max", 128))
-        tol_prod = float(trunc.get("tol_prod", 1e-10))
-        tol_residual = float(trunc.get("tol_residual", 1e-9))
+        k_max = json_int(trunc.get("k_max", 128), "truncation.k_max")
+        tol_prod = json_number(trunc.get("tol_prod", 1e-10), "truncation.tol_prod")
+        tol_residual = json_number(trunc.get("tol_residual", 1e-9), "truncation.tol_residual")
         out = raw.get("output", {})
         out_dir = str(out.get("dir", "out"))
         formats = out.get("formats", list(OUTPUT_FORMATS))
@@ -166,8 +182,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"bad configuration value: {exc}") from exc
     if not m_list or not n_list:
         raise ConfigError("grid must be nonempty")
-    if min(tol_prod, tol_residual) <= 0:
-        raise ConfigError("tolerances must be positive")
+    # written so that NaN fails too; an infinite tolerance would pass every check
+    if not all(0.0 < tol < math.inf for tol in (tol_prod, tol_residual)):
+        raise ConfigError("tolerances must be positive and finite")
     if any(n < 0 for n in n_list):
         raise ConfigError("radial levels must be >= 0")
     if k_max < 2:

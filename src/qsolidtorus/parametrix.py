@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .families import CoefficientFamily, WeightFamily
 from .solutions import BoundaryData, KernelSolution, suffix_sum
@@ -380,6 +379,9 @@ def oracle_solve(
     one step of iterative refinement against the residual of the raw system
     (``apply_A`` on the families ``w`` and ``c``, plus the boundary row).
     """
+    # imported here so that only the oracle pays for loading LAPACK
+    from scipy.linalg.lapack import dgbtrf, dgbtrs
+
     mode = sol.mode
     n = mode.n
     if k_max is None:

@@ -110,16 +110,37 @@ def test_config_validation_rules(tmp_path):
         path.write_text(json.dumps(cfg))
         with pytest.raises(ConfigError, match="tail rule"):
             load_config(path)
-    # grid values are integers in lists: a fraction is not truncated, a string not iterated
-    for section, key, value in (("truncation", "k_max", 8.9), ("truncation", "k_max", "128"),
-                                ("grid", "m_list", [1.5]), ("grid", "m_list", "12"),
-                                ("grid", "n_list", [0, 2.0]), ("grid", "n_list", "01")):
-        cfg = default_config_dict()
-        cfg[section][key] = value
-        path.write_text(json.dumps(cfg))
-        with pytest.raises(ConfigError):
-            load_config(path)
-        assert main(["--config", str(path), "validate"]) == 2
+
+
+# grid values and k_max are JSON integers: a fraction is not truncated, a string
+# not iterated, a boolean not read as 0 or 1; tolerances are finite JSON numbers
+STRICT_SCALARS = {
+    "fractional-k_max": ("truncation", "k_max", 8.9),
+    "string-k_max": ("truncation", "k_max", "128"),
+    "fraction-in-m_list": ("grid", "m_list", [1.5]),
+    "string-m_list": ("grid", "m_list", "12"),
+    "fraction-in-n_list": ("grid", "n_list", [0, 2.0]),
+    "string-n_list": ("grid", "n_list", "01"),
+    "bool-in-m_list": ("grid", "m_list", [True, 2]),
+    "bool-in-n_list": ("grid", "n_list", [False]),
+    "bool-k_max": ("truncation", "k_max", True),
+    "bool-tol_prod": ("truncation", "tol_prod", True),
+    "string-tol_residual": ("truncation", "tol_residual", "1e-9"),
+    "string-tol_prod": ("truncation", "tol_prod", "1e-10"),
+    "infinite-tol_residual": ("truncation", "tol_residual", float("inf")),
+    "nan-tol_prod": ("truncation", "tol_prod", float("nan")),
+}
+
+
+@pytest.mark.parametrize("section, key, value", STRICT_SCALARS.values(), ids=STRICT_SCALARS.keys())
+def test_config_scalars_are_strict_json(tmp_path, section, key, value):
+    cfg = default_config_dict()
+    cfg[section][key] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(ConfigError, match="integer|number|finite"):
+        load_config(path)
+    assert main(["--config", str(path), "validate"]) == 2
 
 
 def test_solve_zero_rhs(small_config, tmp_path):
@@ -148,6 +169,8 @@ MALFORMED_RHS = {
     "nested-r2": json.dumps({"modes": [_REC | {"r2": [[0.0]] * 40}]}),
     "negative-n": json.dumps({"modes": [_REC | {"n": -1}]}),
     "fractional-m": json.dumps({"modes": [_REC | {"m": 1.5}]}),
+    "boolean-m": json.dumps({"modes": [_REC | {"m": True}]}),
+    "boolean-n": json.dumps({"modes": [_REC | {"n": False}]}),
     "mode-listed-twice": json.dumps({"modes": [_REC, _REC]}),
     "nan-q0": json.dumps({"modes": [_REC | {"q0": "nan"}]}),
     "inf-in-r1": json.dumps({"modes": [_REC | {"r1": [0.0] * 39 + [float("inf")]}]}),

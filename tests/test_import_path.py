@@ -1,0 +1,71 @@
+"""scipy stays off the import path: only solve's banded-LU oracle loads it (scipy.linalg)."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import qsolidtorus
+from qsolidtorus.config import default_config_dict
+
+SRC = Path(qsolidtorus.__file__).resolve().parents[1]
+
+# prints the scipy modules loaded after the code given as argv[1] ran
+PROBE = """
+import json, sys
+exec(sys.argv[1])
+print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+"""
+
+
+def loaded_scipy(code: str, *args: str) -> list[str]:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE, code, *args],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+@pytest.fixture()
+def k16_config(tmp_path):
+    cfg = default_config_dict()
+    cfg["grid"] = {"m_list": [0, 1, -2], "n_list": [0, 1]}
+    cfg["truncation"]["k_max"] = 16
+    cfg["output"]["dir"] = str(tmp_path / "out")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+def run_commands(*commands: str) -> str:
+    """Code that runs each CLI command on the config in argv[2] and asserts exit 0."""
+    return "\n".join(
+        ["from qsolidtorus.cli import main"]
+        + [f"assert main([*{cmd.split()!r}, '--config', sys.argv[2]]) == 0, {cmd!r}" for cmd in commands]
+    )
+
+
+def test_cli_import_and_config_load_skip_scipy(k16_config):
+    code = "import qsolidtorus.cli\nfrom qsolidtorus.config import load_config\nload_config(sys.argv[2])"
+    assert loaded_scipy(code, str(k16_config)) == []
+
+
+def test_dirac_import_skips_scipy():
+    assert loaded_scipy("import qsolidtorus.dirac") == []
+
+
+def test_validate_scan_and_dumps_skip_scipy(k16_config):
+    code = run_commands("validate", "scan", "dump --what solution", "dump --what transfer")
+    assert loaded_scipy(code, str(k16_config)) == []
+
+
+def test_solve_loads_only_scipy_linalg(k16_config):
+    mods = loaded_scipy(run_commands("solve --seed 3"), str(k16_config))
+    assert "scipy.linalg.lapack" in mods
+    assert not [m for m in mods if m.startswith("scipy.special")]
+    out = json.loads((k16_config.parent / "out" / "solutions.json").read_text())
+    assert out["solutions"] and all(r["residual_oracle"] <= 1e-8 for r in out["solutions"])
