@@ -39,7 +39,7 @@ from .families import (
     eval_s,
     tail_inv_weight,
 )
-from .solutions import KernelSolution, build_solution, suffix_sum
+from .solutions import MODE_ERRORS, KernelSolution, build_solution, suffix_sum
 from .transfer import ModeIndex
 
 FUBINI_PAIRS = (
@@ -217,6 +217,8 @@ class ScanTable(CheckReport):
 
     ``solutions`` maps (m, n) to the kernel solution each report was built
     from, so callers can run further per-mode checks without rebuilding.
+    ``failures`` maps each mode whose solution could not be built (one of
+    ``solutions.MODE_ERRORS``) to the error's message; it has no row.
     """
 
     rows: tuple[HsReport, ...]
@@ -224,10 +226,12 @@ class ScanTable(CheckReport):
     n_list: tuple[int, ...]
     checks: tuple[CheckResult, ...] = field(default_factory=tuple)
     solutions: dict = field(default_factory=dict, repr=False, compare=False)
+    failures: dict = field(default_factory=dict)
 
     @property
     def all_passed(self) -> bool:
-        return all(r.all_bounds_hold and r.all_finite for r in self.rows) and not self.failed()
+        rows_ok = all(r.all_bounds_hold and r.all_finite for r in self.rows)
+        return rows_ok and not self.failures and not self.failed()
 
     def report(self, m: int, n: int) -> HsReport:
         for r in self.rows:
@@ -261,18 +265,27 @@ def decay_scan(
     k_max: int = 128,
     rule="default",
 ) -> ScanTable:
-    """HS reports over a mode grid plus the decay checks along both axes."""
+    """HS reports over a mode grid plus the decay checks along both axes.
+
+    A mode whose solution fails to build is recorded in ``failures``; the
+    decay checks compare the modes that built.
+    """
     rows = []
     sols = {}
+    failures = {}
     for m in m_list:
         for n in n_list:
-            sol = build_solution(ModeIndex(m, n), w, c, k_max, rule=rule)
+            try:
+                sol = build_solution(ModeIndex(m, n), w, c, k_max, rule=rule)
+            except MODE_ERRORS as exc:
+                failures[(m, n)] = str(exc)
+                continue
             sols[(m, n)] = sol
             rows.append(hs_norms(sol, w, c, k_max))
     table = {(r.mode.m, r.mode.n): r for r in rows}
     checks = []
 
-    abs_ms = sorted({abs(m) for m in m_list if m != 0})
+    abs_ms = sorted({abs(m) for (m, _) in table if m != 0})
     if len(abs_ms) >= 2:
         lo, hi = abs_ms[0], abs_ms[-1]
         ok = True
@@ -293,6 +306,8 @@ def decay_scan(
         ok = True
         wit = f"proxy(m, {n_hi}) < proxy(m, {n_lo}) for all m"
         for m in m_list:
+            if (m, n_hi) not in table or (m, n_lo) not in table:
+                continue
             if not table[(m, n_hi)].proxy < table[(m, n_lo)].proxy:
                 ok = False
                 wit = f"proxy({m},{n_hi}) >= proxy({m},{n_lo})"
@@ -306,6 +321,7 @@ def decay_scan(
         n_list=tuple(n_list),
         checks=tuple(checks),
         solutions=sols,
+        failures=failures,
     )
 
 

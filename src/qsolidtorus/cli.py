@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import RowTable, decay_scan, scan_to_files, write_json
-from .config import ConfigError, ExperimentConfig, json_int, load_config
-from .families import HypothesisViolation, validate_hypotheses
+from .config import ConfigError, ExperimentConfig, json_int, json_list, json_number, load_config
+from .families import validate_hypotheses
 from .parametrix import (
     RhsPair,
     WeightedSeq,
@@ -26,29 +26,12 @@ from .parametrix import (
     oracle_solve,
     random_rhs,
 )
-from .solutions import (
-    BoundaryRuleError,
-    DegeneratePairingError,
-    RangeOverflowError,
-    build_solution,
-    verify_lemma_suite,
-    wronskian_residuals,
-)
-from .transfer import ModeIndex, SingularMatrixError, limit_product
+from .solutions import MODE_ERRORS, build_solution, verify_lemma_suite, wronskian_residuals
+from .transfer import DET_FLOOR, ModeIndex, SingularMatrixError, det2, mode_table, partial_products
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
-
-# the per-mode failures a table build can report (solve adds the oracle's
-# singular band, np.linalg.LinAlgError); anything else is a bug
-MODE_ERRORS = (
-    BoundaryRuleError,
-    DegeneratePairingError,
-    HypothesisViolation,
-    RangeOverflowError,
-    SingularMatrixError,
-)
 
 
 def _meta(cfg: ExperimentConfig, k_max: int, seed: int | None = None) -> dict:
@@ -84,15 +67,15 @@ def cmd_validate(cfg: ExperimentConfig, out_dir: Path, k_max: int) -> int:
 def _load_rhs(path: Path, k_max: int) -> dict[tuple[int, int], RhsPair]:
     """The --rhs records by (m, n); a malformed file is a ConfigError (exit 2).
 
-    Each record needs JSON integers m and n >= 0 (not booleans), a finite q0,
-    and finite flat r1 and r2 with at least k_max entries; entries beyond
-    k_max are ignored.
+    Each record needs JSON integers m and n >= 0 (not booleans), a finite
+    JSON number q0, and r1 and r2 as lists of at least k_max finite JSON
+    numbers; entries beyond k_max are ignored.
     """
     try:
         parsed = [
             (json_int(rec["m"], "m"), json_int(rec["n"], "n"),
-             np.asarray(rec["r1"], dtype=float), np.asarray(rec["r2"], dtype=float),
-             float(rec["q0"]))
+             np.array(json_list(rec["r1"], "r1")), np.array(json_list(rec["r2"], "r2")),
+             json_number(rec["q0"], "q0"))
             for rec in json.loads(path.read_text())["modes"]
         ]
     except (OSError, KeyError, TypeError, ValueError) as exc:
@@ -102,10 +85,8 @@ def _load_rhs(path: Path, k_max: int) -> dict[tuple[int, int], RhsPair]:
         where = f"rhs file {path}, mode ({m}, {n})"
         if n < 0 or (m, n) in out:
             raise ConfigError(f"{where}: n must be >= 0 and each mode listed once")
-        if any(seq.ndim != 1 or len(seq) < k_max for seq in (r1, r2)):
-            raise ConfigError(f"{where}: r1 and r2 need flat lists of >= k_max = {k_max} values")
-        if not (np.all(np.isfinite(r1)) and np.all(np.isfinite(r2)) and np.isfinite(q0)):
-            raise ConfigError(f"{where}: non-finite value")
+        if min(len(r1), len(r2)) < k_max:
+            raise ConfigError(f"{where}: r1 and r2 need >= k_max = {k_max} values")
         out[(m, n)] = RhsPair(WeightedSeq(r1[:k_max], n + 1), WeightedSeq(r2[:k_max], n), q0)
     return out
 
@@ -175,34 +156,35 @@ def cmd_solve(
 def cmd_scan(
     cfg: ExperimentConfig, out_dir: Path, only_m: list[int] | None, k_max: int
 ) -> int:
-    ms = _m_list(cfg, only_m)
-    table = decay_scan(ms, cfg.n_list, cfg.weights, cfg.coeffs, k_max, rule=cfg.boundary_rule)
+    table = decay_scan(
+        _m_list(cfg, only_m), cfg.n_list, cfg.weights, cfg.coeffs, k_max, rule=cfg.boundary_rule
+    )
+    for (m, n), msg in table.failures.items():
+        print(f"mode ({m}, {n}) failed: {msg}", file=sys.stderr)
     scan_to_files(table, out_dir, cfg.formats, meta=_meta(cfg, k_max))
     lemma_rows = []
     ok = table.all_passed
     first_bad = None
-    for m in ms:
+    for (m, n), sol in table.solutions.items():
         if m == 0:
             continue
-        for n in cfg.n_list:
-            sol = table.solutions[(m, n)]
-            rep = verify_lemma_suite(sol)
-            failures = [ch.name for ch in rep.failed()]
-            wr = float(np.max(wronskian_residuals(sol)))
-            lemma_rows.append(
-                {
-                    "m": m,
-                    "n": n,
-                    "all_passed": rep.all_passed,
-                    "worst_slack": rep.worst_slack,
-                    "wronskian_worst": wr,
-                    "flagged": list(rep.flagged),
-                    "failures": failures,
-                }
-            )
-            if not rep.all_passed and first_bad is None:
-                first_bad = (m, n, failures)
-                ok = False
+        rep = verify_lemma_suite(sol)
+        failures = [ch.name for ch in rep.failed()]
+        wr = float(np.max(wronskian_residuals(sol)))
+        lemma_rows.append(
+            {
+                "m": m,
+                "n": n,
+                "all_passed": rep.all_passed,
+                "worst_slack": rep.worst_slack,
+                "wronskian_worst": wr,
+                "flagged": list(rep.flagged),
+                "failures": failures,
+            }
+        )
+        if not rep.all_passed and first_bad is None:
+            first_bad = (m, n, failures)
+            ok = False
     write_json(out_dir / "lemma_summary.json", {"meta": _meta(cfg, k_max), "modes": lemma_rows})
     for ch in table.checks:
         print(f"[{'pass' if ch.passed else 'FAIL'}] {ch.name}: {ch.witness}")
@@ -229,15 +211,12 @@ def cmd_dump(
         mode = ModeIndex(m, n)
         try:
             if what == "transfer":
-                # P(k) for k < k_max does not depend on how far the product is grown
-                tp = limit_product(
-                    mode, cfg.weights, cfg.coeffs, tol=cfg.tol_prod, k_cap=k_max, strict=False
-                )
-                k_rows = min(k_max, tp.table.k_hi)
-                block = {
-                    "C": tp.table.C[:k_rows].reshape(k_rows, 4),
-                    "P": tp.partials[:k_rows].reshape(k_rows, 4),
-                }
+                table = mode_table(mode, cfg.weights, cfg.coeffs, k_max)
+                parts = partial_products(table.C)
+                if abs(det2(parts[k_max])) < DET_FLOOR:
+                    raise SingularMatrixError("limit product determinant underflowed")
+                k_rows = k_max
+                block = {"C": table.C.reshape(k_rows, 4), "P": parts[:k_rows].reshape(k_rows, 4)}
             elif what == "solution":
                 sol = build_solution(mode, cfg.weights, cfg.coeffs, k_max, rule=cfg.boundary_rule)
                 k_rows = len(sol.I)

@@ -1,23 +1,31 @@
 """Experiment configuration: one JSON file drives every CLI command.
 
 Keys: weights.{kind, lambda, p, q | table, tail}; coeffs.{kind, t1, t2,
-kappa | table1, table2, tail}; boundary.{rule, table}; grid.{m_list, n_list};
-truncation.{k_max, tol_prod, tol_residual}; output.{dir, formats}.  An
-unknown key in any section is an error; which keys a family or boundary
-section accepts depends on its kind or rule (a tabulated family also reads
-lambda/p/q or t1/t2 at its top level when its tail object omits them).
-Grid values and k_max are JSON integers and the tolerances positive finite
-JSON numbers: a boolean or a string is an error, never converted.
+kappa | table1, table2, tail, kappa}; boundary.{rule, table};
+grid.{m_list, n_list}; truncation.{k_max, tol_residual}; output.{dir,
+formats}.  A tabulated family's tail object holds its rule, its constant
+value and its law's parameters (lambda/p/q or t1/t2).  An unknown key in any
+section is an error; which keys a family or boundary section accepts depends
+on its kind or rule.
+
+Each default is written once.  A family section passes only the keys it
+holds, so an absent one takes the WeightFamily/CoefficientFamily default;
+every other section is read over default_config_dict(), whose keys are the
+ones it accepts.  Each value is read once, one way: json_number (a finite
+JSON number), json_int (a JSON integer), json_text (a JSON string) or
+json_list (a JSON list of those).  A boolean, a string where a number is
+due, a fraction where an integer is due, NaN or an infinity is an error,
+never converted.
 """
 
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .families import CoefficientFamily, WeightFamily
+from .families import GEOMETRIC, POWER, TABULATED, UNIT, CoefficientFamily, WeightFamily
 from .solutions import default_rule
 
 
@@ -28,14 +36,9 @@ class ConfigError(ValueError):
 DEFAULT_GRID_M = (0, 1, -1, 2, -2, 4, -4, 8, -8, 16, -16, 32, -32)
 DEFAULT_GRID_N = (0, 1, 2, 4, 8, 16)
 OUTPUT_FORMATS = ("csv", "json")
-KNOWN_KEYS = {
-    None: ("weights", "coeffs", "boundary", "grid", "truncation", "output"),
-    "grid": ("m_list", "n_list"),
-    "truncation": ("k_max", "tol_prod", "tol_residual"),
-    "output": ("dir", "formats"),
-}
-POWER_KEYS = ("lambda", "p", "q")
-GAP_KEYS = ("t1", "t2", "kappa")
+# a law's JSON keys and the family fields they set
+POWER_LAW = {"lambda": "lam", "p": "p", "q": "q"}
+GAP_LAW = {"t1": "t1", "t2": "t2"}
 
 
 @dataclass(frozen=True)
@@ -47,79 +50,105 @@ class ExperimentConfig:
     m_list: tuple[int, ...]
     n_list: tuple[int, ...]
     k_max: int
-    tol_prod: float
     tol_residual: float
     out_dir: str
     formats: tuple[str, ...]
 
 
-def _check_keys(d: dict, known: tuple[str, ...], where: str) -> None:
+def json_int(value, where: str) -> int:
+    """A JSON integer; a boolean, a fraction or a string is an error, not converted."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
+def json_number(value, where: str) -> float:
+    """A finite JSON number as a float; a boolean, a string, NaN or an infinity is an error."""
+    # the bound also rejects an integer too large for a float
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{where} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def json_text(value, where: str) -> str:
+    """A JSON string."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{where} must be a string, got {value!r}")
+    return value
+
+
+def json_list(values, where: str, read=json_number, what: str = "numbers", size: int | None = None) -> tuple:
+    """A JSON list of ``what`` (exactly ``size`` of them when given), each entry read by ``read``."""
+    if not isinstance(values, list) or size not in (None, len(values)):
+        raise ConfigError(f"{where} must be a list of {'' if size is None else f'{size} '}{what}")
+    return tuple(read(v, f"{where}[{i}]") for i, v in enumerate(values))
+
+
+def _rows(values, where: str) -> tuple[tuple[float, ...], ...]:
+    return json_list(values, where, json_list, "lists of numbers")
+
+
+def _check_keys(d: dict, known, where: str) -> None:
     unknown = sorted(set(d.keys()) - set(known))
     if unknown:
         raise ConfigError(f"unknown key(s) {unknown} in {where}")
 
 
+def _present(d: dict, keys: dict[str, str], where: str, read=json_number) -> dict:
+    """The family fields set by the ``keys`` (JSON key -> field) that ``d`` holds, each read by ``read``."""
+    return {name: read(d[key], f"{where}.{key}") for key, name in keys.items() if key in d}
+
+
+def _tail(d: dict, law: dict[str, str], where: str) -> dict:
+    """The fields a tabulated family's tail object sets: its rule, its constant value and its law."""
+    tail = d.get("tail", {})
+    _check_keys(tail, ("rule", "value", *law), where)
+    return {
+        **_present(tail, {"rule": "tail_rule"}, where, json_text),
+        **_present(tail, {"value": "tail_value", **law}, where),
+    }
+
+
 def _weights_from(d: dict) -> WeightFamily:
-    kind = d.get("kind", "power-family")
-    if kind == "power-family":
-        _check_keys(d, ("kind", *POWER_KEYS), "weights")
-        return WeightFamily(
-            kind=kind,
-            lam=float(d.get("lambda", 1.0)),
-            p=float(d.get("p", 1.0)),
-            q=float(d.get("q", 2.0)),
-        )
-    if kind == "tabulated":
-        tail = d.get("tail", {"rule": "power"})
-        _check_keys(d, ("kind", "table", "tail", *POWER_KEYS), "weights")
-        _check_keys(tail, ("rule", "value", *POWER_KEYS), "weights.tail")
-        return WeightFamily(
-            kind=kind,
-            table=tuple(tuple(float(v) for v in row) for row in d.get("table", [])),
-            tail_rule=tail.get("rule", "power"),
-            tail_value=float(tail.get("value", 1.0)),
-            lam=float(tail.get("lambda", d.get("lambda", 1.0))),
-            p=float(tail.get("p", d.get("p", 1.0))),
-            q=float(tail.get("q", d.get("q", 2.0))),
-        )
+    kind = d.get("kind", WeightFamily.kind)
+    if kind == POWER:
+        _check_keys(d, ("kind", *POWER_LAW), "weights")
+        return WeightFamily(kind=kind, **_present(d, POWER_LAW, "weights"))
+    if kind == TABULATED:
+        _check_keys(d, ("kind", "table", "tail"), "weights")
+        table = _present(d, {"table": "table"}, "weights", _rows)
+        return WeightFamily(kind=kind, **table, **_tail(d, POWER_LAW, "weights.tail"))
     raise ConfigError(f"unknown weights.kind {kind!r}")
 
 
 def _coeffs_from(d: dict) -> CoefficientFamily:
-    kind = d.get("kind", "geometric-gap")
-    if kind in ("geometric-gap", "unit"):
-        _check_keys(d, ("kind", *GAP_KEYS), "coeffs")
-        return CoefficientFamily(
-            kind=kind,
-            t1=float(d.get("t1", 0.5)),
-            t2=float(d.get("t2", 0.5)),
-            kappa=float(d.get("kappa", 2.0)),
-        )
-    if kind == "tabulated":
-        tail = d.get("tail", {"rule": "geometric"})
-        _check_keys(d, ("kind", "table1", "table2", "tail", *GAP_KEYS), "coeffs")
-        _check_keys(tail, ("rule", "value", "t1", "t2"), "coeffs.tail")
-        return CoefficientFamily(
-            kind=kind,
-            table1=tuple(float(v) for v in d.get("table1", [])),
-            table2=tuple(float(v) for v in d.get("table2", [])),
-            tail_rule=tail.get("rule", "geometric"),
-            tail_value=float(tail.get("value", 1.0)),
-            t1=float(tail.get("t1", d.get("t1", 0.5))),
-            t2=float(tail.get("t2", d.get("t2", 0.5))),
-            kappa=float(d.get("kappa", 2.0)),
-        )
+    kind = d.get("kind", CoefficientFamily.kind)
+    if kind in (GEOMETRIC, UNIT):
+        _check_keys(d, ("kind", "kappa", *GAP_LAW), "coeffs")
+        return CoefficientFamily(kind=kind, **_present(d, {"kappa": "kappa", **GAP_LAW}, "coeffs"))
+    if kind == TABULATED:
+        _check_keys(d, ("kind", "kappa", "table1", "table2", "tail"), "coeffs")
+        tables = _present(d, {"table1": "table1", "table2": "table2"}, "coeffs", json_list)
+        kappa = _present(d, {"kappa": "kappa"}, "coeffs")
+        return CoefficientFamily(kind=kind, **tables, **kappa, **_tail(d, GAP_LAW, "coeffs.tail"))
     raise ConfigError(f"unknown coeffs.kind {kind!r}")
 
 
 def _boundary_from(d: dict):
-    rule = d.get("rule", "default")
+    rule = d["rule"]
     if rule == "default":
         _check_keys(d, ("rule",), "boundary")
         return "default", "default"
     if rule == "table":
         _check_keys(d, ("rule", "table"), "boundary")
-        table = {int(k): (float(v[0]), float(v[1])) for k, v in d.get("table", {}).items()}
+        if not isinstance(d.get("table"), dict):
+            raise ConfigError("boundary.table must be an object mapping m to [K1(inf), K2(inf)]")
+        table = {}
+        for key, value in d["table"].items():
+            # int() also reads " 2", "+2" and "02", which would name the same m
+            if str(int(key)) != key:
+                raise ConfigError(f"boundary.table key {key!r} must be an integer such as 2 or -3")
+            table[int(key)] = json_list(value, f"boundary.table.{key}", size=2)
 
         def table_rule(m: int) -> tuple[float, float]:
             if m in table:
@@ -131,27 +160,6 @@ def _boundary_from(d: dict):
     raise ConfigError(f"unknown boundary.rule {rule!r}")
 
 
-def json_int(value, where: str) -> int:
-    """A JSON integer; a boolean, a fraction or a string is an error, not converted."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where} must be an integer, got {value!r}")
-    return value
-
-
-def json_number(value, where: str) -> float:
-    """A JSON number as a float; a boolean or a string is an error, not converted."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where} must be a number, got {value!r}")
-    return float(value)
-
-
-def _int_list(values, where: str) -> tuple[int, ...]:
-    """A JSON list of integers."""
-    if not isinstance(values, list):
-        raise ConfigError(f"{where} must be a list of integers")
-    return tuple(json_int(v, where) for v in values)
-
-
 def load_config(path: str | Path) -> ExperimentConfig:
     p = Path(path)
     if not p.exists():
@@ -160,36 +168,37 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raw = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    sections = default_config_dict()
     try:
-        for section, known in KNOWN_KEYS.items():
-            d = raw if section is None else raw.get(section, {})
-            _check_keys(d, known, section or "the top level")
+        _check_keys(raw, sections, "the top level")
         weights = _weights_from(raw.get("weights", {}))
         coeffs = _coeffs_from(raw.get("coeffs", {}))
-        rule, rule_name = _boundary_from(raw.get("boundary", {}))
-        grid = raw.get("grid", {})
-        m_list = _int_list(grid.get("m_list", list(DEFAULT_GRID_M)), "grid.m_list")
-        n_list = _int_list(grid.get("n_list", list(DEFAULT_GRID_N)), "grid.n_list")
-        trunc = raw.get("truncation", {})
-        k_max = json_int(trunc.get("k_max", 128), "truncation.k_max")
-        tol_prod = json_number(trunc.get("tol_prod", 1e-10), "truncation.tol_prod")
-        tol_residual = json_number(trunc.get("tol_residual", 1e-9), "truncation.tol_residual")
-        out = raw.get("output", {})
-        out_dir = str(out.get("dir", "out"))
-        formats = out.get("formats", list(OUTPUT_FORMATS))
+        # the other sections are read over their defaults (the boundary checks
+        # its keys against its rule)
+        for name in ("grid", "truncation", "output"):
+            _check_keys(raw.get(name, {}), sections[name], name)
+        boundary, grid, trunc, out = (
+            sections[name] | raw.get(name, {}) for name in ("boundary", "grid", "truncation", "output")
+        )
+        rule, rule_name = _boundary_from(boundary)
+        m_list = json_list(grid["m_list"], "grid.m_list", json_int, "integers")
+        n_list = json_list(grid["n_list"], "grid.n_list", json_int, "integers")
+        k_max = json_int(trunc["k_max"], "truncation.k_max")
+        tol_residual = json_number(trunc["tol_residual"], "truncation.tol_residual")
+        out_dir = json_text(out["dir"], "output.dir")
+        formats = json_list(out["formats"], "output.formats", json_text, "strings")
     except (AttributeError, TypeError, ValueError) as exc:
         # AttributeError: a section that is not a JSON object
         raise ConfigError(f"bad configuration value: {exc}") from exc
     if not m_list or not n_list:
         raise ConfigError("grid must be nonempty")
-    # written so that NaN fails too; an infinite tolerance would pass every check
-    if not all(0.0 < tol < math.inf for tol in (tol_prod, tol_residual)):
-        raise ConfigError("tolerances must be positive and finite")
+    if tol_residual <= 0.0:
+        raise ConfigError("truncation.tol_residual must be positive")
     if any(n < 0 for n in n_list):
         raise ConfigError("radial levels must be >= 0")
     if k_max < 2:
         raise ConfigError("k_max must be at least 2")
-    if not isinstance(formats, list) or not all(f in OUTPUT_FORMATS for f in formats):
+    if not set(formats) <= set(OUTPUT_FORMATS):
         raise ConfigError(f"output.formats must be a list of names from {list(OUTPUT_FORMATS)}")
     return ExperimentConfig(
         weights=weights,
@@ -199,23 +208,20 @@ def load_config(path: str | Path) -> ExperimentConfig:
         m_list=m_list,
         n_list=n_list,
         k_max=k_max,
-        tol_prod=tol_prod,
         tol_residual=tol_residual,
         out_dir=out_dir,
-        formats=tuple(formats),
+        formats=formats,
     )
 
 
 def default_config_dict() -> dict:
+    """The full default config; the family sections hold the family dataclasses' defaults."""
+    w, c = WeightFamily(), CoefficientFamily()
     return {
-        "weights": {"kind": "power-family", "lambda": 1.0, "p": 1.0, "q": 2.0},
-        "coeffs": {"kind": "geometric-gap", "t1": 0.5, "t2": 0.5, "kappa": 2.0},
+        "weights": {"kind": w.kind, "lambda": w.lam, "p": w.p, "q": w.q},
+        "coeffs": {"kind": c.kind, "t1": c.t1, "t2": c.t2, "kappa": c.kappa},
         "boundary": {"rule": "default"},
         "grid": {"m_list": list(DEFAULT_GRID_M), "n_list": list(DEFAULT_GRID_N)},
-        "truncation": {
-            "k_max": 128,
-            "tol_prod": 1e-10,
-            "tol_residual": 1e-9,
-        },
+        "truncation": {"k_max": 128, "tol_residual": 1e-9},
         "output": {"dir": "out", "formats": list(OUTPUT_FORMATS)},
     }

@@ -22,13 +22,10 @@ arithmetic; the dense U and V are kept for the relation checks.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .analysis import write_json
 from .families import CheckReport, CheckResult, CoefficientFamily, WeightFamily
 from .parametrix import ParametrixResult, RhsPair, WeightedSeq, apply_A, apply_Q
 from .solutions import build_solution
@@ -49,22 +46,6 @@ class FourierField:
 
     def modes(self) -> list[Mode]:
         return sorted(self.entries)
-
-    def to_json(self) -> list[dict]:
-        return [
-            {"m": m, "n": n, "g": g.tolist(), "f": f.tolist()}
-            for (m, n), (g, f) in sorted(self.entries.items())
-        ]
-
-    @classmethod
-    def from_json(cls, records: list[dict]) -> "FourierField":
-        entries = {}
-        for rec in records:
-            entries[(int(rec["m"]), int(rec["n"]))] = (
-                np.asarray(rec["g"], dtype=float),
-                np.asarray(rec["f"], dtype=float),
-            )
-        return cls(entries)
 
 
 def random_field(
@@ -421,15 +402,3 @@ def algebra_sanity(
     )
     return AlgebraReport(checks=tuple(checks), worst=worst)
 
-
-def field_to_file(field: FourierField, path, meta: dict | None = None) -> None:
-    payload = {"modes": field.to_json()}
-    if meta:
-        payload["meta"] = meta
-    write_json(Path(path), payload)
-
-
-def field_from_file(path) -> FourierField:
-    with open(path) as fh:
-        payload = json.load(fh)
-    return FourierField.from_json(payload["modes"])

@@ -28,6 +28,7 @@ from .families import (
     CheckReport,
     CheckResult,
     CoefficientFamily,
+    HypothesisViolation,
     SeriesValue,
     WeightFamily,
     exact_tail_inv_weight,
@@ -38,9 +39,9 @@ from .families import (
 # as well because perfbench/tracer.py wraps solutions.scalar_det_prefix and
 # tests/test_profiler_contract.py clears solutions.mode_table by these names.
 from .transfer import (
-    ConvergenceError,
     ModeIndex,
     ModeTable,
+    SingularMatrixError,
     invert,
     mode_table,
     partial_products,
@@ -49,6 +50,10 @@ from .transfer import (
 )
 
 TAU_FLOOR = 1e-250
+# |m| values at which choose_K_infinity checks that a rule's ratio decays
+M_PROBE = (1, 2, 4, 8, 16, 32, 64)
+# terms epsilon sums explicitly before its exact tail
+EPS_HEAD = 4096
 
 
 class BoundaryRuleError(ValueError):
@@ -61,6 +66,18 @@ class DegeneratePairingError(ValueError):
 
 class RangeOverflowError(OverflowError):
     """Forward recursion left the double range; rescale or reduce |m|/K."""
+
+
+# the per-mode failures a solution build (and the tables built on it) can
+# report; cli.cmd_solve adds the oracle's singular band, np.linalg.LinAlgError.
+# Anything else is a bug.
+MODE_ERRORS = (
+    BoundaryRuleError,
+    DegeneratePairingError,
+    HypothesisViolation,
+    RangeOverflowError,
+    SingularMatrixError,
+)
 
 
 def default_rule(m: int) -> tuple[float, float]:
@@ -96,7 +113,6 @@ def _check_conditions(m: int, k1: float, k2: float) -> str | None:
 def choose_K_infinity(
     mode: ModeIndex,
     rule: str | Callable[[int], tuple[float, float]] = "default",
-    m_probe: tuple[int, ...] = (1, 2, 4, 8, 16, 32, 64),
 ) -> BoundaryData:
     """Evaluate a boundary rule for one mode, validating all four conditions.
 
@@ -111,7 +127,7 @@ def choose_K_infinity(
     if clause is not None:
         raise BoundaryRuleError(clause)
     ratios = []
-    for m in m_probe:
+    for m in M_PROBE:
         for sgn in (1, -1):
             v1, v2 = fn(sgn * m)
             cl = _check_conditions(sgn * m, v1, v2)
@@ -153,21 +169,14 @@ def compute_K(
     c: CoefficientFamily,
     k_hi: int,
     bd: BoundaryData,
-    tol: float | None = None,
 ) -> tuple[np.ndarray, float]:
     """Backward table K(0..k_hi) seeded by K(k_hi) := K(inf).
 
     Returns the table and the tail certificate sum_{k >= k_hi} ||C - I||_1,
     which controls how far the seeded solution can drift from one seeded
-    deeper.  Backward recursion keeps the recessive solution stable.  When a
-    tol is requested and the certificate exceeds it, the seed is too shallow
-    for the asked accuracy and a ConvergenceError is raised.
+    deeper.  Backward recursion keeps the recessive solution stable.
     """
     tail = tail_sum_C_minus_I(mode, w, c, k_hi)
-    if tol is not None and tail > tol:
-        raise ConvergenceError(
-            f"seed tail certificate {tail:.3g} above requested tol {tol:.3g}"
-        )
     table = mode_table(mode, w, c, k_hi)
     c_arr = table.C
     # explicit 2x2 inverses adj(C)/det C for every step, then a plain-float sweep
@@ -209,7 +218,7 @@ def tau_of_tables(I: np.ndarray, K: np.ndarray) -> float:
     return float(K[0, 0] * I[0, 1] - K[0, 1] * I[0, 0])
 
 
-def epsilon(mode: ModeIndex, w: WeightFamily, k_head: int = 4096) -> SeriesValue:
+def epsilon(mode: ModeIndex, w: WeightFamily) -> SeriesValue:
     """eps(m, n) = sum_k a_{n+1}(k) / (m^2 + a_n(k) a_{n+1}(k)).
 
     Beyond the explicit head the terms equal 1/a_n(k) minus a positive
@@ -218,25 +227,25 @@ def epsilon(mode: ModeIndex, w: WeightFamily, k_head: int = 4096) -> SeriesValue
     certificate, so no deep summation is needed.
     """
     m, n = mode.m, mode.n
-    ks = np.arange(k_head)
+    ks = np.arange(EPS_HEAD)
     an = np.asarray(w.a(n, ks), dtype=float)
     an1 = np.asarray(w.a(n + 1, ks), dtype=float)
     head = float(np.sum(an1 / (m * m + an * an1)))
-    inv_tail = exact_tail_inv_weight(w, n, k_head)
+    inv_tail = exact_tail_inv_weight(w, n, EPS_HEAD)
     # 1/a_n - a_{n+1}/(m^2 + a_n a_{n+1}) = m^2 / (a_n (m^2 + a_n a_{n+1}))
     # <= m^2 / (a_n^2 a_{n+1}); bound its tail by sup factors times the s-tail.
     corr = (
         m
         * m
-        * sup_inv_weight(w, n, k_head)
-        * sup_inv_weight(w, n + 1, k_head)
-        * tail_inv_weight(w, n, k_head)
+        * sup_inv_weight(w, n, EPS_HEAD)
+        * sup_inv_weight(w, n + 1, EPS_HEAD)
+        * tail_inv_weight(w, n, EPS_HEAD)
         if m != 0
         else 0.0
     )
     corr = min(corr, inv_tail)
     value = head + inv_tail - 0.5 * corr
-    return SeriesValue(value=value, k_trunc=k_head, tail=0.5 * corr + 1e-15 * abs(value))
+    return SeriesValue(value=value, k_trunc=EPS_HEAD, tail=0.5 * corr + 1e-15 * abs(value))
 
 
 def build_solution(

@@ -1,10 +1,12 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qsolidtorus.cli import main
 from qsolidtorus.config import ConfigError, default_config_dict, load_config
+from qsolidtorus.families import CoefficientFamily, WeightFamily
 
 
 @pytest.fixture()
@@ -80,7 +82,7 @@ def test_config_validation_rules(tmp_path):
             load_config(path)
     # a misspelt or retired key is an error, not a silently ignored no-op
     for section, key in ((None, "grids"), ("grid", "n_lst"), ("truncation", "k_mx"),
-                         ("truncation", "tol_tail"), ("output", "format")):
+                         ("truncation", "tol_tail"), ("truncation", "tol_prod"), ("output", "format")):
         cfg = default_config_dict()
         (cfg if section is None else cfg[section])[key] = 7
         path.write_text(json.dumps(cfg))
@@ -90,12 +92,17 @@ def test_config_validation_rules(tmp_path):
     # the family and boundary sections check their keys against their kind
     tab_w = {"kind": "tabulated", "table": [[4.0]], "tail": {"rule": "power", "qq": 2.0}}
     tab_c = {"kind": "tabulated", "table1": [0.5], "table2": [0.5], "tail": {"rule": "constant", "lambda": 1.0}}
+    # a tabulated family's law parameters live in its tail object only
+    tail_w = {"kind": "tabulated", "table": [[4.0]], "tail": {"rule": "power"}}
+    tail_c = {"kind": "tabulated", "table1": [0.5], "table2": [0.5], "tail": {"rule": "geometric"}}
     for section, value in (("weights", {"kind": "power-family", "lamda": 2.0}),
                            ("weights", {"kind": "power-family", "table": [[4.0]]}),
                            ("weights", tab_w),
+                           *(("weights", tail_w | {key: 2.0}) for key in ("lambda", "p", "q")),
                            ("coeffs", {"kind": "geometric-gap", "kapa": 9.0}),
                            ("coeffs", {"kind": "unit", "table1": [0.5]}),
                            ("coeffs", tab_c),
+                           *(("coeffs", tail_c | {key: 0.5}) for key in ("t1", "t2")),
                            ("boundary", {"rul": "table"}),
                            ("boundary", {"rule": "default", "table": {"2": [1.0, 1.0]}})):
         cfg = default_config_dict()
@@ -124,11 +131,10 @@ STRICT_SCALARS = {
     "bool-in-m_list": ("grid", "m_list", [True, 2]),
     "bool-in-n_list": ("grid", "n_list", [False]),
     "bool-k_max": ("truncation", "k_max", True),
-    "bool-tol_prod": ("truncation", "tol_prod", True),
+    "bool-tol_residual": ("truncation", "tol_residual", True),
     "string-tol_residual": ("truncation", "tol_residual", "1e-9"),
-    "string-tol_prod": ("truncation", "tol_prod", "1e-10"),
     "infinite-tol_residual": ("truncation", "tol_residual", float("inf")),
-    "nan-tol_prod": ("truncation", "tol_prod", float("nan")),
+    "nan-tol_residual": ("truncation", "tol_residual", float("nan")),
 }
 
 
@@ -141,6 +147,72 @@ def test_config_scalars_are_strict_json(tmp_path, section, key, value):
     with pytest.raises(ConfigError, match="integer|number|finite"):
         load_config(path)
     assert main(["--config", str(path), "validate"]) == 2
+
+
+# every family, tail, table and boundary number is a finite JSON number, each
+# row a JSON list and each boundary value a list of exactly two numbers
+TAB_W = {"kind": "tabulated", "table": [[1.5, 3.0]], "tail": {"rule": "power", "q": 2.0}}
+TAB_C = {"kind": "tabulated", "table1": [0.5], "table2": [0.6], "tail": {"rule": "geometric"}}
+BOUNDARY = {"rule": "table", "table": {"2": [0.5, 1.0]}}
+STRICT_SECTIONS = {
+    "bool-lambda": ("weights", {"lambda": True}),
+    "string-q": ("weights", {"q": "2.5"}),
+    "nan-p": ("weights", {"p": float("nan")}),
+    "bool-kappa": ("coeffs", {"kappa": True}),
+    "string-t1": ("coeffs", {"t1": "0.5"}),
+    "infinite-t2": ("coeffs", {"kind": "unit", "t2": float("inf")}),
+    "string-tail-q": ("weights", TAB_W | {"tail": {"rule": "power", "q": "2"}}),
+    "nan-tail-value": ("weights", TAB_W | {"tail": {"rule": "constant", "value": float("nan")}}),
+    "bool-tail-t2": ("coeffs", TAB_C | {"tail": {"rule": "geometric", "t2": True}}),
+    "bool-in-table-row": ("weights", TAB_W | {"table": [[1.5, True]]}),
+    "string-table-row": ("weights", TAB_W | {"table": ["12"]}),
+    "string-in-table1": ("coeffs", TAB_C | {"table1": ["0.5"]}),
+    "nan-in-table2": ("coeffs", TAB_C | {"table2": [float("nan")]}),
+    "bool-tabulated-kappa": ("coeffs", TAB_C | {"kappa": False}),
+    "three-entry-boundary": ("boundary", BOUNDARY | {"table": {"2": [0.5, 1.0, 7.0]}}),
+    "string-in-boundary": ("boundary", BOUNDARY | {"table": {"2": ["0.5", 1.0]}}),
+    "bool-in-boundary": ("boundary", BOUNDARY | {"table": {"2": [0.5, True]}}),
+    "nan-in-boundary": ("boundary", BOUNDARY | {"table": {"2": [0.5, float("nan")]}}),
+    "padded-boundary-key": ("boundary", BOUNDARY | {"table": {"02": [0.5, 1.0]}}),
+}
+
+
+@pytest.mark.parametrize("section, value", STRICT_SECTIONS.values(), ids=STRICT_SECTIONS.keys())
+def test_config_section_values_are_strict_json(tmp_path, section, value):
+    cfg = default_config_dict()
+    cfg[section] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(ConfigError, match="integer|number|finite"):
+        load_config(path)
+    assert main(["--config", str(path), "validate"]) == 2
+
+
+def test_config_defaults_are_written_once(tmp_path):
+    """An empty config is the default config: every absent key takes its one default."""
+    empty, full = tmp_path / "empty.json", tmp_path / "full.json"
+    empty.write_text("{}")
+    full.write_text(json.dumps(default_config_dict()))
+    assert load_config(empty) == load_config(full)
+    tabulated = {"weights": {"kind": "tabulated"}, "coeffs": {"kind": "tabulated"}}
+    empty.write_text(json.dumps(tabulated))
+    loaded = load_config(empty)
+    assert loaded.weights == WeightFamily(kind="tabulated")
+    assert loaded.coeffs == CoefficientFamily(kind="tabulated")
+
+
+def test_readme_config_example_loads(tmp_path):
+    """The JSON config under the README's CLI heading is a valid config."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    cli_section = readme.split("\n## CLI\n", 1)[1]
+    example = cli_section.split("```json\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "cfg.json"
+    path.write_text(example)
+    load_config(path)
+    # the example spells out the default config on a smaller grid
+    shown, default = json.loads(example), default_config_dict()
+    assert shown.keys() == default.keys()
+    assert {k: v for k, v in shown.items() if k != "grid"} == {k: v for k, v in default.items() if k != "grid"}
 
 
 def test_solve_zero_rhs(small_config, tmp_path):
@@ -174,6 +246,10 @@ MALFORMED_RHS = {
     "mode-listed-twice": json.dumps({"modes": [_REC, _REC]}),
     "nan-q0": json.dumps({"modes": [_REC | {"q0": "nan"}]}),
     "inf-in-r1": json.dumps({"modes": [_REC | {"r1": [0.0] * 39 + [float("inf")]}]}),
+    "string-q0": json.dumps({"modes": [_REC | {"q0": "0.5"}]}),
+    "bool-q0": json.dumps({"modes": [_REC | {"q0": True}]}),
+    "string-in-r1": json.dumps({"modes": [_REC | {"r1": ["1.5"] + [0.0] * 39}]}),
+    "bool-in-r1": json.dumps({"modes": [_REC | {"r1": [True] + [0.0] * 39}]}),
 }
 
 
@@ -292,6 +368,11 @@ def test_dump_tables(small_config):
     assert main(["--config", str(path), "--modes", "1", "--kmax", "8", "dump", "--what", "transfer"]) == 0
     rows = read_out(path, "dump_transfer.json")["rows"]
     assert len(rows[0]["C"]) == 4 and len(rows[0]["P"]) == 4
+    # m = 0 modes too: the table is not cut where a product tolerance is met
+    assert main(["--config", str(path), "--modes", "0", "--kmax", "100", "dump", "--what", "transfer"]) == 0
+    rows = read_out(path, "dump_transfer.json")["rows"]
+    assert [(r["n"], r["k"]) for r in rows] == [(n, k) for n in (0, 1, 2) for k in range(100)]
+    assert rows[0]["P"] == [1.0, 0.0, 0.0, 1.0]
 
 
 def test_modes_filter_runs_every_requested_m(small_config):
@@ -410,6 +491,17 @@ def test_dump_transfer_non_finite_exit_one(overflow_config, capsys):
     assert "mode (100000, 0)" in capsys.readouterr().err
     rows = read_out(path, "dump_transfer.json")["rows"]
     assert len(rows) == 2 * cfg["truncation"]["k_max"]
+
+
+def test_scan_overflow_exit_one(overflow_config, capsys):
+    """A mode that fails to build is reported; the modes that built are still written."""
+    path, cfg = overflow_config
+    assert main(["--config", str(path), "scan"]) == 1
+    assert "mode (100000, 0) failed" in capsys.readouterr().err
+    rows = read_out(path, "hs_scan.json")["rows"]
+    assert [(r["m"], r["n"]) for r in rows] == [(1, 0)]
+    lemma = read_out(path, "lemma_summary.json")["modes"]
+    assert [(r["m"], r["n"]) for r in lemma] == [(1, 0)] and lemma[0]["all_passed"]
 
 
 def test_dump_solution_overflow_exit_one(overflow_config, capsys):

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -13,8 +11,6 @@ from qsolidtorus.dirac import (
     delta1_component,
     extract_minus,
     extract_plus,
-    field_from_file,
-    field_to_file,
     h0_norm,
     random_field,
     trace_bound_terms,
@@ -127,19 +123,6 @@ def test_per_mode_errors_annotated(families, rng):
 
     with pytest.raises(ModeError, match=r"mode \(2, 0\)"):
         apply_Q_global(rhs, w, c, rule=bad_rule)
-
-
-def test_field_json_roundtrip(families, rng, tmp_path):
-    field = random_field([(1, 0), (-2, 3)], 4, rng)
-    path = tmp_path / "field.json"
-    field_to_file(field, path, meta={"seed": 1})
-    back = field_from_file(path)
-    assert set(back.entries) == set(field.entries)
-    for key in field.entries:
-        assert np.array_equal(back.entries[key][0], field.entries[key][0])
-        assert np.array_equal(back.entries[key][1], field.entries[key][1])
-    payload = json.loads(path.read_text())
-    assert payload["meta"]["seed"] == 1
 
 
 def test_algebra_commutes_at_theta_zero():

@@ -181,14 +181,15 @@ def test_lemma_suite_m_zero_pattern(families):
 
 
 def test_compute_K_tolerance_guard(families):
-    from qsolidtorus.transfer import ConvergenceError
+    """compute_K returns the seed tail certificate; a caller compares it with its own tolerance."""
+    from qsolidtorus.transfer import tail_sum_C_minus_I
 
     w, c = families
     bd = choose_K_infinity(ModeIndex(8, 0))
-    with pytest.raises(ConvergenceError):
-        compute_K(ModeIndex(8, 0), w, c, 32, bd, tol=1e-12)
-    tab, tail = compute_K(ModeIndex(8, 0), w, c, 32, bd, tol=10.0)
-    assert tail <= 10.0 and tab.shape == (33, 2)
+    tab, tail = compute_K(ModeIndex(8, 0), w, c, 32, bd)
+    assert tail == tail_sum_C_minus_I(ModeIndex(8, 0), w, c, 32)
+    assert 1e-12 < tail <= 10.0 and tab.shape == (33, 2)
+    assert tuple(tab[32]) == bd.K_inf
 
 
 def test_compute_I_overflow_guard(families):
