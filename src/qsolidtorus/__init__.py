@@ -17,7 +17,6 @@ from .families import (
     validate_hypotheses,
 )
 from .transfer import (
-    ConvergenceError,
     ModeIndex,
     SingularMatrixError,
     TransferProduct,
@@ -71,7 +70,6 @@ __all__ = [
     "eval_J",
     "eval_s",
     "validate_hypotheses",
-    "ConvergenceError",
     "ModeIndex",
     "SingularMatrixError",
     "TransferProduct",

@@ -16,9 +16,11 @@ gap coefficients (with t1 != t2 even the cross pairs differ).  The (1,1) and
 gap is intrinsic to the discrete kernels, and the acceptance suite checks the
 pairs as the discrete identities they are.
 
-A scan passes only when every HS sum, bound, proxy and tail estimate is
-finite: an overflowed bound or a NaN proxy fails the table instead of
-satisfying its comparisons vacuously.
+Every sum runs over the solution's table, k <= K = ``sol.k_table``; no
+truncation remainder is reported (a rigorous one is future work).  A scan
+passes only when every HS sum, bound and proxy is finite: an overflowed bound
+or a NaN proxy fails the table instead of satisfying its comparisons
+vacuously.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .families import (
     CoefficientFamily,
     WeightFamily,
     eval_s,
-    tail_inv_weight,
 )
 from .solutions import MODE_ERRORS, KernelSolution, build_solution, suffix_sum
 from .transfer import ModeIndex
@@ -60,7 +61,6 @@ class HsReport:
     hs: dict
     bounds: dict
     pass_flags: dict
-    tail_estimate: float
     eps: float
     s_n: float
     s_n1: float
@@ -74,7 +74,7 @@ class HsReport:
 
     @property
     def all_finite(self) -> bool:
-        vals = [*self.hs.values(), *self.bounds.values(), self.tail_estimate, self.proxy]
+        vals = [*self.hs.values(), *self.bounds.values(), self.proxy]
         return bool(np.all(np.isfinite(vals)))
 
     def row(self) -> dict:
@@ -92,34 +92,27 @@ class HsReport:
             tau=self.tau,
             ratio=self.ratio,
             proxy=self.proxy,
-            tail_estimate=self.tail_estimate,
         )
         return rec
 
 
-def hs_norms(
-    sol: KernelSolution,
-    w: WeightFamily,
-    c: CoefficientFamily,
-    k_max: int | None = None,
-) -> HsReport:
-    """Direct double sums for the kernel HS norms of ``sol.mode``, with bounds."""
+def hs_norms(sol: KernelSolution, w: WeightFamily, c: CoefficientFamily) -> HsReport:
+    """Direct double sums over the table for the kernel HS norms of ``sol.mode``, with bounds."""
     mode = sol.mode
     m, n = mode.m, mode.n
-    k_max = sol.k_table if k_max is None else min(k_max, sol.k_table)
     s_n = eval_s(w, n)
     s_n1 = eval_s(w, n + 1)
     eps = sol.eps
     tau = sol.tau
     kappa = c.kappa
-    an = sol.table.an[: k_max + 1]
-    an1 = sol.table.an1[: k_max + 1]
+    an = sol.table.an
+    an1 = sol.table.an1
 
     if m == 0:
         c2 = sol.table.c2
         hs_z = 0.0
         inner = 0.0
-        for k in range(k_max + 1):
+        for k in range(sol.k_table + 1):
             if k > 0:
                 inner *= c2[k - 1] ** 2
             inner += 1.0 / an[k]
@@ -129,13 +122,11 @@ def hs_norms(
         hs = {("Z", 0, 0): hs_z}
         bounds = {("Z", 0, 0): bound}
         flags = {("Z", 0, 0): bool(hs_z <= bound * (1.0 + BOUND_SLACK))}
-        tail = tail_inv_weight(w, n + 1, k_max + 1) * s_n.upper
         return HsReport(
             mode=mode,
             hs=hs,
             bounds=bounds,
             pass_flags=flags,
-            tail_estimate=tail,
             eps=eps.value,
             s_n=s_n.value,
             s_n1=s_n1.value,
@@ -144,9 +135,9 @@ def hs_norms(
             proxy=float(np.sqrt(hs_z)),
         )
 
-    I = sol.I[: k_max + 1]
-    Kf = sol.K[: k_max + 1]
-    R = 1.0 / sol.table.prefix[: k_max + 1]
+    I = sol.I
+    Kf = sol.K
+    R = 1.0 / sol.table.prefix
     a_of = {1: an, 2: an1}
     Ic = {1: I[:, 0], 2: I[:, 1]}
     Kc = {1: Kf[:, 0], 2: Kf[:, 1]}
@@ -186,22 +177,12 @@ def hs_norms(
     }
     flags = {key: bool(hs[key] <= bounds[key] * (1.0 + BOUND_SLACK)) for key in hs}
 
-    # reported truncation envelope: deepest table values times the weight tails
-    drift = 1.0 + sol.seed_tail_bound
-    i_env = float(np.max(I[-1] ** 2)) * drift**2
-    k_env = float(np.max(Kf[-1] ** 2)) * drift**2
-    inner_tot = max(float(np.max(kernel_K[1])), float(np.max(kernel_K[2]))) * (k_max + 1)
-    tail = (
-        i_env * tail_inv_weight(w, n, k_max + 1) * inner_tot
-        + k_env * tail_inv_weight(w, n, k_max + 1) * inner_tot
-    )
     proxy = float(np.sqrt(sum(hs.values())) / abs(tau))
     return HsReport(
         mode=mode,
         hs=hs,
         bounds=bounds,
         pass_flags=flags,
-        tail_estimate=tail,
         eps=eps.value,
         s_n=s_n.value,
         s_n1=s_n1.value,
@@ -262,7 +243,7 @@ def decay_scan(
     n_list: tuple[int, ...],
     w: WeightFamily,
     c: CoefficientFamily,
-    k_max: int = 128,
+    k_max: int,
     rule="default",
 ) -> ScanTable:
     """HS reports over a mode grid plus the decay checks along both axes.
@@ -281,7 +262,7 @@ def decay_scan(
                 failures[(m, n)] = str(exc)
                 continue
             sols[(m, n)] = sol
-            rows.append(hs_norms(sol, w, c, k_max))
+            rows.append(hs_norms(sol, w, c))
     table = {(r.mode.m, r.mode.n): r for r in rows}
     checks = []
 

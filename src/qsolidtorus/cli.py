@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import RowTable, decay_scan, scan_to_files, write_json
-from .config import ConfigError, ExperimentConfig, json_int, json_list, json_number, load_config
+from .config import ConfigError, ExperimentConfig, int_text, json_int, json_list, json_number, load_config
 from .families import validate_hypotheses
 from .parametrix import (
     RhsPair,
@@ -27,7 +27,7 @@ from .parametrix import (
     random_rhs,
 )
 from .solutions import MODE_ERRORS, build_solution, verify_lemma_suite, wronskian_residuals
-from .transfer import DET_FLOOR, ModeIndex, SingularMatrixError, det2, mode_table, partial_products
+from .transfer import ModeIndex, limit_product
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -121,7 +121,7 @@ def cmd_solve(
                 q0=back.q0 - r.q0,
             )
             resid_inv = diff.norm(cfg.weights) / max(r_norm, 1e-300)
-            orc = oracle_solve(sol, cfg.weights, cfg.coeffs, r, k_max)
+            orc = oracle_solve(sol, cfg.weights, cfg.coeffs, r)
             scale = max(res.norm(cfg.weights), 1e-300)
             d_orc = float(
                 np.sqrt(
@@ -192,7 +192,7 @@ def cmd_scan(
     print(f"scan: {len(table.rows)} modes, {n_bounds} bound violations")
     n_nonfinite = sum(1 for r in table.rows if not r.all_finite)
     if n_nonfinite:
-        print(f"scan: {n_nonfinite} modes with a non-finite HS sum, bound, proxy or tail estimate")
+        print(f"scan: {n_nonfinite} modes with a non-finite HS sum, bound or proxy")
     if first_bad is not None:
         print(f"first inequality counterexample at mode {first_bad[:2]}: {first_bad[2]}")
     return EXIT_OK if ok else EXIT_VIOLATION
@@ -211,12 +211,9 @@ def cmd_dump(
         mode = ModeIndex(m, n)
         try:
             if what == "transfer":
-                table = mode_table(mode, cfg.weights, cfg.coeffs, k_max)
-                parts = partial_products(table.C)
-                if abs(det2(parts[k_max])) < DET_FLOOR:
-                    raise SingularMatrixError("limit product determinant underflowed")
+                tp = limit_product(mode, cfg.weights, cfg.coeffs, k_max)
                 k_rows = k_max
-                block = {"C": table.C.reshape(k_rows, 4), "P": parts[:k_rows].reshape(k_rows, 4)}
+                block = {"C": tp.table.C.reshape(k_rows, 4), "P": tp.partials[:k_rows].reshape(k_rows, 4)}
             elif what == "solution":
                 sol = build_solution(mode, cfg.weights, cfg.coeffs, k_max, rule=cfg.boundary_rule)
                 k_rows = len(sol.I)
@@ -250,9 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=argparse.SUPPRESS, help="path to the experiment JSON config")
     common.add_argument("--out", default=argparse.SUPPRESS, help="output directory (default: config output.dir)")
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="seed for generated fixtures")
+    common.add_argument("--seed", default=argparse.SUPPRESS, help="seed for generated fixtures")
     common.add_argument("--modes", default=argparse.SUPPRESS, help="m values to run in place of grid.m_list, e.g. 0,1,-2")
-    common.add_argument("--kmax", type=int, default=argparse.SUPPRESS, help="override truncation k_max")
+    common.add_argument("--kmax", default=argparse.SUPPRESS, help="override truncation k_max")
     parser = argparse.ArgumentParser(
         prog="qsolidtorus",
         description="Mode-system solver and verification driver for the quantum solid torus operator",
@@ -281,19 +278,18 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     out_dir = Path(getattr(args, "out", None) or cfg.out_dir)
-    seed = getattr(args, "seed", 20250808)
-    k_max = getattr(args, "kmax", cfg.k_max)
+    # every command-line integer is spelt as JSON writes it, as the config's are
+    try:
+        seed = int_text(args.seed, "--seed") if hasattr(args, "seed") else 20250808
+        k_max = int_text(args.kmax, "--kmax") if hasattr(args, "kmax") else cfg.k_max
+        modes = getattr(args, "modes", None)
+        only_m = None if modes is None else [int_text(tok, "--modes entry") for tok in modes.split(",")]
+    except ConfigError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_USAGE
     if k_max < 2:
         print("--kmax must be at least 2", file=sys.stderr)
         return EXIT_USAGE
-    only_m = None
-    modes_arg = getattr(args, "modes", None)
-    if modes_arg is not None:
-        try:
-            only_m = [int(tok) for tok in modes_arg.split(",") if tok.strip()]
-        except ValueError:
-            print("--modes expects integers like 0,1,-2", file=sys.stderr)
-            return EXIT_USAGE
     try:
         if args.command == "validate":
             return cmd_validate(cfg, out_dir, k_max)

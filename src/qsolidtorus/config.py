@@ -13,9 +13,10 @@ holds, so an absent one takes the WeightFamily/CoefficientFamily default;
 every other section is read over default_config_dict(), whose keys are the
 ones it accepts.  Each value is read once, one way: json_number (a finite
 JSON number), json_int (a JSON integer), json_text (a JSON string) or
-json_list (a JSON list of those).  A boolean, a string where a number is
-due, a fraction where an integer is due, NaN or an infinity is an error,
-never converted.
+json_list (a JSON list of those); an integer held in a string (a boundary
+table key, a command-line value) is read by int_text.  A boolean, a string
+where a number is due, a fraction where an integer is due, NaN or an
+infinity is an error, never converted.
 """
 
 from __future__ import annotations
@@ -59,6 +60,21 @@ def json_int(value, where: str) -> int:
     """A JSON integer; a boolean, a fraction or a string is an error, not converted."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
+def int_text(text: str, where: str) -> int:
+    """An integer in a string, spelt as JSON writes it: "2" or "-3", not "02" or "+2".
+
+    ``int()`` alone also reads padding, underscores and non-ASCII digits, which
+    would give one integer many spellings.
+    """
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or str(value) != text:
+        raise ConfigError(f"{where} must be an integer such as 2 or -3, got {text!r}")
     return value
 
 
@@ -145,10 +161,7 @@ def _boundary_from(d: dict):
             raise ConfigError("boundary.table must be an object mapping m to [K1(inf), K2(inf)]")
         table = {}
         for key, value in d["table"].items():
-            # int() also reads " 2", "+2" and "02", which would name the same m
-            if str(int(key)) != key:
-                raise ConfigError(f"boundary.table key {key!r} must be an integer such as 2 or -3")
-            table[int(key)] = json_list(value, f"boundary.table.{key}", size=2)
+            table[int_text(key, "boundary.table key")] = json_list(value, f"boundary.table.{key}", size=2)
 
         def table_rule(m: int) -> tuple[float, float]:
             if m in table:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .families import CheckReport, CheckResult, CoefficientFamily, WeightFamily
 from .parametrix import ParametrixResult, RhsPair, WeightedSeq, apply_A, apply_Q
-from .solutions import build_solution
+from .solutions import MODE_ERRORS, build_solution
 from .transfer import ModeIndex
 
 Mode = tuple[int, int]
@@ -133,18 +133,19 @@ def apply_Q_global(
     w: WeightFamily,
     c: CoefficientFamily,
     rule="default",
-    k_max: int | None = None,
 ) -> tuple[FourierField, dict[Mode, ParametrixResult]]:
-    """Per-mode inverse applied over a field, merged in (m, n) order."""
+    """Per-mode inverse applied over a field, merged in (m, n) order.
+
+    Each mode is solved on a table as long as its rhs.
+    """
     entries: dict[Mode, tuple[np.ndarray, np.ndarray]] = {}
     results: dict[Mode, ParametrixResult] = {}
     for (m, n) in sorted(rhs):
         r = rhs[(m, n)]
-        k_mode = len(r.r1.values) if k_max is None else k_max
         try:
-            sol = build_solution(ModeIndex(m, n), w, c, k_mode, rule=rule)
-            res = apply_Q(sol, r, k_mode)
-        except Exception as exc:
+            sol = build_solution(ModeIndex(m, n), w, c, len(r.r1.values), rule=rule)
+            res = apply_Q(sol, r)
+        except MODE_ERRORS as exc:
             raise ModeError(f"mode ({m}, {n}): {exc}") from exc
         entries[(m, n)] = (res.h_g.values, res.h_f.values)
         results[(m, n)] = res

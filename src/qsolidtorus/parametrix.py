@@ -369,23 +369,23 @@ def oracle_solve(
     w: WeightFamily,
     c: CoefficientFamily,
     r: RhsPair,
-    k_max: int | None = None,
 ) -> OracleSolution:
-    """Banded LU solve of the truncated constrained system, O(k_max) memory.
+    """Banded LU solve of the truncated constrained system, O(K) memory.
 
-    The band comes from the solution's table, and its boundary row pairs
-    against the K table at the truncation edge (the rule values when the
-    seed sits there).  The band is factored once; the solve is followed by
-    one step of iterative refinement against the residual of the raw system
-    (``apply_A`` on the families ``w`` and ``c``, plus the boundary row).
+    The window is the solution's table, K = ``sol.k_table``; entries of r
+    beyond it are ignored and a shorter r is zero-padded, as in ``apply_Q``.
+    The boundary row pairs against the K table at the truncation edge (the
+    rule values when the seed sits there).  The band is factored once; the
+    solve is followed by one step of iterative refinement against the
+    residual of the raw system (``apply_A`` on the families ``w`` and ``c``,
+    plus the boundary row).
     """
     # imported here so that only the oracle pays for loading LAPACK
     from scipy.linalg.lapack import dgbtrf, dgbtrs
 
     mode = sol.mode
     n = mode.n
-    if k_max is None:
-        k_max = min(sol.k_table, len(r.r1.values))
+    k_max = sol.k_table
     lu, piv, info = dgbtrf(_oracle_band(sol, k_max), 2, 1, overwrite_ab=True)
     if info > 0:
         raise np.linalg.LinAlgError("singular matrix")

@@ -29,14 +29,12 @@ from .families import (
 )
 
 DET_FLOOR = 1e-300
+# relative rounding allowance of the structure checks, on top of K ulps
+STRUCTURE_SLACK = 1e-12
 
 
 class SingularMatrixError(ValueError):
     """A 2x2 inverse was requested below the determinant floor."""
-
-
-class ConvergenceError(RuntimeError):
-    """A product tail bound could not be pushed under tolerance."""
 
 
 @dataclass(frozen=True)
@@ -182,17 +180,14 @@ def tail_sum_C_minus_I(
 
 @dataclass(frozen=True)
 class TransferProduct:
-    """Partial products of one mode's C matrices with a convergence certificate.
+    """Partial products of one mode's C matrices on its table.
 
     ``table`` holds the mode's per-k data up to the truncation K = table.k_hi;
-    ``partials[k]`` is P(k) = C(k-1)...C(0); ``limit`` is P(K) and
-    ``tail_bound`` bounds sum_{k >= K} ||C(k) - I||_1.
+    ``partials[k]`` is P(k) = C(k-1)...C(0) and ``limit`` is P(K).
     """
 
     table: ModeTable
     partials: np.ndarray
-    tail_bound: float
-    converged: bool
 
     @property
     def limit(self) -> np.ndarray:
@@ -200,35 +195,17 @@ class TransferProduct:
 
 
 def limit_product(
-    mode: ModeIndex,
-    w: WeightFamily,
-    c: CoefficientFamily,
-    tol: float = 1e-10,
-    k_cap: int = 1 << 17,
-    strict: bool = True,
+    mode: ModeIndex, w: WeightFamily, c: CoefficientFamily, k_hi: int
 ) -> TransferProduct:
-    """Grow the ordered product until the tail certificate drops under tol.
+    """The ordered products P(k) of the mode's table up to P(k_hi).
 
-    The certificate decays like 1/K for m != 0, so tight tolerances can be
-    unreachable; with strict=True that raises ConvergenceError, otherwise the
-    product is returned with the achieved tail bound recorded.
+    Raises SingularMatrixError when det P(k_hi) falls below the floor.
     """
-    k_hi = 64
-    while True:
-        tail = tail_sum_C_minus_I(mode, w, c, k_hi)
-        if tail < tol or k_hi >= k_cap:
-            break
-        k_hi = min(2 * k_hi, k_cap)
-    converged = tail < tol
-    if strict and not converged:
-        raise ConvergenceError(
-            f"tail bound {tail:.3g} at K={k_hi} above tol {tol:.3g} for mode {mode}"
-        )
     table = mode_table(mode, w, c, k_hi)
     parts = partial_products(table.C)
     if abs(det2(parts[k_hi])) < DET_FLOOR:
         raise SingularMatrixError("limit product determinant underflowed")
-    return TransferProduct(table=table, partials=parts, tail_bound=tail, converged=converged)
+    return TransferProduct(table=table, partials=parts)
 
 
 @dataclass(frozen=True)
@@ -237,15 +214,14 @@ class StructureReport(CheckReport):
     checks: tuple[CheckResult, ...]
 
 
-def structure_check(
-    tp: TransferProduct, c: CoefficientFamily, slack: float = 1e-12
-) -> StructureReport:
+def structure_check(tp: TransferProduct, w: WeightFamily, c: CoefficientFamily) -> StructureReport:
     """Verify the sign/ordering structure of the (truncated) limit product.
 
     For m != 0 the diagonal entries dominate the bare coefficient products,
     the off-diagonal entries carry sign -sgn(m), and the determinant equals
     the scalar product of c_2/c_1 (J_2/J_1 in the limit, up to the certified
-    tail); ``c`` supplies the limits J_i only.
+    tail sum_{k >= K} ||C(k) - I||_1 at the table end K); ``c`` also supplies
+    the limits J_i.
     """
     mode, K, c1, c2 = tp.table.mode, tp.table.k_hi, tp.table.c1, tp.table.c2
     m, n = mode.m, mode.n
@@ -264,14 +240,14 @@ def structure_check(
         checks.append(
             CheckResult(
                 "diag_entry_1_dominates",
-                f0 >= -slack * abs(lim[0, 0]),
+                f0 >= -STRUCTURE_SLACK * abs(lim[0, 0]),
                 f"entry(1,1) - prod 1/c1 = {f0:.6g}",
             )
         )
         checks.append(
             CheckResult(
                 "diag_entry_2_dominates",
-                f3 >= -slack * abs(lim[1, 1]),
+                f3 >= -STRUCTURE_SLACK * abs(lim[1, 1]),
                 f"entry(2,2) - prod c2 = {f3:.6g}",
             )
         )
@@ -284,10 +260,11 @@ def structure_check(
             )
         )
 
-    det_part = det2(tp.partials[K])
+    det_part = det2(lim)
     det_scalar = float(tp.table.prefix[K])
-    scale = max(abs(det_part), abs(det_scalar))
-    det_ok = abs(det_part - det_scalar) <= (K * 1e-14 + slack) * scale
+    # det P = p00 p11 - p01 p10 loses the digits its two products share
+    cancel = abs(lim[0, 0] * lim[1, 1]) + abs(lim[0, 1] * lim[1, 0])
+    det_ok = abs(det_part - det_scalar) <= (K * 1e-14 + STRUCTURE_SLACK) * cancel
     checks.append(
         CheckResult(
             "det_tracks_scalar_product",
@@ -296,15 +273,17 @@ def structure_check(
         )
     )
 
+    tail = tail_sum_C_minus_I(mode, w, c, K)
     j1 = eval_J(c, 1, n)
     j2 = eval_J(c, 2, n)
     det_lim = j2.value / j1.value
-    lim_ok = abs(det_part - det_lim) <= scale * (tp.tail_bound * 4.0 + j1.tail + j2.tail + slack)
+    scale = max(abs(det_part), abs(det_scalar))
+    lim_ok = abs(det_part - det_lim) <= scale * (tail * 4.0 + j1.tail + j2.tail + STRUCTURE_SLACK)
     checks.append(
         CheckResult(
             "det_limit_matches_J_ratio",
             lim_ok,
-            f"det={det_part:.12g} vs J2/J1={det_lim:.12g} (tail {tp.tail_bound:.2g})",
+            f"det={det_part:.12g} vs J2/J1={det_lim:.12g} (tail {tail:.2g})",
         )
     )
     return StructureReport(mode=mode, checks=tuple(checks))

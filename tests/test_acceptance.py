@@ -177,7 +177,7 @@ def test_criterion_6_hs_bounds():
     """All kernel HS sums within their closed-form bounds x (1 + 1e-10)."""
     worst_frac = 0.0
     for (m, n) in grid_modes():
-        rep = hs_norms(solution(m, n), W, C, K_MAX)
+        rep = hs_norms(solution(m, n), W, C)
         for key, val in rep.hs.items():
             frac = val / rep.bounds[key]
             worst_frac = max(worst_frac, frac)
@@ -218,7 +218,7 @@ def test_criterion_6_fubini_pairs():
             "the scalar prefix products prod c1/c2 are identically 1"
         )
         sol = solution(m, n)
-        rep = hs_norms(sol, W, C, K_MAX)
+        rep = hs_norms(sol, W, C)
         I = sol.I[: K_MAX + 1]
         Kt = sol.K[: K_MAX + 1]
         an = np.asarray(W.a(n, ks), dtype=float)

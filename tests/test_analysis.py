@@ -14,7 +14,7 @@ def test_hs_z_direct_double_sum(families, unit_coeffs):
     mode = ModeIndex(0, 0)
     K = 128
     sol = build_solution(mode, w, unit_coeffs, K)
-    report = hs_norms(sol, w, unit_coeffs, K)
+    report = hs_norms(sol, w, unit_coeffs)
     got = report.hs[("Z", 0, 0)]
     brute = 0.0
     for k in range(K + 1):
@@ -30,7 +30,7 @@ def test_hs_z_with_gap_coefficients(families):
     w, c = families
     mode = ModeIndex(0, 2)
     sol = build_solution(mode, w, c, 64)
-    report = hs_norms(sol, w, c, 64)
+    report = hs_norms(sol, w, c)
     got = report.hs[("Z", 0, 0)]
     brute = 0.0
     c2 = np.asarray(c.c(2, 2, np.arange(64)), dtype=float)
@@ -49,7 +49,7 @@ def test_hs_x_brute_force_single_entry(families):
     n = 1
     K = 24
     sol = build_solution(mode, w, c, K)
-    report = hs_norms(sol, w, c, K)
+    report = hs_norms(sol, w, c)
     R = 1.0 / scalar_det_prefix(c.c(1, n, np.arange(K)), c.c(2, n, np.arange(K)))
     an = np.asarray(w.a(n, np.arange(K + 1)), dtype=float)
     an1 = np.asarray(w.a(n + 1, np.arange(K + 1)), dtype=float)
@@ -71,7 +71,7 @@ def test_fubini_cross_pairs_match_and_diagonal_gap_identified(families):
         mode = ModeIndex(m, n)
         K = 96
         sol = build_solution(mode, w, c, K)
-        rep = hs_norms(sol, w, c, K)
+        rep = hs_norms(sol, w, c)
         hs = rep.hs
         assert hs[("X", 1, 2)] == pytest.approx(hs[("Y", 2, 1)], rel=1e-12)
         assert hs[("X", 2, 1)] == pytest.approx(hs[("Y", 1, 2)], rel=1e-12)
@@ -92,15 +92,15 @@ def test_bounds_hold_with_margin(families):
     for (m, n) in ((1, 0), (8, 0), (32, 0), (2, 8), (-16, 4)):
         mode = ModeIndex(m, n)
         sol = build_solution(mode, w, c, 128)
-        rep = hs_norms(sol, w, c, 128)
+        rep = hs_norms(sol, w, c)
         assert rep.all_bounds_hold, rep.pass_flags
 
 
 def test_hs_values_even_in_m(families):
     w, c = families
     for n in (0, 3):
-        a = hs_norms(build_solution(ModeIndex(6, n), w, c, 64), w, c, 64)
-        b = hs_norms(build_solution(ModeIndex(-6, n), w, c, 64), w, c, 64)
+        a = hs_norms(build_solution(ModeIndex(6, n), w, c, 64), w, c)
+        b = hs_norms(build_solution(ModeIndex(-6, n), w, c, 64), w, c)
         for key in a.hs:
             assert a.hs[key] == pytest.approx(b.hs[key], rel=1e-14)
         assert a.proxy == pytest.approx(b.proxy, rel=1e-14)
@@ -130,8 +130,8 @@ def test_assembled_kernel_values_decay_in_m(families):
     inverse divides by tau, and those are the quantities that decay.
     """
     w, c = families
-    a = hs_norms(build_solution(ModeIndex(1, 0), w, c, 128), w, c, 128)
-    b = hs_norms(build_solution(ModeIndex(32, 0), w, c, 128), w, c, 128)
+    a = hs_norms(build_solution(ModeIndex(1, 0), w, c, 128), w, c)
+    b = hs_norms(build_solution(ModeIndex(32, 0), w, c, 128), w, c)
     for key in a.hs:
         assert b.hs[key] / b.tau**2 < a.hs[key] / a.tau**2
 
@@ -141,7 +141,7 @@ def test_proxy_uses_assembled_scale(families):
     w, c = families
     mode = ModeIndex(8, 0)
     sol = build_solution(mode, w, c, 64)
-    rep = hs_norms(sol, w, c, 64)
+    rep = hs_norms(sol, w, c)
     assert rep.proxy == pytest.approx(math.sqrt(sum(rep.hs.values())) / abs(rep.tau))
 
 
@@ -150,12 +150,42 @@ def test_fubini_pair_list_is_the_documented_one():
     assert len(FUBINI_PAIRS) == 4
 
 
-def test_decay_scan_fails_on_non_finite_tail(families):
-    """At m = 8192 the tail envelope overflows to inf; the scan must not pass."""
+@pytest.mark.parametrize("part", ["hs", "bounds"])
+def test_infinite_hs_sum_or_bound_fails_scan(families, monkeypatch, tmp_path, capsys, part):
+    """An infinite HS sum or bound fails all_finite, the scan and the scan's exit code."""
+    import dataclasses
+    import json
+
+    import qsolidtorus.analysis as analysis
+    from qsolidtorus.cli import main
+    from qsolidtorus.config import default_config_dict
+
+    cfg = default_config_dict()
+    cfg["grid"] = {"m_list": [1, 2], "n_list": [0, 1]}
+    cfg["truncation"]["k_max"] = 32
+    cfg["output"]["dir"] = str(tmp_path / "out")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["--config", str(path), "scan"]) == 0
+
+    real = analysis.hs_norms
+
+    def inf_entry(sol, *args, **kwargs):
+        rep = real(sol, *args, **kwargs)
+        if sol.mode.m != 2:
+            return rep
+        values = dict(getattr(rep, part))
+        values[next(iter(values))] = math.inf
+        return dataclasses.replace(rep, **{part: values})
+
+    monkeypatch.setattr(analysis, "hs_norms", inf_entry)
     w, c = families
-    table = decay_scan((1, 8192), (0, 1), w, c, 128)
-    assert not all(r.all_finite for r in table.rows)
+    table = decay_scan((1, 2), (0, 1), w, c, 32)
+    assert [r.all_finite for r in table.rows] == [True, True, False, False]
     assert not table.all_passed
+    capsys.readouterr()
+    assert main(["--config", str(path), "scan"]) == 1
+    assert "2 modes with a non-finite HS sum, bound or proxy" in capsys.readouterr().out
 
 
 def test_nan_proxy_fails_envelope_checks(families, monkeypatch):

@@ -427,6 +427,31 @@ def test_kmax_override(small_config):
     assert main(["--config", str(path), "--kmax", "1", "solve"]) == 2
 
 
+# each is read as an integer by Python's int(); on the command line only the
+# JSON spelling of an integer is
+MALFORMED_INTS = {
+    "modes-underscore": ["--modes", "1_0"],
+    "modes-plus": ["--modes", "+2"],
+    "modes-padded": ["--modes", " 1"],
+    "modes-leading-zero": ["--modes", "02"],
+    "modes-empty-entry": ["--modes", "1,,2"],
+    "modes-arabic-indic": ["--modes", "\u0661"],
+    "kmax-padded-underscore": ["--kmax", " 1_6"],
+    "kmax-plus": ["--kmax", "+8"],
+    "kmax-fullwidth": ["--kmax", "\uff18"],
+    "kmax-fraction": ["--kmax", "8.0"],
+    "seed-plus": ["--seed", "+3"],
+}
+
+
+@pytest.mark.parametrize("argv", MALFORMED_INTS.values(), ids=MALFORMED_INTS.keys())
+def test_cli_integers_are_json_integers(small_config, capsys, argv):
+    path, _ = small_config
+    assert main(["--config", str(path), *argv, "validate"]) == 2
+    assert argv[0] in capsys.readouterr().err
+    assert not (path.parent / "out").exists()
+
+
 def test_scan_builds_each_solution_once(small_config, monkeypatch):
     import qsolidtorus.analysis as analysis
     import qsolidtorus.cli as cli
@@ -461,14 +486,17 @@ def test_solve_banded_oracle_at_k65536(tmp_path):
     assert rec["residual_right_inverse"] <= tol
 
 
-def test_scan_non_finite_tail_exit_one(tmp_path):
+def test_scan_large_m_rows_finite_exit_zero(tmp_path):
+    """Every HS sum, bound and proxy is finite out to m = 8192 at K = 128, so the scan passes."""
     cfg = default_config_dict()
-    cfg["grid"]["m_list"] = [1, 8192]
-    cfg["grid"]["n_list"] = [0, 1]
     cfg["output"]["dir"] = str(tmp_path / "out")
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
-    assert main(["--config", str(path), "scan"]) == 1
+    assert main(["--config", str(path), "--modes", "2048,-2048,4096,8192", "--kmax", "128", "scan"]) == 0
+    rows = json.loads((tmp_path / "out" / "hs_scan.json").read_text())["rows"]
+    assert len(rows) == 4 * len(cfg["grid"]["n_list"])
+    values = [v for row in rows for v in row.values() if not isinstance(v, bool)]
+    assert np.all(np.isfinite(values))
 
 
 @pytest.fixture()

@@ -125,6 +125,20 @@ def test_per_mode_errors_annotated(families, rng):
         apply_Q_global(rhs, w, c, rule=bad_rule)
 
 
+def test_global_inverse_bug_propagates(families, rng, monkeypatch):
+    """Only per-mode failures become ModeError; a bug in apply_Q is not wrapped."""
+    import qsolidtorus.dirac as dirac
+
+    def broken(*args, **kwargs):
+        raise TypeError("bug")
+
+    monkeypatch.setattr(dirac, "apply_Q", broken)
+    w, c = families
+    rhs = apply_D(random_field([(2, 0)], 8, rng), w, c)
+    with pytest.raises(TypeError, match="bug"):
+        apply_Q_global(rhs, w, c)
+
+
 def test_algebra_commutes_at_theta_zero():
     rep = TruncatedAlgebraRep(0.0, 8, 4)
     assert np.max(np.abs(rep.V @ rep.U - rep.U @ rep.V)) == 0.0

@@ -223,6 +223,17 @@ def test_oracle_equivalence_small_grid(families, rng):
             assert solution_diff(res, orc) <= 1e-8
 
 
+def test_oracle_window_is_the_table(families, rng):
+    """A short rhs is zero-padded to the table, as apply_Q pads it."""
+    w, c = families
+    mode = ModeIndex(3, 1)
+    sol = build_solution(mode, w, c, 48)
+    r = random_rhs(mode, 30, rng)
+    orc = oracle_solve(sol, w, c, r)
+    assert len(orc.h_g.values) == len(orc.h_f.values) == 49
+    assert solution_diff(apply_Q(sol, r), orc) <= 1e-8
+
+
 def test_left_inverse_on_domain(families, rng):
     w, c = families
     for mode in (ModeIndex(2, 0), ModeIndex(-4, 1)):
