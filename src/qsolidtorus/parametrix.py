@@ -84,14 +84,6 @@ class ParametrixResult:
         return float(np.sqrt(self.h_g.norm(w) ** 2 + self.h_f.norm(w) ** 2))
 
 
-def zero_rhs(mode: ModeIndex, k_max: int) -> RhsPair:
-    return RhsPair(
-        r1=WeightedSeq(np.zeros(k_max), mode.n + 1),
-        r2=WeightedSeq(np.zeros(k_max), mode.n),
-        q0=0.0,
-    )
-
-
 def random_rhs(mode: ModeIndex, k_max: int, rng: np.random.Generator) -> RhsPair:
     return RhsPair(
         r1=WeightedSeq(rng.standard_normal(k_max), mode.n + 1),

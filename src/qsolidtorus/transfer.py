@@ -142,11 +142,6 @@ def invert(mat: np.ndarray, floor: float = DET_FLOOR) -> np.ndarray:
     return np.array([[mat[1, 1], -mat[0, 1]], [-mat[1, 0], mat[0, 0]]]) / d
 
 
-def mat_abs_norm(mat: np.ndarray) -> float:
-    """Entrywise absolute-sum norm, the norm the convergence certificate uses."""
-    return float(np.sum(np.abs(mat)))
-
-
 def partial_products(c_arr: np.ndarray) -> np.ndarray:
     """P(0)=I and P(k+1) = C(k) P(k) for a stack of C matrices."""
     p00, p01, p10, p11 = 1.0, 0.0, 0.0, 1.0

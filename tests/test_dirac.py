@@ -1,21 +1,26 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsolidtorus.dirac import (
+    NORM_LOWER_MARGIN,
     FourierField,
     TruncatedAlgebraRep,
     algebra_sanity,
     apply_D,
     apply_Q_global,
     assemble_polynomial,
-    delta1_component,
     extract_minus,
     extract_plus,
     h0_norm,
-    random_field,
+    norm_lower_bound,
     trace_bound_terms,
 )
 from qsolidtorus.parametrix import RhsPair
+from reference import delta1_component, random_field
 
 GOLDEN = (5**0.5 - 1) / 2
 
@@ -194,12 +199,17 @@ def test_monomials_match_dense_products(theta):
                 assert np.all(np.abs(x - y) <= np.spacing(np.abs(y))), (m, n)
 
 
-def test_trace_block_formula_matches_dense():
-    rep = TruncatedAlgebraRep(GOLDEN, 12, 6)
+def inner_block(rep):
+    """Flat indices of the trace check's inner block and, within it, the l = 0 columns."""
     inner = [
         rep.idx(k, l) for k in range(1, rep.k_cut) for l in range(-rep.l_cut + 1, rep.l_cut)
     ]
-    q0 = [i for i, j in enumerate(inner) if rep.Ldiag[j] == 0]
+    return inner, np.asarray([i for i, j in enumerate(inner) if rep.Ldiag[j] == 0], dtype=int)
+
+
+def test_trace_block_formula_matches_dense():
+    rep = TruncatedAlgebraRep(GOLDEN, 12, 6)
+    inner, q0 = inner_block(rep)
     rng = np.random.default_rng(5)
 
     def trace_q0(x):
@@ -212,11 +222,131 @@ def test_trace_block_formula_matches_dense():
         ]
         a, b = (np.zeros((rep.dim, rep.dim), dtype=complex) for _ in range(2))
         a[np.ix_(inner, inner)], b[np.ix_(inner, inner)] = blocks
-        lhs, rhs = trace_bound_terms(*blocks, np.asarray(q0))
+        lhs, rhs = trace_bound_terms(blocks[0], blocks[1][:, q0], q0)
         ref_lhs = abs(trace_q0(a @ b))
         ref_rhs = np.linalg.norm(a, 2) * np.sqrt(abs(trace_q0(b.conj().T @ b)))
         assert lhs == pytest.approx(ref_lhs, rel=1e-13)
         assert rhs == pytest.approx(ref_rhs, rel=1e-13)
+
+
+def trace_every_sample(rep, seed, n_trace):
+    """Worst ratio and verdict of algebra_sanity's trace draws, with the SVD on every sample."""
+    rng = np.random.default_rng(seed)
+    algebra_sanity(rep, rng, n_trace=0)  # advances rng past the roundtrip draws
+    inner, q0 = inner_block(rep)
+    n = len(inner)
+    lhs, rhs = np.zeros(n_trace), np.zeros(n_trace)
+    for i in range(n_trace):
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        bq0 = rng.standard_normal((n, len(q0))) + 1j * rng.standard_normal((n, len(q0)))
+        lhs[i], rhs[i] = trace_bound_terms(a, bq0, q0)
+    worst = float(np.max(lhs / np.where(rhs > 0.0, rhs, np.nan), initial=-np.inf))
+    return worst, bool(np.isfinite(worst) and np.all(lhs <= rhs * (1.0 + 1e-12)))
+
+
+@pytest.mark.parametrize(
+    "theta, k_cut, l_cut, seed, n_trace",
+    [
+        (GOLDEN, 12, 6, 9, 100),
+        (0.25, 12, 6, 2, 60),
+        (0.25, 8, 3, 1, 40),
+        (float("nan"), 8, 3, 1, 25),
+        (0.25, 0, 3, 1, 5),
+        (0.25, 1, 3, 1, 5),
+    ],
+)
+def test_trace_check_equals_svd_on_every_sample(theta, k_cut, l_cut, seed, n_trace):
+    rep = TruncatedAlgebraRep(theta, k_cut, l_cut)
+    with np.errstate(invalid="ignore"):
+        report = algebra_sanity(rep, np.random.default_rng(seed), n_trace=n_trace)
+        worst, passed = trace_every_sample(rep, seed, n_trace)
+    got = report.worst["trace_ratio"]
+    assert got == worst or (np.isnan(got) and np.isnan(worst)), (got, worst)
+    check = {ch.name: ch for ch in report.checks}["trace_functional_bound"]
+    assert check.passed == passed
+    # k_cut <= 1 leaves an empty block: 0/0 fails rather than passing vacuously
+    assert passed == (k_cut >= 2)
+
+
+def test_trace_check_skips_most_svds():
+    rep = TruncatedAlgebraRep(GOLDEN, 12, 6)
+    report = algebra_sanity(rep, np.random.default_rng(9), n_roundtrip=20, n_trace=100)
+    check = {ch.name: ch for ch in report.checks}["trace_functional_bound"]
+    n_svd, n_trace = map(int, re.search(r"\(SVD on (\d+) of (\d+) samples\)$", check.witness).groups())
+    assert n_trace == 100 and 1 <= n_svd <= 25, check.witness
+
+
+def test_trace_check_fails_on_a_violation_or_no_samples(monkeypatch):
+    import qsolidtorus.dirac as dirac
+
+    def trace_check(n_trace):
+        report = algebra_sanity(TruncatedAlgebraRep(0.25, 8, 3), np.random.default_rng(1), n_trace=n_trace)
+        return report.worst["trace_ratio"], {ch.name: ch for ch in report.checks}["trace_functional_bound"]
+
+    worst, check = trace_check(0)
+    assert worst == -np.inf and not check.passed
+    monkeypatch.setattr(dirac, "trace_bound_terms", lambda a, bq0, q0: (2.0, 1.0))
+    worst, check = trace_check(5)
+    assert worst == 2.0 and not check.passed
+
+
+def test_trace_bound_is_not_a_theorem_for_rank_q0_above_one():
+    """a = 1 and b = Q0 on the inner block: tr(Q0) = 11 against ||1|| tr(Q0)^(1/2) = sqrt(11)."""
+    rep = TruncatedAlgebraRep(GOLDEN, 12, 6)
+    inner, q0 = inner_block(rep)
+    a = np.eye(len(inner), dtype=complex)
+    lhs, rhs = trace_bound_terms(a, a[:, q0], q0)
+    assert len(q0) == 11
+    assert lhs == 11.0
+    assert rhs == pytest.approx(np.sqrt(11.0), rel=1e-15)
+
+
+def gaussian(seed, rows, cols, exp):
+    z = np.random.default_rng(seed).standard_normal((2, rows, cols))
+    return 10.0**exp * (z[0] + 1j * z[1])
+
+
+def largest_row_orthogonal_to_top(s, ratio, extra):
+    """Row (0, ratio s) over k rows (s, 0), k > ratio^2: the top right singular vector is e_0."""
+    k = int(ratio**2) + 1 + extra
+    return np.array([[0.0, ratio * s]] + [[s, 0.0]] * k)
+
+
+SIZES = st.integers(1, 12)
+ENTRIES = st.floats(-1e3, 1e3, allow_nan=False)
+GAUSSIAN = st.builds(gaussian, st.integers(0, 2**32 - 1), SIZES, SIZES, st.integers(-150, 150))
+MATRICES = st.one_of(
+    GAUSSIAN,
+    st.builds(np.outer, st.lists(ENTRIES, min_size=1, max_size=12), st.lists(ENTRIES, min_size=1, max_size=12)),
+    st.builds(lambda n, c: c * np.eye(n), SIZES, ENTRIES),
+    st.builds(largest_row_orthogonal_to_top, st.floats(1e-3, 1e3), st.floats(1.01, 3.0), st.integers(0, 4)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=MATRICES)
+def test_norm_lower_bound_below_spectral_norm(a):
+    assert 0.0 <= norm_lower_bound(a) <= np.linalg.norm(a, 2)
+
+
+@settings(max_examples=50, deadline=None)
+@given(a=GAUSSIAN)
+def test_norm_lower_bound_at_least_largest_row(a):
+    """The power steps start from the largest row and never lose ground."""
+    largest_row = float(np.max(np.linalg.norm(a, axis=1)))
+    assert norm_lower_bound(a) >= largest_row * (1.0 - 10 * NORM_LOWER_MARGIN)
+
+
+def test_norm_lower_bound_edge_cases():
+    for shape in ((4, 4), (0, 0), (3, 0)):
+        assert norm_lower_bound(np.zeros(shape, dtype=complex)) == 0.0
+    # subnormal entries: 1 / scale would overflow, so the trivial bound
+    assert norm_lower_bound(np.full((2, 3), 5e-324)) == 0.0
+    assert norm_lower_bound(np.eye(7)) == 1.0 - NORM_LOWER_MARGIN
+    # a start orthogonal to the top singular vector stays there: a true but loose bound
+    a = largest_row_orthogonal_to_top(1.0, 1.5, 0)
+    assert norm_lower_bound(a) == pytest.approx(1.5 * (1.0 - NORM_LOWER_MARGIN), rel=1e-15)
+    assert np.linalg.norm(a, 2) == pytest.approx(np.sqrt(3.0), rel=1e-15)
 
 
 @pytest.mark.parametrize("theta", [float("nan"), float("inf")])

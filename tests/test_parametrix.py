@@ -15,10 +15,10 @@ from qsolidtorus.parametrix import (
     oracle_matrix,
     oracle_solve,
     random_rhs,
-    zero_rhs,
 )
 from qsolidtorus.solutions import build_solution, choose_K_infinity
 from qsolidtorus.transfer import ModeIndex, build_A
+from reference import zero_rhs
 
 
 def solution_diff(res, orc):

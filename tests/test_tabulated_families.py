@@ -28,7 +28,8 @@ from qsolidtorus.solutions import (
     verify_lemma_suite,
     wronskian_residuals,
 )
-from qsolidtorus.transfer import ModeIndex, mat_abs_norm, mode_table, tail_sum_C_minus_I
+from qsolidtorus.transfer import ModeIndex, mode_table, tail_sum_C_minus_I
+from reference import mat_abs_norm
 
 
 @pytest.fixture(scope="module")

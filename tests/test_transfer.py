@@ -20,12 +20,12 @@ from qsolidtorus.transfer import (
     det2,
     invert,
     limit_product,
-    mat_abs_norm,
     mode_table,
     partial_products,
     structure_check,
     tail_sum_C_minus_I,
 )
+from reference import mat_abs_norm
 
 
 def test_build_A_worked_example(families):
