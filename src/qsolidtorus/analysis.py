@@ -96,6 +96,8 @@ class HsReport:
         return rec
 
 
+# the raw-scale sums may overflow at large |m|; the scan's finite gate reports it
+@np.errstate(over="ignore", invalid="ignore")
 def hs_norms(sol: KernelSolution, w: WeightFamily, c: CoefficientFamily) -> HsReport:
     """Direct double sums over the table for the kernel HS norms of ``sol.mode``, with bounds."""
     mode = sol.mode
@@ -362,20 +364,31 @@ class RowTable:
         return cls({name: np.concatenate([p[name] for p in parts]) for name in names})
 
 
-# json's own tokens for the non-finite floats (it writes them with allow_nan)
-_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# json's own tokens for the non-finite magnitudes (it writes them with allow_nan)
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity"}
 
 
 def _json_cells(col: np.ndarray) -> list[str]:
-    """The JSON text of every entry of a column, in row-major order."""
-    if col.dtype.kind in "iu":
-        return list(map(int.__repr__, col.ravel().tolist()))
-    if col.dtype.kind != "f":
+    """The JSON text of every entry of a column, in row-major order.
+
+    Each distinct value is formatted once.  A float is formatted by its
+    magnitude, and a negative one is "-" and that text: repr(-x) == "-" +
+    repr(x) for every non-NaN x >= +0.0, -0.0 and inf included.
+    """
+    flat = col.ravel()
+    if flat.dtype.kind in "iu":
+        vals, inv = np.unique(flat, return_inverse=True)
+        texts = list(map(int.__repr__, vals.tolist()))
+    elif flat.dtype.kind == "f":
+        mags, inv = np.unique(np.abs(flat), return_inverse=True)
+        texts = list(map(float.__repr__, mags.tolist()))
+        if not np.all(np.isfinite(mags)):
+            texts = [_JSON_NON_FINITE.get(s, s) for s in texts]
+        texts += ["-" + s for s in texts]
+        inv = inv + len(mags) * (np.signbit(flat) & ~np.isnan(flat))
+    else:
         raise TypeError(f"RowTable column of dtype {col.dtype}")
-    cells = list(map(float.__repr__, col.ravel().tolist()))
-    if not np.all(np.isfinite(col)):
-        cells = [_JSON_NON_FINITE.get(s, s) for s in cells]
-    return cells
+    return np.array(texts, dtype=object)[inv].tolist()
 
 
 def _render_rows(table: RowTable, indent: str) -> str:

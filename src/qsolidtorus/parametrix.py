@@ -25,7 +25,7 @@ import numpy as np
 
 from .families import CoefficientFamily, WeightFamily
 from .solutions import BoundaryData, KernelSolution, suffix_sum
-from .transfer import ModeIndex, invert, partial_products
+from .transfer import ModeIndex
 
 
 class WeightTagMismatch(ValueError):
@@ -252,41 +252,6 @@ def apply_XYZ(
     terms = phi * vals
     inner = suffix_sum(terms) if kind == "X" else np.cumsum(terms)
     return WeightedSeq(outer * inner, n - 1 + alpha)
-
-
-def apply_Q_direct(
-    sol: KernelSolution, r: RhsPair, k_max: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Variation-of-constants form of the inverse (testing path, small k only).
-
-    h(k) = P(k) sum_{i<=k} P(i)^-1 v(i) + alpha I(k) with v(0) the particular
-    start vector and alpha fixed by the boundary pairing against K(0)^perp.
-    """
-    m = sol.mode.m
-    t = sol.table
-    k_max = sol.k_table if k_max is None else k_max
-    parts = partial_products(t.C[:k_max])
-    v = np.zeros((k_max + 1, 2))
-    v[0] = (0.0, r.q0 / t.an[0])
-    a_row1 = t.an1[:k_max] * t.c1[:k_max]
-    a_row2 = t.an[1 : k_max + 1]
-    n_fill = min(k_max, len(r.r1.values))
-    for i in range(1, n_fill + 1):
-        rho = np.array([r.r1.values[i - 1], r.r2.values[i - 1]])
-        # A(i)^-1 for the lower-triangular step matrix, written out
-        x = rho[0] / a_row1[i - 1]
-        v[i] = (x, (rho[1] - m * x) / a_row2[i - 1])
-    s = np.zeros((k_max + 1, 2))
-    acc = np.zeros(2)
-    for i in range(k_max + 1):
-        acc = acc + invert(parts[i]) @ v[i]
-        s[i] = acc
-    k0_perp = np.array([sol.K[0, 1], -sol.K[0, 0]])
-    alpha = float(acc @ k0_perp) / sol.tau
-    h = np.empty((k_max + 1, 2))
-    for k in range(k_max + 1):
-        h[k] = parts[k] @ s[k] + alpha * sol.I[k]
-    return h[:, 0], h[:, 1]
 
 
 def oracle_matrix(

@@ -390,12 +390,12 @@ def test_outputs_deterministic_modulo_timestamp(small_config, tmp_path):
     a_dir = tmp_path / "a"
     b_dir = tmp_path / "b"
     for out in (a_dir, b_dir):
-        assert main(["--config", str(path), "--out", str(out), "solve", "--seed", "3"]) == 0
-    a = json.loads((a_dir / "solutions.json").read_text())
-    b = json.loads((b_dir / "solutions.json").read_text())
-    a["meta"].pop("generated_at")
-    b["meta"].pop("generated_at")
-    assert a == b
+        for argv in (["solve", "--seed", "3"], ["dump", "--what", "solution"], ["dump", "--what", "transfer"]):
+            assert main(["--config", str(path), "--out", str(out), *argv]) == 0
+    for name in ("solutions.json", "dump_solution.json", "dump_transfer.json"):
+        a, b = ([line for line in (out / name).read_text().splitlines() if '"generated_at": ' not in line]
+                for out in (a_dir, b_dir))
+        assert a == b, name
 
 
 def test_json_outputs_are_canonical(small_config):
@@ -519,6 +519,17 @@ def test_dump_transfer_non_finite_exit_one(overflow_config, capsys):
     assert "mode (100000, 0)" in capsys.readouterr().err
     rows = read_out(path, "dump_transfer.json")["rows"]
     assert len(rows) == 2 * cfg["truncation"]["k_max"]
+
+
+def test_scan_huge_m_no_runtime_warning(capsys, tmp_path):
+    """Modes (100000, n >= 4) build but their raw-scale HS sums overflow: the finite gate is the one report."""
+    cfg = default_config_dict()
+    cfg["output"]["dir"] = str(tmp_path / "out")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["--config", str(path), "--modes", "1,100000", "scan"]) == 1
+    out = capsys.readouterr().out
+    assert "modes with a non-finite HS sum, bound or proxy" in out
 
 
 def test_scan_overflow_exit_one(overflow_config, capsys):

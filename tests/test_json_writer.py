@@ -4,21 +4,55 @@ import json
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qsolidtorus.analysis as analysis
 from qsolidtorus.analysis import RowTable, write_json
+from qsolidtorus.cli import main
+from qsolidtorus.config import default_config_dict, load_config
+from qsolidtorus.solutions import build_solution, wronskian_residuals
+from qsolidtorus.transfer import ModeIndex, limit_product
 
 SPECIAL = st.sampled_from([0.0, -0.0, 5e-324, 2.5e-310, -1e-310, 1e16, -1e16, 1e-300, 1.0, 0.1])
 FINITE = SPECIAL | st.floats(allow_nan=False, allow_infinity=False)
-NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+NON_FINITE = st.sampled_from([math.nan, -math.nan, math.inf, -math.inf])
+# a signed zero, a sign-bit NaN, both infinities and subnormals, for one column together
+EDGES = [0.0, -0.0, -math.nan, math.nan, math.inf, -math.inf, 5e-324, -2.5e-310]
 # keys with characters that json escapes, a %, and one that sorts before the letters
 NAMES = st.text(alphabet='IKkmn_%"éA', min_size=1, max_size=4)
 
 
+def cells(draw, values, size, edges=()):
+    """``size`` draws of ``values``, or of a few of them (plus ``edges``) with repeats and random signs."""
+    if draw(st.booleans()):
+        return draw(st.lists(values, min_size=size, max_size=size))
+    pool = draw(st.lists(values, min_size=1, max_size=3)) + list(edges)
+    signed = st.tuples(st.sampled_from(pool), st.booleans()).map(lambda p: -p[0] if p[1] else p[0])
+    return draw(st.lists(signed, min_size=size, max_size=size))
+
+
+def first_difference(got: str, want: str):
+    """The first (line number, got line, wanted line) where two texts differ, or None.
+
+    Kept short on purpose: pytest's own diff of two long texts takes minutes.
+    """
+    got_lines, want_lines = got.splitlines(), want.splitlines()
+    for i, pair in enumerate(zip(got_lines, want_lines)):
+        if pair[0] != pair[1]:
+            return (i + 1, *pair)
+    if len(got_lines) != len(want_lines):
+        return (min(len(got_lines), len(want_lines)) + 1, len(got_lines), len(want_lines))
+    return None
+
+
 @st.composite
 def columns(draw):
-    """1-D int, 1-D float and (rows, w) float columns; one float column may hold NaN/inf."""
+    """1-D int, 1-D float and (rows, w) float columns; one float column may hold NaN/inf.
+
+    A column is drawn value by value, or from a few values with repeats and
+    exact +-x pairs; the NaN/inf column may hold every one of ``EDGES`` too.
+    """
     rows = draw(st.sampled_from([0, 1]) | st.integers(2, 25))
     names = draw(st.lists(NAMES, min_size=1, max_size=6, unique=True))
     wild = draw(st.sampled_from(names))
@@ -26,18 +60,22 @@ def columns(draw):
     for name in names:
         shape = draw(st.sampled_from([(), (1,), (4,)] if name == wild else ["int", (), (0,), (1,), (4,)]))
         if shape == "int":
-            ints = st.integers(-(2**62), 2**62)
-            cols[name] = np.array(draw(st.lists(ints, min_size=rows, max_size=rows)), dtype=np.int64)
+            ints = cells(draw, st.integers(-(2**62), 2**62), rows)
+            cols[name] = np.array(ints, dtype=np.int64)
             continue
         size = rows * math.prod(shape)
-        floats = FINITE | NON_FINITE if name == wild else FINITE
-        values = draw(st.lists(floats, min_size=size, max_size=size))
+        if name == wild:
+            edges = EDGES if draw(st.booleans()) else ()
+            values = cells(draw, FINITE | NON_FINITE, size, edges)
+        else:
+            values = cells(draw, FINITE, size)
         cols[name] = np.array(values, dtype=float).reshape(rows, *shape)
     return cols
 
 
 @settings(max_examples=200, deadline=None)
 @given(cols=columns(), place=st.sampled_from(["rows", "top", "nested"]))
+@example(cols={"x": np.array(EDGES + [-x for x in EDGES]).reshape(8, 2), "m": np.array([3, -3] * 4)}, place="rows")
 def test_row_table_bytes_equal_json_dumps(tmp_path_factory, cols, place):
     rows = [dict(zip(cols, vals)) for vals in zip(*(col.tolist() for col in cols.values()))]
 
@@ -58,3 +96,66 @@ def test_empty_concat_is_an_empty_list(tmp_path):
     assert len(table) == 0
     write_json(tmp_path / "t.json", {"rows": table})
     assert json.loads((tmp_path / "t.json").read_text()) == {"rows": []}
+
+
+def test_each_distinct_value_is_formatted_once(tmp_path, monkeypatch):
+    """1,000 cells of +-x pairs over 500 magnitudes take 500 float reprs; 1,000 ints of 5 values take 5."""
+    calls = {"float": 0, "int": 0}
+
+    class CountingFloat(float):
+        def __repr__(self):
+            calls["float"] += 1
+            return float.__repr__(self)
+
+    class CountingInt(int):
+        def __repr__(self):
+            calls["int"] += 1
+            return int.__repr__(self)
+
+    monkeypatch.setattr(analysis, "float", CountingFloat, raising=False)
+    monkeypatch.setattr(analysis, "int", CountingInt, raising=False)
+    mags = np.random.default_rng(3).uniform(0.5, 2.0, 500)
+    x = np.concatenate([mags, -mags])
+    m = np.arange(1000) % 5 - 2
+    write_json(tmp_path / "t.json", {"rows": RowTable({"x": x, "m": m})})
+    monkeypatch.undo()
+    rows = [{"m": int(mi), "x": float(xi)} for mi, xi in zip(m, x)]
+    want = json.dumps({"rows": rows}, indent=2, sort_keys=True)
+    assert first_difference((tmp_path / "t.json").read_text(), want) is None
+    assert calls == {"float": 500, "int": 5}
+
+
+def test_dump_tables_equal_json_dumps(tmp_path):
+    """Both dumps on a grid of +-m pairs and m = 0 are json.dumps of rows built from the arrays.
+
+    The tables of (-m, n) are sign flips of those of (m, n), so a lost or
+    doubled minus sign in the writer shows here.
+    """
+    cfg = default_config_dict()
+    cfg["grid"]["m_list"] = [0, 1, -1, 3, -3]
+    cfg["grid"]["n_list"] = [0, 2]
+    cfg["truncation"]["k_max"] = k_max = 40
+    cfg["output"]["dir"] = str(tmp_path / "out")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    conf = load_config(path)
+    expected = {"solution": [], "transfer": []}
+    for m in cfg["grid"]["m_list"]:
+        for n in cfg["grid"]["n_list"]:
+            mode = ModeIndex(m, n)
+            sol = build_solution(mode, conf.weights, conf.coeffs, k_max, rule=conf.boundary_rule)
+            res = wronskian_residuals(sol)
+            for k, ((i1, i2), (k1, k2)) in enumerate(zip(sol.I.tolist(), sol.K.tolist())):
+                rec = {"I1": i1, "I2": i2, "K1": k1, "K2": k2, "wronskian_residual": float(res[k])}
+                expected["solution"].append({**rec, "k": k, "m": m, "n": n})
+            tp = limit_product(mode, conf.weights, conf.coeffs, k_max)
+            for k in range(k_max):
+                rec = {"C": tp.table.C[k].ravel().tolist(), "P": tp.partials[k].ravel().tolist()}
+                expected["transfer"].append({**rec, "k": k, "m": m, "n": n})
+    for what, rows in expected.items():
+        assert main(["--config", str(path), "dump", "--what", what]) == 0
+        text = (tmp_path / "out" / f"dump_{what}.json").read_text()
+        meta = json.loads(text)["meta"]
+        want = json.dumps({"meta": meta, "rows": rows}, indent=2, sort_keys=True)
+        assert first_difference(text, want) is None, what
+

@@ -9,7 +9,6 @@ from qsolidtorus.parametrix import (
     WeightedSeq,
     apply_A,
     apply_Q,
-    apply_Q_direct,
     apply_XYZ,
     boundary_residual,
     oracle_matrix,
@@ -18,7 +17,7 @@ from qsolidtorus.parametrix import (
 )
 from qsolidtorus.solutions import build_solution, choose_K_infinity
 from qsolidtorus.transfer import ModeIndex, build_A
-from reference import zero_rhs
+from reference import apply_Q_direct, zero_rhs
 
 
 def solution_diff(res, orc):
