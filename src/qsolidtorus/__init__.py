@@ -26,12 +26,11 @@ from .transfer import (
     structure_check,
 )
 from .solutions import (
-    BoundaryData,
+    BoundaryRule,
     BoundaryRuleError,
     DegeneratePairingError,
     KernelSolution,
     build_solution,
-    choose_K_infinity,
     compute_I,
     compute_K,
     epsilon,
@@ -77,12 +76,11 @@ __all__ = [
     "invert",
     "limit_product",
     "structure_check",
-    "BoundaryData",
+    "BoundaryRule",
     "BoundaryRuleError",
     "DegeneratePairingError",
     "KernelSolution",
     "build_solution",
-    "choose_K_infinity",
     "compute_I",
     "compute_K",
     "epsilon",

@@ -40,7 +40,7 @@ from .families import (
     WeightFamily,
     eval_s,
 )
-from .solutions import MODE_ERRORS, KernelSolution, build_solution, suffix_sum
+from .solutions import DEFAULT_RULE, MODE_ERRORS, BoundaryRule, KernelSolution, build_solution, suffix_sum
 from .transfer import ModeIndex
 
 FUBINI_PAIRS = (
@@ -104,9 +104,7 @@ def hs_norms(sol: KernelSolution, w: WeightFamily, c: CoefficientFamily) -> HsRe
     m, n = mode.m, mode.n
     s_n = eval_s(w, n)
     s_n1 = eval_s(w, n + 1)
-    eps = sol.eps
     tau = sol.tau
-    kappa = c.kappa
     an = sol.table.an
     an1 = sol.table.an1
 
@@ -119,73 +117,59 @@ def hs_norms(sol: KernelSolution, w: WeightFamily, c: CoefficientFamily) -> HsRe
                 inner *= c2[k - 1] ** 2
             inner += 1.0 / an[k]
             hs_z += inner / an1[k]
-        hs_z = float(hs_z)
-        bound = s_n.upper * s_n1.upper
-        hs = {("Z", 0, 0): hs_z}
-        bounds = {("Z", 0, 0): bound}
-        flags = {("Z", 0, 0): bool(hs_z <= bound * (1.0 + BOUND_SLACK))}
-        return HsReport(
-            mode=mode,
-            hs=hs,
-            bounds=bounds,
-            pass_flags=flags,
-            eps=eps.value,
-            s_n=s_n.value,
-            s_n1=s_n1.value,
-            tau=tau,
-            ratio=0.0,
-            proxy=float(np.sqrt(hs_z)),
-        )
+        hs = {("Z", 0, 0): float(hs_z)}
+        bounds = {("Z", 0, 0): s_n.upper * s_n1.upper}
+        ratio = 0.0
+        proxy = float(np.sqrt(hs["Z", 0, 0]))
+    else:
+        I = sol.I
+        Kf = sol.K
+        R = 1.0 / sol.table.prefix
+        a_of = {1: an, 2: an1}
+        Ic = {1: I[:, 0], 2: I[:, 1]}
+        Kc = {1: Kf[:, 0], 2: Kf[:, 1]}
+        kernel_K = {1: R**2 * Kc[1] ** 2 / an, 2: R**2 * Kc[2] ** 2 / an1}
+        kernel_I = {1: R**2 * Ic[1] ** 2 / an, 2: R**2 * Ic[2] ** 2 / an1}
 
-    I = sol.I
-    Kf = sol.K
-    R = 1.0 / sol.table.prefix
-    a_of = {1: an, 2: an1}
-    Ic = {1: I[:, 0], 2: I[:, 1]}
-    Kc = {1: Kf[:, 0], 2: Kf[:, 1]}
-    kernel_K = {1: R**2 * Kc[1] ** 2 / an, 2: R**2 * Kc[2] ** 2 / an1}
-    kernel_I = {1: R**2 * Ic[1] ** 2 / an, 2: R**2 * Ic[2] ** 2 / an1}
+        hs = {}
+        for alpha in (1, 2):
+            out_w = Ic[alpha] ** 2 / a_of[alpha]
+            for beta in (1, 2):
+                if beta == 1:
+                    s_inner = suffix_sum(kernel_K[1])
+                else:
+                    # shifted kernel argument: the upper sum reaches the table end
+                    s_inner = suffix_sum(np.append(0.0, kernel_K[2]))[:-1]
+                hs[("X", alpha, beta)] = float(np.sum(out_w * s_inner))
+        for alpha in (1, 2):
+            out_w = Kc[alpha] ** 2 / a_of[alpha]
+            for beta in (1, 2):
+                pre = np.cumsum(kernel_I[beta])
+                if beta == 2:
+                    pre = np.concatenate(([0.0], pre[:-1]))
+                hs[("Y", alpha, beta)] = float(np.sum(out_w * pre))
 
-    hs: dict = {}
-    for alpha in (1, 2):
-        out_w = Ic[alpha] ** 2 / a_of[alpha]
-        for beta in (1, 2):
-            if beta == 1:
-                s_inner = suffix_sum(kernel_K[1])
-            else:
-                # shifted kernel argument: the upper sum reaches the table end
-                s_inner = suffix_sum(np.append(0.0, kernel_K[2]))[:-1]
-            hs[("X", alpha, beta)] = float(np.sum(out_w * s_inner))
-    for alpha in (1, 2):
-        out_w = Kc[alpha] ** 2 / a_of[alpha]
-        for beta in (1, 2):
-            pre = np.cumsum(kernel_I[beta])
-            if beta == 2:
-                pre = np.concatenate(([0.0], pre[:-1]))
-            hs[("Y", alpha, beta)] = float(np.sum(out_w * pre))
-
-    ratio = abs(sol.ratio_at_infinity)
-    bound_s = tau * tau * kappa * (eps.upper + ratio) * s_n.upper
-    bound_s1 = tau * tau * kappa * eps.upper * s_n1.upper
-    bounds = {
-        ("X", 1, 1): bound_s,
-        ("X", 1, 2): bound_s,
-        ("X", 2, 1): bound_s1,
-        ("X", 2, 2): bound_s1,
-        ("Y", 1, 1): bound_s,
-        ("Y", 2, 1): bound_s,
-        ("Y", 1, 2): bound_s1,
-        ("Y", 2, 2): bound_s1,
-    }
+        ratio = abs(sol.ratio_at_infinity)
+        bound_s = tau * tau * c.kappa * (sol.eps.upper + ratio) * s_n.upper
+        bound_s1 = tau * tau * c.kappa * sol.eps.upper * s_n1.upper
+        bounds = {
+            ("X", 1, 1): bound_s,
+            ("X", 1, 2): bound_s,
+            ("X", 2, 1): bound_s1,
+            ("X", 2, 2): bound_s1,
+            ("Y", 1, 1): bound_s,
+            ("Y", 2, 1): bound_s,
+            ("Y", 1, 2): bound_s1,
+            ("Y", 2, 2): bound_s1,
+        }
+        proxy = float(np.sqrt(sum(hs.values())) / abs(tau))
     flags = {key: bool(hs[key] <= bounds[key] * (1.0 + BOUND_SLACK)) for key in hs}
-
-    proxy = float(np.sqrt(sum(hs.values())) / abs(tau))
     return HsReport(
         mode=mode,
         hs=hs,
         bounds=bounds,
         pass_flags=flags,
-        eps=eps.value,
+        eps=sol.eps.value,
         s_n=s_n.value,
         s_n1=s_n1.value,
         tau=tau,
@@ -205,8 +189,6 @@ class ScanTable(CheckReport):
     """
 
     rows: tuple[HsReport, ...]
-    m_list: tuple[int, ...]
-    n_list: tuple[int, ...]
     checks: tuple[CheckResult, ...] = field(default_factory=tuple)
     solutions: dict = field(default_factory=dict, repr=False, compare=False)
     failures: dict = field(default_factory=dict)
@@ -246,7 +228,7 @@ def decay_scan(
     w: WeightFamily,
     c: CoefficientFamily,
     k_max: int,
-    rule="default",
+    rule: BoundaryRule = DEFAULT_RULE,
 ) -> ScanTable:
     """HS reports over a mode grid plus the decay checks along both axes.
 
@@ -300,8 +282,6 @@ def decay_scan(
     checks.append(CheckResult("eps_below_s", eps_ok, "eps(m,n) <= s(n) on the grid"))
     return ScanTable(
         rows=tuple(rows),
-        m_list=tuple(m_list),
-        n_list=tuple(n_list),
         checks=tuple(checks),
         solutions=sols,
         failures=failures,
@@ -325,18 +305,6 @@ def scan_to_files(table: ScanTable, out_dir, formats=("csv", "json"), meta: dict
         write_json(p, payload)
         written.append(p)
     return written
-
-
-def _np_default(obj):
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
 @dataclass(frozen=True)
@@ -414,19 +382,20 @@ def _render_rows(table: RowTable, indent: str) -> str:
 
 
 def write_json(path: Path, payload: dict) -> None:
-    """Write one JSON output, indented with sorted keys; numpy values become plain JSON.
+    """Write one JSON output, indented with sorted keys.
 
     A ``RowTable`` value is written from its columns, as the same bytes
     ``json.dumps`` gives for its list of row dicts, at a fraction of the time.
+    Any other value json cannot write is a TypeError.
     """
     # json writes each table as a marker string, replaced below by the table's text
     tables = []
 
     def default(obj):
-        if isinstance(obj, RowTable):
-            tables.append(obj)
-            return f"\0RowTable {len(tables) - 1}"
-        return _np_default(obj)
+        if not isinstance(obj, RowTable):
+            raise TypeError(f"not JSON serializable: {type(obj)}")
+        tables.append(obj)
+        return f"\0RowTable {len(tables) - 1}"
 
     text = json.dumps(payload, indent=2, sort_keys=True, default=default)
     for i, table in enumerate(tables):

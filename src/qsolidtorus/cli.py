@@ -38,7 +38,7 @@ def _meta(cfg: ExperimentConfig, k_max: int, seed: int | None = None) -> dict:
     meta = {
         "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "k_max": k_max,
-        "boundary_rule": cfg.boundary_name,
+        "boundary_rule": cfg.boundary.name,
     }
     if seed is not None:
         meta["seed"] = seed
@@ -111,7 +111,7 @@ def cmd_solve(
         mode = ModeIndex(m, n)
         r = rhs_map[(m, n)]
         try:
-            sol = build_solution(mode, cfg.weights, cfg.coeffs, k_max, rule=cfg.boundary_rule)
+            sol = build_solution(mode, cfg.weights, cfg.coeffs, k_max, rule=cfg.boundary)
             res = apply_Q(sol, r, k_max)
             back = apply_A(mode, cfg.weights, cfg.coeffs, res.h_g, res.h_f)
             r_norm = r.norm(cfg.weights)
@@ -157,7 +157,7 @@ def cmd_scan(
     cfg: ExperimentConfig, out_dir: Path, only_m: list[int] | None, k_max: int
 ) -> int:
     table = decay_scan(
-        _m_list(cfg, only_m), cfg.n_list, cfg.weights, cfg.coeffs, k_max, rule=cfg.boundary_rule
+        _m_list(cfg, only_m), cfg.n_list, cfg.weights, cfg.coeffs, k_max, rule=cfg.boundary
     )
     for (m, n), msg in table.failures.items():
         print(f"mode ({m}, {n}) failed: {msg}", file=sys.stderr)
@@ -215,7 +215,7 @@ def cmd_dump(
                 k_rows = k_max
                 block = {"C": tp.table.C.reshape(k_rows, 4), "P": tp.partials[:k_rows].reshape(k_rows, 4)}
             elif what == "solution":
-                sol = build_solution(mode, cfg.weights, cfg.coeffs, k_max, rule=cfg.boundary_rule)
+                sol = build_solution(mode, cfg.weights, cfg.coeffs, k_max, rule=cfg.boundary)
                 k_rows = len(sol.I)
                 block = {
                     "I1": sol.I[:, 0],

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .families import GEOMETRIC, POWER, TABULATED, UNIT, CoefficientFamily, WeightFamily
-from .solutions import default_rule
+from .solutions import DEFAULT_RULE, BoundaryRule
 
 
 class ConfigError(ValueError):
@@ -46,8 +46,7 @@ GAP_LAW = {"t1": "t1", "t2": "t2"}
 class ExperimentConfig:
     weights: WeightFamily
     coeffs: CoefficientFamily
-    boundary_rule: object
-    boundary_name: str
+    boundary: BoundaryRule
     m_list: tuple[int, ...]
     n_list: tuple[int, ...]
     k_max: int
@@ -150,26 +149,19 @@ def _coeffs_from(d: dict) -> CoefficientFamily:
     raise ConfigError(f"unknown coeffs.kind {kind!r}")
 
 
-def _boundary_from(d: dict):
+def _boundary_from(d: dict) -> BoundaryRule:
     rule = d["rule"]
     if rule == "default":
         _check_keys(d, ("rule",), "boundary")
-        return "default", "default"
+        return DEFAULT_RULE
     if rule == "table":
         _check_keys(d, ("rule", "table"), "boundary")
         if not isinstance(d.get("table"), dict):
             raise ConfigError("boundary.table must be an object mapping m to [K1(inf), K2(inf)]")
-        table = {}
-        for key, value in d["table"].items():
-            table[int_text(key, "boundary.table key")] = json_list(value, f"boundary.table.{key}", size=2)
-
-        def table_rule(m: int) -> tuple[float, float]:
-            if m in table:
-                return table[m]
-            return default_rule(m)
-
-        table_rule.__name__ = "table"
-        return table_rule, "table"
+        return BoundaryRule({
+            int_text(key, "boundary.table key"): json_list(value, f"boundary.table.{key}", size=2)
+            for key, value in d["table"].items()
+        })
     raise ConfigError(f"unknown boundary.rule {rule!r}")
 
 
@@ -193,7 +185,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
         boundary, grid, trunc, out = (
             sections[name] | raw.get(name, {}) for name in ("boundary", "grid", "truncation", "output")
         )
-        rule, rule_name = _boundary_from(boundary)
+        rule = _boundary_from(boundary)
         m_list = json_list(grid["m_list"], "grid.m_list", json_int, "integers")
         n_list = json_list(grid["n_list"], "grid.n_list", json_int, "integers")
         k_max = json_int(trunc["k_max"], "truncation.k_max")
@@ -201,7 +193,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
         out_dir = json_text(out["dir"], "output.dir")
         formats = json_list(out["formats"], "output.formats", json_text, "strings")
     except (AttributeError, TypeError, ValueError) as exc:
-        # AttributeError: a section that is not a JSON object
+        # AttributeError: a section that is not a JSON object; ValueError
+        # includes the BoundaryRuleError of an inadmissible boundary table
         raise ConfigError(f"bad configuration value: {exc}") from exc
     if not m_list or not n_list:
         raise ConfigError("grid must be nonempty")
@@ -216,8 +209,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return ExperimentConfig(
         weights=weights,
         coeffs=coeffs,
-        boundary_rule=rule,
-        boundary_name=rule_name,
+        boundary=rule,
         m_list=m_list,
         n_list=n_list,
         k_max=k_max,

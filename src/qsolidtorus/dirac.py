@@ -28,7 +28,7 @@ import numpy as np
 
 from .families import CheckReport, CheckResult, CoefficientFamily, WeightFamily
 from .parametrix import ParametrixResult, RhsPair, WeightedSeq, apply_A, apply_Q
-from .solutions import MODE_ERRORS, build_solution
+from .solutions import DEFAULT_RULE, MODE_ERRORS, BoundaryRule, build_solution
 from .transfer import ModeIndex
 
 Mode = tuple[int, int]
@@ -111,7 +111,7 @@ def apply_Q_global(
     rhs: dict[Mode, RhsPair],
     w: WeightFamily,
     c: CoefficientFamily,
-    rule="default",
+    rule: BoundaryRule = DEFAULT_RULE,
 ) -> tuple[FourierField, dict[Mode, ParametrixResult]]:
     """Per-mode inverse applied over a field, merged in (m, n) order.
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .families import CoefficientFamily, WeightFamily
-from .solutions import BoundaryData, KernelSolution, suffix_sum
+from .solutions import KernelSolution, suffix_sum
 from .transfer import ModeIndex
 
 
@@ -77,8 +77,6 @@ class ParametrixResult:
     beta: float
     boundary_residual: float
     boundary_tol: float
-    e1: np.ndarray
-    e2: np.ndarray
 
     def norm(self, w: WeightFamily) -> float:
         return float(np.sqrt(self.h_g.norm(w) ** 2 + self.h_f.norm(w) ** 2))
@@ -138,25 +136,18 @@ def _channel_inputs(r: RhsPair, k_max: int) -> tuple[np.ndarray, np.ndarray]:
     return w2, w1
 
 
-def _kernels(sol: KernelSolution, k_max: int) -> dict[str, np.ndarray]:
-    """Channel kernels of the expanded inverse, i = 0..k_max.
+def _phi(sol: KernelSolution, H: np.ndarray, beta: int, k_max: int) -> np.ndarray:
+    """The channel kernel R(i) H_beta(i) / a_{n-1+beta}(i) of table ``H``, i = 0..k_max.
 
-    The second-channel kernels carry a minus sign on the first solution
-    component (it comes from pairing against the perp vector); the first
-    channel uses the recurrence-reduced form with the shifted index i-1.
+    R = prod_{j<i} c1/c2.  The beta = 2 kernel is shifted one slot: its
+    entry i is H2(i-1)/a_{n+1}(i-1) with prefix prod_{j<=i-2}, empty at i = 0.
     """
-    I = sol.I[: k_max + 1]
-    Kf = sol.K[: k_max + 1]
-    an = sol.table.an[: k_max + 1]
-    an1 = sol.table.an1[: k_max + 1]
-    R = 1.0 / sol.table.prefix[: k_max + 1]  # prod_{j<i} c1/c2
-    phi_K2 = np.zeros(k_max + 1)
-    phi_K2[1:] = R[:-1] * Kf[:-1, 1] / an1[:-1]
-    phi_K1 = -R * Kf[:, 0] / an
-    phi_I2 = np.zeros(k_max + 1)
-    phi_I2[1:] = R[:-1] * I[:-1, 1] / an1[:-1]
-    phi_I1 = -R * I[:, 0] / an
-    return {"K2": phi_K2, "K1": phi_K1, "I2": phi_I2, "I1": phi_I1}
+    R = 1.0 / sol.table.prefix[: k_max + 1]
+    if beta == 1:
+        return R * H[: k_max + 1, 0] / sol.table.an[: k_max + 1]
+    phi = np.zeros(k_max + 1)
+    phi[1:] = R[:-1] * H[:k_max, 1] / sol.table.an1[:k_max]
+    return phi
 
 
 def apply_Q(
@@ -175,9 +166,9 @@ def apply_Q(
     if k_max > sol.k_table:
         raise ValueError("k_max exceeds the kernel solution table")
     w2, w1 = _channel_inputs(r, k_max)
-    ker = _kernels(sol, k_max)
-    x_terms = ker["K2"] * w2 + ker["K1"] * w1
-    y_terms = ker["I2"] * w2 + ker["I1"] * w1
+    # the second channel pairs against the perp vector, hence its minus sign
+    x_terms = _phi(sol, sol.K, 2, k_max) * w2 - _phi(sol, sol.K, 1, k_max) * w1
+    y_terms = _phi(sol, sol.I, 2, k_max) * w2 - _phi(sol, sol.I, 1, k_max) * w1
     e1 = suffix_sum(x_terms) / sol.tau
     e2 = np.cumsum(y_terms) / sol.tau
     I = sol.I[: k_max + 1]
@@ -201,8 +192,6 @@ def apply_Q(
         beta=float(e2[-1]),
         boundary_residual=float(residual),
         boundary_tol=float(tol),
-        e1=e1,
-        e2=e2,
     )
 
 
@@ -217,7 +206,6 @@ def apply_XYZ(
     must match a_{n-1+beta} for X/Y and a_n for Z.
     """
     n = sol.mode.n
-    t = sol.table
     vals = np.asarray(r.values, dtype=float)
     k_max = len(vals) - 1
     if k_max > sol.k_table:
@@ -225,7 +213,7 @@ def apply_XYZ(
     if kind == "Z":
         if r.level != n:
             raise WeightTagMismatch("Z input must live at level n")
-        an, c2 = t.an, t.c2
+        an, c2 = sol.table.an, sol.table.c2
         out = np.empty(k_max + 1)
         acc = 0.0
         for k in range(k_max + 1):
@@ -239,17 +227,9 @@ def apply_XYZ(
         raise ValueError("kind must be X/Y/Z with alpha, beta in {1, 2}")
     if r.level != n - 1 + beta:
         raise WeightTagMismatch(f"{kind}^{alpha}{beta} input must live at level {n - 1 + beta}")
-    R = 1.0 / t.prefix[: k_max + 1]
-    a_in = (t.an if beta == 1 else t.an1)[: k_max + 1]
     H = sol.K if kind == "X" else sol.I
     outer = (sol.I if kind == "X" else sol.K)[: k_max + 1, alpha - 1]
-    phi = np.zeros(k_max + 1)
-    if beta == 2:
-        # kernel H2(i-1)/a_{n+1}(i-1) with prefix prod_{j<=i-2}; empty at i=0
-        phi[1:] = R[:-1] * H[:k_max, 1] / a_in[:-1]
-    else:
-        phi = R * H[: k_max + 1, 0] / a_in
-    terms = phi * vals
+    terms = _phi(sol, H, beta, k_max) * vals
     inner = suffix_sum(terms) if kind == "X" else np.cumsum(terms)
     return WeightedSeq(outer * inner, n - 1 + alpha)
 
@@ -364,10 +344,10 @@ def oracle_solve(
 
 
 def boundary_residual(
-    h_g: WeightedSeq, h_f: WeightedSeq, bd: BoundaryData
+    h_g: WeightedSeq, h_f: WeightedSeq, k_inf: tuple[float, float]
 ) -> tuple[float, float]:
-    """Residual of the edge proportionality to K(inf), plus the projected beta."""
-    k1, k2 = bd.K_inf
+    """Residual of the edge proportionality to the pair ``k_inf`` = K(inf), plus the projected beta."""
+    k1, k2 = k_inf
     x_end = float(h_g.values[-1])
     y_end = float(h_f.values[-1])
     residual = abs(x_end * k2 - y_end * k1)

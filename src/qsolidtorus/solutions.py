@@ -19,8 +19,8 @@ pairing product bounds) that the parametrix norm estimates rely on.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -50,14 +50,14 @@ from .transfer import (
 )
 
 TAU_FLOOR = 1e-250
-# |m| values at which choose_K_infinity checks that a rule's ratio decays
+# |m| values at which BoundaryRule checks its signs and that its ratio decays
 M_PROBE = (1, 2, 4, 8, 16, 32, 64)
 # terms epsilon sums explicitly before its exact tail
 EPS_HEAD = 4096
 
 
 class BoundaryRuleError(ValueError):
-    """A proposed rule for K at infinity violates one of its sign conditions."""
+    """A proposed rule for K at infinity violates a sign condition or does not decay."""
 
 
 class DegeneratePairingError(ValueError):
@@ -72,7 +72,6 @@ class RangeOverflowError(OverflowError):
 # report; cli.cmd_solve adds the oracle's singular band, np.linalg.LinAlgError.
 # Anything else is a bug.
 MODE_ERRORS = (
-    BoundaryRuleError,
     DegeneratePairingError,
     HypothesisViolation,
     RangeOverflowError,
@@ -80,67 +79,52 @@ MODE_ERRORS = (
 )
 
 
-def default_rule(m: int) -> tuple[float, float]:
-    """K at infinity: (sgn(m)/(1+m^2), 1) for m != 0 and (0, 1) for m = 0."""
-    if m == 0:
-        return (0.0, 1.0)
-    return (float(np.sign(m)) / (1.0 + m * m), 1.0)
-
-
 @dataclass(frozen=True)
-class BoundaryData:
-    """Values of K at radial infinity for one mode, plus the rule's name."""
+class BoundaryRule:
+    """K at radial infinity for each m: the table's pair where it lists m, else the default.
 
-    mode: ModeIndex
-    K_inf: tuple[float, float]
-    rule: str = "default"
+    The default is (0, 1) at m = 0 and (sgn(m)/(1+m^2), 1) elsewhere;
+    ``table=None`` is the default rule.  The rule is checked once, when it is
+    built: the sign clause at every table entry and at +-M_PROBE, then the
+    decay of |K1/K2| along the positive probe (the rule is n-independent,
+    which supplies the required uniformity).
+    """
+
+    table: Mapping[int, tuple[float, float]] | None = None
+
+    def __post_init__(self):
+        for m in (*(self.table or ()), *M_PROBE, *(-p for p in M_PROBE)):
+            k1, k2 = self(m)
+            if m > 0 and not (k1 > 0 and k2 > 0):
+                clause = "m>0 requires both components of K(inf) positive"
+            elif m < 0 and not (k1 < 0 and k2 > 0):
+                clause = "m<0 requires first component negative and second positive"
+            elif m == 0 and not (k1 == 0 and k2 != 0):
+                clause = "m=0 requires first component zero and second nonzero"
+            else:
+                continue
+            raise BoundaryRuleError(f"boundary rule at m={m}: {clause}")
+        ratios = [abs(k1 / k2) for k1, k2 in map(self, M_PROBE)]
+        # finite proxy for the decay requirement: nonincreasing along the probe
+        # and at least halved across it (the default rule decays like 1/m^2)
+        rising = [m for m, r0, r1 in zip(M_PROBE[1:], ratios, ratios[1:]) if not r1 <= r0 + 1e-15]
+        if rising or (ratios[0] > 0 and ratios[-1] > 0.5 * ratios[0]):
+            m = rising[0] if rising else M_PROBE[-1]
+            raise BoundaryRuleError(f"boundary rule at m={m}: |K1(inf)/K2(inf)| must decay to 0 as |m| grows")
 
     @property
-    def ratio(self) -> float:
-        return self.K_inf[0] / self.K_inf[1]
+    def name(self) -> str:
+        return "default" if self.table is None else "table"
+
+    def __call__(self, m: int) -> tuple[float, float]:
+        if self.table is not None and m in self.table:
+            return self.table[m]
+        if m == 0:
+            return (0.0, 1.0)
+        return (float(np.sign(m)) / (1.0 + m * m), 1.0)
 
 
-def _check_conditions(m: int, k1: float, k2: float) -> str | None:
-    if m > 0 and not (k1 > 0 and k2 > 0):
-        return "m>0 requires both components of K(inf) positive"
-    if m < 0 and not (k1 < 0 and k2 > 0):
-        return "m<0 requires first component negative and second positive"
-    if m == 0 and not (k1 == 0 and k2 != 0):
-        return "m=0 requires first component zero and second nonzero"
-    return None
-
-
-def choose_K_infinity(
-    mode: ModeIndex,
-    rule: str | Callable[[int], tuple[float, float]] = "default",
-) -> BoundaryData:
-    """Evaluate a boundary rule for one mode, validating all four conditions.
-
-    Custom rules are callables m -> (K1(inf), K2(inf)); the decay condition is
-    checked as a monotone bound in |m| on the probe set (the rule itself is
-    n-independent, which supplies the required uniformity).
-    """
-    fn = default_rule if rule == "default" else rule
-    name = "default" if rule == "default" else getattr(rule, "__name__", "custom")
-    k1, k2 = fn(mode.m)
-    clause = _check_conditions(mode.m, k1, k2)
-    if clause is not None:
-        raise BoundaryRuleError(clause)
-    ratios = []
-    for m in M_PROBE:
-        for sgn in (1, -1):
-            v1, v2 = fn(sgn * m)
-            cl = _check_conditions(sgn * m, v1, v2)
-            if cl is not None:
-                raise BoundaryRuleError(cl)
-            ratios.append(abs(v1 / v2))
-    pairs = ratios[0::2]
-    # finite proxy for the decay requirement: nonincreasing along the probe
-    # and at least halved across it (the default rule decays like 1/m^2)
-    monotone = all(pairs[j + 1] <= pairs[j] + 1e-15 for j in range(len(pairs) - 1))
-    if not monotone or (pairs[0] > 0 and pairs[-1] > 0.5 * pairs[0]):
-        raise BoundaryRuleError("|K1(inf)/K2(inf)| must decay to 0 as |m| grows")
-    return BoundaryData(mode=mode, K_inf=(k1, k2), rule=name)
+DEFAULT_RULE = BoundaryRule()
 
 
 def compute_I(
@@ -168,9 +152,9 @@ def compute_K(
     w: WeightFamily,
     c: CoefficientFamily,
     k_hi: int,
-    bd: BoundaryData,
+    k_inf: tuple[float, float],
 ) -> tuple[np.ndarray, float]:
-    """Backward table K(0..k_hi) seeded by K(k_hi) := K(inf).
+    """Backward table K(0..k_hi) seeded by K(k_hi) := k_inf, the pair K(inf).
 
     Returns the table and the tail certificate sum_{k >= k_hi} ||C - I||_1,
     which controls how far the seeded solution can drift from one seeded
@@ -182,7 +166,7 @@ def compute_K(
     # explicit 2x2 inverses adj(C)/det C for every step, then a plain-float sweep
     inv = np.stack((c_arr[:, 1, 1], -c_arr[:, 0, 1], -c_arr[:, 1, 0], c_arr[:, 0, 0]), axis=1)
     inv /= (table.c2 / table.c1)[:, None]
-    x, y = float(bd.K_inf[0]), float(bd.K_inf[1])
+    x, y = float(k_inf[0]), float(k_inf[1])
     rows = [(x, y)]
     for i00, i01, i10, i11 in reversed(inv.tolist()):
         x, y = i00 * x + i01 * y, i10 * x + i11 * y
@@ -198,7 +182,6 @@ class KernelSolution:
     I: np.ndarray
     K: np.ndarray
     K_inf: tuple[float, float]
-    rule: str
     tau: float
     eps: SeriesValue
     seed_tail_bound: float
@@ -253,7 +236,7 @@ def build_solution(
     w: WeightFamily,
     c: CoefficientFamily,
     k_max: int,
-    rule: str | Callable[[int], tuple[float, float]] = "default",
+    rule: BoundaryRule = DEFAULT_RULE,
 ) -> KernelSolution:
     """Assemble the I/K tables for one mode on its table of per-mode data.
 
@@ -261,10 +244,10 @@ def build_solution(
     the truncation edge; ``seed_tail_bound`` certifies the drift from a
     deeper seed.
     """
-    bd = choose_K_infinity(mode, rule)
+    k_inf = rule(mode.m)
     table = mode_table(mode, w, c, k_max)
     I_tab = compute_I(mode, w, c, k_max)
-    K_tab, seed_tail = compute_K(mode, w, c, k_max, bd)
+    K_tab, seed_tail = compute_K(mode, w, c, k_max, k_inf)
     tau = tau_of_tables(I_tab, K_tab)
     if abs(tau) < TAU_FLOOR or not np.isfinite(tau):
         raise DegeneratePairingError(
@@ -275,8 +258,7 @@ def build_solution(
         mode=mode,
         I=I_tab,
         K=K_tab,
-        K_inf=bd.K_inf,
-        rule=bd.rule,
+        K_inf=k_inf,
         tau=tau,
         eps=eps,
         seed_tail_bound=seed_tail,

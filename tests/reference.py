@@ -80,3 +80,19 @@ def apply_Q_direct(
     for k in range(k_max + 1):
         h[k] = parts[k] @ s[k] + alpha * sol.I[k]
     return h[:, 0], h[:, 1]
+
+
+def first_difference(got: str, want: str):
+    r"""The first (line number, got line, wanted line) where two texts differ, or None.
+
+    None exactly when ``got == want``: the texts are split at "\n" only, so a
+    trailing newline or a "\r" is a difference.  Kept short on purpose:
+    pytest's own diff of two long texts takes minutes.
+    """
+    got_lines, want_lines = got.split("\n"), want.split("\n")
+    for i, pair in enumerate(zip(got_lines, want_lines)):
+        if pair[0] != pair[1]:
+            return (i + 1, *pair)
+    if len(got_lines) != len(want_lines):
+        return (min(len(got_lines), len(want_lines)) + 1, len(got_lines), len(want_lines))
+    return None

@@ -7,6 +7,7 @@ import pytest
 from qsolidtorus.cli import main
 from qsolidtorus.config import ConfigError, default_config_dict, load_config
 from qsolidtorus.families import CoefficientFamily, WeightFamily
+from reference import first_difference
 
 
 @pytest.fixture()
@@ -328,20 +329,34 @@ def test_solve_missing_rhs_file_exit_two(small_config, tmp_path):
     assert main(["--config", str(path), "solve", "--rhs", str(tmp_path / "none.json")]) == 2
 
 
-def test_solve_degenerate_boundary_rule_exit_one(tmp_path, capsys):
+# an inadmissible table entry on the grid, off the grid, at m = 0, and a table
+# whose ratio does not decay
+BAD_BOUNDARY_TABLES = {
+    "grid-entry": ({"2": [-0.2, 1.0]}, "at m=2: m>0 requires both components of K(inf) positive"),
+    "off-grid-entry": ({"100": [-0.2, 1.0]}, "at m=100: m>0 requires both components of K(inf) positive"),
+    "m-zero-entry": ({"0": [0.1, 1.0]}, "at m=0: m=0 requires first component zero and second nonzero"),
+    "no-decay": (
+        {str(s * m): [0.9 * s, 1.0] for m in (1, 2, 4, 8, 16, 32, 64) for s in (1, -1)},
+        "|K1(inf)/K2(inf)| must decay to 0 as |m| grows",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_BOUNDARY_TABLES))
+def test_inadmissible_boundary_table_exit_two(tmp_path, capsys, case):
+    """The boundary rule is checked when the config is read, for every command and every entry."""
+    table, clause = BAD_BOUNDARY_TABLES[case]
     cfg = default_config_dict()
-    cfg["grid"]["m_list"] = [2]
-    cfg["grid"]["n_list"] = [0]
+    cfg["grid"] = {"m_list": [0, 1, 2], "n_list": [0, 1]}
     cfg["truncation"]["k_max"] = 16
-    cfg["boundary"] = {"rule": "table", "table": {"2": [-0.2, 1.0]}}
+    cfg["boundary"] = {"rule": "table", "table": table}
     cfg["output"]["dir"] = str(tmp_path / "out")
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
-    assert main(["--config", str(path), "solve"]) == 1
-    err = capsys.readouterr().err
-    assert "mode (2, 0)" in err
-    payload = json.loads((tmp_path / "out" / "solutions.json").read_text())
-    assert any("error" in rec for rec in payload["solutions"])
+    for argv in (["validate"], ["solve"], ["scan"], ["dump", "--what", "solution"], ["dump", "--what", "transfer"]):
+        assert main(["--config", str(path), *argv]) == 2, argv
+        assert clause in capsys.readouterr().err, argv
+    assert not (tmp_path / "out").exists()
 
 
 def test_scan_default_exit_zero(small_config):
@@ -393,9 +408,9 @@ def test_outputs_deterministic_modulo_timestamp(small_config, tmp_path):
         for argv in (["solve", "--seed", "3"], ["dump", "--what", "solution"], ["dump", "--what", "transfer"]):
             assert main(["--config", str(path), "--out", str(out), *argv]) == 0
     for name in ("solutions.json", "dump_solution.json", "dump_transfer.json"):
-        a, b = ([line for line in (out / name).read_text().splitlines() if '"generated_at": ' not in line]
+        a, b = ("\n".join(line for line in (out / name).read_text().splitlines() if '"generated_at": ' not in line)
                 for out in (a_dir, b_dir))
-        assert a == b, name
+        assert first_difference(a, b) is None, name
 
 
 def test_json_outputs_are_canonical(small_config):
@@ -411,7 +426,7 @@ def test_json_outputs_are_canonical(small_config):
     ]
     for f in files:
         text = f.read_text()
-        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True), f.name
+        assert first_difference(text, json.dumps(json.loads(text), indent=2, sort_keys=True)) is None, f.name
 
 
 def test_kmax_override(small_config):

@@ -13,6 +13,7 @@ from qsolidtorus.cli import main
 from qsolidtorus.config import default_config_dict, load_config
 from qsolidtorus.solutions import build_solution, wronskian_residuals
 from qsolidtorus.transfer import ModeIndex, limit_product
+from reference import first_difference
 
 SPECIAL = st.sampled_from([0.0, -0.0, 5e-324, 2.5e-310, -1e-310, 1e16, -1e16, 1e-300, 1.0, 0.1])
 FINITE = SPECIAL | st.floats(allow_nan=False, allow_infinity=False)
@@ -30,20 +31,6 @@ def cells(draw, values, size, edges=()):
     pool = draw(st.lists(values, min_size=1, max_size=3)) + list(edges)
     signed = st.tuples(st.sampled_from(pool), st.booleans()).map(lambda p: -p[0] if p[1] else p[0])
     return draw(st.lists(signed, min_size=size, max_size=size))
-
-
-def first_difference(got: str, want: str):
-    """The first (line number, got line, wanted line) where two texts differ, or None.
-
-    Kept short on purpose: pytest's own diff of two long texts takes minutes.
-    """
-    got_lines, want_lines = got.splitlines(), want.splitlines()
-    for i, pair in enumerate(zip(got_lines, want_lines)):
-        if pair[0] != pair[1]:
-            return (i + 1, *pair)
-    if len(got_lines) != len(want_lines):
-        return (min(len(got_lines), len(want_lines)) + 1, len(got_lines), len(want_lines))
-    return None
 
 
 @st.composite
@@ -143,7 +130,7 @@ def test_dump_tables_equal_json_dumps(tmp_path):
     for m in cfg["grid"]["m_list"]:
         for n in cfg["grid"]["n_list"]:
             mode = ModeIndex(m, n)
-            sol = build_solution(mode, conf.weights, conf.coeffs, k_max, rule=conf.boundary_rule)
+            sol = build_solution(mode, conf.weights, conf.coeffs, k_max, rule=conf.boundary)
             res = wronskian_residuals(sol)
             for k, ((i1, i2), (k1, k2)) in enumerate(zip(sol.I.tolist(), sol.K.tolist())):
                 rec = {"I1": i1, "I2": i2, "K1": k1, "K2": k2, "wronskian_residual": float(res[k])}

@@ -7,9 +7,10 @@ import pytest
 from qsolidtorus.config import DEFAULT_GRID_M, DEFAULT_GRID_N
 from qsolidtorus.families import CoefficientFamily, WeightFamily, eval_s
 from qsolidtorus.solutions import (
+    M_PROBE,
+    BoundaryRule,
     BoundaryRuleError,
     build_solution,
-    choose_K_infinity,
     compute_I,
     compute_K,
     epsilon,
@@ -22,23 +23,47 @@ from qsolidtorus.transfer import ModeIndex, mode_table, partial_products, scalar
 
 
 def test_default_boundary_rule_values():
-    assert choose_K_infinity(ModeIndex(2, 0)).K_inf == (0.2, 1.0)
-    assert choose_K_infinity(ModeIndex(-2, 3)).K_inf == (-0.2, 1.0)
-    assert choose_K_infinity(ModeIndex(0, 1)).K_inf == (0.0, 1.0)
+    assert BoundaryRule()(2) == (0.2, 1.0)
+    assert BoundaryRule()(-2) == (-0.2, 1.0)
+    assert BoundaryRule()(0) == (0.0, 1.0)
 
 
 def test_custom_rule_rejected_with_clause():
-    def bad_sign(m):
-        return (-0.5, 1.0) if m > 0 else ((0.5, 1.0) if m < 0 else (0.0, 1.0))
-
     with pytest.raises(BoundaryRuleError, match="m>0"):
-        choose_K_infinity(ModeIndex(1, 0), bad_sign)
+        BoundaryRule({1: (-0.5, 1.0)})
 
-    def no_decay(m):
-        return (0.9 * np.sign(m), 1.0) if m != 0 else (0.0, 1.0)
-
+    no_decay = {s * m: (0.9 * s, 1.0) for m in M_PROBE for s in (1, -1)}
     with pytest.raises(BoundaryRuleError, match="decay"):
-        choose_K_infinity(ModeIndex(1, 0), no_decay)
+        BoundaryRule(no_decay)
+
+
+def test_boundary_rule_values_and_table_lookup():
+    """The default rule is the closed form bit for bit; a table rule overrides only its entries."""
+    entries = {0: (0.0, 2.0), 2: (0.3, 1.5), -300: (-1e-9, 3.0)}
+    default, table = BoundaryRule(), BoundaryRule(entries)
+    assert (default.name, table.name, BoundaryRule({}).name) == ("default", "table", "table")
+    for m in range(-300, 301):
+        expected = (0.0, 1.0) if m == 0 else (float(np.sign(m)) / (1.0 + m * m), 1.0)
+        # repr tells apart -0.0 and a numpy scalar, which == does not
+        assert repr(default(m)) == repr(expected), m
+        assert repr(table(m)) == repr(entries.get(m, expected)), m
+
+
+@pytest.mark.parametrize(
+    ("table", "clause"),
+    [
+        ({100: (-0.2, 1.0)}, "m=100: m>0"),
+        ({-3: (0.1, 1.0)}, "m=-3: m<0"),
+        ({0: (0.0, 0.0)}, "m=0: m=0"),
+        ({4: (0.5, 1.0)}, "m=4: .*decay"),
+        ({s * 64: (0.4 * s, 1.0) for s in (1, -1)}, "m=64: .*decay"),
+    ],
+    ids=["off-probe-entry", "negative-m", "zero-k2", "rising-ratio", "ratio-not-halved"],
+)
+def test_boundary_rule_checked_once_when_built(table, clause):
+    """Every table entry is checked, in or out of the probe, and the error names its m."""
+    with pytest.raises(BoundaryRuleError, match=clause):
+        BoundaryRule(table)
 
 
 def test_I_normalization_and_first_step(families):
@@ -60,17 +85,16 @@ def test_I_diagonal_mode_is_coefficient_product(families):
 
 def test_K_diagonal_mode(families, unit_coeffs):
     w, c = families
-    bd = choose_K_infinity(ModeIndex(0, 1))
-    K_tab, _ = compute_K(ModeIndex(0, 1), w, c, 16, bd)
+    k_inf = BoundaryRule()(0)
+    K_tab, _ = compute_K(ModeIndex(0, 1), w, c, 16, k_inf)
     assert np.all(K_tab[:, 0] == 0.0)
-    K_unit, _ = compute_K(ModeIndex(0, 1), w, unit_coeffs, 16, bd)
+    K_unit, _ = compute_K(ModeIndex(0, 1), w, unit_coeffs, 16, k_inf)
     assert np.all(K_unit == np.array([0.0, 1.0]))
 
 
 def test_K_positive_and_monotone_for_positive_m(families):
     w, c = families
-    bd = choose_K_infinity(ModeIndex(1, 0))
-    K_tab, tail = compute_K(ModeIndex(1, 0), w, c, 32, bd)
+    K_tab, tail = compute_K(ModeIndex(1, 0), w, c, 32, BoundaryRule()(1))
     assert np.all(K_tab > 0)
     assert np.all(np.diff(K_tab[:, 1]) <= 0)
     assert tail > 0
@@ -185,11 +209,11 @@ def test_compute_K_tolerance_guard(families):
     from qsolidtorus.transfer import tail_sum_C_minus_I
 
     w, c = families
-    bd = choose_K_infinity(ModeIndex(8, 0))
-    tab, tail = compute_K(ModeIndex(8, 0), w, c, 32, bd)
+    k_inf = BoundaryRule()(8)
+    tab, tail = compute_K(ModeIndex(8, 0), w, c, 32, k_inf)
     assert tail == tail_sum_C_minus_I(ModeIndex(8, 0), w, c, 32)
     assert 1e-12 < tail <= 10.0 and tab.shape == (33, 2)
-    assert tuple(tab[32]) == bd.K_inf
+    assert tuple(tab[32]) == k_inf
 
 
 def test_compute_I_overflow_guard(families):
@@ -246,16 +270,16 @@ def test_scalar_sweeps_match_matmul_reference(families):
             for k in range(K):
                 ref_I[k + 1] = C[k] @ ref_I[k]
                 ref_P[k + 1] = C[k] @ ref_P[k]
-            bd = choose_K_infinity(mode)
+            k_inf = BoundaryRule()(m)
             ks = np.arange(K)
             dets = np.asarray(c.c(2, n, ks)) / np.asarray(c.c(1, n, ks))
             ref_K = np.empty((K + 1, 2))
-            ref_K[K] = bd.K_inf
+            ref_K[K] = k_inf
             for k in range(K - 1, -1, -1):
                 adj = np.array([[C[k, 1, 1], -C[k, 0, 1]], [-C[k, 1, 0], C[k, 0, 0]]])
                 ref_K[k] = adj / dets[k] @ ref_K[k + 1]
             worst["I"] = max(worst["I"], _row_rel_gap(compute_I(mode, w, c, K), ref_I))
-            worst["K"] = max(worst["K"], _row_rel_gap(compute_K(mode, w, c, K, bd)[0], ref_K))
+            worst["K"] = max(worst["K"], _row_rel_gap(compute_K(mode, w, c, K, k_inf)[0], ref_K))
             worst["P"] = max(worst["P"], _row_rel_gap(partial_products(C), ref_P))
     assert all(np.isfinite(v) and v <= 1e-14 for v in worst.values()), worst
 
