@@ -40,7 +40,8 @@ from .families import (
     WeightFamily,
     eval_s,
 )
-from .solutions import DEFAULT_RULE, MODE_ERRORS, BoundaryRule, KernelSolution, build_solution, suffix_sum
+from .solutions import DEFAULT_RULE, MODE_ERRORS, BoundaryRule, KernelSolution, build_solution
+from .solutions import cumulative_product_sum, suffix_sum
 from .transfer import ModeIndex
 
 FUBINI_PAIRS = (
@@ -109,15 +110,9 @@ def hs_norms(sol: KernelSolution, w: WeightFamily, c: CoefficientFamily) -> HsRe
     an1 = sol.table.an1
 
     if m == 0:
-        c2 = sol.table.c2
-        hs_z = 0.0
-        inner = 0.0
-        for k in range(sol.k_table + 1):
-            if k > 0:
-                inner *= c2[k - 1] ** 2
-            inner += 1.0 / an[k]
-            hs_z += inner / an1[k]
-        hs = {("Z", 0, 0): float(hs_z)}
+        inner = cumulative_product_sum(1.0 / an, sol.table.c2**2)
+        # summed in order: np.sum adds pairwise, which rounds differently
+        hs = {("Z", 0, 0): float(np.cumsum(inner / an1)[-1])}
         bounds = {("Z", 0, 0): s_n.upper * s_n1.upper}
         ratio = 0.0
         proxy = float(np.sqrt(hs["Z", 0, 0]))

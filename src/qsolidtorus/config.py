@@ -1,12 +1,13 @@
 """Experiment configuration: one JSON file drives every CLI command.
 
 Keys: weights.{kind, lambda, p, q | table, tail}; coeffs.{kind, t1, t2,
-kappa | table1, table2, tail, kappa}; boundary.{rule, table};
+kappa | kind, kappa | table1, table2, tail, kappa}; boundary.{rule, table};
 grid.{m_list, n_list}; truncation.{k_max, tol_residual}; output.{dir,
-formats}.  A tabulated family's tail object holds its rule, its constant
-value and its law's parameters (lambda/p/q or t1/t2).  An unknown key in any
-section is an error; which keys a family or boundary section accepts depends
-on its kind or rule.
+formats}.  A family section's kind names its law, or a table continued by the
+law its tail object names in "rule"; the section or tail object holds exactly
+that law's keys (LAWS), but for the unit family, the constant law at its
+default level 1, which holds none.  An unknown key in any section is an error;
+which keys a boundary section accepts depends on its rule.
 
 Each default is written once.  A family section passes only the keys it
 holds, so an absent one takes the WeightFamily/CoefficientFamily default;
@@ -26,7 +27,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .families import GEOMETRIC, POWER, TABULATED, UNIT, CoefficientFamily, WeightFamily
+from .families import CoefficientFamily, WeightFamily
 from .solutions import DEFAULT_RULE, BoundaryRule
 
 
@@ -37,9 +38,14 @@ class ConfigError(ValueError):
 DEFAULT_GRID_M = (0, 1, -1, 2, -2, 4, -4, 8, -8, 16, -16, 32, -32)
 DEFAULT_GRID_N = (0, 1, 2, 4, 8, 16)
 OUTPUT_FORMATS = ("csv", "json")
-# a law's JSON keys and the family fields they set
-POWER_LAW = {"lambda": "lam", "p": "p", "q": "q"}
-GAP_LAW = {"t1": "t1", "t2": "t2"}
+# the family sections' kinds, as JSON spells them
+POWER, TABULATED, UNIT, GEOMETRIC = "power-family", "tabulated", "unit", "geometric-gap"
+# each law's JSON keys and the family fields they set
+LAWS = {
+    "power": {"lambda": "lam", "p": "p", "q": "q"},
+    "geometric": {"t1": "t1", "t2": "t2"},
+    "constant": {"value": "tail_value"},
+}
 
 
 @dataclass(frozen=True)
@@ -114,38 +120,42 @@ def _present(d: dict, keys: dict[str, str], where: str, read=json_number) -> dic
     return {name: read(d[key], f"{where}.{key}") for key, name in keys.items() if key in d}
 
 
-def _tail(d: dict, law: dict[str, str], where: str) -> dict:
-    """The fields a tabulated family's tail object sets: its rule, its constant value and its law."""
+def _tail(d: dict, laws: tuple[str, ...], where: str) -> dict:
+    """The fields a tabulated family's tail object sets: its rule and that law's keys.
+
+    The rule is one of the family's ``laws``, the first by default.
+    """
     tail = d.get("tail", {})
-    _check_keys(tail, ("rule", "value", *law), where)
-    return {
-        **_present(tail, {"rule": "tail_rule"}, where, json_text),
-        **_present(tail, {"value": "tail_value", **law}, where),
-    }
+    rule = json_text(tail.get("rule", laws[0]), f"{where}.rule")
+    # a rule that is not one of the family's laws is the family's error to raise
+    law = LAWS[rule] if rule in laws else {}
+    _check_keys(tail, ("rule", *law), where)
+    return {"tail_rule": rule, **_present(tail, law, where)}
 
 
 def _weights_from(d: dict) -> WeightFamily:
-    kind = d.get("kind", WeightFamily.kind)
+    kind = d.get("kind", POWER)
     if kind == POWER:
-        _check_keys(d, ("kind", *POWER_LAW), "weights")
-        return WeightFamily(kind=kind, **_present(d, POWER_LAW, "weights"))
+        _check_keys(d, ("kind", *LAWS["power"]), "weights")
+        return WeightFamily(**_present(d, LAWS["power"], "weights"))
     if kind == TABULATED:
         _check_keys(d, ("kind", "table", "tail"), "weights")
         table = _present(d, {"table": "table"}, "weights", _rows)
-        return WeightFamily(kind=kind, **table, **_tail(d, POWER_LAW, "weights.tail"))
+        return WeightFamily(**table, **_tail(d, ("power", "constant"), "weights.tail"))
     raise ConfigError(f"unknown weights.kind {kind!r}")
 
 
 def _coeffs_from(d: dict) -> CoefficientFamily:
-    kind = d.get("kind", CoefficientFamily.kind)
+    kind, kappa = d.get("kind", GEOMETRIC), _present(d, {"kappa": "kappa"}, "coeffs")
     if kind in (GEOMETRIC, UNIT):
-        _check_keys(d, ("kind", "kappa", *GAP_LAW), "coeffs")
-        return CoefficientFamily(kind=kind, **_present(d, {"kappa": "kappa", **GAP_LAW}, "coeffs"))
+        # the unit family is the constant law at its default level 1, so it reads no law key
+        rule, law = ("geometric", LAWS["geometric"]) if kind == GEOMETRIC else ("constant", {})
+        _check_keys(d, ("kind", "kappa", *law), "coeffs")
+        return CoefficientFamily(tail_rule=rule, **kappa, **_present(d, law, "coeffs"))
     if kind == TABULATED:
         _check_keys(d, ("kind", "kappa", "table1", "table2", "tail"), "coeffs")
         tables = _present(d, {"table1": "table1", "table2": "table2"}, "coeffs", json_list)
-        kappa = _present(d, {"kappa": "kappa"}, "coeffs")
-        return CoefficientFamily(kind=kind, **tables, **kappa, **_tail(d, GAP_LAW, "coeffs.tail"))
+        return CoefficientFamily(**tables, **kappa, **_tail(d, ("geometric", "constant"), "coeffs.tail"))
     raise ConfigError(f"unknown coeffs.kind {kind!r}")
 
 
@@ -223,8 +233,8 @@ def default_config_dict() -> dict:
     """The full default config; the family sections hold the family dataclasses' defaults."""
     w, c = WeightFamily(), CoefficientFamily()
     return {
-        "weights": {"kind": w.kind, "lambda": w.lam, "p": w.p, "q": w.q},
-        "coeffs": {"kind": c.kind, "t1": c.t1, "t2": c.t2, "kappa": c.kappa},
+        "weights": {"kind": POWER, "lambda": w.lam, "p": w.p, "q": w.q},
+        "coeffs": {"kind": GEOMETRIC, "t1": c.t1, "t2": c.t2, "kappa": c.kappa},
         "boundary": {"rule": "default"},
         "grid": {"m_list": list(DEFAULT_GRID_M), "n_list": list(DEFAULT_GRID_N)},
         "truncation": {"k_max": 128, "tol_residual": 1e-9},

@@ -262,6 +262,7 @@ def trace_bound_terms(
 
 NORM_POWER_STEPS = 4
 NORM_LOWER_MARGIN = 1e-8  # relative; far above the matvec rounding, n^1.5 eps = 1.5e-13 at n = 121
+COMM_TOL = 1e-15  # the largest commutation residual algebra_sanity accepts
 
 
 def norm_lower_bound(a: np.ndarray) -> float:
@@ -302,7 +303,6 @@ def algebra_sanity(
     rng: np.random.Generator | None = None,
     n_roundtrip: int = 5,
     n_trace: int = 25,
-    tol_comm: float = 1e-15,
 ) -> AlgebraReport:
     """Finite-size checks of the generator relations and the trace functional.
 
@@ -321,7 +321,7 @@ def algebra_sanity(
     resid = _worst(np.abs(lhs[rows, cols] - rhs[rows, cols]))
     worst["commutation"] = resid
     checks.append(
-        CheckResult("commutation_VU_phase_UV", resid <= tol_comm, f"residual {resid:.3g}")
+        CheckResult("commutation_VU_phase_UV", resid <= COMM_TOL, f"residual {resid:.3g}")
     )
 
     # f(K) is diagonal: left and right products scale rows and columns
@@ -332,7 +332,7 @@ def algebra_sanity(
     checks.append(
         CheckResult(
             "diagonal_function_shifts",
-            worst["diag_commutation"] <= tol_comm,
+            worst["diag_commutation"] <= COMM_TOL,
             f"residuals {r1:.3g}, {r2:.3g}",
         )
     )

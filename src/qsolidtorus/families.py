@@ -10,9 +10,10 @@ Every series or product evaluated here comes back as a SeriesValue carrying a
 rigorous bound on the omitted tail, so downstream checks can use certified
 brackets instead of bare truncations.
 
-This is the only module that reads a family's kind.  Each family is a table
-row (empty unless tabulated) over one law, evaluated vectorised over k, and
-each tail below is the row past k0 plus the law's tail from max(k0, len(row)).
+Each family is its table rows (none by default) continued by one law, its
+tail_rule, evaluated vectorised over k; each law checks its own parameters when
+the family is built, with or without a table in front of it.  Each tail below
+is the row past k0 plus the law's tail from max(k0, len(row)).
 """
 
 from __future__ import annotations
@@ -24,13 +25,10 @@ from fractions import Fraction
 
 import numpy as np
 
-POWER = "power-family"
-TABULATED = "tabulated"
-UNIT = "unit"
-GEOMETRIC = "geometric-gap"
-
 # Determinants and products below this are treated as numerically collapsed.
 COLLAPSE_FLOOR = 1e-300
+SERIES_TOL = 1e-12  # the tail tolerance of s(n) and of J_i(n) unless eval_J is given one
+PROBE_K = 64  # validate_hypotheses probes the families at k < PROBE_K
 
 
 class HypothesisViolation(ValueError):
@@ -60,18 +58,13 @@ class SeriesValue:
 
 @dataclass(frozen=True)
 class WeightFamily:
-    """Radial weights a_n(k).
+    """Radial weights a_n(k): the rows table[n][k] (none by default) continued by one law.
 
-    kind "power-family": a_n(k) = lam * (n+1)**p * (k+1)**q.
-    kind "tabulated": explicit rows table[n][k] continued by the declared tail
-    rule ("power" with the lam/p/q parameters, or "constant" with tail_value,
-    the latter making 1/a_n non-summable).
-
-    Every kind is a table row (empty for the power family) over one law, so
-    each quantity below is the row's part plus the law's part past the row.
+    tail_rule "power": a_n(k) = lam * (n+1)**p * (k+1)**q, lam > 0, p >= 1.
+    tail_rule "constant": a_n(k) = tail_value > 0, which makes 1/a_n non-summable.
+    Each quantity below is the row's part plus the law's part past the row.
     """
 
-    kind: str = POWER
     lam: float = 1.0
     p: float = 1.0
     q: float = 2.0
@@ -80,34 +73,29 @@ class WeightFamily:
     tail_value: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.kind not in (POWER, TABULATED):
-            raise ValueError(f"unknown weight family kind {self.kind!r}")
-        if not (self.lam > 0):
-            raise ValueError("scale lam must be positive")
-        if self.kind == POWER and self.p < 1:
-            raise ValueError("mode exponent p must be >= 1")
-        if self.kind == TABULATED:
-            if self.tail_rule not in ("power", "constant"):
-                raise ValueError(f"unknown weight tail rule {self.tail_rule!r}")
-            for row in self.table:
-                if any(not (v > 0) for v in row):
-                    raise ValueError("tabulated weights must be positive")
-            if self.tail_rule == "constant" and not (self.tail_value > 0):
+        if self.tail_rule == "power":
+            if not (self.lam > 0):
+                raise ValueError("scale lam must be positive")
+            if not (self.p >= 1):
+                raise ValueError("mode exponent p must be >= 1")
+        elif self.tail_rule == "constant":
+            if not (self.tail_value > 0):
                 raise ValueError("constant tail level must be positive")
-
-    @property
-    def _constant(self) -> bool:
-        return self.kind == TABULATED and self.tail_rule == "constant"
+        else:
+            raise ValueError(f"unknown weight tail rule {self.tail_rule!r}")
+        for row in self.table:
+            if any(not (v > 0) for v in row):
+                raise ValueError("tabulated weights must be positive")
 
     def _row(self, n: int) -> tuple[float, ...]:
-        return self.table[n] if self.kind == TABULATED and n < len(self.table) else ()
+        return self.table[n] if n < len(self.table) else ()
 
     def _scale(self, n: int) -> float:
         return self.lam * (n + 1) ** self.p
 
     def a(self, n: int, k):
         """Evaluate a_n(k); k may be an integer or an integer array."""
-        if self._constant:
+        if self.tail_rule == "constant":
             law = np.full(np.shape(k), self.tail_value)
         else:
             law = self._scale(n) * np.asarray(k + 1, dtype=float) ** self.q
@@ -118,14 +106,12 @@ class WeightFamily:
 class CoefficientFamily:
     """Gap coefficients c_{i,n}(k), i in {1, 2}, with uniformity constant kappa.
 
-    kind "geometric-gap": c_{i,n}(k) = 1 - t_i**(k+1), 0 < t_i < 1.
-    kind "unit": c identically 1.  kind "tabulated": explicit k-rows (shared
-    across n) continued by a geometric-gap tail ("geometric") or a constant.
-    As for the weights, every kind is a row (empty unless tabulated) over one
-    law: the geometric gap, or a constant level (1 for the unit family).
+    The rows table1/table2 (none by default, shared across n) are continued by
+    one law.  tail_rule "geometric": c_{i,n}(k) = 1 - t_i**(k+1), 0 < t_i < 1.
+    tail_rule "constant": c_{i,n}(k) = tail_value in (0, 1]; the unit family is
+    the constant law at its default level 1.
     """
 
-    kind: str = GEOMETRIC
     t1: float = 0.5
     t2: float = 0.5
     kappa: float = 2.0
@@ -135,48 +121,39 @@ class CoefficientFamily:
     tail_value: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.kind not in (UNIT, GEOMETRIC, TABULATED):
-            raise ValueError(f"unknown coefficient family kind {self.kind!r}")
-        if self.kind == GEOMETRIC and not (0 < self.t1 < 1 and 0 < self.t2 < 1):
-            raise ValueError("geometric-gap parameters must satisfy 0 < t < 1")
+        if self.tail_rule == "geometric":
+            if not (0 < self.t1 < 1 and 0 < self.t2 < 1):
+                raise ValueError("geometric-gap parameters must satisfy 0 < t < 1")
+        elif self.tail_rule == "constant":
+            if not (0 < self.tail_value <= 1):
+                raise ValueError("constant coefficient level must lie in (0, 1]")
+        else:
+            raise ValueError(f"unknown coefficient tail rule {self.tail_rule!r}")
         if self.kappa < 1:
             raise ValueError("kappa must be >= 1")
-        if self.kind == TABULATED:
-            if self.tail_rule not in ("geometric", "constant"):
-                raise ValueError(f"unknown coefficient tail rule {self.tail_rule!r}")
-            for row in (self.table1, self.table2):
-                if any(not (0 < v <= 1) for v in row):
-                    raise ValueError("tabulated coefficients must lie in (0, 1]")
-
-    @property
-    def _geometric(self) -> bool:
-        return self.kind == GEOMETRIC or (self.kind == TABULATED and self.tail_rule == "geometric")
-
-    @property
-    def _level(self) -> float:
-        return 1.0 if self.kind == UNIT else self.tail_value
+        for row in (self.table1, self.table2):
+            if any(not (0 < v <= 1) for v in row):
+                raise ValueError("tabulated coefficients must lie in (0, 1]")
 
     def _t(self, i: int) -> float:
         return self.t1 if i == 1 else self.t2
 
     def _row(self, i: int) -> tuple[float, ...]:
-        if self.kind != TABULATED:
-            return ()
         return self.table1 if i == 1 else self.table2
 
     def c(self, i: int, n: int, k):
         """Evaluate c_{i,n}(k); k may be an integer or an integer array."""
         if i not in (1, 2):
             raise ValueError("coefficient index must be 1 or 2")
-        if self._geometric:
+        if self.tail_rule == "geometric":
             law = 1.0 - self._t(i) ** (np.asarray(k, dtype=float) + 1.0)
         else:
-            law = np.full(np.shape(k), self._level)
+            law = np.full(np.shape(k), self.tail_value)
         return _with_row(law, k, self._row(i))
 
     def inf_c(self, i: int) -> float:
         """Infimum of c_{i,n}(k) over all n, k: the row's entries and the law's infimum."""
-        law_inf = 1.0 - self._t(i) if self._geometric else self._level
+        law_inf = 1.0 - self._t(i) if self.tail_rule == "geometric" else self.tail_value
         return min([law_inf, *self._row(i)])
 
 
@@ -200,7 +177,7 @@ def _inv_weight_head(w: WeightFamily, n: int, k0: int) -> tuple[float, int]:
 
     Raises where s(n) diverges: a constant tail, or a power law with q <= 1.
     """
-    if w._constant:
+    if w.tail_rule == "constant":
         raise HypothesisViolation("declared constant weight tail makes s(n) divergent")
     if w.q <= 1:
         raise HypothesisViolation("weight family with q <= 1 has divergent s(n)")
@@ -310,42 +287,40 @@ def gap_tail(c: CoefficientFamily, i: int, k0: int, inverse: bool = False) -> fl
     row = c._row(i)
     head = sum(((1.0 / v - 1.0) if inverse else (1.0 - v) for v in row[k0:]), 0.0)
     k_cont = max(k0, len(row))
-    if c._geometric:
+    if c.tail_rule == "geometric":
         t = c._t(i)
         geo = t ** (k_cont + 1) / (1.0 - t)
         # 1/c - 1 = t^{k+1}/(1 - t^{k+1}) <= t^{k+1}/(1-t)
         return head + (geo / (1.0 - t) if inverse else geo)
-    gap = 1.0 / c._level - 1.0 if inverse else 1.0 - c._level
-    if gap != 0.0:
+    # the level lies in (0, 1], and below 1 neither gap vanishes
+    if c.tail_value < 1.0:
         raise HypothesisViolation("constant coefficient tail keeps ||C - I|| bounded away from 0")
     return head
 
 
-def eval_s(w: WeightFamily, n: int, tol: float = 1e-12) -> SeriesValue:
-    """s(n) = sum_k 1/a_n(k), closed form for the power family.
+def eval_s(w: WeightFamily, n: int) -> SeriesValue:
+    """s(n) = sum_k 1/a_n(k), closed form for the power law.
 
     Raises HypothesisViolation when the declared tail rule is divergent.
     """
     value = exact_tail_inv_weight(w, n, 0)
-    # a power family is zeta(q) / scale, with no row summed term by term to round
-    tail = 0.0 if w.kind == POWER else min(tol, 1e-15 * abs(value))
+    # with no table, s(n) is zeta(q) / scale, with no row summed term by term to round
+    tail = 0.0 if not w.table else min(SERIES_TOL, 1e-15 * abs(value))
     return SeriesValue(value=value, k_trunc=len(w._row(n)), tail=tail)
 
 
-def eval_J(c: CoefficientFamily, i: int, n: int, tol: float = 1e-12) -> SeriesValue:
+def eval_J(c: CoefficientFamily, i: int, n: int, tol: float = SERIES_TOL) -> SeriesValue:
     """J_i(n) = prod_k c_{i,n}(k), via summed logarithms with a certified tail."""
-    if i not in (1, 2):
-        raise ValueError("coefficient index must be 1 or 2")
     row = c._row(i)
 
     def log_tail(k0: int) -> float:
         head = sum(-math.log(v) for v in row[k0:])
         k_cont = max(k0, len(row))
         # |log(1-x)| <= x/(1-x); geometric gaps give a geometric majorant.
-        if c._geometric:
+        if c.tail_rule == "geometric":
             t = c._t(i)
             return head + t ** (k_cont + 1) / ((1.0 - t) * (1.0 - t ** (k_cont + 1)))
-        if c._level >= 1.0:
+        if c.tail_value >= 1.0:
             return head
         raise HypothesisViolation(
             "coefficient product collapses to zero under a constant tail below 1"
@@ -354,10 +329,8 @@ def eval_J(c: CoefficientFamily, i: int, n: int, tol: float = 1e-12) -> SeriesVa
     k_hi = 64
     while True:
         ks = np.arange(k_hi)
-        vals = np.asarray(c.c(i, n, ks), dtype=float)
-        if np.any(vals <= 0):
-            raise HypothesisViolation("coefficients must stay positive")
-        log_sum = float(np.sum(np.log(vals)))
+        # every law and row is positive, as the family checked when it was built
+        log_sum = float(np.sum(np.log(c.c(i, n, ks))))
         t_log = log_tail(k_hi - 1 + 1)
         if t_log < tol or k_hi >= 1 << 20:
             break
@@ -403,32 +376,26 @@ def validate_hypotheses(
     w: WeightFamily,
     c: CoefficientFamily,
     n_probe: tuple[int, ...] = (0, 1, 2, 4, 8, 16),
-    k_probe: int = 64,
-    tol: float = 1e-12,
 ) -> ValidationReport:
     """Check every standing hypothesis on a probe grid; failures become report rows."""
     checks: list[CheckResult] = []
-    ks = np.arange(k_probe)
+    ks = np.arange(PROBE_K)
 
     pos_ok, pos_wit = True, "a_n(k) > 0 on probe grid"
     for n in n_probe:
-        a_vals = np.asarray(w.a(n, ks), dtype=float)
-        if not np.all(a_vals > 0):
+        if not np.all(w.a(n, ks) > 0):
             pos_ok, pos_wit = False, f"nonpositive weight at n={n}"
             break
     checks.append(CheckResult("weight_positivity", pos_ok, pos_wit))
 
-    # s(n) must decrease along the levels, whatever order the probe lists them in
+    # s(n) must decrease along the levels, whatever order the probe lists them
+    # in; one level cannot show a decrease, so it is compared with the next
     levels = sorted(set(n_probe))
+    if len(levels) == 1:
+        levels.append(levels[0] + 1)
     try:
-        s_vals = [eval_s(w, n, tol) for n in levels]
-        checks.append(
-            CheckResult(
-                "s_summable",
-                True,
-                f"s(n) finite; s({levels[0]})={s_vals[0].value:.6g}",
-            )
-        )
+        s_vals = [eval_s(w, n) for n in levels]
+        checks.append(CheckResult("s_summable", True, f"s(n) finite; s({levels[0]})={s_vals[0].value:.6g}"))
         dec_ok = all(
             s_vals[j + 1].upper < s_vals[j].lower + 1e-15 * s_vals[j].value
             for j in range(len(s_vals) - 1)
@@ -445,18 +412,11 @@ def validate_hypotheses(
         checks.append(CheckResult("s_summable", False, str(exc)))
         checks.append(CheckResult("s_decreasing_to_zero", False, "s(n) not summable"))
 
-    checks.append(
-        CheckResult(
-            "kappa_at_least_one",
-            c.kappa >= 1.0,
-            f"kappa={c.kappa}",
-        )
-    )
+    checks.append(CheckResult("kappa_at_least_one", c.kappa >= 1.0, f"kappa={c.kappa}"))
     brk_ok, brk_wit = True, ""
     for i in (1, 2):
         lo = c.inf_c(i)
-        c_vals = np.asarray(c.c(i, 0, ks), dtype=float)
-        hi = float(np.max(c_vals)) if c_vals.size else 1.0
+        hi = float(np.max(c.c(i, 0, ks)))
         if lo < 1.0 / c.kappa - 1e-15 or hi > 1.0 + 1e-15:
             brk_ok = False
             brk_wit = f"c_{i}: inf={lo:.6g} vs 1/kappa={1.0 / c.kappa:.6g}, sup={hi:.6g}"
@@ -466,7 +426,7 @@ def validate_hypotheses(
 
     for i in (1, 2):
         try:
-            j_val = eval_J(c, i, 0, tol)
+            j_val = eval_J(c, i, 0)
             ok = j_val.lower > 0
             wit = f"J_{i}={j_val.value:.10g} (tail {j_val.tail:.2g})"
         except HypothesisViolation as exc:

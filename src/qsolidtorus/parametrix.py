@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .families import CoefficientFamily, WeightFamily
-from .solutions import KernelSolution, suffix_sum
+from .solutions import KernelSolution, cumulative_product_sum, suffix_sum
 from .transfer import ModeIndex
 
 
@@ -213,14 +213,7 @@ def apply_XYZ(
     if kind == "Z":
         if r.level != n:
             raise WeightTagMismatch("Z input must live at level n")
-        an, c2 = sol.table.an, sol.table.c2
-        out = np.empty(k_max + 1)
-        acc = 0.0
-        for k in range(k_max + 1):
-            if k > 0:
-                acc *= c2[k - 1]
-            acc += vals[k] / an[k]
-            out[k] = acc
+        out = cumulative_product_sum(vals / sol.table.an[: k_max + 1], sol.table.c2)
         return WeightedSeq(out, n + 1)
 
     if kind not in ("X", "Y") or alpha not in (1, 2) or beta not in (1, 2):

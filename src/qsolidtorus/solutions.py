@@ -86,8 +86,8 @@ class BoundaryRule:
     The default is (0, 1) at m = 0 and (sgn(m)/(1+m^2), 1) elsewhere;
     ``table=None`` is the default rule.  The rule is checked once, when it is
     built: the sign clause at every table entry and at +-M_PROBE, then the
-    decay of |K1/K2| along the positive probe (the rule is n-independent,
-    which supplies the required uniformity).
+    decay of |K1/K2| along each sign over the probe and the table's entries
+    (the rule is n-independent, which supplies the required uniformity).
     """
 
     table: Mapping[int, tuple[float, float]] | None = None
@@ -104,13 +104,16 @@ class BoundaryRule:
             else:
                 continue
             raise BoundaryRuleError(f"boundary rule at m={m}: {clause}")
-        ratios = [abs(k1 / k2) for k1, k2 in map(self, M_PROBE)]
-        # finite proxy for the decay requirement: nonincreasing along the probe
-        # and at least halved across it (the default rule decays like 1/m^2)
-        rising = [m for m, r0, r1 in zip(M_PROBE[1:], ratios, ratios[1:]) if not r1 <= r0 + 1e-15]
-        if rising or (ratios[0] > 0 and ratios[-1] > 0.5 * ratios[0]):
-            m = rising[0] if rising else M_PROBE[-1]
-            raise BoundaryRuleError(f"boundary rule at m={m}: |K1(inf)/K2(inf)| must decay to 0 as |m| grows")
+        # finite proxy for the decay requirement: nonincreasing along each sign's
+        # probe and table entries, and at least halved across them (the default
+        # rule decays like 1/m^2)
+        for sign in (1, -1):
+            ms = sorted({sign * p for p in M_PROBE} | {m for m in self.table or () if sign * m > 0}, key=abs)
+            ratios = [abs(k1 / k2) for k1, k2 in map(self, ms)]
+            rising = [m for m, r0, r1 in zip(ms[1:], ratios, ratios[1:]) if not r1 <= r0 + 1e-15]
+            if rising or (ratios[0] > 0 and ratios[-1] > 0.5 * ratios[0]):
+                m = rising[0] if rising else ms[-1]
+                raise BoundaryRuleError(f"boundary rule at m={m}: |K1(inf)/K2(inf)| must decay to 0 as |m| grows")
 
     @property
     def name(self) -> str:
@@ -271,6 +274,14 @@ def suffix_sum(v: np.ndarray) -> np.ndarray:
     out = np.zeros(len(v))
     out[:-1] = np.cumsum(v[::-1])[::-1][1:]
     return out
+
+
+def cumulative_product_sum(x: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """out[k] = out[k-1] r(k-1) + x(k) from out[-1] = 0: the m = 0 kernel's recurrence, in plain floats."""
+    out = [0.0]
+    for xk, rk in zip(x.tolist(), [1.0, *r.tolist()]):
+        out.append(out[-1] * rk + xk)
+    return np.array(out[1:])
 
 
 def wronskian_residuals(sol: KernelSolution) -> np.ndarray:

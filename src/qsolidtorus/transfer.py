@@ -134,11 +134,11 @@ def det2(mat: np.ndarray) -> float:
     return float(mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0])
 
 
-def invert(mat: np.ndarray, floor: float = DET_FLOOR) -> np.ndarray:
+def invert(mat: np.ndarray) -> np.ndarray:
     """Adjugate-over-determinant inverse with an underflow guard."""
     d = det2(mat)
-    if abs(d) < floor:
-        raise SingularMatrixError(f"determinant {d:.3g} below floor {floor:.3g}")
+    if abs(d) < DET_FLOOR:
+        raise SingularMatrixError(f"determinant {d:.3g} below floor {DET_FLOOR:.3g}")
     return np.array([[mat[1, 1], -mat[0, 1]], [-mat[1, 0], mat[0, 0]]]) / d
 
 

@@ -11,7 +11,7 @@ def families():
 
 @pytest.fixture(scope="session")
 def unit_coeffs():
-    return CoefficientFamily(kind="unit", kappa=1.0)
+    return CoefficientFamily(tail_rule="constant", kappa=1.0)
 
 
 @pytest.fixture()

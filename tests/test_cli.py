@@ -161,7 +161,7 @@ STRICT_SECTIONS = {
     "nan-p": ("weights", {"p": float("nan")}),
     "bool-kappa": ("coeffs", {"kappa": True}),
     "string-t1": ("coeffs", {"t1": "0.5"}),
-    "infinite-t2": ("coeffs", {"kind": "unit", "t2": float("inf")}),
+    "infinite-t2": ("coeffs", {"kind": "geometric-gap", "t2": float("inf")}),
     "string-tail-q": ("weights", TAB_W | {"tail": {"rule": "power", "q": "2"}}),
     "nan-tail-value": ("weights", TAB_W | {"tail": {"rule": "constant", "value": float("nan")}}),
     "bool-tail-t2": ("coeffs", TAB_C | {"tail": {"rule": "geometric", "t2": True}}),
@@ -195,11 +195,13 @@ def test_config_defaults_are_written_once(tmp_path):
     empty.write_text("{}")
     full.write_text(json.dumps(default_config_dict()))
     assert load_config(empty) == load_config(full)
+    # a tabulated family with no table and no tail is its default law alone
     tabulated = {"weights": {"kind": "tabulated"}, "coeffs": {"kind": "tabulated"}}
     empty.write_text(json.dumps(tabulated))
     loaded = load_config(empty)
-    assert loaded.weights == WeightFamily(kind="tabulated")
-    assert loaded.coeffs == CoefficientFamily(kind="tabulated")
+    assert (loaded.weights.table, loaded.coeffs.table1, loaded.coeffs.table2) == ((), (), ())
+    assert loaded.weights == WeightFamily()
+    assert loaded.coeffs == CoefficientFamily()
 
 
 def test_readme_config_example_loads(tmp_path):
@@ -339,6 +341,10 @@ BAD_BOUNDARY_TABLES = {
         {str(s * m): [0.9 * s, 1.0] for m in (1, 2, 4, 8, 16, 32, 64) for s in (1, -1)},
         "|K1(inf)/K2(inf)| must decay to 0 as |m| grows",
     ),
+    # entries that rise between or beyond the probe points, on either side
+    "rise-between-probes": ({"3": [0.45, 1.0]}, "at m=3: |K1(inf)/K2(inf)| must decay"),
+    "rise-beyond-probes": ({"100": [0.9, 1.0]}, "at m=100: |K1(inf)/K2(inf)| must decay"),
+    "rise-on-negative-side": ({"-64": [-0.4, 1.0]}, "at m=-64: |K1(inf)/K2(inf)| must decay"),
 }
 
 
@@ -357,6 +363,57 @@ def test_inadmissible_boundary_table_exit_two(tmp_path, capsys, case):
         assert main(["--config", str(path), *argv]) == 2, argv
         assert clause in capsys.readouterr().err, argv
     assert not (tmp_path / "out").exists()
+
+
+# a family section or tail object holds exactly its law's keys, and each law
+# checks its parameters with or without a table in front of it
+BAD_FAMILIES = {
+    "unit-with-t1": ("coeffs", {"kind": "unit", "t1": 0.3, "kappa": 1.0}, "unknown key(s) ['t1'] in coeffs"),
+    "geometric-tail-t1-above-one": (
+        "coeffs", TAB_C | {"tail": {"rule": "geometric", "t1": 1.5, "t2": 0.5}}, "must satisfy 0 < t < 1"
+    ),
+    "power-tail-p-below-one": ("weights", TAB_W | {"tail": {"rule": "power", "p": 0.5}}, "p must be >= 1"),
+    "constant-tail-with-t1": (
+        "coeffs", TAB_C | {"tail": {"rule": "constant", "t1": 0.3}}, "unknown key(s) ['t1'] in coeffs.tail"
+    ),
+    "constant-tail-with-q": (
+        "weights", TAB_W | {"tail": {"rule": "constant", "value": 2.0, "q": 7.0}}, "unknown key(s) ['q'] in weights.tail"
+    ),
+    "constant-coefficient-level-2": (
+        "coeffs", TAB_C | {"tail": {"rule": "constant", "value": 2.0}}, "level must lie in (0, 1]"
+    ),
+    "constant-coefficient-level-negative": (
+        "coeffs", TAB_C | {"tail": {"rule": "constant", "value": -1.0}}, "level must lie in (0, 1]"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FAMILIES))
+def test_malformed_family_exit_two(tmp_path, capsys, case):
+    """A key outside the family's law, or a law parameter out of range, is a config error for every command."""
+    section, value, reason = BAD_FAMILIES[case]
+    cfg = default_config_dict()
+    cfg["grid"] = {"m_list": [1, -1], "n_list": [0, 1]}
+    cfg["truncation"]["k_max"] = 16
+    cfg[section] = value
+    cfg["output"]["dir"] = str(tmp_path / "out")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    for argv in (["validate"], ["solve"], ["scan"], ["dump", "--what", "solution"], ["dump", "--what", "transfer"]):
+        assert main(["--config", str(path), *argv]) == 2, argv
+        assert reason in capsys.readouterr().err, argv
+    assert not (tmp_path / "out").exists()
+
+
+def test_constant_coefficient_level_below_one_is_a_hypothesis_failure(tmp_path):
+    """A level inside (0, 1) is a well-formed family whose product J_i collapses: exit 1, not 2."""
+    cfg = default_config_dict()
+    cfg["grid"] = {"m_list": [1, -1], "n_list": [0, 1]}
+    cfg["coeffs"] = TAB_C | {"tail": {"rule": "constant", "value": 0.5}}
+    cfg["output"]["dir"] = str(tmp_path / "out")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["--config", str(path), "validate"]) == 1
 
 
 def test_scan_default_exit_zero(small_config):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -42,7 +43,7 @@ def test_s_mode_scaling(families):
 
 
 def test_s_divergent_tail_rule_raises():
-    w = WeightFamily(kind="tabulated", table=((1.0, 4.0),), tail_rule="constant", tail_value=2.0)
+    w = WeightFamily(table=((1.0, 4.0),), tail_rule="constant", tail_value=2.0)
     with pytest.raises(HypothesisViolation):
         eval_s(w, 0)
     with pytest.raises(HypothesisViolation):
@@ -50,7 +51,7 @@ def test_s_divergent_tail_rule_raises():
 
 
 def test_s_tabulated_head_plus_continuation():
-    w = WeightFamily(kind="tabulated", table=((2.0, 3.0),), tail_rule="power", q=2.0)
+    w = WeightFamily(table=((2.0, 3.0),), tail_rule="power", q=2.0)
     got = eval_s(w, 0)
     # head 1/2 + 1/3 plus the power continuation from k = 2
     ks = np.arange(2, 400000)
@@ -109,9 +110,7 @@ def test_J_bracket_contains_longer_truncations(families):
 
 
 def test_J_collapse_raises():
-    c = CoefficientFamily(
-        kind="tabulated", table1=(0.5,), table2=(0.5,), tail_rule="constant", tail_value=0.5
-    )
+    c = CoefficientFamily(table1=(0.5,), table2=(0.5,), tail_rule="constant", tail_value=0.5)
     with pytest.raises(HypothesisViolation):
         eval_J(c, 1, 0)
 
@@ -133,6 +132,39 @@ def test_validate_flags_divergent_weights(families):
     report = validate_hypotheses(WeightFamily(q=1.0), c)
     names = [ch.name for ch in report.failed()]
     assert "s_summable" in names
+
+
+def test_validate_one_level_compares_it_with_the_next(families):
+    """A one-level probe cannot show a decrease by itself; s(n) is compared with s(n + 1)."""
+    w, c = families
+    for n in (0, 3):
+        report = validate_hypotheses(w, c, n_probe=(n,))
+        assert report.all_passed, report.failed()
+        (check,) = [ch for ch in report.checks if ch.name == "s_decreasing_to_zero"]
+        assert check.witness.startswith(f"s({n + 1})=")
+
+
+# each law checks its own parameters, with or without a table in front of it
+BAD_LAWS = {
+    "power-lam-zero": (WeightFamily, {"lam": 0.0}, "lam must be positive"),
+    "power-p-below-one": (WeightFamily, {"p": 0.5}, "p must be >= 1"),
+    "constant-weight-level-zero": (WeightFamily, {"tail_rule": "constant", "tail_value": 0.0}, "positive"),
+    "weight-rule-geometric": (WeightFamily, {"tail_rule": "geometric"}, "unknown weight tail rule"),
+    "geometric-t1-one": (CoefficientFamily, {"t1": 1.0}, "0 < t < 1"),
+    "geometric-t2-zero": (CoefficientFamily, {"t2": 0.0}, "0 < t < 1"),
+    "constant-coefficient-level-above-one": (CoefficientFamily, {"tail_rule": "constant", "tail_value": 1.5}, "(0, 1]"),
+    "constant-coefficient-level-zero": (CoefficientFamily, {"tail_rule": "constant", "tail_value": 0.0}, "(0, 1]"),
+    "coefficient-rule-power": (CoefficientFamily, {"tail_rule": "power"}, "unknown coefficient tail rule"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_LAWS))
+@pytest.mark.parametrize("with_table", [False, True], ids=["law-alone", "after-a-table"])
+def test_law_checks_its_parameters(case, with_table):
+    family, fields, message = BAD_LAWS[case]
+    table = {"table": ((2.0, 3.0),)} if family is WeightFamily else {"table1": (0.5,), "table2": (0.6,)}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        family(**fields, **(table if with_table else {}))
 
 
 def test_validate_flags_bad_kappa(families):

@@ -66,12 +66,8 @@ def test_domain_errors(s, a):
 TAIL_FAMILIES = {
     "power-default": WeightFamily(),
     "power-lam0.7-p1.3-q2.5": WeightFamily(lam=0.7, p=1.3, q=2.5),
-    "tabulated-power-tail": WeightFamily(
-        kind="tabulated", table=((1.5, 3.0, 7.5), (2.5, 9.0)), tail_rule="power", q=2.0
-    ),
-    "tabulated-q1.3-tail": WeightFamily(
-        kind="tabulated", table=((0.5, 4.0, 1.0, 9.0),), tail_rule="power", lam=2.0, q=1.3
-    ),
+    "tabulated-power-tail": WeightFamily(table=((1.5, 3.0, 7.5), (2.5, 9.0)), tail_rule="power", q=2.0),
+    "tabulated-q1.3-tail": WeightFamily(table=((0.5, 4.0, 1.0, 9.0),), tail_rule="power", lam=2.0, q=1.3),
 }
 
 

@@ -35,7 +35,6 @@ from reference import mat_abs_norm
 @pytest.fixture(scope="module")
 def tab_families():
     w = WeightFamily(
-        kind="tabulated",
         table=((1.5, 3.0, 7.5), (2.5, 9.0)),
         tail_rule="power",
         lam=1.0,
@@ -43,7 +42,6 @@ def tab_families():
         q=2.0,
     )
     c = CoefficientFamily(
-        kind="tabulated",
         table1=(0.5, 0.8),
         table2=(0.6,),
         tail_rule="geometric",
@@ -115,7 +113,8 @@ def test_tabulated_config_through_cli(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     loaded = load_config(path)
-    assert loaded.weights.kind == "tabulated"
+    assert loaded.weights.table == ((1.5, 3.0, 7.5), (2.5, 9.0))
+    assert (loaded.coeffs.table1, loaded.coeffs.table2) == ((0.5, 0.8), (0.6,))
     assert main(["--config", str(path), "validate"]) == 0
     assert main(["--config", str(path), "solve"]) == 0
     payload = json.loads((tmp_path / "out" / "solutions.json").read_text())
@@ -155,24 +154,20 @@ def test_vectorised_laws_match_per_element_lookup_bit_for_bit():
     ks = np.arange(20001)
     table = ((1.5, 3.0, 7.5), (2.5, 9.0))
     weights = [
-        WeightFamily(kind="tabulated", table=table, tail_rule="power", lam=0.7, p=1.3, q=q)
+        WeightFamily(table=table, tail_rule="power", lam=0.7, p=1.3, q=q)
         for q in (1.3, 2.0, 2.5)
     ]
-    weights.append(WeightFamily(kind="tabulated", table=table, tail_rule="constant", tail_value=3.5))
+    weights.append(WeightFamily(table=table, tail_rule="constant", tail_value=3.5))
     for w in weights:
         for n in (1, 4):
             ref = loop_a(w, n, ks)
             assert np.array_equal(w.a(n, ks), ref), (w.q, n)
             assert [w.a(n, int(k)) for k in ks] == ref.tolist(), (w.q, n)
     coeffs = [
-        CoefficientFamily(kind="tabulated", table1=(0.5, 0.8), table2=(0.6,), t1=t1, t2=t2)
+        CoefficientFamily(table1=(0.5, 0.8), table2=(0.6,), t1=t1, t2=t2)
         for t1, t2 in ((0.5, 0.5), (0.3, 0.77))
     ]
-    coeffs.append(
-        CoefficientFamily(
-            kind="tabulated", table1=(0.5, 0.8), table2=(0.6,), tail_rule="constant", tail_value=1.0
-        )
-    )
+    coeffs.append(CoefficientFamily(table1=(0.5, 0.8), table2=(0.6,), tail_rule="constant", tail_value=1.0))
     for c in coeffs:
         for i in (1, 2):
             ref = loop_c(c, i, ks)
@@ -189,7 +184,7 @@ def test_closed_form_families_keep_their_formulas():
     c = CoefficientFamily(t1=0.3, t2=0.6)
     for i, t in ((1, 0.3), (2, 0.6)):
         assert np.array_equal(c.c(i, 0, ks), 1.0 - t ** (np.asarray(ks, dtype=float) + 1.0))
-    unit = CoefficientFamily(kind="unit", kappa=1.0)
+    unit = CoefficientFamily(tail_rule="constant", kappa=1.0)
     assert np.array_equal(unit.c(1, 0, ks), np.ones(len(ks))) and unit.c(2, 0, 5) == 1.0
 
 
@@ -206,9 +201,7 @@ def test_tabulated_eps_below_s(tab_families):
 
 def test_constant_tail_certificate_counts_the_row():
     w = WeightFamily()
-    c = CoefficientFamily(
-        kind="tabulated", table1=(0.5, 0.8), table2=(0.6,), tail_rule="constant", tail_value=1.0
-    )
+    c = CoefficientFamily(table1=(0.5, 0.8), table2=(0.6,), tail_rule="constant", tail_value=1.0)
     mode = ModeIndex(0, 0)
     c_arr = mode_table(mode, w, c, 8).C
     direct = sum(mat_abs_norm(c_arr[k] - np.eye(2)) for k in range(8))
@@ -217,7 +210,7 @@ def test_constant_tail_certificate_counts_the_row():
 
 
 def test_J_bracket_counts_rows_longer_than_the_first_window():
-    c = CoefficientFamily(kind="tabulated", table1=(0.9,) * 100, table2=(0.9,) * 100)
+    c = CoefficientFamily(table1=(0.9,) * 100, table2=(0.9,) * 100)
     direct = 0.9**100 * math.prod(1.0 - 0.5 ** (k + 1) for k in range(100, 200))
     got = eval_J(c, 1, 0)
     assert abs(got.value - direct) <= got.tail + 1e-13 * direct

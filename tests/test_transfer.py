@@ -201,7 +201,7 @@ def test_structure_check_default_grid(families):
 def test_limit_product_det_floor(families):
     """A product whose determinant underflows raises, and the dump reports it per mode."""
     w, _ = families
-    c = CoefficientFamily(kind="tabulated", table2=(1e-160, 1e-160), tail_rule="constant")
+    c = CoefficientFamily(table2=(1e-160, 1e-160), tail_rule="constant")
     with pytest.raises(SingularMatrixError):
         limit_product(ModeIndex(0, 0), w, c, 8)
 
@@ -209,7 +209,7 @@ def test_limit_product_det_floor(families):
 def test_limit_product_needs_no_tail_certificate(families):
     """A constant coefficient tail below 1 has no tail certificate, but a product."""
     w, _ = families
-    c = CoefficientFamily(kind="tabulated", table1=(0.5,), table2=(0.5,), tail_rule="constant", tail_value=0.5)
+    c = CoefficientFamily(table1=(0.5,), table2=(0.5,), tail_rule="constant", tail_value=0.5)
     with pytest.raises(HypothesisViolation):
         tail_sum_C_minus_I(ModeIndex(1, 0), w, c, 16)
     tp = limit_product(ModeIndex(1, 0), w, c, 16)
