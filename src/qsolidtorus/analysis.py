@@ -28,7 +28,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +41,14 @@ from .families import (
     eval_s,
 )
 from .solutions import DEFAULT_RULE, MODE_ERRORS, BoundaryRule, KernelSolution, build_solution
-from .solutions import cumulative_product_sum, suffix_sum
+from .solutions import (
+    cumulative_product_sum,
+    mirror_solution,
+    paired,
+    suffix_sum,
+    verify_lemma_suite,
+    wronskian_residuals,
+)
 from .transfer import ModeIndex
 
 FUBINI_PAIRS = (
@@ -82,10 +89,10 @@ class HsReport:
         """Flat record for CSV/JSON output."""
         rec = {"m": self.mode.m, "n": self.mode.n}
         for key, val in sorted(self.hs.items()):
-            name = "hs_" + "".join(str(p) for p in key)
-            rec[name] = val
-            rec["bound_" + "".join(str(p) for p in key)] = self.bounds[key]
-            rec["pass_" + "".join(str(p) for p in key)] = self.pass_flags[key]
+            name = "%s%d%d" % key
+            rec["hs_" + name] = val
+            rec["bound_" + name] = self.bounds[key]
+            rec["pass_" + name] = self.pass_flags[key]
         rec.update(
             epsilon=self.eps,
             s_n=self.s_n,
@@ -177,16 +184,16 @@ def hs_norms(sol: KernelSolution, w: WeightFamily, c: CoefficientFamily) -> HsRe
 class ScanTable(CheckReport):
     """Per-mode HS reports plus monotone-envelope decay summaries (``checks``).
 
-    ``solutions`` maps (m, n) to the kernel solution each report was built
-    from, so callers can run further per-mode checks without rebuilding.
-    ``failures`` maps each mode whose solution could not be built (one of
-    ``solutions.MODE_ERRORS``) to the error's message; it has no row.
+    ``lemmas`` maps each (m, n) with m != 0 that built to its solution's
+    lemma report and worst Wronskian residual.  ``failures`` maps each mode
+    whose solution could not be built (one of ``solutions.MODE_ERRORS``) to
+    the error's message; it has no row.
     """
 
     rows: tuple[HsReport, ...]
     checks: tuple[CheckResult, ...] = field(default_factory=tuple)
-    solutions: dict = field(default_factory=dict, repr=False, compare=False)
     failures: dict = field(default_factory=dict)
+    lemmas: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def all_passed(self) -> bool:
@@ -199,24 +206,6 @@ class ScanTable(CheckReport):
                 return r
         raise KeyError((m, n))
 
-    def to_json(self) -> dict:
-        return {"rows": [r.row() for r in self.rows], "envelope": self.check_rows()}
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        rows = [r.row() for r in self.rows]
-        names: list[str] = []
-        for rec in rows:
-            for key in rec:
-                if key not in names:
-                    names.append(key)
-        writer = csv.DictWriter(buf, fieldnames=names)
-        writer.writeheader()
-        for rec in rows:
-            writer.writerow(rec)
-        return buf.getvalue()
-
-
 def decay_scan(
     m_list: tuple[int, ...],
     n_list: tuple[int, ...],
@@ -225,23 +214,42 @@ def decay_scan(
     k_max: int,
     rule: BoundaryRule = DEFAULT_RULE,
 ) -> ScanTable:
-    """HS reports over a mode grid plus the decay checks along both axes.
+    """HS reports and lemma reports over a mode grid, plus the decay checks along both axes.
 
-    A mode whose solution fails to build is recorded in ``failures``; the
-    decay checks compare the modes that built.
+    Where the rule is odd at m, the first of m and -m to come is built and
+    checked, and the other's solution and reports are its exact mirror.  A
+    mode whose solution fails to build is recorded in ``failures``; the decay
+    checks compare the modes that built.
     """
+
+    def build(mode: ModeIndex):
+        sol = build_solution(mode, w, c, k_max, rule=rule)
+        lemma = None
+        if mode.m != 0:
+            lemma = (verify_lemma_suite(sol), float(np.max(wronskian_residuals(sol))))
+        return sol, hs_norms(sol, w, c), lemma
+
+    def mirror(built):
+        sol, report, (lemma, wronskian) = built
+        twin = mirror_solution(sol, rule)
+        if twin is None:
+            return None
+        return twin, replace(report, mode=twin.mode), (lemma.mirrored(), wronskian)
+
+    get = paired(build, mirror, [ModeIndex(m, n) for m in m_list for n in n_list])
     rows = []
-    sols = {}
+    lemmas = {}
     failures = {}
     for m in m_list:
         for n in n_list:
             try:
-                sol = build_solution(ModeIndex(m, n), w, c, k_max, rule=rule)
+                _, report, lemma = get(ModeIndex(m, n))
             except MODE_ERRORS as exc:
                 failures[(m, n)] = str(exc)
                 continue
-            sols[(m, n)] = sol
-            rows.append(hs_norms(sol, w, c))
+            rows.append(report)
+            if lemma is not None:
+                lemmas[(m, n)] = lemma
     table = {(r.mode.m, r.mode.n): r for r in rows}
     checks = []
 
@@ -278,8 +286,8 @@ def decay_scan(
     return ScanTable(
         rows=tuple(rows),
         checks=tuple(checks),
-        solutions=sols,
         failures=failures,
+        lemmas=lemmas,
     )
 
 
@@ -288,13 +296,19 @@ def scan_to_files(table: ScanTable, out_dir, formats=("csv", "json"), meta: dict
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
+    rows = [r.row() for r in table.rows]
     if "csv" in formats:
         p = out / "hs_scan.csv"
-        p.write_text(table.to_csv())
+        names = list(dict.fromkeys(key for rec in rows for key in rec))
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=names)
+        writer.writeheader()
+        writer.writerows(rows)
+        p.write_text(buf.getvalue())
         written.append(p)
     if "json" in formats:
         p = out / "hs_scan.json"
-        payload = table.to_json()
+        payload = {"rows": rows, "envelope": table.check_rows()}
         if meta:
             payload["meta"] = meta
         write_json(p, payload)
@@ -355,25 +369,40 @@ def _json_cells(col: np.ndarray) -> list[str]:
 
 
 def _render_rows(table: RowTable, indent: str) -> str:
-    """``table`` as json's indent=2 list text, opened on a line indented by ``indent``."""
+    """``table`` as json's indent=2 list text, opened on a line indented by ``indent``.
+
+    The text is one join of a flat list that alternates the row template's
+    literal pieces with the cells, ``2 * cells + 1`` entries per row.
+    """
     if not len(table):
         return "[]"
     row_in, key_in, item_in = indent + "  ", indent + "    ", indent + "      "
+    # "\0" marks a cell in the template: json.dumps escapes it in every key
     fields, cells = [], []
     for name in sorted(table.columns):
         col = table.columns[name]
-        key = json.dumps(name).replace("%", "%%")
+        key = json.dumps(name)
         text = _json_cells(col)
         if col.ndim == 1:
-            fields.append(f"{key}: %s")
+            fields.append(f"{key}: \0")
             cells.append(text)
             continue
         width = col.shape[1]
-        items = ",".join([f"\n{item_in}%s"] * width)
+        items = ",".join([f"\n{item_in}\0"] * width)
         fields.append(f"{key}: [{items}\n{key_in}]" if width else f"{key}: []")
         cells.extend(text[j::width] for j in range(width))
     row = f"{row_in}{{\n{key_in}" + f",\n{key_in}".join(fields) + f"\n{row_in}}}"
-    return "[\n" + ",\n".join(map(row.__mod__, zip(*cells))) + f"\n{indent}]"
+    literals = row.split("\0")
+    # the row separator rides on each row's last piece; the final row's is cut below
+    literals[-1] += ",\n"
+    n_rows, stride = len(table), 2 * len(cells) + 1
+    out = [""] * (n_rows * stride)
+    for j, lit in enumerate(literals):
+        out[2 * j :: stride] = [lit] * n_rows
+    for j, text in enumerate(cells):
+        out[2 * j + 1 :: stride] = text
+    out[-1] = literals[-1][:-2]
+    return "[\n" + "".join(out) + f"\n{indent}]"
 
 
 def write_json(path: Path, payload: dict) -> None:

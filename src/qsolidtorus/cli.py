@@ -26,8 +26,8 @@ from .parametrix import (
     oracle_solve,
     random_rhs,
 )
-from .solutions import MODE_ERRORS, build_solution, verify_lemma_suite, wronskian_residuals
-from .transfer import ModeIndex, limit_product
+from .solutions import MODE_ERRORS, build_solution, mirror_solution, paired, wronskian_residuals
+from .transfer import ModeIndex, limit_product, mirror_product
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -107,11 +107,17 @@ def cmd_solve(
         rhs_map = {(m, n): random_rhs(ModeIndex(m, n), k_max, rng) for (m, n) in modes}
     records = []
     ok = True
-    for (m, n) in sorted(rhs_map):
-        mode = ModeIndex(m, n)
+    modes = [ModeIndex(m, n) for (m, n) in sorted(rhs_map)]
+    solution = paired(
+        lambda mode: build_solution(mode, cfg.weights, cfg.coeffs, k_max, rule=cfg.boundary),
+        lambda sol: mirror_solution(sol, cfg.boundary),
+        modes,
+    )
+    for mode in modes:
+        m, n = mode.m, mode.n
         r = rhs_map[(m, n)]
         try:
-            sol = build_solution(mode, cfg.weights, cfg.coeffs, k_max, rule=cfg.boundary)
+            sol = solution(mode)
             res = apply_Q(sol, r, k_max)
             back = apply_A(mode, cfg.weights, cfg.coeffs, res.h_g, res.h_f)
             r_norm = r.norm(cfg.weights)
@@ -165,12 +171,8 @@ def cmd_scan(
     lemma_rows = []
     ok = table.all_passed
     first_bad = None
-    for (m, n), sol in table.solutions.items():
-        if m == 0:
-            continue
-        rep = verify_lemma_suite(sol)
+    for (m, n), (rep, wr) in table.lemmas.items():
         failures = [ch.name for ch in rep.failed()]
-        wr = float(np.max(wronskian_residuals(sol)))
         lemma_rows.append(
             {
                 "m": m,
@@ -205,31 +207,45 @@ def cmd_dump(
     only_m: list[int] | None,
     k_max: int,
 ) -> int:
+    def solution(mode):
+        sol = build_solution(mode, cfg.weights, cfg.coeffs, k_max, rule=cfg.boundary)
+        return sol, wronskian_residuals(sol)
+
+    def mirror(built):
+        # a mirrored solution has the same Wronskian residuals
+        twin = mirror_solution(built[0], cfg.boundary)
+        return None if twin is None else (twin, built[1])
+
+    modes = [ModeIndex(m, n) for (m, n) in _modes(cfg, only_m)]
+    if what == "transfer":
+        get = paired(lambda mode: limit_product(mode, cfg.weights, cfg.coeffs, k_max), mirror_product, modes)
+    elif what == "solution":
+        get = paired(solution, mirror, modes)
+    else:
+        raise ConfigError(f"unknown dump table {what!r}")
     blocks = []
     ok = True
-    for (m, n) in _modes(cfg, only_m):
-        mode = ModeIndex(m, n)
+    for mode in modes:
+        m, n = mode.m, mode.n
         try:
-            if what == "transfer":
-                tp = limit_product(mode, cfg.weights, cfg.coeffs, k_max)
-                k_rows = k_max
-                block = {"C": tp.table.C.reshape(k_rows, 4), "P": tp.partials[:k_rows].reshape(k_rows, 4)}
-            elif what == "solution":
-                sol = build_solution(mode, cfg.weights, cfg.coeffs, k_max, rule=cfg.boundary)
-                k_rows = len(sol.I)
-                block = {
-                    "I1": sol.I[:, 0],
-                    "I2": sol.I[:, 1],
-                    "K1": sol.K[:, 0],
-                    "K2": sol.K[:, 1],
-                    "wronskian_residual": wronskian_residuals(sol),
-                }
-            else:
-                raise ConfigError(f"unknown dump table {what!r}")
+            built = get(mode)
         except MODE_ERRORS as exc:
             ok = False
             print(f"mode ({m}, {n}) failed: {exc}", file=sys.stderr)
             continue
+        if what == "transfer":
+            k_rows = k_max
+            block = {"C": built.table.C.reshape(k_rows, 4), "P": built.partials[:k_rows].reshape(k_rows, 4)}
+        else:
+            sol, wronskian = built
+            k_rows = len(sol.I)
+            block = {
+                "I1": sol.I[:, 0],
+                "I2": sol.I[:, 1],
+                "K1": sol.K[:, 0],
+                "K2": sol.K[:, 1],
+                "wronskian_residual": wronskian,
+            }
         if not all(np.all(np.isfinite(col)) for col in block.values()):
             ok = False
             print(f"mode ({m}, {n}): non-finite entries in the {what} table", file=sys.stderr)

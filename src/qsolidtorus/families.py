@@ -310,7 +310,11 @@ def eval_s(w: WeightFamily, n: int) -> SeriesValue:
 
 
 def eval_J(c: CoefficientFamily, i: int, n: int, tol: float = SERIES_TOL) -> SeriesValue:
-    """J_i(n) = prod_k c_{i,n}(k), via summed logarithms with a certified tail."""
+    """J_i(n) = prod_k c_{i,n}(k), via summed logarithms.
+
+    The tail bounds both the truncated product and the float error of the
+    summed logarithms and of exp, so ``[lower, upper]`` holds J_i(n).
+    """
     row = c._row(i)
 
     def log_tail(k0: int) -> float:
@@ -338,7 +342,14 @@ def eval_J(c: CoefficientFamily, i: int, n: int, tol: float = SERIES_TOL) -> Ser
     value = math.exp(log_sum)
     if value < COLLAPSE_FLOOR:
         raise HypothesisViolation("coefficient product collapsed to zero")
-    return SeriesValue(value=value, k_trunc=k_hi, tail=value * math.expm1(t_log))
+    # Rounding: each of the k_hi logs is within 4 ulps (8u) and the sum adds
+    # at most (k_hi - 1) u sum |log c|, which is |log_sum| as every log c <= 0;
+    # exp is within an ulp (2u), and exact at 0.
+    u = 0.5 * math.ulp(1.0)
+    log_err = (k_hi + 7) * u * abs(log_sum)
+    exp_err = 0.0 if log_sum == 0.0 else 2 * u
+    tail = value * (math.expm1(t_log + log_err) + exp_err) / (1.0 - exp_err)
+    return SeriesValue(value=value, k_trunc=k_hi, tail=tail)
 
 
 @dataclass(frozen=True)

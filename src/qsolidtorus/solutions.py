@@ -15,12 +15,16 @@ propagates by the scalar product of c_2/c_1 (a Wronskian analog).  The module
 also evaluates the decay quantity eps(m, n) and runs the full inequality suite
 (positivity, stepwise monotonicity, ratio bounds, tail-sum estimates and
 pairing product bounds) that the parametrix norm estimates rely on.
+
+Where the boundary rule is odd at m, the (-m, n) solution is that of (m, n)
+with I2 and K1 negated, bit for bit (``mirror_solution``), and its HS sums
+and lemma checks are equal; ``paired`` builds each +-m pair of a grid once.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable, Mapping
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -42,7 +46,9 @@ from .transfer import (
     ModeIndex,
     ModeTable,
     SingularMatrixError,
+    flips_exactly,
     invert,
+    mirror_table,
     mode_table,
     partial_products,
     scalar_det_prefix,
@@ -54,6 +60,11 @@ TAU_FLOOR = 1e-250
 M_PROBE = (1, 2, 4, 8, 16, 32, 64)
 # terms epsilon sums explicitly before its exact tail
 EPS_HEAD = 4096
+# the lemma suite's note on every m < 0 report
+NEGATIVE_M_FLAG = (
+    "m<0 suite uses componentwise absolute values; signed ratio bound "
+    "involves a negative K1(inf)/K2(inf) and is not asserted"
+)
 
 
 class BoundaryRuleError(ValueError):
@@ -136,12 +147,12 @@ def compute_I(
     """Forward table I(0..k_hi) from the normalization I(0) = (-1, m/a_n(0))."""
     table = mode_table(mode, w, c, k_hi)
     x, y = -1.0, float(mode.m / table.an[0])
-    rows = [(x, y)]
+    flat = [x, y]
     # plain floats overflow to inf without raising; the guard below catches it
     for c00, c01, c10, c11 in table.C.reshape(-1, 4).tolist():
         x, y = c00 * x + c01 * y, c10 * x + c11 * y
-        rows.append((x, y))
-    out = np.array(rows)
+        flat += (x, y)
+    out = np.array(flat).reshape(-1, 2)
     if not np.all(np.isfinite(out)) or np.max(np.abs(out)) > 1e280:
         raise RangeOverflowError(
             "forward recursion overflow; rescale the data or lower |m| * K "
@@ -170,11 +181,11 @@ def compute_K(
     inv = np.stack((c_arr[:, 1, 1], -c_arr[:, 0, 1], -c_arr[:, 1, 0], c_arr[:, 0, 0]), axis=1)
     inv /= (table.c2 / table.c1)[:, None]
     x, y = float(k_inf[0]), float(k_inf[1])
-    rows = [(x, y)]
+    flat = [x, y]
     for i00, i01, i10, i11 in reversed(inv.tolist()):
         x, y = i00 * x + i01 * y, i10 * x + i11 * y
-        rows.append((x, y))
-    return np.array(rows[::-1]), tail
+        flat += (x, y)
+    return np.array(flat).reshape(-1, 2)[::-1].copy(), tail
 
 
 @dataclass(frozen=True)
@@ -269,6 +280,57 @@ def build_solution(
     )
 
 
+def mirror_solution(sol: KernelSolution, rule: BoundaryRule = DEFAULT_RULE) -> KernelSolution | None:
+    """The solution of (-m, n) from that of (m, n), or None where it must be built.
+
+    It is derived where m != 0 and the rule is odd at m, rule(-m) = (-k1, k2)
+    for rule(m) = (k1, k2): then I(-m) = I(m) diag(1, -1) and K(-m) = K(m)
+    diag(-1, 1) bit for bit, and tau, eps and the seed tail are equal.  None
+    also where a negated entry could differ from a direct build
+    (``transfer.flips_exactly``).
+    """
+    k1, k2 = sol.K_inf
+    k_inf = rule(-sol.mode.m)
+    if sol.mode.m == 0 or tuple(k_inf) != (-k1, k2):
+        return None
+    table = mirror_table(sol.table)
+    I_tab = sol.I * (1.0, -1.0)
+    K_tab = sol.K * (-1.0, 1.0)
+    if table is None or not flips_exactly(I_tab[:, 1], K_tab[:, 0]):
+        return None
+    return replace(sol, mode=table.mode, I=I_tab, K=K_tab, K_inf=k_inf, table=table)
+
+
+def paired(
+    build: Callable[[ModeIndex], object],
+    mirror: Callable[[object], object | None],
+    modes: Iterable[ModeIndex],
+) -> Callable[[ModeIndex], object]:
+    """``build`` for ``modes`` taken in turn, run once per +-m pair where ``mirror`` can.
+
+    The first mode of a pair to come is built, and its result kept until its
+    partner comes; the partner's result is ``mirror`` of it, or a build where
+    ``mirror`` gives None.  A build that raises keeps nothing, so the partner
+    is built and its own error names its own mode.  A kept result is dropped
+    once it is used.
+    """
+    pending = set(modes)
+    kept: dict[ModeIndex, object] = {}
+
+    def get(mode: ModeIndex):
+        pending.discard(mode)
+        src = kept.pop(mode, None)
+        result = None if src is None else mirror(src)
+        if result is None:
+            result = build(mode)
+            partner = ModeIndex(-mode.m, mode.n)
+            if partner in pending:
+                kept[partner] = result
+        return result
+
+    return get
+
+
 def suffix_sum(v: np.ndarray) -> np.ndarray:
     """out[k] = sum_{i > k} v(i), with out[-1] = 0."""
     out = np.zeros(len(v))
@@ -315,6 +377,11 @@ class LemmaReport(CheckReport):
     worst_slack: float
     flagged: tuple[str, ...] = ()
 
+    def mirrored(self) -> LemmaReport:
+        """The report of the mirrored solution (``mirror_solution``): equal checks, the other sign's flag."""
+        mode = ModeIndex(-self.mode.m, self.mode.n)
+        return replace(self, mode=mode, flagged=(NEGATIVE_M_FLAG,) if mode.m < 0 else ())
+
 
 def _clause(name: str, lhs: np.ndarray, rhs: np.ndarray, slack: float) -> tuple[CheckResult, float]:
     """lhs <= rhs with additive slack scaled by local magnitude."""
@@ -358,10 +425,7 @@ def verify_lemma_suite(
     else:
         sign = 1.0 if m > 0 else -1.0
         if m < 0:
-            flagged.append(
-                "m<0 suite uses componentwise absolute values; signed ratio bound "
-                "involves a negative K1(inf)/K2(inf) and is not asserted"
-            )
+            flagged.append(NEGATIVE_M_FLAG)
         # mirror to the m>0 orientation: the first I component is negative for
         # every m != 0, while I2 and K1 carry the sign of m
         mI1 = -sol.I[:, 0]

@@ -8,12 +8,18 @@ This module evaluates each mode's per-k data once (``mode_table``: the
 weights, the gap coefficients, the C stack and the c2/c1 prefix) and builds
 from it the partial products, a certified tail bound for the product
 remainder, and the structural checks on the limit.
+
+m enters C_{m,n}(k) only as m off the diagonal and m^2 on it, so the tables
+of (-m, n) are those of (m, n) with their off-diagonals negated, bit for bit:
+float negation is exact and rounding is symmetric.  The exception is a sum
+that cancels to zero, which is +0.0 for either sign; ``flips_exactly`` tells
+where a negated table is what a direct evaluation would give.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -130,6 +136,32 @@ def mode_table(
     return ModeTable(mode=mode, k_hi=k_hi, **arrays)
 
 
+# negates the off-diagonals of a stack of 2x2 matrices by broadcasting
+OFFDIAG_FLIP = np.array([[1.0, -1.0], [-1.0, 1.0]])
+
+
+def flips_exactly(*parts: np.ndarray) -> bool:
+    """Whether negating these entries gives, bit for bit, what the -m evaluation gives.
+
+    True when every entry is nonzero and not NaN: an exact zero may come from
+    a cancellation, +0.0 for either sign, and a NaN's sign is the hardware's.
+    """
+    return all(bool(np.all(np.abs(p) > 0)) for p in parts)
+
+
+def mirror_table(table: ModeTable) -> ModeTable | None:
+    """The table of (-m, n) from that of (m, n), or None where a direct build could differ.
+
+    The weights, gaps and prefix do not depend on m and are shared; the C
+    stack has its off-diagonals negated.
+    """
+    C = table.C * OFFDIAG_FLIP
+    if not flips_exactly(C[:, 0, 1], C[:, 1, 0]):
+        return None
+    C.setflags(write=False)
+    return replace(table, mode=ModeIndex(-table.mode.m, table.mode.n), C=C)
+
+
 def det2(mat: np.ndarray) -> float:
     return float(mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0])
 
@@ -200,6 +232,21 @@ def limit_product(
     parts = partial_products(table.C)
     if abs(det2(parts[k_hi])) < DET_FLOOR:
         raise SingularMatrixError("limit product determinant underflowed")
+    return TransferProduct(table=table, partials=parts)
+
+
+def mirror_product(tp: TransferProduct) -> TransferProduct | None:
+    """The products of (-m, n) from those of (m, n), or None where a direct build could differ.
+
+    Every P(k) has its off-diagonals negated, except P(0) = I, whose zeros
+    are +0.0 for every m.  The determinants are equal, so a product whose
+    limit fell below the floor has a partner that falls below it too.
+    """
+    table = mirror_table(tp.table)
+    parts = tp.partials * OFFDIAG_FLIP
+    parts[0] = tp.partials[0]
+    if table is None or not flips_exactly(parts[1:, 0, 1], parts[1:, 1, 0]):
+        return None
     return TransferProduct(table=table, partials=parts)
 
 

@@ -525,6 +525,7 @@ def test_cli_integers_are_json_integers(small_config, capsys, argv):
 
 
 def test_scan_builds_each_solution_once(small_config, monkeypatch):
+    """Each (|m|, n) is built once: the default rule is odd, so -m mirrors m."""
     import qsolidtorus.analysis as analysis
     import qsolidtorus.cli as cli
 
@@ -538,8 +539,12 @@ def test_scan_builds_each_solution_once(small_config, monkeypatch):
     for module in (analysis, cli):
         monkeypatch.setattr(module, "build_solution", counting)
     path, cfg = small_config
+    cfg["grid"]["m_list"] += [-1, 2]
+    path.write_text(json.dumps(cfg))
     assert main(["--config", str(path), "scan"]) == 0
-    assert sorted(calls) == sorted({(m, n) for m in cfg["grid"]["m_list"] for n in cfg["grid"]["n_list"]})
+    assert sorted((abs(m), n) for m, n in calls) == sorted(
+        {(abs(m), n) for m in cfg["grid"]["m_list"] for n in cfg["grid"]["n_list"]}
+    )
 
 
 def test_solve_banded_oracle_at_k65536(tmp_path):

@@ -1,6 +1,7 @@
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -187,3 +188,12 @@ def test_default_families_are_the_documented_ones():
     assert w.a(0, 0) == 1.0 and w.a(1, 2) == 18.0
     assert c.c(1, 5, 0) == 0.5 and c.c(2, 0, 2) == 1.0 - 2.0**-3
     assert c.kappa == 2.0
+
+
+@pytest.mark.parametrize("t", [0.5, 0.3, 0.9])
+def test_J_bracket_holds_the_50_digit_product(t):
+    """[lower, upper] holds J = (t; t)_inf: the tail covers the rounding of the summed logs."""
+    got = eval_J(CoefficientFamily(t1=t, t2=t), 1, 0)
+    with mpmath.workdps(50):
+        ref = mpmath.qp(mpmath.mpf(t), mpmath.mpf(t))
+        assert got.lower <= ref <= got.upper

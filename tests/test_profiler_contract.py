@@ -65,6 +65,28 @@ def test_tracer_targets_and_build_counts(tmp_path):
     assert tr.counts["solutions.compute_K.steps"] == K_MAX * builds
 
 
+def test_tracer_counts_one_build_per_pm_pair(tmp_path):
+    """On a +-m grid each command builds each (|m|, n) once and derives its partner."""
+    tracer = _load_tracer()
+    grid = {"m_list": [1, -1, 0, -2, 2], "n_list": [0, 1]}
+    path = _tiny_config(tmp_path, grid)
+    pairs = len({(abs(m), n) for m in grid["m_list"] for n in grid["n_list"]})
+    runs = (["solve"], ["scan"], ["dump", "--what", "solution"], ["dump", "--what", "transfer"])
+    for argv in runs:
+        # a fresh table per command, so a build is never served by the previous command's last one
+        mode_table.cache_clear()
+        tr = tracer.Tracer()
+        uninstall = tracer.install(tr)
+        try:
+            assert cli.main(["--config", str(path), *argv]) == 0
+        finally:
+            uninstall()
+        builds = tr.calls["solutions.build_solution"]
+        assert builds == (0 if argv[-1] == "transfer" else pairs), argv
+        assert tr.calls["transfer.build_C_range"] == (pairs if argv[-1] == "transfer" else builds), argv
+        assert tr.counts["solutions.compute_K.steps"] == K_MAX * builds, argv
+
+
 def test_every_tracer_target_is_called(tmp_path):
     """A tiny pass of every command and one algebra check reaches each span.
 
