@@ -20,7 +20,6 @@ from .transfer import (
     ModeIndex,
     SingularMatrixError,
     TransferProduct,
-    build_A,
     invert,
     limit_product,
     structure_check,
@@ -44,18 +43,9 @@ from .parametrix import (
     WeightedSeq,
     apply_A,
     apply_Q,
-    apply_XYZ,
-    boundary_residual,
     oracle_solve,
 )
-from .dirac import (
-    FourierField,
-    TruncatedAlgebraRep,
-    algebra_sanity,
-    apply_D,
-    apply_Q_global,
-    h0_norm,
-)
+from .dirac import TruncatedAlgebraRep, algebra_sanity
 from .analysis import HsReport, ScanTable, decay_scan, hs_norms
 
 __version__ = "0.1.0"
@@ -72,7 +62,6 @@ __all__ = [
     "ModeIndex",
     "SingularMatrixError",
     "TransferProduct",
-    "build_A",
     "invert",
     "limit_product",
     "structure_check",
@@ -92,15 +81,9 @@ __all__ = [
     "WeightedSeq",
     "apply_A",
     "apply_Q",
-    "apply_XYZ",
-    "boundary_residual",
     "oracle_solve",
-    "FourierField",
     "TruncatedAlgebraRep",
     "algebra_sanity",
-    "apply_D",
-    "apply_Q_global",
-    "h0_norm",
     "HsReport",
     "ScanTable",
     "decay_scan",

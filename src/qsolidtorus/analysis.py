@@ -200,11 +200,6 @@ class ScanTable(CheckReport):
         rows_ok = all(r.all_bounds_hold and r.all_finite for r in self.rows)
         return rows_ok and not self.failures and not self.failed()
 
-    def report(self, m: int, n: int) -> HsReport:
-        for r in self.rows:
-            if r.mode.m == m and r.mode.n == n:
-                return r
-        raise KeyError((m, n))
 
 def decay_scan(
     m_list: tuple[int, ...],

@@ -219,10 +219,8 @@ def cmd_dump(
     modes = [ModeIndex(m, n) for (m, n) in _modes(cfg, only_m)]
     if what == "transfer":
         get = paired(lambda mode: limit_product(mode, cfg.weights, cfg.coeffs, k_max), mirror_product, modes)
-    elif what == "solution":
-        get = paired(solution, mirror, modes)
     else:
-        raise ConfigError(f"unknown dump table {what!r}")
+        get = paired(solution, mirror, modes)
     blocks = []
     ok = True
     for mode in modes:

@@ -1,15 +1,4 @@
-"""Global assembly of the operator, its inverse, and algebra sanity checks.
-
-A field is a finite collection of positive-sector Fourier data: for each mode
-(m, n) a pair (g at level n, f at level n+1).  Applying the operator reduces,
-mode by mode, to the 2x2 difference systems of the parametrix module; this is
-implemented twice, once through the one-step matrices and once through the
-raw one-step difference operators
-
-    B_n h(k)    = a_n(k) (h(k) - c_{2,n}(k-1) h(k-1)),      h(-1) = 0,
-    Bbar_n h(k) = a_{n+1}(k) (h(k) - c_{1,n}(k) h(k+1)),
-
-composed with the angular multiplier m.  The two paths must agree exactly.
+"""Truncated algebra representation of the quantum solid torus and its sanity checks.
 
 The truncated algebra representation realizes the generating isometry U and
 unitary V on basis vectors e_{k,l} (0 <= k <= k_cut, |l| <= l_cut) and checks
@@ -18,121 +7,20 @@ coefficient extraction, and the trace functional inequality at finite size.
 Every monomial V^m U^n or V^m (U*)^n is a weighted index shift, one entry per
 column, so polynomials are assembled and their coefficients read off by index
 arithmetic; the dense U and V are kept for the relation checks.
+
+The operator itself acts mode by mode (the parametrix module); its inverse is
+the direct sum of the per-mode inverses, which the solve command applies.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .families import CheckReport, CheckResult, CoefficientFamily, WeightFamily
-from .parametrix import ParametrixResult, RhsPair, WeightedSeq, apply_A, apply_Q
-from .solutions import DEFAULT_RULE, MODE_ERRORS, BoundaryRule, build_solution
-from .transfer import ModeIndex
+from .families import CheckReport, CheckResult
 
 Mode = tuple[int, int]
-
-
-class ModeError(RuntimeError):
-    """A per-mode failure, annotated with the mode it occurred in."""
-
-
-@dataclass
-class FourierField:
-    """Positive-sector field: (m, n) -> (g_{m,n}, f_{m,n+1}) value tables."""
-
-    entries: dict[Mode, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
-
-
-def h0_norm(field: FourierField, w: WeightFamily) -> float:
-    """Norm of the field: weighted sum of squares over all stored modes."""
-    total = 0.0
-    for (m, n), (g, f) in field.entries.items():
-        ks_g = np.arange(len(g))
-        ks_f = np.arange(len(f))
-        total += float(np.sum(g**2 / np.asarray(w.a(n, ks_g), dtype=float)))
-        total += float(np.sum(f**2 / np.asarray(w.a(n + 1, ks_f), dtype=float)))
-    return float(np.sqrt(total))
-
-
-def op_B(w: WeightFamily, c: CoefficientFamily, n: int, h: np.ndarray) -> np.ndarray:
-    """B_n h(k) = a_n(k)(h(k) - c_{2,n}(k-1) h(k-1)), same length as h."""
-    ks = np.arange(len(h))
-    a = np.asarray(w.a(n, ks), dtype=float)
-    out = a * h.astype(float)
-    c2 = np.asarray(c.c(2, n, ks[:-1]), dtype=float)
-    out[1:] -= a[1:] * c2 * h[:-1]
-    return out
-
-
-def op_Bbar(w: WeightFamily, c: CoefficientFamily, n: int, h: np.ndarray) -> np.ndarray:
-    """Bbar_n h(k) = a_{n+1}(k)(h(k) - c_{1,n}(k) h(k+1)), one entry shorter."""
-    ks = np.arange(len(h) - 1)
-    a = np.asarray(w.a(n + 1, ks), dtype=float)
-    c1 = np.asarray(c.c(1, n, ks), dtype=float)
-    return a * (h[:-1] - c1 * h[1:])
-
-
-def apply_D(
-    field: FourierField,
-    w: WeightFamily,
-    c: CoefficientFamily,
-    path: str = "matrix",
-) -> dict[Mode, RhsPair]:
-    """Apply the operator mode by mode; output q0 is the initial-row datum.
-
-    path "matrix" routes through the one-step matrix operator; path "delta"
-    composes the raw difference operators and the angular multiplier.  Both
-    produce the same block data (p_{m,n+1}(k), -q_{m,n}(k+1)) and the datum
-    a_n(0) f(0) + m g(0).
-    """
-    out: dict[Mode, RhsPair] = {}
-    for (m, n), (g, f) in sorted(field.entries.items()):
-        mode = ModeIndex(m, n)
-        if path == "matrix":
-            out[(m, n)] = apply_A(
-                mode, w, c, WeightedSeq(g, n), WeightedSeq(f, n + 1)
-            )
-        elif path == "delta":
-            p = m * f[:-1] - op_Bbar(w, c, n, g)
-            q = -op_B(w, c, n, f) - m * g
-            out[(m, n)] = RhsPair(
-                r1=WeightedSeq(p, n + 1),
-                r2=WeightedSeq(-q[1:], n),
-                q0=float(-q[0]),
-            )
-        else:
-            raise ValueError(f"unknown path {path!r}")
-    return out
-
-
-def apply_Q_global(
-    rhs: dict[Mode, RhsPair],
-    w: WeightFamily,
-    c: CoefficientFamily,
-    rule: BoundaryRule = DEFAULT_RULE,
-) -> tuple[FourierField, dict[Mode, ParametrixResult]]:
-    """Per-mode inverse applied over a field, merged in (m, n) order.
-
-    Each mode is solved on a table as long as its rhs.
-    """
-    entries: dict[Mode, tuple[np.ndarray, np.ndarray]] = {}
-    results: dict[Mode, ParametrixResult] = {}
-    for (m, n) in sorted(rhs):
-        r = rhs[(m, n)]
-        try:
-            sol = build_solution(ModeIndex(m, n), w, c, len(r.r1.values), rule=rule)
-            res = apply_Q(sol, r)
-        except MODE_ERRORS as exc:
-            raise ModeError(f"mode ({m}, {n}): {exc}") from exc
-        entries[(m, n)] = (res.h_g.values, res.h_f.values)
-        results[(m, n)] = res
-    return FourierField(entries), results
-
-
-# ---------------------------------------------------------------------------
-# Truncated algebra representation
 
 
 def _phase_power(base: np.ndarray, n: int) -> np.ndarray:

@@ -129,8 +129,8 @@ class CoefficientFamily:
                 raise ValueError("constant coefficient level must lie in (0, 1]")
         else:
             raise ValueError(f"unknown coefficient tail rule {self.tail_rule!r}")
-        if self.kappa < 1:
-            raise ValueError("kappa must be >= 1")
+        if not (math.isfinite(self.kappa) and self.kappa >= 1):
+            raise ValueError("kappa must be finite and >= 1")
         for row in (self.table1, self.table2):
             if any(not (0 < v <= 1) for v in row):
                 raise ValueError("tabulated coefficients must lie in (0, 1]")
@@ -423,7 +423,6 @@ def validate_hypotheses(
         checks.append(CheckResult("s_summable", False, str(exc)))
         checks.append(CheckResult("s_decreasing_to_zero", False, "s(n) not summable"))
 
-    checks.append(CheckResult("kappa_at_least_one", c.kappa >= 1.0, f"kappa={c.kappa}"))
     brk_ok, brk_wit = True, ""
     for i in (1, 2):
         lo = c.inf_c(i)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .families import CoefficientFamily, WeightFamily
-from .solutions import KernelSolution, cumulative_product_sum, suffix_sum
+from .solutions import KernelSolution, suffix_sum
 from .transfer import ModeIndex
 
 
@@ -195,38 +195,6 @@ def apply_Q(
     )
 
 
-def apply_XYZ(
-    kind: str, alpha: int, beta: int, sol: KernelSolution, r: WeightedSeq
-) -> WeightedSeq:
-    """The kernel integral operators in their expanded form.
-
-    X sums the upper tail i > k against K-components, Y the lower triangle
-    i <= k against I-components, both with the scalar prefix products of
-    c1/c2; Z (m = 0 only) is the cumulative c2-product kernel.  Input tags
-    must match a_{n-1+beta} for X/Y and a_n for Z.
-    """
-    n = sol.mode.n
-    vals = np.asarray(r.values, dtype=float)
-    k_max = len(vals) - 1
-    if k_max > sol.k_table:
-        raise ValueError("input longer than the kernel solution table")
-    if kind == "Z":
-        if r.level != n:
-            raise WeightTagMismatch("Z input must live at level n")
-        out = cumulative_product_sum(vals / sol.table.an[: k_max + 1], sol.table.c2)
-        return WeightedSeq(out, n + 1)
-
-    if kind not in ("X", "Y") or alpha not in (1, 2) or beta not in (1, 2):
-        raise ValueError("kind must be X/Y/Z with alpha, beta in {1, 2}")
-    if r.level != n - 1 + beta:
-        raise WeightTagMismatch(f"{kind}^{alpha}{beta} input must live at level {n - 1 + beta}")
-    H = sol.K if kind == "X" else sol.I
-    outer = (sol.I if kind == "X" else sol.K)[: k_max + 1, alpha - 1]
-    terms = _phi(sol, H, beta, k_max) * vals
-    inner = suffix_sum(terms) if kind == "X" else np.cumsum(terms)
-    return WeightedSeq(outer * inner, n - 1 + alpha)
-
-
 def oracle_matrix(
     sol: KernelSolution, k_max: int | None = None, drop_boundary: bool = False
 ) -> np.ndarray:
@@ -335,14 +303,3 @@ def oracle_solve(
     hvec = hvec + dgbtrs(lu, 2, 1, resid, piv)[0]
     return OracleSolution(h_g=WeightedSeq(hvec[0::2], n), h_f=WeightedSeq(hvec[1::2], n + 1))
 
-
-def boundary_residual(
-    h_g: WeightedSeq, h_f: WeightedSeq, k_inf: tuple[float, float]
-) -> tuple[float, float]:
-    """Residual of the edge proportionality to the pair ``k_inf`` = K(inf), plus the projected beta."""
-    k1, k2 = k_inf
-    x_end = float(h_g.values[-1])
-    y_end = float(h_f.values[-1])
-    residual = abs(x_end * k2 - y_end * k1)
-    beta = (x_end * k1 + y_end * k2) / (k1 * k1 + k2 * k2)
-    return residual, beta

@@ -55,17 +55,6 @@ class ModeIndex:
             raise ValueError("radial level n must be >= 0")
 
 
-def build_A(mode: ModeIndex, k: int, w: WeightFamily, c: CoefficientFamily) -> np.ndarray:
-    """Step matrix with rows scaled by a_{n+1}(k) c_1(k) and a_n(k+1)."""
-    m, n = mode.m, mode.n
-    return np.array(
-        [
-            [w.a(n + 1, k) * c.c(1, n, k), 0.0],
-            [float(m), w.a(n, k + 1)],
-        ]
-    )
-
-
 def build_C_range(
     m: int, an: np.ndarray, an1: np.ndarray, c1: np.ndarray, c2: np.ndarray
 ) -> np.ndarray:

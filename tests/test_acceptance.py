@@ -13,7 +13,7 @@ import pytest
 import scipy.linalg
 
 from qsolidtorus.analysis import FUBINI_PAIRS, decay_scan, hs_norms
-from qsolidtorus.dirac import FourierField, TruncatedAlgebraRep, algebra_sanity, apply_D
+from qsolidtorus.dirac import TruncatedAlgebraRep, algebra_sanity
 from qsolidtorus.families import default_families, eval_s
 from qsolidtorus.parametrix import (
     RhsPair,
@@ -29,6 +29,7 @@ from qsolidtorus.solutions import (
     wronskian_residuals,
 )
 from qsolidtorus.transfer import ModeIndex, scalar_det_prefix
+from reference import apply_D_delta
 
 W, C = default_families()
 GRID_M = (0, 1, -1, 2, -2, 4, -4, 8, -8, 16, -16, 32, -32)
@@ -190,8 +191,9 @@ def test_criterion_6_hs_bounds():
 def test_criterion_6_fubini_pairs():
     """All four symmetry pairs as discrete identities at 1e-12 relative.
 
-    hs_norms sums the operators of apply_XYZ: X is a strict upper tail, Y an
-    inclusive lower triangle, and the beta = 2 kernels are shifted one slot.
+    hs_norms sums the operators of reference.apply_XYZ: X is a strict upper
+    tail, Y an inclusive lower triangle, and the beta = 2 kernels are shifted
+    one slot.
     When the scalar prefix products R = prod c1/c2 are identically 1 (the
     matched default gap coefficients), the cross pairs (X12, Y21) and
     (X21, Y12) are exact finite-sum rearrangements of each other.  Each
@@ -285,9 +287,9 @@ def test_criterion_8_mode_equivalence():
             f = np.zeros(33)
             g[k_imp] = 1.0
             f[min(k_imp + 1, 32)] = 1.0
-            field = FourierField({(m, n): (g, f)})
-            d_mat = apply_D(field, W, C, "matrix")[(m, n)]
-            d_del = apply_D(field, W, C, "delta")[(m, n)]
+            mode = ModeIndex(m, n)
+            d_mat = apply_A(mode, W, C, WeightedSeq(g, n), WeightedSeq(f, n + 1))
+            d_del = apply_D_delta(mode, W, C, g, f)
             for a, b in (
                 (d_mat.r1.values, d_del.r1.values),
                 (d_mat.r2.values, d_del.r2.values),

@@ -111,11 +111,11 @@ def test_decay_scan_envelopes_and_outputs(families, tmp_path):
     table = decay_scan((0, 1, -1, 4, -4), (0, 1, 4), w, c, k_max=64)
     assert table.all_passed, table.failed()
     assert len(table.rows) == 15
+    rows = {(r.mode.m, r.mode.n): r for r in table.rows}
     # m = 0 rows carry only the cumulative kernel
-    z_row = table.report(0, 0)
-    assert set(z_row.hs) == {("Z", 0, 0)}
+    assert set(rows[(0, 0)].hs) == {("Z", 0, 0)}
     # ratio column matches the configured boundary rule
-    assert table.report(4, 1).ratio == pytest.approx(1.0 / 17.0)
+    assert rows[(4, 1)].ratio == pytest.approx(1.0 / 17.0)
     paths = scan_to_files(table, tmp_path, ("csv", "json"), meta={"seed": 0})
     assert sorted(p.name for p in paths) == ["hs_scan.csv", "hs_scan.json"]
     text = (tmp_path / "hs_scan.csv").read_text()

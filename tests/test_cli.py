@@ -620,6 +620,28 @@ def test_scan_overflow_exit_one(overflow_config, capsys):
     assert [(r["m"], r["n"]) for r in lemma] == [(1, 0)] and lemma[0]["all_passed"]
 
 
+def test_solve_overflow_exit_one(overflow_config, capsys):
+    """A mode whose solution overflows is an error record; the other modes are still solved."""
+    path, _ = overflow_config
+    assert main(["--config", str(path), "solve"]) == 1
+    err = capsys.readouterr().err
+    assert "mode (100000, 0) failed: forward recursion overflow" in err
+    records = {(r["m"], r["n"]): r for r in read_out(path, "solutions.json")["solutions"]}
+    assert records[(100000, 0)]["error"].startswith("mode (100000, 0): forward recursion overflow")
+    good = records[(1, 0)]
+    assert "error" not in good
+    assert all(np.isfinite(v) for k, v in good.items() if k not in ("m", "n"))
+
+
+def test_dump_unknown_table_exit_two(small_config, capsys):
+    path, _ = small_config
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(path), "dump", "--what", "bogus"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+    assert not (path.parent / "out").exists()
+
+
 def test_dump_solution_overflow_exit_one(overflow_config, capsys):
     path, cfg = overflow_config
     assert main(["--config", str(path), "dump", "--what", "solution"]) == 1

@@ -7,30 +7,32 @@ from hypothesis import strategies as st
 
 from qsolidtorus.dirac import (
     NORM_LOWER_MARGIN,
-    FourierField,
     TruncatedAlgebraRep,
     algebra_sanity,
-    apply_D,
-    apply_Q_global,
     assemble_polynomial,
     extract_minus,
     extract_plus,
-    h0_norm,
     norm_lower_bound,
     trace_bound_terms,
 )
-from qsolidtorus.parametrix import RhsPair
-from reference import delta1_component, random_field
+from qsolidtorus.parametrix import RhsPair, WeightedSeq, apply_A, apply_Q
+from qsolidtorus.solutions import build_solution
+from qsolidtorus.transfer import ModeIndex
+from reference import apply_D_delta
 
 GOLDEN = (5**0.5 - 1) / 2
 
 
-def impulse_field(m, n, k_g, k_f, k_max):
+def impulses(k_g, k_f, k_max):
     g = np.zeros(k_max + 1)
     f = np.zeros(k_max + 1)
     g[k_g] = 1.0
     f[k_f] = 1.0
-    return FourierField({(m, n): (g, f)})
+    return g, f
+
+
+def apply_A_on(mode: ModeIndex, w, c, g: np.ndarray, f: np.ndarray) -> RhsPair:
+    return apply_A(mode, w, c, WeightedSeq(g, mode.n), WeightedSeq(f, mode.n + 1))
 
 
 def rhs_close(a: RhsPair, b: RhsPair, tol: float) -> bool:
@@ -43,18 +45,18 @@ def rhs_close(a: RhsPair, b: RhsPair, tol: float) -> bool:
 
 def test_apply_D_zero(families):
     w, c = families
-    out = apply_D(FourierField({(1, 0): (np.zeros(8), np.zeros(8))}), w, c)
-    r = out[(1, 0)]
+    r = apply_A_on(ModeIndex(1, 0), w, c, np.zeros(8), np.zeros(8))
     assert not np.any(r.r1.values) and not np.any(r.r2.values) and r.q0 == 0.0
 
 
 def test_mode_equivalence_exact_on_impulses(families):
     w, c = families
     for (m, n) in ((0, 0), (1, 0), (-2, 1), (5, 3), (32, 0)):
+        mode = ModeIndex(m, n)
         for k_imp in (0, 3, 9):
-            field = impulse_field(m, n, k_imp, min(k_imp + 1, 12), 16)
-            d_mat = apply_D(field, w, c, "matrix")[(m, n)]
-            d_del = apply_D(field, w, c, "delta")[(m, n)]
+            g, f = impulses(k_imp, min(k_imp + 1, 12), 16)
+            d_mat = apply_A_on(mode, w, c, g, f)
+            d_del = apply_D_delta(mode, w, c, g, f)
             assert np.array_equal(d_mat.r1.values, d_del.r1.values)
             assert np.array_equal(d_mat.r2.values, d_del.r2.values)
             assert d_mat.q0 == d_del.q0
@@ -62,83 +64,36 @@ def test_mode_equivalence_exact_on_impulses(families):
 
 def test_mode_equivalence_random_fields(families, rng):
     w, c = families
-    field = random_field([(2, 0), (-3, 2)], 24, rng)
-    d_mat = apply_D(field, w, c, "matrix")
-    d_del = apply_D(field, w, c, "delta")
-    for key in d_mat:
-        assert rhs_close(d_mat[key], d_del[key], 1e-13)
-
-
-def test_delta1_component_multiplies_by_m(families):
-    field = FourierField({(3, 1): (np.ones(5), np.ones(5)), (-2, 0): (np.ones(5), np.ones(5))})
-    out = delta1_component(field)
-    assert np.all(out.entries[(3, 1)][0] == 3.0)
-    assert np.all(out.entries[(-2, 0)][1] == -2.0)
-
-
-def test_h0_norm_basics(families, rng):
-    w, _ = families
-    assert h0_norm(FourierField({}), w) == 0.0
-    single = FourierField({(0, 0): (np.array([1.0]), np.array([0.0]))})
-    assert h0_norm(single, w) == 1.0  # a_0(0) = 1 for the default weights
-    f1 = random_field([(1, 0)], 8, rng)
-    f2 = random_field([(2, 3)], 8, rng)
-    merged = FourierField({**f1.entries, **f2.entries})
-    assert h0_norm(merged, w) == pytest.approx(
-        float(np.hypot(h0_norm(f1, w), h0_norm(f2, w))), rel=1e-15
-    )
-    lam = 3.7
-    scaled = FourierField({k: (lam * g, lam * f) for k, (g, f) in f1.entries.items()})
-    assert h0_norm(scaled, w) == pytest.approx(lam * h0_norm(f1, w), rel=1e-14)
+    for (m, n) in ((2, 0), (-3, 2)):
+        mode = ModeIndex(m, n)
+        g, f = rng.standard_normal(25), rng.standard_normal(25)
+        assert rhs_close(apply_A_on(mode, w, c, g, f), apply_D_delta(mode, w, c, g, f), 1e-13)
 
 
 def test_global_right_inverse(families, rng):
+    """The inverse is the direct sum of the mode inverses: A Q r = r on each mode."""
     w, c = families
-    field = random_field([(0, 0), (1, 0), (-2, 1), (4, 2)], 32, rng)
-    rhs = apply_D(field, w, c)
-    recovered, results = apply_Q_global(rhs, w, c)
-    back = apply_D(recovered, w, c)
-    for key in rhs:
-        assert rhs_close(back[key], rhs[key], 1e-9)
-    assert set(results) == set(rhs)
+    for (m, n) in ((0, 0), (1, 0), (-2, 1), (4, 2)):
+        mode = ModeIndex(m, n)
+        g, f = rng.standard_normal(33), rng.standard_normal(33)
+        rhs = apply_A_on(mode, w, c, g, f)
+        res = apply_Q(build_solution(mode, w, c, 32), rhs)
+        back = apply_A(mode, w, c, res.h_g, res.h_f)
+        assert rhs_close(back, rhs, 1e-9)
 
 
 def test_global_left_inverse_on_domain(families, rng):
+    """Q A h = h on each mode for h in the range of Q, the domain of the boundary condition."""
     w, c = families
-    field = random_field([(1, 0), (-3, 1)], 32, rng)
-    rhs = apply_D(field, w, c)
-    domain_field, _ = apply_Q_global(rhs, w, c)
-    rhs2 = apply_D(domain_field, w, c)
-    again, _ = apply_Q_global(rhs2, w, c)
-    for key in domain_field.entries:
-        a = np.concatenate(domain_field.entries[key])
-        b = np.concatenate(again.entries[key])
+    for (m, n) in ((1, 0), (-3, 1)):
+        mode = ModeIndex(m, n)
+        g, f = rng.standard_normal(33), rng.standard_normal(33)
+        sol = build_solution(mode, w, c, 32)
+        domain = apply_Q(sol, apply_A_on(mode, w, c, g, f))
+        again = apply_Q(sol, apply_A(mode, w, c, domain.h_g, domain.h_f))
+        a = np.concatenate((domain.h_g.values, domain.h_f.values))
+        b = np.concatenate((again.h_g.values, again.h_f.values))
         assert np.max(np.abs(a - b)) <= 1e-8 * max(np.max(np.abs(a)), 1e-300)
-
-
-def test_per_mode_errors_annotated(families, rng):
-    from qsolidtorus.dirac import ModeError
-
-    w, c = families
-    field = random_field([(100000, 0)], 128, rng)
-    rhs = apply_D(field, w, c)
-    # the I table of this mode leaves the double range
-    with pytest.raises(ModeError, match=r"mode \(100000, 0\): forward recursion overflow"):
-        apply_Q_global(rhs, w, c)
-
-
-def test_global_inverse_bug_propagates(families, rng, monkeypatch):
-    """Only per-mode failures become ModeError; a bug in apply_Q is not wrapped."""
-    import qsolidtorus.dirac as dirac
-
-    def broken(*args, **kwargs):
-        raise TypeError("bug")
-
-    monkeypatch.setattr(dirac, "apply_Q", broken)
-    w, c = families
-    rhs = apply_D(random_field([(2, 0)], 8, rng), w, c)
-    with pytest.raises(TypeError, match="bug"):
-        apply_Q_global(rhs, w, c)
 
 
 def test_algebra_commutes_at_theta_zero():

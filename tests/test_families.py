@@ -168,6 +168,13 @@ def test_law_checks_its_parameters(case, with_table):
         family(**fields, **(table if with_table else {}))
 
 
+@pytest.mark.parametrize("kappa", [float("nan"), float("inf"), float("-inf"), 0.5])
+def test_kappa_must_be_finite_and_at_least_one(kappa):
+    """A NaN kappa would pass kappa_bracketing vacuously: lo < 1/nan is False."""
+    with pytest.raises(ValueError, match=re.escape("kappa must be finite and >= 1")):
+        CoefficientFamily(kappa=kappa)
+
+
 def test_validate_flags_bad_kappa(families):
     w, _ = families
     report = validate_hypotheses(w, CoefficientFamily(kappa=1.0))

