@@ -229,7 +229,7 @@ def decay_scan(
         twin = mirror_solution(sol, rule)
         if twin is None:
             return None
-        return twin, replace(report, mode=twin.mode), (lemma.mirrored(), wronskian)
+        return twin, replace(report, mode=twin.mode), (replace(lemma, mode=twin.mode), wronskian)
 
     get = paired(build, mirror, [ModeIndex(m, n) for m in m_list for n in n_list])
     rows = []
@@ -303,7 +303,7 @@ def scan_to_files(table: ScanTable, out_dir, formats=("csv", "json"), meta: dict
         written.append(p)
     if "json" in formats:
         p = out / "hs_scan.json"
-        payload = {"rows": rows, "envelope": table.check_rows()}
+        payload = {"rows": rows, "envelope": table.as_dict()["checks"]}
         if meta:
             payload["meta"] = meta
         write_json(p, payload)

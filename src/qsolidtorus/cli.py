@@ -119,16 +119,16 @@ def cmd_solve(
         try:
             sol = solution(mode)
             res = apply_Q(sol, r, k_max)
-            back = apply_A(mode, cfg.weights, cfg.coeffs, res.h_g, res.h_f)
-            r_norm = r.norm(cfg.weights)
+            back = apply_A(sol.table, res.h_g, res.h_f)
+            r_norm = r.norm(sol.table)
             diff = RhsPair(
                 r1=WeightedSeq(back.r1.values - r.r1.values, n + 1),
                 r2=WeightedSeq(back.r2.values - r.r2.values, n),
                 q0=back.q0 - r.q0,
             )
-            resid_inv = diff.norm(cfg.weights) / max(r_norm, 1e-300)
-            orc = oracle_solve(sol, cfg.weights, cfg.coeffs, r)
-            scale = max(res.norm(cfg.weights), 1e-300)
+            resid_inv = diff.norm(sol.table) / max(r_norm, 1e-300)
+            orc = oracle_solve(sol, r)
+            scale = max(res.norm(sol.table), 1e-300)
             d_orc = float(
                 np.sqrt(
                     np.sum((orc.h_g.values - res.h_g.values) ** 2)
@@ -180,7 +180,6 @@ def cmd_scan(
                 "all_passed": rep.all_passed,
                 "worst_slack": rep.worst_slack,
                 "wronskian_worst": wr,
-                "flagged": list(rep.flagged),
                 "failures": failures,
             }
         )
@@ -303,6 +302,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     if k_max < 2:
         print("--kmax must be at least 2", file=sys.stderr)
+        return EXIT_USAGE
+    if seed < 0:
+        print("--seed must be >= 0", file=sys.stderr)
         return EXIT_USAGE
     try:
         if args.command == "validate":

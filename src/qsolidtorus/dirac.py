@@ -183,7 +183,7 @@ class AlgebraReport(CheckReport):
     worst: dict
 
     def as_dict(self) -> dict:
-        return {"all_passed": self.all_passed, "checks": self.check_rows(), "worst": self.worst}
+        return {**super().as_dict(), "worst": self.worst}
 
 
 def algebra_sanity(

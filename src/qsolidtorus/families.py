@@ -39,12 +39,11 @@ class HypothesisViolation(ValueError):
 class SeriesValue:
     """A truncated series/product value with a rigorous tail bound.
 
-    ``value`` is the computed truncation, ``k_trunc`` the first omitted index,
-    and ``tail`` an upper bound on |true - value|.
+    ``value`` is the computed truncation and ``tail`` an upper bound on
+    |true - value|.
     """
 
     value: float
-    k_trunc: int
     tail: float
 
     @property
@@ -306,7 +305,7 @@ def eval_s(w: WeightFamily, n: int) -> SeriesValue:
     value = exact_tail_inv_weight(w, n, 0)
     # with no table, s(n) is zeta(q) / scale, with no row summed term by term to round
     tail = 0.0 if not w.table else min(SERIES_TOL, 1e-15 * abs(value))
-    return SeriesValue(value=value, k_trunc=len(w._row(n)), tail=tail)
+    return SeriesValue(value=value, tail=tail)
 
 
 def eval_J(c: CoefficientFamily, i: int, n: int, tol: float = SERIES_TOL) -> SeriesValue:
@@ -349,7 +348,7 @@ def eval_J(c: CoefficientFamily, i: int, n: int, tol: float = SERIES_TOL) -> Ser
     log_err = (k_hi + 7) * u * abs(log_sum)
     exp_err = 0.0 if log_sum == 0.0 else 2 * u
     tail = value * (math.expm1(t_log + log_err) + exp_err) / (1.0 - exp_err)
-    return SeriesValue(value=value, k_trunc=k_hi, tail=tail)
+    return SeriesValue(value=value, tail=tail)
 
 
 @dataclass(frozen=True)
@@ -371,16 +370,15 @@ class CheckReport:
     def failed(self) -> list[CheckResult]:
         return [ch for ch in self.checks if not ch.passed]
 
-    def check_rows(self) -> list[dict]:
-        return [{"name": ch.name, "passed": ch.passed, "witness": ch.witness} for ch in self.checks]
+    def as_dict(self) -> dict:
+        """The verdict and the check rows, for JSON output."""
+        rows = [{"name": ch.name, "passed": ch.passed, "witness": ch.witness} for ch in self.checks]
+        return {"all_passed": self.all_passed, "checks": rows}
 
 
 @dataclass(frozen=True)
 class ValidationReport(CheckReport):
     checks: tuple[CheckResult, ...] = field(default_factory=tuple)
-
-    def as_dict(self) -> dict:
-        return {"all_passed": self.all_passed, "checks": self.check_rows()}
 
 
 def validate_hypotheses(

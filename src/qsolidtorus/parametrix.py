@@ -23,9 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .families import CoefficientFamily, WeightFamily
 from .solutions import KernelSolution, suffix_sum
-from .transfer import ModeIndex
+from .transfer import ModeIndex, ModeTable
 
 
 class WeightTagMismatch(ValueError):
@@ -39,10 +38,13 @@ class WeightedSeq:
     values: np.ndarray
     level: int
 
-    def norm(self, w: WeightFamily) -> float:
-        ks = np.arange(len(self.values))
-        a = np.asarray(w.a(self.level, ks), dtype=float)
-        return float(np.sqrt(np.sum(self.values**2 / a)))
+    def norm(self, t: ModeTable) -> float:
+        """The weighted l2 norm by the table's a_n (level n) or a_{n+1} (level n+1)."""
+        n = t.mode.n
+        if self.level not in (n, n + 1):
+            raise WeightTagMismatch(f"level {self.level} is neither {n} nor {n + 1}")
+        a = t.an if self.level == n else t.an1
+        return float(np.sqrt(np.sum(self.values**2 / a[: len(self.values)])))
 
 
 @dataclass(frozen=True)
@@ -57,13 +59,12 @@ class RhsPair:
     r2: WeightedSeq
     q0: float
 
-    def norm(self, w: WeightFamily) -> float:
-        n = self.r2.level
+    def norm(self, t: ModeTable) -> float:
         return float(
             np.sqrt(
-                self.r1.norm(w) ** 2
-                + self.r2.norm(w) ** 2
-                + self.q0**2 / w.a(n, 0)
+                self.r1.norm(t) ** 2
+                + self.r2.norm(t) ** 2
+                + self.q0**2 / t.an[0]
             )
         )
 
@@ -78,8 +79,8 @@ class ParametrixResult:
     boundary_residual: float
     boundary_tol: float
 
-    def norm(self, w: WeightFamily) -> float:
-        return float(np.sqrt(self.h_g.norm(w) ** 2 + self.h_f.norm(w) ** 2))
+    def norm(self, t: ModeTable) -> float:
+        return float(np.sqrt(self.h_g.norm(t) ** 2 + self.h_f.norm(t) ** 2))
 
 
 def random_rhs(mode: ModeIndex, k_max: int, rng: np.random.Generator) -> RhsPair:
@@ -90,29 +91,23 @@ def random_rhs(mode: ModeIndex, k_max: int, rng: np.random.Generator) -> RhsPair
     )
 
 
-def apply_A(
-    mode: ModeIndex,
-    w: WeightFamily,
-    c: CoefficientFamily,
-    h_g: WeightedSeq,
-    h_f: WeightedSeq,
-) -> RhsPair:
-    """Apply the mode operator; the returned q0 is the initial regularity datum."""
-    m, n = mode.m, mode.n
+def apply_A(t: ModeTable, h_g: WeightedSeq, h_f: WeightedSeq) -> RhsPair:
+    """Apply the operator of mode ``t.mode``; the returned q0 is the initial regularity datum.
+
+    The rows are the raw difference equations on the table's weights and
+    gaps, so a right-inverse residual checks variation of constants against
+    the operator itself.
+    """
+    m, n = t.mode.m, t.mode.n
     if h_g.level != n or h_f.level != n + 1:
         raise WeightTagMismatch(f"expected levels ({n}, {n + 1})")
     x = h_g.values
     y = h_f.values
     K = len(x) - 1
-    ks = np.arange(K)
-    c1 = np.asarray(c.c(1, n, ks), dtype=float)
-    c2 = np.asarray(c.c(2, n, ks), dtype=float)
-    an1 = np.asarray(w.a(n + 1, ks), dtype=float)
-    an_next = np.asarray(w.a(n, ks + 1), dtype=float)
     # rows of A(k+1) [h(k+1) - C(k) h(k)] written out componentwise
-    r1 = m * y[:-1] - an1 * (x[:-1] - c1 * x[1:])
-    r2 = an_next * (y[1:] - c2 * y[:-1]) + m * x[1:]
-    q0_out = w.a(n, 0) * y[0] + m * x[0]
+    r1 = m * y[:-1] - t.an1[:K] * (x[:-1] - t.c1[:K] * x[1:])
+    r2 = t.an[1 : K + 1] * (y[1:] - t.c2[:K] * y[:-1]) + m * x[1:]
+    q0_out = t.an[0] * y[0] + m * x[0]
     return RhsPair(
         r1=WeightedSeq(r1, n + 1),
         r2=WeightedSeq(r2, n),
@@ -262,12 +257,7 @@ def _oracle_band(sol: KernelSolution, k_max: int) -> np.ndarray:
     return band
 
 
-def oracle_solve(
-    sol: KernelSolution,
-    w: WeightFamily,
-    c: CoefficientFamily,
-    r: RhsPair,
-) -> OracleSolution:
+def oracle_solve(sol: KernelSolution, r: RhsPair) -> OracleSolution:
     """Banded LU solve of the truncated constrained system, O(K) memory.
 
     The window is the solution's table, K = ``sol.k_table``; entries of r
@@ -275,14 +265,13 @@ def oracle_solve(
     The boundary row pairs against the K table at the truncation edge (the
     rule values when the seed sits there).  The band is factored once; the
     solve is followed by one step of iterative refinement against the
-    residual of the raw system (``apply_A`` on the families ``w`` and ``c``,
-    plus the boundary row).
+    residual of the raw system (``apply_A`` on the solution's table, plus the
+    boundary row).
     """
     # imported here so that only the oracle pays for loading LAPACK
     from scipy.linalg.lapack import dgbtrf, dgbtrs
 
-    mode = sol.mode
-    n = mode.n
+    n = sol.mode.n
     k_max = sol.k_table
     lu, piv, info = dgbtrf(_oracle_band(sol, k_max), 2, 1, overwrite_ab=True)
     if info > 0:
@@ -293,7 +282,7 @@ def oracle_solve(
     rhs[1 : 2 * n_fill : 2] = r.r1.values[:n_fill]
     rhs[2 : 2 * n_fill + 1 : 2] = r.r2.values[:n_fill]
     hvec, _ = dgbtrs(lu, 2, 1, rhs, piv)
-    back = apply_A(mode, w, c, WeightedSeq(hvec[0::2], n), WeightedSeq(hvec[1::2], n + 1))
+    back = apply_A(sol.table, WeightedSeq(hvec[0::2], n), WeightedSeq(hvec[1::2], n + 1))
     b1, b2 = sol.K[k_max]
     resid = rhs.copy()
     resid[0] -= back.q0

@@ -60,11 +60,6 @@ TAU_FLOOR = 1e-250
 M_PROBE = (1, 2, 4, 8, 16, 32, 64)
 # terms epsilon sums explicitly before its exact tail
 EPS_HEAD = 4096
-# the lemma suite's note on every m < 0 report
-NEGATIVE_M_FLAG = (
-    "m<0 suite uses componentwise absolute values; signed ratio bound "
-    "involves a negative K1(inf)/K2(inf) and is not asserted"
-)
 
 
 class BoundaryRuleError(ValueError):
@@ -242,7 +237,7 @@ def epsilon(mode: ModeIndex, w: WeightFamily) -> SeriesValue:
     )
     corr = min(corr, inv_tail)
     value = head + inv_tail - 0.5 * corr
-    return SeriesValue(value=value, k_trunc=EPS_HEAD, tail=0.5 * corr + 1e-15 * abs(value))
+    return SeriesValue(value=value, tail=0.5 * corr + 1e-15 * abs(value))
 
 
 def build_solution(
@@ -375,12 +370,6 @@ class LemmaReport(CheckReport):
     mode: ModeIndex
     checks: tuple[CheckResult, ...]
     worst_slack: float
-    flagged: tuple[str, ...] = ()
-
-    def mirrored(self) -> LemmaReport:
-        """The report of the mirrored solution (``mirror_solution``): equal checks, the other sign's flag."""
-        mode = ModeIndex(-self.mode.m, self.mode.n)
-        return replace(self, mode=mode, flagged=(NEGATIVE_M_FLAG,) if mode.m < 0 else ())
 
 
 def _clause(name: str, lhs: np.ndarray, rhs: np.ndarray, slack: float) -> tuple[CheckResult, float]:
@@ -402,17 +391,16 @@ def verify_lemma_suite(
 ) -> LemmaReport:
     """Run every inequality the norm analysis uses, over the whole table.
 
-    For m > 0 the inequalities are asserted as stated; for m < 0 the suite runs
-    on componentwise absolute values (an exact mirror of the m > 0 tables) and
-    the signed variants are flagged, not asserted.  m = 0 reduces to the
-    diagonal pattern checks.
+    For m > 0 the inequalities are asserted as stated.  For m < 0 the suite
+    runs on componentwise absolute values, which is the m > 0 suite of the
+    reflected system, the one whose rule is (-k1, k2) at -m where this rule
+    is (k1, k2) at m.  m = 0 reduces to the diagonal pattern checks.
     """
     # slack 0 turns float ties into findings; that strictness stress is
     # documented behavior, not an error
     mode = sol.mode
     m = mode.m
     K_hi = sol.k_table
-    flagged: list[str] = []
 
     if m == 0:
         i2_zero = np.all(sol.I[:, 1] == 0.0)
@@ -424,8 +412,6 @@ def verify_lemma_suite(
         clauses = [("K2_nonincreasing", sol.K[1:, 1], sol.K[:-1, 1])]
     else:
         sign = 1.0 if m > 0 else -1.0
-        if m < 0:
-            flagged.append(NEGATIVE_M_FLAG)
         # mirror to the m>0 orientation: the first I component is negative for
         # every m != 0, while I2 and K1 carry the sign of m
         mI1 = -sol.I[:, 0]
@@ -471,6 +457,4 @@ def verify_lemma_suite(
     checks += [ch for ch, _ in results]
     # np.max propagates a NaN margin, which the builtin max can drop
     worst = float(np.max([wv for _, wv in results]))
-    return LemmaReport(
-        mode=mode, checks=tuple(checks), worst_slack=worst, flagged=tuple(flagged)
-    )
+    return LemmaReport(mode=mode, checks=tuple(checks), worst_slack=worst)

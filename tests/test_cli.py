@@ -524,6 +524,15 @@ def test_cli_integers_are_json_integers(small_config, capsys, argv):
     assert not (path.parent / "out").exists()
 
 
+@pytest.mark.parametrize("command", [["validate"], ["solve"], ["scan"], ["dump", "--what", "solution"]])
+def test_negative_seed_exit_two(small_config, capsys, command):
+    """numpy's generator rejects a negative seed, so the command line does first."""
+    path, _ = small_config
+    assert main(["--config", str(path), "--seed", "-3", *command]) == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not (path.parent / "out").exists()
+
+
 def test_scan_builds_each_solution_once(small_config, monkeypatch):
     """Each (|m|, n) is built once: the default rule is odd, so -m mirrors m."""
     import qsolidtorus.analysis as analysis

@@ -17,7 +17,7 @@ from qsolidtorus.dirac import (
 )
 from qsolidtorus.parametrix import RhsPair, WeightedSeq, apply_A, apply_Q
 from qsolidtorus.solutions import build_solution
-from qsolidtorus.transfer import ModeIndex
+from qsolidtorus.transfer import ModeIndex, mode_table
 from reference import apply_D_delta
 
 GOLDEN = (5**0.5 - 1) / 2
@@ -32,7 +32,8 @@ def impulses(k_g, k_f, k_max):
 
 
 def apply_A_on(mode: ModeIndex, w, c, g: np.ndarray, f: np.ndarray) -> RhsPair:
-    return apply_A(mode, w, c, WeightedSeq(g, mode.n), WeightedSeq(f, mode.n + 1))
+    t = mode_table(mode, w, c, len(g) - 1)
+    return apply_A(t, WeightedSeq(g, mode.n), WeightedSeq(f, mode.n + 1))
 
 
 def rhs_close(a: RhsPair, b: RhsPair, tol: float) -> bool:
@@ -77,8 +78,9 @@ def test_global_right_inverse(families, rng):
         mode = ModeIndex(m, n)
         g, f = rng.standard_normal(33), rng.standard_normal(33)
         rhs = apply_A_on(mode, w, c, g, f)
-        res = apply_Q(build_solution(mode, w, c, 32), rhs)
-        back = apply_A(mode, w, c, res.h_g, res.h_f)
+        sol = build_solution(mode, w, c, 32)
+        res = apply_Q(sol, rhs)
+        back = apply_A(sol.table, res.h_g, res.h_f)
         assert rhs_close(back, rhs, 1e-9)
 
 
@@ -90,7 +92,7 @@ def test_global_left_inverse_on_domain(families, rng):
         g, f = rng.standard_normal(33), rng.standard_normal(33)
         sol = build_solution(mode, w, c, 32)
         domain = apply_Q(sol, apply_A_on(mode, w, c, g, f))
-        again = apply_Q(sol, apply_A(mode, w, c, domain.h_g, domain.h_f))
+        again = apply_Q(sol, apply_A(sol.table, domain.h_g, domain.h_f))
         a = np.concatenate((domain.h_g.values, domain.h_f.values))
         b = np.concatenate((again.h_g.values, again.h_f.values))
         assert np.max(np.abs(a - b)) <= 1e-8 * max(np.max(np.abs(a)), 1e-300)

@@ -14,7 +14,7 @@ from qsolidtorus.parametrix import (
     random_rhs,
 )
 from qsolidtorus.solutions import build_solution
-from qsolidtorus.transfer import ModeIndex
+from qsolidtorus.transfer import ModeIndex, mode_table
 from reference import apply_Q_direct, apply_XYZ, build_A, zero_rhs
 
 
@@ -29,19 +29,19 @@ def solution_diff(res, orc):
     return num / scale
 
 
-def rhs_diff(a: RhsPair, b: RhsPair, w) -> float:
+def rhs_diff(a: RhsPair, b: RhsPair, t) -> float:
     diff = RhsPair(
         r1=WeightedSeq(a.r1.values - b.r1.values, a.r1.level),
         r2=WeightedSeq(a.r2.values - b.r2.values, a.r2.level),
         q0=a.q0 - b.q0,
     )
-    return diff.norm(w) / max(b.norm(w), 1e-300)
+    return diff.norm(t) / max(b.norm(t), 1e-300)
 
 
 def test_apply_A_zero(families):
     w, c = families
     mode = ModeIndex(3, 1)
-    out = apply_A(mode, w, c, WeightedSeq(np.zeros(9), 1), WeightedSeq(np.zeros(9), 2))
+    out = apply_A(mode_table(mode, w, c, 8), WeightedSeq(np.zeros(9), 1), WeightedSeq(np.zeros(9), 2))
     assert not np.any(out.r1.values) and not np.any(out.r2.values) and out.q0 == 0.0
 
 
@@ -49,7 +49,7 @@ def test_apply_A_annihilates_I(families):
     w, c = families
     for mode in (ModeIndex(1, 0), ModeIndex(-6, 2), ModeIndex(32, 0)):
         sol = build_solution(mode, w, c, 64)
-        out = apply_A(mode, w, c, WeightedSeq(sol.I[:, 0], mode.n), WeightedSeq(sol.I[:, 1], mode.n + 1))
+        out = apply_A(sol.table, WeightedSeq(sol.I[:, 0], mode.n), WeightedSeq(sol.I[:, 1], mode.n + 1))
         scale = np.max(np.abs(sol.I)) * w.a(mode.n + 1, 64)
         assert float(np.max(np.abs(out.r1.values))) <= 1e-12 * scale
         assert float(np.max(np.abs(out.r2.values))) <= 1e-12 * scale
@@ -60,7 +60,7 @@ def test_apply_A_annihilates_K_with_nonzero_datum(families):
     w, c = families
     mode = ModeIndex(2, 1)
     sol = build_solution(mode, w, c, 64)
-    out = apply_A(mode, w, c, WeightedSeq(sol.K[:, 0], 1), WeightedSeq(sol.K[:, 1], 2))
+    out = apply_A(sol.table, WeightedSeq(sol.K[:, 0], 1), WeightedSeq(sol.K[:, 1], 2))
     scale = np.max(np.abs(sol.K)) * w.a(2, 64)
     assert float(np.max(np.abs(out.r1.values))) <= 1e-12 * scale
     assert float(np.max(np.abs(out.r2.values))) <= 1e-12 * scale
@@ -71,7 +71,45 @@ def test_apply_A_annihilates_K_with_nonzero_datum(families):
 def test_apply_A_tag_mismatch(families):
     w, c = families
     with pytest.raises(WeightTagMismatch):
-        apply_A(ModeIndex(1, 0), w, c, WeightedSeq(np.zeros(4), 3), WeightedSeq(np.zeros(4), 1))
+        apply_A(mode_table(ModeIndex(1, 0), w, c, 3), WeightedSeq(np.zeros(4), 3), WeightedSeq(np.zeros(4), 1))
+
+
+def test_mode_table_is_the_only_evaluator(families, rng, monkeypatch):
+    """apply_A, the three norms and the oracle read the solution's table, not the families."""
+    w, c = families
+    for m in (3, -3, 0):
+        mode = ModeIndex(m, 1)
+        sol = build_solution(mode, w, c, 32)
+        r = random_rhs(mode, 32, rng)
+        res = apply_Q(sol, r)
+
+        def values():
+            back = apply_A(sol.table, res.h_g, res.h_f)
+            orc = oracle_solve(sol, r)
+            return (back.r1.values, back.r2.values, back.q0, r.norm(sol.table), res.norm(sol.table),
+                    res.h_g.norm(sol.table), orc.h_g.values, orc.h_f.values)
+
+        before = values()
+
+        def no_family(*args, **kwargs):
+            raise AssertionError("a family was evaluated outside the mode table")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(WeightFamily, "a", no_family)
+            patch.setattr(CoefficientFamily, "c", no_family)
+            after = values()
+        for x, y in zip(before, after):
+            assert np.array_equal(x, y)
+
+
+def test_norm_at_a_foreign_level_raises(families):
+    w, c = families
+    t = mode_table(ModeIndex(1, 2), w, c, 8)
+    for level in (2, 3):
+        assert WeightedSeq(np.ones(9), level).norm(t) == float(np.sqrt(np.sum(1.0 / w.a(level, np.arange(9)))))
+    for level in (1, 4):
+        with pytest.raises(WeightTagMismatch):
+            WeightedSeq(np.ones(9), level).norm(t)
 
 
 def test_Z_operator_with_unit_coeffs(families, unit_coeffs):
@@ -204,8 +242,8 @@ def test_right_inverse_roundtrip(families, rng):
     for _ in range(5):
         r = random_rhs(mode, 128, rng)
         res = apply_Q(sol, r)
-        back = apply_A(mode, w, c, res.h_g, res.h_f)
-        assert rhs_diff(back, r, w) <= 1e-9
+        back = apply_A(sol.table, res.h_g, res.h_f)
+        assert rhs_diff(back, r, sol.table) <= 1e-9
 
 
 def test_oracle_equivalence_small_grid(families, rng):
@@ -216,7 +254,7 @@ def test_oracle_equivalence_small_grid(families, rng):
             sol = build_solution(mode, w, c, 48)
             r = random_rhs(mode, 48, rng)
             res = apply_Q(sol, r)
-            orc = oracle_solve(sol, w, c, r)
+            orc = oracle_solve(sol, r)
             assert solution_diff(res, orc) <= 1e-8
 
 
@@ -226,7 +264,7 @@ def test_oracle_window_is_the_table(families, rng):
     mode = ModeIndex(3, 1)
     sol = build_solution(mode, w, c, 48)
     r = random_rhs(mode, 30, rng)
-    orc = oracle_solve(sol, w, c, r)
+    orc = oracle_solve(sol, r)
     assert len(orc.h_g.values) == len(orc.h_f.values) == 49
     assert solution_diff(apply_Q(sol, r), orc) <= 1e-8
 
@@ -236,8 +274,8 @@ def test_left_inverse_on_domain(families, rng):
     for mode in (ModeIndex(2, 0), ModeIndex(-4, 1)):
         sol = build_solution(mode, w, c, 48)
         r = random_rhs(mode, 48, rng)
-        orc = oracle_solve(sol, w, c, r)
-        back = apply_A(mode, w, c, orc.h_g, orc.h_f)
+        orc = oracle_solve(sol, r)
+        back = apply_A(sol.table, orc.h_g, orc.h_f)
         res = apply_Q(sol, back)
         num = max(
             float(np.max(np.abs(res.h_g.values - orc.h_g.values))),
@@ -299,7 +337,7 @@ def test_oracle_zero_data_gives_zero(families):
     w, c = families
     for mode in (ModeIndex(1, 0), ModeIndex(0, 2), ModeIndex(-7, 1)):
         sol = build_solution(mode, w, c, 32)
-        orc = oracle_solve(sol, w, c, zero_rhs(mode, 32))
+        orc = oracle_solve(sol, zero_rhs(mode, 32))
         assert float(np.max(np.abs(orc.h_g.values))) == 0.0
         assert float(np.max(np.abs(orc.h_f.values))) == 0.0
 
@@ -335,7 +373,7 @@ def test_oracle_singular_band_raises(families, monkeypatch):
     sol = build_solution(mode, w, c, 8)
     monkeypatch.setattr(parametrix, "_oracle_band", lambda sol, k_max: np.zeros((6, 2 * k_max + 2)))
     with pytest.raises(np.linalg.LinAlgError):
-        oracle_solve(sol, w, c, zero_rhs(mode, 8))
+        oracle_solve(sol, zero_rhs(mode, 8))
 
 
 def test_beta_stable_under_truncation_doubling(families, rng):
@@ -363,7 +401,7 @@ def test_banded_oracle_matches_dense_solve(families, rng):
                 mode = ModeIndex(m, n)
                 sol = build_solution(mode, w, c, K)
                 r = random_rhs(mode, K, rng)
-                orc = oracle_solve(sol, w, c, r)
+                orc = oracle_solve(sol, r)
                 mat = oracle_matrix(sol, K)
                 rhs = np.zeros(2 * (K + 1))
                 rhs[0 : 2 * K : 2] = r.r1.values

@@ -184,13 +184,17 @@ def test_lemma_suite_product_bound_at_k_zero_is_tau(families):
     assert sol.K[0, 0] * sol.I[0, 1] <= sol.tau * (1 + 1e-14)
 
 
-def test_lemma_suite_mirror_flagged(families):
+def test_lemma_suite_negative_m_is_the_reflected_positive_suite(families):
+    """The m < 0 suite on absolute values is the m > 0 suite of the system whose rule is (-k1, k2)."""
     w, c = families
-    plus = verify_lemma_suite(build_solution(ModeIndex(4, 1), w, c, 64))
-    minus = verify_lemma_suite(build_solution(ModeIndex(-4, 1), w, c, 64))
-    assert minus.all_passed and plus.all_passed
-    assert minus.flagged and not plus.flagged
-    assert minus.worst_slack == plus.worst_slack
+    plus_rule, minus_rule = BoundaryRule({2: (0.3, 1.0)}), BoundaryRule({-2: (-0.3, 1.0)})
+    for n in (0, 3):
+        for k_max in (16, 128):
+            plus = verify_lemma_suite(build_solution(ModeIndex(2, n), w, c, k_max, rule=plus_rule))
+            minus = verify_lemma_suite(build_solution(ModeIndex(-2, n), w, c, k_max, rule=minus_rule))
+            assert plus.all_passed and minus.all_passed
+            assert dataclasses.replace(minus, mode=plus.mode) == plus
+            assert minus.worst_slack == plus.worst_slack
 
 
 def test_lemma_suite_m_zero_pattern(families):

@@ -83,11 +83,11 @@ def test_tabulated_oracle_equivalence_and_identities(tab_families, rng):
         assert float(np.max(wronskian_residuals(sol))) <= 1e-12
         r = random_rhs(mode, 40, rng)
         res = apply_Q(sol, r)
-        orc = oracle_solve(sol, w, c, r)
+        orc = oracle_solve(sol, r)
         scale = max(np.max(np.abs(orc.h_g.values)), np.max(np.abs(orc.h_f.values)))
         assert np.max(np.abs(res.h_g.values - orc.h_g.values)) <= 1e-10 * scale
         assert np.max(np.abs(res.h_f.values - orc.h_f.values)) <= 1e-10 * scale
-        back = apply_A(mode, w, c, res.h_g, res.h_f)
+        back = apply_A(sol.table, res.h_g, res.h_f)
         assert np.max(np.abs(back.r1.values - r.r1.values)) <= 1e-9 * max(1.0, scale)
         if m > 0:
             assert verify_lemma_suite(sol).all_passed
