@@ -43,13 +43,16 @@ from .families import (
 from .solutions import DEFAULT_RULE, MODE_ERRORS, BoundaryRule, KernelSolution, build_solution
 from .solutions import (
     cumulative_product_sum,
+    each_mode,
     mirror_solution,
     paired,
+    per_mode,
+    stack,
     suffix_sum,
     verify_lemma_suite,
     wronskian_residuals,
 )
-from .transfer import ModeIndex
+from .transfer import Levels, ModeIndex
 
 FUBINI_PAIRS = (
     (("X", 1, 2), ("Y", 2, 1)),
@@ -106,32 +109,32 @@ class HsReport:
 
 # the raw-scale sums may overflow at large |m|; the scan's finite gate reports it
 @np.errstate(over="ignore", invalid="ignore")
-def hs_norms(sol: KernelSolution, w: WeightFamily, c: CoefficientFamily) -> HsReport:
-    """Direct double sums over the table for the kernel HS norms of ``sol.mode``, with bounds."""
-    mode = sol.mode
-    m, n = mode.m, mode.n
+def hs_norms(sol: KernelSolution, w: WeightFamily, c: CoefficientFamily) -> HsReport | list[HsReport]:
+    """Direct double sums over the table for the kernel HS norms of ``sol.mode`` (of each of a stack), with bounds."""
+    m, n = sol.mode.m, sol.mode.n
     s_n = eval_s(w, n)
     s_n1 = eval_s(w, n + 1)
     tau = sol.tau
     an = sol.table.an
     an1 = sol.table.an1
 
-    if m == 0:
+    if np.ndim(m) == 0 and m == 0:
         inner = cumulative_product_sum(1.0 / an, sol.table.c2**2)
         # summed in order: np.sum adds pairwise, which rounds differently
-        hs = {("Z", 0, 0): float(np.cumsum(inner / an1)[-1])}
+        hs = {("Z", 0, 0): np.cumsum(inner / an1)[-1]}
         bounds = {("Z", 0, 0): s_n.upper * s_n1.upper}
         ratio = 0.0
-        proxy = float(np.sqrt(hs["Z", 0, 0]))
+        proxy = np.sqrt(hs["Z", 0, 0])
     else:
         I = sol.I
         Kf = sol.K
         R = 1.0 / sol.table.prefix
         a_of = {1: an, 2: an1}
-        Ic = {1: I[:, 0], 2: I[:, 1]}
-        Kc = {1: Kf[:, 0], 2: Kf[:, 1]}
+        Ic = {1: I[..., 0], 2: I[..., 1]}
+        Kc = {1: Kf[..., 0], 2: Kf[..., 1]}
         kernel_K = {1: R**2 * Kc[1] ** 2 / an, 2: R**2 * Kc[2] ** 2 / an1}
         kernel_I = {1: R**2 * Ic[1] ** 2 / an, 2: R**2 * Ic[2] ** 2 / an1}
+        zero = np.zeros(Kc[1].shape[:-1] + (1,))  # the shifted beta = 2 kernels start one slot later
 
         hs = {}
         for alpha in (1, 2):
@@ -141,43 +144,29 @@ def hs_norms(sol: KernelSolution, w: WeightFamily, c: CoefficientFamily) -> HsRe
                     s_inner = suffix_sum(kernel_K[1])
                 else:
                     # shifted kernel argument: the upper sum reaches the table end
-                    s_inner = suffix_sum(np.append(0.0, kernel_K[2]))[:-1]
-                hs[("X", alpha, beta)] = float(np.sum(out_w * s_inner))
+                    s_inner = suffix_sum(np.concatenate((zero, kernel_K[2]), axis=-1))[..., :-1]
+                hs[("X", alpha, beta)] = (out_w * s_inner).sum(axis=-1)
         for alpha in (1, 2):
             out_w = Kc[alpha] ** 2 / a_of[alpha]
             for beta in (1, 2):
-                pre = np.cumsum(kernel_I[beta])
+                pre = kernel_I[beta].cumsum(axis=-1)
                 if beta == 2:
-                    pre = np.concatenate(([0.0], pre[:-1]))
-                hs[("Y", alpha, beta)] = float(np.sum(out_w * pre))
+                    pre = np.concatenate((zero, pre[..., :-1]), axis=-1)
+                hs[("Y", alpha, beta)] = (out_w * pre).sum(axis=-1)
 
-        ratio = abs(sol.ratio_at_infinity)
+        ratio = np.abs(sol.ratio_at_infinity)
         bound_s = tau * tau * c.kappa * (sol.eps.upper + ratio) * s_n.upper
         bound_s1 = tau * tau * c.kappa * sol.eps.upper * s_n1.upper
-        bounds = {
-            ("X", 1, 1): bound_s,
-            ("X", 1, 2): bound_s,
-            ("X", 2, 1): bound_s1,
-            ("X", 2, 2): bound_s1,
-            ("Y", 1, 1): bound_s,
-            ("Y", 2, 1): bound_s,
-            ("Y", 1, 2): bound_s1,
-            ("Y", 2, 2): bound_s1,
-        }
-        proxy = float(np.sqrt(sum(hs.values())) / abs(tau))
-    flags = {key: bool(hs[key] <= bounds[key] * (1.0 + BOUND_SLACK)) for key in hs}
-    return HsReport(
-        mode=mode,
-        hs=hs,
-        bounds=bounds,
-        pass_flags=flags,
-        eps=sol.eps.value,
-        s_n=s_n.value,
-        s_n1=s_n1.value,
-        tau=tau,
-        ratio=ratio,
-        proxy=proxy,
-    )
+        # X^{alpha beta} takes the bound of level n - 1 + alpha, Y^{alpha beta} that of n - 1 + beta
+        bounds = {(op, a, b): bound_s if (a if op == "X" else b) == 1 else bound_s1 for op, a, b in hs}
+        proxy = np.sqrt(sum(hs.values())) / np.abs(tau)
+    flags = {key: hs[key] <= bounds[key] * (1.0 + BOUND_SLACK) for key in hs}
+    hs, bounds, flags = ({key: per_mode(v) for key, v in d.items()} for d in (hs, bounds, flags))
+    eps, tau, ratio, proxy = map(per_mode, (sol.eps.value, tau, ratio, proxy))
+    return each_mode(sol, lambda mode, j: HsReport(
+        mode, *({key: v[j] for key, v in d.items()} for d in (hs, bounds, flags)),
+        eps[j], s_n.value, s_n1.value, tau[j], ratio[j], proxy[j],
+    ))
 
 
 @dataclass(frozen=True)
@@ -212,40 +201,45 @@ def decay_scan(
     """HS reports and lemma reports over a mode grid, plus the decay checks along both axes.
 
     Where the rule is odd at m, the first of m and -m to come is built and
-    checked, and the other's solution and reports are its exact mirror.  A
-    mode whose solution fails to build is recorded in ``failures``; the decay
-    checks compare the modes that built.
+    checked (a level's built m != 0 modes as one ``stack``), and the other's
+    solution and reports are its exact mirror.  A mode whose solution fails
+    to build is recorded in ``failures``; the decay checks compare the modes
+    that built.
     """
+    levels = Levels(w, c, k_max)
+    built = set()
 
-    def build(mode: ModeIndex):
-        sol = build_solution(mode, w, c, k_max, rule=rule)
-        lemma = None
-        if mode.m != 0:
-            lemma = (verify_lemma_suite(sol), float(np.max(wronskian_residuals(sol))))
-        return sol, hs_norms(sol, w, c), lemma
+    def build(mode: ModeIndex) -> KernelSolution:
+        built.add(mode)
+        return build_solution(mode, w, c, k_max, rule=rule, levels=levels)
 
-    def mirror(built):
-        sol, report, (lemma, wronskian) = built
-        twin = mirror_solution(sol, rule)
-        if twin is None:
-            return None
-        return twin, replace(report, mode=twin.mode), (replace(lemma, mode=twin.mode), wronskian)
-
-    get = paired(build, mirror, [ModeIndex(m, n) for m in m_list for n in n_list])
-    rows = []
-    lemmas = {}
-    failures = {}
-    for m in m_list:
-        for n in n_list:
+    get = paired(build, lambda sol: mirror_solution(sol, rule), [ModeIndex(m, n) for m in m_list for n in n_list])
+    table, lemma_of, failed = {}, {}, {}
+    for n in dict.fromkeys(n_list):
+        sols = {}
+        for m in dict.fromkeys(m_list):
             try:
-                _, report, lemma = get(ModeIndex(m, n))
+                sols[m] = get(ModeIndex(m, n))
             except MODE_ERRORS as exc:
-                failures[(m, n)] = str(exc)
-                continue
-            rows.append(report)
-            if lemma is not None:
-                lemmas[(m, n)] = lemma
-    table = {(r.mode.m, r.mode.n): r for r in rows}
+                failed[(m, n)] = str(exc)
+        # the level's built m != 0 solutions are checked as one stack, m = 0 alone
+        checked = [sol for m, sol in sols.items() if m != 0 and sol.mode in built]
+        if checked:
+            st = stack(checked)
+            wronskian = per_mode(wronskian_residuals(st).max(axis=-1))
+            for sol, report, lemma, wr in zip(checked, hs_norms(st, w, c), verify_lemma_suite(st), wronskian):
+                table[(sol.mode.m, n)], lemma_of[(sol.mode.m, n)] = report, (lemma, wr)
+        for m, sol in sols.items():
+            if m == 0:
+                table[(m, n)] = hs_norms(sol, w, c)
+            elif sol.mode not in built:
+                # mirrored from its partner's solution, whose reports are its own
+                report, (lemma, wr) = table[(-m, n)], lemma_of[(-m, n)]
+                table[(m, n)], lemma_of[(m, n)] = replace(report, mode=sol.mode), (replace(lemma, mode=sol.mode), wr)
+    grid = [(m, n) for m in m_list for n in n_list]
+    rows = [table[mn] for mn in grid if mn in table]
+    lemmas = {mn: lemma_of[mn] for mn in grid if mn in lemma_of}
+    failures = {mn: failed[mn] for mn in grid if mn in failed}
     checks = []
 
     abs_ms = sorted({abs(m) for (m, _) in table if m != 0})

@@ -26,8 +26,8 @@ from .parametrix import (
     oracle_solve,
     random_rhs,
 )
-from .solutions import MODE_ERRORS, build_solution, mirror_solution, paired, wronskian_residuals
-from .transfer import ModeIndex, limit_product, mirror_product
+from .solutions import MODE_ERRORS, build_solution, mirror_solution, paired, stack, wronskian_residuals
+from .transfer import Levels, ModeIndex, limit_product, mirror_product
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -52,6 +52,13 @@ def _m_list(cfg: ExperimentConfig, only_m: list[int] | None) -> tuple[int, ...]:
 
 def _modes(cfg: ExperimentConfig, only_m: list[int] | None) -> list[tuple[int, int]]:
     return [(m, n) for m in _m_list(cfg, only_m) for n in cfg.n_list]
+
+
+def _solutions(cfg: ExperimentConfig, k_max: int, modes: list[ModeIndex]):
+    """``build_solution`` for ``modes`` on the command's level data, once per +-m pair (``solutions.paired``)."""
+    levels = Levels(cfg.weights, cfg.coeffs, k_max)
+    return paired(lambda mode: build_solution(mode, cfg.weights, cfg.coeffs, k_max, rule=cfg.boundary, levels=levels),
+                  lambda sol: mirror_solution(sol, cfg.boundary), modes)
 
 
 def cmd_validate(cfg: ExperimentConfig, out_dir: Path, k_max: int) -> int:
@@ -105,44 +112,51 @@ def cmd_solve(
         rng = np.random.default_rng(seed)
         modes = sorted(_modes(cfg, only_m))
         rhs_map = {(m, n): random_rhs(ModeIndex(m, n), k_max, rng) for (m, n) in modes}
+    modes = [ModeIndex(m, n) for (m, n) in sorted(rhs_map)]
+    solution = _solutions(cfg, k_max, modes)
+    found = {}
+    # each level's modes go through the inverse, the operator and the norms as one stack
+    for n in sorted({mode.n for mode in modes}):
+        built = {}
+        for mode in (mode for mode in modes if mode.n == n):
+            try:
+                built[mode] = solution(mode)
+            except MODE_ERRORS as exc:
+                found[mode] = exc
+        if built:
+            st, rs = stack(list(built.values())), [rhs_map[(mode.m, n)] for mode in built]
+            r1 = WeightedSeq(np.array([r.r1.values for r in rs]), n + 1)
+            r2 = WeightedSeq(np.array([r.r2.values for r in rs]), n)
+            r = RhsPair(r1, r2, np.array([r.q0 for r in rs]))
+            res = apply_Q(st, r, k_max)
+            back = apply_A(st.table, res.h_g, res.h_f)
+            diff = RhsPair(WeightedSeq(back.r1.values - r1.values, n + 1), WeightedSeq(back.r2.values - r2.values, n), back.q0 - r.q0)
+            resid_inv = diff.norm(st.table) / np.maximum(r.norm(st.table), 1e-300)
+            scale = np.maximum(res.norm(st.table), 1e-300)
+            found.update((mode, (sol, res, j, resid_inv[j], scale[j])) for j, (mode, sol) in enumerate(built.items()))
     records = []
     ok = True
-    modes = [ModeIndex(m, n) for (m, n) in sorted(rhs_map)]
-    solution = paired(
-        lambda mode: build_solution(mode, cfg.weights, cfg.coeffs, k_max, rule=cfg.boundary),
-        lambda sol: mirror_solution(sol, cfg.boundary),
-        modes,
-    )
     for mode in modes:
         m, n = mode.m, mode.n
-        r = rhs_map[(m, n)]
         try:
-            sol = solution(mode)
-            res = apply_Q(sol, r, k_max)
-            back = apply_A(sol.table, res.h_g, res.h_f)
-            r_norm = r.norm(sol.table)
-            diff = RhsPair(
-                r1=WeightedSeq(back.r1.values - r.r1.values, n + 1),
-                r2=WeightedSeq(back.r2.values - r.r2.values, n),
-                q0=back.q0 - r.q0,
-            )
-            resid_inv = diff.norm(sol.table) / max(r_norm, 1e-300)
-            orc = oracle_solve(sol, r)
-            scale = max(res.norm(sol.table), 1e-300)
+            if isinstance(found[mode], Exception):
+                raise found[mode]
+            sol, res, j, resid_inv, scale = found[mode]
+            orc = oracle_solve(sol, rhs_map[(m, n)])
             d_orc = float(
                 np.sqrt(
-                    np.sum((orc.h_g.values - res.h_g.values) ** 2)
-                    + np.sum((orc.h_f.values - res.h_f.values) ** 2)
+                    np.sum((orc.h_g.values - res.h_g.values[j]) ** 2)
+                    + np.sum((orc.h_f.values - res.h_f.values[j]) ** 2)
                 )
             ) / scale
             records.append(
                 {
                     "m": m,
                     "n": n,
-                    "residual_right_inverse": resid_inv,
-                    "residual_oracle": d_orc,
-                    "boundary_residual": res.boundary_residual,
-                    "beta": res.beta,
+                    "residual_right_inverse": float(resid_inv),
+                    "residual_oracle": float(d_orc),
+                    "boundary_residual": float(res.boundary_residual[j]),
+                    "beta": float(res.beta[j]),
                 }
             )
             # written as "not <=" so that a NaN residual fails the mode
@@ -206,20 +220,12 @@ def cmd_dump(
     only_m: list[int] | None,
     k_max: int,
 ) -> int:
-    def solution(mode):
-        sol = build_solution(mode, cfg.weights, cfg.coeffs, k_max, rule=cfg.boundary)
-        return sol, wronskian_residuals(sol)
-
-    def mirror(built):
-        # a mirrored solution has the same Wronskian residuals
-        twin = mirror_solution(built[0], cfg.boundary)
-        return None if twin is None else (twin, built[1])
-
     modes = [ModeIndex(m, n) for (m, n) in _modes(cfg, only_m)]
     if what == "transfer":
-        get = paired(lambda mode: limit_product(mode, cfg.weights, cfg.coeffs, k_max), mirror_product, modes)
+        levels = Levels(cfg.weights, cfg.coeffs, k_max)
+        get = paired(lambda mode: limit_product(mode, cfg.weights, cfg.coeffs, k_max, levels), mirror_product, modes)
     else:
-        get = paired(solution, mirror, modes)
+        get = _solutions(cfg, k_max, modes)
     blocks = []
     ok = True
     for mode in modes:
@@ -234,16 +240,15 @@ def cmd_dump(
             k_rows = k_max
             block = {"C": built.table.C.reshape(k_rows, 4), "P": built.partials[:k_rows].reshape(k_rows, 4)}
         else:
-            sol, wronskian = built
-            k_rows = len(sol.I)
+            k_rows = len(built.I)
             block = {
-                "I1": sol.I[:, 0],
-                "I2": sol.I[:, 1],
-                "K1": sol.K[:, 0],
-                "K2": sol.K[:, 1],
-                "wronskian_residual": wronskian,
+                "I1": built.I[:, 0],
+                "I2": built.I[:, 1],
+                "K1": built.K[:, 0],
+                "K2": built.K[:, 1],
+                "wronskian_residual": wronskian_residuals(built),
             }
-        if not all(np.all(np.isfinite(col)) for col in block.values()):
+        if not all(np.isfinite(col).all() for col in block.values()):
             ok = False
             print(f"mode ({m}, {n}): non-finite entries in the {what} table", file=sys.stderr)
         k = np.arange(k_rows)
@@ -306,6 +311,9 @@ def main(argv: list[str] | None = None) -> int:
     if seed < 0:
         print("--seed must be >= 0", file=sys.stderr)
         return EXIT_USAGE
+    if args.command in ("solve", "scan"):  # the bounds they report assume the family hypotheses
+        for ch in validate_hypotheses(cfg.weights, cfg.coeffs, n_probe=cfg.n_list).failed():
+            print(f"hypothesis {ch.name} failed: {ch.witness}", file=sys.stderr)
     try:
         if args.command == "validate":
             return cmd_validate(cfg, out_dir, k_max)

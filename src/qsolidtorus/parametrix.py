@@ -15,6 +15,7 @@ An independent banded LU solve of the same truncated system (elimination on
 the raw equations, not variation of constants) serves as the oracle for every
 identity the explicit formulas are supposed to satisfy; it needs O(K) memory
 and time, so it runs at any truncation the tables reach.
+The operator, the inverse and the norms run on a ``solutions.stack`` of modes too.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .solutions import KernelSolution, suffix_sum
+from .solutions import KernelSolution, column, per_mode, suffix_sum
 from .transfer import ModeIndex, ModeTable
 
 
@@ -38,13 +39,13 @@ class WeightedSeq:
     values: np.ndarray
     level: int
 
-    def norm(self, t: ModeTable) -> float:
-        """The weighted l2 norm by the table's a_n (level n) or a_{n+1} (level n+1)."""
+    def norm(self, t: ModeTable) -> np.ndarray:
+        """The weighted l2 norm by the table's a_n (level n) or a_{n+1} (level n+1), per mode."""
         n = t.mode.n
         if self.level not in (n, n + 1):
             raise WeightTagMismatch(f"level {self.level} is neither {n} nor {n + 1}")
         a = t.an if self.level == n else t.an1
-        return float(np.sqrt(np.sum(self.values**2 / a[: len(self.values)])))
+        return np.sqrt((self.values**2 / a[: self.values.shape[-1]]).sum(axis=-1))
 
 
 @dataclass(frozen=True)
@@ -59,14 +60,8 @@ class RhsPair:
     r2: WeightedSeq
     q0: float
 
-    def norm(self, t: ModeTable) -> float:
-        return float(
-            np.sqrt(
-                self.r1.norm(t) ** 2
-                + self.r2.norm(t) ** 2
-                + self.q0**2 / t.an[0]
-            )
-        )
+    def norm(self, t: ModeTable) -> np.ndarray:
+        return _root_sum_squares(self.r1.norm(t), self.r2.norm(t), self.q0, t.an[0])
 
 
 @dataclass(frozen=True)
@@ -79,8 +74,15 @@ class ParametrixResult:
     boundary_residual: float
     boundary_tol: float
 
-    def norm(self, t: ModeTable) -> float:
-        return float(np.sqrt(self.h_g.norm(t) ** 2 + self.h_f.norm(t) ** 2))
+    def norm(self, t: ModeTable) -> np.ndarray:
+        return _root_sum_squares(self.h_g.norm(t), self.h_f.norm(t))
+
+
+def _root_sum_squares(x, y, q0=0.0, a0=1.0) -> np.ndarray:
+    """sqrt(x^2 + y^2 + q0^2/a0) per mode, squared as Python floats (libm's pow, not always x * x)."""
+    q0 = per_mode(np.broadcast_to(q0, np.shape(x)))
+    out = [np.sqrt(a**2 + b**2 + q**2 / a0) for a, b, q in zip(per_mode(x), per_mode(y), q0)]
+    return np.reshape(out, np.shape(x))[()]
 
 
 def random_rhs(mode: ModeIndex, k_max: int, rng: np.random.Generator) -> RhsPair:
@@ -103,15 +105,15 @@ def apply_A(t: ModeTable, h_g: WeightedSeq, h_f: WeightedSeq) -> RhsPair:
         raise WeightTagMismatch(f"expected levels ({n}, {n + 1})")
     x = h_g.values
     y = h_f.values
-    K = len(x) - 1
+    K = x.shape[-1] - 1
     # rows of A(k+1) [h(k+1) - C(k) h(k)] written out componentwise
-    r1 = m * y[:-1] - t.an1[:K] * (x[:-1] - t.c1[:K] * x[1:])
-    r2 = t.an[1 : K + 1] * (y[1:] - t.c2[:K] * y[:-1]) + m * x[1:]
-    q0_out = t.an[0] * y[0] + m * x[0]
+    r1 = column(m) * y[..., :-1] - t.an1[:K] * (x[..., :-1] - t.c1[:K] * x[..., 1:])
+    r2 = t.an[1 : K + 1] * (y[..., 1:] - t.c2[:K] * y[..., :-1]) + column(m) * x[..., 1:]
+    q0_out = t.an[0] * y[..., 0] + m * x[..., 0]
     return RhsPair(
         r1=WeightedSeq(r1, n + 1),
         r2=WeightedSeq(r2, n),
-        q0=float(q0_out),
+        q0=q0_out,
     )
 
 
@@ -122,12 +124,11 @@ def _channel_inputs(r: RhsPair, k_max: int) -> tuple[np.ndarray, np.ndarray]:
     (0, q0/a_n(0)) contributes q0 to the second channel and nothing to the
     first; slots i >= 1 carry the block-row data (r1(i-1), r2(i-1)).
     """
-    w2 = np.zeros(k_max + 1)
-    w1 = np.zeros(k_max + 1)
-    n_fill = min(k_max, len(r.r1.values))
-    w2[1 : n_fill + 1] = r.r1.values[:n_fill]
-    w1[1 : n_fill + 1] = r.r2.values[:n_fill]
-    w1[0] = r.q0
+    w2, w1 = np.zeros((2, *r.r1.values.shape[:-1], k_max + 1))
+    n_fill = min(k_max, r.r1.values.shape[-1])
+    w2[..., 1 : n_fill + 1] = r.r1.values[..., :n_fill]
+    w1[..., 1 : n_fill + 1] = r.r2.values[..., :n_fill]
+    w1[..., 0] = r.q0
     return w2, w1
 
 
@@ -139,9 +140,9 @@ def _phi(sol: KernelSolution, H: np.ndarray, beta: int, k_max: int) -> np.ndarra
     """
     R = 1.0 / sol.table.prefix[: k_max + 1]
     if beta == 1:
-        return R * H[: k_max + 1, 0] / sol.table.an[: k_max + 1]
-    phi = np.zeros(k_max + 1)
-    phi[1:] = R[:-1] * H[:k_max, 1] / sol.table.an1[:k_max]
+        return R * H[..., : k_max + 1, 0] / sol.table.an[: k_max + 1]
+    phi = np.zeros(H.shape[:-2] + (k_max + 1,))
+    phi[..., 1:] = R[:-1] * H[..., :k_max, 1] / sol.table.an1[:k_max]
     return phi
 
 
@@ -164,29 +165,29 @@ def apply_Q(
     # the second channel pairs against the perp vector, hence its minus sign
     x_terms = _phi(sol, sol.K, 2, k_max) * w2 - _phi(sol, sol.K, 1, k_max) * w1
     y_terms = _phi(sol, sol.I, 2, k_max) * w2 - _phi(sol, sol.I, 1, k_max) * w1
-    e1 = suffix_sum(x_terms) / sol.tau
-    e2 = np.cumsum(y_terms) / sol.tau
-    I = sol.I[: k_max + 1]
-    Kf = sol.K[: k_max + 1]
-    h_x = e1 * I[:, 0] + e2 * Kf[:, 0]
-    h_y = e1 * I[:, 1] + e2 * Kf[:, 1]
+    e1 = suffix_sum(x_terms) / column(sol.tau)
+    e2 = y_terms.cumsum(axis=-1) / column(sol.tau)
+    I = sol.I[..., : k_max + 1, :]
+    Kf = sol.K[..., : k_max + 1, :]
+    h_x = e1 * I[..., 0] + e2 * Kf[..., 0]
+    h_y = e1 * I[..., 1] + e2 * Kf[..., 1]
 
     k1_inf, k2_inf = sol.K_inf
-    residual = abs(h_x[-1] * k2_inf - h_y[-1] * k1_inf)
-    drift = np.hypot(Kf[-1, 0] - k1_inf, Kf[-1, 1] - k2_inf)
+    residual = abs(h_x[..., -1] * k2_inf - h_y[..., -1] * k1_inf)
+    drift = np.hypot(Kf[..., -1, 0] - k1_inf, Kf[..., -1, 1] - k2_inf)
     kn = np.hypot(k1_inf, k2_inf)
     tol = (
-        abs(e2[-1]) * drift * kn
-        + abs(e1[-1]) * float(np.max(np.abs(I[-1]))) * kn
-        + 1e-12 * float(np.hypot(h_x[-1], h_y[-1])) * kn
+        abs(e2[..., -1]) * drift * kn
+        + abs(e1[..., -1]) * np.abs(I[..., -1, :]).max(axis=-1) * kn
+        + 1e-12 * np.hypot(h_x[..., -1], h_y[..., -1]) * kn
         + 1e-300
     )
     return ParametrixResult(
         h_g=WeightedSeq(h_x, n),
         h_f=WeightedSeq(h_y, n + 1),
-        beta=float(e2[-1]),
-        boundary_residual=float(residual),
-        boundary_tol=float(tol),
+        beta=e2[..., -1],
+        boundary_residual=residual,
+        boundary_tol=tol,
     )
 
 

@@ -36,13 +36,12 @@ from .families import (
     SeriesValue,
     WeightFamily,
     exact_tail_inv_weight,
-    sup_inv_weight,
     tail_inv_weight,
 )
-# mode_table and scalar_det_prefix live in transfer.  They are imported here
-# as well because perfbench/tracer.py wraps solutions.scalar_det_prefix and
-# tests/test_profiler_contract.py clears solutions.mode_table by these names.
+# scalar_det_prefix lives in transfer.  It is imported here as well because
+# perfbench/tracer.py wraps solutions.scalar_det_prefix by this name.
 from .transfer import (
+    Levels,
     ModeIndex,
     ModeTable,
     SingularMatrixError,
@@ -137,10 +136,10 @@ DEFAULT_RULE = BoundaryRule()
 
 
 def compute_I(
-    mode: ModeIndex, w: WeightFamily, c: CoefficientFamily, k_hi: int
+    mode: ModeIndex, w: WeightFamily, c: CoefficientFamily, k_hi: int, levels: Levels | None = None
 ) -> np.ndarray:
     """Forward table I(0..k_hi) from the normalization I(0) = (-1, m/a_n(0))."""
-    table = mode_table(mode, w, c, k_hi)
+    table = mode_table(mode, w, c, k_hi, levels)
     x, y = -1.0, float(mode.m / table.an[0])
     flat = [x, y]
     # plain floats overflow to inf without raising; the guard below catches it
@@ -162,6 +161,7 @@ def compute_K(
     c: CoefficientFamily,
     k_hi: int,
     k_inf: tuple[float, float],
+    levels: Levels | None = None,
 ) -> tuple[np.ndarray, float]:
     """Backward table K(0..k_hi) seeded by K(k_hi) := k_inf, the pair K(inf).
 
@@ -169,8 +169,8 @@ def compute_K(
     which controls how far the seeded solution can drift from one seeded
     deeper.  Backward recursion keeps the recessive solution stable.
     """
-    tail = tail_sum_C_minus_I(mode, w, c, k_hi)
-    table = mode_table(mode, w, c, k_hi)
+    tail = tail_sum_C_minus_I(mode, w, c, k_hi, levels)
+    table = mode_table(mode, w, c, k_hi, levels)
     c_arr = table.C
     # explicit 2x2 inverses adj(C)/det C for every step, then a plain-float sweep
     inv = np.stack((c_arr[:, 1, 1], -c_arr[:, 0, 1], -c_arr[:, 1, 0], c_arr[:, 0, 0]), axis=1)
@@ -210,31 +210,25 @@ def tau_of_tables(I: np.ndarray, K: np.ndarray) -> float:
     return float(K[0, 0] * I[0, 1] - K[0, 1] * I[0, 0])
 
 
-def epsilon(mode: ModeIndex, w: WeightFamily) -> SeriesValue:
+def epsilon(mode: ModeIndex, w: WeightFamily, levels: Levels | None = None) -> SeriesValue:
     """eps(m, n) = sum_k a_{n+1}(k) / (m^2 + a_n(k) a_{n+1}(k)).
 
     Beyond the explicit head the terms equal 1/a_n(k) minus a positive
     correction of size at most m^2 / (a_n^2 a_{n+1}); the first part is the
     exact tail of s(n) (the one eval_s sums) and the correction bounds the
-    certificate, so no deep summation is needed.
+    certificate, so no deep summation is needed.  All but m is the level's.
     """
     m, n = mode.m, mode.n
-    ks = np.arange(EPS_HEAD)
-    an = np.asarray(w.a(n, ks), dtype=float)
-    an1 = np.asarray(w.a(n + 1, ks), dtype=float)
-    head = float(np.sum(an1 / (m * m + an * an1)))
-    inv_tail = exact_tail_inv_weight(w, n, EPS_HEAD)
+    levels = levels or Levels(w, None, 0)
+    an, an1 = levels.a(n, EPS_HEAD), levels.a(n + 1, EPS_HEAD)
+    an_an1, inv_tail, sup_n, sup_n1, tail_n = levels.once(("eps", n), lambda: (
+        an * an1, exact_tail_inv_weight(w, n, EPS_HEAD), levels.sup_inv(n, EPS_HEAD), levels.sup_inv(n + 1, EPS_HEAD),
+        tail_inv_weight(w, n, EPS_HEAD),
+    ))
+    head = float(np.sum(an1 / (m * m + an_an1)))
     # 1/a_n - a_{n+1}/(m^2 + a_n a_{n+1}) = m^2 / (a_n (m^2 + a_n a_{n+1}))
     # <= m^2 / (a_n^2 a_{n+1}); bound its tail by sup factors times the s-tail.
-    corr = (
-        m
-        * m
-        * sup_inv_weight(w, n, EPS_HEAD)
-        * sup_inv_weight(w, n + 1, EPS_HEAD)
-        * tail_inv_weight(w, n, EPS_HEAD)
-        if m != 0
-        else 0.0
-    )
+    corr = m * m * sup_n * sup_n1 * tail_n if m != 0 else 0.0
     corr = min(corr, inv_tail)
     value = head + inv_tail - 0.5 * corr
     return SeriesValue(value=value, tail=0.5 * corr + 1e-15 * abs(value))
@@ -246,23 +240,25 @@ def build_solution(
     c: CoefficientFamily,
     k_max: int,
     rule: BoundaryRule = DEFAULT_RULE,
+    levels: Levels | None = None,
 ) -> KernelSolution:
     """Assemble the I/K tables for one mode on its table of per-mode data.
 
     The K seed sits at the table end, so the boundary data holds exactly at
     the truncation edge; ``seed_tail_bound`` certifies the drift from a
-    deeper seed.
+    deeper seed.  ``levels``: the command's level data (evaluated here without it).
     """
+    levels = levels or Levels(w, c, k_max)
     k_inf = rule(mode.m)
-    table = mode_table(mode, w, c, k_max)
-    I_tab = compute_I(mode, w, c, k_max)
-    K_tab, seed_tail = compute_K(mode, w, c, k_max, k_inf)
+    table = mode_table(mode, w, c, k_max, levels)
+    I_tab = compute_I(mode, w, c, k_max, levels)
+    K_tab, seed_tail = compute_K(mode, w, c, k_max, k_inf, levels=levels)
     tau = tau_of_tables(I_tab, K_tab)
     if abs(tau) < TAU_FLOOR or not np.isfinite(tau):
         raise DegeneratePairingError(
             f"tau={tau:.3g} for mode {mode}: boundary rule aligned with the I direction"
         )
-    eps = epsilon(mode, w)
+    eps = epsilon(mode, w, levels)
     return KernelSolution(
         mode=mode,
         I=I_tab,
@@ -326,10 +322,45 @@ def paired(
     return get
 
 
+def stack(sols: list[KernelSolution]) -> KernelSolution:
+    """One level's solutions on one window as one: tables (modes, k, ...), per-mode numbers (modes,).
+
+    The checks index k as [..., k], so each row gives, bit for bit, what its solution gives alone.
+    No check reads the C stacks, so the stack's table holds none (``C`` is None).
+    """
+
+    def per(get) -> np.ndarray:
+        return np.array([get(s) for s in sols])
+
+    mode = ModeIndex(per(lambda s: s.mode.m), sols[0].mode.n)
+    return KernelSolution(
+        mode, per(lambda s: s.I), per(lambda s: s.K), (per(lambda s: s.K_inf[0]), per(lambda s: s.K_inf[1])),
+        per(lambda s: s.tau), SeriesValue(per(lambda s: s.eps.value), per(lambda s: s.eps.tail)),
+        per(lambda s: s.seed_tail_bound), replace(sols[0].table, mode=mode, C=None),
+    )
+
+
+def column(x) -> np.ndarray:
+    """A per-mode number with a trailing axis, to scale a (..., k) array row by row."""
+    return np.asarray(x, dtype=float)[..., None]
+
+
+def per_mode(v) -> list:
+    """A per-mode value of a stack, or of one solution, as a list of Python numbers."""
+    return np.asarray(v).ravel().tolist()
+
+
+def each_mode(sol: KernelSolution, make: Callable[[ModeIndex, int], object]):
+    """``make(mode, j)`` for one solution (j = 0), or the list of it over a stack's modes."""
+    if np.ndim(sol.mode.m) == 0:
+        return make(sol.mode, 0)
+    return [make(ModeIndex(m, sol.mode.n), j) for j, m in enumerate(sol.mode.m.tolist())]
+
+
 def suffix_sum(v: np.ndarray) -> np.ndarray:
-    """out[k] = sum_{i > k} v(i), with out[-1] = 0."""
-    out = np.zeros(len(v))
-    out[:-1] = np.cumsum(v[::-1])[::-1][1:]
+    """out[..., k] = sum_{i > k} v[..., i], with out[..., -1] = 0."""
+    out = np.zeros(v.shape)
+    out[..., :-1] = np.cumsum(v[..., ::-1], axis=-1)[..., ::-1][..., 1:]
     return out
 
 
@@ -342,9 +373,9 @@ def cumulative_product_sum(x: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 def wronskian_residuals(sol: KernelSolution) -> np.ndarray:
-    """Relative error of <K(k), I(k)^perp> against tau * prod_{i<k} c2/c1."""
-    pairing = sol.K[:, 0] * sol.I[:, 1] - sol.K[:, 1] * sol.I[:, 0]
-    expected = sol.tau * sol.table.prefix
+    """Relative error of <K(k), I(k)^perp> against tau * prod_{i<k} c2/c1, for each mode of a stack."""
+    pairing = sol.K[..., 0] * sol.I[..., 1] - sol.K[..., 1] * sol.I[..., 0]
+    expected = column(sol.tau) * sol.table.prefix
     return np.abs(pairing - expected) / np.abs(expected)
 
 
@@ -372,89 +403,81 @@ class LemmaReport(CheckReport):
     worst_slack: float
 
 
-def _clause(name: str, lhs: np.ndarray, rhs: np.ndarray, slack: float) -> tuple[CheckResult, float]:
-    """lhs <= rhs with additive slack scaled by local magnitude."""
-    lhs = np.atleast_1d(np.asarray(lhs, dtype=float))
-    rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
+def _margins(lhs: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per mode, the worst relative margin of lhs <= rhs (scaled by local magnitude) and its k."""
     scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-300)
     margin = (lhs - rhs) / scale
-    worst = float(np.max(margin))
-    ok = worst <= slack
-    k_bad = int(np.argmax(margin))
-    wit = f"worst rel margin {worst:.3g} at k={k_bad}"
-    return CheckResult(name, ok, wit), worst
+    return margin.max(axis=-1), margin.argmax(axis=-1)
 
 
 def verify_lemma_suite(
     sol: KernelSolution,
     slack: float = 1e-14,
-) -> LemmaReport:
+) -> LemmaReport | list[LemmaReport]:
     """Run every inequality the norm analysis uses, over the whole table.
 
     For m > 0 the inequalities are asserted as stated.  For m < 0 the suite
     runs on componentwise absolute values, which is the m > 0 suite of the
     reflected system, the one whose rule is (-k1, k2) at -m where this rule
-    is (k1, k2) at m.  m = 0 reduces to the diagonal pattern checks.
+    is (k1, k2) at m.  m = 0 reduces to the diagonal pattern checks.  A
+    ``stack`` of m != 0 solutions gives the list of their reports.
     """
     # slack 0 turns float ties into findings; that strictness stress is
     # documented behavior, not an error
-    mode = sol.mode
-    m = mode.m
-    K_hi = sol.k_table
+    m = sol.mode.m
 
-    if m == 0:
-        i2_zero = np.all(sol.I[:, 1] == 0.0)
-        k1_zero = np.all(sol.K[:, 0] == 0.0)
-        checks = [
-            CheckResult("diag_pattern_I", bool(i2_zero), "I2 identically zero"),
-            CheckResult("diag_pattern_K", bool(k1_zero), "K1 identically zero"),
+    if np.ndim(m) == 0 and m == 0:
+        heads = [
+            ("diag_pattern_I", [bool(np.all(sol.I[:, 1] == 0.0))], ["I2 identically zero"]),
+            ("diag_pattern_K", [bool(np.all(sol.K[:, 0] == 0.0))], ["K1 identically zero"]),
         ]
-        clauses = [("K2_nonincreasing", sol.K[1:, 1], sol.K[:-1, 1])]
+        margins = [("K2_nonincreasing", *_margins(sol.K[1:, 1], sol.K[:-1, 1]))]
     else:
-        sign = 1.0 if m > 0 else -1.0
+        sign = column(np.where(m > 0, 1.0, -1.0))
         # mirror to the m>0 orientation: the first I component is negative for
         # every m != 0, while I2 and K1 carry the sign of m
-        mI1 = -sol.I[:, 0]
-        I2 = sign * sol.I[:, 1]
-        K1 = sign * sol.K[:, 0]
-        K2 = sol.K[:, 1]
-        am = abs(m)
+        mI1 = -sol.I[..., 0]
+        I2 = sign * sol.I[..., 1]
+        K1 = sign * sol.K[..., 0]
+        K2 = sol.K[..., 1]
+        am = column(np.abs(m))
 
         t = sol.table
         c1, an, an1, pref = t.c1, t.an, t.an1, t.prefix
-        checks = [
-            CheckResult(f"positive_{name}", bool(np.all(arr > 0)), f"min={np.min(arr):.3g}")
-            for name, arr in (("neg_I1", mI1), ("I2", I2[1:]), ("K1", K1), ("K2", K2))
+        heads = [
+            (f"positive_{name}", per_mode((arr > 0).all(axis=-1)), [f"min={v:.3g}" for v in per_mode(arr.min(axis=-1))])
+            for name, arr in (("neg_I1", mI1), ("I2", I2[..., 1:]), ("K1", K1), ("K2", K2))
         ]
 
         # Truncated tail-sum estimates.  The K2 sum uses the c1-weighted kernel of
         # the upper-tail parametrix sums; suffix cumulation gives every k at once.
-        pc1 = np.empty(K_hi + 1)
-        pc1[0] = 1.0
-        np.cumprod(c1, out=pc1[1:])
-        terms1 = np.zeros(K_hi + 1)
+        pc1 = np.concatenate(([1.0], np.cumprod(c1)))
+        terms1 = np.zeros(K2.shape)
         # i runs 1..K_hi with kernel prod_{j<=i-2} c1 * K2(i-1)/a_{n+1}(i-1)
-        terms1[1:] = pc1[:-1] * K2[:-1] / an1[:-1]
-        eps_up = sol.eps.upper
-        ratio = abs(sol.ratio_at_infinity)
-        tau_abs = abs(sol.tau)
-        clauses = [
-            ("monotone_neg_I1", mI1[:-1], mI1[1:]),
-            ("monotone_I2_over_c2", I2[:-1], I2[1:] / t.c2),
-            ("monotone_K1_over_c1", K1[1:], K1[:-1] / c1),
-            ("monotone_K2", K2[1:], K2[:-1]),
-            ("ratio_bound_I", I2[:-1], am * eps_up * mI1[1:]),
-            ("ratio_bound_K", K1[1:], am * (eps_up + ratio) * K2[:-1]),
-            ("tail_sum_K2_kernel", suffix_sum(terms1)[:-1], pc1[:-1] * K1[:-1] / am),
-            ("tail_sum_K1_kernel", suffix_sum(K1 / an)[:-1], K2[:-1] / am),
-            ("product_K1_I2", K1 * I2, tau_abs * pref),
-            ("product_K2_negI1", K2 * mI1, tau_abs * pref),
-            ("product_negI1_next_K2", mI1[1:] * K2[:-1], tau_abs * pref[:-1] / c1),
-            ("product_I2_K1_next", I2[:-1] * K1[1:], tau_abs * pref[:-1] / c1),
+        terms1[..., 1:] = pc1[:-1] * K2[..., :-1] / an1[:-1]
+        eps_up = column(sol.eps.upper)
+        ratio = column(np.abs(sol.ratio_at_infinity))
+        tau_abs = column(np.abs(sol.tau))
+        margins = [
+            ("monotone_neg_I1", *_margins(mI1[..., :-1], mI1[..., 1:])),
+            ("monotone_I2_over_c2", *_margins(I2[..., :-1], I2[..., 1:] / t.c2)),
+            ("monotone_K1_over_c1", *_margins(K1[..., 1:], K1[..., :-1] / c1)),
+            ("monotone_K2", *_margins(K2[..., 1:], K2[..., :-1])),
+            ("ratio_bound_I", *_margins(I2[..., :-1], am * eps_up * mI1[..., 1:])),
+            ("ratio_bound_K", *_margins(K1[..., 1:], am * (eps_up + ratio) * K2[..., :-1])),
+            ("tail_sum_K2_kernel", *_margins(suffix_sum(terms1)[..., :-1], pc1[:-1] * K1[..., :-1] / am)),
+            ("tail_sum_K1_kernel", *_margins(suffix_sum(K1 / an)[..., :-1], K2[..., :-1] / am)),
+            ("product_K1_I2", *_margins(K1 * I2, tau_abs * pref)),
+            ("product_K2_negI1", *_margins(K2 * mI1, tau_abs * pref)),
+            ("product_negI1_next_K2", *_margins(mI1[..., 1:] * K2[..., :-1], tau_abs * pref[:-1] / c1)),
+            ("product_I2_K1_next", *_margins(I2[..., :-1] * K1[..., 1:], tau_abs * pref[:-1] / c1)),
         ]
 
-    results = [_clause(name, lhs, rhs, slack) for name, lhs, rhs in clauses]
-    checks += [ch for ch, _ in results]
     # np.max propagates a NaN margin, which the builtin max can drop
-    worst = float(np.max([wv for _, wv in results]))
-    return LemmaReport(mode=mode, checks=tuple(checks), worst_slack=worst)
+    worst = per_mode(np.max([wv for _, wv, _ in margins], axis=0))
+    heads += [
+        (name, [v <= slack for v in wv], [f"worst rel margin {v:.3g} at k={k}" for v, k in zip(wv, kb)])
+        for name, wv, kb in ((name, per_mode(wv), per_mode(kb)) for name, wv, kb in margins)
+    ]
+    return each_mode(sol, lambda mode, j: LemmaReport(
+        mode, tuple(CheckResult(name, ok[j], wit[j]) for name, ok, wit in heads), worst[j]))

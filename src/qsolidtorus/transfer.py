@@ -4,10 +4,10 @@ Each mode (m, n) carries one step matrix A_{m,n}(k+1) and one propagation
 matrix C_{m,n}(k); kernel solutions of the mode system evolve by
 h(k+1) = C_{m,n}(k) h(k).  Products are ordered right-to-left,
 P(k) = C(k-1) ... C(0), and converge because sum_k ||C(k) - I||_1 is finite.
-This module evaluates each mode's per-k data once (``mode_table``: the
-weights, the gap coefficients, the C stack and the c2/c1 prefix) and builds
-from it the partial products, a certified tail bound for the product
-remainder, and the structural checks on the limit.
+Only the C stack depends on m: ``Levels`` evaluates the rest of each radial
+level once per command, and ``mode_table`` adds a mode's C stack to it.  From
+the table this module builds the partial products, a certified tail bound
+for the product remainder, and the structural checks on the limit.
 
 m enters C_{m,n}(k) only as m off the diagonal and m^2 on it, so the tables
 of (-m, n) are those of (m, n) with their off-diagonals negated, bit for bit:
@@ -18,7 +18,6 @@ where a negated table is what a direct evaluation would give.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -84,12 +83,13 @@ def scalar_det_prefix(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ModeTable:
-    """Per-mode data on the window 0 <= k <= k_hi, evaluated once.
+    """Per-mode data on the window 0 <= k <= k_hi.
 
     ``an`` and ``an1`` hold a_n(k) and a_{n+1}(k) for k = 0..k_hi; ``c1``,
     ``c2`` and the propagation matrices ``C`` cover k = 0..k_hi-1; ``prefix[k]``
     is prod_{i<k} c_2(i)/c_1(i).  No entry depends on a later index, so a
-    shorter window is a slice of a longer one, bit for bit.
+    shorter window is a slice of a longer one, bit for bit.  All but ``C`` are
+    the level's, shared by every m.
     """
 
     mode: ModeIndex
@@ -102,27 +102,49 @@ class ModeTable:
     prefix: np.ndarray
 
 
-@functools.lru_cache(maxsize=1)
-def mode_table(
-    mode: ModeIndex, w: WeightFamily, c: CoefficientFamily, k_hi: int
-) -> ModeTable:
-    """Evaluate one mode's weights and gaps, then its C stack and c2/c1 prefix.
+def _read_only(arr) -> np.ndarray:
+    arr = np.asarray(arr, dtype=float)
+    arr.setflags(write=False)
+    return arr
 
-    These four family calls are the only ones behind the C stack, the prefix
-    and every consumer of the table; the rest is built from their arrays.
-    The table is a pure function of its frozen arguments and its arrays are
-    read-only, so the last result is kept: a solution build and its I and K
-    sweeps share one evaluation.
+
+class Levels:
+    """One command's m-free data of its radial levels, each evaluated once: a_{n+1} serves levels n and n + 1.
+
+    The last mode's table is kept, so a build and its sweeps share one C stack;
+    a command drops its Levels when it returns, so no run serves another.
     """
-    n = mode.n
-    ks = np.arange(k_hi + 1)
-    an, an1 = (np.asarray(w.a(i, ks), dtype=float) for i in (n, n + 1))
-    c1, c2 = (np.asarray(c.c(i, n, ks[:-1]), dtype=float) for i in (1, 2))
-    C = build_C_range(mode.m, an, an1, c1, c2)
-    arrays = dict(an=an, an1=an1, c1=c1, c2=c2, C=C, prefix=scalar_det_prefix(c1, c2))
-    for arr in arrays.values():
-        arr.setflags(write=False)
-    return ModeTable(mode=mode, k_hi=k_hi, **arrays)
+
+    def __init__(self, w: WeightFamily, c: CoefficientFamily, k_hi: int) -> None:
+        self.w, self.c, self.k_hi, self._memo, self._table = w, c, k_hi, {}, None
+
+    def once(self, key, compute):
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
+
+    def a(self, n: int, size: int) -> np.ndarray:
+        return self.once(("a", n, size), lambda: _read_only(self.w.a(n, np.arange(size))))
+
+    def sup_inv(self, n: int, k0: int) -> float:
+        return self.once(("sup", n, k0), lambda: sup_inv_weight(self.w, n, k0))
+
+    def table(self, mode: ModeIndex) -> ModeTable:
+        if self._table is None or self._table.mode != mode:
+            n, k_hi = mode.n, self.k_hi
+            c1, c2 = self.once(("c", n), lambda: tuple(_read_only(self.c.c(i, n, np.arange(k_hi))) for i in (1, 2)))
+            prefix = self.once(("prefix", n), lambda: _read_only(scalar_det_prefix(c1, c2)))
+            an, an1 = self.a(n, k_hi + 1), self.a(n + 1, k_hi + 1)
+            C = _read_only(build_C_range(mode.m, an, an1, c1, c2))
+            self._table = ModeTable(mode, k_hi, an, an1, c1, c2, C, prefix)
+        return self._table
+
+
+def mode_table(
+    mode: ModeIndex, w: WeightFamily, c: CoefficientFamily, k_hi: int, levels: Levels | None = None
+) -> ModeTable:
+    """One mode's table: its level's weights, gaps and prefix (from ``levels``, or evaluated here) and its C stack."""
+    return (levels or Levels(w, c, k_hi)).table(mode)
 
 
 # negates the off-diagonals of a stack of 2x2 matrices by broadcasting
@@ -135,7 +157,7 @@ def flips_exactly(*parts: np.ndarray) -> bool:
     True when every entry is nonzero and not NaN: an exact zero may come from
     a cancellation, +0.0 for either sign, and a NaN's sign is the hardware's.
     """
-    return all(bool(np.all(np.abs(p) > 0)) for p in parts)
+    return all(np.abs(p).min(initial=np.inf) > 0 for p in parts)
 
 
 def mirror_table(table: ModeTable) -> ModeTable | None:
@@ -180,15 +202,17 @@ def partial_products(c_arr: np.ndarray) -> np.ndarray:
 
 
 def tail_sum_C_minus_I(
-    mode: ModeIndex, w: WeightFamily, c: CoefficientFamily, k0: int
+    mode: ModeIndex, w: WeightFamily, c: CoefficientFamily, k0: int, levels: Levels | None = None
 ) -> float:
-    """Rigorous upper bound for sum_{k >= k0} ||C_{m,n}(k) - I||_1."""
+    """Rigorous upper bound for sum_{k >= k0} ||C_{m,n}(k) - I||_1; its m-free terms are the level's."""
     m, n = mode.m, mode.n
+    levels = levels or Levels(w, c, k0)
+    # sum 1/a_{n+1}(k), sum 1/a_n(k+1), sup 1/a_n(k+1) and the gap tails
+    t1, t2, sup_next, bound = levels.once(("tail", n, k0), lambda: (
+        tail_inv_weight(w, n + 1, k0), tail_inv_weight(w, n, k0 + 1), levels.sup_inv(n, k0 + 1),
+        gap_tail(c, 1, k0, inverse=True) + gap_tail(c, 2, k0),
+    ))
     kappa = c.kappa
-    t1 = tail_inv_weight(w, n + 1, k0)           # sum 1/a_{n+1}(k)
-    t2 = tail_inv_weight(w, n, k0 + 1)           # sum 1/a_n(k+1)
-    sup_next = sup_inv_weight(w, n, k0 + 1)      # sup 1/a_n(k+1)
-    bound = gap_tail(c, 1, k0, inverse=True) + gap_tail(c, 2, k0)
     bound += abs(m) * kappa * (t1 + t2)
     bound += m * m * kappa * sup_next * t1
     return bound
@@ -211,13 +235,13 @@ class TransferProduct:
 
 
 def limit_product(
-    mode: ModeIndex, w: WeightFamily, c: CoefficientFamily, k_hi: int
+    mode: ModeIndex, w: WeightFamily, c: CoefficientFamily, k_hi: int, levels: Levels | None = None
 ) -> TransferProduct:
     """The ordered products P(k) of the mode's table up to P(k_hi).
 
     Raises SingularMatrixError when det P(k_hi) falls below the floor.
     """
-    table = mode_table(mode, w, c, k_hi)
+    table = mode_table(mode, w, c, k_hi, levels)
     parts = partial_products(table.C)
     if abs(det2(parts[k_hi])) < DET_FLOOR:
         raise SingularMatrixError("limit product determinant underflowed")

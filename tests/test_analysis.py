@@ -150,6 +150,16 @@ def test_fubini_pair_list_is_the_documented_one():
     assert len(FUBINI_PAIRS) == 4
 
 
+def _each_report(real, change):
+    """``real`` hs_norms with ``change`` applied to each report it gives, for one solution or a stack."""
+
+    def patched(sol, *args, **kwargs):
+        reps = real(sol, *args, **kwargs)
+        return [change(rep) for rep in reps] if isinstance(reps, list) else change(reps)
+
+    return patched
+
+
 @pytest.mark.parametrize("part", ["hs", "bounds"])
 def test_infinite_hs_sum_or_bound_fails_scan(families, monkeypatch, tmp_path, capsys, part):
     """An infinite HS sum or bound fails all_finite, the scan and the scan's exit code."""
@@ -170,15 +180,14 @@ def test_infinite_hs_sum_or_bound_fails_scan(families, monkeypatch, tmp_path, ca
 
     real = analysis.hs_norms
 
-    def inf_entry(sol, *args, **kwargs):
-        rep = real(sol, *args, **kwargs)
-        if sol.mode.m != 2:
+    def inf_entry(rep):
+        if rep.mode.m != 2:
             return rep
         values = dict(getattr(rep, part))
         values[next(iter(values))] = math.inf
         return dataclasses.replace(rep, **{part: values})
 
-    monkeypatch.setattr(analysis, "hs_norms", inf_entry)
+    monkeypatch.setattr(analysis, "hs_norms", _each_report(real, inf_entry))
     w, c = families
     table = decay_scan((1, 2), (0, 1), w, c, 32)
     assert [r.all_finite for r in table.rows] == [True, True, False, False]
@@ -195,11 +204,10 @@ def test_nan_proxy_fails_envelope_checks(families, monkeypatch):
 
     real = analysis.hs_norms
 
-    def nan_proxy(sol, *args, **kwargs):
-        rep = real(sol, *args, **kwargs)
-        return dataclasses.replace(rep, proxy=math.nan) if sol.mode.m == 2 else rep
+    def nan_proxy(rep):
+        return dataclasses.replace(rep, proxy=math.nan) if rep.mode.m == 2 else rep
 
-    monkeypatch.setattr(analysis, "hs_norms", nan_proxy)
+    monkeypatch.setattr(analysis, "hs_norms", _each_report(real, nan_proxy))
     w, c = families
     table = decay_scan((1, 2), (0, 1), w, c, 32)
     checks = {ch.name: ch.passed for ch in table.checks}

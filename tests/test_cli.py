@@ -668,3 +668,63 @@ def test_validate_reversed_n_list_exit_zero(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert main(["--config", str(path), "validate"]) == 0
+
+
+@pytest.mark.parametrize("command", ["solve", "scan"])
+def test_failed_hypothesis_is_named_on_stderr(tmp_path, capsys, command):
+    """A config that validate rejects still runs, and says on stderr which hypothesis failed."""
+    cfg = default_config_dict()
+    cfg["coeffs"] = {"kind": "geometric-gap", "t1": 0.9, "t2": 0.9, "kappa": 1.0}
+    cfg["grid"] = {"m_list": [1, -1, 2], "n_list": [0, 1]}
+    cfg["truncation"]["k_max"] = 32
+    cfg["output"]["dir"] = str(tmp_path / "out")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["--config", str(path), "validate"]) == 1
+    capsys.readouterr()
+    # the exit code is the command's own, as before
+    assert main(["--config", str(path), command]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["hypothesis kappa_bracketing failed: c_1: inf=0.1 vs 1/kappa=1, sup=0.998821"]
+
+
+@pytest.mark.parametrize("command", ["solve", "scan"])
+def test_passing_hypotheses_print_nothing(small_config, capsys, command):
+    path, _ = small_config
+    assert main(["--config", str(path), command]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_one_run_serves_nothing_to_the_next(tmp_path):
+    """solve under one family, then another in the same process, writes what a fresh process writes."""
+    import os
+    import subprocess
+    import sys
+
+    def config(name, weights):
+        cfg = default_config_dict()
+        cfg["weights"] = weights
+        cfg["grid"] = {"m_list": [0, 1, -1, 3], "n_list": [0, 2]}
+        cfg["truncation"]["k_max"] = 24
+        cfg["output"]["dir"] = str(tmp_path / name)
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cfg))
+        return path
+
+    first = config("first", {"kind": "power-family", "lambda": 1.0, "p": 1.0, "q": 2.0})
+    second = config("second", {"kind": "power-family", "lambda": 2.0, "p": 1.5, "q": 3.0})
+    fresh = config("fresh", {"kind": "power-family", "lambda": 2.0, "p": 1.5, "q": 3.0})
+    assert main(["--config", str(first), "solve", "--seed", "3"]) == 0
+    assert main(["--config", str(second), "solve", "--seed", "3"]) == 0
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "qsolidtorus.cli", "--config", str(fresh), "solve", "--seed", "3"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    got, want = (
+        "\n".join(line for line in (tmp_path / name / "solutions.json").read_text().splitlines() if '"generated_at": ' not in line)
+        for name in ("second", "fresh")
+    )
+    assert first_difference(got, want) is None
+    assert got != (tmp_path / "first" / "solutions.json").read_text()

@@ -174,6 +174,11 @@ def _count_builds(monkeypatch):
     return calls
 
 
+def _level_major(cfg):
+    """The grid in the order scan builds it: level by level, each level in m_list's order."""
+    return [(m, n) for n in cfg["grid"]["n_list"] for m in cfg["grid"]["m_list"]]
+
+
 def _first_of_each_pair(modes):
     seen, out = set(), []
     for m, n in modes:
@@ -189,8 +194,12 @@ def test_each_command_builds_each_pair_once(tmp_path, monkeypatch, argv):
     calls = _count_builds(monkeypatch)
     assert main(["--config", str(path), *argv]) == 0
     grid = [(m, n) for m in cfg["grid"]["m_list"] for n in cfg["grid"]["n_list"]]
-    # solve runs its modes sorted, the others in grid order
-    want = _first_of_each_pair(sorted(grid) if argv == ["solve"] else grid)
+    # solve runs its modes sorted and scan in grid order, both level by level; the dumps in grid order
+    if argv == ["solve"]:
+        order = sorted(grid, key=lambda mn: (mn[1], mn[0]))
+    else:
+        order = _level_major(cfg) if argv == ["scan"] else grid
+    want = _first_of_each_pair(order)
     name = "limit_product" if argv[-1] == "transfer" else "build_solution"
     assert calls[name] == want
     assert len(want) == len({(abs(m), n) for m, n in grid})
@@ -201,7 +210,7 @@ def test_a_table_rule_that_is_not_odd_builds_both_sides(tmp_path, monkeypatch):
     path, cfg = _pm_config(tmp_path, boundary=boundary)
     calls = _count_builds(monkeypatch)
     assert main(["--config", str(path), "scan"]) == 0
-    grid = [(m, n) for m in cfg["grid"]["m_list"] for n in cfg["grid"]["n_list"]]
+    grid = _level_major(cfg)
     both = [(m, n) for m, n in grid if abs(m) == 2]
     assert calls["build_solution"] == [mn for mn in grid if mn in both or mn in _first_of_each_pair(grid)]
     _assert_scan_equals_direct_builds(path, tmp_path)

@@ -11,10 +11,9 @@ from pathlib import Path
 
 import numpy as np
 
-from qsolidtorus import cli, dirac
+from qsolidtorus import cli, dirac, families
 from qsolidtorus.cli import main
 from qsolidtorus.config import default_config_dict
-from qsolidtorus.solutions import mode_table
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 K_MAX = 16
@@ -51,7 +50,6 @@ def test_tracer_targets_and_build_counts(tmp_path):
             owner = getattr(owner, part)
         assert callable(owner), (mod_name, attr)
 
-    mode_table.cache_clear()
     tr = tracer.Tracer()
     uninstall = tracer.install(tr)
     try:
@@ -73,8 +71,6 @@ def test_tracer_counts_one_build_per_pm_pair(tmp_path):
     pairs = len({(abs(m), n) for m in grid["m_list"] for n in grid["n_list"]})
     runs = (["solve"], ["scan"], ["dump", "--what", "solution"], ["dump", "--what", "transfer"])
     for argv in runs:
-        # a fresh table per command, so a build is never served by the previous command's last one
-        mode_table.cache_clear()
         tr = tracer.Tracer()
         uninstall = tracer.install(tr)
         try:
@@ -85,6 +81,37 @@ def test_tracer_counts_one_build_per_pm_pair(tmp_path):
         assert builds == (0 if argv[-1] == "transfer" else pairs), argv
         assert tr.calls["transfer.build_C_range"] == (pairs if argv[-1] == "transfer" else builds), argv
         assert tr.counts["solutions.compute_K.steps"] == K_MAX * builds, argv
+
+
+def test_each_command_evaluates_each_family_row_once(tmp_path, monkeypatch):
+    """No command evaluates a (family, level, index, k-array length) twice.
+
+    The m-independent data of a level (the window's weights and gaps, the
+    epsilon head's weights, the sups of the tail bounds) are evaluated once
+    per command and shared by every m, and a_{n+1} of level n is a_n of level
+    n + 1.  A scalar k is keyed by its value.  solve and scan also probe the
+    hypotheses, whose kappa bracket and first J_i pass both read c_i(0, k < 64):
+    those two rows are the only repeats.
+    """
+    seen = []
+    for cls, name in ((families.WeightFamily, "a"), (families.CoefficientFamily, "c")):
+        def counted(self, *args, _orig=getattr(cls, name), _name=name):
+            k = args[-1]
+            seen.append((_name, *args[:-1], ("len", np.size(k)) if np.ndim(k) else ("k", int(k))))
+            return _orig(self, *args)
+
+        monkeypatch.setattr(cls, name, counted)
+    path = _tiny_config(tmp_path, {"m_list": [1, -1, 0, -2, 2, 5], "n_list": [0, 1, 2, 4]})
+    probe_repeats = {("c", 1, 0, ("len", 64)), ("c", 2, 0, ("len", 64))}
+    runs = (["solve"], ["scan"], ["dump", "--what", "solution"], ["dump", "--what", "transfer"])
+    for argv in runs:
+        seen.clear()
+        assert cli.main(["--config", str(path), *argv]) == 0
+        repeats = {key for key in seen if seen.count(key) > 1}
+        assert repeats == (probe_repeats if argv[0] in ("solve", "scan") else set()), argv
+        assert len(seen) - len(set(seen)) == len(repeats), argv
+        # the window's rows: a_n for every level and its neighbour, c1 and c2 per level
+        assert sum(key[-1] == ("len", K_MAX + 1) for key in seen) == len({0, 1, 2, 3, 4, 5}), argv
 
 
 def test_every_tracer_target_is_called(tmp_path):

@@ -14,6 +14,7 @@ from qsolidtorus.families import (
     eval_J,
 )
 from qsolidtorus.transfer import (
+    Levels,
     ModeIndex,
     SingularMatrixError,
     det2,
@@ -54,7 +55,7 @@ def test_det_A_formula(families, m, n, k):
 
 
 def test_mode_table_makes_four_family_calls(families, monkeypatch):
-    """a_n, a_{n+1}, c1 and c2 once each; the C stack and prefix reuse them."""
+    """a_n, a_{n+1}, c1 and c2 once per level; every m's C stack and the prefix reuse them."""
     w, c = families
     calls = []
     for cls, name in ((WeightFamily, "a"), (CoefficientFamily, "c")):
@@ -63,10 +64,14 @@ def test_mode_table_makes_four_family_calls(families, monkeypatch):
             return _orig(self, *args)
 
         monkeypatch.setattr(cls, name, counted)
-    mode_table.cache_clear()
-    table = mode_table(ModeIndex(3, 1), w, c, 32)
-    assert sorted(calls) == ["a", "a", "c", "c"]
-    assert table.C.shape == (32, 2, 2) and table.prefix.shape == (33,)
+    levels = Levels(w, c, 32)
+    for m in (3, -3, 5, 0):
+        table = mode_table(ModeIndex(m, 1), w, c, 32, levels)
+        assert sorted(calls) == ["a", "a", "c", "c"]
+        assert table.C.shape == (32, 2, 2) and table.prefix.shape == (33,)
+    # level 2 shares a_2 with level 1 and adds a_3, c1 and c2
+    mode_table(ModeIndex(3, 2), w, c, 32, levels)
+    assert sorted(calls) == ["a", "a", "a", "c", "c", "c", "c"]
 
 
 def test_build_C_worked_examples(families):
