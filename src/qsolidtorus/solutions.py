@@ -9,6 +9,7 @@ h(k+1) = C_{m,n}(k) h(k).  Two distinguished solutions are computed here:
 * the K function, prescribed at radial infinity by a sign/decay rule and
   propagated backward from a seed index (it is the recessive direction, so
   backward recursion is stable, exactly as for modified Bessel K).
+Both, and the m = 0 inner sum, run on ``transfer.sweep``, the one step loop.
 
 The pairing tau = <K(0), I(0)^perp> measures their independence and
 propagates by the scalar product of c_2/c_1 (a Wronskian analog).  The module
@@ -51,6 +52,7 @@ from .transfer import (
     mode_table,
     partial_products,
     scalar_det_prefix,
+    sweep,
     tail_sum_C_minus_I,
 )
 
@@ -140,13 +142,7 @@ def compute_I(
 ) -> np.ndarray:
     """Forward table I(0..k_hi) from the normalization I(0) = (-1, m/a_n(0))."""
     table = mode_table(mode, w, c, k_hi, levels)
-    x, y = -1.0, float(mode.m / table.an[0])
-    flat = [x, y]
-    # plain floats overflow to inf without raising; the guard below catches it
-    for c00, c01, c10, c11 in table.C.reshape(-1, 4).tolist():
-        x, y = c00 * x + c01 * y, c10 * x + c11 * y
-        flat += (x, y)
-    out = np.array(flat).reshape(-1, 2)
+    out = sweep(table.C, -1.0, float(mode.m / table.an[0]))
     if not np.all(np.isfinite(out)) or np.max(np.abs(out)) > 1e280:
         raise RangeOverflowError(
             "forward recursion overflow; rescale the data or lower |m| * K "
@@ -172,15 +168,10 @@ def compute_K(
     tail = tail_sum_C_minus_I(mode, w, c, k_hi, levels)
     table = mode_table(mode, w, c, k_hi, levels)
     c_arr = table.C
-    # explicit 2x2 inverses adj(C)/det C for every step, then a plain-float sweep
+    # explicit 2x2 inverses adj(C)/det C for every step, swept from the table end down
     inv = np.stack((c_arr[:, 1, 1], -c_arr[:, 0, 1], -c_arr[:, 1, 0], c_arr[:, 0, 0]), axis=1)
     inv /= (table.c2 / table.c1)[:, None]
-    x, y = float(k_inf[0]), float(k_inf[1])
-    flat = [x, y]
-    for i00, i01, i10, i11 in reversed(inv.tolist()):
-        x, y = i00 * x + i01 * y, i10 * x + i11 * y
-        flat += (x, y)
-    return np.array(flat).reshape(-1, 2)[::-1].copy(), tail
+    return sweep(inv[::-1], float(k_inf[0]), float(k_inf[1]))[::-1].copy(), tail
 
 
 @dataclass(frozen=True)
@@ -365,11 +356,16 @@ def suffix_sum(v: np.ndarray) -> np.ndarray:
 
 
 def cumulative_product_sum(x: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """out[k] = out[k-1] r(k-1) + x(k) from out[-1] = 0: the m = 0 kernel's recurrence, in plain floats."""
-    out = [0.0]
-    for xk, rk in zip(x.tolist(), [1.0, *r.tolist()]):
-        out.append(out[-1] * rk + xk)
-    return np.array(out[1:])
+    """out[k] = out[k-1] r(k-1) + x(k) from out[-1] = 0: the m = 0 kernel's recurrence, for len(r) >= len(x) - 1.
+
+    It is the sweep of (out[k-1], 1) by the affine steps [[r(k-1), x(k)], [0, 1]], with r(-1) = 1, so
+    from two steps after an entry reaches inf the rest read nan (0 * inf in the constant row).
+    """
+    steps = np.zeros((len(x), 2, 2))
+    steps[:, 0, 0] = np.concatenate(([1.0], r[: len(x) - 1]))
+    steps[:, 0, 1] = x
+    steps[:, 1, 1] = 1.0
+    return sweep(steps, 0.0, 1.0)[1:, 0]
 
 
 def wronskian_residuals(sol: KernelSolution) -> np.ndarray:

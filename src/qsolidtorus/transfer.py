@@ -5,9 +5,9 @@ matrix C_{m,n}(k); kernel solutions of the mode system evolve by
 h(k+1) = C_{m,n}(k) h(k).  Products are ordered right-to-left,
 P(k) = C(k-1) ... C(0), and converge because sum_k ||C(k) - I||_1 is finite.
 Only the C stack depends on m: ``Levels`` evaluates the rest of each radial
-level once per command, and ``mode_table`` adds a mode's C stack to it.  From
-the table this module builds the partial products, a certified tail bound
-for the product remainder, and the structural checks on the limit.
+level once per command, and ``mode_table`` adds a mode's C stack to it.  This
+module sweeps the table's partial products by ``sweep``, the one step loop,
+and gives a certified tail bound for their remainder and checks on the limit.
 
 m enters C_{m,n}(k) only as m off the diagonal and m^2 on it, so the tables
 of (-m, n) are those of (m, n) with their off-diagonals negated, bit for bit:
@@ -185,20 +185,22 @@ def invert(mat: np.ndarray) -> np.ndarray:
     return np.array([[mat[1, 1], -mat[0, 1]], [-mat[1, 0], mat[0, 0]]]) / d
 
 
+def sweep(steps: np.ndarray, x: float, y: float) -> np.ndarray:
+    """The states h(0..len(steps)) of h(k+1) = steps[k] h(k) from h(0) = (x, y), as a (len + 1, 2) array.
+
+    The package's one step loop.  It runs in plain floats, since a numpy 2x2
+    product per step costs more than the arithmetic; a state that overflows is inf, without raising.
+    """
+    flat = [x, y]
+    for a, b, c, d in steps.reshape(-1, 4).tolist():
+        x, y = a * x + b * y, c * x + d * y
+        flat += (x, y)
+    return np.array(flat).reshape(-1, 2)
+
+
 def partial_products(c_arr: np.ndarray) -> np.ndarray:
-    """P(0)=I and P(k+1) = C(k) P(k) for a stack of C matrices."""
-    p00, p01, p10, p11 = 1.0, 0.0, 0.0, 1.0
-    flat = [(p00, p01, p10, p11)]
-    # plain-float recurrence: a numpy 2x2 product per step costs more than the arithmetic
-    for a, b, c, d in c_arr.reshape(-1, 4).tolist():
-        p00, p01, p10, p11 = (
-            a * p00 + b * p10,
-            a * p01 + b * p11,
-            c * p00 + d * p10,
-            c * p01 + d * p11,
-        )
-        flat.append((p00, p01, p10, p11))
-    return np.array(flat).reshape(len(flat), 2, 2)
+    """P(0)=I and P(k+1) = C(k) P(k) for a stack of C matrices: the sweeps of I's two columns."""
+    return np.stack((sweep(c_arr, 1.0, 0.0), sweep(c_arr, 0.0, 1.0)), axis=-1)
 
 
 def tail_sum_C_minus_I(

@@ -10,6 +10,11 @@ norms, ``wronskian_residuals``, ``verify_lemma_suite`` and ``hs_norms`` work
 on one solution's 1-D tables.  Their arithmetic is the package's before the
 stacking, so ``tests/test_stacked.py`` can compare the stacked stages with
 them bit for bit.
+
+The last section holds the four recurrences that ``transfer.sweep`` runs
+(I, K, the partial products and the m = 0 inner sum), each as its own
+plain-float loop, so ``tests/test_solutions.py`` can check the sweeps' tables
+against them bit for bit.
 """
 
 from __future__ import annotations
@@ -432,3 +437,52 @@ def hs_norms(sol: KernelSolution, w: WeightFamily, c: CoefficientFamily) -> HsRe
         ratio=ratio,
         proxy=proxy,
     )
+
+
+# ---------------------------------------------------------------- the step loops, one per recurrence
+
+
+def compute_I_loop(mode: ModeIndex, table: ModeTable) -> np.ndarray:
+    """Forward table I(0..k_hi) from I(0) = (-1, m/a_n(0)) by its own plain-float loop, without the overflow guard."""
+    x, y = -1.0, float(mode.m / table.an[0])
+    flat = [x, y]
+    for c00, c01, c10, c11 in table.C.reshape(-1, 4).tolist():
+        x, y = c00 * x + c01 * y, c10 * x + c11 * y
+        flat += (x, y)
+    return np.array(flat).reshape(-1, 2)
+
+
+def compute_K_loop(table: ModeTable, k_inf: tuple[float, float]) -> np.ndarray:
+    """Backward table K(0..k_hi) from K(k_hi) = k_inf by its own plain-float loop over adj(C)/det C."""
+    c_arr = table.C
+    inv = np.stack((c_arr[:, 1, 1], -c_arr[:, 0, 1], -c_arr[:, 1, 0], c_arr[:, 0, 0]), axis=1)
+    inv /= (table.c2 / table.c1)[:, None]
+    x, y = float(k_inf[0]), float(k_inf[1])
+    flat = [x, y]
+    for i00, i01, i10, i11 in reversed(inv.tolist()):
+        x, y = i00 * x + i01 * y, i10 * x + i11 * y
+        flat += (x, y)
+    return np.array(flat).reshape(-1, 2)[::-1].copy()
+
+
+def partial_products_loop(c_arr: np.ndarray) -> np.ndarray:
+    """P(0)=I and P(k+1) = C(k) P(k), all four entries carried in one plain-float loop."""
+    p00, p01, p10, p11 = 1.0, 0.0, 0.0, 1.0
+    flat = [(p00, p01, p10, p11)]
+    for a, b, c, d in c_arr.reshape(-1, 4).tolist():
+        p00, p01, p10, p11 = (
+            a * p00 + b * p10,
+            a * p01 + b * p11,
+            c * p00 + d * p10,
+            c * p01 + d * p11,
+        )
+        flat.append((p00, p01, p10, p11))
+    return np.array(flat).reshape(len(flat), 2, 2)
+
+
+def cumulative_product_sum_loop(x: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """out[k] = out[k-1] r(k-1) + x(k) from out[-1] = 0 by its own plain-float loop."""
+    out = [0.0]
+    for xk, rk in zip(x.tolist(), [1.0, *r.tolist()]):
+        out.append(out[-1] * rk + xk)
+    return np.array(out[1:])

@@ -10,9 +10,11 @@ from qsolidtorus.solutions import (
     M_PROBE,
     BoundaryRule,
     BoundaryRuleError,
+    RangeOverflowError,
     build_solution,
     compute_I,
     compute_K,
+    cumulative_product_sum,
     epsilon,
     perp_transport_residual,
     tau_of_tables,
@@ -20,6 +22,7 @@ from qsolidtorus.solutions import (
     wronskian_residuals,
 )
 from qsolidtorus.transfer import ModeIndex, mode_table, partial_products, scalar_det_prefix
+from reference import compute_I_loop, compute_K_loop, cumulative_product_sum_loop, partial_products_loop
 
 
 def test_default_boundary_rule_values():
@@ -286,6 +289,27 @@ def test_scalar_sweeps_match_matmul_reference(families):
             worst["K"] = max(worst["K"], _row_rel_gap(compute_K(mode, w, c, K, k_inf)[0], ref_K))
             worst["P"] = max(worst["P"], _row_rel_gap(partial_products(C), ref_P))
     assert all(np.isfinite(v) and v <= 1e-14 for v in worst.values()), worst
+
+
+def test_sweeps_match_step_loops_bit_for_bit(families):
+    """I, K, P and the m = 0 inner sum from ``transfer.sweep`` equal their own plain-float loops byte for byte."""
+    w, c = families
+    cases = [(ModeIndex(m, n), 128) for m in DEFAULT_GRID_M for n in DEFAULT_GRID_N]
+    cases += [(ModeIndex(m, n), 8192) for m in (1, -1, 1024, -1024) for n in (0, 16)]
+    for mode, K in cases:
+        table = mode_table(mode, w, c, K)
+        k_inf = BoundaryRule()(mode.m)
+        x, r = 1.0 / table.an, table.c2**2
+        pairs = [
+            (compute_I(mode, w, c, K), compute_I_loop(mode, table)),
+            (compute_K(mode, w, c, K, k_inf)[0], compute_K_loop(table, k_inf)),
+            (partial_products(table.C), partial_products_loop(table.C)),
+            (cumulative_product_sum(x, r), cumulative_product_sum_loop(x, r)),
+        ]
+        for got, want in pairs:
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), mode
+    with pytest.raises(RangeOverflowError):
+        compute_I(ModeIndex(32768, 0), w, c, 256)
 
 
 def test_lemma_suite_worst_slack_keeps_nan(families):
