@@ -20,7 +20,7 @@ Every sum runs over the solution's table, k <= K = ``sol.k_table``; no
 truncation remainder is reported (a rigorous one is future work).  A scan
 passes only when every HS sum, bound and proxy is finite: an overflowed bound
 or a NaN proxy fails the table instead of satisfying its comparisons
-vacuously.
+vacuously, and a bound flag passes only where its sum and bound are finite.
 """
 
 from __future__ import annotations
@@ -40,12 +40,11 @@ from .families import (
     WeightFamily,
     eval_s,
 )
-from .solutions import DEFAULT_RULE, MODE_ERRORS, BoundaryRule, KernelSolution, build_solution
+from .solutions import DEFAULT_RULE, BoundaryRule, KernelSolution, build_solution, by_level
 from .solutions import (
     cumulative_product_sum,
     each_mode,
     mirror_solution,
-    paired,
     per_mode,
     stack,
     suffix_sum,
@@ -160,7 +159,9 @@ def hs_norms(sol: KernelSolution, w: WeightFamily, c: CoefficientFamily) -> HsRe
         # X^{alpha beta} takes the bound of level n - 1 + alpha, Y^{alpha beta} that of n - 1 + beta
         bounds = {(op, a, b): bound_s if (a if op == "X" else b) == 1 else bound_s1 for op, a, b in hs}
         proxy = np.sqrt(sum(hs.values())) / np.abs(tau)
-    flags = {key: hs[key] <= bounds[key] * (1.0 + BOUND_SLACK) for key in hs}
+    # an inf sum under an inf bound fails its flag as well as the finite gate
+    flags = {key: np.isfinite(hs[key]) & np.isfinite(bounds[key]) & (hs[key] <= bounds[key] * (1.0 + BOUND_SLACK))
+             for key in hs}
     hs, bounds, flags = ({key: per_mode(v) for key, v in d.items()} for d in (hs, bounds, flags))
     eps, tau, ratio, proxy = map(per_mode, (sol.eps.value, tau, ratio, proxy))
     return each_mode(sol, lambda mode, j: HsReport(
@@ -200,43 +201,41 @@ def decay_scan(
 ) -> ScanTable:
     """HS reports and lemma reports over a mode grid, plus the decay checks along both axes.
 
-    Where the rule is odd at m, the first of m and -m to come is built and
-    checked (a level's built m != 0 modes as one ``stack``), and the other's
-    solution and reports are its exact mirror.  A mode whose solution fails
-    to build is recorded in ``failures``; the decay checks compare the modes
-    that built.
+    The grid runs level by level (``solutions.by_level``), and only the
+    reports outlive a level.  Where the rule is odd at m, the first of m and
+    -m to come is built and checked (a level's built m != 0 modes as one
+    ``stack``), and the other's solution and reports are its exact mirror.  A
+    mode whose solution fails to build is recorded in ``failures``; the decay
+    checks compare the modes that built.
     """
     levels = Levels(w, c, k_max)
     built = set()
+    table, lemma_of, failed = {}, {}, {}
 
     def build(mode: ModeIndex) -> KernelSolution:
         built.add(mode)
         return build_solution(mode, w, c, k_max, rule=rule, levels=levels)
 
-    get = paired(build, lambda sol: mirror_solution(sol, rule), [ModeIndex(m, n) for m in m_list for n in n_list])
-    table, lemma_of, failed = {}, {}, {}
-    for n in dict.fromkeys(n_list):
-        sols = {}
-        for m in dict.fromkeys(m_list):
-            try:
-                sols[m] = get(ModeIndex(m, n))
-            except MODE_ERRORS as exc:
-                failed[(m, n)] = str(exc)
+    def check(n: int, sols: dict) -> None:
         # the level's built m != 0 solutions are checked as one stack, m = 0 alone
-        checked = [sol for m, sol in sols.items() if m != 0 and sol.mode in built]
+        checked = [sol for mode, sol in sols.items() if mode.m != 0 and mode in built]
         if checked:
             st = stack(checked)
             wronskian = per_mode(wronskian_residuals(st).max(axis=-1))
             for sol, report, lemma, wr in zip(checked, hs_norms(st, w, c), verify_lemma_suite(st), wronskian):
                 table[(sol.mode.m, n)], lemma_of[(sol.mode.m, n)] = report, (lemma, wr)
-        for m, sol in sols.items():
-            if m == 0:
-                table[(m, n)] = hs_norms(sol, w, c)
-            elif sol.mode not in built:
+        for mode, sol in sols.items():
+            if mode.m == 0:
+                table[(0, n)] = hs_norms(sol, w, c)
+            elif mode not in built:
                 # mirrored from its partner's solution, whose reports are its own
-                report, (lemma, wr) = table[(-m, n)], lemma_of[(-m, n)]
-                table[(m, n)], lemma_of[(m, n)] = replace(report, mode=sol.mode), (replace(lemma, mode=sol.mode), wr)
+                report, (lemma, wr) = table[(-mode.m, n)], lemma_of[(-mode.m, n)]
+                table[(mode.m, n)], lemma_of[(mode.m, n)] = replace(report, mode=mode), (replace(lemma, mode=mode), wr)
+
     grid = [(m, n) for m in m_list for n in n_list]
+    for n, sols, errors in by_level([ModeIndex(*mn) for mn in grid], build, lambda sol: mirror_solution(sol, rule)):
+        failed.update(((mode.m, n), msg) for mode, msg in errors.items())
+        check(n, sols)
     rows = [table[mn] for mn in grid if mn in table]
     lemmas = {mn: lemma_of[mn] for mn in grid if mn in lemma_of}
     failures = {mn: failed[mn] for mn in grid if mn in failed}

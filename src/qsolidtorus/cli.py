@@ -3,6 +3,8 @@
 Exit codes: 0 success, 1 mathematical violation (a check or residual failed),
 2 usage or configuration error.  Outputs are deterministic for a fixed config
 and seed, apart from the generated_at field in each file's meta header.
+solve, scan and dump run their modes one radial level at a time
+(``solutions.by_level``) and keep only their output rows once a level is done.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .parametrix import (
     oracle_solve,
     random_rhs,
 )
-from .solutions import MODE_ERRORS, build_solution, mirror_solution, paired, stack, wronskian_residuals
+from .solutions import build_solution, by_level, mirror_solution, stack, wronskian_residuals
 from .transfer import Levels, ModeIndex, limit_product, mirror_product
 
 EXIT_OK = 0
@@ -54,11 +56,13 @@ def _modes(cfg: ExperimentConfig, only_m: list[int] | None) -> list[tuple[int, i
     return [(m, n) for m in _m_list(cfg, only_m) for n in cfg.n_list]
 
 
-def _solutions(cfg: ExperimentConfig, k_max: int, modes: list[ModeIndex]):
-    """``build_solution`` for ``modes`` on the command's level data, once per +-m pair (``solutions.paired``)."""
-    levels = Levels(cfg.weights, cfg.coeffs, k_max)
-    return paired(lambda mode: build_solution(mode, cfg.weights, cfg.coeffs, k_max, rule=cfg.boundary, levels=levels),
-                  lambda sol: mirror_solution(sol, cfg.boundary), modes)
+def _by_level(cfg: ExperimentConfig, k_max: int, modes: list[ModeIndex], what: str = "solution"):
+    """``solutions.by_level`` of ``modes`` on the command's level data: their solutions, or their products."""
+    w, c, levels = cfg.weights, cfg.coeffs, Levels(cfg.weights, cfg.coeffs, k_max)
+    if what == "transfer":
+        return by_level(modes, lambda mode: limit_product(mode, w, c, k_max, levels), mirror_product)
+    return by_level(modes, lambda mode: build_solution(mode, w, c, k_max, rule=cfg.boundary, levels=levels),
+                    lambda sol: mirror_solution(sol, cfg.boundary))
 
 
 def cmd_validate(cfg: ExperimentConfig, out_dir: Path, k_max: int) -> int:
@@ -98,6 +102,36 @@ def _load_rhs(path: Path, k_max: int) -> dict[tuple[int, int], RhsPair]:
     return out
 
 
+def _solve_level(n: int, built: dict, rhs_map: dict, k_max: int) -> dict:
+    """The record of each built mode of one level, or the text of its oracle's error.
+
+    The inverse, the operator and the norms run on the level's stack once,
+    then each mode's banded oracle.
+    """
+    st, rs = stack(list(built.values())), [rhs_map[(mode.m, n)] for mode in built]
+    r1 = WeightedSeq(np.array([r.r1.values for r in rs]), n + 1)
+    r2 = WeightedSeq(np.array([r.r2.values for r in rs]), n)
+    r = RhsPair(r1, r2, np.array([r.q0 for r in rs]))
+    res = apply_Q(st, r, k_max)
+    back = apply_A(st.table, res.h_g, res.h_f)
+    diff = RhsPair(WeightedSeq(back.r1.values - r1.values, n + 1), WeightedSeq(back.r2.values - r2.values, n),
+                   back.q0 - r.q0)
+    resid_inv = diff.norm(st.table) / np.maximum(r.norm(st.table), 1e-300)
+    scale = np.maximum(res.norm(st.table), 1e-300)
+    out = {}
+    for j, (mode, sol) in enumerate(built.items()):
+        try:
+            orc = oracle_solve(sol, rs[j])
+        except np.linalg.LinAlgError as exc:
+            out[mode] = str(exc)
+            continue
+        gap = np.sum((orc.h_g.values - res.h_g.values[j]) ** 2) + np.sum((orc.h_f.values - res.h_f.values[j]) ** 2)
+        out[mode] = {"m": mode.m, "n": n, "residual_right_inverse": float(resid_inv[j]),
+                     "residual_oracle": float(np.sqrt(gap) / scale[j]),
+                     "boundary_residual": float(res.boundary_residual[j]), "beta": float(res.beta[j])}
+    return out
+
+
 def cmd_solve(
     cfg: ExperimentConfig,
     out_dir: Path,
@@ -113,59 +147,21 @@ def cmd_solve(
         modes = sorted(_modes(cfg, only_m))
         rhs_map = {(m, n): random_rhs(ModeIndex(m, n), k_max, rng) for (m, n) in modes}
     modes = [ModeIndex(m, n) for (m, n) in sorted(rhs_map)]
-    solution = _solutions(cfg, k_max, modes)
-    found = {}
-    # each level's modes go through the inverse, the operator and the norms as one stack
-    for n in sorted({mode.n for mode in modes}):
-        built = {}
-        for mode in (mode for mode in modes if mode.n == n):
-            try:
-                built[mode] = solution(mode)
-            except MODE_ERRORS as exc:
-                found[mode] = exc
+    # each mode's record, or the text of the error that stopped it
+    done = {}
+    for n, built, failed in _by_level(cfg, k_max, modes):
+        done.update(failed)
         if built:
-            st, rs = stack(list(built.values())), [rhs_map[(mode.m, n)] for mode in built]
-            r1 = WeightedSeq(np.array([r.r1.values for r in rs]), n + 1)
-            r2 = WeightedSeq(np.array([r.r2.values for r in rs]), n)
-            r = RhsPair(r1, r2, np.array([r.q0 for r in rs]))
-            res = apply_Q(st, r, k_max)
-            back = apply_A(st.table, res.h_g, res.h_f)
-            diff = RhsPair(WeightedSeq(back.r1.values - r1.values, n + 1), WeightedSeq(back.r2.values - r2.values, n), back.q0 - r.q0)
-            resid_inv = diff.norm(st.table) / np.maximum(r.norm(st.table), 1e-300)
-            scale = np.maximum(res.norm(st.table), 1e-300)
-            found.update((mode, (sol, res, j, resid_inv[j], scale[j])) for j, (mode, sol) in enumerate(built.items()))
-    records = []
-    ok = True
+            done.update(_solve_level(n, built, rhs_map, k_max))
+    records, tol, ok = [], cfg.tol_residual, True
     for mode in modes:
-        m, n = mode.m, mode.n
-        try:
-            if isinstance(found[mode], Exception):
-                raise found[mode]
-            sol, res, j, resid_inv, scale = found[mode]
-            orc = oracle_solve(sol, rhs_map[(m, n)])
-            d_orc = float(
-                np.sqrt(
-                    np.sum((orc.h_g.values - res.h_g.values[j]) ** 2)
-                    + np.sum((orc.h_f.values - res.h_f.values[j]) ** 2)
-                )
-            ) / scale
-            records.append(
-                {
-                    "m": m,
-                    "n": n,
-                    "residual_right_inverse": float(resid_inv),
-                    "residual_oracle": float(d_orc),
-                    "boundary_residual": float(res.boundary_residual[j]),
-                    "beta": float(res.beta[j]),
-                }
-            )
-            # written as "not <=" so that a NaN residual fails the mode
-            if not (resid_inv <= cfg.tol_residual and d_orc <= 10 * cfg.tol_residual):
-                ok = False
-        except (*MODE_ERRORS, np.linalg.LinAlgError) as exc:
-            ok = False
-            records.append({"m": m, "n": n, "error": f"mode ({m}, {n}): {exc}"})
-            print(f"mode ({m}, {n}) failed: {exc}", file=sys.stderr)
+        m, n, rec = mode.m, mode.n, done[mode]
+        if isinstance(rec, str):
+            print(f"mode ({m}, {n}) failed: {rec}", file=sys.stderr)
+            rec = {"m": m, "n": n, "error": f"mode ({m}, {n}): {rec}"}
+        records.append(rec)
+        # a NaN residual compares False, so it fails the mode
+        ok &= "error" not in rec and rec["residual_right_inverse"] <= tol and rec["residual_oracle"] <= 10 * tol
     payload = {"meta": _meta(cfg, k_max, seed), "solutions": records}
     write_json(out_dir / "solutions.json", payload)
     n_err = sum(1 for r in records if "error" in r)
@@ -213,50 +209,37 @@ def cmd_scan(
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
-def cmd_dump(
-    cfg: ExperimentConfig,
-    out_dir: Path,
-    what: str,
-    only_m: list[int] | None,
-    k_max: int,
-) -> int:
-    modes = [ModeIndex(m, n) for (m, n) in _modes(cfg, only_m)]
+def _dump_block(what: str, mode: ModeIndex, built, k_max: int) -> tuple[dict, str | None]:
+    """One mode's rows of the dump, and the note it prints when an entry is not finite."""
     if what == "transfer":
-        levels = Levels(cfg.weights, cfg.coeffs, k_max)
-        get = paired(lambda mode: limit_product(mode, cfg.weights, cfg.coeffs, k_max, levels), mirror_product, modes)
+        k_rows = k_max
+        block = {"C": built.table.C.reshape(k_rows, 4), "P": built.partials[:k_rows].reshape(k_rows, 4)}
     else:
-        get = _solutions(cfg, k_max, modes)
-    blocks = []
-    ok = True
-    for mode in modes:
-        m, n = mode.m, mode.n
-        try:
-            built = get(mode)
-        except MODE_ERRORS as exc:
-            ok = False
-            print(f"mode ({m}, {n}) failed: {exc}", file=sys.stderr)
-            continue
-        if what == "transfer":
-            k_rows = k_max
-            block = {"C": built.table.C.reshape(k_rows, 4), "P": built.partials[:k_rows].reshape(k_rows, 4)}
-        else:
-            k_rows = len(built.I)
-            block = {
-                "I1": built.I[:, 0],
-                "I2": built.I[:, 1],
-                "K1": built.K[:, 0],
-                "K2": built.K[:, 1],
-                "wronskian_residual": wronskian_residuals(built),
-            }
-        if not all(np.isfinite(col).all() for col in block.values()):
-            ok = False
-            print(f"mode ({m}, {n}): non-finite entries in the {what} table", file=sys.stderr)
-        k = np.arange(k_rows)
-        blocks.append({**block, "m": np.full_like(k, m), "n": np.full_like(k, n), "k": k})
-    rows = RowTable.concat(blocks)
+        k_rows = len(built.I)
+        block = {"I1": built.I[:, 0], "I2": built.I[:, 1], "K1": built.K[:, 0], "K2": built.K[:, 1],
+                 "wronskian_residual": wronskian_residuals(built)}
+    note = None
+    if not all(np.isfinite(col).all() for col in block.values()):
+        note = f"mode ({mode.m}, {mode.n}): non-finite entries in the {what} table"
+    k = np.arange(k_rows)
+    return {**block, "m": np.full_like(k, mode.m), "n": np.full_like(k, mode.n), "k": k}, note
+
+
+def cmd_dump(cfg: ExperimentConfig, out_dir: Path, what: str, only_m: list[int] | None, k_max: int) -> int:
+    modes = [ModeIndex(m, n) for (m, n) in _modes(cfg, only_m)]
+    # each mode's rows (None where it failed) and the note it prints, made as its level goes
+    done = {}
+    for _, built, failed in _by_level(cfg, k_max, modes, what):
+        done.update((mode, (None, f"mode ({mode.m}, {mode.n}) failed: {msg}")) for mode, msg in failed.items())
+        done.update((mode, _dump_block(what, mode, res, k_max)) for mode, res in built.items())
+    notes = [note for _, note in map(done.get, modes) if note is not None]
+    for note in notes:
+        print(note, file=sys.stderr)
+    rows = RowTable.concat([block for block, _ in map(done.get, modes) if block is not None])
+    del done  # the rows' columns are the only copy of the blocks while the file is written
     write_json(out_dir / f"dump_{what}.json", {"meta": _meta(cfg, k_max), "rows": rows})
     print(f"wrote {len(rows)} rows to {out_dir / f'dump_{what}.json'}")
-    return EXIT_OK if ok else EXIT_VIOLATION
+    return EXIT_VIOLATION if notes else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

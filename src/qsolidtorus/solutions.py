@@ -19,12 +19,13 @@ pairing product bounds) that the parametrix norm estimates rely on.
 
 Where the boundary rule is odd at m, the (-m, n) solution is that of (m, n)
 with I2 and K1 negated, bit for bit (``mirror_solution``), and its HS sums
-and lemma checks are equal; ``paired`` builds each +-m pair of a grid once.
+and lemma checks are equal.  ``by_level`` runs a command's modes one radial
+level at a time and builds each +-m pair of a level once.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -48,6 +49,7 @@ from .transfer import (
     SingularMatrixError,
     flips_exactly,
     invert,
+    level_data,
     mirror_table,
     mode_table,
     partial_products,
@@ -210,7 +212,7 @@ def epsilon(mode: ModeIndex, w: WeightFamily, levels: Levels | None = None) -> S
     certificate, so no deep summation is needed.  All but m is the level's.
     """
     m, n = mode.m, mode.n
-    levels = levels or Levels(w, None, 0)
+    levels = level_data(levels, w)
     an, an1 = levels.a(n, EPS_HEAD), levels.a(n + 1, EPS_HEAD)
     an_an1, inv_tail, sup_n, sup_n1, tail_n = levels.once(("eps", n), lambda: (
         an * an1, exact_tail_inv_weight(w, n, EPS_HEAD), levels.sup_inv(n, EPS_HEAD), levels.sup_inv(n + 1, EPS_HEAD),
@@ -239,7 +241,7 @@ def build_solution(
     the truncation edge; ``seed_tail_bound`` certifies the drift from a
     deeper seed.  ``levels``: the command's level data (evaluated here without it).
     """
-    levels = levels or Levels(w, c, k_max)
+    levels = level_data(levels, w, c, k_max)
     k_inf = rule(mode.m)
     table = mode_table(mode, w, c, k_max, levels)
     I_tab = compute_I(mode, w, c, k_max, levels)
@@ -283,34 +285,34 @@ def mirror_solution(sol: KernelSolution, rule: BoundaryRule = DEFAULT_RULE) -> K
     return replace(sol, mode=table.mode, I=I_tab, K=K_tab, K_inf=k_inf, table=table)
 
 
-def paired(
-    build: Callable[[ModeIndex], object],
-    mirror: Callable[[object], object | None],
-    modes: Iterable[ModeIndex],
-) -> Callable[[ModeIndex], object]:
-    """``build`` for ``modes`` taken in turn, run once per +-m pair where ``mirror`` can.
+def by_level(
+    modes: Iterable[ModeIndex], build: Callable[[ModeIndex], object], mirror: Callable[[object], object | None]
+) -> Iterator[tuple[int, dict, dict]]:
+    """Each radial level of ``modes`` as ``(n, results, errors)``, in the order the modes first reach it.
 
-    The first mode of a pair to come is built, and its result kept until its
-    partner comes; the partner's result is ``mirror`` of it, or a build where
-    ``mirror`` gives None.  A build that raises keeps nothing, so the partner
-    is built and its own error names its own mode.  A kept result is dropped
-    once it is used.
+    ``results`` maps each mode of the level that built to its result, in the
+    modes' order, and ``errors`` each mode whose build raised one of
+    ``MODE_ERRORS`` to the error's text (not the error, whose traceback would
+    hold the build's frames).  The second of a +-m pair is ``mirror`` of the
+    first's result, or a build where ``mirror`` gives None or the first build
+    failed, so its own error names its own mode.  ``results`` is emptied when
+    the next level is asked for, so no result outlives its level.
     """
-    pending = set(modes)
-    kept: dict[ModeIndex, object] = {}
-
-    def get(mode: ModeIndex):
-        pending.discard(mode)
-        src = kept.pop(mode, None)
-        result = None if src is None else mirror(src)
-        if result is None:
-            result = build(mode)
-            partner = ModeIndex(-mode.m, mode.n)
-            if partner in pending:
-                kept[partner] = result
-        return result
-
-    return get
+    modes = list(dict.fromkeys(modes))
+    for n in dict.fromkeys(mode.n for mode in modes):
+        results, errors = {}, {}
+        for mode in (mode for mode in modes if mode.n == n):
+            src = results.get(ModeIndex(-mode.m, n))
+            result = None if src is None else mirror(src)
+            if result is None:
+                try:
+                    result = build(mode)
+                except MODE_ERRORS as exc:
+                    errors[mode] = str(exc)
+                    continue
+            results[mode] = result
+        yield n, results, errors
+        results.clear()
 
 
 def stack(sols: list[KernelSolution]) -> KernelSolution:

@@ -140,11 +140,22 @@ class Levels:
         return self._table
 
 
+def level_data(
+    levels: Levels | None, w: WeightFamily, c: CoefficientFamily | None = None, k_hi: int | None = None
+) -> Levels:
+    """``levels``, or new level data where None; a ValueError where they hold other families or another window."""
+    if levels is None:
+        return Levels(w, c, k_hi or 0)
+    if levels.w != w or (c is not None and levels.c != c) or (k_hi is not None and levels.k_hi != k_hi):
+        raise ValueError("the given level data hold other families or another window")
+    return levels
+
+
 def mode_table(
     mode: ModeIndex, w: WeightFamily, c: CoefficientFamily, k_hi: int, levels: Levels | None = None
 ) -> ModeTable:
     """One mode's table: its level's weights, gaps and prefix (from ``levels``, or evaluated here) and its C stack."""
-    return (levels or Levels(w, c, k_hi)).table(mode)
+    return level_data(levels, w, c, k_hi).table(mode)
 
 
 # negates the off-diagonals of a stack of 2x2 matrices by broadcasting
@@ -208,7 +219,7 @@ def tail_sum_C_minus_I(
 ) -> float:
     """Rigorous upper bound for sum_{k >= k0} ||C_{m,n}(k) - I||_1; its m-free terms are the level's."""
     m, n = mode.m, mode.n
-    levels = levels or Levels(w, c, k0)
+    levels = level_data(levels, w, c)
     # sum 1/a_{n+1}(k), sum 1/a_n(k+1), sup 1/a_n(k+1) and the gap tails
     t1, t2, sup_next, bound = levels.once(("tail", n, k0), lambda: (
         tail_inv_weight(w, n + 1, k0), tail_inv_weight(w, n, k0 + 1), levels.sup_inv(n, k0 + 1),

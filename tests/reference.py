@@ -424,7 +424,10 @@ def hs_norms(sol: KernelSolution, w: WeightFamily, c: CoefficientFamily) -> HsRe
             ("Y", 2, 2): bound_s1,
         }
         proxy = float(np.sqrt(sum(hs.values())) / abs(tau))
-    flags = {key: bool(hs[key] <= bounds[key] * (1.0 + BOUND_SLACK)) for key in hs}
+    flags = {
+        key: bool(np.isfinite(hs[key]) and np.isfinite(bounds[key]) and hs[key] <= bounds[key] * (1.0 + BOUND_SLACK))
+        for key in hs
+    }
     return HsReport(
         mode=mode,
         hs=hs,

@@ -197,6 +197,24 @@ def test_infinite_hs_sum_or_bound_fails_scan(families, monkeypatch, tmp_path, ca
     assert "2 modes with a non-finite HS sum, bound or proxy" in capsys.readouterr().out
 
 
+def test_an_infinite_sum_under_an_infinite_bound_fails_its_flag(families):
+    """At K = 256, (8192, 0) squares tau past the float range: inf <= inf must not pass a bound flag.
+
+    The flags agree alone and in a stack, and the finite rows of the stack keep theirs.
+    """
+    from qsolidtorus.solutions import stack
+
+    w, c = families
+    sols = [build_solution(ModeIndex(m, 0), w, c, 256) for m in (1, 8192)]
+    for rep in (hs_norms(sols[1], w, c), hs_norms(stack(sols), w, c)[1]):
+        assert rep.hs["X", 1, 2] == rep.bounds["X", 1, 2] == math.inf
+        infinite = [key for key in rep.hs if not (math.isfinite(rep.hs[key]) and math.isfinite(rep.bounds[key]))]
+        assert [rep.pass_flags[key] for key in infinite] == [False] * len(infinite)
+        assert not rep.all_bounds_hold and not rep.all_finite
+    assert hs_norms(stack(sols), w, c)[0] == hs_norms(sols[0], w, c)
+    assert hs_norms(sols[0], w, c).all_bounds_hold
+
+
 def test_nan_proxy_fails_envelope_checks(families, monkeypatch):
     import dataclasses
 

@@ -19,8 +19,8 @@ from qsolidtorus.cli import main
 from qsolidtorus.config import default_config_dict, load_config
 from qsolidtorus.solutions import (
     build_solution,
+    by_level,
     mirror_solution,
-    paired,
     verify_lemma_suite,
     wronskian_residuals,
 )
@@ -76,10 +76,9 @@ def test_singular_limit_raises_on_the_mirrored_path(families):
         calls.append(mode)
         return limit_product(mode, w, c, 16)
 
-    get = paired(build, mirror_product, modes)
-    for mode in modes:
-        with pytest.raises(SingularMatrixError):
-            get(mode)
+    levels = [(n, dict(results), dict(errors)) for n, results, errors in by_level(modes, build, mirror_product)]
+    assert [(n, results) for n, results, _ in levels] == [(0, {})]
+    assert levels[0][2] == dict.fromkeys(modes, "limit product determinant underflowed")
     assert calls == modes
 
 
@@ -109,7 +108,7 @@ def test_a_rule_that_is_not_odd_is_not_mirrored(families):
     assert mirror_solution(build_solution(ModeIndex(3, 0), w, c, 32, rule=rule), rule) is not None
 
 
-def test_paired_builds_the_first_of_each_pair_and_drops_what_it_kept():
+def test_by_level_pairs_plus_minus_m_within_each_level():
     class Built:
         def __init__(self, mode, derived=False):
             self.mode, self.derived = mode, derived
@@ -117,36 +116,32 @@ def test_paired_builds_the_first_of_each_pair_and_drops_what_it_kept():
     built = []
 
     def build(mode):
+        built.append(mode)
         if abs(mode.m) == 5:
             raise SingularMatrixError(f"mode {mode}")
-        built.append(mode)
         return Built(mode)
 
     def mirror(src):
-        return Built(ModeIndex(-src.mode.m, src.mode.n), derived=True)
+        # a result that cannot be mirrored sends its partner to a build
+        return None if abs(src.mode.m) == 3 else Built(ModeIndex(-src.mode.m, src.mode.n), derived=True)
 
-    order = [(-1, 0), (2, 0), (1, 0), (0, 0), (-2, 0), (5, 0), (-5, 0), (3, 0), (1, 1)]
+    order = [(-1, 1), (2, 0), (1, 1), (0, 0), (-2, 0), (5, 0), (-5, 0), (3, 0), (-3, 0), (1, 0), (2, 0), (-1, 2)]
     modes = [ModeIndex(m, n) for m, n in order]
-    get = paired(build, mirror, modes)
-    kept = weakref.ref(get(modes[0]))
-    gc.collect()
-    assert kept() is not None
-    get(modes[1])
-    twin = get(modes[2])
-    assert twin.derived and twin.mode == modes[2]
-    gc.collect()
-    assert kept() is None
-    results = {}
-    for mode in modes[3:]:
-        try:
-            results[mode] = get(mode)
-        except SingularMatrixError as exc:
-            results[mode] = str(exc)
-    assert built == [ModeIndex(-1, 0), ModeIndex(2, 0), ModeIndex(0, 0), ModeIndex(3, 0), ModeIndex(1, 1)]
-    assert results[ModeIndex(-2, 0)].derived
-    # an error is not mirrored: the partner is built and names its own mode
-    assert results[ModeIndex(5, 0)] == f"mode {ModeIndex(5, 0)}"
-    assert results[ModeIndex(-5, 0)] == f"mode {ModeIndex(-5, 0)}"
+    levels, kept = [], []
+    for n, results, errors in by_level(modes, build, mirror):
+        gc.collect()
+        # the results of the level before are gone
+        assert [ref() for ref in kept] == [None] * len(kept)
+        derived = {mode.m: res.derived for mode, res in results.items()}
+        levels.append((n, derived, {mode.m: msg for mode, msg in errors.items()}))
+        kept = [weakref.ref(res) for res in results.values()]
+    # levels in the order the modes first reach them, each level's modes in the modes' order, each mode once
+    level_0 = {2: False, 0: False, -2: True, 3: False, -3: False, 1: False}
+    failed = {m: f"mode {ModeIndex(m, 0)}" for m in (5, -5)}
+    assert levels == [(1, {-1: False, 1: True}, {}), (0, level_0, failed), (2, {-1: False}, {})]
+    # a failed build is not mirrored: its partner is built and names its own mode;
+    # an equal |m| on another level is not a partner
+    assert built == [modes[j] for j in (0, 1, 3, 5, 6, 7, 8, 9, 11)]
 
 
 def _pm_config(tmp_path, boundary=None, m_list=(2, 0, -1, -2, 1, 3), n_list=(0, 1), k_max=24):
@@ -175,7 +170,7 @@ def _count_builds(monkeypatch):
 
 
 def _level_major(cfg):
-    """The grid in the order scan builds it: level by level, each level in m_list's order."""
+    """The grid in the order scan and the dumps build it: level by level, each level in m_list's order."""
     return [(m, n) for n in cfg["grid"]["n_list"] for m in cfg["grid"]["m_list"]]
 
 
@@ -194,15 +189,41 @@ def test_each_command_builds_each_pair_once(tmp_path, monkeypatch, argv):
     calls = _count_builds(monkeypatch)
     assert main(["--config", str(path), *argv]) == 0
     grid = [(m, n) for m in cfg["grid"]["m_list"] for n in cfg["grid"]["n_list"]]
-    # solve runs its modes sorted and scan in grid order, both level by level; the dumps in grid order
-    if argv == ["solve"]:
-        order = sorted(grid, key=lambda mn: (mn[1], mn[0]))
-    else:
-        order = _level_major(cfg) if argv == ["scan"] else grid
+    # each command builds level by level: solve each level's modes sorted, the others in grid order
+    order = sorted(grid, key=lambda mn: (mn[1], mn[0])) if argv == ["solve"] else _level_major(cfg)
     want = _first_of_each_pair(order)
     name = "limit_product" if argv[-1] == "transfer" else "build_solution"
     assert calls[name] == want
     assert len(want) == len({(abs(m), n) for m, n in grid})
+
+
+@pytest.mark.parametrize("argv", [["solve"], ["scan"], ["dump", "--what", "solution"], ["dump", "--what", "transfer"]])
+def test_no_result_outlives_its_level(tmp_path, monkeypatch, argv):
+    """When a command starts its second level, no solution (or product) of its first level is alive."""
+    path, _ = _pm_config(tmp_path)
+    first, started = [], []
+
+    def tracking(real, mode_of):
+        def wrapped(*args, **kwargs):
+            n = mode_of(args[0]).n
+            if n != 0 and not started:
+                gc.collect()
+                started.append(sum(ref() is not None for ref in first))
+            out = real(*args, **kwargs)
+            if out is not None and n == 0:
+                first.append(weakref.ref(out))
+            return out
+
+        return wrapped
+
+    for name, mode_of in (("build_solution", lambda mode: mode), ("limit_product", lambda mode: mode),
+                          ("mirror_solution", lambda sol: sol.mode), ("mirror_product", lambda tp: tp.table.mode)):
+        for module in (analysis, cli):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, tracking(getattr(module, name), mode_of))
+    assert main(["--config", str(path), *argv]) == 0
+    # six first-level results were made, and none was alive when the second level began
+    assert len(first) == 6 and started == [0]
 
 
 def test_a_table_rule_that_is_not_odd_builds_both_sides(tmp_path, monkeypatch):
@@ -245,3 +266,57 @@ def _assert_scan_equals_direct_builds(path, tmp_path):
             "wronskian_worst": float(np.max(wronskian_residuals(sol))),
             "failures": [ch.name for ch in rep.failed()],
         }
+
+
+def test_solve_and_dump_equal_direct_per_mode_builds(tmp_path):
+    """On the +-m grid plus one mode that fails to build, solve's records and the solution dump's rows
+    equal, bit for bit, one mode at a time on direct builds: no stack, no mirror, no shared level data."""
+    from qsolidtorus.parametrix import RhsPair, WeightedSeq, apply_A, apply_Q, oracle_solve, random_rhs
+    from qsolidtorus.solutions import RangeOverflowError
+
+    path, _ = _pm_config(tmp_path)
+    conf = load_config(path)
+    w, c, k_max = conf.weights, conf.coeffs, conf.k_max
+    ms = (*conf.m_list, 10**8)  # (10**8, 0) overflows its forward recursion; (10**8, 1) builds
+    only = ["--modes", ",".join(map(str, ms))]
+    assert main(["--config", str(path), *only, "solve", "--seed", "3"]) == 1
+    assert main(["--config", str(path), *only, "dump", "--what", "solution"]) == 1
+    out = tmp_path / "out"
+    records = json.loads((out / "solutions.json").read_text())["solutions"]
+    rows = json.loads((out / "dump_solution.json").read_text())["rows"]
+
+    rng = np.random.default_rng(3)
+    rhs = {mn: random_rhs(ModeIndex(*mn), k_max, rng) for mn in sorted((m, n) for m in ms for n in conf.n_list)}
+    want, sols = [], {}
+    for (m, n), r in rhs.items():
+        try:
+            sols[(m, n)] = sol = build_solution(ModeIndex(m, n), w, c, k_max, rule=conf.boundary)
+        except RangeOverflowError as exc:
+            want.append({"m": m, "n": n, "error": f"mode ({m}, {n}): {exc}"})
+            continue
+        t = sol.table
+        res = apply_Q(sol, r, k_max)
+        back = apply_A(t, res.h_g, res.h_f)
+        diff = RhsPair(WeightedSeq(back.r1.values - r.r1.values, n + 1), WeightedSeq(back.r2.values - r.r2.values, n),
+                       back.q0 - r.q0)
+        orc = oracle_solve(sol, r)
+        gap = np.sum((orc.h_g.values - res.h_g.values) ** 2) + np.sum((orc.h_f.values - res.h_f.values) ** 2)
+        want.append({
+            "m": m,
+            "n": n,
+            "residual_right_inverse": float(diff.norm(t) / np.maximum(r.norm(t), 1e-300)),
+            "residual_oracle": float(float(np.sqrt(gap)) / np.maximum(res.norm(t), 1e-300)),
+            "boundary_residual": float(res.boundary_residual),
+            "beta": float(res.beta),
+        })
+    assert (10**8, 0) not in sols and (10**8, 1) in sols
+    assert records == json.loads(json.dumps(want))
+
+    grid = [(m, n) for m in ms for n in conf.n_list if (m, n) in sols]
+    assert [(r["m"], r["n"]) for r in rows] == [mn for mn in grid for _ in range(k_max + 1)]
+    for j, mn in enumerate(grid):
+        sol, got = sols[mn], rows[j * (k_max + 1) : (j + 1) * (k_max + 1)]
+        columns = {"I1": sol.I[:, 0], "I2": sol.I[:, 1], "K1": sol.K[:, 0], "K2": sol.K[:, 1],
+                   "wronskian_residual": wronskian_residuals(sol)}
+        for name, col in columns.items():
+            assert same_bits(np.array([row[name] for row in got]), col), (mn, name)

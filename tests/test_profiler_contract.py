@@ -40,8 +40,9 @@ def _tiny_config(tmp_path, grid: dict) -> Path:
 
 def test_tracer_targets_and_build_counts(tmp_path):
     tracer = _load_tracer()
-    # solve runs the modes sorted and scan in grid order; with this grid no
-    # two consecutive builds share a mode, so every build tabulates its own
+    # each command builds level by level, solve each level's modes sorted and
+    # scan in grid order; on this one-level grid of two |m| no two consecutive
+    # builds share a mode, so every build tabulates its own
     path = _tiny_config(tmp_path, {"m_list": [-2, 1], "n_list": [0]})
 
     for mod_name, attr in tracer.TARGETS:

@@ -75,6 +75,34 @@ def test_mode_table_makes_four_family_calls(families, monkeypatch):
     assert sorted(calls) == ["a", "a", "a", "c", "c", "c", "c"]
 
 
+def test_given_level_data_must_hold_the_families_and_window(families):
+    """Level data of other families, or of another window for a table, is a ValueError, not a silent override."""
+    from qsolidtorus.solutions import build_solution, epsilon
+
+    w, c = families
+    levels = Levels(w, c, 128)
+    mode = ModeIndex(1, 0)
+    other_w, other_c = WeightFamily(lam=5.0), CoefficientFamily(t1=0.25, t2=0.25)
+    assert mode_table(mode, other_w, c, 128).an[0] == 5.0
+    for call in (
+        lambda: build_solution(mode, w, c, 64, levels=levels),
+        lambda: build_solution(mode, other_w, c, 128, levels=levels),
+        lambda: mode_table(mode, other_w, c, 128, levels),
+        lambda: mode_table(mode, w, other_c, 128, levels),
+        lambda: mode_table(mode, w, c, 64, levels),
+        lambda: tail_sum_C_minus_I(mode, other_w, c, 128, levels),
+        lambda: tail_sum_C_minus_I(mode, w, other_c, 128, levels),
+        lambda: epsilon(mode, other_w, levels),
+    ):
+        with pytest.raises(ValueError, match="other families or another window"):
+            call()
+    # equal families are the level data's own; a tail sum and eps may start anywhere on them
+    w2, c2 = default_families()
+    assert build_solution(mode, w2, c2, 128, levels=levels).k_table == 128
+    assert tail_sum_C_minus_I(mode, w2, c2, 16, levels) == tail_sum_C_minus_I(mode, w, c, 16)
+    assert epsilon(mode, w2, Levels(w, None, 0)) == epsilon(mode, w)
+
+
 def test_build_C_worked_examples(families):
     w, c = families
     got = mode_table(ModeIndex(1, 0), w, c, 1).C[0]
