@@ -332,75 +332,148 @@ class RowTable:
 # json's own tokens for the non-finite magnitudes (it writes them with allow_nan)
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity"}
 
+# rows of a RowTable gathered into one buffer per write to the file
+WRITE_BLOCK_ROWS = 512
 
-def _json_cells(col: np.ndarray) -> list[str]:
-    """The JSON text of every entry of a column, in row-major order.
+# distinct values formatted per step, so that only this many of their str objects live at once
+_FORMAT_CHUNK = 4096
 
-    Each distinct value is formatted once.  A float is formatted by its
-    magnitude, and a negative one is "-" and that text: repr(-x) == "-" +
-    repr(x) for every non-NaN x >= +0.0, -0.0 and inf included.
+
+class _TableText:
+    """A ``RowTable``'s JSON text, held as its distinct texts and each cell's index into them.
+
+    Every text is made on construction, which raises TypeError for a column
+    the writer cannot render; ``write`` then streams the rows to a file in
+    blocks of ``WRITE_BLOCK_ROWS``, so no more than one block's text exists.
+
+    Each distinct value of a column is formatted once.  A float is formatted
+    by its magnitude, and a negative one is "-" and that text: repr(-x) ==
+    "-" + repr(x) for every non-NaN x >= +0.0, -0.0 and inf included.  The
+    texts lie end to end in one byte buffer, each after a "-" byte: text i is
+    ``pool[at[i] + 1 : at[i + 1]]``, and widened one byte to the left it is
+    the negative's text.  A cell's code is twice its text's index, plus one
+    for a negative float.
     """
-    flat = col.ravel()
-    if flat.dtype.kind in "iu":
-        vals, inv = np.unique(flat, return_inverse=True)
-        texts = list(map(int.__repr__, vals.tolist()))
-    elif flat.dtype.kind == "f":
-        mags, inv = np.unique(np.abs(flat), return_inverse=True)
-        texts = list(map(float.__repr__, mags.tolist()))
-        if not np.all(np.isfinite(mags)):
-            texts = [_JSON_NON_FINITE.get(s, s) for s in texts]
-        texts += ["-" + s for s in texts]
-        inv = inv + len(mags) * (np.signbit(flat) & ~np.isnan(flat))
-    else:
-        raise TypeError(f"RowTable column of dtype {col.dtype}")
-    return np.array(texts, dtype=object)[inv].tolist()
 
+    def __init__(self, table: RowTable, indent: str):
+        self.n_rows, self.indent = len(table), indent
+        if not self.n_rows:
+            return
+        self._data, self._at, self._count = bytearray(), [], 0
+        row_in, key_in, item_in = indent + "  ", indent + "    ", indent + "      "
+        # "\0" marks a cell in the template: json.dumps escapes it in every key
+        fields, self.cells, firsts = [], [], []
+        for name in sorted(table.columns):
+            col = table.columns[name]
+            key = json.dumps(name)
+            codes, first = self._codes(col)
+            if col.ndim == 1:
+                fields.append(f"{key}: \0")
+                self.cells.append(codes)
+                firsts.append(first)
+                continue
+            width = col.shape[1]
+            items = ",".join([f"\n{item_in}\0"] * width)
+            fields.append(f"{key}: [{items}\n{key_in}]" if width else f"{key}: []")
+            self.cells.extend(codes[:, j] for j in range(width))
+            firsts.extend([first] * width)
+        self.firsts = np.array(firsts, dtype=np.int64)
+        row = f"{row_in}{{\n{key_in}" + f",\n{key_in}".join(fields) + f"\n{row_in}}}"
+        literals = row.split("\0")
+        # the row separator rides on each row's last literal; the table's last row has none
+        first = self._add([*literals[:-1], literals[-1] + ",\n", literals[-1]])
+        self.literals = 2 * np.arange(first, first + len(literals))
+        self.last = self.literals[-1] + 2
+        self.pool = np.frombuffer(self._data, dtype=np.uint8)
+        self.at = np.concatenate([*self._at, [len(self._data)]])
+        del self._at
 
-def _render_rows(table: RowTable, indent: str) -> str:
-    """``table`` as json's indent=2 list text, opened on a line indented by ``indent``.
+    def _add(self, texts: list[str]) -> int:
+        """Append ASCII ``texts`` to the buffer; returns the index of the first."""
+        sizes = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts)) + 1
+        self._at.append(len(self._data) + np.cumsum(sizes) - sizes)
+        self._data += ("-" + "-".join(texts)).encode("ascii")
+        self._count += len(texts)
+        return self._count - len(texts)
 
-    The text is one join of a flat list that alternates the row template's
-    literal pieces with the cells, ``2 * cells + 1`` entries per row.
-    """
-    if not len(table):
-        return "[]"
-    row_in, key_in, item_in = indent + "  ", indent + "    ", indent + "      "
-    # "\0" marks a cell in the template: json.dumps escapes it in every key
-    fields, cells = [], []
-    for name in sorted(table.columns):
-        col = table.columns[name]
-        key = json.dumps(name)
-        text = _json_cells(col)
-        if col.ndim == 1:
-            fields.append(f"{key}: \0")
-            cells.append(text)
-            continue
-        width = col.shape[1]
-        items = ",".join([f"\n{item_in}\0"] * width)
-        fields.append(f"{key}: [{items}\n{key_in}]" if width else f"{key}: []")
-        cells.extend(text[j::width] for j in range(width))
-    row = f"{row_in}{{\n{key_in}" + f",\n{key_in}".join(fields) + f"\n{row_in}}}"
-    literals = row.split("\0")
-    # the row separator rides on each row's last piece; the final row's is cut below
-    literals[-1] += ",\n"
-    n_rows, stride = len(table), 2 * len(cells) + 1
-    out = [""] * (n_rows * stride)
-    for j, lit in enumerate(literals):
-        out[2 * j :: stride] = [lit] * n_rows
-    for j, text in enumerate(cells):
-        out[2 * j + 1 :: stride] = text
-    out[-1] = literals[-1][:-2]
-    return "[\n" + "".join(out) + f"\n{indent}]"
+    def _codes(self, col: np.ndarray) -> tuple[np.ndarray, int]:
+        """The column's cell codes, relative to that of its first text, and that code.
+
+        The distinct values come from one sort, as in ``np.unique``, which
+        would hold several more full-size copies of the column at once.
+        """
+        flat = col.ravel()
+        kind = flat.dtype.kind
+        if kind not in "iuf":
+            raise TypeError(f"RowTable column of dtype {col.dtype}")
+        order = np.argsort(np.abs(flat) if kind == "f" else flat)
+        keys = flat[order]
+        if kind == "f":
+            np.abs(keys, out=keys)
+        # a key starts a run of equal keys unless it equals the one before; the NaNs, sorted last, are one run
+        new = np.empty(len(keys), dtype=bool)
+        new[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=new[1:])
+        if kind == "f":
+            new[1:] &= ~np.isnan(keys[:-1])
+        vals = keys[new]
+        del keys
+        codes = np.empty(len(flat), dtype=np.min_scalar_type(2 * len(vals)))
+        ranks = np.cumsum(new, dtype=codes.dtype)
+        ranks -= 1
+        ranks *= 2
+        codes[order] = ranks
+        del new, order, ranks
+        if kind == "f":
+            codes += np.signbit(flat) & ~np.isnan(flat)
+        first = self._count
+        fmt = float.__repr__ if kind == "f" else int.__repr__
+        for lo in range(0, len(vals), _FORMAT_CHUNK):
+            chunk = vals[lo : lo + _FORMAT_CHUNK]
+            texts = list(map(fmt, chunk.tolist()))
+            if not np.isfinite(chunk).all():
+                texts = [_JSON_NON_FINITE.get(s, s) for s in texts]
+            self._add(texts)
+        return codes.reshape(col.shape), 2 * first
+
+    def write(self, f) -> None:
+        """Write the table as json's indent=2 list text, its opening line indented by ``indent``."""
+        if not self.n_rows:
+            f.write(b"[]")
+            return
+        f.write(b"[\n")
+        stride = 2 * len(self.cells) + 1
+        for lo in range(0, self.n_rows, WRITE_BLOCK_ROWS):
+            hi = min(lo + WRITE_BLOCK_ROWS, self.n_rows)
+            codes = np.empty((hi - lo, stride), dtype=np.int64)
+            codes[:, 0::2] = self.literals
+            for j, cell in enumerate(self.cells):
+                codes[:, 2 * j + 1] = cell[lo:hi]
+            codes[:, 1::2] += self.firsts
+            if hi == self.n_rows:
+                codes[-1, -1] = self.last
+            codes = codes.ravel()
+            text = codes >> 1
+            start = self.at[text] + 1 - (codes & 1)
+            size = self.at[text + 1] - start
+            end = np.cumsum(size)
+            # each byte of the block is read from the pool at its offset in the block plus its text's shift
+            src = np.repeat(start - end + size, size)
+            src += np.arange(end[-1])
+            f.write(self.pool[src])
+        f.write(f"\n{self.indent}]".encode("ascii"))
 
 
 def write_json(path: Path, payload: dict) -> None:
     """Write one JSON output, indented with sorted keys.
 
     A ``RowTable`` value is written from its columns, as the same bytes
-    ``json.dumps`` gives for its list of row dicts, at a fraction of the time.
-    Any other value json cannot write is a TypeError.
+    ``json.dumps`` gives for its list of row dicts, at a fraction of the time
+    and memory: its rows go to the file in blocks (``_TableText``).  Any
+    other value json cannot write is a TypeError, raised before the file is
+    opened.
     """
-    # json writes each table as a marker string, replaced below by the table's text
+    # json writes each table as a marker string, in whose place the table's rows are written
     tables = []
 
     def default(obj):
@@ -410,11 +483,17 @@ def write_json(path: Path, payload: dict) -> None:
         return f"\0RowTable {len(tables) - 1}"
 
     text = json.dumps(payload, indent=2, sort_keys=True, default=default)
+    spans = []
     for i, table in enumerate(tables):
         marker = json.dumps(f"\0RowTable {i}")
         at = text.index(marker)
         line = text[text.rfind("\n", 0, at) + 1 : at]
-        rows = _render_rows(table, line[: len(line) - len(line.lstrip(" "))])
-        text = text[:at] + rows + text[at + len(marker) :]
+        spans.append((at, at + len(marker), _TableText(table, line[: len(line) - len(line.lstrip(" "))])))
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    with open(path, "wb") as f:
+        done = 0
+        for at, end, rows in spans:
+            f.write(text[done:at].encode("ascii"))
+            rows.write(f)
+            done = end
+        f.write(text[done:].encode("ascii"))

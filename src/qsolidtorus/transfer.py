@@ -256,7 +256,10 @@ def limit_product(
     """
     table = mode_table(mode, w, c, k_hi, levels)
     parts = partial_products(table.C)
-    if abs(det2(parts[k_hi])) < DET_FLOOR:
+    # an overflowed product's determinant is NaN, which passes here; the dump's finite check reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = det2(parts[k_hi])
+    if abs(det) < DET_FLOOR:
         raise SingularMatrixError("limit product determinant underflowed")
     return TransferProduct(table=table, partials=parts)
 

@@ -2,8 +2,10 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -63,7 +65,9 @@ def columns(draw):
 @settings(max_examples=200, deadline=None)
 @given(cols=columns(), place=st.sampled_from(["rows", "top", "nested"]))
 @example(cols={"x": np.array(EDGES + [-x for x in EDGES]).reshape(8, 2), "m": np.array([3, -3] * 4)}, place="rows")
+@example(cols={"w": np.arange(-14.0, 14.0).reshape(7, 4), "e": np.zeros((7, 0)), "k": np.arange(7)}, place="nested")
 def test_row_table_bytes_equal_json_dumps(tmp_path_factory, cols, place):
+    """Blocks of 3 rows: the 0-25-row tables are empty, one block, or many with a partial last one."""
     rows = [dict(zip(cols, vals)) for vals in zip(*(col.tolist() for col in cols.values()))]
 
     def wrap(value):
@@ -74,7 +78,9 @@ def test_row_table_bytes_equal_json_dumps(tmp_path_factory, cols, place):
         return {"z": [1, {"deep": value}, "after"], "a": -0.0}
 
     path = tmp_path_factory.mktemp("w") / "t.json"
-    write_json(path, wrap(RowTable(cols)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "WRITE_BLOCK_ROWS", 3)
+        write_json(path, wrap(RowTable(cols)))
     assert path.read_text() == json.dumps(wrap(rows), indent=2, sort_keys=True)
 
 
@@ -83,6 +89,38 @@ def test_empty_concat_is_an_empty_list(tmp_path):
     assert len(table) == 0
     write_json(tmp_path / "t.json", {"rows": table})
     assert json.loads((tmp_path / "t.json").read_text()) == {"rows": []}
+
+
+def test_unwritable_column_leaves_the_file_alone(tmp_path):
+    """A column the writer cannot render raises TypeError before the file at the path is opened."""
+    path = tmp_path / "t.json"
+    path.write_bytes(b'{"rows": []}')
+    table = RowTable({"m": np.arange(4), "z": np.ones(4, dtype=complex)})
+    with pytest.raises(TypeError):
+        write_json(path, {"meta": {"k_max": 4}, "rows": table})
+    assert path.read_bytes() == b'{"rows": []}'
+
+
+def test_write_memory_does_not_scale_with_the_text(tmp_path):
+    """100k rows (a ~21 MB file) write within a 16 MB traced peak: 7.2 MB measured, 68 MB for a whole-text writer.
+
+    The floats are drawn from 16,384 values, so the test makes few reprs.
+    The bound leaves ~2x headroom over the measured peak, which the sort of
+    the widest column sets.
+    """
+    rng = np.random.default_rng(11)
+    n = 100_000
+    values = rng.standard_normal(16384)
+    table = RowTable({"C": rng.choice(values, (n, 4)), "x": rng.choice(values, n),
+                      "m": rng.integers(-64, 64, n), "k": np.arange(n)})
+    tracemalloc.start()
+    try:
+        write_json(tmp_path / "t.json", {"meta": {"k_max": n}, "rows": table})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "t.json").stat().st_size > 20e6
+    assert peak < 16e6
 
 
 def test_each_distinct_value_is_formatted_once(tmp_path, monkeypatch):
