@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import RowTable, decay_scan, scan_to_files, write_json
-from .config import ConfigError, ExperimentConfig, int_text, json_int, json_list, json_number, load_config
+from .config import ConfigError, ExperimentConfig, int_text, json_int, json_list, json_m, json_number, load_config
 from .families import validate_hypotheses
 from .parametrix import (
     RhsPair,
@@ -84,7 +84,7 @@ def _load_rhs(path: Path, k_max: int) -> dict[tuple[int, int], RhsPair]:
     """
     try:
         parsed = [
-            (json_int(rec["m"], "m"), json_int(rec["n"], "n"),
+            (json_m(rec["m"], "m"), json_int(rec["n"], "n"),
              np.array(json_list(rec["r1"], "r1")), np.array(json_list(rec["r2"], "r2")),
              json_number(rec["q0"], "q0"))
             for rec in json.loads(path.read_text())["modes"]
@@ -188,7 +188,7 @@ def cmd_scan(
                 "m": m,
                 "n": n,
                 "all_passed": rep.all_passed,
-                "worst_slack": rep.worst_slack,
+                "worst_slack": rep.worst,
                 "wronskian_worst": wr,
                 "failures": failures,
             }
@@ -227,6 +227,9 @@ def _dump_block(what: str, mode: ModeIndex, built, k_max: int) -> tuple[dict, st
 
 def cmd_dump(cfg: ExperimentConfig, out_dir: Path, what: str, only_m: list[int] | None, k_max: int) -> int:
     modes = [ModeIndex(m, n) for (m, n) in _modes(cfg, only_m)]
+    m_max = np.iinfo(np.int64).max  # the tables' m column is int64
+    if any(abs(mode.m) > m_max for mode in modes):
+        raise ConfigError(f"dump needs |m| <= {m_max}, the range of its int64 m column")
     # each mode's rows (None where it failed) and the note it prints, made as its level goes
     done = {}
     for _, built, failed in _by_level(cfg, k_max, modes, what):
@@ -284,7 +287,8 @@ def main(argv: list[str] | None = None) -> int:
         seed = int_text(args.seed, "--seed") if hasattr(args, "seed") else 20250808
         k_max = int_text(args.kmax, "--kmax") if hasattr(args, "kmax") else cfg.k_max
         modes = getattr(args, "modes", None)
-        only_m = None if modes is None else [int_text(tok, "--modes entry") for tok in modes.split(",")]
+        only_m = None if modes is None else [
+            json_m(int_text(tok, "--modes entry"), "--modes entry") for tok in modes.split(",")]
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return EXIT_USAGE

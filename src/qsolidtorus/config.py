@@ -13,16 +13,18 @@ Each default is written once.  A family section passes only the keys it
 holds, so an absent one takes the WeightFamily/CoefficientFamily default;
 every other section is read over default_config_dict(), whose keys are the
 ones it accepts.  Each value is read once, one way: json_number (a finite
-JSON number), json_int (a JSON integer), json_text (a JSON string) or
-json_list (a JSON list of those); an integer held in a string (a boundary
-table key, a command-line value) is read by int_text.  A boolean, a string
-where a number is due, a fraction where an integer is due, NaN or an
-infinity is an error, never converted.
+JSON number), json_int (a JSON integer), json_m (a JSON integer m with
+|m| <= M_MAX), json_text (a JSON string) or json_list (a JSON list of
+those); an integer held in a string (a boundary table key, a command-line
+value) is read by int_text.  A boolean, a string where a number is due, a
+fraction where an integer is due, NaN, an infinity or an m whose square
+overflows a float is an error, never converted.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -38,6 +40,8 @@ class ConfigError(ValueError):
 DEFAULT_GRID_M = (0, 1, -1, 2, -2, 4, -4, 8, -8, 16, -16, 32, -32)
 DEFAULT_GRID_N = (0, 1, 2, 4, 8, 16)
 OUTPUT_FORMATS = ("csv", "json")
+# the largest |m| whose square is a finite float (the boundary rule and the C stack form m * m)
+M_MAX = math.isqrt(int(sys.float_info.max))
 # the family sections' kinds, as JSON spells them
 POWER, TABULATED, UNIT, GEOMETRIC = "power-family", "tabulated", "unit", "geometric-gap"
 # each law's JSON keys and the family fields they set
@@ -65,6 +69,13 @@ def json_int(value, where: str) -> int:
     """A JSON integer; a boolean, a fraction or a string is an error, not converted."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
+def json_m(value, where: str) -> int:
+    """An angular mode m: a JSON integer with |m| <= M_MAX."""
+    if abs(json_int(value, where)) > M_MAX:
+        raise ConfigError(f"{where} must have |m| <= {M_MAX} (m * m must be a finite float), got {value}")
     return value
 
 
@@ -196,7 +207,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
             sections[name] | raw.get(name, {}) for name in ("boundary", "grid", "truncation", "output")
         )
         rule = _boundary_from(boundary)
-        m_list = json_list(grid["m_list"], "grid.m_list", json_int, "integers")
+        m_list = json_list(grid["m_list"], "grid.m_list", json_m, "integers")
         n_list = json_list(grid["n_list"], "grid.n_list", json_int, "integers")
         k_max = json_int(trunc["k_max"], "truncation.k_max")
         tol_residual = json_number(trunc["tol_residual"], "truncation.tol_residual")

@@ -177,21 +177,12 @@ def _worst(values, initial: float = 0.0) -> float:
     return float(np.max(np.asarray(values, dtype=float), initial=initial))
 
 
-@dataclass(frozen=True)
-class AlgebraReport(CheckReport):
-    checks: tuple[CheckResult, ...]
-    worst: dict
-
-    def as_dict(self) -> dict:
-        return {**super().as_dict(), "worst": self.worst}
-
-
 def algebra_sanity(
     rep: TruncatedAlgebraRep,
     rng: np.random.Generator | None = None,
     n_roundtrip: int = 5,
     n_trace: int = 25,
-) -> AlgebraReport:
+) -> CheckReport:
     """Finite-size checks of the generator relations and the trace functional.
 
     Shift truncation breaks the relations only on the edge rows/columns, so
@@ -301,5 +292,5 @@ def algebra_sanity(
             f" (SVD on {n_svd} of {n_trace} samples)",
         )
     )
-    return AlgebraReport(checks=tuple(checks), worst=worst)
+    return CheckReport(tuple(checks), worst=worst)
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -358,10 +358,14 @@ class CheckResult:
     witness: str
 
 
+@dataclass(frozen=True)
 class CheckReport:
-    """The verdict shared by every report that holds a ``checks`` tuple."""
+    """Named checks and their verdict, the package's one report type."""
 
     checks: tuple[CheckResult, ...]
+    mode: object = None  # the transfer.ModeIndex of a per-mode report
+    # the lemma suite's largest relative slack, or the algebra checks' worst residuals by name
+    worst: float | dict | None = None
 
     @property
     def all_passed(self) -> bool:
@@ -371,21 +375,17 @@ class CheckReport:
         return [ch for ch in self.checks if not ch.passed]
 
     def as_dict(self) -> dict:
-        """The verdict and the check rows, for JSON output."""
+        """The verdict, the check rows and ``worst`` where it is set, for JSON output."""
         rows = [{"name": ch.name, "passed": ch.passed, "witness": ch.witness} for ch in self.checks]
-        return {"all_passed": self.all_passed, "checks": rows}
-
-
-@dataclass(frozen=True)
-class ValidationReport(CheckReport):
-    checks: tuple[CheckResult, ...] = field(default_factory=tuple)
+        out = {"all_passed": self.all_passed, "checks": rows}
+        return out if self.worst is None else {**out, "worst": self.worst}
 
 
 def validate_hypotheses(
     w: WeightFamily,
     c: CoefficientFamily,
     n_probe: tuple[int, ...] = (0, 1, 2, 4, 8, 16),
-) -> ValidationReport:
+) -> CheckReport:
     """Check every standing hypothesis on a probe grid; failures become report rows."""
     checks: list[CheckResult] = []
     ks = np.arange(PROBE_K)
@@ -441,4 +441,4 @@ def validate_hypotheses(
             ok, wit = False, str(exc)
         checks.append(CheckResult(f"product_J{i}_nonzero", ok, wit))
 
-    return ValidationReport(checks=tuple(checks))
+    return CheckReport(tuple(checks))

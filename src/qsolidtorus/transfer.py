@@ -279,13 +279,7 @@ def mirror_product(tp: TransferProduct) -> TransferProduct | None:
     return TransferProduct(table=table, partials=parts)
 
 
-@dataclass(frozen=True)
-class StructureReport(CheckReport):
-    mode: ModeIndex
-    checks: tuple[CheckResult, ...]
-
-
-def structure_check(tp: TransferProduct, w: WeightFamily, c: CoefficientFamily) -> StructureReport:
+def structure_check(tp: TransferProduct, w: WeightFamily, c: CoefficientFamily) -> CheckReport:
     """Verify the sign/ordering structure of the (truncated) limit product.
 
     For m != 0 the diagonal entries dominate the bare coefficient products,
@@ -357,4 +351,4 @@ def structure_check(tp: TransferProduct, w: WeightFamily, c: CoefficientFamily) 
             f"det={det_part:.12g} vs J2/J1={det_lim:.12g} (tail {tail:.2g})",
         )
     )
-    return StructureReport(mode=mode, checks=tuple(checks))
+    return CheckReport(tuple(checks), mode)

@@ -23,6 +23,7 @@ import numpy as np
 
 from qsolidtorus.analysis import BOUND_SLACK, HsReport
 from qsolidtorus.families import (
+    CheckReport,
     CheckResult,
     CoefficientFamily,
     SeriesValue,
@@ -33,7 +34,7 @@ from qsolidtorus.families import (
     tail_inv_weight,
 )
 from qsolidtorus.parametrix import ParametrixResult, RhsPair, WeightedSeq, WeightTagMismatch, _phi
-from qsolidtorus.solutions import EPS_HEAD, KernelSolution, LemmaReport, cumulative_product_sum, suffix_sum
+from qsolidtorus.solutions import EPS_HEAD, KernelSolution, cumulative_product_sum, suffix_sum
 from qsolidtorus.transfer import ModeIndex, ModeTable, build_C_range, invert, partial_products, scalar_det_prefix
 
 
@@ -317,7 +318,7 @@ def _clause(name: str, lhs: np.ndarray, rhs: np.ndarray, slack: float) -> tuple[
     return CheckResult(name, ok, wit), worst
 
 
-def verify_lemma_suite(sol: KernelSolution, slack: float = 1e-14) -> LemmaReport:
+def verify_lemma_suite(sol: KernelSolution, slack: float = 1e-14) -> CheckReport:
     mode = sol.mode
     m = mode.m
     K_hi = sol.k_table
@@ -367,7 +368,7 @@ def verify_lemma_suite(sol: KernelSolution, slack: float = 1e-14) -> LemmaReport
     results = [_clause(name, lhs, rhs, slack) for name, lhs, rhs in clauses]
     checks += [ch for ch, _ in results]
     worst = float(np.max([wv for _, wv in results]))
-    return LemmaReport(mode=mode, checks=tuple(checks), worst_slack=worst)
+    return CheckReport(tuple(checks), mode, worst)
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -166,7 +166,7 @@ def test_criterion_5_inequality_suite():
         for n in range(0, 17):
             sol = build_solution(ModeIndex(m, n), W, C, K_MAX)
             report = verify_lemma_suite(sol, slack=1e-14)
-            worst_margin = max(worst_margin, report.worst_slack)
+            worst_margin = max(worst_margin, report.worst)
             if not report.all_passed:
                 violations.append((m, n, [ch.name for ch in report.checks if not ch.passed]))
     assert not violations, f"first violations: {violations[:3]}"

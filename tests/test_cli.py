@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qsolidtorus.cli import main
-from qsolidtorus.config import ConfigError, default_config_dict, load_config
+from qsolidtorus.config import M_MAX, ConfigError, default_config_dict, load_config
 from qsolidtorus.families import CoefficientFamily, WeightFamily
 from reference import first_difference
 
@@ -531,6 +531,52 @@ def test_negative_seed_exit_two(small_config, capsys, command):
     assert main(["--config", str(path), "--seed", "-3", *command]) == 2
     assert "--seed" in capsys.readouterr().err
     assert not (path.parent / "out").exists()
+
+
+COMMANDS = [["validate"], ["solve"], ["scan"], ["dump", "--what", "solution"], ["dump", "--what", "transfer"]]
+HUGE_M_CASES = [("grid", cmd) for cmd in COMMANDS] + [("modes", cmd) for cmd in COMMANDS] + [("rhs", ["solve"])]
+
+
+@pytest.mark.parametrize("source, command", HUGE_M_CASES, ids=[f"{s}-{'-'.join(c)}" for s, c in HUGE_M_CASES])
+def test_m_whose_square_overflows_exit_two(small_config, tmp_path, capsys, source, command):
+    """|m| = 2**512 > M_MAX: m * m overflows a float, which the boundary rule and the C stack would raise."""
+    path, cfg = small_config
+    huge = -(2**512)
+    argv = ["--config", str(path), *command]
+    if source == "grid":
+        cfg["grid"]["m_list"] = [1, huge]
+        path.write_text(json.dumps(cfg))
+    elif source == "modes":
+        argv += ["--modes", f"1,{huge}"]
+    else:
+        rhs_path = tmp_path / "rhs.json"
+        rhs_path.write_text(json.dumps({"modes": [_REC, _REC | {"m": huge}]}))
+        argv += ["--rhs", str(rhs_path)]
+    assert main(argv) == 2
+    assert str(M_MAX) in capsys.readouterr().err
+    assert not (path.parent / "out").exists()
+
+
+@pytest.mark.parametrize("command", COMMANDS[1:3], ids=" ".join)
+def test_m_at_the_bound_fails_by_mode(small_config, capsys, command):
+    """|m| = M_MAX is read; its solution overflows, which is a per-mode failure (exit 1), not a traceback."""
+    path, _ = small_config
+    assert main(["--config", str(path), "--modes", f"1,{-M_MAX}", "--kmax", "4", *command]) == 1
+    assert f"mode ({-M_MAX}, 0) failed" in capsys.readouterr().err
+
+
+def test_dump_m_column_is_int64(small_config, capsys):
+    """The dump tables hold m in an int64 column: |m| = 2**63 is exit 2, not an OverflowError from numpy."""
+    path, _ = small_config
+
+    def dump(m: int, what: str) -> int:
+        return main(["--config", str(path), "--modes", f"1,{m}", "--kmax", "4", "dump", "--what", what])
+
+    assert dump(-(2**63 - 1), "solution") == 0
+    assert read_out(path, "dump_solution.json")["rows"][-1]["m"] == -(2**63 - 1)
+    for what in ("solution", "transfer"):
+        assert dump(2**63, what) == 2
+        assert str(2**63 - 1) in capsys.readouterr().err
 
 
 def test_scan_builds_each_solution_once(small_config, monkeypatch):

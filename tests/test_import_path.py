@@ -1,4 +1,9 @@
-"""scipy stays off the import path: only solve's banded-LU oracle loads it (scipy.linalg)."""
+"""The import path stays light.
+
+scipy is loaded only by solve's banded-LU oracle (scipy.linalg); the package
+itself imports no submodule, so ``qsolidtorus.dirac`` loads only what it uses
+and ``qsolidtorus.cli`` does not load ``dirac``.
+"""
 
 import json
 import os
@@ -13,21 +18,23 @@ from qsolidtorus.config import default_config_dict
 
 SRC = Path(qsolidtorus.__file__).resolve().parents[1]
 
-# prints the scipy modules loaded after the code given as argv[1] ran
+# prints the modules loaded after the code given as argv[1] ran
 PROBE = """
 import json, sys
 exec(sys.argv[1])
-print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+print(json.dumps(sorted(sys.modules)))
 """
 
 
-def loaded_scipy(code: str, *args: str) -> list[str]:
+def loaded(package: str, code: str, *args: str) -> list[str]:
+    """The modules of ``package`` that a fresh interpreter has loaded once ``code`` ran."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
         [sys.executable, "-c", PROBE, code, *args],
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    mods = json.loads(proc.stdout.strip().splitlines()[-1])
+    return [m for m in mods if m == package or m.startswith(package + ".")]
 
 
 @pytest.fixture()
@@ -51,20 +58,29 @@ def run_commands(*commands: str) -> str:
 
 def test_cli_import_and_config_load_skip_scipy(k16_config):
     code = "import qsolidtorus.cli\nfrom qsolidtorus.config import load_config\nload_config(sys.argv[2])"
-    assert loaded_scipy(code, str(k16_config)) == []
+    assert loaded("scipy", code, str(k16_config)) == []
 
 
 def test_dirac_import_skips_scipy():
-    assert loaded_scipy("import qsolidtorus.dirac") == []
+    assert loaded("scipy", "import qsolidtorus.dirac") == []
+
+
+def test_dirac_import_loads_only_families():
+    assert loaded("qsolidtorus", "import qsolidtorus.dirac") == [
+        "qsolidtorus", "qsolidtorus.dirac", "qsolidtorus.families"]
+
+
+def test_cli_import_skips_dirac():
+    assert "qsolidtorus.dirac" not in loaded("qsolidtorus", "import qsolidtorus.cli")
 
 
 def test_validate_scan_and_dumps_skip_scipy(k16_config):
     code = run_commands("validate", "scan", "dump --what solution", "dump --what transfer")
-    assert loaded_scipy(code, str(k16_config)) == []
+    assert loaded("scipy", code, str(k16_config)) == []
 
 
 def test_solve_loads_only_scipy_linalg(k16_config):
-    mods = loaded_scipy(run_commands("solve --seed 3"), str(k16_config))
+    mods = loaded("scipy", run_commands("solve --seed 3"), str(k16_config))
     assert "scipy.linalg.lapack" in mods
     assert not [m for m in mods if m.startswith("scipy.special")]
     out = json.loads((k16_config.parent / "out" / "solutions.json").read_text())

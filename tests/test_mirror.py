@@ -262,7 +262,7 @@ def _assert_scan_equals_direct_builds(path, tmp_path):
             "m": m,
             "n": n,
             "all_passed": rep.all_passed,
-            "worst_slack": rep.worst_slack,
+            "worst_slack": rep.worst,
             "wronskian_worst": float(np.max(wronskian_residuals(sol))),
             "failures": [ch.name for ch in rep.failed()],
         }

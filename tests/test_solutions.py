@@ -130,6 +130,36 @@ def test_tau_via_tables_function(families):
     assert tau_of_tables(sol.I, sol.K) == sol.tau
 
 
+def _tau_of_seed(mode: ModeIndex, w, c, k: int):
+    """tau as a function of the seed K(inf) = (k1, k2) of the K sweep, with I fixed."""
+    I_tab = compute_I(mode, w, c, k)
+    return lambda k1, k2: tau_of_tables(I_tab, compute_K(mode, w, c, k, (k1, k2))[0])
+
+
+@pytest.mark.parametrize("m, n", [(1, 0), (-1, 0), (4, 2), (32, 16)])
+def test_tau_is_affine_in_the_seed_ratio(families, m, n):
+    """K is linear in its seed (r, 1), so tau(r) = r tau(1, 0) + tau(0, 1) to rounding."""
+    tau = _tau_of_seed(ModeIndex(m, n), *families, 1024)
+    t10, t01 = tau(1.0, 0.0), tau(0.0, 1.0)
+    for r in (-7.5, 0.3, 2.0):
+        assert abs(tau(r, 1.0) - (r * t10 + t01)) <= 1e-13 * (abs(r * t10) + abs(t01))
+
+
+@pytest.mark.parametrize("n", [0, 4])
+def test_tau_at_m_zero_ignores_K1_at_infinity(families, n):
+    """At m = 0, I2 = 0 and C is diagonal, so tau(1, 0) = 0 and tau does not depend on K1(inf), bit for bit."""
+    tau = _tau_of_seed(ModeIndex(0, n), *families, 1024)
+    assert tau(1.0, 0.0) == 0.0
+    assert len({tau(k1, 1.0).hex() for k1 in (0.0, 0.5, -3.0, 1e3)}) == 1
+
+
+def test_critical_seed_ratio_converges_in_K(families):
+    """r* = -tau(0, 1)/tau(1, 0), the seed ratio at which the truncated (1, 0) problem has a kernel, converges in K."""
+    for k, want in ((128, -2.3073), (1024, -2.2753)):
+        tau = _tau_of_seed(ModeIndex(1, 0), *families, k)
+        assert -tau(0.0, 1.0) / tau(1.0, 0.0) == pytest.approx(want, abs=5e-5)
+
+
 def test_independence_everywhere(families):
     w, c = families
     for mode in (ModeIndex(1, 0), ModeIndex(0, 0), ModeIndex(-9, 3)):
@@ -178,7 +208,7 @@ def test_lemma_suite_positive_modes(families):
             sol = build_solution(ModeIndex(m, n), w, c, 128)
             report = verify_lemma_suite(sol)
             assert report.all_passed, (m, n, [ch.name for ch in report.checks if not ch.passed])
-            assert report.worst_slack <= 1e-14
+            assert report.worst <= 1e-14
 
 
 def test_lemma_suite_product_bound_at_k_zero_is_tau(families):
@@ -197,7 +227,7 @@ def test_lemma_suite_negative_m_is_the_reflected_positive_suite(families):
             minus = verify_lemma_suite(build_solution(ModeIndex(-2, n), w, c, k_max, rule=minus_rule))
             assert plus.all_passed and minus.all_passed
             assert dataclasses.replace(minus, mode=plus.mode) == plus
-            assert minus.worst_slack == plus.worst_slack
+            assert minus.worst == plus.worst
 
 
 def test_lemma_suite_m_zero_pattern(families):
@@ -319,4 +349,4 @@ def test_lemma_suite_worst_slack_keeps_nan(families):
     K[5, 0] = np.nan
     rep = verify_lemma_suite(dataclasses.replace(sol, K=K))
     assert not rep.all_passed
-    assert math.isnan(rep.worst_slack)  # the builtin max dropped it and read -2.6e-4
+    assert math.isnan(rep.worst)  # the builtin max dropped it and read -2.6e-4

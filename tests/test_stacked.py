@@ -47,7 +47,7 @@ def same_report(got, want) -> bool:
     if type(got) is not type(want) or got.mode != want.mode:
         return False
     if hasattr(want, "checks"):
-        return got.checks == want.checks and same(got.worst_slack, want.worst_slack)
+        return got.checks == want.checks and same(got.worst, want.worst)
     dicts = ("hs", "bounds", "pass_flags")
     scalars = ("eps", "s_n", "s_n1", "tau", "ratio", "proxy")
     return all(
