@@ -217,8 +217,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
         # AttributeError: a section that is not a JSON object; ValueError
         # includes the BoundaryRuleError of an inadmissible boundary table
         raise ConfigError(f"bad configuration value: {exc}") from exc
-    if not m_list or not n_list:
-        raise ConfigError("grid must be nonempty")
+    if not m_list or not n_list or len(set(m_list)) < len(m_list) or len(set(n_list)) < len(n_list):
+        raise ConfigError("grid must be nonempty and list each m and each n once")
     if tol_residual <= 0.0:
         raise ConfigError("truncation.tol_residual must be positive")
     if any(n < 0 for n in n_list):

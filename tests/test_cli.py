@@ -365,6 +365,29 @@ def test_inadmissible_boundary_table_exit_two(tmp_path, capsys, case):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("grid", [{"m_list": [1, 1, -2], "n_list": [0, 1]}, {"m_list": [1, -2], "n_list": [0, 0]}],
+                         ids=["repeated-m", "repeated-n"])
+def test_repeated_grid_entry_exit_two(tmp_path, capsys, grid):
+    """A grid lists each m and each n once, for every command; a repeated n made scan compare a mode with itself."""
+    cfg = default_config_dict()
+    cfg["grid"] = grid
+    cfg["truncation"]["k_max"] = 16
+    cfg["output"]["dir"] = str(tmp_path / "out")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    for argv in (["validate"], ["solve"], ["scan"], ["dump", "--what", "solution"], ["dump", "--what", "transfer"]):
+        assert main(["--config", str(path), *argv]) == 2, argv
+        assert "list each m and each n once" in capsys.readouterr().err, argv
+    assert not (tmp_path / "out").exists()
+
+
+def test_repeated_modes_option_runs_each_m_once(small_config):
+    path, _ = small_config
+    assert main(["--config", str(path), "--modes", "1,-2,1", "--kmax", "8", "solve"]) == 0
+    recs = read_out(path, "solutions.json")["solutions"]
+    assert sorted((rec["m"], rec["n"]) for rec in recs) == [(m, n) for m in (-2, 1) for n in (0, 1, 2)]
+
+
 # a family section or tail object holds exactly its law's keys, and each law
 # checks its parameters with or without a table in front of it
 BAD_FAMILIES = {
