@@ -193,31 +193,29 @@ class ScanTable(CheckReport):
 def decay_scan(
     m_list: tuple[int, ...],
     n_list: tuple[int, ...],
-    w: WeightFamily,
-    c: CoefficientFamily,
-    k_max: int,
+    levels: Levels,
     rule: BoundaryRule = DEFAULT_RULE,
 ) -> ScanTable:
     """HS reports and lemma reports over a mode grid, plus the decay checks along both axes.
 
-    The grid runs level by level (``solutions.by_level``), and only the
-    reports outlive a level.  Where the rule is odd at m, the first of m and
-    -m to come is built and checked (a level's built m != 0 modes as one
-    ``stack``), and the other's solution and reports are its exact mirror.  A
-    mode whose solution fails to build is recorded in ``failures``; the decay
-    checks compare the modes that built.
+    The grid runs level by level (``solutions.by_level``) on ``levels``, and
+    only the reports outlive a level.  Where the rule is odd at m, the first
+    of m and -m to come is built and checked (a level's built m != 0 modes as
+    one ``stack``), and the other's solution and reports are its exact
+    mirror.  A mode whose solution fails to build is recorded in
+    ``failures``; the decay checks compare the modes that built.
 
     Checking the mirrored modes in the stack too, not copying their reports,
     raised ``scan --kmax 65536`` from 162 to 200 MB peak RSS and from 4.9-5.4 s
     to 6.2-6.3 s (2-vCPU shared host).
     """
-    levels = Levels(w, c, k_max)
+    w, c = levels.w, levels.c
     built = set()
     table, lemma_of, failed = {}, {}, {}
 
     def build(mode: ModeIndex) -> KernelSolution:
         built.add(mode)
-        return build_solution(mode, w, c, k_max, rule=rule, levels=levels)
+        return build_solution(mode, levels, rule)
 
     def check(n: int, sols: dict) -> None:
         # the level's built m != 0 solutions are checked as one stack, m = 0 alone

@@ -58,10 +58,10 @@ def _modes(cfg: ExperimentConfig, only_m: list[int] | None) -> list[tuple[int, i
 
 def _by_level(cfg: ExperimentConfig, k_max: int, modes: list[ModeIndex], what: str = "solution"):
     """``solutions.by_level`` of ``modes`` on the command's level data: their solutions, or their products."""
-    w, c, levels = cfg.weights, cfg.coeffs, Levels(cfg.weights, cfg.coeffs, k_max)
+    levels = Levels(cfg.weights, cfg.coeffs, k_max)
     if what == "transfer":
-        return by_level(modes, lambda mode: limit_product(mode, w, c, k_max, levels), mirror_product)
-    return by_level(modes, lambda mode: build_solution(mode, w, c, k_max, rule=cfg.boundary, levels=levels),
+        return by_level(modes, lambda mode: limit_product(mode, levels), mirror_product)
+    return by_level(modes, lambda mode: build_solution(mode, levels, cfg.boundary),
                     lambda sol: mirror_solution(sol, cfg.boundary))
 
 
@@ -172,9 +172,7 @@ def cmd_solve(
 def cmd_scan(
     cfg: ExperimentConfig, out_dir: Path, only_m: list[int] | None, k_max: int
 ) -> int:
-    table = decay_scan(
-        _m_list(cfg, only_m), cfg.n_list, cfg.weights, cfg.coeffs, k_max, rule=cfg.boundary
-    )
+    table = decay_scan(_m_list(cfg, only_m), cfg.n_list, Levels(cfg.weights, cfg.coeffs, k_max), cfg.boundary)
     for (m, n), msg in table.failures.items():
         print(f"mode ({m}, {n}) failed: {msg}", file=sys.stderr)
     scan_to_files(table, out_dir, cfg.formats, meta=_meta(cfg, k_max))

@@ -33,10 +33,8 @@ import numpy as np
 from .families import (
     CheckReport,
     CheckResult,
-    CoefficientFamily,
     HypothesisViolation,
     SeriesValue,
-    WeightFamily,
     exact_tail_inv_weight,
     tail_inv_weight,
 )
@@ -49,9 +47,7 @@ from .transfer import (
     SingularMatrixError,
     flips_exactly,
     invert,
-    level_data,
     mirror_table,
-    mode_table,
     partial_products,
     scalar_det_prefix,
     sweep,
@@ -139,11 +135,9 @@ class BoundaryRule:
 DEFAULT_RULE = BoundaryRule()
 
 
-def compute_I(
-    mode: ModeIndex, w: WeightFamily, c: CoefficientFamily, k_hi: int, levels: Levels | None = None
-) -> np.ndarray:
-    """Forward table I(0..k_hi) from the normalization I(0) = (-1, m/a_n(0))."""
-    table = mode_table(mode, w, c, k_hi, levels)
+def compute_I(mode: ModeIndex, levels: Levels) -> np.ndarray:
+    """Forward table I(0..K), K = levels.k_hi, from the normalization I(0) = (-1, m/a_n(0))."""
+    table = levels.table(mode)
     out = sweep(table.C, -1.0, float(mode.m / table.an[0]))
     if not np.all(np.isfinite(out)) or np.max(np.abs(out)) > 1e280:
         raise RangeOverflowError(
@@ -153,26 +147,22 @@ def compute_I(
     return out
 
 
-def compute_K(
-    mode: ModeIndex,
-    w: WeightFamily,
-    c: CoefficientFamily,
-    k_hi: int,
-    k_inf: tuple[float, float],
-    levels: Levels | None = None,
-) -> tuple[np.ndarray, float]:
+def compute_K(mode: ModeIndex, levels: Levels, k_inf: tuple[float, float], k_hi: int) -> tuple[np.ndarray, float]:
     """Backward table K(0..k_hi) seeded by K(k_hi) := k_inf, the pair K(inf).
 
     Returns the table and the tail certificate sum_{k >= k_hi} ||C - I||_1,
     which controls how far the seeded solution can drift from one seeded
-    deeper.  Backward recursion keeps the recessive solution stable.
+    deeper.  Backward recursion keeps the recessive solution stable.  It
+    sweeps the first k_hi steps of the mode's table, so no longer window moves a bit.
     """
-    tail = tail_sum_C_minus_I(mode, w, c, k_hi, levels)
-    table = mode_table(mode, w, c, k_hi, levels)
-    c_arr = table.C
-    # explicit 2x2 inverses adj(C)/det C for every step, swept from the table end down
+    if k_hi > levels.k_hi:
+        raise ValueError(f"seed index {k_hi} beyond the level data's window {levels.k_hi}")
+    tail = tail_sum_C_minus_I(mode, levels, k_hi)
+    table = levels.table(mode)
+    c_arr = table.C[:k_hi]
+    # explicit 2x2 inverses adj(C)/det C for every step, swept from the seed down
     inv = np.stack((c_arr[:, 1, 1], -c_arr[:, 0, 1], -c_arr[:, 1, 0], c_arr[:, 0, 0]), axis=1)
-    inv /= (table.c2 / table.c1)[:, None]
+    inv /= (table.c2[:k_hi] / table.c1[:k_hi])[:, None]
     return sweep(inv[::-1], float(k_inf[0]), float(k_inf[1]))[::-1].copy(), tail
 
 
@@ -203,7 +193,7 @@ def tau_of_tables(I: np.ndarray, K: np.ndarray) -> float:
     return float(K[0, 0] * I[0, 1] - K[0, 1] * I[0, 0])
 
 
-def epsilon(mode: ModeIndex, w: WeightFamily, levels: Levels | None = None) -> SeriesValue:
+def epsilon(mode: ModeIndex, levels: Levels) -> SeriesValue:
     """eps(m, n) = sum_k a_{n+1}(k) / (m^2 + a_n(k) a_{n+1}(k)).
 
     Beyond the explicit head the terms equal 1/a_n(k) minus a positive
@@ -211,8 +201,7 @@ def epsilon(mode: ModeIndex, w: WeightFamily, levels: Levels | None = None) -> S
     exact tail of s(n) (the one eval_s sums) and the correction bounds the
     certificate, so no deep summation is needed.  All but m is the level's.
     """
-    m, n = mode.m, mode.n
-    levels = level_data(levels, w)
+    m, n, w = mode.m, mode.n, levels.w
     an, an1 = levels.a(n, EPS_HEAD), levels.a(n + 1, EPS_HEAD)
     an_an1, inv_tail, sup_n, sup_n1, tail_n = levels.once(("eps", n), lambda: (
         an * an1, exact_tail_inv_weight(w, n, EPS_HEAD), levels.sup_inv(n, EPS_HEAD), levels.sup_inv(n + 1, EPS_HEAD),
@@ -227,31 +216,23 @@ def epsilon(mode: ModeIndex, w: WeightFamily, levels: Levels | None = None) -> S
     return SeriesValue(value=value, tail=0.5 * corr + 1e-15 * abs(value))
 
 
-def build_solution(
-    mode: ModeIndex,
-    w: WeightFamily,
-    c: CoefficientFamily,
-    k_max: int,
-    rule: BoundaryRule = DEFAULT_RULE,
-    levels: Levels | None = None,
-) -> KernelSolution:
-    """Assemble the I/K tables for one mode on its table of per-mode data.
+def build_solution(mode: ModeIndex, levels: Levels, rule: BoundaryRule = DEFAULT_RULE) -> KernelSolution:
+    """Assemble the I/K tables for one mode on its table in the command's level data.
 
     The K seed sits at the table end, so the boundary data holds exactly at
     the truncation edge; ``seed_tail_bound`` certifies the drift from a
-    deeper seed.  ``levels``: the command's level data (evaluated here without it).
+    deeper seed.
     """
-    levels = level_data(levels, w, c, k_max)
     k_inf = rule(mode.m)
-    table = mode_table(mode, w, c, k_max, levels)
-    I_tab = compute_I(mode, w, c, k_max, levels)
-    K_tab, seed_tail = compute_K(mode, w, c, k_max, k_inf, levels=levels)
+    table = levels.table(mode)
+    I_tab = compute_I(mode, levels)
+    K_tab, seed_tail = compute_K(mode, levels, k_inf, levels.k_hi)
     tau = tau_of_tables(I_tab, K_tab)
     if abs(tau) < TAU_FLOOR or not np.isfinite(tau):
         raise DegeneratePairingError(
             f"tau={tau:.3g} for mode {mode}: boundary rule aligned with the I direction"
         )
-    eps = epsilon(mode, w, levels)
+    eps = epsilon(mode, levels)
     return KernelSolution(
         mode=mode,
         I=I_tab,

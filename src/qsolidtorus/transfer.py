@@ -5,7 +5,7 @@ matrix C_{m,n}(k); kernel solutions of the mode system evolve by
 h(k+1) = C_{m,n}(k) h(k).  Products are ordered right-to-left,
 P(k) = C(k-1) ... C(0), and converge because sum_k ||C(k) - I||_1 is finite.
 Only the C stack depends on m: ``Levels`` evaluates the rest of each radial
-level once per command, and ``mode_table`` adds a mode's C stack to it.  This
+level once per command, and its ``table`` adds a mode's C stack to it.  This
 module sweeps the table's partial products by ``sweep``, the one step loop,
 and gives a certified tail bound for their remainder and checks on the limit.
 
@@ -140,24 +140,6 @@ class Levels:
         return self._table
 
 
-def level_data(
-    levels: Levels | None, w: WeightFamily, c: CoefficientFamily | None = None, k_hi: int | None = None
-) -> Levels:
-    """``levels``, or new level data where None; a ValueError where they hold other families or another window."""
-    if levels is None:
-        return Levels(w, c, k_hi or 0)
-    if levels.w != w or (c is not None and levels.c != c) or (k_hi is not None and levels.k_hi != k_hi):
-        raise ValueError("the given level data hold other families or another window")
-    return levels
-
-
-def mode_table(
-    mode: ModeIndex, w: WeightFamily, c: CoefficientFamily, k_hi: int, levels: Levels | None = None
-) -> ModeTable:
-    """One mode's table: its level's weights, gaps and prefix (from ``levels``, or evaluated here) and its C stack."""
-    return level_data(levels, w, c, k_hi).table(mode)
-
-
 # negates the off-diagonals of a stack of 2x2 matrices by broadcasting
 OFFDIAG_FLIP = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
@@ -214,12 +196,9 @@ def partial_products(c_arr: np.ndarray) -> np.ndarray:
     return np.stack((sweep(c_arr, 1.0, 0.0), sweep(c_arr, 0.0, 1.0)), axis=-1)
 
 
-def tail_sum_C_minus_I(
-    mode: ModeIndex, w: WeightFamily, c: CoefficientFamily, k0: int, levels: Levels | None = None
-) -> float:
+def tail_sum_C_minus_I(mode: ModeIndex, levels: Levels, k0: int) -> float:
     """Rigorous upper bound for sum_{k >= k0} ||C_{m,n}(k) - I||_1; its m-free terms are the level's."""
-    m, n = mode.m, mode.n
-    levels = level_data(levels, w, c)
+    m, n, w, c = mode.m, mode.n, levels.w, levels.c
     # sum 1/a_{n+1}(k), sum 1/a_n(k+1), sup 1/a_n(k+1) and the gap tails
     t1, t2, sup_next, bound = levels.once(("tail", n, k0), lambda: (
         tail_inv_weight(w, n + 1, k0), tail_inv_weight(w, n, k0 + 1), levels.sup_inv(n, k0 + 1),
@@ -247,18 +226,16 @@ class TransferProduct:
         return self.partials[self.table.k_hi]
 
 
-def limit_product(
-    mode: ModeIndex, w: WeightFamily, c: CoefficientFamily, k_hi: int, levels: Levels | None = None
-) -> TransferProduct:
-    """The ordered products P(k) of the mode's table up to P(k_hi).
+def limit_product(mode: ModeIndex, levels: Levels) -> TransferProduct:
+    """The ordered products P(k) of the mode's table up to P(K), K = levels.k_hi.
 
-    Raises SingularMatrixError when det P(k_hi) falls below the floor.
+    Raises SingularMatrixError when det P(K) falls below the floor.
     """
-    table = mode_table(mode, w, c, k_hi, levels)
+    table = levels.table(mode)
     parts = partial_products(table.C)
     # an overflowed product's determinant is NaN, which passes here; the dump's finite check reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        det = det2(parts[k_hi])
+        det = det2(parts[-1])
     if abs(det) < DET_FLOOR:
         raise SingularMatrixError("limit product determinant underflowed")
     return TransferProduct(table=table, partials=parts)
@@ -338,7 +315,7 @@ def structure_check(tp: TransferProduct, w: WeightFamily, c: CoefficientFamily) 
         )
     )
 
-    tail = tail_sum_C_minus_I(mode, w, c, K)
+    tail = tail_sum_C_minus_I(mode, Levels(w, c, K), K)
     j1 = eval_J(c, 1, n)
     j2 = eval_J(c, 2, n)
     det_lim = j2.value / j1.value

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qsolidtorus.families import CoefficientFamily, WeightFamily, default_families
+from qsolidtorus.families import CoefficientFamily, default_families
 
 
 @pytest.fixture(scope="session")

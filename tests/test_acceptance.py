@@ -9,7 +9,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 import scipy.linalg
 
 from qsolidtorus.analysis import FUBINI_PAIRS, decay_scan, hs_norms
@@ -28,7 +27,7 @@ from qsolidtorus.solutions import (
     verify_lemma_suite,
     wronskian_residuals,
 )
-from qsolidtorus.transfer import ModeIndex, mode_table, scalar_det_prefix
+from qsolidtorus.transfer import Levels, ModeIndex, scalar_det_prefix
 from reference import apply_D_delta
 
 W, C = default_families()
@@ -50,7 +49,7 @@ def grid_modes():
 def solution(m, n, k_max=K_MAX):
     key = (m, n, k_max)
     if key not in _SOLUTIONS:
-        _SOLUTIONS[key] = build_solution(ModeIndex(m, n), W, C, k_max)
+        _SOLUTIONS[key] = build_solution(ModeIndex(m, n), Levels(W, C, k_max))
     return _SOLUTIONS[key]
 
 
@@ -164,7 +163,7 @@ def test_criterion_5_inequality_suite():
     worst_margin = -np.inf
     for m in range(1, 33):
         for n in range(0, 17):
-            sol = build_solution(ModeIndex(m, n), W, C, K_MAX)
+            sol = build_solution(ModeIndex(m, n), Levels(W, C, K_MAX))
             report = verify_lemma_suite(sol, slack=1e-14)
             worst_margin = max(worst_margin, report.worst)
             if not report.all_passed:
@@ -260,7 +259,7 @@ def test_criterion_6_fubini_pairs():
 
 def test_criterion_7_decay():
     """Compactness surrogate decreases along both grid axes; eps <= s."""
-    table = decay_scan(GRID_M, GRID_N, W, C, K_MAX)
+    table = decay_scan(GRID_M, GRID_N, Levels(W, C, K_MAX))
     proxies = {(r.mode.m, r.mode.n): r.proxy for r in table.rows}
     for n in GRID_N:
         for sgn in (1, -1):
@@ -287,7 +286,7 @@ def test_criterion_8_mode_equivalence():
             g[k_imp] = 1.0
             f[min(k_imp + 1, 32)] = 1.0
             mode = ModeIndex(m, n)
-            d_mat = apply_A(mode_table(mode, W, C, 32), WeightedSeq(g, n), WeightedSeq(f, n + 1))
+            d_mat = apply_A(Levels(W, C, 32).table(mode), WeightedSeq(g, n), WeightedSeq(f, n + 1))
             d_del = apply_D_delta(mode, W, C, g, f)
             for a, b in (
                 (d_mat.r1.values, d_del.r1.values),
@@ -332,7 +331,7 @@ def test_criterion_10_boundary_condition():
     worst_beta = 0.0
     for (m, n) in grid_modes():
         mode = ModeIndex(m, n)
-        sol = build_solution(mode, W, C, 2 * K_MAX)
+        sol = build_solution(mode, Levels(W, C, 2 * K_MAX))
         r = fixtures(m, n)[0]
         res_a = apply_Q(sol, r, k_max=K_MAX)
         res_b = apply_Q(sol, r, k_max=2 * K_MAX)

@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 
 from qsolidtorus.analysis import FUBINI_PAIRS, decay_scan, hs_norms, scan_to_files
-from qsolidtorus.families import CoefficientFamily, eval_s
+from qsolidtorus.families import eval_s
 from qsolidtorus.solutions import build_solution
-from qsolidtorus.transfer import ModeIndex, scalar_det_prefix
+from qsolidtorus.transfer import Levels, ModeIndex, scalar_det_prefix
 
 
 def test_hs_z_direct_double_sum(families, unit_coeffs):
     w, _ = families
     mode = ModeIndex(0, 0)
     K = 128
-    sol = build_solution(mode, w, unit_coeffs, K)
+    sol = build_solution(mode, Levels(w, unit_coeffs, K))
     report = hs_norms(sol, w, unit_coeffs)
     got = report.hs[("Z", 0, 0)]
     brute = 0.0
@@ -29,7 +29,7 @@ def test_hs_z_direct_double_sum(families, unit_coeffs):
 def test_hs_z_with_gap_coefficients(families):
     w, c = families
     mode = ModeIndex(0, 2)
-    sol = build_solution(mode, w, c, 64)
+    sol = build_solution(mode, Levels(w, c, 64))
     report = hs_norms(sol, w, c)
     got = report.hs[("Z", 0, 0)]
     brute = 0.0
@@ -48,7 +48,7 @@ def test_hs_x_brute_force_single_entry(families):
     mode = ModeIndex(2, 1)
     n = 1
     K = 24
-    sol = build_solution(mode, w, c, K)
+    sol = build_solution(mode, Levels(w, c, K))
     report = hs_norms(sol, w, c)
     R = 1.0 / scalar_det_prefix(c.c(1, n, np.arange(K)), c.c(2, n, np.arange(K)))
     an = np.asarray(w.a(n, np.arange(K + 1)), dtype=float)
@@ -70,7 +70,7 @@ def test_fubini_cross_pairs_match_and_diagonal_gap_identified(families):
     for (m, n) in ((1, 0), (4, 2), (-8, 1)):
         mode = ModeIndex(m, n)
         K = 96
-        sol = build_solution(mode, w, c, K)
+        sol = build_solution(mode, Levels(w, c, K))
         rep = hs_norms(sol, w, c)
         hs = rep.hs
         assert hs[("X", 1, 2)] == pytest.approx(hs[("Y", 2, 1)], rel=1e-12)
@@ -91,7 +91,7 @@ def test_bounds_hold_with_margin(families):
     w, c = families
     for (m, n) in ((1, 0), (8, 0), (32, 0), (2, 8), (-16, 4)):
         mode = ModeIndex(m, n)
-        sol = build_solution(mode, w, c, 128)
+        sol = build_solution(mode, Levels(w, c, 128))
         rep = hs_norms(sol, w, c)
         assert rep.all_bounds_hold, rep.pass_flags
 
@@ -99,8 +99,8 @@ def test_bounds_hold_with_margin(families):
 def test_hs_values_even_in_m(families):
     w, c = families
     for n in (0, 3):
-        a = hs_norms(build_solution(ModeIndex(6, n), w, c, 64), w, c)
-        b = hs_norms(build_solution(ModeIndex(-6, n), w, c, 64), w, c)
+        a = hs_norms(build_solution(ModeIndex(6, n), Levels(w, c, 64)), w, c)
+        b = hs_norms(build_solution(ModeIndex(-6, n), Levels(w, c, 64)), w, c)
         for key in a.hs:
             assert a.hs[key] == pytest.approx(b.hs[key], rel=1e-14)
         assert a.proxy == pytest.approx(b.proxy, rel=1e-14)
@@ -108,7 +108,7 @@ def test_hs_values_even_in_m(families):
 
 def test_decay_scan_envelopes_and_outputs(families, tmp_path):
     w, c = families
-    table = decay_scan((0, 1, -1, 4, -4), (0, 1, 4), w, c, k_max=64)
+    table = decay_scan((0, 1, -1, 4, -4), (0, 1, 4), Levels(w, c, 64))
     assert table.all_passed, table.failed()
     assert len(table.rows) == 15
     rows = {(r.mode.m, r.mode.n): r for r in table.rows}
@@ -130,8 +130,8 @@ def test_assembled_kernel_values_decay_in_m(families):
     inverse divides by tau, and those are the quantities that decay.
     """
     w, c = families
-    a = hs_norms(build_solution(ModeIndex(1, 0), w, c, 128), w, c)
-    b = hs_norms(build_solution(ModeIndex(32, 0), w, c, 128), w, c)
+    a = hs_norms(build_solution(ModeIndex(1, 0), Levels(w, c, 128)), w, c)
+    b = hs_norms(build_solution(ModeIndex(32, 0), Levels(w, c, 128)), w, c)
     for key in a.hs:
         assert b.hs[key] / b.tau**2 < a.hs[key] / a.tau**2
 
@@ -140,7 +140,7 @@ def test_proxy_uses_assembled_scale(families):
     """The compactness surrogate divides by |tau| (the assembly prefactor)."""
     w, c = families
     mode = ModeIndex(8, 0)
-    sol = build_solution(mode, w, c, 64)
+    sol = build_solution(mode, Levels(w, c, 64))
     rep = hs_norms(sol, w, c)
     assert rep.proxy == pytest.approx(math.sqrt(sum(rep.hs.values())) / abs(rep.tau))
 
@@ -189,7 +189,7 @@ def test_infinite_hs_sum_or_bound_fails_scan(families, monkeypatch, tmp_path, ca
 
     monkeypatch.setattr(analysis, "hs_norms", _each_report(real, inf_entry))
     w, c = families
-    table = decay_scan((1, 2), (0, 1), w, c, 32)
+    table = decay_scan((1, 2), (0, 1), Levels(w, c, 32))
     assert [r.all_finite for r in table.rows] == [True, True, False, False]
     assert not table.all_passed
     capsys.readouterr()
@@ -205,7 +205,7 @@ def test_an_infinite_sum_under_an_infinite_bound_fails_its_flag(families):
     from qsolidtorus.solutions import stack
 
     w, c = families
-    sols = [build_solution(ModeIndex(m, 0), w, c, 256) for m in (1, 8192)]
+    sols = [build_solution(ModeIndex(m, 0), Levels(w, c, 256)) for m in (1, 8192)]
     for rep in (hs_norms(sols[1], w, c), hs_norms(stack(sols), w, c)[1]):
         assert rep.hs["X", 1, 2] == rep.bounds["X", 1, 2] == math.inf
         infinite = [key for key in rep.hs if not (math.isfinite(rep.hs[key]) and math.isfinite(rep.bounds[key]))]
@@ -227,7 +227,7 @@ def test_nan_proxy_fails_envelope_checks(families, monkeypatch):
 
     monkeypatch.setattr(analysis, "hs_norms", _each_report(real, nan_proxy))
     w, c = families
-    table = decay_scan((1, 2), (0, 1), w, c, 32)
+    table = decay_scan((1, 2), (0, 1), Levels(w, c, 32))
     checks = {ch.name: ch.passed for ch in table.checks}
     assert checks["proxy_decays_in_m"] is False
     assert checks["proxy_decays_in_n"] is False

@@ -17,7 +17,7 @@ from qsolidtorus.dirac import (
 )
 from qsolidtorus.parametrix import RhsPair, WeightedSeq, apply_A, apply_Q
 from qsolidtorus.solutions import build_solution
-from qsolidtorus.transfer import ModeIndex, mode_table
+from qsolidtorus.transfer import Levels, ModeIndex
 from reference import apply_D_delta
 
 GOLDEN = (5**0.5 - 1) / 2
@@ -32,7 +32,7 @@ def impulses(k_g, k_f, k_max):
 
 
 def apply_A_on(mode: ModeIndex, w, c, g: np.ndarray, f: np.ndarray) -> RhsPair:
-    t = mode_table(mode, w, c, len(g) - 1)
+    t = Levels(w, c, len(g) - 1).table(mode)
     return apply_A(t, WeightedSeq(g, mode.n), WeightedSeq(f, mode.n + 1))
 
 
@@ -78,7 +78,7 @@ def test_global_right_inverse(families, rng):
         mode = ModeIndex(m, n)
         g, f = rng.standard_normal(33), rng.standard_normal(33)
         rhs = apply_A_on(mode, w, c, g, f)
-        sol = build_solution(mode, w, c, 32)
+        sol = build_solution(mode, Levels(w, c, 32))
         res = apply_Q(sol, rhs)
         back = apply_A(sol.table, res.h_g, res.h_f)
         assert rhs_close(back, rhs, 1e-9)
@@ -90,7 +90,7 @@ def test_global_left_inverse_on_domain(families, rng):
     for (m, n) in ((1, 0), (-3, 1)):
         mode = ModeIndex(m, n)
         g, f = rng.standard_normal(33), rng.standard_normal(33)
-        sol = build_solution(mode, w, c, 32)
+        sol = build_solution(mode, Levels(w, c, 32))
         domain = apply_Q(sol, apply_A_on(mode, w, c, g, f))
         again = apply_Q(sol, apply_A(sol.table, domain.h_g, domain.h_f))
         a = np.concatenate((domain.h_g.values, domain.h_f.values))

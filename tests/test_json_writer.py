@@ -14,7 +14,7 @@ from qsolidtorus.analysis import RowTable, write_json
 from qsolidtorus.cli import main
 from qsolidtorus.config import default_config_dict, load_config
 from qsolidtorus.solutions import build_solution, wronskian_residuals
-from qsolidtorus.transfer import ModeIndex, limit_product
+from qsolidtorus.transfer import Levels, ModeIndex, limit_product
 from reference import first_difference
 
 SPECIAL = st.sampled_from([0.0, -0.0, 5e-324, 2.5e-310, -1e-310, 1e16, -1e16, 1e-300, 1.0, 0.1])
@@ -168,12 +168,12 @@ def test_dump_tables_equal_json_dumps(tmp_path):
     for m in cfg["grid"]["m_list"]:
         for n in cfg["grid"]["n_list"]:
             mode = ModeIndex(m, n)
-            sol = build_solution(mode, conf.weights, conf.coeffs, k_max, rule=conf.boundary)
+            sol = build_solution(mode, Levels(conf.weights, conf.coeffs, k_max), rule=conf.boundary)
             res = wronskian_residuals(sol)
             for k, ((i1, i2), (k1, k2)) in enumerate(zip(sol.I.tolist(), sol.K.tolist())):
                 rec = {"I1": i1, "I2": i2, "K1": k1, "K2": k2, "wronskian_residual": float(res[k])}
                 expected["solution"].append({**rec, "k": k, "m": m, "n": n})
-            tp = limit_product(mode, conf.weights, conf.coeffs, k_max)
+            tp = limit_product(mode, Levels(conf.weights, conf.coeffs, k_max))
             for k in range(k_max):
                 rec = {"C": tp.table.C[k].ravel().tolist(), "P": tp.partials[k].ravel().tolist()}
                 expected["transfer"].append({**rec, "k": k, "m": m, "n": n})

@@ -24,7 +24,7 @@ from qsolidtorus.solutions import (
     verify_lemma_suite,
     wronskian_residuals,
 )
-from qsolidtorus.transfer import ModeIndex, SingularMatrixError, limit_product, mirror_product
+from qsolidtorus.transfer import Levels, ModeIndex, SingularMatrixError, limit_product, mirror_product
 
 
 def same_bits(a, b) -> bool:
@@ -38,8 +38,8 @@ def same_bits(a, b) -> bool:
 @pytest.mark.parametrize("n", [0, 4])
 def test_mirrored_tables_equal_direct_builds_bit_for_bit(families, k_max, m, n):
     w, c = families
-    plus = build_solution(ModeIndex(m, n), w, c, k_max)
-    minus = build_solution(ModeIndex(-m, n), w, c, k_max)
+    plus = build_solution(ModeIndex(m, n), Levels(w, c, k_max))
+    minus = build_solution(ModeIndex(-m, n), Levels(w, c, k_max))
     twin = mirror_solution(plus)
     assert twin.mode == minus.mode and twin.K_inf == minus.K_inf
     for name in ("I", "K"):
@@ -55,13 +55,13 @@ def test_mirrored_tables_equal_direct_builds_bit_for_bit(families, k_max, m, n):
     assert dataclasses.replace(verify_lemma_suite(minus), mode=plus.mode) == verify_lemma_suite(plus)
 
     try:
-        direct = limit_product(ModeIndex(-m, n), w, c, k_max)
+        direct = limit_product(ModeIndex(-m, n), Levels(w, c, k_max))
     except SingularMatrixError:
         # the determinants are equal, so the mirrored side raises too
         with pytest.raises(SingularMatrixError):
-            limit_product(ModeIndex(m, n), w, c, k_max)
+            limit_product(ModeIndex(m, n), Levels(w, c, k_max))
         return
-    flipped = mirror_product(limit_product(ModeIndex(m, n), w, c, k_max))
+    flipped = mirror_product(limit_product(ModeIndex(m, n), Levels(w, c, k_max)))
     assert same_bits(flipped.partials, direct.partials)
     assert same_bits(flipped.table.C, direct.table.C)
 
@@ -74,7 +74,7 @@ def test_singular_limit_raises_on_the_mirrored_path(families):
 
     def build(mode):
         calls.append(mode)
-        return limit_product(mode, w, c, 16)
+        return limit_product(mode, Levels(w, c, 16))
 
     levels = [(n, dict(results), dict(errors)) for n, results, errors in by_level(modes, build, mirror_product)]
     assert [(n, results) for n, results, _ in levels] == [(0, {})]
@@ -85,17 +85,17 @@ def test_singular_limit_raises_on_the_mirrored_path(families):
 def test_a_zero_entry_is_not_mirrored(families):
     """A zero that a flip would turn into -0.0 sends the partner to a direct build."""
     w, c = families
-    sol = build_solution(ModeIndex(2, 1), w, c, 32)
+    sol = build_solution(ModeIndex(2, 1), Levels(w, c, 32))
     I_tab = sol.I.copy()
     I_tab[5, 1] = 0.0
     assert mirror_solution(dataclasses.replace(sol, I=I_tab)) is None
-    tp = limit_product(ModeIndex(2, 1), w, c, 32)
+    tp = limit_product(ModeIndex(2, 1), Levels(w, c, 32))
     parts = tp.partials.copy()
     parts[3, 1, 0] = 0.0
     assert mirror_product(dataclasses.replace(tp, partials=parts)) is None
     # P(0) = I keeps its +0.0 off-diagonals
     assert not np.signbit(mirror_product(tp).partials[0]).any()
-    assert mirror_solution(build_solution(ModeIndex(0, 1), w, c, 32)) is None
+    assert mirror_solution(build_solution(ModeIndex(0, 1), Levels(w, c, 32))) is None
 
 
 def test_a_rule_that_is_not_odd_is_not_mirrored(families):
@@ -103,9 +103,9 @@ def test_a_rule_that_is_not_odd_is_not_mirrored(families):
 
     w, c = families
     rule = BoundaryRule({2: (0.1, 1.0)})
-    assert mirror_solution(build_solution(ModeIndex(2, 0), w, c, 32, rule=rule), rule) is None
-    assert mirror_solution(build_solution(ModeIndex(-2, 0), w, c, 32, rule=rule), rule) is None
-    assert mirror_solution(build_solution(ModeIndex(3, 0), w, c, 32, rule=rule), rule) is not None
+    assert mirror_solution(build_solution(ModeIndex(2, 0), Levels(w, c, 32), rule=rule), rule) is None
+    assert mirror_solution(build_solution(ModeIndex(-2, 0), Levels(w, c, 32), rule=rule), rule) is None
+    assert mirror_solution(build_solution(ModeIndex(3, 0), Levels(w, c, 32), rule=rule), rule) is not None
 
 
 def test_by_level_pairs_plus_minus_m_within_each_level():
@@ -253,7 +253,7 @@ def _assert_scan_equals_direct_builds(path, tmp_path):
     assert [(r["m"], r["n"]) for r in lemma_rows] == [(m, n) for m, n in grid if m != 0]
     lemmas = iter(lemma_rows)
     for row, (m, n) in zip(hs_rows, grid):
-        sol = build_solution(ModeIndex(m, n), w, c, k_max, rule=conf.boundary)
+        sol = build_solution(ModeIndex(m, n), Levels(w, c, k_max), rule=conf.boundary)
         assert row == json.loads(json.dumps(hs_norms(sol, w, c).row()))
         if m == 0:
             continue
@@ -290,7 +290,7 @@ def test_solve_and_dump_equal_direct_per_mode_builds(tmp_path):
     want, sols = [], {}
     for (m, n), r in rhs.items():
         try:
-            sols[(m, n)] = sol = build_solution(ModeIndex(m, n), w, c, k_max, rule=conf.boundary)
+            sols[(m, n)] = sol = build_solution(ModeIndex(m, n), Levels(w, c, k_max), rule=conf.boundary)
         except RangeOverflowError as exc:
             want.append({"m": m, "n": n, "error": f"mode ({m}, {n}): {exc}"})
             continue

@@ -14,7 +14,7 @@ from qsolidtorus.parametrix import (
     random_rhs,
 )
 from qsolidtorus.solutions import build_solution
-from qsolidtorus.transfer import ModeIndex, mode_table
+from qsolidtorus.transfer import Levels, ModeIndex
 from reference import apply_Q_direct, apply_XYZ, build_A, zero_rhs
 
 
@@ -41,14 +41,14 @@ def rhs_diff(a: RhsPair, b: RhsPair, t) -> float:
 def test_apply_A_zero(families):
     w, c = families
     mode = ModeIndex(3, 1)
-    out = apply_A(mode_table(mode, w, c, 8), WeightedSeq(np.zeros(9), 1), WeightedSeq(np.zeros(9), 2))
+    out = apply_A(Levels(w, c, 8).table(mode), WeightedSeq(np.zeros(9), 1), WeightedSeq(np.zeros(9), 2))
     assert not np.any(out.r1.values) and not np.any(out.r2.values) and out.q0 == 0.0
 
 
 def test_apply_A_annihilates_I(families):
     w, c = families
     for mode in (ModeIndex(1, 0), ModeIndex(-6, 2), ModeIndex(32, 0)):
-        sol = build_solution(mode, w, c, 64)
+        sol = build_solution(mode, Levels(w, c, 64))
         out = apply_A(sol.table, WeightedSeq(sol.I[:, 0], mode.n), WeightedSeq(sol.I[:, 1], mode.n + 1))
         scale = np.max(np.abs(sol.I)) * w.a(mode.n + 1, 64)
         assert float(np.max(np.abs(out.r1.values))) <= 1e-12 * scale
@@ -59,7 +59,7 @@ def test_apply_A_annihilates_I(families):
 def test_apply_A_annihilates_K_with_nonzero_datum(families):
     w, c = families
     mode = ModeIndex(2, 1)
-    sol = build_solution(mode, w, c, 64)
+    sol = build_solution(mode, Levels(w, c, 64))
     out = apply_A(sol.table, WeightedSeq(sol.K[:, 0], 1), WeightedSeq(sol.K[:, 1], 2))
     scale = np.max(np.abs(sol.K)) * w.a(2, 64)
     assert float(np.max(np.abs(out.r1.values))) <= 1e-12 * scale
@@ -71,7 +71,7 @@ def test_apply_A_annihilates_K_with_nonzero_datum(families):
 def test_apply_A_tag_mismatch(families):
     w, c = families
     with pytest.raises(WeightTagMismatch):
-        apply_A(mode_table(ModeIndex(1, 0), w, c, 3), WeightedSeq(np.zeros(4), 3), WeightedSeq(np.zeros(4), 1))
+        apply_A(Levels(w, c, 3).table(ModeIndex(1, 0)), WeightedSeq(np.zeros(4), 3), WeightedSeq(np.zeros(4), 1))
 
 
 def test_mode_table_is_the_only_evaluator(families, rng, monkeypatch):
@@ -79,7 +79,7 @@ def test_mode_table_is_the_only_evaluator(families, rng, monkeypatch):
     w, c = families
     for m in (3, -3, 0):
         mode = ModeIndex(m, 1)
-        sol = build_solution(mode, w, c, 32)
+        sol = build_solution(mode, Levels(w, c, 32))
         r = random_rhs(mode, 32, rng)
         res = apply_Q(sol, r)
 
@@ -104,7 +104,7 @@ def test_mode_table_is_the_only_evaluator(families, rng, monkeypatch):
 
 def test_norm_at_a_foreign_level_raises(families):
     w, c = families
-    t = mode_table(ModeIndex(1, 2), w, c, 8)
+    t = Levels(w, c, 8).table(ModeIndex(1, 2))
     for level in (2, 3):
         assert WeightedSeq(np.ones(9), level).norm(t) == float(np.sqrt(np.sum(1.0 / w.a(level, np.arange(9)))))
     for level in (1, 4):
@@ -115,7 +115,7 @@ def test_norm_at_a_foreign_level_raises(families):
 def test_Z_operator_with_unit_coeffs(families, unit_coeffs):
     w, _ = families
     mode = ModeIndex(0, 1)
-    sol = build_solution(mode, w, unit_coeffs, 8)
+    sol = build_solution(mode, Levels(w, unit_coeffs, 8))
     r = WeightedSeq(np.arange(1.0, 10.0), 1)
     out = apply_XYZ("Z", 0, 0, sol, r)
     a = np.asarray(w.a(1, np.arange(9)), dtype=float)
@@ -126,7 +126,7 @@ def test_Z_operator_with_unit_coeffs(families, unit_coeffs):
 def test_X_vanishes_beyond_support(families):
     w, c = families
     mode = ModeIndex(2, 0)
-    sol = build_solution(mode, w, c, 16)
+    sol = build_solution(mode, Levels(w, c, 16))
     vals = np.zeros(17)
     vals[:5] = 1.0
     out = apply_XYZ("X", 1, 1, sol, WeightedSeq(vals, 0))
@@ -138,7 +138,7 @@ def test_XY_kernels_against_brute_force(families):
     mode = ModeIndex(1, 0)
     n = 0
     K = 12
-    sol = build_solution(mode, w, c, K)
+    sol = build_solution(mode, Levels(w, c, K))
     rng = np.random.default_rng(5)
     ks = np.arange(K + 1)
     ratio_prefix = np.concatenate(
@@ -177,7 +177,7 @@ def test_XY_kernels_against_brute_force(families):
 def test_XYZ_tag_mismatch(families):
     w, c = families
     mode = ModeIndex(1, 0)
-    sol = build_solution(mode, w, c, 8)
+    sol = build_solution(mode, Levels(w, c, 8))
     with pytest.raises(WeightTagMismatch):
         apply_XYZ("X", 1, 2, sol, WeightedSeq(np.zeros(9), 0))
 
@@ -185,7 +185,7 @@ def test_XYZ_tag_mismatch(families):
 def test_apply_Q_zero_rhs(families):
     w, c = families
     mode = ModeIndex(4, 2)
-    sol = build_solution(mode, w, c, 32)
+    sol = build_solution(mode, Levels(w, c, 32))
     res = apply_Q(sol, zero_rhs(mode, 32))
     assert not np.any(res.h_g.values) and not np.any(res.h_f.values)
     assert res.beta == 0.0 and res.boundary_residual == 0.0
@@ -194,7 +194,7 @@ def test_apply_Q_zero_rhs(families):
 def test_apply_Q_m_zero_unit_coeffs_impulse(families, unit_coeffs):
     w, _ = families
     mode = ModeIndex(0, 1)
-    sol = build_solution(mode, w, unit_coeffs, 16)
+    sol = build_solution(mode, Levels(w, unit_coeffs, 16))
     r = zero_rhs(mode, 16)
     r = RhsPair(r1=r.r1, r2=r.r2, q0=1.0)
     res = apply_Q(sol, r)
@@ -213,7 +213,7 @@ def test_apply_Q_assembles_from_XYZ_operators(families):
     mode = ModeIndex(3, 1)
     n = 1
     K = 20
-    sol = build_solution(mode, w, c, K)
+    sol = build_solution(mode, Levels(w, c, K))
     r = random_rhs(mode, K, np.random.default_rng(11))
     res = apply_Q(sol, r)
     u1 = WeightedSeq(np.concatenate(([0.0], r.r1.values)), n + 1)
@@ -238,7 +238,7 @@ def test_apply_Q_assembles_from_XYZ_operators(families):
 def test_right_inverse_roundtrip(families, rng):
     w, c = families
     mode = ModeIndex(1, 0)
-    sol = build_solution(mode, w, c, 128)
+    sol = build_solution(mode, Levels(w, c, 128))
     for _ in range(5):
         r = random_rhs(mode, 128, rng)
         res = apply_Q(sol, r)
@@ -251,7 +251,7 @@ def test_oracle_equivalence_small_grid(families, rng):
     for m in range(-8, 9):
         for n in range(0, 9):
             mode = ModeIndex(m, n)
-            sol = build_solution(mode, w, c, 48)
+            sol = build_solution(mode, Levels(w, c, 48))
             r = random_rhs(mode, 48, rng)
             res = apply_Q(sol, r)
             orc = oracle_solve(sol, r)
@@ -262,7 +262,7 @@ def test_oracle_window_is_the_table(families, rng):
     """A short rhs is zero-padded to the table, as apply_Q pads it."""
     w, c = families
     mode = ModeIndex(3, 1)
-    sol = build_solution(mode, w, c, 48)
+    sol = build_solution(mode, Levels(w, c, 48))
     r = random_rhs(mode, 30, rng)
     orc = oracle_solve(sol, r)
     assert len(orc.h_g.values) == len(orc.h_f.values) == 49
@@ -272,7 +272,7 @@ def test_oracle_window_is_the_table(families, rng):
 def test_left_inverse_on_domain(families, rng):
     w, c = families
     for mode in (ModeIndex(2, 0), ModeIndex(-4, 1)):
-        sol = build_solution(mode, w, c, 48)
+        sol = build_solution(mode, Levels(w, c, 48))
         r = random_rhs(mode, 48, rng)
         orc = oracle_solve(sol, r)
         back = apply_A(sol.table, orc.h_g, orc.h_f)
@@ -289,7 +289,7 @@ def test_product_form_equivalence_small_k(families, rng):
     w, c = families
     for m in (-8, -2, 1, 4, 8):
         mode = ModeIndex(m, 1)
-        sol = build_solution(mode, w, c, 32)
+        sol = build_solution(mode, Levels(w, c, 32))
         r = random_rhs(mode, 32, rng)
         res = apply_Q(sol, r)
         hx, hy = apply_Q_direct(sol, r)
@@ -301,7 +301,7 @@ def test_product_form_equivalence_small_k(families, rng):
 def test_boundary_residual_beta_matches_apply_Q(families, rng):
     w, c = families
     mode = ModeIndex(3, 0)
-    sol = build_solution(mode, w, c, 24)
+    sol = build_solution(mode, Levels(w, c, 24))
     res = apply_Q(sol, random_rhs(mode, 24, rng))
     k1, k2 = sol.K_inf
     beta = (res.h_g.values[-1] * k1 + res.h_f.values[-1] * k2) / (k1 * k1 + k2 * k2)
@@ -312,7 +312,7 @@ def test_boundary_residual_beta_matches_apply_Q(families, rng):
 def test_apply_Q_satisfies_boundary_certificate(families, rng):
     w, c = families
     for mode in (ModeIndex(1, 0), ModeIndex(-16, 2), ModeIndex(0, 1)):
-        sol = build_solution(mode, w, c, 64)
+        sol = build_solution(mode, Levels(w, c, 64))
         r = random_rhs(mode, 64, rng)
         res = apply_Q(sol, r)
         assert res.boundary_residual <= res.boundary_tol
@@ -321,7 +321,7 @@ def test_apply_Q_satisfies_boundary_certificate(families, rng):
 def test_dropping_boundary_row_leaves_I_direction(families):
     w, c = families
     for mode in (ModeIndex(1, 0), ModeIndex(-5, 1)):
-        sol = build_solution(mode, w, c, 48)
+        sol = build_solution(mode, Levels(w, c, 48))
         mat = oracle_matrix(sol, 48, drop_boundary=True)
         sv = np.linalg.svd(mat, compute_uv=False)
         assert sv[-1] > 1e-10 * sv[0]  # rank 2K+1: nullity exactly one
@@ -336,7 +336,7 @@ def test_oracle_zero_data_gives_zero(families):
     """Unique solvability: zero rhs and zero datum force the zero solution."""
     w, c = families
     for mode in (ModeIndex(1, 0), ModeIndex(0, 2), ModeIndex(-7, 1)):
-        sol = build_solution(mode, w, c, 32)
+        sol = build_solution(mode, Levels(w, c, 32))
         orc = oracle_solve(sol, zero_rhs(mode, 32))
         assert float(np.max(np.abs(orc.h_g.values))) == 0.0
         assert float(np.max(np.abs(orc.h_f.values))) == 0.0
@@ -344,7 +344,7 @@ def test_oracle_zero_data_gives_zero(families):
 
 def test_oracle_reports_sigma_min(families):
     w, c = families
-    sol = build_solution(ModeIndex(0, 0), w, c, 24)
+    sol = build_solution(ModeIndex(0, 0), Levels(w, c, 24))
     sigma_min = float(np.linalg.svd(oracle_matrix(sol, 24), compute_uv=False)[-1])
     assert sigma_min > 0
 
@@ -356,7 +356,7 @@ def test_oracle_matrix_blocks_match_build_A(families):
     for m in (0, 3, -3):
         for n in (0, 2):
             mode = ModeIndex(m, n)
-            sol = build_solution(mode, w, c, K)
+            sol = build_solution(mode, Levels(w, c, K))
             ref = np.zeros((2 * K + 2, 2 * K + 2))
             for k in range(K):
                 A = build_A(mode, k, w, c)
@@ -370,7 +370,7 @@ def test_oracle_matrix_blocks_match_build_A(families):
 def test_oracle_singular_band_raises(families, monkeypatch):
     w, c = families
     mode = ModeIndex(1, 0)
-    sol = build_solution(mode, w, c, 8)
+    sol = build_solution(mode, Levels(w, c, 8))
     monkeypatch.setattr(parametrix, "_oracle_band", lambda sol, k_max: np.zeros((6, 2 * k_max + 2)))
     with pytest.raises(np.linalg.LinAlgError):
         oracle_solve(sol, zero_rhs(mode, 8))
@@ -381,7 +381,7 @@ def test_beta_stable_under_truncation_doubling(families, rng):
     w, c = families
     for m in (0, 1, -4, 32):
         mode = ModeIndex(m, 0)
-        sol = build_solution(mode, w, c, 256)
+        sol = build_solution(mode, Levels(w, c, 256))
         r = random_rhs(mode, 128, rng)
         res_128 = apply_Q(sol, r, k_max=128)
         res_256 = apply_Q(sol, r, k_max=256)
@@ -399,7 +399,7 @@ def test_banded_oracle_matches_dense_solve(families, rng):
         for n in (0, 3):
             for K in (16, 128):
                 mode = ModeIndex(m, n)
-                sol = build_solution(mode, w, c, K)
+                sol = build_solution(mode, Levels(w, c, K))
                 r = random_rhs(mode, K, rng)
                 orc = oracle_solve(sol, r)
                 mat = oracle_matrix(sol, K)

@@ -21,7 +21,7 @@ from qsolidtorus.solutions import (
     verify_lemma_suite,
     wronskian_residuals,
 )
-from qsolidtorus.transfer import ModeIndex, mode_table, partial_products, scalar_det_prefix
+from qsolidtorus.transfer import Levels, ModeIndex, partial_products, scalar_det_prefix
 from reference import compute_I_loop, compute_K_loop, cumulative_product_sum_loop, partial_products_loop
 
 
@@ -71,7 +71,7 @@ def test_boundary_rule_checked_once_when_built(table, clause):
 
 def test_I_normalization_and_first_step(families):
     w, c = families
-    I = compute_I(ModeIndex(1, 0), w, c, 4)
+    I = compute_I(ModeIndex(1, 0), Levels(w, c, 4))
     assert tuple(I[0]) == (-1.0, 1.0)
     assert np.allclose(I[1], [-3.0, 1.25], rtol=0, atol=0)
 
@@ -79,7 +79,7 @@ def test_I_normalization_and_first_step(families):
 def test_I_diagonal_mode_is_coefficient_product(families):
     w, c = families
     K = 20
-    I = compute_I(ModeIndex(0, 2), w, c, K)
+    I = compute_I(ModeIndex(0, 2), Levels(w, c, K))
     ks = np.arange(K)
     prods = np.concatenate(([1.0], np.cumprod(1.0 / np.asarray(c.c(1, 2, ks)))))
     assert np.allclose(I[:, 0], -prods, rtol=1e-15, atol=0)
@@ -89,15 +89,15 @@ def test_I_diagonal_mode_is_coefficient_product(families):
 def test_K_diagonal_mode(families, unit_coeffs):
     w, c = families
     k_inf = BoundaryRule()(0)
-    K_tab, _ = compute_K(ModeIndex(0, 1), w, c, 16, k_inf)
+    K_tab, _ = compute_K(ModeIndex(0, 1), Levels(w, c, 16), k_inf, 16)
     assert np.all(K_tab[:, 0] == 0.0)
-    K_unit, _ = compute_K(ModeIndex(0, 1), w, unit_coeffs, 16, k_inf)
+    K_unit, _ = compute_K(ModeIndex(0, 1), Levels(w, unit_coeffs, 16), k_inf, 16)
     assert np.all(K_unit == np.array([0.0, 1.0]))
 
 
 def test_K_positive_and_monotone_for_positive_m(families):
     w, c = families
-    K_tab, tail = compute_K(ModeIndex(1, 0), w, c, 32, BoundaryRule()(1))
+    K_tab, tail = compute_K(ModeIndex(1, 0), Levels(w, c, 32), BoundaryRule()(1), 32)
     assert np.all(K_tab > 0)
     assert np.all(np.diff(K_tab[:, 1]) <= 0)
     assert tail > 0
@@ -105,17 +105,17 @@ def test_K_positive_and_monotone_for_positive_m(families):
 
 def test_tau_values(families):
     w, c = families
-    sol0 = build_solution(ModeIndex(0, 2), w, c, 32)
+    sol0 = build_solution(ModeIndex(0, 2), Levels(w, c, 32))
     assert sol0.tau == sol0.K[0, 1]
     for m in (1, 2, 7, -3):
-        sol = build_solution(ModeIndex(m, 0), w, c, 32)
+        sol = build_solution(ModeIndex(m, 0), Levels(w, c, 32))
         assert sol.tau > 0
 
 
 def test_wronskian_transport(families):
     w, c = families
     for mode in (ModeIndex(1, 0), ModeIndex(-5, 2), ModeIndex(32, 0), ModeIndex(0, 4)):
-        sol = build_solution(mode, w, c, 128)
+        sol = build_solution(mode, Levels(w, c, 128))
         res = wronskian_residuals(sol)
         assert float(np.max(res)) <= 1e-12
         # spot check the k = 5 instance against the scalar prefix
@@ -126,14 +126,14 @@ def test_wronskian_transport(families):
 
 def test_tau_via_tables_function(families):
     w, c = families
-    sol = build_solution(ModeIndex(3, 1), w, c, 16)
+    sol = build_solution(ModeIndex(3, 1), Levels(w, c, 16))
     assert tau_of_tables(sol.I, sol.K) == sol.tau
 
 
 def _tau_of_seed(mode: ModeIndex, w, c, k: int):
     """tau as a function of the seed K(inf) = (k1, k2) of the K sweep, with I fixed."""
-    I_tab = compute_I(mode, w, c, k)
-    return lambda k1, k2: tau_of_tables(I_tab, compute_K(mode, w, c, k, (k1, k2))[0])
+    I_tab = compute_I(mode, Levels(w, c, k))
+    return lambda k1, k2: tau_of_tables(I_tab, compute_K(mode, Levels(w, c, k), (k1, k2), k)[0])
 
 
 @pytest.mark.parametrize("m, n", [(1, 0), (-1, 0), (4, 2), (32, 16)])
@@ -163,23 +163,24 @@ def test_critical_seed_ratio_converges_in_K(families):
 def test_independence_everywhere(families):
     w, c = families
     for mode in (ModeIndex(1, 0), ModeIndex(0, 0), ModeIndex(-9, 3)):
-        sol = build_solution(mode, w, c, 64)
+        sol = build_solution(mode, Levels(w, c, 64))
         dets = sol.K[:, 0] * sol.I[:, 1] - sol.K[:, 1] * sol.I[:, 0]
         assert np.all(np.abs(dets) > 0)
 
 
 def test_epsilon_values(families):
     w, c = families
+    levels = Levels(w, c, 0)
     for n in (0, 3, 16):
-        e = epsilon(ModeIndex(0, n), w)
+        e = epsilon(ModeIndex(0, n), levels)
         s = eval_s(w, n)
         assert e.value == pytest.approx(s.value, rel=1e-12)
     for m in (1, 4, 32):
         for n in (0, 16):
-            e = epsilon(ModeIndex(m, n), w)
+            e = epsilon(ModeIndex(m, n), levels)
             assert e.upper <= eval_s(w, n).value * (1 + 1e-12)
-    assert epsilon(ModeIndex(32, 0), w).value < epsilon(ModeIndex(1, 0), w).value
-    assert epsilon(ModeIndex(3, 16), w).value < epsilon(ModeIndex(3, 0), w).value
+    assert epsilon(ModeIndex(32, 0), levels).value < epsilon(ModeIndex(1, 0), levels).value
+    assert epsilon(ModeIndex(3, 16), levels).value < epsilon(ModeIndex(3, 0), levels).value
 
 
 def test_epsilon_direct_summation_oracle(families):
@@ -189,7 +190,7 @@ def test_epsilon_direct_summation_oracle(families):
     an = np.asarray(w.a(n, ks), dtype=float)
     an1 = np.asarray(w.a(n + 1, ks), dtype=float)
     direct = float(np.sum(an1 / (m * m + an * an1)))
-    got = epsilon(ModeIndex(m, n), w)
+    got = epsilon(ModeIndex(m, n), Levels(w, c, 0))
     assert got.value == pytest.approx(direct, rel=1e-5)
     assert got.tail < 1e-12
 
@@ -197,7 +198,7 @@ def test_epsilon_direct_summation_oracle(families):
 def test_perp_transport(families):
     w, c = families
     for mode in (ModeIndex(2, 0), ModeIndex(-6, 1)):
-        sol = build_solution(mode, w, c, 48)
+        sol = build_solution(mode, Levels(w, c, 48))
         assert perp_transport_residual(sol) <= 1e-10
 
 
@@ -205,7 +206,7 @@ def test_lemma_suite_positive_modes(families):
     w, c = families
     for m in range(1, 9):
         for n in range(0, 5):
-            sol = build_solution(ModeIndex(m, n), w, c, 128)
+            sol = build_solution(ModeIndex(m, n), Levels(w, c, 128))
             report = verify_lemma_suite(sol)
             assert report.all_passed, (m, n, [ch.name for ch in report.checks if not ch.passed])
             assert report.worst <= 1e-14
@@ -213,7 +214,7 @@ def test_lemma_suite_positive_modes(families):
 
 def test_lemma_suite_product_bound_at_k_zero_is_tau(families):
     w, c = families
-    sol = build_solution(ModeIndex(2, 0), w, c, 32)
+    sol = build_solution(ModeIndex(2, 0), Levels(w, c, 32))
     assert sol.K[0, 0] * sol.I[0, 1] <= sol.tau * (1 + 1e-14)
 
 
@@ -223,8 +224,8 @@ def test_lemma_suite_negative_m_is_the_reflected_positive_suite(families):
     plus_rule, minus_rule = BoundaryRule({2: (0.3, 1.0)}), BoundaryRule({-2: (-0.3, 1.0)})
     for n in (0, 3):
         for k_max in (16, 128):
-            plus = verify_lemma_suite(build_solution(ModeIndex(2, n), w, c, k_max, rule=plus_rule))
-            minus = verify_lemma_suite(build_solution(ModeIndex(-2, n), w, c, k_max, rule=minus_rule))
+            plus = verify_lemma_suite(build_solution(ModeIndex(2, n), Levels(w, c, k_max), rule=plus_rule))
+            minus = verify_lemma_suite(build_solution(ModeIndex(-2, n), Levels(w, c, k_max), rule=minus_rule))
             assert plus.all_passed and minus.all_passed
             assert dataclasses.replace(minus, mode=plus.mode) == plus
             assert minus.worst == plus.worst
@@ -232,7 +233,7 @@ def test_lemma_suite_negative_m_is_the_reflected_positive_suite(families):
 
 def test_lemma_suite_m_zero_pattern(families):
     w, c = families
-    report = verify_lemma_suite(build_solution(ModeIndex(0, 1), w, c, 64))
+    report = verify_lemma_suite(build_solution(ModeIndex(0, 1), Levels(w, c, 64)))
     assert report.all_passed
     assert {ch.name for ch in report.checks} == {
         "diag_pattern_I",
@@ -247,10 +248,29 @@ def test_compute_K_tolerance_guard(families):
 
     w, c = families
     k_inf = BoundaryRule()(8)
-    tab, tail = compute_K(ModeIndex(8, 0), w, c, 32, k_inf)
-    assert tail == tail_sum_C_minus_I(ModeIndex(8, 0), w, c, 32)
+    tab, tail = compute_K(ModeIndex(8, 0), Levels(w, c, 32), k_inf, 32)
+    assert tail == tail_sum_C_minus_I(ModeIndex(8, 0), Levels(w, c, 32), 32)
     assert 1e-12 < tail <= 10.0 and tab.shape == (33, 2)
     assert tuple(tab[32]) == k_inf
+
+
+TABULATED = (
+    WeightFamily(table=((1.5, 3.0, 7.5), (2.5, 9.0)), tail_rule="power", lam=1.0, p=1.0, q=2.0),
+    CoefficientFamily(table1=(0.5, 0.8), table2=(0.6,), tail_rule="geometric", t1=0.5, t2=0.5, kappa=2.0),
+)
+
+
+@pytest.mark.parametrize("tabulated", [False, True], ids=["default", "tabulated"])
+@pytest.mark.parametrize("m, n", [(1, 0), (-4, 2), (0, 1), (32, 16)])
+def test_compute_K_seeded_inside_a_longer_window(families, tabulated, m, n):
+    """A seed at k_hi sweeps the table's first k_hi steps: a longer window moves no bit, tail included."""
+    w, c = TABULATED if tabulated else families
+    mode, k_inf = ModeIndex(m, n), BoundaryRule()(m)
+    inside, alone = (compute_K(mode, Levels(w, c, window), k_inf, 128) for window in (1024, 128))
+    assert inside[0].shape == (129, 2) and inside[0].tobytes() == alone[0].tobytes()
+    assert np.float64(inside[1]).tobytes() == np.float64(alone[1]).tobytes()
+    with pytest.raises(ValueError, match="beyond the level data's window"):
+        compute_K(mode, Levels(w, c, 128), k_inf, 129)
 
 
 def test_compute_I_overflow_guard(families):
@@ -258,13 +278,13 @@ def test_compute_I_overflow_guard(families):
 
     w, c = families
     with pytest.raises(RangeOverflowError):
-        compute_I(ModeIndex(10**40, 0), w, c, 8)
+        compute_I(ModeIndex(10**40, 0), Levels(w, c, 8))
 
 
 def test_lemma_suite_zero_slack_reports_not_raises(families):
     """Strictness stress: slack 0 may surface float ties as findings."""
     w, c = families
-    sol = build_solution(ModeIndex(3, 0), w, c, 64)
+    sol = build_solution(ModeIndex(3, 0), Levels(w, c, 64))
     report = verify_lemma_suite(sol, slack=0.0)
     assert isinstance(report.all_passed, bool)
     assert all(ch.witness for ch in report.checks)
@@ -274,8 +294,8 @@ def test_seeded_solution_matches_deeper_seed_directionally(families):
     """A deeper seed changes the K table only within the drift certificate."""
     w, c = families
     mode = ModeIndex(3, 0)
-    shallow = build_solution(mode, w, c, 64)
-    deep = build_solution(mode, w, c, 512)
+    shallow = build_solution(mode, Levels(w, c, 64))
+    deep = build_solution(mode, Levels(w, c, 512))
     # compare tau-normalized tables (the K function is scale-free in the inverse)
     a = shallow.K[:65] / shallow.tau
     b = deep.K[:65] / deep.tau
@@ -299,7 +319,7 @@ def test_scalar_sweeps_match_matmul_reference(families):
     for m in DEFAULT_GRID_M:
         for n in DEFAULT_GRID_N:
             mode = ModeIndex(m, n)
-            C = mode_table(mode, w, c, K).C
+            C = Levels(w, c, K).table(mode).C
             ref_I = np.empty((K + 1, 2))
             ref_I[0] = (-1.0, m / w.a(n, 0))
             ref_P = np.empty((K + 1, 2, 2))
@@ -315,8 +335,8 @@ def test_scalar_sweeps_match_matmul_reference(families):
             for k in range(K - 1, -1, -1):
                 adj = np.array([[C[k, 1, 1], -C[k, 0, 1]], [-C[k, 1, 0], C[k, 0, 0]]])
                 ref_K[k] = adj / dets[k] @ ref_K[k + 1]
-            worst["I"] = max(worst["I"], _row_rel_gap(compute_I(mode, w, c, K), ref_I))
-            worst["K"] = max(worst["K"], _row_rel_gap(compute_K(mode, w, c, K, k_inf)[0], ref_K))
+            worst["I"] = max(worst["I"], _row_rel_gap(compute_I(mode, Levels(w, c, K)), ref_I))
+            worst["K"] = max(worst["K"], _row_rel_gap(compute_K(mode, Levels(w, c, K), k_inf, K)[0], ref_K))
             worst["P"] = max(worst["P"], _row_rel_gap(partial_products(C), ref_P))
     assert all(np.isfinite(v) and v <= 1e-14 for v in worst.values()), worst
 
@@ -327,24 +347,24 @@ def test_sweeps_match_step_loops_bit_for_bit(families):
     cases = [(ModeIndex(m, n), 128) for m in DEFAULT_GRID_M for n in DEFAULT_GRID_N]
     cases += [(ModeIndex(m, n), 8192) for m in (1, -1, 1024, -1024) for n in (0, 16)]
     for mode, K in cases:
-        table = mode_table(mode, w, c, K)
+        table = Levels(w, c, K).table(mode)
         k_inf = BoundaryRule()(mode.m)
         x, r = 1.0 / table.an, table.c2**2
         pairs = [
-            (compute_I(mode, w, c, K), compute_I_loop(mode, table)),
-            (compute_K(mode, w, c, K, k_inf)[0], compute_K_loop(table, k_inf)),
+            (compute_I(mode, Levels(w, c, K)), compute_I_loop(mode, table)),
+            (compute_K(mode, Levels(w, c, K), k_inf, K)[0], compute_K_loop(table, k_inf)),
             (partial_products(table.C), partial_products_loop(table.C)),
             (cumulative_product_sum(x, r), cumulative_product_sum_loop(x, r)),
         ]
         for got, want in pairs:
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), mode
     with pytest.raises(RangeOverflowError):
-        compute_I(ModeIndex(32768, 0), w, c, 256)
+        compute_I(ModeIndex(32768, 0), Levels(w, c, 256))
 
 
 def test_lemma_suite_worst_slack_keeps_nan(families):
     w, c = families
-    sol = build_solution(ModeIndex(2, 1), w, c, 32)
+    sol = build_solution(ModeIndex(2, 1), Levels(w, c, 32))
     K = sol.K.copy()
     K[5, 0] = np.nan
     rep = verify_lemma_suite(dataclasses.replace(sol, K=K))

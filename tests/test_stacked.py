@@ -23,7 +23,7 @@ from qsolidtorus.solutions import (
     verify_lemma_suite,
     wronskian_residuals,
 )
-from qsolidtorus.transfer import Levels, ModeIndex, mode_table
+from qsolidtorus.transfer import Levels, ModeIndex
 
 TABULATED = (
     WeightFamily(table=((1.5, 3.0, 7.5), (2.5, 9.0)), tail_rule="power", lam=1.0, p=1.0, q=2.0),
@@ -116,13 +116,14 @@ def test_stacked_stages_equal_one_mode_at_a_time(families, rule, k_max, ms, n):
     w, c = families
     rng = np.random.default_rng(k_max + n)
     levels = Levels(w, c, k_max)
-    sols = [build_solution(ModeIndex(m, n), w, c, k_max, rule=rule, levels=levels) for m in ms]
+    sols = [build_solution(ModeIndex(m, n), levels, rule=rule) for m in ms]
     for sol in sols:
         want = reference.mode_table(sol.mode, w, c, k_max)
-        for table in (sol.table, mode_table(sol.mode, w, c, k_max)):
+        alone = Levels(w, c, k_max)
+        for table in (sol.table, alone.table(sol.mode)):
             assert all(same(getattr(table, f), getattr(want, f)) for f in ("an", "an1", "c1", "c2", "C", "prefix"))
         want_eps = reference.epsilon(sol.mode, w)
-        for eps in (sol.eps, epsilon(sol.mode, w)):
+        for eps in (sol.eps, epsilon(sol.mode, alone)):
             assert same((eps.value, eps.tail), (want_eps.value, want_eps.tail)), sol.mode
     rs = [random_rhs(sol.mode, k_max, rng) for sol in sols]
     nonzero = [j for j, m in enumerate(ms) if m != 0]
@@ -140,7 +141,7 @@ def test_an_overflowing_row_leaves_the_other_rows_alone():
     """
     w, c = default_families()
     rng = np.random.default_rng(5)
-    sols = [build_solution(ModeIndex(m, 0), w, c, 256) for m in (1, 8192, 3)]
+    sols = [build_solution(ModeIndex(m, 0), Levels(w, c, 256)) for m in (1, 8192, 3)]
     rs = [random_rhs(sol.mode, 256, rng) for sol in sols]
     hs = hs_norms(stack(sols), w, c)
     assert [rep.all_finite for rep in hs] == [True, False, True]
@@ -161,7 +162,7 @@ def test_levels_evaluate_each_row_once(monkeypatch):
     levels = Levels(w, c, 32)
     for n in (0, 1, 2):
         for m in (0, 1, -1, 7):
-            build_solution(ModeIndex(m, n), w, c, 32, levels=levels)
+            build_solution(ModeIndex(m, n), levels)
     assert len(seen) == len(set(seen))
     # a_1 on the window serves level 0 as a_{n+1} and level 1 as a_n
     assert seen.count(("a", 1, 33)) == 1

@@ -28,7 +28,7 @@ from qsolidtorus.solutions import (
     verify_lemma_suite,
     wronskian_residuals,
 )
-from qsolidtorus.transfer import ModeIndex, mode_table, tail_sum_C_minus_I
+from qsolidtorus.transfer import Levels, ModeIndex, tail_sum_C_minus_I
 from reference import mat_abs_norm
 
 
@@ -70,16 +70,16 @@ def test_tabulated_hypotheses_pass(tab_families):
 def test_tabulated_tail_certificate(tab_families):
     w, c = tab_families
     mode = ModeIndex(2, 0)
-    c_arr = mode_table(mode, w, c, 20000).C
+    c_arr = Levels(w, c, 20000).table(mode).C
     direct = sum(mat_abs_norm(c_arr[k] - np.eye(2)) for k in range(5, 20000))
-    assert tail_sum_C_minus_I(mode, w, c, 5) >= direct
+    assert tail_sum_C_minus_I(mode, Levels(w, c, 5), 5) >= direct
 
 
 def test_tabulated_oracle_equivalence_and_identities(tab_families, rng):
     w, c = tab_families
     for (m, n) in ((1, 0), (-3, 1), (0, 0), (5, 2)):
         mode = ModeIndex(m, n)
-        sol = build_solution(mode, w, c, 40)
+        sol = build_solution(mode, Levels(w, c, 40))
         assert float(np.max(wronskian_residuals(sol))) <= 1e-12
         r = random_rhs(mode, 40, rng)
         res = apply_Q(sol, r)
@@ -194,8 +194,8 @@ def test_tabulated_eps_below_s(tab_families):
     for n in DEFAULT_GRID_N:
         s_n = eval_s(w, n)
         for m in (0, 1, -4):
-            assert epsilon(ModeIndex(m, n), w).value <= s_n.upper * (1.0 + 1e-12)
-    table = decay_scan((0, 1, -2), (0, 1), w, c, 32)
+            assert epsilon(ModeIndex(m, n), Levels(w, c, 0)).value <= s_n.upper * (1.0 + 1e-12)
+    table = decay_scan((0, 1, -2), (0, 1), Levels(w, c, 32))
     assert table.all_passed, table.failed()
 
 
@@ -203,10 +203,10 @@ def test_constant_tail_certificate_counts_the_row():
     w = WeightFamily()
     c = CoefficientFamily(table1=(0.5, 0.8), table2=(0.6,), tail_rule="constant", tail_value=1.0)
     mode = ModeIndex(0, 0)
-    c_arr = mode_table(mode, w, c, 8).C
+    c_arr = Levels(w, c, 8).table(mode).C
     direct = sum(mat_abs_norm(c_arr[k] - np.eye(2)) for k in range(8))
     assert direct > 1.0
-    assert tail_sum_C_minus_I(mode, w, c, 0) >= direct
+    assert tail_sum_C_minus_I(mode, Levels(w, c, 0), 0) >= direct
 
 
 def test_J_bracket_counts_rows_longer_than_the_first_window():

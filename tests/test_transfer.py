@@ -21,7 +21,6 @@ from qsolidtorus.transfer import (
     det2,
     invert,
     limit_product,
-    mode_table,
     partial_products,
     structure_check,
     tail_sum_C_minus_I,
@@ -67,47 +66,19 @@ def test_mode_table_makes_four_family_calls(families, monkeypatch):
         monkeypatch.setattr(cls, name, counted)
     levels = Levels(w, c, 32)
     for m in (3, -3, 5, 0):
-        table = mode_table(ModeIndex(m, 1), w, c, 32, levels)
+        table = levels.table(ModeIndex(m, 1))
         assert sorted(calls) == ["a", "a", "c", "c"]
         assert table.C.shape == (32, 2, 2) and table.prefix.shape == (33,)
     # level 2 shares a_2 with level 1 and adds a_3, c1 and c2
-    mode_table(ModeIndex(3, 2), w, c, 32, levels)
+    levels.table(ModeIndex(3, 2))
     assert sorted(calls) == ["a", "a", "a", "c", "c", "c", "c"]
-
-
-def test_given_level_data_must_hold_the_families_and_window(families):
-    """Level data of other families, or of another window for a table, is a ValueError, not a silent override."""
-    from qsolidtorus.solutions import build_solution, epsilon
-
-    w, c = families
-    levels = Levels(w, c, 128)
-    mode = ModeIndex(1, 0)
-    other_w, other_c = WeightFamily(lam=5.0), CoefficientFamily(t1=0.25, t2=0.25)
-    assert mode_table(mode, other_w, c, 128).an[0] == 5.0
-    for call in (
-        lambda: build_solution(mode, w, c, 64, levels=levels),
-        lambda: build_solution(mode, other_w, c, 128, levels=levels),
-        lambda: mode_table(mode, other_w, c, 128, levels),
-        lambda: mode_table(mode, w, other_c, 128, levels),
-        lambda: mode_table(mode, w, c, 64, levels),
-        lambda: tail_sum_C_minus_I(mode, other_w, c, 128, levels),
-        lambda: tail_sum_C_minus_I(mode, w, other_c, 128, levels),
-        lambda: epsilon(mode, other_w, levels),
-    ):
-        with pytest.raises(ValueError, match="other families or another window"):
-            call()
-    # equal families are the level data's own; a tail sum and eps may start anywhere on them
-    w2, c2 = default_families()
-    assert build_solution(mode, w2, c2, 128, levels=levels).k_table == 128
-    assert tail_sum_C_minus_I(mode, w2, c2, 16, levels) == tail_sum_C_minus_I(mode, w, c, 16)
-    assert epsilon(mode, w2, Levels(w, None, 0)) == epsilon(mode, w)
 
 
 def test_build_C_worked_examples(families):
     w, c = families
-    got = mode_table(ModeIndex(1, 0), w, c, 1).C[0]
+    got = Levels(w, c, 1).table(ModeIndex(1, 0)).C[0]
     assert np.allclose(got, [[2.0, -1.0], [-0.5, 0.75]], rtol=0, atol=0)
-    diag = mode_table(ModeIndex(0, 0), w, c, 1).C[0]
+    diag = Levels(w, c, 1).table(ModeIndex(0, 0)).C[0]
     assert np.array_equal(diag, np.diag([2.0, 0.5]))
 
 
@@ -116,11 +87,11 @@ def test_det_C_is_coefficient_ratio():
     c = CoefficientFamily(t1=0.5, t2=0.25, kappa=2.0)
     for m in (-5, 0, 1, 9):
         for k in (0, 1, 4):
-            got = det2(mode_table(ModeIndex(m, 2), w, c, k + 1).C[k])
+            got = det2(Levels(w, c, k + 1).table(ModeIndex(m, 2)).C[k])
             expect = c.c(2, 2, k) / c.c(1, 2, k)
             assert got == pytest.approx(expect, rel=1e-13)
     # k = 0 instance of the worked example: c1 = 1/2, c2 = 3/4
-    got = det2(mode_table(ModeIndex(7, 0), w, c, 1).C[0])
+    got = det2(Levels(w, c, 1).table(ModeIndex(7, 0)).C[0])
     assert got == pytest.approx(1.5, rel=1e-13)
 
 
@@ -128,7 +99,7 @@ def test_invert(families):
     w, c = families
     assert np.array_equal(invert(np.eye(2)), np.eye(2))
     assert np.array_equal(invert(np.diag([2.0, 0.5])), np.diag([0.5, 2.0]))
-    mat = mode_table(ModeIndex(1, 0), w, c, 1).C[0]
+    mat = Levels(w, c, 1).table(ModeIndex(1, 0)).C[0]
     assert np.max(np.abs(mat @ invert(mat) - np.eye(2))) <= 1e-15
     with pytest.raises(SingularMatrixError):
         invert(np.zeros((2, 2)))
@@ -138,7 +109,7 @@ def test_partial_products_order_and_dets(families):
     w, c = families
     mode = ModeIndex(3, 1)
     K = 24
-    c_arr = mode_table(mode, w, c, K).C
+    c_arr = Levels(w, c, K).table(mode).C
     parts = partial_products(c_arr)
     # independent right-to-left reduction
     for k in (0, 1, 5, K):
@@ -151,20 +122,20 @@ def test_partial_products_order_and_dets(families):
 
 def test_C_off_diagonals_flip_with_m(families):
     w, c = families
-    a = mode_table(ModeIndex(4, 2), w, c, 4).C[3]
-    b = mode_table(ModeIndex(-4, 2), w, c, 4).C[3]
+    a = Levels(w, c, 4).table(ModeIndex(4, 2)).C[3]
+    b = Levels(w, c, 4).table(ModeIndex(-4, 2)).C[3]
     assert a[0, 0] == b[0, 0] and a[1, 1] == b[1, 1]
     assert a[0, 1] == -b[0, 1] and a[1, 0] == -b[1, 0]
 
 
 def test_limit_product_unit_coeffs_is_identity(unit_coeffs):
-    tp = limit_product(ModeIndex(0, 0), WeightFamily(), unit_coeffs, 64)
+    tp = limit_product(ModeIndex(0, 0), Levels(WeightFamily(), unit_coeffs, 64))
     assert np.array_equal(tp.limit, np.eye(2))
 
 
 def test_limit_product_m_zero_diagonal(families):
     w, c = families
-    tp = limit_product(ModeIndex(0, 2), w, c, 64)
+    tp = limit_product(ModeIndex(0, 2), Levels(w, c, 64))
     j1 = eval_J(c, 1, 2)
     j2 = eval_J(c, 2, 2)
     assert tp.limit[0, 0] == pytest.approx(1.0 / j1.value, rel=1e-10)
@@ -175,7 +146,7 @@ def test_limit_product_m_zero_diagonal(families):
 def test_limit_product_det_tracks_J_ratio(families):
     w, _ = families
     c = CoefficientFamily(t1=0.5, t2=0.25, kappa=4.0)
-    tp = limit_product(ModeIndex(3, 2), w, c, 1024)
+    tp = limit_product(ModeIndex(3, 2), Levels(w, c, 1024))
     j1 = eval_J(c, 1, 2)
     j2 = eval_J(c, 2, 2)
     assert det2(tp.limit) == pytest.approx(j2.value / j1.value, rel=1e-10)
@@ -184,16 +155,16 @@ def test_limit_product_det_tracks_J_ratio(families):
 def test_tail_bound_certificate_dominates_direct_sum(families):
     w, c = families
     for mode in (ModeIndex(1, 0), ModeIndex(-7, 2), ModeIndex(0, 1)):
-        c_arr = mode_table(mode, w, c, 50000).C
+        c_arr = Levels(w, c, 50000).table(mode).C
         for k0 in (4, 32, 200):
             # the entries of every |C(k) - I|, k0 <= k < 50000, summed exactly
             direct = math.fsum(np.abs(c_arr[k0:] - np.eye(2)).ravel().tolist())
-            assert tail_sum_C_minus_I(mode, w, c, k0) >= direct
+            assert tail_sum_C_minus_I(mode, Levels(w, c, k0), k0) >= direct
 
 
 def test_structure_check_positive_m(families):
     w, c = families
-    tp = limit_product(ModeIndex(5, 0), w, c, 8192)
+    tp = limit_product(ModeIndex(5, 0), Levels(w, c, 8192))
     report = structure_check(tp, w, c)
     assert report.all_passed, [ch for ch in report.checks if not ch.passed]
     assert tp.limit[0, 1] < 0 and tp.limit[1, 0] < 0
@@ -201,7 +172,7 @@ def test_structure_check_positive_m(families):
 
 def test_structure_check_negative_m_flips_offdiagonal(families):
     w, c = families
-    tp = limit_product(ModeIndex(-5, 0), w, c, 8192)
+    tp = limit_product(ModeIndex(-5, 0), Levels(w, c, 8192))
     report = structure_check(tp, w, c)
     assert report.all_passed
     assert tp.limit[0, 1] > 0 and tp.limit[1, 0] > 0
@@ -209,7 +180,7 @@ def test_structure_check_negative_m_flips_offdiagonal(families):
 
 def test_structure_check_m_zero(families):
     w, c = families
-    tp = limit_product(ModeIndex(0, 0), w, c, 64)
+    tp = limit_product(ModeIndex(0, 0), Levels(w, c, 64))
     report = structure_check(tp, w, c)
     assert report.all_passed
 
@@ -226,7 +197,7 @@ def test_structure_check_default_grid(families):
     failed = {}
     for m in DEFAULT_GRID_M:
         for n in DEFAULT_GRID_N:
-            report = structure_check(limit_product(ModeIndex(m, n), w, c, 128), w, c)
+            report = structure_check(limit_product(ModeIndex(m, n), Levels(w, c, 128)), w, c)
             if not report.all_passed:
                 failed[(m, n)] = [ch.witness for ch in report.failed()]
     assert not failed, failed
@@ -237,7 +208,7 @@ def test_limit_product_det_floor(families):
     w, _ = families
     c = CoefficientFamily(table2=(1e-160, 1e-160), tail_rule="constant")
     with pytest.raises(SingularMatrixError):
-        limit_product(ModeIndex(0, 0), w, c, 8)
+        limit_product(ModeIndex(0, 0), Levels(w, c, 8))
 
 
 def test_limit_product_needs_no_tail_certificate(families):
@@ -245,6 +216,6 @@ def test_limit_product_needs_no_tail_certificate(families):
     w, _ = families
     c = CoefficientFamily(table1=(0.5,), table2=(0.5,), tail_rule="constant", tail_value=0.5)
     with pytest.raises(HypothesisViolation):
-        tail_sum_C_minus_I(ModeIndex(1, 0), w, c, 16)
-    tp = limit_product(ModeIndex(1, 0), w, c, 16)
+        tail_sum_C_minus_I(ModeIndex(1, 0), Levels(w, c, 16), 16)
+    tp = limit_product(ModeIndex(1, 0), Levels(w, c, 16))
     assert tp.partials.shape == (17, 2, 2) and np.all(np.isfinite(tp.partials))
