@@ -198,12 +198,12 @@ def decay_scan(
 ) -> ScanTable:
     """HS reports and lemma reports over a mode grid, plus the decay checks along both axes.
 
-    The grid runs level by level (``solutions.by_level``) on ``levels``, and
-    only the reports outlive a level.  Where the rule is odd at m, the first
-    of m and -m to come is built and checked (a level's built m != 0 modes as
-    one ``stack``), and the other's solution and reports are its exact
-    mirror.  A mode whose solution fails to build is recorded in
-    ``failures``; the decay checks compare the modes that built.
+    The grid runs level by level (``solutions.by_level``), and only the
+    reports outlive a level.  Where the rule is odd at m, the first of m and
+    -m to come is built and checked (a level's built m != 0 modes as one
+    ``stack``), and the other's solution and reports are its exact mirror.  A
+    mode whose solution fails to build is recorded in ``failures``; the decay
+    checks compare the modes that built.
 
     Checking the mirrored modes in the stack too, not copying their reports,
     raised ``scan --kmax 65536`` from 162 to 200 MB peak RSS and from 4.9-5.4 s
