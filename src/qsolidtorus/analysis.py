@@ -44,6 +44,7 @@ from .solutions import DEFAULT_RULE, BoundaryRule, KernelSolution, build_solutio
 from .solutions import (
     cumulative_product_sum,
     each_mode,
+    lone_m_zero,
     mirror_solution,
     per_mode,
     stack,
@@ -110,14 +111,14 @@ class HsReport:
 @np.errstate(over="ignore", invalid="ignore")
 def hs_norms(sol: KernelSolution, w: WeightFamily, c: CoefficientFamily) -> HsReport | list[HsReport]:
     """Direct double sums over the table for the kernel HS norms of ``sol.mode`` (of each of a stack), with bounds."""
-    m, n = sol.mode.m, sol.mode.n
+    n = sol.mode.n
     s_n = eval_s(w, n)
     s_n1 = eval_s(w, n + 1)
     tau = sol.tau
     an = sol.table.an
     an1 = sol.table.an1
 
-    if np.ndim(m) == 0 and m == 0:
+    if lone_m_zero(sol):
         inner = cumulative_product_sum(1.0 / an, sol.table.c2**2)
         # summed in order: np.sum adds pairwise, which rounds differently
         hs = {("Z", 0, 0): np.cumsum(inner / an1)[-1]}
@@ -125,33 +126,22 @@ def hs_norms(sol: KernelSolution, w: WeightFamily, c: CoefficientFamily) -> HsRe
         ratio = 0.0
         proxy = np.sqrt(hs["Z", 0, 0])
     else:
-        I = sol.I
-        Kf = sol.K
-        R = 1.0 / sol.table.prefix
-        a_of = {1: an, 2: an1}
-        Ic = {1: I[..., 0], 2: I[..., 1]}
-        Kc = {1: Kf[..., 0], 2: Kf[..., 1]}
-        kernel_K = {1: R**2 * Kc[1] ** 2 / an, 2: R**2 * Kc[2] ** 2 / an1}
-        kernel_I = {1: R**2 * Ic[1] ** 2 / an, 2: R**2 * Ic[2] ** 2 / an1}
-        zero = np.zeros(Kc[1].shape[:-1] + (1,))  # the shifted beta = 2 kernels start one slot later
-
-        hs = {}
-        for alpha in (1, 2):
-            out_w = Ic[alpha] ** 2 / a_of[alpha]
-            for beta in (1, 2):
-                if beta == 1:
-                    s_inner = suffix_sum(kernel_K[1])
-                else:
-                    # shifted kernel argument: the upper sum reaches the table end
-                    s_inner = suffix_sum(np.concatenate((zero, kernel_K[2]), axis=-1))[..., :-1]
-                hs[("X", alpha, beta)] = (out_w * s_inner).sum(axis=-1)
-        for alpha in (1, 2):
-            out_w = Kc[alpha] ** 2 / a_of[alpha]
-            for beta in (1, 2):
-                pre = kernel_I[beta].cumsum(axis=-1)
-                if beta == 2:
-                    pre = np.concatenate((zero, pre[..., :-1]), axis=-1)
-                hs[("Y", alpha, beta)] = (out_w * pre).sum(axis=-1)
+        mI1, I2, K1, K2 = sol.oriented()
+        R2 = (1.0 / sol.table.prefix) ** 2
+        zero = np.zeros(K1.shape[:-1] + (1,))  # the shifted beta = 2 kernels start one slot later
+        # X^{alpha beta} sums outer[X, alpha] * inner[X, beta], each factor made once; X's inner
+        # sum runs over its K kernel above k, Y's over its I kernel up to k
+        inner = {
+            ("X", 1): suffix_sum(R2 * K1**2 / an),
+            # shifted kernel argument: the upper sum reaches the table end
+            ("X", 2): suffix_sum(np.concatenate((zero, R2 * K2**2 / an1), axis=-1))[..., :-1],
+            ("Y", 1): (R2 * mI1**2 / an).cumsum(axis=-1),
+            ("Y", 2): np.concatenate((zero, (R2 * I2**2 / an1).cumsum(axis=-1)[..., :-1]), axis=-1),
+        }
+        outer = {("X", 1): mI1**2 / an, ("X", 2): I2**2 / an1, ("Y", 1): K1**2 / an, ("Y", 2): K2**2 / an1}
+        # keys X before Y: proxy adds hs.values() in this order
+        hs = {(op, alpha, beta): (outer[op, alpha] * inner[op, beta]).sum(axis=-1)
+              for op, alpha in outer for beta in (1, 2)}
 
         ratio = np.abs(sol.ratio_at_infinity)
         bound_s = tau * tau * c.kappa * (sol.eps.upper + ratio) * s_n.upper
@@ -203,12 +193,15 @@ def decay_scan(
     -m to come is built and checked (a level's built m != 0 modes as one
     ``stack``), and the other's solution and reports are its exact mirror.  A
     mode whose solution fails to build is recorded in ``failures``; the decay
-    checks compare the modes that built.
+    checks compare the modes that built.  A repeated m or n is a ValueError.
 
     Checking the mirrored modes in the stack too, not copying their reports,
     raised ``scan --kmax 65536`` from 162 to 200 MB peak RSS and from 4.9-5.4 s
     to 6.2-6.3 s (2-vCPU shared host).
     """
+    for name, values in (("m", m_list), ("n", n_list)):
+        if len(set(values)) < len(values):
+            raise ValueError(f"decay_scan lists {name}={next(v for v in values if values.count(v) > 1)} more than once")
     w, c = levels.w, levels.c
     built = set()
     table, lemma_of, failed = {}, {}, {}

@@ -421,16 +421,11 @@ def validate_hypotheses(
         checks.append(CheckResult("s_summable", False, str(exc)))
         checks.append(CheckResult("s_decreasing_to_zero", False, "s(n) not summable"))
 
-    brk_ok, brk_wit = True, ""
-    for i in (1, 2):
-        lo = c.inf_c(i)
-        hi = float(np.max(c.c(i, 0, ks)))
-        if lo < 1.0 / c.kappa - 1e-15 or hi > 1.0 + 1e-15:
-            brk_ok = False
-            brk_wit = f"c_{i}: inf={lo:.6g} vs 1/kappa={1.0 / c.kappa:.6g}, sup={hi:.6g}"
-            break
-        brk_wit = f"inf c >= 1/kappa={1.0 / c.kappa:.6g} and c <= 1 certified"
-    checks.append(CheckResult("kappa_bracketing", brk_ok, brk_wit))
+    # c <= 1 holds by construction: CoefficientFamily rejects a law or table row above 1
+    low = [i for i in (1, 2) if c.inf_c(i) < 1.0 / c.kappa - 1e-15]
+    brk_wit = (f"c_{low[0]}: inf={c.inf_c(low[0]):.6g} vs 1/kappa={1.0 / c.kappa:.6g}" if low
+               else f"inf c >= 1/kappa={1.0 / c.kappa:.6g} and c <= 1 certified")
+    checks.append(CheckResult("kappa_bracketing", not low, brk_wit))
 
     for i in (1, 2):
         try:

@@ -187,10 +187,20 @@ class KernelSolution:
     def ratio_at_infinity(self) -> float:
         return self.K_inf[0] / self.K_inf[1]
 
+    def oriented(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(-I1, I2, K1, K2) in the m > 0 orientation: I2 and K1 times sgn m (+1 at m = 0).
 
-def tau_of_tables(I: np.ndarray, K: np.ndarray) -> float:
-    """tau = <K(0), I(0)^perp> = K1(0) I2(0) - K2(0) I1(0)."""
-    return float(K[0, 0] * I[0, 1] - K[0, 1] * I[0, 0])
+        The first I component is negative for every m != 0, while I2 and K1
+        carry the sign of m.  This is the one place the sign of m touches an I
+        or K component; a mirrored -m solution gives the same four arrays bit for bit.
+        """
+        sign = column(np.where(self.mode.m < 0, -1.0, 1.0))
+        return -self.I[..., 0], sign * self.I[..., 1], sign * self.K[..., 0], self.K[..., 1]
+
+
+def pairing(I: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """<K(k), I(k)^perp> = K1 I2 - K2 I1 at every k; its k = 0 entry is tau."""
+    return K[..., 0] * I[..., 1] - K[..., 1] * I[..., 0]
 
 
 def epsilon(mode: ModeIndex, levels: Levels) -> SeriesValue:
@@ -227,7 +237,7 @@ def build_solution(mode: ModeIndex, levels: Levels, rule: BoundaryRule = DEFAULT
     table = levels.table(mode)
     I_tab = compute_I(mode, levels)
     K_tab, seed_tail = compute_K(mode, levels, k_inf, levels.k_hi)
-    tau = tau_of_tables(I_tab, K_tab)
+    tau = float(pairing(I_tab, K_tab)[0])
     if abs(tau) < TAU_FLOOR or not np.isfinite(tau):
         raise DegeneratePairingError(
             f"tau={tau:.3g} for mode {mode}: boundary rule aligned with the I direction"
@@ -327,6 +337,13 @@ def per_mode(v) -> list:
     return np.asarray(v).ravel().tolist()
 
 
+def lone_m_zero(sol: KernelSolution) -> bool:
+    """Whether ``sol`` is one m = 0 solution, whose checks are its own; a stack that holds m = 0 is a ValueError."""
+    if np.ndim(sol.mode.m) and not np.all(sol.mode.m):
+        raise ValueError(f"a stack holds m = 0 at level n={sol.mode.n}; check the m = 0 solution alone")
+    return np.ndim(sol.mode.m) == 0 and sol.mode.m == 0
+
+
 def each_mode(sol: KernelSolution, make: Callable[[ModeIndex, int], object]):
     """``make(mode, j)`` for one solution (j = 0), or the list of it over a stack's modes."""
     if np.ndim(sol.mode.m) == 0:
@@ -356,9 +373,8 @@ def cumulative_product_sum(x: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 def wronskian_residuals(sol: KernelSolution) -> np.ndarray:
     """Relative error of <K(k), I(k)^perp> against tau * prod_{i<k} c2/c1, for each mode of a stack."""
-    pairing = sol.K[..., 0] * sol.I[..., 1] - sol.K[..., 1] * sol.I[..., 0]
     expected = column(sol.tau) * sol.table.prefix
-    return np.abs(pairing - expected) / np.abs(expected)
+    return np.abs(pairing(sol.I, sol.K) - expected) / np.abs(expected)
 
 
 def perp_transport_residual(sol: KernelSolution) -> float:
@@ -389,31 +405,26 @@ def verify_lemma_suite(
 ) -> CheckReport | list[CheckReport]:
     """Run every inequality the norm analysis uses, over the whole table.
 
-    For m > 0 the inequalities are asserted as stated.  For m < 0 the suite
-    runs on componentwise absolute values, which is the m > 0 suite of the
+    Every clause reads ``sol.oriented()``: for m > 0 the inequalities as
+    stated, for m < 0 the sign-oriented components (the absolute values only
+    where the positive_* clauses pass), which is the m > 0 suite of the
     reflected system, the one whose rule is (-k1, k2) at -m where this rule
     is (k1, k2) at m.  m = 0 reduces to the diagonal pattern checks.  A
-    ``stack`` of m != 0 solutions gives the list of their reports.
+    ``stack`` of m != 0 solutions gives the list of their reports; one that
+    holds m = 0 is a ValueError.
     """
     # slack 0 turns float ties into findings; that strictness stress is
     # documented behavior, not an error
-    m = sol.mode.m
+    mI1, I2, K1, K2 = sol.oriented()
 
-    if np.ndim(m) == 0 and m == 0:
+    if lone_m_zero(sol):
         heads = [
-            ("diag_pattern_I", [bool(np.all(sol.I[:, 1] == 0.0))], ["I2 identically zero"]),
-            ("diag_pattern_K", [bool(np.all(sol.K[:, 0] == 0.0))], ["K1 identically zero"]),
+            ("diag_pattern_I", [bool(np.all(I2 == 0.0))], ["I2 identically zero"]),
+            ("diag_pattern_K", [bool(np.all(K1 == 0.0))], ["K1 identically zero"]),
         ]
-        margins = [("K2_nonincreasing", *_margins(sol.K[1:, 1], sol.K[:-1, 1]))]
+        margins = [("K2_nonincreasing", *_margins(K2[1:], K2[:-1]))]
     else:
-        sign = column(np.where(m > 0, 1.0, -1.0))
-        # mirror to the m>0 orientation: the first I component is negative for
-        # every m != 0, while I2 and K1 carry the sign of m
-        mI1 = -sol.I[..., 0]
-        I2 = sign * sol.I[..., 1]
-        K1 = sign * sol.K[..., 0]
-        K2 = sol.K[..., 1]
-        am = column(np.abs(m))
+        am = column(np.abs(sol.mode.m))
 
         t = sol.table
         c1, an, an1, pref = t.c1, t.an, t.an1, t.prefix

@@ -123,6 +123,14 @@ def test_decay_scan_envelopes_and_outputs(families, tmp_path):
     assert len(text.splitlines()) == 16
 
 
+@pytest.mark.parametrize(("m_list", "n_list", "named"), [((1, 1, -2), (0,), "m=1"), ((1, -2), (0, 3, 0), "n=0")])
+def test_decay_scan_rejects_a_repeated_m_or_n(families, m_list, n_list, named):
+    """A repeated mode would be compared with itself by the decay checks; load_config rejects one too."""
+    w, c = families
+    with pytest.raises(ValueError, match=f"lists {named} more than once"):
+        decay_scan(m_list, n_list, Levels(w, c, 16))
+
+
 def test_assembled_kernel_values_decay_in_m(families):
     """Every tau-normalized kernel sum shrinks from m = 1 to m = 32.
 

@@ -44,6 +44,11 @@ def test_mirrored_tables_equal_direct_builds_bit_for_bit(families, k_max, m, n):
     assert twin.mode == minus.mode and twin.K_inf == minus.K_inf
     for name in ("I", "K"):
         assert same_bits(getattr(twin, name), getattr(minus, name)), name
+    # the checks read the oriented view, so -m gives +m's arrays: decay_scan copies +m's reports to -m
+    for got, want in zip(twin.oriented(), minus.oriented()):
+        assert same_bits(got, want)
+    for got, want in zip(minus.oriented(), plus.oriented()):
+        assert same_bits(got, want)
     assert same_bits(twin.tau, minus.tau) and twin.eps == minus.eps
     assert same_bits(twin.seed_tail_bound, minus.seed_tail_bound)
     for name in ("an", "an1", "c1", "c2", "C", "prefix"):

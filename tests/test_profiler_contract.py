@@ -91,8 +91,7 @@ def test_each_command_evaluates_each_family_row_once(tmp_path, monkeypatch):
     epsilon head's weights, the sups of the tail bounds) are evaluated once
     per command and shared by every m, and a_{n+1} of level n is a_n of level
     n + 1.  A scalar k is keyed by its value.  solve and scan also probe the
-    hypotheses, whose kappa bracket and first J_i pass both read c_i(0, k < 64):
-    those two rows are the only repeats.
+    hypotheses, whose first J_i pass is the one reader of c_i(0, k < 64).
     """
     seen = []
     for cls, name in ((families.WeightFamily, "a"), (families.CoefficientFamily, "c")):
@@ -103,14 +102,11 @@ def test_each_command_evaluates_each_family_row_once(tmp_path, monkeypatch):
 
         monkeypatch.setattr(cls, name, counted)
     path = _tiny_config(tmp_path, {"m_list": [1, -1, 0, -2, 2, 5], "n_list": [0, 1, 2, 4]})
-    probe_repeats = {("c", 1, 0, ("len", 64)), ("c", 2, 0, ("len", 64))}
     runs = (["solve"], ["scan"], ["dump", "--what", "solution"], ["dump", "--what", "transfer"])
     for argv in runs:
         seen.clear()
         assert cli.main(["--config", str(path), *argv]) == 0
-        repeats = {key for key in seen if seen.count(key) > 1}
-        assert repeats == (probe_repeats if argv[0] in ("solve", "scan") else set()), argv
-        assert len(seen) - len(set(seen)) == len(repeats), argv
+        assert {key for key in seen if seen.count(key) > 1} == set(), argv
         # the window's rows: a_n for every level and its neighbour, c1 and c2 per level
         assert sum(key[-1] == ("len", K_MAX + 1) for key in seen) == len({0, 1, 2, 3, 4, 5}), argv
 

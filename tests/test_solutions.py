@@ -16,8 +16,8 @@ from qsolidtorus.solutions import (
     compute_K,
     cumulative_product_sum,
     epsilon,
+    pairing,
     perp_transport_residual,
-    tau_of_tables,
     verify_lemma_suite,
     wronskian_residuals,
 )
@@ -127,13 +127,13 @@ def test_wronskian_transport(families):
 def test_tau_via_tables_function(families):
     w, c = families
     sol = build_solution(ModeIndex(3, 1), Levels(w, c, 16))
-    assert tau_of_tables(sol.I, sol.K) == sol.tau
+    assert pairing(sol.I, sol.K)[0] == sol.tau
 
 
 def _tau_of_seed(mode: ModeIndex, w, c, k: int):
     """tau as a function of the seed K(inf) = (k1, k2) of the K sweep, with I fixed."""
     I_tab = compute_I(mode, Levels(w, c, k))
-    return lambda k1, k2: tau_of_tables(I_tab, compute_K(mode, Levels(w, c, k), (k1, k2), k)[0])
+    return lambda k1, k2: float(pairing(I_tab, compute_K(mode, Levels(w, c, k), (k1, k2), k)[0])[0])
 
 
 @pytest.mark.parametrize("m, n", [(1, 0), (-1, 0), (4, 2), (32, 16)])
@@ -219,7 +219,7 @@ def test_lemma_suite_product_bound_at_k_zero_is_tau(families):
 
 
 def test_lemma_suite_negative_m_is_the_reflected_positive_suite(families):
-    """The m < 0 suite on absolute values is the m > 0 suite of the system whose rule is (-k1, k2)."""
+    """The m < 0 suite on the sign-oriented components is the m > 0 suite of the system whose rule is (-k1, k2)."""
     w, c = families
     plus_rule, minus_rule = BoundaryRule({2: (0.3, 1.0)}), BoundaryRule({-2: (-0.3, 1.0)})
     for n in (0, 3):
@@ -240,6 +240,76 @@ def test_lemma_suite_m_zero_pattern(families):
         "diag_pattern_K",
         "K2_nonincreasing",
     }
+
+
+def _entry(comp: str, k: int, value):
+    """A mutant: the solution with entry k of one raw component ("I1" .. "K2") set to value(component)."""
+    name, j = comp[0], int(comp[1]) - 1
+
+    def mutate(sol):
+        tab = getattr(sol, name).copy()
+        tab[k, j] = value(tab[:, j])
+        return dataclasses.replace(sol, **{name: tab})
+
+    return mutate
+
+
+# each lemma clause: a mutant that fails it and the full set of clauses that
+# mutant fails, the same at m = 1 and m = -4 (n = 0, K = 32); the m = 0
+# clauses are failed at (0, 0).  Negating an entry of the raw tables fails the
+# positive_* clause at both signs of m, which an abs() view would pass at m < 0.
+LEMMA_MUTANTS = {
+    "positive_neg_I1": (_entry("I1", 0, lambda v: -v[0]), {"positive_neg_I1"}),
+    "positive_I2": (_entry("I2", 5, lambda v: -v[5]), {"positive_I2", "monotone_I2_over_c2"}),
+    "positive_K1": (_entry("K1", 5, lambda v: -v[5]), {"positive_K1", "monotone_K1_over_c1", "tail_sum_K2_kernel"}),
+    "positive_K2": (
+        _entry("K2", 5, lambda v: -v[5]), {"positive_K2", "monotone_K2", "ratio_bound_K", "tail_sum_K1_kernel"}
+    ),
+    "monotone_neg_I1": (_entry("I1", 5, lambda v: 0.5 * v[5]), {"monotone_neg_I1"}),
+    "monotone_I2_over_c2": (_entry("I2", 5, lambda v: 0.5 * v[5]), {"monotone_I2_over_c2"}),
+    "monotone_K1_over_c1": (_entry("K1", 5, lambda v: 2.0 * v[5]), {"monotone_K1_over_c1"}),
+    "monotone_K2": (_entry("K2", 6, lambda v: 1.01 * v[5]), {"monotone_K2"}),
+    "ratio_bound_I": (_entry("I2", 16, lambda v: 4.0 * v[16]), {"ratio_bound_I", "monotone_I2_over_c2"}),
+    "ratio_bound_K": (_entry("K2", 20, lambda v: 0.01 * v[20]), {"ratio_bound_K", "monotone_K2"}),
+    "tail_sum_K2_kernel": (_entry("K1", 0, lambda v: 0.5 * v[0]), {"tail_sum_K2_kernel"}),
+    "tail_sum_K1_kernel": (
+        _entry("K2", 5, lambda v: 0.01 * v[5]), {"tail_sum_K1_kernel", "monotone_K2", "ratio_bound_K"}
+    ),
+    "product_K1_I2": (_entry("K1", 0, lambda v: 4.0 * v[0]), {"product_K1_I2"}),
+    "product_K2_negI1": (_entry("I1", 0, lambda v: 0.99 * v[1]), {"product_K2_negI1"}),
+    "product_negI1_next_K2": (_entry("I1", 1, lambda v: 1.1 * v[1]), {"product_negI1_next_K2"}),
+    # a smaller tau tightens all four product bounds (a larger one loosens them)
+    "product_I2_K1_next": (
+        lambda sol: dataclasses.replace(sol, tau=0.1 * sol.tau),
+        {"product_I2_K1_next", "product_K1_I2", "product_K2_negI1", "product_negI1_next_K2"},
+    ),
+    "diag_pattern_I": (_entry("I2", 3, lambda v: 1e-300), {"diag_pattern_I"}),
+    "diag_pattern_K": (_entry("K1", 3, lambda v: 1e-300), {"diag_pattern_K"}),
+    "K2_nonincreasing": (_entry("K2", 6, lambda v: 1.01 * v[5]), {"K2_nonincreasing"}),
+}
+M_ZERO_CLAUSES = {"diag_pattern_I", "diag_pattern_K", "K2_nonincreasing"}
+
+
+@pytest.mark.parametrize("clause", sorted(LEMMA_MUTANTS))
+def test_each_lemma_clause_fails_on_its_mutant(families, clause):
+    """A negative control per clause: the mutant fails this clause, and exactly the measured others."""
+    w, c = families
+    mutate, failing = LEMMA_MUTANTS[clause]
+    assert clause in failing
+    for m in (0,) if clause in M_ZERO_CLAUSES else (1, -4):
+        sol = build_solution(ModeIndex(m, 0), Levels(w, c, 32))
+        assert verify_lemma_suite(sol).all_passed
+        report = verify_lemma_suite(mutate(sol))
+        assert {ch.name for ch in report.failed()} == failing, m
+
+
+def test_every_lemma_clause_has_a_mutant(families):
+    """A clause added to the suite without a negative control fails here."""
+    w, c = families
+    sols = [build_solution(ModeIndex(m, 0), Levels(w, c, 32)) for m in (0, 1)]
+    names = {ch.name for sol in sols for ch in verify_lemma_suite(sol).checks}
+    assert names == set(LEMMA_MUTANTS)
+    assert len(names) == 19
 
 
 def test_compute_K_tolerance_guard(families):

@@ -148,6 +148,16 @@ def test_an_overflowing_row_leaves_the_other_rows_alone():
     check_against_one_mode(sols, rs, w, c, stacked=True)
 
 
+def test_a_stack_that_holds_m_zero_is_rejected():
+    """The m = 0 checks differ from the m != 0 ones, so hs_norms and the lemma suite take m = 0 only alone."""
+    w, c = default_families()
+    levels = Levels(w, c, 16)
+    st = stack([build_solution(ModeIndex(m, 0), levels) for m in (0, 1)])
+    for check in (lambda: hs_norms(st, w, c), lambda: verify_lemma_suite(st)):
+        with pytest.raises(ValueError, match="stack holds m = 0 at level n=0"):
+            check()
+
+
 def test_levels_evaluate_each_row_once(monkeypatch):
     """One Levels object evaluates each (family, level, index, length) once for every m and both neighbours."""
     w, c = default_families()
