@@ -21,6 +21,7 @@ from .analysis import RowTable, decay_scan, scan_to_files, write_json
 from .config import ConfigError, ExperimentConfig, int_text, json_int, json_list, json_m, json_number, load_config
 from .families import validate_hypotheses
 from .parametrix import (
+    SINGULAR,
     RhsPair,
     WeightedSeq,
     apply_A,
@@ -105,10 +106,10 @@ def _load_rhs(path: Path, k_max: int) -> dict[tuple[int, int], RhsPair]:
 def _solve_level(n: int, built: dict, rhs_map: dict, k_max: int) -> dict:
     """The record of each built mode of one level, or the text of its oracle's error.
 
-    The inverse, the operator and the norms run on the level's stack once,
-    then each mode's banded oracle.
+    The inverse, the operator, the norms and the oracle run on the level's modes once.
     """
-    st, rs = stack(list(built.values())), [rhs_map[(mode.m, n)] for mode in built]
+    sols, rs = list(built.values()), [rhs_map[(mode.m, n)] for mode in built]
+    st = stack(sols)
     r1 = WeightedSeq(np.array([r.r1.values for r in rs]), n + 1)
     r2 = WeightedSeq(np.array([r.r2.values for r in rs]), n)
     r = RhsPair(r1, r2, np.array([r.q0 for r in rs]))
@@ -118,14 +119,13 @@ def _solve_level(n: int, built: dict, rhs_map: dict, k_max: int) -> dict:
                    back.q0 - r.q0)
     resid_inv = diff.norm(st.table) / np.maximum(r.norm(st.table), 1e-300)
     scale = np.maximum(res.norm(st.table), 1e-300)
+    orc = oracle_solve(sols, r)
     out = {}
-    for j, (mode, sol) in enumerate(built.items()):
-        try:
-            orc = oracle_solve(sol, rs[j])
-        except np.linalg.LinAlgError as exc:
-            out[mode] = str(exc)
+    for j, mode in enumerate(built):
+        if orc.singular[j]:
+            out[mode] = SINGULAR
             continue
-        gap = np.sum((orc.h_g.values - res.h_g.values[j]) ** 2) + np.sum((orc.h_f.values - res.h_f.values[j]) ** 2)
+        gap = np.sum((orc.h_g.values[j] - res.h_g.values[j]) ** 2) + np.sum((orc.h_f.values[j] - res.h_f.values[j]) ** 2)
         out[mode] = {"m": mode.m, "n": n, "residual_right_inverse": float(resid_inv[j]),
                      "residual_oracle": float(np.sqrt(gap) / scale[j]),
                      "boundary_residual": float(res.boundary_residual[j]), "beta": float(res.beta[j])}

@@ -11,16 +11,17 @@ The inverse is assembled from the I/K kernel tables by variation of constants;
 in expanded form it is a sum of upper-tail (X-type), lower-triangle (Y-type)
 and, on the diagonal mode m = 0, cumulative (Z-type) kernel operators.
 
-An independent banded LU solve of the same truncated system (elimination on
-the raw equations, not variation of constants) serves as the oracle for every
-identity the explicit formulas are supposed to satisfy; it needs O(K) memory
-and time, so it runs at any truncation the tables reach.
-The operator, the inverse and the norms run on a ``solutions.stack`` of modes too.
+An independent solve of the same truncated system (an orthogonal elimination
+on the raw equations, not variation of constants) serves as the oracle for
+every identity the explicit formulas are supposed to satisfy; it needs O(K)
+memory and time, so it runs at any truncation the tables reach, and it runs
+on one level's modes at once.  The operator, the inverse and the norms run on
+a ``solutions.stack`` of modes too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -200,7 +201,7 @@ def oracle_matrix(
     block equations A(k+1) h(k+1) - A(k+1) C(k) h(k), the initial regularity
     row, and (unless dropped) the boundary row, which pairs h(k_max) against
     the K table there.  O(k_max^2) memory: it is the dense reference of the
-    tests; the oracle solve itself works on the band.
+    tests; the oracle solve itself works on the block rows.
     """
     m = sol.mode.m
     t = sol.table
@@ -223,73 +224,185 @@ def oracle_matrix(
     return mat
 
 
+# the error text of a mode whose oracle reduction meets a zero pivot
+SINGULAR = "singular matrix"
+
+
 @dataclass(frozen=True)
 class OracleSolution:
+    """The oracle's solution pair, and per mode whether its reduction met a zero pivot (its pair is then NaN)."""
+
     h_g: WeightedSeq
     h_f: WeightedSeq
+    singular: np.ndarray
 
 
-def _oracle_band(sol: KernelSolution, k_max: int) -> np.ndarray:
-    """The constrained system of ``oracle_matrix`` in LAPACK band form, kl = 2, ku = 1.
+def _block_rows(sols: list[KernelSolution], k_max: int) -> np.ndarray:
+    """The block rows L_k h(k) + R_k h(k+1) = r(k), k < k_max, of each mode, as (4, 2, modes, k).
 
-    Same unknowns and entries, with the initial regularity row moved first:
-    row 0 is the datum row, rows 2k+1 and 2k+2 the block equations of step k,
-    row 2K+1 the boundary row.  Entry (i, j) sits at ``band[3 + i - j, j]``;
-    the two leading rows stay zero for the fill-in of the row interchanges.
+    Entry [c, i, j, k] is row i, column c of [L_k | R_k] of mode j, with
+    R_k = A(k+1) and L_k = -A(k+1) C(k) written out entry by entry from each
+    mode's own C stack.
     """
-    m = sol.mode.m
-    t = sol.table
+    t = sols[0].table
+    m = np.array([float(s.mode.m) for s in sols])[:, None]
+    c00, c01, c10, c11 = np.moveaxis(np.array([s.table.C[:k_max] for s in sols]).reshape(len(sols), k_max, 4), -1, 0)
     a00 = t.an1[:k_max] * t.c1[:k_max]
     a11 = t.an[1 : k_max + 1]
-    c_arr = t.C[:k_max]
-    band = np.zeros((6, 2 * (k_max + 1)))
-    band[3, 0] = m
-    band[2, 1] = t.an[0]
-    # block rows A(k+1) h(k+1) - A(k+1) C(k) h(k)
-    band[4, 0 : 2 * k_max : 2] = -a00 * c_arr[:, 0, 0]
-    band[3, 1 : 2 * k_max : 2] = -a00 * c_arr[:, 0, 1]
-    band[2, 2 : 2 * k_max + 1 : 2] = a00
-    band[5, 0 : 2 * k_max : 2] = -(m * c_arr[:, 0, 0] + a11 * c_arr[:, 1, 0])
-    band[4, 1 : 2 * k_max : 2] = -(m * c_arr[:, 0, 1] + a11 * c_arr[:, 1, 1])
-    band[3, 2 : 2 * k_max + 1 : 2] = m
-    band[2, 3 : 2 * k_max + 2 : 2] = a11
-    band[4, 2 * k_max] = sol.K[k_max, 1]
-    band[3, 2 * k_max + 1] = -sol.K[k_max, 0]
-    return band
+    rows = np.zeros((4, 2, len(sols), k_max))
+    rows[0, 0] = -a00 * c00
+    rows[1, 0] = -a00 * c01
+    rows[0, 1] = -(m * c00 + a11 * c10)
+    rows[1, 1] = -(m * c01 + a11 * c11)
+    rows[2, 0] = a00
+    rows[2, 1] = m
+    rows[3, 1] = a11
+    return rows
 
 
-def oracle_solve(sol: KernelSolution, r: RhsPair) -> OracleSolution:
-    """Banded LU solve of the truncated constrained system, O(K) memory.
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The sum over the leading axis (length 4) of a * b, term by term, so a mode's sum never depends on its stack."""
+    t = a * b
+    return t[0] + t[1] + t[2] + t[3]
 
-    The window is the solution's table, K = ``sol.k_table``; entries of r
-    beyond it are ignored and a shorter r is zero-padded, as in ``apply_Q``.
-    The boundary row pairs against the K table at the truncation edge (the
-    rule values when the seed sits there).  The band is factored once; the
-    solve is followed by one step of iterative refinement against the
-    residual of the raw system (``apply_A`` on the solution's table, plus the
-    boundary row).
+
+def _reflect(W: np.ndarray, col: int, row: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reflect the 4 rows of each stacked block W (columns, rows, ...) so that column ``col`` is zero below ``row``.
+
+    Returns the reflection's vector v (4, ...), zero above ``row`` and scaled
+    so that the reflection is I - v v^T, and where the column was zero: there
+    v = 0 and the pivot W[col, row] becomes NaN.
     """
-    # imported here so that only the oracle pays for loading LAPACK
-    from scipy.linalg.lapack import dgbtrf, dgbtrs
+    v = W[col].copy()
+    if row:
+        v[:row] = 0.0
+    norm = np.sqrt(_dot(v, v))
+    lead = np.abs(v[row])
+    v[row] += np.copysign(norm, v[row])
+    half_sq = norm * (norm + lead)  # |v|^2 / 2
+    v *= np.sqrt(np.divide(1.0, half_sq, out=np.zeros(half_sq.shape), where=half_sq > 0))
+    W -= _dot(v[:, None], W.swapaxes(0, 1))[:, None] * v
+    zero = norm == 0
+    W[col, row][zero] = np.nan
+    return v, zero
 
-    n = sol.mode.n
-    k_max = sol.k_table
-    lu, piv, info = dgbtrf(_oracle_band(sol, k_max), 2, 1, overwrite_ab=True)
-    if info > 0:
-        raise np.linalg.LinAlgError("singular matrix")
-    n_fill = min(k_max, len(r.r1.values))
-    rhs = np.zeros(2 * (k_max + 1))
-    rhs[0] = r.q0
-    rhs[1 : 2 * n_fill : 2] = r.r1.values[:n_fill]
-    rhs[2 : 2 * n_fill + 1 : 2] = r.r2.values[:n_fill]
-    hvec, _ = dgbtrs(lu, 2, 1, rhs, piv)
-    back = apply_A(sol.table, WeightedSeq(hvec[0::2], n), WeightedSeq(hvec[1::2], n + 1))
-    b1, b2 = sol.K[k_max]
-    resid = rhs.copy()
-    resid[0] -= back.q0
-    resid[1 : 2 * k_max : 2] -= back.r1.values
-    resid[2 : 2 * k_max + 1 : 2] -= back.r2.values
-    resid[-1] -= b2 * hvec[-2] - b1 * hvec[-1]
-    hvec = hvec + dgbtrs(lu, 2, 1, resid, piv)[0]
-    return OracleSolution(h_g=WeightedSeq(hvec[0::2], n), h_f=WeightedSeq(hvec[1::2], n + 1))
 
+def _upper(T: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The solution y of T y = z for each stacked upper triangle T (columns, rows, ...) of order 2."""
+    y = np.empty(z.shape)
+    y[1] = z[1] / T[1, 1]
+    y[0] = (z[0] - T[1, 0] * y[1]) / T[0, 0]
+    return y
+
+
+def _times(A: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """A u for each stacked 2x2 block A (columns, rows, ...)."""
+    return A[0] * u[0] + A[1] * u[1]
+
+
+@dataclass(frozen=True)
+class _Reduction:
+    """Orthogonal cyclic reduction of the block rows, with the datum and boundary rows added at the end.
+
+    Each level pairs block rows (2i, 2i+1), which share the unknown u(2i+1):
+    two reflections zero its 4x2 column block, the bottom two rows become the
+    coarse block row linking u(2i) and u(2i+2), and the top two rows (a
+    triangle on u(2i+1) and its couplings) are kept for back-substitution.
+    An odd last row carries over.  The last row links h(0) and h(K); with the
+    datum and boundary rows it is one 4x4 system per mode, reduced to two
+    triangles by four reflections.  Arrays lead with their block axes and end
+    with (modes, pairs); every step works on each mode's own entries, so a
+    mode's pivots and solution never depend on its stack.
+    """
+
+    levels: list  # per level: the two reflections (4, modes, pairs) and the top rows (6, 2, modes, pairs)
+    final: tuple  # the four reflections (4, modes) and the reduced 4x4 (4, 4, modes)
+    singular: np.ndarray
+
+    @classmethod
+    def factor(cls, rows: np.ndarray, datum: np.ndarray, boundary: np.ndarray) -> "_Reduction":
+        levels, singular = [], np.zeros(rows.shape[2], dtype=bool)
+        while rows.shape[-1] > 1:
+            pairs = rows.shape[-1] // 2
+            # columns u(2i) (0, 1), u(2i+1) (2, 3), u(2i+2) (4, 5); rows of block 2i (0, 1) and 2i+1 (2, 3)
+            W = np.zeros((6, 4, *rows.shape[2:-1], pairs))
+            W[:4, :2] = rows[..., 0 : 2 * pairs : 2]
+            W[2:, 2:] = rows[..., 1 : 2 * pairs : 2]
+            (v1, z1), (v2, z2) = _reflect(W, 2, 0), _reflect(W, 3, 1)
+            singular |= (z1 | z2).any(axis=-1)
+            levels.append(((v1, v2), W[:, :2].copy()))
+            rows = np.concatenate((W[[0, 1, 4, 5], 2:], rows[..., 2 * pairs :]), axis=-1)
+        W = np.concatenate((datum[:, None], rows[..., 0], boundary[:, None]), axis=1)
+        reflections = []
+        for j in range(4):
+            v, zero = _reflect(W, j, j)
+            reflections.append(v)
+            singular |= zero
+        return cls(levels, (reflections, W), singular)
+
+    def solve(self, data: np.ndarray, q0: np.ndarray, bnd: np.ndarray) -> np.ndarray:
+        """h (2, modes, K+1) for block-row data (2, modes, K), datum q0 and boundary value (modes,)."""
+        kept = []
+        for (v1, v2), top in self.levels:
+            pairs = top.shape[-1]
+            S = np.concatenate((data[..., 0 : 2 * pairs : 2], data[..., 1 : 2 * pairs : 2]))
+            for v in (v1, v2):
+                S = S - _dot(v, S) * v
+            kept.append(S[:2])
+            data = np.concatenate((S[2:], data[..., 2 * pairs :]), axis=-1)
+        reflections, W = self.final
+        z = np.concatenate((q0[None], data[..., 0], bnd[None]))
+        for v in reflections:
+            z = z - _dot(v, z) * v
+        h_end = _upper(W[2:, 2:], z[2:])
+        h = np.stack((_upper(W[:2, :2], z[:2] - _times(W[2:, :2], h_end)), h_end), axis=-1)
+        for (_, top), s_top in zip(reversed(self.levels), reversed(kept)):
+            pairs = top.shape[-1]
+            mid = _upper(top[2:4], s_top - _times(top[:2], h[..., :pairs]) - _times(top[4:], h[..., 1 : pairs + 1]))
+            fine = np.empty((*h.shape[:-1], h.shape[-1] + pairs))
+            fine[..., 0 : 2 * pairs + 1 : 2] = h[..., : pairs + 1]
+            fine[..., 1 : 2 * pairs : 2] = mid
+            fine[..., 2 * pairs + 1 :] = h[..., pairs + 1 :]
+            h = fine
+        return h
+
+
+def oracle_solve(sols: KernelSolution | list[KernelSolution], r: RhsPair) -> OracleSolution:
+    """Orthogonal cyclic reduction of the truncated constrained system, O(K) memory.
+
+    ``sols`` is one solution, or one level's solutions with ``r`` stacked
+    along a leading mode axis; each mode's block rows come from its own
+    table.  The window is the table's, K = ``k_table``; entries of r beyond it
+    are ignored and a shorter r is zero-padded, as in ``apply_Q``.  The rows
+    are those of ``oracle_matrix``, each block entry written out as its sum of
+    products (``_block_rows``): the block rows, the datum row
+    (m, a_n(0)) . h(0) = q0 and the boundary row (K2(K), -K1(K)) . h(K) = 0,
+    which pairs against the K table at the truncation edge (the rule values
+    when the seed sits there).  The reduction is factored once; the solve is
+    followed by one step of iterative refinement against the residual of the
+    raw system (``apply_A`` on the table, plus the boundary row).  This is
+    the structured QR of S. J. Wright, SIAM J. Sci. Stat. Comput. 13 (1992).
+    """
+    one = isinstance(sols, KernelSolution)
+    sols = [sols] if one else sols
+    n, k_max, t = sols[0].mode.n, sols[0].k_table, sols[0].table
+    m = np.array([float(s.mode.m) for s in sols])
+    k1, k2 = np.array([s.K[k_max] for s in sols]).T
+    zero = np.zeros_like(m)
+    red = _Reduction.factor(_block_rows(sols, k_max), np.stack((m, np.full_like(m, t.an[0]), zero, zero)),
+                            np.stack((zero, zero, k2, -k1)))
+    r1, r2 = np.atleast_2d(r.r1.values), np.atleast_2d(r.r2.values)
+    n_fill = min(k_max, r1.shape[-1])
+    data = np.zeros((2, len(sols), k_max))
+    data[0, :, :n_fill] = r1[:, :n_fill]
+    data[1, :, :n_fill] = r2[:, :n_fill]
+    q0 = np.full_like(m, r.q0)
+    h = red.solve(data, q0, zero)
+    back = apply_A(replace(t, mode=ModeIndex(m, n), C=None), WeightedSeq(h[0], n), WeightedSeq(h[1], n + 1))
+    resid = data - np.stack((back.r1.values, back.r2.values))
+    h = h + red.solve(resid, q0 - back.q0, -(k2 * h[0, :, -1] - k1 * h[1, :, -1]))
+    if one:
+        h, singular = h[:, 0], red.singular[0]
+    else:
+        singular = red.singular
+    return OracleSolution(WeightedSeq(h[0], n), WeightedSeq(h[1], n + 1), singular)

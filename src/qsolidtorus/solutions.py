@@ -74,7 +74,7 @@ class RangeOverflowError(OverflowError):
 
 
 # the per-mode failures a solution build (and the tables built on it) can
-# report; cli.cmd_solve adds the oracle's singular band, np.linalg.LinAlgError.
+# report; cli.cmd_solve adds the oracle's zero pivot (parametrix.SINGULAR).
 # Anything else is a bug.
 MODE_ERRORS = (
     DegeneratePairingError,
@@ -430,7 +430,7 @@ def verify_lemma_suite(
         c1, an, an1, pref = t.c1, t.an, t.an1, t.prefix
         heads = [
             (f"positive_{name}", per_mode((arr > 0).all(axis=-1)), [f"min={v:.3g}" for v in per_mode(arr.min(axis=-1))])
-            for name, arr in (("neg_I1", mI1), ("I2", I2[..., 1:]), ("K1", K1), ("K2", K2))
+            for name, arr in (("neg_I1", mI1), ("I2", I2), ("K1", K1), ("K2", K2))
         ]
 
         # Truncated tail-sum estimates.  The K2 sum uses the c1-weighted kernel of

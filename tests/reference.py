@@ -11,15 +11,21 @@ on one solution's 1-D tables.  Their arithmetic is the package's before the
 stacking, so ``tests/test_stacked.py`` can compare the stacked stages with
 them bit for bit.
 
-The last section holds the four recurrences that ``transfer.sweep`` runs
+The next section holds the four recurrences that ``transfer.sweep`` runs
 (I, K, the partial products and the m = 0 inner sum), each as its own
 plain-float loop, so ``tests/test_solutions.py`` can check the sweeps' tables
 against them bit for bit.
+
+The last section holds the banded LU oracle the package ran before its
+orthogonal cyclic reduction: the constrained system in LAPACK band form,
+factored by ``dgbtrf`` and solved twice by ``dgbtrs``, so
+``tests/test_parametrix.py`` can compare ``oracle_solve`` with LAPACK.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from qsolidtorus.analysis import BOUND_SLACK, HsReport
 from qsolidtorus.families import (
@@ -341,7 +347,7 @@ def verify_lemma_suite(sol: KernelSolution, slack: float = 1e-14) -> CheckReport
         c1, an, an1, pref = t.c1, t.an, t.an1, t.prefix
         checks = [
             CheckResult(f"positive_{name}", bool(np.all(arr > 0)), f"min={np.min(arr):.3g}")
-            for name, arr in (("neg_I1", mI1), ("I2", I2[1:]), ("K1", K1), ("K2", K2))
+            for name, arr in (("neg_I1", mI1), ("I2", I2), ("K1", K1), ("K2", K2))
         ]
         pc1 = np.empty(K_hi + 1)
         pc1[0] = 1.0
@@ -490,3 +496,64 @@ def cumulative_product_sum_loop(x: np.ndarray, r: np.ndarray) -> np.ndarray:
     for xk, rk in zip(x.tolist(), [1.0, *r.tolist()]):
         out.append(out[-1] * rk + xk)
     return np.array(out[1:])
+
+
+# ---------------------------------------------------------------- the banded LU oracle
+
+
+def oracle_band(sol: KernelSolution, k_max: int) -> np.ndarray:
+    """The constrained system of ``oracle_matrix`` in LAPACK band form, kl = 2, ku = 1.
+
+    Same unknowns and entries, with the initial regularity row moved first:
+    row 0 is the datum row, rows 2k+1 and 2k+2 the block equations of step k,
+    row 2K+1 the boundary row.  Entry (i, j) sits at ``band[3 + i - j, j]``;
+    the two leading rows stay zero for the fill-in of the row interchanges.
+    """
+    m = sol.mode.m
+    t = sol.table
+    a00 = t.an1[:k_max] * t.c1[:k_max]
+    a11 = t.an[1 : k_max + 1]
+    c_arr = t.C[:k_max]
+    band = np.zeros((6, 2 * (k_max + 1)))
+    band[3, 0] = m
+    band[2, 1] = t.an[0]
+    # block rows A(k+1) h(k+1) - A(k+1) C(k) h(k)
+    band[4, 0 : 2 * k_max : 2] = -a00 * c_arr[:, 0, 0]
+    band[3, 1 : 2 * k_max : 2] = -a00 * c_arr[:, 0, 1]
+    band[2, 2 : 2 * k_max + 1 : 2] = a00
+    band[5, 0 : 2 * k_max : 2] = -(m * c_arr[:, 0, 0] + a11 * c_arr[:, 1, 0])
+    band[4, 1 : 2 * k_max : 2] = -(m * c_arr[:, 0, 1] + a11 * c_arr[:, 1, 1])
+    band[3, 2 : 2 * k_max + 1 : 2] = m
+    band[2, 3 : 2 * k_max + 2 : 2] = a11
+    band[4, 2 * k_max] = sol.K[k_max, 1]
+    band[3, 2 * k_max + 1] = -sol.K[k_max, 0]
+    return band
+
+
+def banded_oracle_solve(sol: KernelSolution, r: RhsPair) -> tuple[np.ndarray, np.ndarray]:
+    """(h_g, h_f) by a banded LU of ``oracle_band`` on the table's window, plus one refinement step.
+
+    The refinement residual is the raw system's, as in ``oracle_solve``:
+    ``apply_A`` on the solution's table plus the boundary row.  A zero pivot
+    is ``np.linalg.LinAlgError``.
+    """
+    n = sol.mode.n
+    k_max = sol.k_table
+    lu, piv, info = dgbtrf(oracle_band(sol, k_max), 2, 1, overwrite_ab=True)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    n_fill = min(k_max, len(r.r1.values))
+    rhs = np.zeros(2 * (k_max + 1))
+    rhs[0] = r.q0
+    rhs[1 : 2 * n_fill : 2] = r.r1.values[:n_fill]
+    rhs[2 : 2 * n_fill + 1 : 2] = r.r2.values[:n_fill]
+    hvec, _ = dgbtrs(lu, 2, 1, rhs, piv)
+    back = apply_A(sol.table, WeightedSeq(hvec[0::2], n), WeightedSeq(hvec[1::2], n + 1))
+    b1, b2 = sol.K[k_max]
+    resid = rhs.copy()
+    resid[0] -= back.q0
+    resid[1 : 2 * k_max : 2] -= back.r1.values
+    resid[2 : 2 * k_max + 1 : 2] -= back.r2.values
+    resid[-1] -= b2 * hvec[-2] - b1 * hvec[-1]
+    hvec = hvec + dgbtrs(lu, 2, 1, resid, piv)[0]
+    return hvec[0::2], hvec[1::2]

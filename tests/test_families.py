@@ -182,6 +182,26 @@ def test_validate_flags_bad_kappa(families):
     assert "kappa_bracketing" in names
 
 
+# negative controls of the family hypotheses: a weight or coefficient family (None keeps the default one)
+# and the full set of checks that validate_hypotheses fails on it, as measured
+HYPOTHESIS_MUTANTS = {
+    "negative-weights": (WeightFamily(q=-400.0), None, {"weight_positivity", "s_summable", "s_decreasing_to_zero"}),
+    "c1-collapses": (None, CoefficientFamily(table1=(1e-300, 1e-300)), {"kappa_bracketing", "product_J1_nonzero"}),
+    "c2-collapses": (None, CoefficientFamily(table2=(1e-300, 1e-300)), {"kappa_bracketing", "product_J2_nonzero"}),
+    "constant-tail-half": (
+        None, CoefficientFamily(tail_rule="constant", tail_value=0.5), {"product_J1_nonzero", "product_J2_nonzero"}
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HYPOTHESIS_MUTANTS))
+def test_each_hypothesis_fails_on_its_mutant(families, case):
+    w, c = families
+    bad_w, bad_c, failing = HYPOTHESIS_MUTANTS[case]
+    report = validate_hypotheses(bad_w or w, bad_c or c)
+    assert {ch.name for ch in report.failed()} == failing
+
+
 def test_tail_inv_weight_is_an_upper_bound(families):
     w, _ = families
     for n in (0, 3):

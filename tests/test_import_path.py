@@ -1,12 +1,14 @@
 """The import path stays light.
 
-scipy is loaded only by solve's banded-LU oracle (scipy.linalg); the package
-itself imports no submodule, so ``qsolidtorus.dirac`` loads only what it uses
-and ``qsolidtorus.cli`` does not load ``dirac``.
+No command loads scipy, and ``pyproject.toml`` lists numpy as the only
+runtime dependency (scipy is a test dependency, in the ``dev`` extra); the
+package itself imports no submodule, so ``qsolidtorus.dirac`` loads only what
+it uses and ``qsolidtorus.cli`` does not load ``dirac``.
 """
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -79,9 +81,19 @@ def test_validate_scan_and_dumps_skip_scipy(k16_config):
     assert loaded("scipy", code, str(k16_config)) == []
 
 
-def test_solve_loads_only_scipy_linalg(k16_config):
-    mods = loaded("scipy", run_commands("solve --seed 3"), str(k16_config))
-    assert "scipy.linalg.lapack" in mods
-    assert not [m for m in mods if m.startswith("scipy.special")]
+def test_no_command_loads_scipy(k16_config):
+    code = run_commands("validate", "solve --seed 3", "scan", "dump --what solution", "dump --what transfer")
+    assert loaded("scipy", code, str(k16_config)) == []
     out = json.loads((k16_config.parent / "out" / "solutions.json").read_text())
     assert out["solutions"] and all(r["residual_oracle"] <= 1e-8 for r in out["solutions"])
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((SRC.parent / "pyproject.toml").read_text())["project"]
+
+    def names(reqs: list[str]) -> list[str]:
+        return [re.match(r"[A-Za-z0-9_.-]+", req).group() for req in reqs]
+
+    assert names(project["dependencies"]) == ["numpy"]
+    assert "scipy" in names(project["optional-dependencies"]["dev"])

@@ -1,12 +1,16 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
-from qsolidtorus import parametrix
+from qsolidtorus.config import default_config_dict, load_config
 from qsolidtorus.families import CoefficientFamily, WeightFamily
 from qsolidtorus.parametrix import (
     RhsPair,
     WeightTagMismatch,
     WeightedSeq,
+    _block_rows,
     apply_A,
     apply_Q,
     oracle_matrix,
@@ -15,7 +19,8 @@ from qsolidtorus.parametrix import (
 )
 from qsolidtorus.solutions import build_solution
 from qsolidtorus.transfer import Levels, ModeIndex
-from reference import apply_Q_direct, apply_XYZ, build_A, zero_rhs
+from reference import apply_Q_direct, apply_XYZ, banded_oracle_solve, build_A, oracle_band, zero_rhs
+from test_manifest import CONFIGS
 
 
 def solution_diff(res, orc):
@@ -367,13 +372,39 @@ def test_oracle_matrix_blocks_match_build_A(families):
             np.testing.assert_array_max_ulp(oracle_matrix(sol, K), ref, maxulp=1)
 
 
-def test_oracle_singular_band_raises(families, monkeypatch):
-    w, c = families
-    mode = ModeIndex(1, 0)
-    sol = build_solution(mode, Levels(w, c, 8))
-    monkeypatch.setattr(parametrix, "_oracle_band", lambda sol, k_max: np.zeros((6, 2 * k_max + 2)))
-    with pytest.raises(np.linalg.LinAlgError):
-        oracle_solve(sol, zero_rhs(mode, 8))
+def test_a_singular_mode_fails_alone(tmp_path, monkeypatch):
+    """A zero boundary row makes the system of (0, 0) singular: that mode alone records the error and
+    solve exits 1, while the other modes of its level, and of the next, keep their records bit for bit."""
+    import qsolidtorus.cli as cli
+
+    cfg = default_config_dict()
+    cfg["grid"] = {"m_list": [0, 1, -1, 2], "n_list": [0, 1]}
+    cfg["truncation"]["k_max"] = 16
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+
+    def solve(out: str) -> tuple[int, dict]:
+        code = cli.main(["--config", str(path), "--out", str(tmp_path / out), "solve", "--seed", "3"])
+        recs = json.loads((tmp_path / out / "solutions.json").read_text())["solutions"]
+        return code, {(rec["m"], rec["n"]): rec for rec in recs}
+
+    regular_code, want = solve("regular")
+    real = cli.build_solution
+
+    def zero_boundary_row(mode, *args, **kwargs):
+        sol = real(mode, *args, **kwargs)
+        if mode != ModeIndex(0, 0):
+            return sol
+        K = sol.K.copy()
+        K[-1] = 0.0
+        return dataclasses.replace(sol, K=K)
+
+    monkeypatch.setattr(cli, "build_solution", zero_boundary_row)
+    code, got = solve("singular")
+    assert (regular_code, code) == (0, 1)
+    assert got.pop((0, 0)) == {"m": 0, "n": 0, "error": "mode (0, 0): singular matrix"}
+    del want[(0, 0)]
+    assert len(got) == 7 and got == want
 
 
 def test_beta_stable_under_truncation_doubling(families, rng):
@@ -387,6 +418,43 @@ def test_beta_stable_under_truncation_doubling(families, rng):
         res_256 = apply_Q(sol, r, k_max=256)
         assert np.isfinite(res_128.beta)
         assert res_256.beta == pytest.approx(res_128.beta, rel=1e-6)
+
+
+# the manifest's configs at each window, and one mode at K = 65536
+ORACLE_MS = (0, 1, -1, 4, -4, 32, -32, 1024, -1024, 4096)
+ORACLE_CASES = [(config, k_max, ORACLE_MS) for config in CONFIGS for k_max in (17, 100, 128, 1024)]
+ORACLE_CASES.append(("default", 65536, (1,)))
+
+
+@pytest.mark.parametrize("config, k_max, ms", ORACLE_CASES, ids=[f"{c}-K{k}" for c, k, _ in ORACLE_CASES])
+def test_oracle_matches_lapack_reference(tmp_path, config, k_max, ms):
+    """The cyclic reduction agrees with LAPACK's banded LU (``reference.banded_oracle_solve``) to 1e-14 relative,
+    for each mode alone and inside its level's stack, which gives the same bits; its block rows are the band's
+    entries bit for bit."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(default_config_dict() | CONFIGS[config]))
+    cfg = load_config(path)
+    for n in (0, 4) if len(ms) > 1 else (0,):
+        levels = Levels(cfg.weights, cfg.coeffs, k_max)
+        sols = [build_solution(ModeIndex(m, n), levels, cfg.boundary) for m in ms]
+        rng = np.random.default_rng(k_max + n)
+        rs = [random_rhs(sol.mode, k_max, rng) for sol in sols]
+        stacked = oracle_solve(sols, RhsPair(WeightedSeq(np.array([r.r1.values for r in rs]), n + 1),
+                                             WeightedSeq(np.array([r.r2.values for r in rs]), n),
+                                             np.array([r.q0 for r in rs])))
+        assert not stacked.singular.any()
+        rows = _block_rows(sols, k_max)
+        for j, (sol, r) in enumerate(zip(sols, rs)):
+            band = oracle_band(sol, k_max)
+            assert np.array_equal(rows[:, :, j].reshape(8, k_max), np.array([
+                band[4, 0:-2:2], band[5, 0:-2:2], band[3, 1:-2:2], band[4, 1:-2:2],
+                band[2, 2::2], band[3, 2::2], np.zeros(k_max), band[2, 3::2]]))
+            want = np.concatenate(banded_oracle_solve(sol, r))
+            alone = oracle_solve(sol, r)
+            assert not alone.singular
+            got = np.concatenate((alone.h_g.values, alone.h_f.values))
+            assert np.array_equal(got, np.concatenate((stacked.h_g.values[j], stacked.h_f.values[j]))), sol.mode
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), sol.mode
 
 
 def test_banded_oracle_matches_dense_solve(families, rng):

@@ -303,6 +303,16 @@ def test_each_lemma_clause_fails_on_its_mutant(families, clause):
         assert {ch.name for ch in report.failed()} == failing, m
 
 
+def test_positive_I2_holds_at_k_zero(families):
+    """positive_I2 covers I2(0) = m/a_n(0), oriented |m|/a_n(0) > 0: negating the raw entry there fails that
+    clause alone."""
+    w, c = families
+    for m in (1, -4):
+        sol = build_solution(ModeIndex(m, 0), Levels(w, c, 32))
+        report = verify_lemma_suite(_entry("I2", 0, lambda v: -v[0])(sol))
+        assert [ch.name for ch in report.failed()] == ["positive_I2"], m
+
+
 def test_every_lemma_clause_has_a_mutant(families):
     """A clause added to the suite without a negative control fails here."""
     w, c = families
