@@ -164,8 +164,9 @@ def hs_norms(sol: KernelSolution, w: WeightFamily, c: CoefficientFamily) -> HsRe
 class ScanTable(CheckReport):
     """Per-mode HS reports plus monotone-envelope decay summaries (``checks``).
 
-    ``lemmas`` maps each (m, n) with m != 0 that built to its solution's
-    lemma report and worst Wronskian residual.  ``failures`` maps each mode
+    ``lemmas`` maps each (m, n) that built to its solution's lemma report
+    and worst Wronskian residual (None at m = 0, whose suite is the diagonal
+    pattern checks).  ``failures`` maps each mode
     whose solution could not be built (one of ``solutions.MODE_ERRORS``) to
     the error's message; it has no row.
     """
@@ -220,7 +221,7 @@ def decay_scan(
                 table[(sol.mode.m, n)], lemma_of[(sol.mode.m, n)] = report, (lemma, wr)
         for mode, sol in sols.items():
             if mode.m == 0:
-                table[(0, n)] = hs_norms(sol, w, c)
+                table[(0, n)], lemma_of[(0, n)] = hs_norms(sol, w, c), (verify_lemma_suite(sol), None)
             elif mode not in built:
                 # mirrored from its partner's solution, whose reports are its own
                 report, (lemma, wr) = table[(-mode.m, n)], lemma_of[(-mode.m, n)]

@@ -19,7 +19,7 @@ import numpy as np
 
 from .analysis import RowTable, decay_scan, scan_to_files, write_json
 from .config import ConfigError, ExperimentConfig, int_text, json_int, json_list, json_m, json_number, load_config
-from .families import validate_hypotheses
+from .families import HypothesisViolation, validate_hypotheses
 from .parametrix import (
     SINGULAR,
     RhsPair,
@@ -30,7 +30,7 @@ from .parametrix import (
     random_rhs,
 )
 from .solutions import build_solution, by_level, mirror_solution, stack, wronskian_residuals
-from .transfer import Levels, ModeIndex, limit_product, mirror_product
+from .transfer import Levels, ModeIndex, limit_product, mirror_product, structure_check
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -57,9 +57,8 @@ def _modes(cfg: ExperimentConfig, only_m: list[int] | None) -> list[tuple[int, i
     return [(m, n) for m in _m_list(cfg, only_m) for n in cfg.n_list]
 
 
-def _by_level(cfg: ExperimentConfig, k_max: int, modes: list[ModeIndex], what: str = "solution"):
+def _by_level(cfg: ExperimentConfig, levels: Levels, modes: list[ModeIndex], what: str = "solution"):
     """``solutions.by_level`` of ``modes`` on the command's level data: their solutions, or their products."""
-    levels = Levels(cfg.weights, cfg.coeffs, k_max)
     if what == "transfer":
         return by_level(modes, lambda mode: limit_product(mode, levels), mirror_product)
     return by_level(modes, lambda mode: build_solution(mode, levels, cfg.boundary),
@@ -149,7 +148,7 @@ def cmd_solve(
     modes = [ModeIndex(m, n) for (m, n) in sorted(rhs_map)]
     # each mode's record, or the text of the error that stopped it
     done = {}
-    for n, built, failed in _by_level(cfg, k_max, modes):
+    for n, built, failed in _by_level(cfg, Levels(cfg.weights, cfg.coeffs, k_max), modes):
         done.update(failed)
         if built:
             done.update(_solve_level(n, built, rhs_map, k_max))
@@ -181,6 +180,11 @@ def cmd_scan(
     first_bad = None
     for (m, n), (rep, wr) in table.lemmas.items():
         failures = [ch.name for ch in rep.failed()]
+        if m == 0:  # lemma_summary.json holds the m != 0 suites
+            if failures:
+                print(f"mode ({m}, {n}): lemma failed: {', '.join(failures)}", file=sys.stderr)
+                ok = False
+            continue
         lemma_rows.append(
             {
                 "m": m,
@@ -207,20 +211,29 @@ def cmd_scan(
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
-def _dump_block(what: str, mode: ModeIndex, built, k_max: int) -> tuple[dict, str | None]:
-    """One mode's rows of the dump, and the note it prints when an entry is not finite."""
+def _dump_block(what: str, mode: ModeIndex, built, levels: Levels) -> tuple[dict, str | None]:
+    """One mode's rows of the dump, and the note it prints when an entry is not finite or P(K) fails its checks."""
+    where = f"mode ({mode.m}, {mode.n})"
     if what == "transfer":
-        k_rows = k_max
+        k_rows = levels.k_hi
         block = {"C": built.table.C.reshape(k_rows, 4), "P": built.partials[:k_rows].reshape(k_rows, 4)}
     else:
         k_rows = len(built.I)
         block = {"I1": built.I[:, 0], "I2": built.I[:, 1], "K1": built.K[:, 0], "K2": built.K[:, 1],
                  "wronskian_residual": wronskian_residuals(built)}
-    note = None
-    if not all(np.isfinite(col).all() for col in block.values()):
-        note = f"mode ({mode.m}, {mode.n}): non-finite entries in the {what} table"
     k = np.arange(k_rows)
-    return {**block, "m": np.full_like(k, mode.m), "n": np.full_like(k, mode.n), "k": k}, note
+    rows = {**block, "m": np.full_like(k, mode.m), "n": np.full_like(k, mode.n), "k": k}
+    if not all(np.isfinite(col).all() for col in block.values()):
+        return rows, f"{where}: non-finite entries in the {what} table"
+    if what == "transfer":
+        try:
+            failed = structure_check(built, levels).failed()
+        except HypothesisViolation as exc:
+            return rows, f"{where}: structure check failed: {exc}"
+        if failed:
+            return rows, f"{where}: structure check failed: " + "; ".join(
+                f"{ch.name} ({ch.witness})" for ch in failed)
+    return rows, None
 
 
 def cmd_dump(cfg: ExperimentConfig, out_dir: Path, what: str, only_m: list[int] | None, k_max: int) -> int:
@@ -229,10 +242,10 @@ def cmd_dump(cfg: ExperimentConfig, out_dir: Path, what: str, only_m: list[int] 
     if any(abs(mode.m) > m_max for mode in modes):
         raise ConfigError(f"dump needs |m| <= {m_max}, the range of its int64 m column")
     # each mode's rows (None where it failed) and the note it prints, made as its level goes
-    done = {}
-    for _, built, failed in _by_level(cfg, k_max, modes, what):
+    done, levels = {}, Levels(cfg.weights, cfg.coeffs, k_max)
+    for _, built, failed in _by_level(cfg, levels, modes, what):
         done.update((mode, (None, f"mode ({mode.m}, {mode.n}) failed: {msg}")) for mode, msg in failed.items())
-        done.update((mode, _dump_block(what, mode, res, k_max)) for mode, res in built.items())
+        done.update((mode, _dump_block(what, mode, res, levels)) for mode, res in built.items())
     notes = [note for _, note in map(done.get, modes) if note is not None]
     for note in notes:
         print(note, file=sys.stderr)

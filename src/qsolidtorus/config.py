@@ -225,8 +225,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError("radial levels must be >= 0")
     if k_max < 2:
         raise ConfigError("k_max must be at least 2")
-    if not set(formats) <= set(OUTPUT_FORMATS):
-        raise ConfigError(f"output.formats must be a list of names from {list(OUTPUT_FORMATS)}")
+    if not formats or len(set(formats)) < len(formats) or not set(formats) <= set(OUTPUT_FORMATS):
+        raise ConfigError(f"output.formats must list one or more names from {list(OUTPUT_FORMATS)}, each once")
     return ExperimentConfig(
         weights=weights,
         coeffs=coeffs,

@@ -200,27 +200,18 @@ def oracle_matrix(
     Unknowns are ordered [x(0), y(0), x(1), y(1), ...]; rows are the 2*k_max
     block equations A(k+1) h(k+1) - A(k+1) C(k) h(k), the initial regularity
     row, and (unless dropped) the boundary row, which pairs h(k_max) against
-    the K table there.  O(k_max^2) memory: it is the dense reference of the
-    tests; the oracle solve itself works on the block rows.
+    the K table there: the rows ``oracle_solve`` reduces, scattered entry by
+    entry.  O(k_max^2) memory: it is the dense reference of the tests.
     """
-    m = sol.mode.m
-    t = sol.table
     k_max = sol.k_table if k_max is None else k_max
     size = 2 * (k_max + 1)
-    n_rows = 2 * k_max + 1 + (0 if drop_boundary else 1)
-    A = np.zeros((k_max, 2, 2))
-    A[:, 0, 0] = t.an1[:k_max] * t.c1[:k_max]
-    A[:, 1, 0] = m
-    A[:, 1, 1] = t.an[1 : k_max + 1]
-    AC = -A @ t.C[:k_max]
-    mat = np.zeros((n_rows, size))
-    for k in range(k_max):
-        mat[2 * k : 2 * k + 2, 2 * (k + 1) : 2 * (k + 1) + 2] = A[k]
-        mat[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = AC[k]
-    mat[2 * k_max, 0] = float(m)
-    mat[2 * k_max, 1] = t.an[0]
-    if not drop_boundary:
-        mat[2 * k_max + 1, 2 * k_max :] = (sol.K[k_max, 1], -sol.K[k_max, 0])
+    rows = _block_rows([sol], k_max)[:, :, 0]
+    mat = np.zeros((2 * k_max + 1 + (0 if drop_boundary else 1), size))
+    k = np.arange(k_max)
+    for c, i in np.ndindex(4, 2):
+        mat[2 * k + i, 2 * k + c] = rows[c, i]
+    for row, end in zip(range(2 * k_max, len(mat)), _end_rows([sol], k_max)):
+        mat[row, [0, 1, size - 2, size - 1]] = end[:, 0]
     return mat
 
 
@@ -258,6 +249,17 @@ def _block_rows(sols: list[KernelSolution], k_max: int) -> np.ndarray:
     rows[2, 1] = m
     rows[3, 1] = a11
     return rows
+
+
+def _end_rows(sols: list[KernelSolution], k_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """The datum row (m, a_n(0)) . h(0) and the boundary row (K2(K), -K1(K)) . h(K), K = k_max, of each mode.
+
+    Each is (4, modes), its entries the coefficients of (x(0), y(0), x(K), y(K)).
+    """
+    m = np.array([float(s.mode.m) for s in sols])
+    k1, k2 = np.array([s.K[k_max] for s in sols]).T
+    zero = np.zeros_like(m)
+    return np.stack((m, np.full_like(m, sols[0].table.an[0]), zero, zero)), np.stack((zero, zero, k2, -k1))
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -373,12 +375,12 @@ def oracle_solve(sols: KernelSolution | list[KernelSolution], r: RhsPair) -> Ora
     ``sols`` is one solution, or one level's solutions with ``r`` stacked
     along a leading mode axis; each mode's block rows come from its own
     table.  The window is the table's, K = ``k_table``; entries of r beyond it
-    are ignored and a shorter r is zero-padded, as in ``apply_Q``.  The rows
-    are those of ``oracle_matrix``, each block entry written out as its sum of
-    products (``_block_rows``): the block rows, the datum row
-    (m, a_n(0)) . h(0) = q0 and the boundary row (K2(K), -K1(K)) . h(K) = 0,
-    which pairs against the K table at the truncation edge (the rule values
-    when the seed sits there).  The reduction is factored once; the solve is
+    are ignored and a shorter r is zero-padded, as in ``apply_Q``.  The rows,
+    which ``oracle_matrix`` scatters into a dense matrix, are the block rows,
+    each entry written out as its sum of products (``_block_rows``), and
+    (``_end_rows``) the datum row (m, a_n(0)) . h(0) = q0 and the boundary
+    row (K2(K), -K1(K)) . h(K) = 0, which pairs against the K table at the
+    truncation edge (the rule values when the seed sits there).  The reduction is factored once; the solve is
     followed by one step of iterative refinement against the residual of the
     raw system (``apply_A`` on the table, plus the boundary row).  This is
     the structured QR of S. J. Wright, SIAM J. Sci. Stat. Comput. 13 (1992).
@@ -386,21 +388,19 @@ def oracle_solve(sols: KernelSolution | list[KernelSolution], r: RhsPair) -> Ora
     one = isinstance(sols, KernelSolution)
     sols = [sols] if one else sols
     n, k_max, t = sols[0].mode.n, sols[0].k_table, sols[0].table
-    m = np.array([float(s.mode.m) for s in sols])
-    k1, k2 = np.array([s.K[k_max] for s in sols]).T
-    zero = np.zeros_like(m)
-    red = _Reduction.factor(_block_rows(sols, k_max), np.stack((m, np.full_like(m, t.an[0]), zero, zero)),
-                            np.stack((zero, zero, k2, -k1)))
+    datum, boundary = _end_rows(sols, k_max)
+    red = _Reduction.factor(_block_rows(sols, k_max), datum, boundary)
     r1, r2 = np.atleast_2d(r.r1.values), np.atleast_2d(r.r2.values)
     n_fill = min(k_max, r1.shape[-1])
     data = np.zeros((2, len(sols), k_max))
     data[0, :, :n_fill] = r1[:, :n_fill]
     data[1, :, :n_fill] = r2[:, :n_fill]
+    m = datum[0]
     q0 = np.full_like(m, r.q0)
-    h = red.solve(data, q0, zero)
+    h = red.solve(data, q0, np.zeros_like(m))
     back = apply_A(replace(t, mode=ModeIndex(m, n), C=None), WeightedSeq(h[0], n), WeightedSeq(h[1], n + 1))
     resid = data - np.stack((back.r1.values, back.r2.values))
-    h = h + red.solve(resid, q0 - back.q0, -(k2 * h[0, :, -1] - k1 * h[1, :, -1]))
+    h = h + red.solve(resid, q0 - back.q0, -(boundary[2] * h[0, :, -1] + boundary[3] * h[1, :, -1]))
     if one:
         h, singular = h[:, 0], red.singular[0]
     else:

@@ -46,9 +46,7 @@ from .transfer import (
     ModeTable,
     SingularMatrixError,
     flips_exactly,
-    invert,
     mirror_table,
-    partial_products,
     scalar_det_prefix,
     sweep,
     tail_sum_C_minus_I,
@@ -375,21 +373,6 @@ def wronskian_residuals(sol: KernelSolution) -> np.ndarray:
     """Relative error of <K(k), I(k)^perp> against tau * prod_{i<k} c2/c1, for each mode of a stack."""
     expected = column(sol.tau) * sol.table.prefix
     return np.abs(pairing(sol.I, sol.K) - expected) / np.abs(expected)
-
-
-def perp_transport_residual(sol: KernelSolution) -> float:
-    """Check K(k)^perp = prod(c2/c1) (P(k)^-1)^T K(0)^perp, worst relative error."""
-    k_hi = min(sol.k_table, 48)
-    parts = partial_products(sol.table.C[:k_hi])
-    pref = sol.table.prefix
-    k0_perp = np.array([sol.K[0, 1], -sol.K[0, 0]])
-    worst = 0.0
-    for k in range(k_hi + 1):
-        direct = np.array([sol.K[k, 1], -sol.K[k, 0]])
-        via = pref[k] * (invert(parts[k]).T @ k0_perp)
-        scale = max(np.max(np.abs(direct)), np.max(np.abs(via)))
-        worst = max(worst, float(np.max(np.abs(direct - via))) / scale)
-    return worst
 
 
 def _margins(lhs: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

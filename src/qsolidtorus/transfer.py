@@ -18,6 +18,7 @@ where a negated table is what a direct evaluation would give.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -39,7 +40,7 @@ STRUCTURE_SLACK = 1e-12
 
 
 class SingularMatrixError(ValueError):
-    """A 2x2 inverse was requested below the determinant floor."""
+    """A transfer product's determinant, the scalar product of c_2/c_1, fell below the floor."""
 
 
 @dataclass(frozen=True)
@@ -166,18 +167,6 @@ def mirror_table(table: ModeTable) -> ModeTable | None:
     return replace(table, mode=ModeIndex(-table.mode.m, table.mode.n), C=C)
 
 
-def det2(mat: np.ndarray) -> float:
-    return float(mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0])
-
-
-def invert(mat: np.ndarray) -> np.ndarray:
-    """Adjugate-over-determinant inverse with an underflow guard."""
-    d = det2(mat)
-    if abs(d) < DET_FLOOR:
-        raise SingularMatrixError(f"determinant {d:.3g} below floor {DET_FLOOR:.3g}")
-    return np.array([[mat[1, 1], -mat[0, 1]], [-mat[1, 0], mat[0, 0]]]) / d
-
-
 def sweep(steps: np.ndarray, x: float, y: float) -> np.ndarray:
     """The states h(0..len(steps)) of h(k+1) = steps[k] h(k) from h(0) = (x, y), as a (len + 1, 2) array.
 
@@ -232,13 +221,11 @@ def limit_product(mode: ModeIndex, levels: Levels) -> TransferProduct:
     Raises SingularMatrixError when det P(K) falls below the floor.
     """
     table = levels.table(mode)
-    parts = partial_products(table.C)
-    # an overflowed product's determinant is NaN, which passes here; the dump's finite check reports it
-    with np.errstate(over="ignore", invalid="ignore"):
-        det = det2(parts[-1])
-    if abs(det) < DET_FLOOR:
+    # det P(K) is the scalar product prod c2/c1, so it is read there and not
+    # from p00 p11 - p01 p10, which cancels to 0 where the entries are large
+    if abs(table.prefix[-1]) < DET_FLOOR:
         raise SingularMatrixError("limit product determinant underflowed")
-    return TransferProduct(table=table, partials=parts)
+    return TransferProduct(table=table, partials=partial_products(table.C))
 
 
 def mirror_product(tp: TransferProduct) -> TransferProduct | None:
@@ -256,76 +243,56 @@ def mirror_product(tp: TransferProduct) -> TransferProduct | None:
     return TransferProduct(table=table, partials=parts)
 
 
-def structure_check(tp: TransferProduct, w: WeightFamily, c: CoefficientFamily) -> CheckReport:
-    """Verify the sign/ordering structure of the (truncated) limit product.
+def structure_check(tp: TransferProduct, levels: Levels) -> CheckReport:
+    """Verify the sign/ordering structure of the (truncated) limit product P(K).
 
-    For m != 0 the diagonal entries dominate the bare coefficient products,
-    the off-diagonal entries carry sign -sgn(m), and the determinant equals
-    the scalar product of c_2/c_1 (J_2/J_1 in the limit, up to the certified
-    tail sum_{k >= K} ||C(k) - I||_1 at the table end K); ``c`` also supplies
-    the limits J_i.
+    For m != 0 the diagonal entries dominate the bare coefficient products and
+    the off-diagonal entries carry sign -sgn(m); for m = 0 they are zero.  det
+    P(K) = p00 p11 - p01 p10 tracks the scalar product of c_2/c_1 up to the
+    rounding of that cancellation, computed on P(K) / 2^e, exact, so no finite
+    P(K) overflows.  The scalar product matches J_2/J_1 up to the certified
+    tail sum_{k >= K} ||C(k) - I||_1; the level's J_i and tail terms are read
+    once per level through ``levels``.  Together the two determinant clauses
+    bound det P(K) - J_2/J_1.
     """
     mode, K, c1, c2 = tp.table.mode, tp.table.k_hi, tp.table.c1, tp.table.c2
     m, n = mode.m, mode.n
-    lim = tp.limit
-    prod_inv_c1 = float(np.prod(1.0 / c1))
-    prod_c2 = float(np.prod(c2))
+    # first, so a family without a tail certificate raises before prod 1/c1 can overflow
+    tail = tail_sum_C_minus_I(mode, levels, K)
+    j1, j2 = levels.once(("J", n), lambda: (eval_J(levels.c, 1, n), eval_J(levels.c, 2, n)))
+    # Python floats, so an inf entry fails its clauses without a numpy warning
+    p00, p01, p10, p11 = tp.limit.ravel().tolist()
     checks = []
 
     if m == 0:
-        off_ok = lim[0, 1] == 0.0 and lim[1, 0] == 0.0
-        checks.append(CheckResult("offdiag_zero", off_ok, f"off-diagonals {lim[0,1]}, {lim[1,0]}"))
+        checks.append(CheckResult("offdiag_zero", p01 == 0.0 and p10 == 0.0, f"off-diagonals {p01}, {p10}"))
     else:
+        f0, f3 = p00 - float(np.prod(1.0 / c1)), p11 - float(np.prod(c2))
         sgn = -1.0 if m > 0 else 1.0
-        f0 = lim[0, 0] - prod_inv_c1
-        f3 = lim[1, 1] - prod_c2
-        checks.append(
-            CheckResult(
-                "diag_entry_1_dominates",
-                f0 >= -STRUCTURE_SLACK * abs(lim[0, 0]),
-                f"entry(1,1) - prod 1/c1 = {f0:.6g}",
-            )
-        )
-        checks.append(
-            CheckResult(
-                "diag_entry_2_dominates",
-                f3 >= -STRUCTURE_SLACK * abs(lim[1, 1]),
-                f"entry(2,2) - prod c2 = {f3:.6g}",
-            )
-        )
-        sign_ok = (sgn * lim[0, 1] > 0) and (sgn * lim[1, 0] > 0)
-        checks.append(
-            CheckResult(
-                "offdiag_sign_opposite_m",
-                sign_ok,
-                f"off-diagonals {lim[0,1]:.6g}, {lim[1,0]:.6g} for m={m}",
-            )
-        )
+        checks += [
+            CheckResult("diag_entry_1_dominates", f0 >= -STRUCTURE_SLACK * abs(p00),
+                        f"entry(1,1) - prod 1/c1 = {f0:.6g}"),
+            CheckResult("diag_entry_2_dominates", f3 >= -STRUCTURE_SLACK * abs(p11),
+                        f"entry(2,2) - prod c2 = {f3:.6g}"),
+            CheckResult("offdiag_sign_opposite_m", sgn * p01 > 0 and sgn * p10 > 0,
+                        f"off-diagonals {p01:.6g}, {p10:.6g} for m={m}"),
+        ]
 
-    det_part = det2(lim)
     det_scalar = float(tp.table.prefix[K])
+    # P(K) / 2^e, exact, has its entries below 1, so no product of two overflows
+    e = max(math.frexp(max(abs(p00), abs(p01), abs(p10), abs(p11)))[1], 0)
+    s00, s01, s10, s11 = (math.ldexp(p, -e) for p in (p00, p01, p10, p11))
+    err = abs(s00 * s11 - s01 * s10 - math.ldexp(det_scalar, -2 * e))
     # det P = p00 p11 - p01 p10 loses the digits its two products share
-    cancel = abs(lim[0, 0] * lim[1, 1]) + abs(lim[0, 1] * lim[1, 0])
-    det_ok = abs(det_part - det_scalar) <= (K * 1e-14 + STRUCTURE_SLACK) * cancel
-    checks.append(
-        CheckResult(
-            "det_tracks_scalar_product",
-            det_ok,
-            f"det P(K)={det_part:.12g} vs prod c2/c1={det_scalar:.12g}",
-        )
-    )
+    allowance = (K * 1e-14 + STRUCTURE_SLACK) * (abs(s00 * s11) + abs(s01 * s10))
+    checks.append(CheckResult(
+        "det_tracks_scalar_product", err <= allowance,
+        f"|det P(K) - prod c2/c1| = {err:.3g} vs {allowance:.3g}, both over 4^{e}; prod c2/c1={det_scalar:.12g}",
+    ))
 
-    tail = tail_sum_C_minus_I(mode, Levels(w, c, K), K)
-    j1 = eval_J(c, 1, n)
-    j2 = eval_J(c, 2, n)
     det_lim = j2.value / j1.value
-    scale = max(abs(det_part), abs(det_scalar))
-    lim_ok = abs(det_part - det_lim) <= scale * (tail * 4.0 + j1.tail + j2.tail + STRUCTURE_SLACK)
-    checks.append(
-        CheckResult(
-            "det_limit_matches_J_ratio",
-            lim_ok,
-            f"det={det_part:.12g} vs J2/J1={det_lim:.12g} (tail {tail:.2g})",
-        )
-    )
+    lim_ok = abs(det_scalar - det_lim) <= abs(det_scalar) * (tail * 4.0 + j1.tail + j2.tail + STRUCTURE_SLACK)
+    checks.append(CheckResult(
+        "det_limit_matches_J_ratio", lim_ok, f"prod c2/c1={det_scalar:.12g} vs J2/J1={det_lim:.12g} (tail {tail:.2g})",
+    ))
     return CheckReport(tuple(checks), mode)

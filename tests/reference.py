@@ -3,6 +3,11 @@
 Imported by the test modules as ``reference`` (pytest puts ``tests/`` on the
 import path); nothing under ``src/`` imports it.
 
+The first section holds fixtures and checks no command runs: among them the
+2x2 ``det2`` and ``invert`` and ``perp_transport_residual``, which checks the
+transport of K(0)^perp by inverting forward products of the recessive
+solution, so it holds to 1e-10 only at small |m|.
+
 The second half holds the one-mode versions of the stages the package now
 runs once per level on a stack of modes: ``mode_table`` and ``epsilon``
 evaluate the families themselves, and ``apply_A``, ``apply_Q``, the three
@@ -41,12 +46,52 @@ from qsolidtorus.families import (
 )
 from qsolidtorus.parametrix import ParametrixResult, RhsPair, WeightedSeq, WeightTagMismatch, _phi
 from qsolidtorus.solutions import EPS_HEAD, KernelSolution, cumulative_product_sum, suffix_sum
-from qsolidtorus.transfer import ModeIndex, ModeTable, build_C_range, invert, partial_products, scalar_det_prefix
+from qsolidtorus.transfer import (
+    DET_FLOOR,
+    ModeIndex,
+    ModeTable,
+    SingularMatrixError,
+    build_C_range,
+    partial_products,
+    scalar_det_prefix,
+)
 
 
 def mat_abs_norm(mat: np.ndarray) -> float:
     """Entrywise absolute-sum norm, the norm the convergence certificate uses."""
     return float(np.sum(np.abs(mat)))
+
+
+def det2(mat: np.ndarray) -> float:
+    return float(mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0])
+
+
+def invert(mat: np.ndarray) -> np.ndarray:
+    """Adjugate-over-determinant inverse with an underflow guard."""
+    d = det2(mat)
+    if abs(d) < DET_FLOOR:
+        raise SingularMatrixError(f"determinant {d:.3g} below floor {DET_FLOOR:.3g}")
+    return np.array([[mat[1, 1], -mat[0, 1]], [-mat[1, 0], mat[0, 0]]]) / d
+
+
+def perp_transport_residual(sol: KernelSolution) -> float:
+    """Check K(k)^perp = prod(c2/c1) (P(k)^-1)^T K(0)^perp, worst relative error, for k <= 48.
+
+    It inverts forward products of the recessive solution, so its error grows
+    with |m|: on the default grid at K = 48 it reaches 3.8e-4 at (+-32, 0),
+    against a Wronskian residual of 4.5e-16 there.  It is a small-m check.
+    """
+    k_hi = min(sol.k_table, 48)
+    parts = partial_products(sol.table.C[:k_hi])
+    pref = sol.table.prefix
+    k0_perp = np.array([sol.K[0, 1], -sol.K[0, 0]])
+    worst = 0.0
+    for k in range(k_hi + 1):
+        direct = np.array([sol.K[k, 1], -sol.K[k, 0]])
+        via = pref[k] * (invert(parts[k]).T @ k0_perp)
+        scale = max(np.max(np.abs(direct)), np.max(np.abs(via)))
+        worst = max(worst, float(np.max(np.abs(direct - via))) / scale)
+    return worst
 
 
 def zero_rhs(mode: ModeIndex, k_max: int) -> RhsPair:

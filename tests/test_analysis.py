@@ -240,3 +240,20 @@ def test_nan_proxy_fails_envelope_checks(families, monkeypatch):
     assert checks["proxy_decays_in_m"] is False
     assert checks["proxy_decays_in_n"] is False
     assert not table.all_passed
+
+
+def test_eps_above_s_fails_eps_below_s(families, monkeypatch):
+    """A negative control for eps_below_s: one report's eps above s(n) fails that decay check alone."""
+    import dataclasses
+
+    import qsolidtorus.analysis as analysis
+
+    w, c = families
+
+    def eps_above_s(rep):
+        return dataclasses.replace(rep, eps=2.0 * eval_s(w, rep.mode.n).upper) if rep.mode.m == 2 else rep
+
+    monkeypatch.setattr(analysis, "hs_norms", _each_report(analysis.hs_norms, eps_above_s))
+    table = decay_scan((1, 2), (0, 1), Levels(w, c, 32))
+    assert [ch.name for ch in table.failed()] == ["eps_below_s"]
+    assert not table.all_passed

@@ -68,7 +68,8 @@ def test_config_validation_rules(tmp_path):
     path.write_text(json.dumps(cfg))
     with pytest.raises(ConfigError, match="positive"):
         load_config(path)
-    for formats in ("csv", ["csv", "xml"], {"csv": True}):
+    # an empty list would write no HS table, and a repeated name is a typo
+    for formats in ("csv", ["csv", "xml"], {"csv": True}, [], ["csv", "csv"]):
         cfg = default_config_dict()
         cfg["output"]["formats"] = formats
         path.write_text(json.dumps(cfg))
@@ -675,6 +676,93 @@ def test_dump_transfer_non_finite_exit_one(overflow_config, capsys):
     assert "RuntimeWarning" not in err
     rows = read_out(path, "dump_transfer.json")["rows"]
     assert len(rows) == 2 * cfg["truncation"]["k_max"]
+
+
+def test_dump_transfer_large_m_exit_zero(tmp_path, capsys):
+    """At (+-128, 0) and (+-256, 0), K = 128, p00 p11 - p01 p10 cancels to exactly 0 while det P(K) = prod c2/c1
+    is 1: the products build and pass their structure checks."""
+    cfg = default_config_dict()
+    cfg["output"]["dir"] = str(tmp_path / "out")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["--config", str(path), "--modes", "128,-128,256", "dump", "--what", "transfer"]) == 0
+    assert capsys.readouterr().err == ""
+    rows = json.loads((tmp_path / "out" / "dump_transfer.json").read_text())["rows"]
+    assert len(rows) == 3 * len(cfg["grid"]["n_list"]) * cfg["truncation"]["k_max"]
+
+
+def test_dump_transfer_structure_failure_exit_one(small_config, capsys, monkeypatch):
+    """A product whose P(K) fails structure_check gets one note and exit 1; P(K) is not a row, so the file is the
+    passing run's."""
+    import dataclasses
+
+    import qsolidtorus.cli as cli
+
+    path, _ = small_config
+    argv = ["--config", str(path), "dump", "--what", "transfer"]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    want = (path.parent / "out" / "dump_transfer.json").read_text()
+    real = cli.limit_product
+
+    def negated_p01(mode, levels):
+        tp = real(mode, levels)
+        if mode != cli.ModeIndex(3, 1):
+            return tp
+        parts = tp.partials.copy()
+        parts[-1, 0, 1] *= -1.0
+        return dataclasses.replace(tp, partials=parts)
+
+    monkeypatch.setattr(cli, "limit_product", negated_p01)
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("mode (3, 1): structure check failed: offdiag_sign_opposite_m ("), err
+    assert "det_tracks_scalar_product (" in err[0]
+    got = (path.parent / "out" / "dump_transfer.json").read_text()
+    assert first_difference(*(
+        "".join(line for line in text.splitlines(keepends=True) if "generated_at" not in line) for text in (got, want)
+    )) is None
+
+
+def test_dump_transfer_without_tail_certificate_exit_one(tmp_path, capsys):
+    """A constant coefficient tail below 1 builds its products, but no tail certificate checks P(K): each mode
+    gets a note and the dump exits 1, with no traceback."""
+    cfg = default_config_dict()
+    cfg["grid"] = {"m_list": [1, -1], "n_list": [0]}
+    cfg["coeffs"] = TAB_C | {"tail": {"rule": "constant", "value": 0.5}}
+    cfg["truncation"]["k_max"] = 16
+    cfg["output"]["dir"] = str(tmp_path / "out")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["--config", str(path), "dump", "--what", "transfer"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(":")[0] for line in err] == ["mode (1, 0)", "mode (-1, 0)"]
+    assert all("structure check failed: constant coefficient tail" in line for line in err)
+
+
+def test_scan_m_zero_lemma_failure_exit_one(small_config, capsys, monkeypatch):
+    """The m = 0 suite runs in scan: a failing clause is named on stderr and the scan exits 1, while
+    lemma_summary.json keeps its m != 0 rows only."""
+    import qsolidtorus.analysis as analysis
+    from test_solutions import LEMMA_MUTANTS
+
+    path, _ = small_config
+    argv = ["--config", str(path), "scan"]
+    assert main(argv) == 0
+    want = read_out(path, "lemma_summary.json")["modes"]
+    real = analysis.build_solution
+    mutate = LEMMA_MUTANTS["diag_pattern_I"][0]
+
+    def mutated(mode, *args):
+        sol = real(mode, *args)
+        return mutate(sol) if mode.m == 0 and mode.n == 1 else sol
+
+    monkeypatch.setattr(analysis, "build_solution", mutated)
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == ["mode (0, 1): lemma failed: diag_pattern_I"]
+    assert read_out(path, "lemma_summary.json")["modes"] == want
+    assert all(rec["m"] != 0 for rec in want)
 
 
 def test_scan_huge_m_no_runtime_warning(capsys, tmp_path):

@@ -17,6 +17,7 @@ import qsolidtorus.cli as cli
 from qsolidtorus.analysis import hs_norms
 from qsolidtorus.cli import main
 from qsolidtorus.config import default_config_dict, load_config
+from qsolidtorus.families import CoefficientFamily
 from qsolidtorus.solutions import (
     build_solution,
     by_level,
@@ -72,9 +73,11 @@ def test_mirrored_tables_equal_direct_builds_bit_for_bit(families, k_max, m, n):
 
 
 def test_singular_limit_raises_on_the_mirrored_path(families):
-    """At K = 16, (+-1024, 0) falls below the determinant floor; each side reports its own failure."""
-    w, c = families
-    modes = [ModeIndex(1024, 0), ModeIndex(-1024, 0)]
+    """With c_2 = 1e-160 at k = 0, 1, det P(K) = prod c2/c1 falls below the floor at every m; each side of
+    (+-4, 0) reports its own failure."""
+    w, _ = families
+    c = CoefficientFamily(table2=(1e-160, 1e-160), tail_rule="constant")
+    modes = [ModeIndex(4, 0), ModeIndex(-4, 0)]
     calls = []
 
     def build(mode):

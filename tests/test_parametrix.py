@@ -355,21 +355,26 @@ def test_oracle_reports_sigma_min(families):
 
 
 def test_oracle_matrix_blocks_match_build_A(families):
-    """The vectorised dense assembly equals the per-step build_A blocks to 1 ulp."""
+    """The dense matrix is LAPACK's band (``reference.oracle_band``) bit for bit, its datum row moved last, and
+    each R_k = A(k+1) block equals the per-step build_A block."""
     w, c = families
     K = 16
+    size = 2 * K + 2
     for m in (0, 3, -3):
         for n in (0, 2):
             mode = ModeIndex(m, n)
             sol = build_solution(mode, Levels(w, c, K))
-            ref = np.zeros((2 * K + 2, 2 * K + 2))
+            band = oracle_band(sol, K)
+            ref = np.zeros((size, size))
+            for j in range(size):
+                for r in range(6):
+                    if 0 <= j + r - 3 < size:
+                        ref[j + r - 3, j] = band[r, j]
+            mat = oracle_matrix(sol, K)
+            assert mat.tobytes() == ref[[*range(1, 2 * K + 1), 0, 2 * K + 1]].tobytes(), mode
+            assert np.array_equal(oracle_matrix(sol, K, drop_boundary=True), mat[:-1])
             for k in range(K):
-                A = build_A(mode, k, w, c)
-                ref[2 * k : 2 * k + 2, 2 * k + 2 : 2 * k + 4] = A
-                ref[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = -A @ sol.table.C[k]
-            ref[2 * K, :2] = (m, w.a(n, 0))
-            ref[2 * K + 1, 2 * K :] = (sol.K[K, 1], -sol.K[K, 0])
-            np.testing.assert_array_max_ulp(oracle_matrix(sol, K), ref, maxulp=1)
+                assert np.array_equal(mat[2 * k : 2 * k + 2, 2 * k + 2 : 2 * k + 4], build_A(mode, k, w, c)), (mode, k)
 
 
 def test_a_singular_mode_fails_alone(tmp_path, monkeypatch):

@@ -27,10 +27,6 @@ K_MAX = 16
 
 ALLOWED = {
     "parametrix.oracle_matrix": "the benchmark tracer wraps it by name, so it stays until the tracer drops it",
-    "transfer.structure_check": "paper check (sign structure of P(K), det P -> J2/J1), to become scan output",
-    "transfer.TransferProduct.limit": "read only by structure_check",
-    "solutions.perp_transport_residual": "paper check (transport of K(0)^perp), to join the lemma suite",
-    "transfer.invert": "called only by perp_transport_residual",
     "families.default_families": "the library entry point; commands build their families from the config",
 }
 

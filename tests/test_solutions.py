@@ -17,12 +17,17 @@ from qsolidtorus.solutions import (
     cumulative_product_sum,
     epsilon,
     pairing,
-    perp_transport_residual,
     verify_lemma_suite,
     wronskian_residuals,
 )
 from qsolidtorus.transfer import Levels, ModeIndex, partial_products, scalar_det_prefix
-from reference import compute_I_loop, compute_K_loop, cumulative_product_sum_loop, partial_products_loop
+from reference import (
+    compute_I_loop,
+    compute_K_loop,
+    cumulative_product_sum_loop,
+    partial_products_loop,
+    perp_transport_residual,
+)
 
 
 def test_default_boundary_rule_values():

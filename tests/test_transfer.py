@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from functools import reduce
 
@@ -18,14 +19,12 @@ from qsolidtorus.transfer import (
     Levels,
     ModeIndex,
     SingularMatrixError,
-    det2,
-    invert,
     limit_product,
     partial_products,
     structure_check,
     tail_sum_C_minus_I,
 )
-from reference import build_A
+from reference import build_A, det2, invert
 
 
 def test_build_A_worked_example(families):
@@ -164,29 +163,33 @@ def test_tail_bound_certificate_dominates_direct_sum(families):
 
 def test_structure_check_positive_m(families):
     w, c = families
-    tp = limit_product(ModeIndex(5, 0), Levels(w, c, 8192))
-    report = structure_check(tp, w, c)
+    levels = Levels(w, c, 8192)
+    tp = limit_product(ModeIndex(5, 0), levels)
+    report = structure_check(tp, levels)
     assert report.all_passed, [ch for ch in report.checks if not ch.passed]
     assert tp.limit[0, 1] < 0 and tp.limit[1, 0] < 0
 
 
 def test_structure_check_negative_m_flips_offdiagonal(families):
     w, c = families
-    tp = limit_product(ModeIndex(-5, 0), Levels(w, c, 8192))
-    report = structure_check(tp, w, c)
+    levels = Levels(w, c, 8192)
+    tp = limit_product(ModeIndex(-5, 0), levels)
+    report = structure_check(tp, levels)
     assert report.all_passed
     assert tp.limit[0, 1] > 0 and tp.limit[1, 0] > 0
 
 
 def test_structure_check_m_zero(families):
     w, c = families
-    tp = limit_product(ModeIndex(0, 0), Levels(w, c, 64))
-    report = structure_check(tp, w, c)
+    levels = Levels(w, c, 64)
+    report = structure_check(limit_product(ModeIndex(0, 0), levels), levels)
     assert report.all_passed
+    assert [ch.name for ch in report.checks] == ["offdiag_zero", "det_tracks_scalar_product",
+                                                 "det_limit_matches_J_ratio"]
 
 
 def test_structure_check_default_grid(families):
-    """Every default-grid mode at K = 128 passes, the determinant check included.
+    """Every default-grid mode at K = 128 passes, the determinant checks included.
 
     At (32, 0) det P(K) = p00 p11 - p01 p10 reads 0.99902 against the scalar
     product 1: the entries reach 5.7e6, so the two products cancel to 1 in
@@ -195,12 +198,106 @@ def test_structure_check_default_grid(families):
     """
     w, c = families
     failed = {}
+    levels = Levels(w, c, 128)
     for m in DEFAULT_GRID_M:
         for n in DEFAULT_GRID_N:
-            report = structure_check(limit_product(ModeIndex(m, n), Levels(w, c, 128)), w, c)
+            report = structure_check(limit_product(ModeIndex(m, n), levels), levels)
             if not report.all_passed:
                 failed[(m, n)] = [ch.witness for ch in report.failed()]
     assert not failed, failed
+
+
+def test_large_products_pass_without_cancelling_to_zero(families):
+    """Where p00 p11 and p01 p10 cancel, det P(K) is read from prod c2/c1 and checked on P(K) / 2^e.
+
+    On the default families det2(P(K)) reads 98304 at (+-64, 0), K = 1024
+    (the products cancel in 1.3e20), 0 at (+-1024, 0), K = 16, and at
+    (128, 0), K = 128, and NaN at (16384, 0), K = 128, whose max|P| is
+    1.03e197; prod c2/c1 is 1 at each.  All are finite products that pass
+    limit_product and structure_check.
+    """
+    w, c = families
+    for k_max, ms in ((1024, (64, -64)), (16, (1024, -1024)), (128, (128, -128, 16384, -16384))):
+        levels = Levels(w, c, k_max)
+        for m in ms:
+            tp = limit_product(ModeIndex(m, 0), levels)
+            assert np.isfinite(tp.limit).all() and tp.table.prefix[-1] == 1.0
+            report = structure_check(tp, levels)
+            assert report.all_passed, (m, k_max, [ch.witness for ch in report.failed()])
+    assert det2(limit_product(ModeIndex(64, 0), Levels(w, c, 1024)).limit) == 98304.0
+
+
+def _entry(i: int, j: int, value):
+    """A mutant: the product with entry (i, j) of P(K) set to value(P(K), table)."""
+
+    def mutate(tp, levels):
+        parts = tp.partials.copy()
+        parts[-1, i, j] = value(parts[-1], tp.table)
+        return dataclasses.replace(tp, partials=parts), levels
+
+    return mutate
+
+
+# each mutant of (P(K), levels) and the full set of structure_check names it
+# fails at m = 1, m = -4 and m = 0 (n = 0, K = 128).  An off-diagonal of the
+# m = 0 product is 0, so negating it gives -0.0, which is still 0; 1e-300 is
+# lost beside a nonzero p01 and makes the m = 0 one nonzero.
+DET, SIGN = "det_tracks_scalar_product", "offdiag_sign_opposite_m"
+STRUCTURE_MUTANTS = {
+    "-p01": (_entry(0, 1, lambda P, t: -P[0, 1]), ({DET, SIGN}, {DET, SIGN}, set())),
+    "-p10": (_entry(1, 0, lambda P, t: -P[1, 0]), ({DET, SIGN}, {DET, SIGN}, set())),
+    "p00 / 2": (_entry(0, 0, lambda P, t: 0.5 * P[0, 0]), ({DET, "diag_entry_1_dominates"}, {DET}, {DET})),
+    "p11 = prod c2 / 2": (
+        _entry(1, 1, lambda P, t: 0.5 * np.prod(t.c2)),
+        ({DET, "diag_entry_2_dominates"}, {DET, "diag_entry_2_dominates"}, {DET}),
+    ),
+    "1.001 p01 + 1e-300": (_entry(0, 1, lambda P, t: 1.001 * P[0, 1] + 1e-300), ({DET}, {DET}, {"offdiag_zero"})),
+    "J from t2 = 0.6": (
+        lambda tp, levels: (tp, Levels(levels.w, CoefficientFamily(t2=0.6), levels.k_hi)),
+        ({"det_limit_matches_J_ratio"},) * 3,
+    ),
+}
+
+
+@pytest.mark.parametrize("label", list(STRUCTURE_MUTANTS))
+def test_each_structure_mutant_fails_its_measured_set(families, label):
+    """A negative control for structure_check: the mutant's full failing set at m = 1, -4 and 0."""
+    w, c = families
+    mutate, failing = STRUCTURE_MUTANTS[label]
+    for m, want in zip((1, -4, 0), failing):
+        levels = Levels(w, c, 128)
+        tp = limit_product(ModeIndex(m, 0), levels)
+        assert structure_check(tp, levels).all_passed
+        report = structure_check(*mutate(tp, levels))
+        assert {ch.name for ch in report.failed()} == want, m
+
+
+def test_every_structure_clause_has_a_mutant(families):
+    """A structure_check name added without a mutant that fails it fails here."""
+    w, c = families
+    levels = Levels(w, c, 32)
+    names = {ch.name for m in (0, 1) for ch in structure_check(limit_product(ModeIndex(m, 0), levels), levels).checks}
+    assert len(names) == 6
+    assert names == set().union(*(s for _, sets in STRUCTURE_MUTANTS.values() for s in sets))
+
+
+def test_structure_check_reads_J_and_the_tail_once_per_level(families, monkeypatch):
+    """J_1(n), J_2(n) and the tail's level terms are evaluated once per level, for every m."""
+    import qsolidtorus.transfer as transfer
+
+    w, c = families
+    calls = []
+
+    def counted(*args, _orig=transfer.eval_J):
+        calls.append(args[1:])
+        return _orig(*args)
+
+    monkeypatch.setattr(transfer, "eval_J", counted)
+    levels = Levels(w, c, 64)
+    for m in (0, 1, -1, 5):
+        for n in (0, 2):
+            assert structure_check(limit_product(ModeIndex(m, n), levels), levels).all_passed
+    assert sorted(calls) == [(1, 0), (1, 2), (2, 0), (2, 2)]
 
 
 def test_limit_product_det_floor(families):
