@@ -54,13 +54,6 @@ from .solutions import (
 )
 from .transfer import Levels, ModeIndex
 
-FUBINI_PAIRS = (
-    (("X", 1, 2), ("Y", 2, 1)),
-    (("X", 2, 1), ("Y", 1, 2)),
-    (("X", 1, 1), ("Y", 1, 1)),
-    (("X", 2, 2), ("Y", 2, 2)),
-)
-
 BOUND_SLACK = 1e-10
 
 
@@ -299,35 +292,10 @@ def scan_to_files(table: ScanTable, out_dir, formats=("csv", "json"), meta: dict
     return written
 
 
-@dataclass(frozen=True)
-class RowTable:
-    """A list of row objects held as named numpy columns, for ``write_json``.
-
-    Each column is 1-D int, 1-D float, or ``(rows, w)`` float; the last is
-    written as a list of ``w`` numbers per row.  The text equals what
-    ``json.dumps(indent=2, sort_keys=True)`` writes for the list of dicts.
-    """
-
-    columns: dict[str, np.ndarray]
-
-    def __post_init__(self):
-        if len({len(col) for col in self.columns.values()}) > 1:
-            raise ValueError("RowTable columns differ in length")
-
-    def __len__(self) -> int:
-        return len(next(iter(self.columns.values()), ()))
-
-    @classmethod
-    def concat(cls, parts: list[dict[str, np.ndarray]]) -> RowTable:
-        """One table from blocks of rows that share their column names."""
-        names = parts[0] if parts else {}
-        return cls({name: np.concatenate([p[name] for p in parts]) for name in names})
-
-
 # json's own tokens for the non-finite magnitudes (it writes them with allow_nan)
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity"}
 
-# rows of a RowTable gathered into one buffer per write to the file
+# rows of a table gathered into one buffer per write to the file
 WRITE_BLOCK_ROWS = 512
 
 # distinct values formatted per step, so that only this many of their str objects live at once
@@ -335,11 +303,21 @@ _FORMAT_CHUNK = 4096
 
 
 class _TableText:
-    """A ``RowTable``'s JSON text, held as its distinct texts and each cell's index into them.
+    """A table's JSON rows, held as its distinct texts and each cell's index into them.
+
+    The table comes as blocks of rows, each a dict of numpy columns that
+    share their names and their length; a column is 1-D int, 1-D float, or
+    ``(rows, w)`` float, and the last is written as a list of ``w`` numbers
+    per row.  Blocks whose columns differ are a ValueError.  The columns are
+    joined one name at a time, each block's part taken out of its dict
+    (``pop``), and each joined column is dropped once it is coded, so the
+    blocks and the columns are never all held at once.
 
     Every text is made on construction, which raises TypeError for a column
     the writer cannot render; ``write`` then streams the rows to a file in
     blocks of ``WRITE_BLOCK_ROWS``, so no more than one block's text exists.
+    The text equals what ``json.dumps(indent=2, sort_keys=True)`` writes for
+    the list of row dicts under a top-level key.
 
     Each distinct value of a column is formatted once.  A float is formatted
     by its magnitude, and a negative one is "-" and that text: repr(-x) ==
@@ -353,30 +331,32 @@ class _TableText:
     benchmark dumps from 0.06-0.08 s to 0.10-0.11 s (2-vCPU shared host).
     """
 
-    def __init__(self, table: RowTable, indent: str):
-        self.n_rows, self.indent = len(table), indent
+    def __init__(self, blocks: list[dict[str, np.ndarray]]):
+        names = sorted(blocks[0]) if blocks else []
+        for block in blocks:
+            if sorted(block) != names or len({len(col) for col in block.values()}) > 1:
+                raise ValueError("table blocks differ in their column names or lengths")
+        self.n_rows = sum(len(block[names[0]]) for block in blocks) if names else 0
         if not self.n_rows:
             return
         self._data, self._at, self._count = bytearray(), [], 0
-        row_in, key_in, item_in = indent + "  ", indent + "    ", indent + "      "
         # "\0" marks a cell in the template: json.dumps escapes it in every key
         fields, self.cells, firsts = [], [], []
-        for name in sorted(table.columns):
-            col = table.columns[name]
+        for name in names:
             key = json.dumps(name)
-            codes, first = self._codes(col)
-            if col.ndim == 1:
+            codes, first = self._codes(np.concatenate([block.pop(name) for block in blocks]))
+            if codes.ndim == 1:
                 fields.append(f"{key}: \0")
                 self.cells.append(codes)
                 firsts.append(first)
                 continue
-            width = col.shape[1]
-            items = ",".join([f"\n{item_in}\0"] * width)
-            fields.append(f"{key}: [{items}\n{key_in}]" if width else f"{key}: []")
+            width = codes.shape[1]
+            items = ",".join(["\n        \0"] * width)
+            fields.append(f"{key}: [{items}\n      ]" if width else f"{key}: []")
             self.cells.extend(codes[:, j] for j in range(width))
             firsts.extend([first] * width)
         self.firsts = np.array(firsts, dtype=np.int64)
-        row = f"{row_in}{{\n{key_in}" + f",\n{key_in}".join(fields) + f"\n{row_in}}}"
+        row = "    {\n      " + ",\n      ".join(fields) + "\n    }"
         literals = row.split("\0")
         # the row separator rides on each row's last literal; the table's last row has none
         first = self._add([*literals[:-1], literals[-1] + ",\n", literals[-1]])
@@ -403,7 +383,7 @@ class _TableText:
         flat = col.ravel()
         kind = flat.dtype.kind
         if kind not in "iuf":
-            raise TypeError(f"RowTable column of dtype {col.dtype}")
+            raise TypeError(f"table column of dtype {col.dtype}")
         order = np.argsort(np.abs(flat) if kind == "f" else flat)
         keys = flat[order]
         if kind == "f":
@@ -435,7 +415,7 @@ class _TableText:
         return codes.reshape(col.shape), 2 * first
 
     def write(self, f) -> None:
-        """Write the table as json's indent=2 list text, its opening line indented by ``indent``."""
+        """Write the rows as json's indent=2 list text under a top-level key."""
         if not self.n_rows:
             f.write(b"[]")
             return
@@ -459,39 +439,33 @@ class _TableText:
             src = np.repeat(start - end + size, size)
             src += np.arange(end[-1])
             f.write(self.pool[src])
-        f.write(f"\n{self.indent}]".encode("ascii"))
+        f.write(b"\n  ]")
 
 
 def write_json(path: Path, payload: dict) -> None:
     """Write one JSON output, indented with sorted keys.
 
-    A ``RowTable`` value is written from its columns, as the same bytes
-    ``json.dumps`` gives for its list of row dicts, at a fraction of the time
-    and memory: its rows go to the file in blocks (``_TableText``).  Any
-    other value json cannot write is a TypeError, raised before the file is
+    A value json cannot write is a TypeError, raised before the file is opened.
+    """
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(text.encode("ascii"))
+
+
+def write_table(path: Path, meta: dict, blocks: list[dict[str, np.ndarray]]) -> None:
+    """Write ``{"meta": meta, "rows": rows}`` as ``write_json`` would, the rows given as blocks of columns.
+
+    The bytes equal those ``write_json`` gives for the list of row dicts, at
+    a fraction of the time and memory (``_TableText``).  The blocks' columns
+    are taken out of their dicts as they are read.  A column or a meta value
+    the writer cannot render is a TypeError, raised before the file is
     opened.
     """
-    # json writes each table as a marker string, in whose place the table's rows are written
-    tables = []
-
-    def default(obj):
-        if not isinstance(obj, RowTable):
-            raise TypeError(f"not JSON serializable: {type(obj)}")
-        tables.append(obj)
-        return f"\0RowTable {len(tables) - 1}"
-
-    text = json.dumps(payload, indent=2, sort_keys=True, default=default)
-    spans = []
-    for i, table in enumerate(tables):
-        marker = json.dumps(f"\0RowTable {i}")
-        at = text.index(marker)
-        line = text[text.rfind("\n", 0, at) + 1 : at]
-        spans.append((at, at + len(marker), _TableText(table, line[: len(line) - len(line.lstrip(" "))])))
+    rows = _TableText(blocks)
+    # "meta" sorts before "rows", so the rows' text is the last value
+    head = json.dumps({"meta": meta, "rows": []}, indent=2, sort_keys=True).removesuffix("[]\n}")
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as f:
-        done = 0
-        for at, end, rows in spans:
-            f.write(text[done:at].encode("ascii"))
-            rows.write(f)
-            done = end
-        f.write(text[done:].encode("ascii"))
+        f.write(head.encode("ascii"))
+        rows.write(f)
+        f.write(b"\n}")

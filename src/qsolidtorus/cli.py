@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import RowTable, decay_scan, scan_to_files, write_json
+from .analysis import decay_scan, scan_to_files, write_json, write_table
 from .config import ConfigError, ExperimentConfig, int_text, json_int, json_list, json_m, json_number, load_config
 from .families import HypothesisViolation, validate_hypotheses
 from .parametrix import (
@@ -249,10 +249,10 @@ def cmd_dump(cfg: ExperimentConfig, out_dir: Path, what: str, only_m: list[int] 
     notes = [note for _, note in map(done.get, modes) if note is not None]
     for note in notes:
         print(note, file=sys.stderr)
-    rows = RowTable.concat([block for block, _ in map(done.get, modes) if block is not None])
-    del done  # the rows' columns are the only copy of the blocks while the file is written
-    write_json(out_dir / f"dump_{what}.json", {"meta": _meta(cfg, k_max), "rows": rows})
-    print(f"wrote {len(rows)} rows to {out_dir / f'dump_{what}.json'}")
+    blocks = [block for block, _ in map(done.get, modes) if block is not None]
+    n_rows = sum(len(block["k"]) for block in blocks)
+    write_table(out_dir / f"dump_{what}.json", _meta(cfg, k_max), blocks)
+    print(f"wrote {n_rows} rows to {out_dir / f'dump_{what}.json'}")
     return EXIT_VIOLATION if notes else EXIT_OK
 
 

@@ -14,6 +14,7 @@ the direct sum of the per-mode inverses, which the solve command applies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,13 +139,17 @@ def extract_minus(rep: TruncatedAlgebraRep, a: np.ndarray, m: int, n: int, k: in
 def trace_bound_terms(
     a: np.ndarray, bq0: np.ndarray, q0: np.ndarray
 ) -> tuple[float, float]:
-    """|tr(ab Q0)| and ||a||_2 tr(b* b Q0)^(1/2) for a, b supported on one block.
+    """|tau(ab)| and ||a||_2 tau(b* b)^(1/2) for a, b supported on one block, tau = tr(. Q0) / rank Q0.
 
-    q0 indexes the block's l = 0 columns, where the projection Q0 lives, and
-    bq0 = b Q0 is b's q0 columns: the only part of b either side reads.
+    tau is a state (positive, tau(1) = 1), so the first is at most the
+    second by Cauchy-Schwarz; tau(b* b) = ||b Q0||_F^2 / rank Q0.  q0
+    indexes the block's l = 0 columns, where the projection Q0 lives, and
+    bq0 = b Q0 is b's q0 columns: the only part of b either side reads.  An
+    empty block gives (0.0, 0.0).
     """
-    lhs = abs(complex(np.sum(a[q0, :] * bq0.T)))
-    rhs = float(np.linalg.norm(a, 2)) * float(np.linalg.norm(bq0))
+    rank = max(len(q0), 1)
+    lhs = abs(complex(np.sum(a[q0, :] * bq0.T))) / rank
+    rhs = float(np.linalg.norm(a, 2)) * float(np.linalg.norm(bq0)) / math.sqrt(rank)
     return lhs, rhs
 
 
@@ -271,13 +276,20 @@ def algebra_sanity(
         return z
 
     # running worst exact ratio; a sample whose lhs is below worst * (a lower
-    # bound on ||a||) * ||b Q0|| cannot raise it or fail, so it skips the SVD.
+    # bound on ||a||) * tau(b* b)^(1/2) cannot raise it or fail, so it skips the
+    # SVD.  The largest row of a, less ten margins, is never above
+    # norm_lower_bound(a), so the power steps run only where it does not skip.
     # An empty block gives 0/0, which must fail rather than pass vacuously.
     worst_trace, bounded, n_svd = -np.inf, True, 0
+    rank = max(len(q0), 1)
     for _ in range(n_trace):
         a, bq0 = draw((n_inner, n_inner)), draw((n_inner, len(q0)))
-        lhs = abs(complex(np.sum(a[q0, :] * bq0.T)))
-        if lhs < worst_trace * norm_lower_bound(a) * float(np.linalg.norm(bq0)):
+        lhs = abs(complex(np.sum(a[q0, :] * bq0.T))) / rank
+        b_norm = float(np.linalg.norm(bq0)) / math.sqrt(rank)  # tau(b* b)^(1/2)
+        re_im = a.view(float)
+        largest_row = math.sqrt(float(np.max(np.einsum("ij,ij->i", re_im, re_im), initial=0.0)))
+        if (lhs < worst_trace * largest_row * (1.0 - 10 * NORM_LOWER_MARGIN) * b_norm
+                or lhs < worst_trace * norm_lower_bound(a) * b_norm):
             continue
         lhs, rhs = trace_bound_terms(a, bq0, q0)
         n_svd += 1
@@ -288,7 +300,7 @@ def algebra_sanity(
         CheckResult(
             "trace_functional_bound",
             bool(np.isfinite(worst_trace) and bounded),
-            f"worst |tau(ab)| / (||a|| tau(b*b)^1/2) = {worst_trace:.6g}"
+            f"worst |tau(ab)| / (||a|| tau(b*b)^1/2) = {worst_trace:.6g}, tau = tr(. Q0) / rank Q0"
             f" (SVD on {n_svd} of {n_trace} samples)",
         )
     )

@@ -53,6 +53,9 @@ from .transfer import (
 )
 
 TAU_FLOOR = 1e-250
+# |tau| at most this share of its terms' sizes |K1 I2| + |K2 I1| at k = 0 is cancellation;
+# under every BoundaryRule both terms share a sign, and the share is 1
+TAU_CANCEL = 1e-8
 # |m| values at which BoundaryRule checks its signs and that its ratio decays
 M_PROBE = (1, 2, 4, 8, 16, 32, 64)
 # terms epsilon sums explicitly before its exact tail
@@ -64,7 +67,7 @@ class BoundaryRuleError(ValueError):
 
 
 class DegeneratePairingError(ValueError):
-    """tau collapsed numerically: the boundary rule is (nearly) aligned with I."""
+    """tau collapsed numerically, by underflow or by cancellation: the boundary rule is (nearly) aligned with I."""
 
 
 class RangeOverflowError(OverflowError):
@@ -236,7 +239,8 @@ def build_solution(mode: ModeIndex, levels: Levels, rule: BoundaryRule = DEFAULT
     I_tab = compute_I(mode, levels)
     K_tab, seed_tail = compute_K(mode, levels, k_inf, levels.k_hi)
     tau = float(pairing(I_tab, K_tab)[0])
-    if abs(tau) < TAU_FLOOR or not np.isfinite(tau):
+    (i1, i2), (k1, k2) = I_tab[0], K_tab[0]
+    if abs(tau) < TAU_FLOOR or not np.isfinite(tau) or abs(tau) <= TAU_CANCEL * (abs(k1 * i2) + abs(k2 * i1)):
         raise DegeneratePairingError(
             f"tau={tau:.3g} for mode {mode}: boundary rule aligned with the I direction"
         )

@@ -3,7 +3,8 @@
 Imported by the test modules as ``reference`` (pytest puts ``tests/`` on the
 import path); nothing under ``src/`` imports it.
 
-The first section holds fixtures and checks no command runs: among them the
+The first section holds fixtures and checks no command runs: among them
+``FUBINI_PAIRS``, the HS sums the acceptance suite compares in pairs, the
 2x2 ``det2`` and ``invert`` and ``perp_transport_residual``, which checks the
 transport of K(0)^perp by inverting forward products of the recessive
 solution, so it holds to 1e-10 only at small |m|.
@@ -54,6 +55,15 @@ from qsolidtorus.transfer import (
     build_C_range,
     partial_products,
     scalar_det_prefix,
+)
+
+# the HS sums of analysis.hs_norms that the continuum Fubini swap pairs: the cross
+# pairs are exact finite-sum rearrangements, the same-index pairs differ by a diagonal
+FUBINI_PAIRS = (
+    (("X", 1, 2), ("Y", 2, 1)),
+    (("X", 2, 1), ("Y", 1, 2)),
+    (("X", 1, 1), ("Y", 1, 1)),
+    (("X", 2, 2), ("Y", 2, 2)),
 )
 
 

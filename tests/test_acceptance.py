@@ -11,7 +11,7 @@ import time
 import numpy as np
 import scipy.linalg
 
-from qsolidtorus.analysis import FUBINI_PAIRS, decay_scan, hs_norms
+from qsolidtorus.analysis import decay_scan, hs_norms
 from qsolidtorus.dirac import TruncatedAlgebraRep, algebra_sanity
 from qsolidtorus.families import default_families, eval_s
 from qsolidtorus.parametrix import (
@@ -28,7 +28,7 @@ from qsolidtorus.solutions import (
     wronskian_residuals,
 )
 from qsolidtorus.transfer import Levels, ModeIndex, scalar_det_prefix
-from reference import apply_D_delta
+from reference import FUBINI_PAIRS, apply_D_delta
 
 W, C = default_families()
 GRID_M = (0, 1, -1, 2, -2, 4, -4, 8, -8, 16, -16, 32, -32)

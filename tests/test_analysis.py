@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from qsolidtorus.analysis import FUBINI_PAIRS, decay_scan, hs_norms, scan_to_files
+from qsolidtorus.analysis import decay_scan, hs_norms, scan_to_files
 from qsolidtorus.families import eval_s
 from qsolidtorus.solutions import build_solution
 from qsolidtorus.transfer import Levels, ModeIndex, scalar_det_prefix
+from reference import FUBINI_PAIRS
 
 
 def test_hs_z_direct_double_sum(families, unit_coeffs):

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -177,8 +178,10 @@ def test_trace_block_formula_matches_dense():
         a, b = (np.zeros((rep.dim, rep.dim), dtype=complex) for _ in range(2))
         a[np.ix_(inner, inner)], b[np.ix_(inner, inner)] = blocks
         lhs, rhs = trace_bound_terms(blocks[0], blocks[1][:, q0], q0)
-        ref_lhs = abs(trace_q0(a @ b))
-        ref_rhs = np.linalg.norm(a, 2) * np.sqrt(abs(trace_q0(b.conj().T @ b)))
+        # tau = tr(. Q0) / rank Q0, where Q0 on the block is its len(q0) columns at l = 0
+        rank = len(q0)
+        ref_lhs = abs(trace_q0(a @ b)) / rank
+        ref_rhs = np.linalg.norm(a, 2) * np.sqrt(abs(trace_q0(b.conj().T @ b)) / rank)
         assert lhs == pytest.approx(ref_lhs, rel=1e-13)
         assert rhs == pytest.approx(ref_rhs, rel=1e-13)
 
@@ -244,15 +247,49 @@ def test_trace_check_fails_on_a_violation_or_no_samples(monkeypatch):
     assert worst == 2.0 and not check.passed
 
 
-def test_trace_bound_is_not_a_theorem_for_rank_q0_above_one():
-    """a = 1 and b = Q0 on the inner block: tr(Q0) = 11 against ||1|| tr(Q0)^(1/2) = sqrt(11)."""
+def test_trace_bound_is_tight_at_a_one_and_b_q0():
+    """a = 1 and b = Q0 on the inner block: tau(Q0) = 1 against ||1|| tau(Q0)^(1/2) = 1, with rank Q0 = 11.
+
+    The unnormalised tr(. Q0) gave 11 against sqrt(11) here: that inequality
+    is false for rank Q0 > 1.
+    """
     rep = TruncatedAlgebraRep(GOLDEN, 12, 6)
     inner, q0 = inner_block(rep)
     a = np.eye(len(inner), dtype=complex)
     lhs, rhs = trace_bound_terms(a, a[:, q0], q0)
     assert len(q0) == 11
-    assert lhs == 11.0
-    assert rhs == pytest.approx(np.sqrt(11.0), rel=1e-15)
+    assert lhs == pytest.approx(1.0, rel=1e-15)
+    assert rhs == pytest.approx(1.0, rel=1e-15)
+    assert lhs <= rhs * (1.0 + 1e-12)
+
+
+def test_trace_bound_with_a_rank_one_b():
+    """b = x e_j* for one l = 0 column j: tau(ab) = <e_j, a x> / r and tau(b* b) = ||x||^2 / r."""
+    rep = TruncatedAlgebraRep(GOLDEN, 12, 6)
+    inner, q0 = inner_block(rep)
+    rng = np.random.default_rng(4)
+    n, r = len(inner), len(q0)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    j = 3
+    bq0 = np.zeros((n, r), dtype=complex)
+    bq0[:, j] = x
+    lhs, rhs = trace_bound_terms(a, bq0, q0)
+    assert lhs == pytest.approx(abs(a[q0[j]] @ x) / r, rel=1e-13)
+    assert rhs == pytest.approx(np.linalg.norm(a, 2) * np.linalg.norm(x) / np.sqrt(r), rel=1e-13)
+    assert lhs <= rhs
+    # a rank-one a = e_j x* reads one of the r states: tau(ab) = ||x||^2 / r, a ratio of 1 / sqrt(r)
+    a = np.zeros((n, n), dtype=complex)
+    a[q0[j]] = x.conj()
+    lhs, rhs = trace_bound_terms(a, bq0, q0)
+    assert lhs == pytest.approx(rhs / np.sqrt(r), rel=1e-13)
+
+
+def test_trace_bound_terms_of_an_empty_block_are_zero():
+    empty = np.zeros((0, 0), dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert trace_bound_terms(empty, empty, np.zeros(0, dtype=int)) == (0.0, 0.0)
 
 
 def gaussian(seed, rows, cols, exp):

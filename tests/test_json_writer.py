@@ -1,4 +1,4 @@
-"""write_json renders a RowTable as the exact bytes json.dumps gives its rows."""
+"""write_table renders blocks of numpy columns as the exact bytes json.dumps gives their rows."""
 
 import json
 import math
@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qsolidtorus.analysis as analysis
-from qsolidtorus.analysis import RowTable, write_json
+from qsolidtorus.analysis import write_table
 from qsolidtorus.cli import main
 from qsolidtorus.config import default_config_dict, load_config
 from qsolidtorus.solutions import build_solution, wronskian_residuals
@@ -62,43 +62,58 @@ def columns(draw):
     return cols
 
 
+def split(cols, cuts):
+    """The table ``cols`` as blocks of rows, cut before each row in ``cuts``."""
+    rows = len(next(iter(cols.values())))
+    edges = [0, *sorted({c for c in cuts if 0 < c < rows}), rows]
+    return [{name: col[lo:hi] for name, col in cols.items()} for lo, hi in zip(edges, edges[1:])]
+
+
+META = {"k_max": 3, "boundary_rule": "default"}
+
+
 @settings(max_examples=200, deadline=None)
-@given(cols=columns(), place=st.sampled_from(["rows", "top", "nested"]))
-@example(cols={"x": np.array(EDGES + [-x for x in EDGES]).reshape(8, 2), "m": np.array([3, -3] * 4)}, place="rows")
-@example(cols={"w": np.arange(-14.0, 14.0).reshape(7, 4), "e": np.zeros((7, 0)), "k": np.arange(7)}, place="nested")
-def test_row_table_bytes_equal_json_dumps(tmp_path_factory, cols, place):
-    """Blocks of 3 rows: the 0-25-row tables are empty, one block, or many with a partial last one."""
+@given(cols=columns(), cuts=st.lists(st.integers(0, 25), max_size=4))
+@example(cols={"x": np.array(EDGES + [-x for x in EDGES]).reshape(8, 2), "m": np.array([3, -3] * 4)}, cuts=[3, 5])
+@example(cols={"w": np.arange(-14.0, 14.0).reshape(7, 4), "e": np.zeros((7, 0)), "k": np.arange(7)}, cuts=[])
+def test_row_table_bytes_equal_json_dumps(tmp_path_factory, cols, cuts):
+    """Blocks of 3 rows: the 0-25-row tables are empty, one block, or many with a partial last one.
+
+    The table reaches the writer cut into random blocks, so a write block
+    spans the seams between them.
+    """
     rows = [dict(zip(cols, vals)) for vals in zip(*(col.tolist() for col in cols.values()))]
-
-    def wrap(value):
-        if place == "top":
-            return value
-        if place == "rows":
-            return {"meta": {"k_max": 3, "boundary_rule": "default"}, "rows": value}
-        return {"z": [1, {"deep": value}, "after"], "a": -0.0}
-
     path = tmp_path_factory.mktemp("w") / "t.json"
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(analysis, "WRITE_BLOCK_ROWS", 3)
-        write_json(path, wrap(RowTable(cols)))
-    assert path.read_text() == json.dumps(wrap(rows), indent=2, sort_keys=True)
+        write_table(path, META, split(cols, cuts))
+    assert path.read_text() == json.dumps({"meta": META, "rows": rows}, indent=2, sort_keys=True)
 
 
 def test_empty_concat_is_an_empty_list(tmp_path):
-    table = RowTable.concat([])
-    assert len(table) == 0
-    write_json(tmp_path / "t.json", {"rows": table})
-    assert json.loads((tmp_path / "t.json").read_text()) == {"rows": []}
+    """No blocks join to an empty rows list."""
+    write_table(tmp_path / "t.json", {}, [])
+    assert (tmp_path / "t.json").read_text() == json.dumps({"meta": {}, "rows": []}, indent=2, sort_keys=True)
 
 
 def test_unwritable_column_leaves_the_file_alone(tmp_path):
     """A column the writer cannot render raises TypeError before the file at the path is opened."""
     path = tmp_path / "t.json"
     path.write_bytes(b'{"rows": []}')
-    table = RowTable({"m": np.arange(4), "z": np.ones(4, dtype=complex)})
+    blocks = [{"m": np.arange(4), "z": np.ones(4, dtype=complex)}]
     with pytest.raises(TypeError):
-        write_json(path, {"meta": {"k_max": 4}, "rows": table})
+        write_table(path, {"k_max": 4}, blocks)
     assert path.read_bytes() == b'{"rows": []}'
+
+
+@pytest.mark.parametrize("blocks", [
+    [{"m": np.arange(4), "x": np.ones(3)}],
+    [{"m": np.arange(4)}, {"m": np.arange(2), "x": np.ones(2)}],
+])
+def test_blocks_whose_columns_differ_are_a_value_error(tmp_path, blocks):
+    with pytest.raises(ValueError):
+        write_table(tmp_path / "t.json", {}, blocks)
+    assert not (tmp_path / "t.json").exists()
 
 
 def test_write_memory_does_not_scale_with_the_text(tmp_path):
@@ -111,16 +126,42 @@ def test_write_memory_does_not_scale_with_the_text(tmp_path):
     rng = np.random.default_rng(11)
     n = 100_000
     values = rng.standard_normal(16384)
-    table = RowTable({"C": rng.choice(values, (n, 4)), "x": rng.choice(values, n),
-                      "m": rng.integers(-64, 64, n), "k": np.arange(n)})
+    blocks = [{"C": rng.choice(values, (n, 4)), "x": rng.choice(values, n),
+               "m": rng.integers(-64, 64, n), "k": np.arange(n)}]
     tracemalloc.start()
     try:
-        write_json(tmp_path / "t.json", {"meta": {"k_max": n}, "rows": table})
+        write_table(tmp_path / "t.json", {"k_max": n}, blocks)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert (tmp_path / "t.json").stat().st_size > 20e6
     assert peak < 16e6
+
+
+def test_blocks_are_freed_column_by_column(tmp_path):
+    """64 blocks whose 16 columns hold X = 6.6 MB in all write within a traced peak of 1.5 X, blocks included.
+
+    Each column is joined from its blocks' parts, coded and dropped before
+    the next, and the parts leave their blocks as they are joined; so the
+    peak is about X plus a few columns (1.18 X measured).  A writer that
+    joins every column before it drops a block holds the blocks and the
+    columns at once, 2 X and more (3.1 X measured for one that did).
+    """
+    rng = np.random.default_rng(12)
+    n_blocks, rows = 64, 800
+    values = rng.standard_normal(256)
+    tracemalloc.start()
+    try:
+        blocks = [{f"x{j:02d}": rng.choice(values, rows) for j in range(16)} for _ in range(n_blocks)]
+        total = sum(col.nbytes for block in blocks for col in block.values())
+        tracemalloc.reset_peak()
+        write_table(tmp_path / "t.json", {"k_max": rows}, blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert total == 16 * n_blocks * rows * 8
+    assert all(not block for block in blocks)
+    assert peak < 1.5 * total, (peak, total)
 
 
 def test_each_distinct_value_is_formatted_once(tmp_path, monkeypatch):
@@ -142,10 +183,10 @@ def test_each_distinct_value_is_formatted_once(tmp_path, monkeypatch):
     mags = np.random.default_rng(3).uniform(0.5, 2.0, 500)
     x = np.concatenate([mags, -mags])
     m = np.arange(1000) % 5 - 2
-    write_json(tmp_path / "t.json", {"rows": RowTable({"x": x, "m": m})})
+    write_table(tmp_path / "t.json", {}, [{"x": x[:300], "m": m[:300]}, {"x": x[300:], "m": m[300:]}])
     monkeypatch.undo()
     rows = [{"m": int(mi), "x": float(xi)} for mi, xi in zip(m, x)]
-    want = json.dumps({"rows": rows}, indent=2, sort_keys=True)
+    want = json.dumps({"meta": {}, "rows": rows}, indent=2, sort_keys=True)
     assert first_difference((tmp_path / "t.json").read_text(), want) is None
     assert calls == {"float": 500, "int": 5}
 

@@ -10,6 +10,7 @@ from qsolidtorus.solutions import (
     M_PROBE,
     BoundaryRule,
     BoundaryRuleError,
+    DegeneratePairingError,
     RangeOverflowError,
     build_solution,
     compute_I,
@@ -115,6 +116,9 @@ def test_tau_values(families):
     for m in (1, 2, 7, -3):
         sol = build_solution(ModeIndex(m, 0), Levels(w, c, 32))
         assert sol.tau > 0
+        # the two terms of tau share a sign: no cancellation, whatever the scale
+        (i1, i2), (k1, k2) = sol.I[0], sol.K[0]
+        assert sol.tau == abs(k1 * i2) + abs(k2 * i1)
 
 
 def test_wronskian_transport(families):
@@ -163,6 +167,19 @@ def test_critical_seed_ratio_converges_in_K(families):
     for k, want in ((128, -2.3073), (1024, -2.2753)):
         tau = _tau_of_seed(ModeIndex(1, 0), *families, k)
         assert -tau(0.0, 1.0) / tau(1.0, 0.0) == pytest.approx(want, abs=5e-5)
+
+
+@pytest.mark.parametrize("m, n, k", [(1, 0, 128), (4, 2, 1024), (32, 16, 1024), (-4, 0, 128)])
+def test_rule_at_the_critical_ratio_is_a_degenerate_pairing(families, m, n, k):
+    """A rule at r* leaves tau as rounding left over from cancelling terms (1e-12 and below of their size).
+
+    tau is far above TAU_FLOOR there, so only the cancellation test catches it.
+    """
+    mode = ModeIndex(m, n)
+    tau = _tau_of_seed(mode, *families, k)
+    r_star = -tau(0.0, 1.0) / tau(1.0, 0.0)
+    with pytest.raises(DegeneratePairingError):
+        build_solution(mode, Levels(*families, k), lambda m: (r_star, 1.0))
 
 
 def test_independence_everywhere(families):
