@@ -267,29 +267,20 @@ def decay_scan(
     )
 
 
-def scan_to_files(table: ScanTable, out_dir, formats=("csv", "json"), meta: dict | None = None):
-    """Write the scan outputs; returns the list of paths written."""
+def scan_to_files(table: ScanTable, out_dir, meta: dict):
+    """Write ``hs_scan.csv`` and ``hs_scan.json``; returns the paths written."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
     rows = [r.row() for r in table.rows]
-    if "csv" in formats:
-        p = out / "hs_scan.csv"
-        names = list(dict.fromkeys(key for rec in rows for key in rec))
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=names)
-        writer.writeheader()
-        writer.writerows(rows)
-        p.write_text(buf.getvalue())
-        written.append(p)
-    if "json" in formats:
-        p = out / "hs_scan.json"
-        payload = {"rows": rows, "envelope": table.as_dict()["checks"]}
-        if meta:
-            payload["meta"] = meta
-        write_json(p, payload)
-        written.append(p)
-    return written
+    csv_path, json_path = out / "hs_scan.csv", out / "hs_scan.json"
+    names = list(dict.fromkeys(key for rec in rows for key in rec))
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=names)
+    writer.writeheader()
+    writer.writerows(rows)
+    csv_path.write_text(buf.getvalue())
+    write_json(json_path, {"rows": rows, "envelope": table.as_dict()["checks"], "meta": meta})
+    return [csv_path, json_path]
 
 
 # json's own tokens for the non-finite magnitudes (it writes them with allow_nan)

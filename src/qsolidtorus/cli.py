@@ -107,8 +107,7 @@ def _solve_level(n: int, built: dict, rhs_map: dict, k_max: int) -> dict:
 
     The inverse, the operator, the norms and the oracle run on the level's modes once.
     """
-    sols, rs = list(built.values()), [rhs_map[(mode.m, n)] for mode in built]
-    st = stack(sols)
+    st, rs = stack(list(built.values())), [rhs_map[(mode.m, n)] for mode in built]
     r1 = WeightedSeq(np.array([r.r1.values for r in rs]), n + 1)
     r2 = WeightedSeq(np.array([r.r2.values for r in rs]), n)
     r = RhsPair(r1, r2, np.array([r.q0 for r in rs]))
@@ -118,7 +117,7 @@ def _solve_level(n: int, built: dict, rhs_map: dict, k_max: int) -> dict:
                    back.q0 - r.q0)
     resid_inv = diff.norm(st.table) / np.maximum(r.norm(st.table), 1e-300)
     scale = np.maximum(res.norm(st.table), 1e-300)
-    orc = oracle_solve(sols, r)
+    orc = oracle_solve(st, r)
     out = {}
     for j, mode in enumerate(built):
         if orc.singular[j]:
@@ -174,7 +173,7 @@ def cmd_scan(
     table = decay_scan(_m_list(cfg, only_m), cfg.n_list, Levels(cfg.weights, cfg.coeffs, k_max), cfg.boundary)
     for (m, n), msg in table.failures.items():
         print(f"mode ({m}, {n}) failed: {msg}", file=sys.stderr)
-    scan_to_files(table, out_dir, cfg.formats, meta=_meta(cfg, k_max))
+    scan_to_files(table, out_dir, _meta(cfg, k_max))
     lemma_rows = []
     ok = table.all_passed
     first_bad = None

@@ -2,10 +2,10 @@
 
 Keys: weights.{kind, lambda, p, q | table, tail}; coeffs.{kind, t1, t2,
 kappa | kind, kappa | table1, table2, tail, kappa}; boundary.{rule, table};
-grid.{m_list, n_list}; truncation.{k_max, tol_residual}; output.{dir,
-formats}.  A family section's kind names its law, or a table continued by the
-law its tail object names in "rule"; the section or tail object holds exactly
-that law's keys (LAWS), but for the unit family, the constant law at its
+grid.{m_list, n_list}; truncation.{k_max, tol_residual}; output.{dir}.  A
+family section's kind names its law, or a table continued by the law its tail
+object names in "rule"; the section or tail object holds exactly that law's
+keys (LAWS), but for the unit family, the constant law at its
 default level 1, which holds none.  An unknown key in any section is an error;
 which keys a boundary section accepts depends on its rule.
 
@@ -39,7 +39,6 @@ class ConfigError(ValueError):
 
 DEFAULT_GRID_M = (0, 1, -1, 2, -2, 4, -4, 8, -8, 16, -16, 32, -32)
 DEFAULT_GRID_N = (0, 1, 2, 4, 8, 16)
-OUTPUT_FORMATS = ("csv", "json")
 # the largest |m| whose square is a finite float (the boundary rule and the C stack form m * m)
 M_MAX = math.isqrt(int(sys.float_info.max))
 # the family sections' kinds, as JSON spells them
@@ -62,7 +61,6 @@ class ExperimentConfig:
     k_max: int
     tol_residual: float
     out_dir: str
-    formats: tuple[str, ...]
 
 
 def json_int(value, where: str) -> int:
@@ -212,7 +210,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
         k_max = json_int(trunc["k_max"], "truncation.k_max")
         tol_residual = json_number(trunc["tol_residual"], "truncation.tol_residual")
         out_dir = json_text(out["dir"], "output.dir")
-        formats = json_list(out["formats"], "output.formats", json_text, "strings")
     except (AttributeError, TypeError, ValueError) as exc:
         # AttributeError: a section that is not a JSON object; ValueError
         # includes the BoundaryRuleError of an inadmissible boundary table
@@ -225,8 +222,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError("radial levels must be >= 0")
     if k_max < 2:
         raise ConfigError("k_max must be at least 2")
-    if not formats or len(set(formats)) < len(formats) or not set(formats) <= set(OUTPUT_FORMATS):
-        raise ConfigError(f"output.formats must list one or more names from {list(OUTPUT_FORMATS)}, each once")
     return ExperimentConfig(
         weights=weights,
         coeffs=coeffs,
@@ -236,7 +231,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
         k_max=k_max,
         tol_residual=tol_residual,
         out_dir=out_dir,
-        formats=formats,
     )
 
 
@@ -249,5 +243,5 @@ def default_config_dict() -> dict:
         "boundary": {"rule": "default"},
         "grid": {"m_list": list(DEFAULT_GRID_M), "n_list": list(DEFAULT_GRID_N)},
         "truncation": {"k_max": 128, "tol_residual": 1e-9},
-        "output": {"dir": "out", "formats": list(OUTPUT_FORMATS)},
+        "output": {"dir": "out"},
     }

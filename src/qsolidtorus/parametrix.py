@@ -12,16 +12,16 @@ in expanded form it is a sum of upper-tail (X-type), lower-triangle (Y-type)
 and, on the diagonal mode m = 0, cumulative (Z-type) kernel operators.
 
 An independent solve of the same truncated system (an orthogonal elimination
-on the raw equations, not variation of constants) serves as the oracle for
-every identity the explicit formulas are supposed to satisfy; it needs O(K)
-memory and time, so it runs at any truncation the tables reach, and it runs
-on one level's modes at once.  The operator, the inverse and the norms run on
-a ``solutions.stack`` of modes too.
+of the raw difference equations that ``apply_A`` applies, not variation of
+constants) serves as the oracle for every identity the explicit formulas are
+supposed to satisfy; it needs O(K) memory and time, so it runs at any
+truncation the tables reach.  The operator, the inverse, the norms and the
+oracle take one solution or a ``solutions.stack`` of one level's modes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -195,22 +195,22 @@ def apply_Q(
 def oracle_matrix(
     sol: KernelSolution, k_max: int | None = None, drop_boundary: bool = False
 ) -> np.ndarray:
-    """Dense matrix of the truncated constrained system.
+    """Dense matrix of the truncated constrained system of one solution.
 
     Unknowns are ordered [x(0), y(0), x(1), y(1), ...]; rows are the 2*k_max
-    block equations A(k+1) h(k+1) - A(k+1) C(k) h(k), the initial regularity
+    raw difference equations that ``apply_A`` applies, the initial regularity
     row, and (unless dropped) the boundary row, which pairs h(k_max) against
     the K table there: the rows ``oracle_solve`` reduces, scattered entry by
     entry.  O(k_max^2) memory: it is the dense reference of the tests.
     """
     k_max = sol.k_table if k_max is None else k_max
     size = 2 * (k_max + 1)
-    rows = _block_rows([sol], k_max)[:, :, 0]
+    rows = _block_rows(sol, k_max)[:, :, 0]
     mat = np.zeros((2 * k_max + 1 + (0 if drop_boundary else 1), size))
     k = np.arange(k_max)
     for c, i in np.ndindex(4, 2):
         mat[2 * k + i, 2 * k + c] = rows[c, i]
-    for row, end in zip(range(2 * k_max, len(mat)), _end_rows([sol], k_max)):
+    for row, end in zip(range(2 * k_max, len(mat)), _end_rows(sol, k_max)):
         mat[row, [0, 1, size - 2, size - 1]] = end[:, 0]
     return mat
 
@@ -228,38 +228,36 @@ class OracleSolution:
     singular: np.ndarray
 
 
-def _block_rows(sols: list[KernelSolution], k_max: int) -> np.ndarray:
+def _block_rows(sol: KernelSolution, k_max: int) -> np.ndarray:
     """The block rows L_k h(k) + R_k h(k+1) = r(k), k < k_max, of each mode, as (4, 2, modes, k).
 
-    Entry [c, i, j, k] is row i, column c of [L_k | R_k] of mode j, with
-    R_k = A(k+1) and L_k = -A(k+1) C(k) written out entry by entry from each
-    mode's own C stack.
+    Entry [c, i, j, k] is row i, column c of [L_k | R_k] of mode j.  They are
+    the raw difference equations that ``apply_A`` applies, read from the
+    level's weights and gaps and m:  L_k = [[-a_{n+1}(k), m], [0, -a_n(k+1) c_2(k)]]
+    and R_k = A(k+1) = [[a_{n+1}(k) c_1(k), 0], [m, a_n(k+1)]].
     """
-    t = sols[0].table
-    m = np.array([float(s.mode.m) for s in sols])[:, None]
-    c00, c01, c10, c11 = np.moveaxis(np.array([s.table.C[:k_max] for s in sols]).reshape(len(sols), k_max, 4), -1, 0)
-    a00 = t.an1[:k_max] * t.c1[:k_max]
-    a11 = t.an[1 : k_max + 1]
-    rows = np.zeros((4, 2, len(sols), k_max))
-    rows[0, 0] = -a00 * c00
-    rows[1, 0] = -a00 * c01
-    rows[0, 1] = -(m * c00 + a11 * c10)
-    rows[1, 1] = -(m * c01 + a11 * c11)
-    rows[2, 0] = a00
+    t = sol.table
+    m = np.atleast_1d(np.asarray(sol.mode.m, dtype=float))[:, None]
+    an1, an_next = t.an1[:k_max], t.an[1 : k_max + 1]
+    rows = np.zeros((4, 2, len(m), k_max))
+    rows[0, 0] = -an1
+    rows[1, 0] = m
+    rows[1, 1] = -an_next * t.c2[:k_max]
+    rows[2, 0] = an1 * t.c1[:k_max]
     rows[2, 1] = m
-    rows[3, 1] = a11
+    rows[3, 1] = an_next
     return rows
 
 
-def _end_rows(sols: list[KernelSolution], k_max: int) -> tuple[np.ndarray, np.ndarray]:
+def _end_rows(sol: KernelSolution, k_max: int) -> tuple[np.ndarray, np.ndarray]:
     """The datum row (m, a_n(0)) . h(0) and the boundary row (K2(K), -K1(K)) . h(K), K = k_max, of each mode.
 
     Each is (4, modes), its entries the coefficients of (x(0), y(0), x(K), y(K)).
     """
-    m = np.array([float(s.mode.m) for s in sols])
-    k1, k2 = np.array([s.K[k_max] for s in sols]).T
+    m = np.atleast_1d(np.asarray(sol.mode.m, dtype=float))
+    k1, k2 = np.atleast_2d(sol.K[..., k_max, :]).T
     zero = np.zeros_like(m)
-    return np.stack((m, np.full_like(m, sols[0].table.an[0]), zero, zero)), np.stack((zero, zero, k2, -k1))
+    return np.stack((m, np.full_like(m, sol.table.an[0]), zero, zero)), np.stack((zero, zero, k2, -k1))
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -369,40 +367,37 @@ class _Reduction:
         return h
 
 
-def oracle_solve(sols: KernelSolution | list[KernelSolution], r: RhsPair) -> OracleSolution:
+def oracle_solve(sol: KernelSolution, r: RhsPair) -> OracleSolution:
     """Orthogonal cyclic reduction of the truncated constrained system, O(K) memory.
 
-    ``sols`` is one solution, or one level's solutions with ``r`` stacked
-    along a leading mode axis; each mode's block rows come from its own
-    table.  The window is the table's, K = ``k_table``; entries of r beyond it
-    are ignored and a shorter r is zero-padded, as in ``apply_Q``.  The rows,
-    which ``oracle_matrix`` scatters into a dense matrix, are the block rows,
-    each entry written out as its sum of products (``_block_rows``), and
-    (``_end_rows``) the datum row (m, a_n(0)) . h(0) = q0 and the boundary
-    row (K2(K), -K1(K)) . h(K) = 0, which pairs against the K table at the
-    truncation edge (the rule values when the seed sits there).  The reduction is factored once; the solve is
+    ``sol`` is one solution, or a ``solutions.stack`` of one level's modes
+    with ``r`` stacked along a leading mode axis, as in ``apply_Q``; each mode
+    of a stack gets, bit for bit, what it gets alone.  The window is the
+    table's, K = ``k_table``; entries of r beyond it are ignored and a shorter
+    r is zero-padded, as in ``apply_Q``.  The rows, which ``oracle_matrix``
+    scatters into a dense matrix, are the raw difference equations that
+    ``apply_A`` applies (``_block_rows``), and (``_end_rows``) the datum row
+    (m, a_n(0)) . h(0) = q0 and the boundary row (K2(K), -K1(K)) . h(K) = 0,
+    which pairs against the K table at the truncation edge (the rule values
+    when the seed sits there).  The reduction is factored once; the solve is
     followed by one step of iterative refinement against the residual of the
-    raw system (``apply_A`` on the table, plus the boundary row).  This is
+    same system (``apply_A`` on the table, plus the boundary row).  This is
     the structured QR of S. J. Wright, SIAM J. Sci. Stat. Comput. 13 (1992).
     """
-    one = isinstance(sols, KernelSolution)
-    sols = [sols] if one else sols
-    n, k_max, t = sols[0].mode.n, sols[0].k_table, sols[0].table
-    datum, boundary = _end_rows(sols, k_max)
-    red = _Reduction.factor(_block_rows(sols, k_max), datum, boundary)
+    n, k_max = sol.mode.n, sol.k_table
+    datum, boundary = _end_rows(sol, k_max)
+    red = _Reduction.factor(_block_rows(sol, k_max), datum, boundary)
     r1, r2 = np.atleast_2d(r.r1.values), np.atleast_2d(r.r2.values)
     n_fill = min(k_max, r1.shape[-1])
-    data = np.zeros((2, len(sols), k_max))
+    data = np.zeros((2, len(r1), k_max))
     data[0, :, :n_fill] = r1[:, :n_fill]
     data[1, :, :n_fill] = r2[:, :n_fill]
-    m = datum[0]
-    q0 = np.full_like(m, r.q0)
-    h = red.solve(data, q0, np.zeros_like(m))
-    back = apply_A(replace(t, mode=ModeIndex(m, n), C=None), WeightedSeq(h[0], n), WeightedSeq(h[1], n + 1))
+    q0 = np.full_like(datum[0], r.q0)
+    h = red.solve(data, q0, np.zeros_like(q0))
+    back = apply_A(sol.table, WeightedSeq(h[0], n), WeightedSeq(h[1], n + 1))
     resid = data - np.stack((back.r1.values, back.r2.values))
     h = h + red.solve(resid, q0 - back.q0, -(boundary[2] * h[0, :, -1] + boundary[3] * h[1, :, -1]))
-    if one:
-        h, singular = h[:, 0], red.singular[0]
-    else:
-        singular = red.singular
-    return OracleSolution(WeightedSeq(h[0], n), WeightedSeq(h[1], n + 1), singular)
+    # one solution gives unstacked shapes: (K+1,) pairs and a scalar flag
+    shape = np.shape(sol.mode.m)
+    h = h.reshape(2, *shape, k_max + 1)
+    return OracleSolution(WeightedSeq(h[0], n), WeightedSeq(h[1], n + 1), red.singular.reshape(shape)[()])

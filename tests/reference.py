@@ -566,20 +566,19 @@ def oracle_band(sol: KernelSolution, k_max: int) -> np.ndarray:
     """
     m = sol.mode.m
     t = sol.table
-    a00 = t.an1[:k_max] * t.c1[:k_max]
-    a11 = t.an[1 : k_max + 1]
-    c_arr = t.C[:k_max]
+    an1 = t.an1[:k_max]
+    an_next = t.an[1 : k_max + 1]
     band = np.zeros((6, 2 * (k_max + 1)))
     band[3, 0] = m
     band[2, 1] = t.an[0]
-    # block rows A(k+1) h(k+1) - A(k+1) C(k) h(k)
-    band[4, 0 : 2 * k_max : 2] = -a00 * c_arr[:, 0, 0]
-    band[3, 1 : 2 * k_max : 2] = -a00 * c_arr[:, 0, 1]
-    band[2, 2 : 2 * k_max + 1 : 2] = a00
-    band[5, 0 : 2 * k_max : 2] = -(m * c_arr[:, 0, 0] + a11 * c_arr[:, 1, 0])
-    band[4, 1 : 2 * k_max : 2] = -(m * c_arr[:, 0, 1] + a11 * c_arr[:, 1, 1])
+    # the raw rows of apply_A: m y(k) - a_{n+1}(k) (x(k) - c_1(k) x(k+1)) and
+    # a_n(k+1) (y(k+1) - c_2(k) y(k)) + m x(k+1)
+    band[4, 0 : 2 * k_max : 2] = -an1
+    band[3, 1 : 2 * k_max : 2] = m
+    band[2, 2 : 2 * k_max + 1 : 2] = an1 * t.c1[:k_max]
+    band[4, 1 : 2 * k_max : 2] = -an_next * t.c2[:k_max]
     band[3, 2 : 2 * k_max + 1 : 2] = m
-    band[2, 3 : 2 * k_max + 2 : 2] = a11
+    band[2, 3 : 2 * k_max + 2 : 2] = an_next
     band[4, 2 * k_max] = sol.K[k_max, 1]
     band[3, 2 * k_max + 1] = -sol.K[k_max, 0]
     return band

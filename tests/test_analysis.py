@@ -117,7 +117,7 @@ def test_decay_scan_envelopes_and_outputs(families, tmp_path):
     assert set(rows[(0, 0)].hs) == {("Z", 0, 0)}
     # ratio column matches the configured boundary rule
     assert rows[(4, 1)].ratio == pytest.approx(1.0 / 17.0)
-    paths = scan_to_files(table, tmp_path, ("csv", "json"), meta={"seed": 0})
+    paths = scan_to_files(table, tmp_path, {"seed": 0})
     assert sorted(p.name for p in paths) == ["hs_scan.csv", "hs_scan.json"]
     text = (tmp_path / "hs_scan.csv").read_text()
     assert text.splitlines()[0].startswith("m,n")

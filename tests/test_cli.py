@@ -68,20 +68,19 @@ def test_config_validation_rules(tmp_path):
     path.write_text(json.dumps(cfg))
     with pytest.raises(ConfigError, match="positive"):
         load_config(path)
-    # an empty list would write no HS table, and a repeated name is a typo
-    for formats in ("csv", ["csv", "xml"], {"csv": True}, [], ["csv", "csv"]):
-        cfg = default_config_dict()
-        cfg["output"]["formats"] = formats
-        path.write_text(json.dumps(cfg))
-        with pytest.raises(ConfigError, match="formats"):
-            load_config(path)
-        assert main(["--config", str(path), "scan"]) == 2
     for section in ("output", "grid", "truncation"):
         cfg = default_config_dict()
         cfg[section] = "csv"
         path.write_text(json.dumps(cfg))
         with pytest.raises(ConfigError):
             load_config(path)
+    # scan writes both HS tables, so output.formats is retired: even its old default is an unknown key
+    cfg = default_config_dict()
+    cfg["output"]["formats"] = ["csv", "json"]
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(ConfigError, match="unknown key"):
+        load_config(path)
+    assert main(["--config", str(path), "scan"]) == 2
     # a misspelt or retired key is an error, not a silently ignored no-op
     for section, key in ((None, "grids"), ("grid", "n_lst"), ("truncation", "k_mx"),
                          ("truncation", "tol_tail"), ("truncation", "tol_prod"), ("output", "format")):

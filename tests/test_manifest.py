@@ -10,7 +10,10 @@ differ on other versions, so a version mismatch fails rather than skips.
 
 A change that moves output bytes on purpose regenerates the manifest with
 ``PYTHONPATH=src python tests/test_manifest.py > tests/manifest.txt`` and
-names each changed digest and its cause.
+names each changed digest and its cause.  ``PYTHONPATH=src python
+tests/test_manifest.py --diff`` names them: it prints each run whose digest
+differs from the manifest (config, command, old and new digest) and exits 1
+if any does.
 """
 
 import contextlib
@@ -88,6 +91,17 @@ def read_manifest() -> tuple[str, dict[tuple[str, str], str]]:
     return made_with, digests
 
 
+def diff() -> int:
+    """Print each run whose digest differs from the manifest, tab-separated; 1 if any does, else 0."""
+    digests, changed = read_manifest()[1], 0
+    for config, command in RUNS:
+        old, new = digests.get((config, command), "missing"), digest(config, command)
+        if new != old:
+            print(f"{config}\t{command}\t{old}\t{new}")
+            changed += 1
+    return 1 if changed else 0
+
+
 def test_manifest_lists_every_run():
     assert list(read_manifest()[1]) == RUNS
 
@@ -99,7 +113,20 @@ def test_outputs_match_manifest(config, command):
     assert digest(config, command) == digests[(config, command)], f"{config}: {command}"
 
 
+def test_diff_names_the_changed_run(monkeypatch, capsys):
+    digests = read_manifest()[1]
+    changed = RUNS[1]
+    monkeypatch.setitem(globals(), "digest", lambda *run: "0" * 64 if run == changed else digests[run])
+    assert diff() == 1
+    assert capsys.readouterr().out == "\t".join((*changed, digests[changed], "0" * 64)) + "\n"
+    monkeypatch.setitem(globals(), "digest", lambda *run: digests[run])
+    assert diff() == 0
+    assert capsys.readouterr().out == ""
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--diff"]:
+        sys.exit(diff())
     sys.stdout.write("# sha256\tconfig\tcommand; see tests/test_manifest.py\n")
     sys.stdout.write(f"# made with {versions()}\n")
     for config, command in RUNS:

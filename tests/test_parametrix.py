@@ -17,7 +17,7 @@ from qsolidtorus.parametrix import (
     oracle_solve,
     random_rhs,
 )
-from qsolidtorus.solutions import build_solution
+from qsolidtorus.solutions import build_solution, stack
 from qsolidtorus.transfer import Levels, ModeIndex
 from reference import apply_Q_direct, apply_XYZ, banded_oracle_solve, build_A, oracle_band, zero_rhs
 from test_manifest import CONFIGS
@@ -355,8 +355,8 @@ def test_oracle_reports_sigma_min(families):
 
 
 def test_oracle_matrix_blocks_match_build_A(families):
-    """The dense matrix is LAPACK's band (``reference.oracle_band``) bit for bit, its datum row moved last, and
-    each R_k = A(k+1) block equals the per-step build_A block."""
+    """The dense matrix is LAPACK's band (``reference.oracle_band``, the raw rows of ``apply_A``) bit for bit,
+    its datum row moved last, and each R_k = A(k+1) block equals the per-step build_A block."""
     w, c = families
     K = 16
     size = 2 * K + 2
@@ -375,6 +375,25 @@ def test_oracle_matrix_blocks_match_build_A(families):
             assert np.array_equal(oracle_matrix(sol, K, drop_boundary=True), mat[:-1])
             for k in range(K):
                 assert np.array_equal(mat[2 * k : 2 * k + 2, 2 * k + 2 : 2 * k + 4], build_A(mode, k, w, c)), (mode, k)
+
+
+def test_oracle_matrix_applies_the_operator(families, rng):
+    """oracle_matrix @ h is apply_A's rows, its datum and the boundary pairing (K2(K), -K1(K)) . h(K), to a few ulps."""
+    w, c = families
+    K = 32
+    for m in (0, 1, -4, 32):
+        for n in (0, 4):
+            sol = build_solution(ModeIndex(m, n), Levels(w, c, K))
+            x, y = rng.standard_normal((2, K + 1))
+            back = apply_A(sol.table, WeightedSeq(x, n), WeightedSeq(y, n + 1))
+            k1, k2 = sol.K[K]
+            want = np.concatenate((np.stack((back.r1.values, back.r2.values), axis=1).ravel(),
+                                   [back.q0, k2 * x[-1] - k1 * y[-1]]))
+            mat = oracle_matrix(sol, K)
+            got = mat @ np.stack((x, y), axis=1).ravel()
+            # each row sums at most four products of its entries' sizes
+            scale = np.abs(mat) @ np.abs(np.stack((x, y), axis=1).ravel())
+            assert np.all(np.abs(got - want) <= 8 * np.finfo(float).eps * scale), (m, n)
 
 
 def test_a_singular_mode_fails_alone(tmp_path, monkeypatch):
@@ -444,11 +463,12 @@ def test_oracle_matches_lapack_reference(tmp_path, config, k_max, ms):
         sols = [build_solution(ModeIndex(m, n), levels, cfg.boundary) for m in ms]
         rng = np.random.default_rng(k_max + n)
         rs = [random_rhs(sol.mode, k_max, rng) for sol in sols]
-        stacked = oracle_solve(sols, RhsPair(WeightedSeq(np.array([r.r1.values for r in rs]), n + 1),
-                                             WeightedSeq(np.array([r.r2.values for r in rs]), n),
-                                             np.array([r.q0 for r in rs])))
+        st = stack(sols)
+        stacked = oracle_solve(st, RhsPair(WeightedSeq(np.array([r.r1.values for r in rs]), n + 1),
+                                           WeightedSeq(np.array([r.r2.values for r in rs]), n),
+                                           np.array([r.q0 for r in rs])))
         assert not stacked.singular.any()
-        rows = _block_rows(sols, k_max)
+        rows = _block_rows(st, k_max)
         for j, (sol, r) in enumerate(zip(sols, rs)):
             band = oracle_band(sol, k_max)
             assert np.array_equal(rows[:, :, j].reshape(8, k_max), np.array([

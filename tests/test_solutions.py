@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from qsolidtorus.analysis import hs_norms
 from qsolidtorus.config import DEFAULT_GRID_M, DEFAULT_GRID_N
 from qsolidtorus.families import CoefficientFamily, WeightFamily, eval_s
 from qsolidtorus.solutions import (
@@ -323,6 +324,37 @@ def test_each_lemma_clause_fails_on_its_mutant(families, clause):
         assert verify_lemma_suite(sol).all_passed
         report = verify_lemma_suite(mutate(sol))
         assert {ch.name for ch in report.failed()} == failing, m
+
+
+# Rules for K at infinity that BoundaryRule rejects, each with the lemma clauses it fails at m in {1, 4, 32},
+# n = 0, K in {128, 1024} (measured), and the clause of BoundaryRule's config-time probe that rejects it.
+# build_solution takes a plain callable as its rule, which skips the probe.  None fails an HS bound, and the
+# non-decaying rule fails no lemma clause either: only the probe's decay clause rejects it.
+RULE_MUTANTS = {
+    "sign_flipped": (
+        lambda m: (-float(np.sign(m)) / (1.0 + m * m), 1.0),
+        {"monotone_K2", "positive_K1", "product_K2_negI1", "product_negI1_next_K2", "tail_sum_K2_kernel"},
+        "m>0 requires both components",
+    ),
+    "zero_K1": (lambda m: (0.0, 1.0), {"positive_K1"}, "m>0 requires both components"),
+    "non_decaying": (lambda m: (float(np.sign(m)), 1.0), set(), "must decay"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RULE_MUTANTS))
+def test_each_rule_mutant_fails_its_measured_clauses(families, name):
+    """A negative control per rule mutant: exactly the measured lemma clauses fail, no HS bound does, and the
+    probe rejects the rule on the probe's modes and the tested ones."""
+    w, c = families
+    rule, failing, probe_clause = RULE_MUTANTS[name]
+    for K in (128, 1024):
+        levels = Levels(w, c, K)
+        for m in (1, 4, 32):
+            sol = build_solution(ModeIndex(m, 0), levels, rule)
+            assert {ch.name for ch in verify_lemma_suite(sol).failed()} == failing, (K, m)
+            assert hs_norms(sol, w, c).all_bounds_hold, (K, m)
+    with pytest.raises(BoundaryRuleError, match=probe_clause):
+        BoundaryRule({sign * m: rule(sign * m) for m in (*M_PROBE, 4, 32) for sign in (1, -1)})
 
 
 def test_positive_I2_holds_at_k_zero(families):
