@@ -102,7 +102,7 @@ def _load_rhs(path: Path, k_max: int) -> dict[tuple[int, int], RhsPair]:
     return out
 
 
-def _solve_level(n: int, built: dict, rhs_map: dict, k_max: int) -> dict:
+def _solve_level(n: int, built: dict, rhs_map: dict) -> dict:
     """The record of each built mode of one level, or the text of its oracle's error.
 
     The inverse, the operator, the norms and the oracle run on the level's modes once.
@@ -111,7 +111,7 @@ def _solve_level(n: int, built: dict, rhs_map: dict, k_max: int) -> dict:
     r1 = WeightedSeq(np.array([r.r1.values for r in rs]), n + 1)
     r2 = WeightedSeq(np.array([r.r2.values for r in rs]), n)
     r = RhsPair(r1, r2, np.array([r.q0 for r in rs]))
-    res = apply_Q(st, r, k_max)
+    res = apply_Q(st, r)
     back = apply_A(st.table, res.h_g, res.h_f)
     diff = RhsPair(WeightedSeq(back.r1.values - r1.values, n + 1), WeightedSeq(back.r2.values - r2.values, n),
                    back.q0 - r.q0)
@@ -150,7 +150,7 @@ def cmd_solve(
     for n, built, failed in _by_level(cfg, Levels(cfg.weights, cfg.coeffs, k_max), modes):
         done.update(failed)
         if built:
-            done.update(_solve_level(n, built, rhs_map, k_max))
+            done.update(_solve_level(n, built, rhs_map))
     records, tol, ok = [], cfg.tol_residual, True
     for mode in modes:
         m, n, rec = mode.m, mode.n, done[mode]

@@ -27,7 +27,7 @@ import numpy as np
 
 # Determinants and products below this are treated as numerically collapsed.
 COLLAPSE_FLOOR = 1e-300
-SERIES_TOL = 1e-12  # the tail tolerance of s(n) and of J_i(n) unless eval_J is given one
+SERIES_TOL = 1e-12  # the tail tolerance of s(n) and of J_i(n)
 PROBE_K = 64  # validate_hypotheses probes the families at k < PROBE_K
 
 
@@ -308,8 +308,8 @@ def eval_s(w: WeightFamily, n: int) -> SeriesValue:
     return SeriesValue(value=value, tail=tail)
 
 
-def eval_J(c: CoefficientFamily, i: int, n: int, tol: float = SERIES_TOL) -> SeriesValue:
-    """J_i(n) = prod_k c_{i,n}(k), via summed logarithms.
+def eval_J(c: CoefficientFamily, i: int, n: int) -> SeriesValue:
+    """J_i(n) = prod_k c_{i,n}(k), via summed logarithms, to a log tail below ``SERIES_TOL``.
 
     The tail bounds both the truncated product and the float error of the
     summed logarithms and of exp, so ``[lower, upper]`` holds J_i(n).
@@ -335,7 +335,7 @@ def eval_J(c: CoefficientFamily, i: int, n: int, tol: float = SERIES_TOL) -> Ser
         # every law and row is positive, as the family checked when it was built
         log_sum = float(np.sum(np.log(c.c(i, n, ks))))
         t_log = log_tail(k_hi - 1 + 1)
-        if t_log < tol or k_hi >= 1 << 20:
+        if t_log < SERIES_TOL or k_hi >= 1 << 20:
             break
         k_hi *= 2
     value = math.exp(log_sum)
@@ -381,12 +381,8 @@ class CheckReport:
         return out if self.worst is None else {**out, "worst": self.worst}
 
 
-def validate_hypotheses(
-    w: WeightFamily,
-    c: CoefficientFamily,
-    n_probe: tuple[int, ...] = (0, 1, 2, 4, 8, 16),
-) -> CheckReport:
-    """Check every standing hypothesis on a probe grid; failures become report rows."""
+def validate_hypotheses(w: WeightFamily, c: CoefficientFamily, n_probe: tuple[int, ...]) -> CheckReport:
+    """Check every standing hypothesis on the levels ``n_probe``; failures become report rows."""
     checks: list[CheckResult] = []
     ks = np.arange(PROBE_K)
 

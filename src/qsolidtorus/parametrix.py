@@ -16,7 +16,9 @@ of the raw difference equations that ``apply_A`` applies, not variation of
 constants) serves as the oracle for every identity the explicit formulas are
 supposed to satisfy; it needs O(K) memory and time, so it runs at any
 truncation the tables reach.  The operator, the inverse, the norms and the
-oracle take one solution or a ``solutions.stack`` of one level's modes.
+oracle take one solution or a ``solutions.stack`` of one level's modes.  The
+inverse and the oracle work on the solution's whole table, K = ``k_table``:
+the rhs holds one value per block row, and any other length is a ValueError.
 """
 
 from __future__ import annotations
@@ -118,71 +120,68 @@ def apply_A(t: ModeTable, h_g: WeightedSeq, h_f: WeightedSeq) -> RhsPair:
     )
 
 
-def _channel_inputs(r: RhsPair, k_max: int) -> tuple[np.ndarray, np.ndarray]:
+def _check_rhs(sol: KernelSolution, r: RhsPair) -> None:
+    """The rhs lives at levels (n+1, n) and holds one value per block row k < K = ``k_table``."""
+    n, k_max = sol.mode.n, sol.k_table
+    if r.r1.level != n + 1 or r.r2.level != n:
+        raise WeightTagMismatch(f"rhs levels must be ({n + 1}, {n})")
+    for name, seq in (("r1", r.r1), ("r2", r.r2)):
+        if seq.values.shape[-1] != k_max:
+            raise ValueError(f"{name} has {seq.values.shape[-1]} values; the table's window needs K = {k_max}")
+
+
+def _channel_inputs(r: RhsPair) -> tuple[np.ndarray, np.ndarray]:
     """Pack the rhs into the i-indexed kernel channels.
 
     Slot i = 0 is the initial-datum slot: the particular start vector
     (0, q0/a_n(0)) contributes q0 to the second channel and nothing to the
     first; slots i >= 1 carry the block-row data (r1(i-1), r2(i-1)).
     """
-    w2, w1 = np.zeros((2, *r.r1.values.shape[:-1], k_max + 1))
-    n_fill = min(k_max, r.r1.values.shape[-1])
-    w2[..., 1 : n_fill + 1] = r.r1.values[..., :n_fill]
-    w1[..., 1 : n_fill + 1] = r.r2.values[..., :n_fill]
+    w2, w1 = np.zeros((2, *r.r1.values.shape[:-1], r.r1.values.shape[-1] + 1))
+    w2[..., 1:] = r.r1.values
+    w1[..., 1:] = r.r2.values
     w1[..., 0] = r.q0
     return w2, w1
 
 
-def _phi(sol: KernelSolution, H: np.ndarray, beta: int, k_max: int) -> np.ndarray:
-    """The channel kernel R(i) H_beta(i) / a_{n-1+beta}(i) of table ``H``, i = 0..k_max.
+def _phi(sol: KernelSolution, H: np.ndarray, beta: int) -> np.ndarray:
+    """The channel kernel R(i) H_beta(i) / a_{n-1+beta}(i) of table ``H``, i = 0..K.
 
     R = prod_{j<i} c1/c2.  The beta = 2 kernel is shifted one slot: its
     entry i is H2(i-1)/a_{n+1}(i-1) with prefix prod_{j<=i-2}, empty at i = 0.
     """
-    R = 1.0 / sol.table.prefix[: k_max + 1]
+    R = 1.0 / sol.table.prefix
     if beta == 1:
-        return R * H[..., : k_max + 1, 0] / sol.table.an[: k_max + 1]
-    phi = np.zeros(H.shape[:-2] + (k_max + 1,))
-    phi[..., 1:] = R[:-1] * H[..., :k_max, 1] / sol.table.an1[:k_max]
+        return R * H[..., 0] / sol.table.an
+    phi = np.zeros(H.shape[:-1])
+    phi[..., 1:] = R[:-1] * H[..., :-1, 1] / sol.table.an1[:-1]
     return phi
 
 
-def apply_Q(
-    sol: KernelSolution, r: RhsPair, k_max: int | None = None
-) -> ParametrixResult:
+def apply_Q(sol: KernelSolution, r: RhsPair) -> ParametrixResult:
     """Explicit inverse of one mode system through the I/K kernel tables.
 
-    ``k_max`` truncates the working window (defaults to the full table);
-    entries of r beyond it are ignored.  The result satisfies the block rows,
-    reproduces q0 exactly, and is proportional to the K table at the edge.
+    The window is the table's, K = ``k_table``: r1 and r2 hold K values each,
+    and any other length is a ValueError.  The result satisfies the block
+    rows, reproduces q0 exactly, and is proportional to the K table at the
+    edge: the boundary residual pairs h(K) with K(K), the boundary row of
+    ``oracle_solve``.
     """
     n = sol.mode.n
-    if r.r1.level != n + 1 or r.r2.level != n:
-        raise WeightTagMismatch(f"rhs levels must be ({n + 1}, {n})")
-    k_max = sol.k_table if k_max is None else k_max
-    if k_max > sol.k_table:
-        raise ValueError("k_max exceeds the kernel solution table")
-    w2, w1 = _channel_inputs(r, k_max)
+    _check_rhs(sol, r)
+    w2, w1 = _channel_inputs(r)
     # the second channel pairs against the perp vector, hence its minus sign
-    x_terms = _phi(sol, sol.K, 2, k_max) * w2 - _phi(sol, sol.K, 1, k_max) * w1
-    y_terms = _phi(sol, sol.I, 2, k_max) * w2 - _phi(sol, sol.I, 1, k_max) * w1
+    x_terms = _phi(sol, sol.K, 2) * w2 - _phi(sol, sol.K, 1) * w1
+    y_terms = _phi(sol, sol.I, 2) * w2 - _phi(sol, sol.I, 1) * w1
     e1 = suffix_sum(x_terms) / column(sol.tau)
     e2 = y_terms.cumsum(axis=-1) / column(sol.tau)
-    I = sol.I[..., : k_max + 1, :]
-    Kf = sol.K[..., : k_max + 1, :]
-    h_x = e1 * I[..., 0] + e2 * Kf[..., 0]
-    h_y = e1 * I[..., 1] + e2 * Kf[..., 1]
+    h_x = e1 * sol.I[..., 0] + e2 * sol.K[..., 0]
+    h_y = e1 * sol.I[..., 1] + e2 * sol.K[..., 1]
 
-    k1_inf, k2_inf = sol.K_inf
-    residual = abs(h_x[..., -1] * k2_inf - h_y[..., -1] * k1_inf)
-    drift = np.hypot(Kf[..., -1, 0] - k1_inf, Kf[..., -1, 1] - k2_inf)
-    kn = np.hypot(k1_inf, k2_inf)
-    tol = (
-        abs(e2[..., -1]) * drift * kn
-        + abs(e1[..., -1]) * np.abs(I[..., -1, :]).max(axis=-1) * kn
-        + 1e-12 * np.hypot(h_x[..., -1], h_y[..., -1]) * kn
-        + 1e-300
-    )
+    # e1(K) is the suffix sum's last entry, 0, so h(K) = e2(K) K(K)
+    k1, k2 = sol.K[..., -1, 0], sol.K[..., -1, 1]
+    residual = abs(h_x[..., -1] * k2 - h_y[..., -1] * k1)
+    tol = 1e-12 * np.hypot(h_x[..., -1], h_y[..., -1]) * np.hypot(k1, k2) + 1e-300
     return ParametrixResult(
         h_g=WeightedSeq(h_x, n),
         h_f=WeightedSeq(h_y, n + 1),
@@ -192,25 +191,23 @@ def apply_Q(
     )
 
 
-def oracle_matrix(
-    sol: KernelSolution, k_max: int | None = None, drop_boundary: bool = False
-) -> np.ndarray:
-    """Dense matrix of the truncated constrained system of one solution.
+def oracle_matrix(sol: KernelSolution, *, drop_boundary: bool = False) -> np.ndarray:
+    """Dense matrix of the truncated constrained system of one solution, K = ``k_table``.
 
-    Unknowns are ordered [x(0), y(0), x(1), y(1), ...]; rows are the 2*k_max
-    raw difference equations that ``apply_A`` applies, the initial regularity
-    row, and (unless dropped) the boundary row, which pairs h(k_max) against
-    the K table there: the rows ``oracle_solve`` reduces, scattered entry by
-    entry.  O(k_max^2) memory: it is the dense reference of the tests.
+    Unknowns are ordered [x(0), y(0), x(1), y(1), ...]; rows are the 2K raw
+    difference equations that ``apply_A`` applies, the initial regularity
+    row, and (unless dropped) the boundary row, which pairs h(K) against the
+    K table there: the rows ``oracle_solve`` reduces, scattered entry by
+    entry.  O(K^2) memory: it is the dense reference of the tests.
     """
-    k_max = sol.k_table if k_max is None else k_max
+    k_max = sol.k_table
     size = 2 * (k_max + 1)
-    rows = _block_rows(sol, k_max)[:, :, 0]
+    rows = _block_rows(sol)[:, :, 0]
     mat = np.zeros((2 * k_max + 1 + (0 if drop_boundary else 1), size))
     k = np.arange(k_max)
     for c, i in np.ndindex(4, 2):
         mat[2 * k + i, 2 * k + c] = rows[c, i]
-    for row, end in zip(range(2 * k_max, len(mat)), _end_rows(sol, k_max)):
+    for row, end in zip(range(2 * k_max, len(mat)), _end_rows(sol)):
         mat[row, [0, 1, size - 2, size - 1]] = end[:, 0]
     return mat
 
@@ -228,8 +225,8 @@ class OracleSolution:
     singular: np.ndarray
 
 
-def _block_rows(sol: KernelSolution, k_max: int) -> np.ndarray:
-    """The block rows L_k h(k) + R_k h(k+1) = r(k), k < k_max, of each mode, as (4, 2, modes, k).
+def _block_rows(sol: KernelSolution) -> np.ndarray:
+    """The block rows L_k h(k) + R_k h(k+1) = r(k), k < K, of each mode, as (4, 2, modes, k).
 
     Entry [c, i, j, k] is row i, column c of [L_k | R_k] of mode j.  They are
     the raw difference equations that ``apply_A`` applies, read from the
@@ -238,24 +235,24 @@ def _block_rows(sol: KernelSolution, k_max: int) -> np.ndarray:
     """
     t = sol.table
     m = np.atleast_1d(np.asarray(sol.mode.m, dtype=float))[:, None]
-    an1, an_next = t.an1[:k_max], t.an[1 : k_max + 1]
-    rows = np.zeros((4, 2, len(m), k_max))
+    an1, an_next = t.an1[:-1], t.an[1:]
+    rows = np.zeros((4, 2, len(m), t.k_hi))
     rows[0, 0] = -an1
     rows[1, 0] = m
-    rows[1, 1] = -an_next * t.c2[:k_max]
-    rows[2, 0] = an1 * t.c1[:k_max]
+    rows[1, 1] = -an_next * t.c2
+    rows[2, 0] = an1 * t.c1
     rows[2, 1] = m
     rows[3, 1] = an_next
     return rows
 
 
-def _end_rows(sol: KernelSolution, k_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """The datum row (m, a_n(0)) . h(0) and the boundary row (K2(K), -K1(K)) . h(K), K = k_max, of each mode.
+def _end_rows(sol: KernelSolution) -> tuple[np.ndarray, np.ndarray]:
+    """The datum row (m, a_n(0)) . h(0) and the boundary row (K2(K), -K1(K)) . h(K), K = ``k_table``, of each mode.
 
     Each is (4, modes), its entries the coefficients of (x(0), y(0), x(K), y(K)).
     """
     m = np.atleast_1d(np.asarray(sol.mode.m, dtype=float))
-    k1, k2 = np.atleast_2d(sol.K[..., k_max, :]).T
+    k1, k2 = np.atleast_2d(sol.K[..., -1, :]).T
     zero = np.zeros_like(m)
     return np.stack((m, np.full_like(m, sol.table.an[0]), zero, zero)), np.stack((zero, zero, k2, -k1))
 
@@ -373,8 +370,8 @@ def oracle_solve(sol: KernelSolution, r: RhsPair) -> OracleSolution:
     ``sol`` is one solution, or a ``solutions.stack`` of one level's modes
     with ``r`` stacked along a leading mode axis, as in ``apply_Q``; each mode
     of a stack gets, bit for bit, what it gets alone.  The window is the
-    table's, K = ``k_table``; entries of r beyond it are ignored and a shorter
-    r is zero-padded, as in ``apply_Q``.  The rows, which ``oracle_matrix``
+    table's, K = ``k_table``: r1 and r2 hold K values each, and any other
+    length is a ValueError, as in ``apply_Q``.  The rows, which ``oracle_matrix``
     scatters into a dense matrix, are the raw difference equations that
     ``apply_A`` applies (``_block_rows``), and (``_end_rows``) the datum row
     (m, a_n(0)) . h(0) = q0 and the boundary row (K2(K), -K1(K)) . h(K) = 0,
@@ -385,13 +382,10 @@ def oracle_solve(sol: KernelSolution, r: RhsPair) -> OracleSolution:
     the structured QR of S. J. Wright, SIAM J. Sci. Stat. Comput. 13 (1992).
     """
     n, k_max = sol.mode.n, sol.k_table
-    datum, boundary = _end_rows(sol, k_max)
-    red = _Reduction.factor(_block_rows(sol, k_max), datum, boundary)
-    r1, r2 = np.atleast_2d(r.r1.values), np.atleast_2d(r.r2.values)
-    n_fill = min(k_max, r1.shape[-1])
-    data = np.zeros((2, len(r1), k_max))
-    data[0, :, :n_fill] = r1[:, :n_fill]
-    data[1, :, :n_fill] = r2[:, :n_fill]
+    _check_rhs(sol, r)
+    datum, boundary = _end_rows(sol)
+    red = _Reduction.factor(_block_rows(sol), datum, boundary)
+    data = np.array((np.atleast_2d(r.r1.values), np.atleast_2d(r.r2.values)), dtype=float)
     q0 = np.full_like(datum[0], r.q0)
     h = red.solve(data, q0, np.zeros_like(q0))
     back = apply_A(sol.table, WeightedSeq(h[0], n), WeightedSeq(h[1], n + 1))

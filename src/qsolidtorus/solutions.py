@@ -60,6 +60,8 @@ TAU_CANCEL = 1e-8
 M_PROBE = (1, 2, 4, 8, 16, 32, 64)
 # terms epsilon sums explicitly before its exact tail
 EPS_HEAD = 4096
+# the relative margin up to which a lemma clause passes: float ties are not findings
+LEMMA_SLACK = 1e-14
 
 
 class BoundaryRuleError(ValueError):
@@ -386,10 +388,7 @@ def _margins(lhs: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return margin.max(axis=-1), margin.argmax(axis=-1)
 
 
-def verify_lemma_suite(
-    sol: KernelSolution,
-    slack: float = 1e-14,
-) -> CheckReport | list[CheckReport]:
+def verify_lemma_suite(sol: KernelSolution) -> CheckReport | list[CheckReport]:
     """Run every inequality the norm analysis uses, over the whole table.
 
     Every clause reads ``sol.oriented()``: for m > 0 the inequalities as
@@ -400,8 +399,6 @@ def verify_lemma_suite(
     ``stack`` of m != 0 solutions gives the list of their reports; one that
     holds m = 0 is a ValueError.
     """
-    # slack 0 turns float ties into findings; that strictness stress is
-    # documented behavior, not an error
     mI1, I2, K1, K2 = sol.oriented()
 
     if lone_m_zero(sol):
@@ -447,7 +444,7 @@ def verify_lemma_suite(
     # np.max propagates a NaN margin, which the builtin max can drop
     worst = per_mode(np.max([wv for _, wv, _ in margins], axis=0))
     heads += [
-        (name, [v <= slack for v in wv], [f"worst rel margin {v:.3g} at k={k}" for v, k in zip(wv, kb)])
+        (name, [v <= LEMMA_SLACK for v in wv], [f"worst rel margin {v:.3g} at k={k}" for v, k in zip(wv, kb)])
         for name, wv, kb in ((name, per_mode(wv), per_mode(kb)) for name, wv, kb in margins)
     ]
     return each_mode(sol, lambda mode, j: CheckReport(

@@ -113,6 +113,13 @@ def zero_rhs(mode: ModeIndex, k_max: int) -> RhsPair:
     )
 
 
+def zero_padded(r: RhsPair, k_max: int) -> RhsPair:
+    """``r`` with zeros appended to r1 and r2 up to length k_max, for a table longer than its window."""
+    pad = k_max - len(r.r1.values)
+    return RhsPair(WeightedSeq(np.pad(r.r1.values, (0, pad)), r.r1.level),
+                   WeightedSeq(np.pad(r.r2.values, (0, pad)), r.r2.level), r.q0)
+
+
 def build_A(mode: ModeIndex, k: int, w: WeightFamily, c: CoefficientFamily) -> np.ndarray:
     """Step matrix with rows scaled by a_{n+1}(k) c_1(k) and a_n(k+1)."""
     m, n = mode.m, mode.n
@@ -183,7 +190,7 @@ def apply_XYZ(
         raise WeightTagMismatch(f"{kind}^{alpha}{beta} input must live at level {n - 1 + beta}")
     H = sol.K if kind == "X" else sol.I
     outer = (sol.I if kind == "X" else sol.K)[: k_max + 1, alpha - 1]
-    terms = _phi(sol, H, beta, k_max) * vals
+    terms = _phi(sol, H, beta)[: k_max + 1] * vals
     inner = suffix_sum(terms) if kind == "X" else np.cumsum(terms)
     return WeightedSeq(outer * inner, n - 1 + alpha)
 

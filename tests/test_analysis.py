@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -258,3 +259,83 @@ def test_eps_above_s_fails_eps_below_s(families, monkeypatch):
     table = decay_scan((1, 2), (0, 1), Levels(w, c, 32))
     assert [ch.name for ch in table.failed()] == ["eps_below_s"]
     assert not table.all_passed
+
+
+def _at(mode, **fields):
+    """hs_norms with ``fields`` (a function of the report each) replaced in the report of ``mode`` = (m, n)."""
+
+    def change(rep):
+        if (rep.mode.m, rep.mode.n) != mode:
+            return rep
+        return dataclasses.replace(rep, **{name: f(rep) for name, f in fields.items()})
+
+    return lambda real: _each_report(real, change)
+
+
+def _on_inputs(change):
+    """hs_norms on ``change`` of each solution it is given, one or a stack."""
+    return lambda real: lambda sol, *args: real(change(sol), *args)
+
+
+def _scaled(table: str, j: int, factor: float):
+    """hs_norms on each solution with column j of its I or K table scaled by ``factor``."""
+
+    def change(sol):
+        values = getattr(sol, table).copy()
+        values[..., j] *= factor
+        return dataclasses.replace(sol, **{table: values})
+
+    return _on_inputs(change)
+
+
+# each decay_scan envelope check and each HS pass_* flag: a mutant of hs_norms (its reports, or the solutions
+# it is given) and the full set of envelope checks and pass_* flags of any row that the mutant fails, as
+# measured on m in (0, 1, 2), n in (0, 1), K = 32.  Scaling an I or K column scales the four sums that read
+# it by factor^2; tau / 1000 shrinks all eight X/Y bounds by 1e6.
+ENVELOPE_MUTANTS = {
+    "proxy_decays_in_m": (_at((2, 0), proxy=lambda rep: 1e3 * rep.proxy), {"proxy_decays_in_m"}),
+    "proxy_decays_in_n": (_at((1, 1), proxy=lambda rep: 1e3 * rep.proxy), {"proxy_decays_in_n"}),
+    "eps_below_s": (_at((2, 0), eps=lambda rep: 2.0 * rep.s_n), {"eps_below_s"}),
+    "K1 x 100": (_scaled("K", 0, 100.0), {"pass_X11", "pass_X21", "pass_Y11", "pass_Y12", "proxy_decays_in_m"}),
+    "K2 x 10": (_scaled("K", 1, 10.0), {"pass_X12", "pass_X22", "pass_Y21"}),
+    "I1 x 10": (_scaled("I", 0, 10.0), {"pass_X12", "pass_Y11", "pass_Y21"}),
+    "I2 x 100": (_scaled("I", 1, 100.0), {"pass_X21", "pass_X22", "pass_Y12", "pass_Y22", "proxy_decays_in_m"}),
+    "tau / 1000": (
+        _on_inputs(lambda sol: dataclasses.replace(sol, tau=1e-3 * sol.tau)),
+        {f"pass_{op}{a}{b}" for op in "XY" for a in (1, 2) for b in (1, 2)},
+    ),
+    # the m = 0 sum reads a_n, not the I or K tables
+    "a_n / 4": (
+        _on_inputs(lambda sol: dataclasses.replace(sol, table=dataclasses.replace(sol.table, an=sol.table.an / 4))),
+        {"pass_Z00"},
+    ),
+}
+
+
+def _envelope_failures(table) -> set[str]:
+    """The envelope checks a scan fails, and the pass_* flags that any of its rows fails."""
+    flags = {"pass_%s%d%d" % key for row in table.rows for key, ok in row.pass_flags.items() if not ok}
+    return {ch.name for ch in table.failed()} | flags
+
+
+@pytest.mark.parametrize("name", list(ENVELOPE_MUTANTS))
+def test_each_envelope_mutant_fails_its_measured_set(families, monkeypatch, name):
+    """A negative control per envelope check and HS flag: the mutant's full failing set, and the scan fails."""
+    import qsolidtorus.analysis as analysis
+
+    w, c = families
+    patch, failing = ENVELOPE_MUTANTS[name]
+    assert decay_scan((0, 1, 2), (0, 1), Levels(w, c, 32)).all_passed
+    monkeypatch.setattr(analysis, "hs_norms", patch(analysis.hs_norms))
+    table = decay_scan((0, 1, 2), (0, 1), Levels(w, c, 32))
+    assert _envelope_failures(table) == failing
+    assert not table.all_passed
+
+
+def test_every_envelope_check_has_a_mutant(families):
+    """An envelope check or an HS flag added without a mutant that fails it fails here."""
+    w, c = families
+    table = decay_scan((0, 1, 2), (0, 1), Levels(w, c, 32))
+    names = {ch.name for ch in table.checks} | {"pass_%s%d%d" % key for row in table.rows for key in row.pass_flags}
+    assert len(names) == 12
+    assert names == set().union(*(failing for _, failing in ENVELOPE_MUTANTS.values()))

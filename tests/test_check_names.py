@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from qsolidtorus.analysis import decay_scan
+from qsolidtorus.config import DEFAULT_GRID_N
 from qsolidtorus.dirac import TruncatedAlgebraRep, algebra_sanity
 from qsolidtorus.families import default_families, validate_hypotheses
 from qsolidtorus.solutions import build_solution, verify_lemma_suite
@@ -24,7 +25,7 @@ TESTS = Path(__file__).resolve().parent
 def produced_names() -> set[str]:
     w, c = default_families()
     levels = Levels(w, c, 16)
-    reports = [validate_hypotheses(w, c)]
+    reports = [validate_hypotheses(w, c, DEFAULT_GRID_N)]
     for m in (0, 1):
         reports.append(verify_lemma_suite(build_solution(ModeIndex(m, 0), levels)))
         reports.append(structure_check(limit_product(ModeIndex(m, 0), levels), levels))

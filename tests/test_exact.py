@@ -7,25 +7,34 @@ sweeps, tau, r* = -tau(0, 1)/tau(1, 0) (the seed ratio at which the truncated
 problem has a kernel; not at m = 0, where tau(1, 0) = 0), and the solution of
 the raw truncated system (the rows that ``oracle_solve`` factors: the
 difference equations of ``apply_A``, the datum row and the boundary row) by
-banded exact elimination, for one fixed right-hand side.  The families' own
-rounding stays outside the comparison: both sides start from the same floats.
+banded exact elimination, for one fixed right-hand side; and from the exact
+sweeps, ``analysis.hs_norms``' eight X/Y Hilbert-Schmidt sums (the m = 0 Z
+sum at m = 0) and each lemma clause's margins lhs - rhs, k by k.  The
+families' own rounding stays outside the comparison: both sides start from
+the same floats.
 
 The package's float64 values are compared against them.  Each bound is
 c * K * 2^-53 relative, with c stated at the comparison, and each test prints
-its measured worst.  The sign of tau, and that r* lies outside the rule's
-sign cone (so no admissible rule can sit at r*), are decided exactly.
+its measured worst.  The sign of tau, that r* lies outside the rule's sign
+cone (so no admissible rule can sit at r*), and each lemma clause's verdict
+are decided exactly.
 """
 
+import functools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from qsolidtorus.analysis import hs_norms
+from qsolidtorus.families import default_families
 from qsolidtorus.parametrix import apply_Q, oracle_solve, random_rhs
-from qsolidtorus.solutions import build_solution, compute_I, compute_K, pairing
+from qsolidtorus.solutions import build_solution, compute_I, compute_K, pairing, verify_lemma_suite
 from qsolidtorus.transfer import Levels, ModeIndex
 
 CASES = [(0, 4, 16), (1, 0, 16), (-4, 0, 64), (32, 4, 64)]
+# the HS sums and lemma margins also at n = 16, K = 128: about 0.5 s each at m != 0, more than the others together
+DEEP_CASES = [*CASES, (0, 16, 128), (4, 16, 128)]
 ULP = 2.0**-53
 
 
@@ -104,6 +113,102 @@ class Exact:
         return h
 
 
+def _running(v: list[Fraction], reverse: bool = False, strict: bool = False) -> list[Fraction]:
+    """out[k] = the sum of v[i] over i <= k, or over i >= k when ``reverse``; ``strict`` leaves out i = k."""
+    out, acc = [], Fraction(0)
+    for x in reversed(v) if reverse else v:
+        if not strict:
+            acc += x
+        out.append(acc)
+        if strict:
+            acc += x
+    return out[::-1] if reverse else out
+
+
+@functools.cache
+def exact_case(m: int, n: int, K: int):
+    """The default families' solution of (m, n) on K, its exact steps and its exact I and K sweeps."""
+    sol = build_solution(ModeIndex(m, n), Levels(*default_families(), K))
+    ex = Exact(sol)
+    return sol, ex, ex.sweep_I(), ex.sweep_K(sol.K_inf)
+
+
+def exact_hs(ex: Exact, I, Kt) -> dict:
+    """``hs_norms``' sums, keyed as there, from the exact tables.
+
+    X^{alpha beta} sums outer I_alpha(k)^2 / a against the kernel R^2 K_beta^2 / a above k, Y^{alpha beta}
+    outer K_alpha(k)^2 / a against R^2 I_beta^2 / a up to k, with R = prod c1/c2 and a = a_n (index 1) or
+    a_{n+1} (index 2); the beta = 2 kernels are shifted one slot.  At m = 0 it is the one Z sum.
+    """
+    an, an1, K = ex.an, ex.an1, ex.K
+    if ex.m == 0:
+        inner, acc = [], Fraction(0)
+        for k in range(K + 1):
+            acc = acc * (ex.c2[k - 1] ** 2 if k else 1) + 1 / an[k]
+            inner.append(acc)
+        return {("Z", 0, 0): sum(v / a for v, a in zip(inner, an1))}
+    R2 = [Fraction(1)]
+    for a, b in zip(ex.c1, ex.c2):
+        R2.append(R2[-1] * (a / b) ** 2)
+
+    def sq(H, j):
+        return [H[k][j] ** 2 / (an, an1)[j][k] for k in range(K + 1)]
+
+    def kernel(H, j):
+        return [r * v for r, v in zip(R2, sq(H, j))]
+
+    inner = {
+        ("X", 1): _running(kernel(Kt, 0), reverse=True, strict=True),
+        ("X", 2): _running(kernel(Kt, 1), reverse=True),
+        ("Y", 1): _running(kernel(I, 0)),
+        ("Y", 2): _running(kernel(I, 1), strict=True),
+    }
+    outer = {("X", 1): sq(I, 0), ("X", 2): sq(I, 1), ("Y", 1): sq(Kt, 0), ("Y", 2): sq(Kt, 1)}
+    return {(op, a, b): sum(o * v for o, v in zip(outer[op, a], inner[op, b])) for op, a in outer for b in (1, 2)}
+
+
+def exact_margins(ex: Exact, I, Kt, sol) -> dict:
+    """Each lemma clause of ``verify_lemma_suite`` from the exact tables, by name: the (lhs, rhs) pairs of an
+    inequality lhs <= rhs, k by k, or the entries a positive_* clause needs > 0 and a diag_* clause needs 0.
+
+    The rule's ratio and tau are exact; eps's upper bracket is the package's float, taken as exact.
+    """
+    an, an1, c1, c2, K, m = ex.an, ex.an1, ex.c1, ex.c2, ex.K, ex.m
+    K2 = [v[1] for v in Kt]
+    if m == 0:
+        return {"diag_pattern_I": [v[1] for v in I], "diag_pattern_K": [v[0] for v in Kt],
+                "K2_nonincreasing": list(zip(K2[1:], K2[:-1]))}
+    s = 1 if m > 0 else -1
+    mI1, I2, K1 = [-v[0] for v in I], [s * v[1] for v in I], [s * v[0] for v in Kt]
+    am, eps_up = abs(m), Fraction(sol.eps.upper)
+    ratio = abs(Fraction(sol.K_inf[0]) / Fraction(sol.K_inf[1]))
+    tau_abs = abs(Kt[0][0] * I[0][1] - Kt[0][1] * I[0][0])
+    pref, pc1 = [Fraction(1)], [Fraction(1)]
+    for a, b in zip(c1, c2):
+        pref.append(pref[-1] * b / a)
+        pc1.append(pc1[-1] * a)
+    terms1 = [Fraction(0)] + [pc1[i] * K2[i] / an1[i] for i in range(K)]
+    pair_scale = [tau_abs * p / q for p, q in zip(pref[:-1], c1)]
+    clauses = {
+        "monotone_neg_I1": (mI1[:-1], mI1[1:]),
+        "monotone_I2_over_c2": (I2[:-1], [a / b for a, b in zip(I2[1:], c2)]),
+        "monotone_K1_over_c1": (K1[1:], [a / b for a, b in zip(K1[:-1], c1)]),
+        "monotone_K2": (K2[1:], K2[:-1]),
+        "ratio_bound_I": (I2[:-1], [am * eps_up * v for v in mI1[1:]]),
+        "ratio_bound_K": (K1[1:], [am * (eps_up + ratio) * v for v in K2[:-1]]),
+        "tail_sum_K2_kernel": (
+            _running(terms1, reverse=True, strict=True)[:-1], [p * v / am for p, v in zip(pc1[:-1], K1[:-1])]),
+        "tail_sum_K1_kernel": (
+            _running([a / b for a, b in zip(K1, an)], reverse=True, strict=True)[:-1], [v / am for v in K2[:-1]]),
+        "product_K1_I2": ([a * b for a, b in zip(K1, I2)], [tau_abs * p for p in pref]),
+        "product_K2_negI1": ([a * b for a, b in zip(K2, mI1)], [tau_abs * p for p in pref]),
+        "product_negI1_next_K2": ([a * b for a, b in zip(mI1[1:], K2[:-1])], pair_scale),
+        "product_I2_K1_next": ([a * b for a, b in zip(I2[:-1], K1[1:])], pair_scale),
+    }
+    out = {f"positive_{name}": arr for name, arr in (("neg_I1", mI1), ("I2", I2), ("K1", K1), ("K2", K2))}
+    return out | {name: list(zip(lhs, rhs)) for name, (lhs, rhs) in clauses.items()}
+
+
 def _rel_err(got: np.ndarray, want: list[Fraction]) -> float:
     """max |got - want| / |want| over the entries where want != 0; got must be 0.0 where want is 0."""
     worst = 0.0
@@ -170,3 +275,48 @@ def test_oracle_and_inverse_match_exact_elimination(families, m, n, K):
     print(f"\n({m}, {n}) K={K}: " + ", ".join(f"{name} {v:.3g}" for name, v in errs.items()))
     assert all(v <= 2 * K * ULP for v in errs.values()), errs
 
+
+
+@pytest.mark.parametrize("m, n, K", DEEP_CASES)
+def test_hs_sums_match_the_exact_reference(m, n, K):
+    """hs_norms' sums, each within 2 K ulps relative of its exact value: every term is a positive square, so
+    nothing cancels."""
+    sol, ex, I, Kt = exact_case(m, n, K)
+    want = exact_hs(ex, I, Kt)
+    got = hs_norms(sol, *default_families()).hs
+    assert set(got) == set(want)
+    errs = {"%s%d%d" % key: float(abs(Fraction(got[key]) - v) / v) for key, v in want.items()}
+    worst = max(errs, key=errs.get)
+    print(f"\n({m}, {n}) K={K}: worst HS error {errs[worst]:.3g} ({worst})")
+    assert all(v <= 2 * K * ULP for v in errs.values()), errs
+
+
+def _rel_margin(lhs: Fraction, rhs: Fraction) -> Fraction:
+    scale = max(abs(lhs), abs(rhs))
+    return (lhs - rhs) / scale if scale else Fraction(0)
+
+
+@pytest.mark.parametrize("m, n, K", DEEP_CASES)
+def test_lemma_verdicts_are_the_exact_ones(m, n, K):
+    """Each lemma clause passes exactly when its exact inequality holds at every k (a positive_* clause: every
+    entry > 0; a diag_* clause: every entry 0), and the report's worst relative margin is within 2 K ulps of
+    the exact worst."""
+    sol, ex, I, Kt = exact_case(m, n, K)
+    margins = exact_margins(ex, I, Kt, sol)
+    report = verify_lemma_suite(sol)
+    assert {ch.name for ch in report.checks} == set(margins)
+    worst = {}
+    for ch in report.checks:
+        v = margins[ch.name]
+        if ch.name.startswith("positive_"):
+            holds = all(x > 0 for x in v)
+        elif ch.name.startswith("diag_"):
+            holds = all(x == 0 for x in v)
+        else:
+            worst[ch.name] = max(_rel_margin(lhs, rhs) for lhs, rhs in v)
+            holds = worst[ch.name] <= 0
+        assert ch.passed == holds, ch
+    exact_worst = max(worst.values())
+    err = float(abs(Fraction(report.worst) - exact_worst))
+    print(f"\n({m}, {n}) K={K}: worst margin {float(exact_worst):.6g}, float error {err:.3g}")
+    assert err <= 2 * K * ULP

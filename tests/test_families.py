@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qsolidtorus.config import DEFAULT_GRID_N
 from qsolidtorus.families import (
     CoefficientFamily,
     HypothesisViolation,
@@ -103,10 +104,16 @@ def test_J_geometric_half(families):
         assert got.tail < 1e-10
 
 
-def test_J_bracket_contains_longer_truncations(families):
-    _, c = families
-    got = eval_J(c, 1, 0, tol=1e-6)
-    deep = eval_J(c, 1, 0, tol=1e-15)
+def test_J_bracket_contains_longer_truncations(monkeypatch):
+    """eval_J reads SERIES_TOL when it is called: a loose tolerance's bracket holds a tight one's value.
+
+    Gaps 1 - 0.9^(k+1) are slow enough that the two tolerances stop at different truncations."""
+    c = CoefficientFamily(t1=0.9, t2=0.9, kappa=10.0)
+    monkeypatch.setattr("qsolidtorus.families.SERIES_TOL", 1e-6)
+    got = eval_J(c, 1, 0)
+    monkeypatch.setattr("qsolidtorus.families.SERIES_TOL", 1e-15)
+    deep = eval_J(c, 1, 0)
+    assert got.tail > deep.tail
     assert got.lower <= deep.value <= got.upper
 
 
@@ -124,13 +131,13 @@ def test_kappa_certificate(families):
 
 def test_validate_default_passes(families):
     w, c = families
-    report = validate_hypotheses(w, c)
+    report = validate_hypotheses(w, c, DEFAULT_GRID_N)
     assert report.all_passed, report.failed()
 
 
 def test_validate_flags_divergent_weights(families):
     _, c = families
-    report = validate_hypotheses(WeightFamily(q=1.0), c)
+    report = validate_hypotheses(WeightFamily(q=1.0), c, DEFAULT_GRID_N)
     names = [ch.name for ch in report.failed()]
     assert "s_summable" in names
 
@@ -177,7 +184,7 @@ def test_kappa_must_be_finite_and_at_least_one(kappa):
 
 def test_validate_flags_bad_kappa(families):
     w, _ = families
-    report = validate_hypotheses(w, CoefficientFamily(kappa=1.0))
+    report = validate_hypotheses(w, CoefficientFamily(kappa=1.0), DEFAULT_GRID_N)
     names = [ch.name for ch in report.failed()]
     assert "kappa_bracketing" in names
 
@@ -198,7 +205,7 @@ HYPOTHESIS_MUTANTS = {
 def test_each_hypothesis_fails_on_its_mutant(families, case):
     w, c = families
     bad_w, bad_c, failing = HYPOTHESIS_MUTANTS[case]
-    report = validate_hypotheses(bad_w or w, bad_c or c)
+    report = validate_hypotheses(bad_w or w, bad_c or c, DEFAULT_GRID_N)
     assert {ch.name for ch in report.failed()} == failing
 
 

@@ -303,7 +303,7 @@ def test_solve_and_dump_equal_direct_per_mode_builds(tmp_path):
             want.append({"m": m, "n": n, "error": f"mode ({m}, {n}): {exc}"})
             continue
         t = sol.table
-        res = apply_Q(sol, r, k_max)
+        res = apply_Q(sol, r)
         back = apply_A(t, res.h_g, res.h_f)
         diff = RhsPair(WeightedSeq(back.r1.values - r.r1.values, n + 1), WeightedSeq(back.r2.values - r.r2.values, n),
                        back.q0 - r.q0)

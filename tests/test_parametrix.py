@@ -19,6 +19,7 @@ from qsolidtorus.parametrix import (
 )
 from qsolidtorus.solutions import build_solution, stack
 from qsolidtorus.transfer import Levels, ModeIndex
+import reference
 from reference import apply_Q_direct, apply_XYZ, banded_oracle_solve, build_A, oracle_band, zero_rhs
 from test_manifest import CONFIGS
 
@@ -263,15 +264,19 @@ def test_oracle_equivalence_small_grid(families, rng):
             assert solution_diff(res, orc) <= 1e-8
 
 
-def test_oracle_window_is_the_table(families, rng):
-    """A short rhs is zero-padded to the table, as apply_Q pads it."""
+def test_an_rhs_off_the_window_is_a_value_error(families, rng):
+    """The window is the table's: an rhs shorter or longer than K is a ValueError naming both lengths,
+    for apply_Q and for the oracle, in r1 or in r2."""
     w, c = families
     mode = ModeIndex(3, 1)
     sol = build_solution(mode, Levels(w, c, 48))
-    r = random_rhs(mode, 30, rng)
-    orc = oracle_solve(sol, r)
-    assert len(orc.h_g.values) == len(orc.h_f.values) == 49
-    assert solution_diff(apply_Q(sol, r), orc) <= 1e-8
+    for size in (47, 49):
+        bad = random_rhs(mode, size, rng)
+        good = random_rhs(mode, 48, rng)
+        for r in (bad, RhsPair(good.r1, bad.r2, good.q0)):
+            for solve in (apply_Q, oracle_solve):
+                with pytest.raises(ValueError, match=f"has {size} values; the table's window needs K = 48"):
+                    solve(sol, r)
 
 
 def test_left_inverse_on_domain(families, rng):
@@ -327,7 +332,7 @@ def test_dropping_boundary_row_leaves_I_direction(families):
     w, c = families
     for mode in (ModeIndex(1, 0), ModeIndex(-5, 1)):
         sol = build_solution(mode, Levels(w, c, 48))
-        mat = oracle_matrix(sol, 48, drop_boundary=True)
+        mat = oracle_matrix(sol, drop_boundary=True)
         sv = np.linalg.svd(mat, compute_uv=False)
         assert sv[-1] > 1e-10 * sv[0]  # rank 2K+1: nullity exactly one
         _, _, vt = np.linalg.svd(mat)
@@ -350,7 +355,7 @@ def test_oracle_zero_data_gives_zero(families):
 def test_oracle_reports_sigma_min(families):
     w, c = families
     sol = build_solution(ModeIndex(0, 0), Levels(w, c, 24))
-    sigma_min = float(np.linalg.svd(oracle_matrix(sol, 24), compute_uv=False)[-1])
+    sigma_min = float(np.linalg.svd(oracle_matrix(sol), compute_uv=False)[-1])
     assert sigma_min > 0
 
 
@@ -370,9 +375,9 @@ def test_oracle_matrix_blocks_match_build_A(families):
                 for r in range(6):
                     if 0 <= j + r - 3 < size:
                         ref[j + r - 3, j] = band[r, j]
-            mat = oracle_matrix(sol, K)
+            mat = oracle_matrix(sol)
             assert mat.tobytes() == ref[[*range(1, 2 * K + 1), 0, 2 * K + 1]].tobytes(), mode
-            assert np.array_equal(oracle_matrix(sol, K, drop_boundary=True), mat[:-1])
+            assert np.array_equal(oracle_matrix(sol, drop_boundary=True), mat[:-1])
             for k in range(K):
                 assert np.array_equal(mat[2 * k : 2 * k + 2, 2 * k + 2 : 2 * k + 4], build_A(mode, k, w, c)), (mode, k)
 
@@ -389,7 +394,7 @@ def test_oracle_matrix_applies_the_operator(families, rng):
             k1, k2 = sol.K[K]
             want = np.concatenate((np.stack((back.r1.values, back.r2.values), axis=1).ravel(),
                                    [back.q0, k2 * x[-1] - k1 * y[-1]]))
-            mat = oracle_matrix(sol, K)
+            mat = oracle_matrix(sol)
             got = mat @ np.stack((x, y), axis=1).ravel()
             # each row sums at most four products of its entries' sizes
             scale = np.abs(mat) @ np.abs(np.stack((x, y), axis=1).ravel())
@@ -432,14 +437,15 @@ def test_a_singular_mode_fails_alone(tmp_path, monkeypatch):
 
 
 def test_beta_stable_under_truncation_doubling(families, rng):
-    """beta is the K-function coefficient; padding the window cannot move it."""
+    """beta is the K-function coefficient: on a 256 table, with the rhs zero-padded from 128, it equals the
+    128-window reference's to 1e-6."""
     w, c = families
     for m in (0, 1, -4, 32):
         mode = ModeIndex(m, 0)
         sol = build_solution(mode, Levels(w, c, 256))
         r = random_rhs(mode, 128, rng)
-        res_128 = apply_Q(sol, r, k_max=128)
-        res_256 = apply_Q(sol, r, k_max=256)
+        res_128 = reference.apply_Q(sol, r, k_max=128)
+        res_256 = apply_Q(sol, reference.zero_padded(r, 256))
         assert np.isfinite(res_128.beta)
         assert res_256.beta == pytest.approx(res_128.beta, rel=1e-6)
 
@@ -468,7 +474,7 @@ def test_oracle_matches_lapack_reference(tmp_path, config, k_max, ms):
                                            WeightedSeq(np.array([r.r2.values for r in rs]), n),
                                            np.array([r.q0 for r in rs])))
         assert not stacked.singular.any()
-        rows = _block_rows(st, k_max)
+        rows = _block_rows(st)
         for j, (sol, r) in enumerate(zip(sols, rs)):
             band = oracle_band(sol, k_max)
             assert np.array_equal(rows[:, :, j].reshape(8, k_max), np.array([
@@ -495,7 +501,7 @@ def test_banded_oracle_matches_dense_solve(families, rng):
                 sol = build_solution(mode, Levels(w, c, K))
                 r = random_rhs(mode, K, rng)
                 orc = oracle_solve(sol, r)
-                mat = oracle_matrix(sol, K)
+                mat = oracle_matrix(sol)
                 rhs = np.zeros(2 * (K + 1))
                 rhs[0 : 2 * K : 2] = r.r1.values
                 rhs[1 : 2 * K + 1 : 2] = r.r2.values

@@ -415,11 +415,12 @@ def test_compute_I_overflow_guard(families):
         compute_I(ModeIndex(10**40, 0), Levels(w, c, 8))
 
 
-def test_lemma_suite_zero_slack_reports_not_raises(families):
-    """Strictness stress: slack 0 may surface float ties as findings."""
+def test_lemma_suite_zero_slack_reports_not_raises(families, monkeypatch):
+    """Strictness stress: LEMMA_SLACK 0 may surface float ties as findings."""
     w, c = families
     sol = build_solution(ModeIndex(3, 0), Levels(w, c, 64))
-    report = verify_lemma_suite(sol, slack=0.0)
+    monkeypatch.setattr("qsolidtorus.solutions.LEMMA_SLACK", 0.0)
+    report = verify_lemma_suite(sol)
     assert isinstance(report.all_passed, bool)
     assert all(ch.witness for ch in report.checks)
 
