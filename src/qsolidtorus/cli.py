@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -112,7 +113,7 @@ def _solve_level(n: int, built: dict, rhs_map: dict) -> dict:
     r2 = WeightedSeq(np.array([r.r2.values for r in rs]), n)
     r = RhsPair(r1, r2, np.array([r.q0 for r in rs]))
     res = apply_Q(st, r)
-    back = apply_A(st.table, res.h_g, res.h_f)
+    back = apply_A(st, res.h_g, res.h_f)
     diff = RhsPair(WeightedSeq(back.r1.values - r1.values, n + 1), WeightedSeq(back.r2.values - r2.values, n),
                    back.q0 - r.q0)
     resid_inv = diff.norm(st.table) / np.maximum(r.norm(st.table), 1e-300)
@@ -215,7 +216,7 @@ def _dump_block(what: str, mode: ModeIndex, built, levels: Levels) -> tuple[dict
     where = f"mode ({mode.m}, {mode.n})"
     if what == "transfer":
         k_rows = levels.k_hi
-        block = {"C": built.table.C.reshape(k_rows, 4), "P": built.partials[:k_rows].reshape(k_rows, 4)}
+        block = {"C": built.C.reshape(k_rows, 4), "P": built.partials[:k_rows].reshape(k_rows, 4)}
     else:
         k_rows = len(built.I)
         block = {"I1": built.I[:, 0], "I2": built.I[:, 1], "K1": built.K[:, 0], "K2": built.K[:, 1],
@@ -281,6 +282,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads a value such as -1,1, which is no plain number, as an option; as --modes=-1,1 it is a value
+    for i in reversed(range(len(argv) - 1)):
+        if argv[i] == "--modes" and re.match(r"-\d", argv[i + 1]):
+            argv[i : i + 2] = [f"--modes={argv[i + 1]}"]
     args = parser.parse_args(argv)
     config = getattr(args, "config", None)
     if config is None:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .solutions import KernelSolution, column, per_mode, suffix_sum
-from .transfer import ModeIndex, ModeTable
+from .transfer import LevelTable, ModeIndex
 
 
 class WeightTagMismatch(ValueError):
@@ -42,9 +42,9 @@ class WeightedSeq:
     values: np.ndarray
     level: int
 
-    def norm(self, t: ModeTable) -> np.ndarray:
+    def norm(self, t: LevelTable) -> np.ndarray:
         """The weighted l2 norm by the table's a_n (level n) or a_{n+1} (level n+1), per mode."""
-        n = t.mode.n
+        n = t.n
         if self.level not in (n, n + 1):
             raise WeightTagMismatch(f"level {self.level} is neither {n} nor {n + 1}")
         a = t.an if self.level == n else t.an1
@@ -63,7 +63,7 @@ class RhsPair:
     r2: WeightedSeq
     q0: float
 
-    def norm(self, t: ModeTable) -> np.ndarray:
+    def norm(self, t: LevelTable) -> np.ndarray:
         return _root_sum_squares(self.r1.norm(t), self.r2.norm(t), self.q0, t.an[0])
 
 
@@ -77,7 +77,7 @@ class ParametrixResult:
     boundary_residual: float
     boundary_tol: float
 
-    def norm(self, t: ModeTable) -> np.ndarray:
+    def norm(self, t: LevelTable) -> np.ndarray:
         return _root_sum_squares(self.h_g.norm(t), self.h_f.norm(t))
 
 
@@ -96,14 +96,14 @@ def random_rhs(mode: ModeIndex, k_max: int, rng: np.random.Generator) -> RhsPair
     )
 
 
-def apply_A(t: ModeTable, h_g: WeightedSeq, h_f: WeightedSeq) -> RhsPair:
-    """Apply the operator of mode ``t.mode``; the returned q0 is the initial regularity datum.
+def apply_A(sol: KernelSolution, h_g: WeightedSeq, h_f: WeightedSeq) -> RhsPair:
+    """Apply the operator of mode ``sol.mode`` (of each of a stack); the returned q0 is the initial regularity datum.
 
-    The rows are the raw difference equations on the table's weights and
-    gaps, so a right-inverse residual checks variation of constants against
-    the operator itself.
+    The rows are the raw difference equations on the level table's weights
+    and gaps and m, so a right-inverse residual checks variation of
+    constants against the operator itself.
     """
-    m, n = t.mode.m, t.mode.n
+    t, m, n = sol.table, sol.mode.m, sol.mode.n
     if h_g.level != n or h_f.level != n + 1:
         raise WeightTagMismatch(f"expected levels ({n}, {n + 1})")
     x = h_g.values
@@ -378,7 +378,7 @@ def oracle_solve(sol: KernelSolution, r: RhsPair) -> OracleSolution:
     which pairs against the K table at the truncation edge (the rule values
     when the seed sits there).  The reduction is factored once; the solve is
     followed by one step of iterative refinement against the residual of the
-    same system (``apply_A`` on the table, plus the boundary row).  This is
+    same system (``apply_A``, plus the boundary row).  This is
     the structured QR of S. J. Wright, SIAM J. Sci. Stat. Comput. 13 (1992).
     """
     n, k_max = sol.mode.n, sol.k_table
@@ -388,7 +388,7 @@ def oracle_solve(sol: KernelSolution, r: RhsPair) -> OracleSolution:
     data = np.array((np.atleast_2d(r.r1.values), np.atleast_2d(r.r2.values)), dtype=float)
     q0 = np.full_like(datum[0], r.q0)
     h = red.solve(data, q0, np.zeros_like(q0))
-    back = apply_A(sol.table, WeightedSeq(h[0], n), WeightedSeq(h[1], n + 1))
+    back = apply_A(sol, WeightedSeq(h[0], n), WeightedSeq(h[1], n + 1))
     resid = data - np.stack((back.r1.values, back.r2.values))
     h = h + red.solve(resid, q0 - back.q0, -(boundary[2] * h[0, :, -1] + boundary[3] * h[1, :, -1]))
     # one solution gives unstacked shapes: (K+1,) pairs and a scalar flag

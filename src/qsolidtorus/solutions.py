@@ -41,12 +41,11 @@ from .families import (
 # scalar_det_prefix lives in transfer.  It is imported here as well because
 # perfbench/tracer.py wraps solutions.scalar_det_prefix by this name.
 from .transfer import (
+    LevelTable,
     Levels,
     ModeIndex,
-    ModeTable,
     SingularMatrixError,
     flips_exactly,
-    mirror_table,
     scalar_det_prefix,
     sweep,
     tail_sum_C_minus_I,
@@ -140,8 +139,7 @@ DEFAULT_RULE = BoundaryRule()
 
 def compute_I(mode: ModeIndex, levels: Levels) -> np.ndarray:
     """Forward table I(0..K), K = levels.k_hi, from the normalization I(0) = (-1, m/a_n(0))."""
-    table = levels.table(mode)
-    out = sweep(table.C, -1.0, float(mode.m / table.an[0]))
+    out = sweep(levels.C(mode), -1.0, float(mode.m / levels.table(mode.n).an[0]))
     if not np.all(np.isfinite(out)) or np.max(np.abs(out)) > 1e280:
         raise RangeOverflowError(
             "forward recursion overflow; rescale the data or lower |m| * K "
@@ -156,22 +154,21 @@ def compute_K(mode: ModeIndex, levels: Levels, k_inf: tuple[float, float], k_hi:
     Returns the table and the tail certificate sum_{k >= k_hi} ||C - I||_1,
     which controls how far the seeded solution can drift from one seeded
     deeper.  Backward recursion keeps the recessive solution stable.  It
-    sweeps the first k_hi steps of the mode's table, so no longer window moves a bit.
+    sweeps the first k_hi steps of the mode's C stack, so no longer window moves a bit.
     """
     if k_hi > levels.k_hi:
         raise ValueError(f"seed index {k_hi} beyond the level data's window {levels.k_hi}")
     tail = tail_sum_C_minus_I(mode, levels, k_hi)
-    table = levels.table(mode)
-    c_arr = table.C[:k_hi]
+    t, c_arr = levels.table(mode.n), levels.C(mode)[:k_hi]
     # explicit 2x2 inverses adj(C)/det C for every step, swept from the seed down
     inv = np.stack((c_arr[:, 1, 1], -c_arr[:, 0, 1], -c_arr[:, 1, 0], c_arr[:, 0, 0]), axis=1)
-    inv /= (table.c2[:k_hi] / table.c1[:k_hi])[:, None]
+    inv /= (t.c2[:k_hi] / t.c1[:k_hi])[:, None]
     return sweep(inv[::-1], float(k_inf[0]), float(k_inf[1]))[::-1].copy(), tail
 
 
 @dataclass(frozen=True)
 class KernelSolution:
-    """Per-mode I/K tables with pairing, decay quantity and tail certificates."""
+    """Per-mode I/K tables with pairing, decay quantity and tail certificates, on the level's table."""
 
     mode: ModeIndex
     I: np.ndarray
@@ -180,7 +177,7 @@ class KernelSolution:
     tau: float
     eps: SeriesValue
     seed_tail_bound: float
-    table: ModeTable = field(repr=False)
+    table: LevelTable = field(repr=False)
 
     @property
     def k_table(self) -> int:
@@ -230,14 +227,13 @@ def epsilon(mode: ModeIndex, levels: Levels) -> SeriesValue:
 
 
 def build_solution(mode: ModeIndex, levels: Levels, rule: BoundaryRule = DEFAULT_RULE) -> KernelSolution:
-    """Assemble the I/K tables for one mode on its table in the command's level data.
+    """Assemble the I/K tables for one mode on its level's table in the command's level data.
 
     The K seed sits at the table end, so the boundary data holds exactly at
     the truncation edge; ``seed_tail_bound`` certifies the drift from a
     deeper seed.
     """
     k_inf = rule(mode.m)
-    table = levels.table(mode)
     I_tab = compute_I(mode, levels)
     K_tab, seed_tail = compute_K(mode, levels, k_inf, levels.k_hi)
     tau = float(pairing(I_tab, K_tab)[0])
@@ -255,7 +251,7 @@ def build_solution(mode: ModeIndex, levels: Levels, rule: BoundaryRule = DEFAULT
         tau=tau,
         eps=eps,
         seed_tail_bound=seed_tail,
-        table=table,
+        table=levels.table(mode.n),
     )
 
 
@@ -264,20 +260,19 @@ def mirror_solution(sol: KernelSolution, rule: BoundaryRule = DEFAULT_RULE) -> K
 
     It is derived where m != 0 and the rule is odd at m, rule(-m) = (-k1, k2)
     for rule(m) = (k1, k2): then I(-m) = I(m) diag(1, -1) and K(-m) = K(m)
-    diag(-1, 1) bit for bit, and tau, eps and the seed tail are equal.  None
-    also where a negated entry could differ from a direct build
-    (``transfer.flips_exactly``).
+    diag(-1, 1) bit for bit, and tau, eps, the seed tail and the level's
+    table are shared.  None also where a negated entry could differ from a
+    direct build (``transfer.flips_exactly``).
     """
     k1, k2 = sol.K_inf
     k_inf = rule(-sol.mode.m)
     if sol.mode.m == 0 or tuple(k_inf) != (-k1, k2):
         return None
-    table = mirror_table(sol.table)
     I_tab = sol.I * (1.0, -1.0)
     K_tab = sol.K * (-1.0, 1.0)
-    if table is None or not flips_exactly(I_tab[:, 1], K_tab[:, 0]):
+    if not flips_exactly(I_tab[:, 1], K_tab[:, 0]):
         return None
-    return replace(sol, mode=table.mode, I=I_tab, K=K_tab, K_inf=k_inf, table=table)
+    return replace(sol, mode=ModeIndex(-sol.mode.m, sol.mode.n), I=I_tab, K=K_tab, K_inf=k_inf)
 
 
 def by_level(
@@ -314,10 +309,9 @@ def by_level(
 
 
 def stack(sols: list[KernelSolution]) -> KernelSolution:
-    """One level's solutions on one window as one: tables (modes, k, ...), per-mode numbers (modes,).
+    """One level's solutions on one window as one: tables (modes, k, ...), per-mode numbers (modes,), the level's table.
 
     The checks index k as [..., k], so each row gives, bit for bit, what its solution gives alone.
-    No check reads the C stacks, so the stack's table holds none (``C`` is None).
     """
 
     def per(get) -> np.ndarray:
@@ -327,7 +321,7 @@ def stack(sols: list[KernelSolution]) -> KernelSolution:
     return KernelSolution(
         mode, per(lambda s: s.I), per(lambda s: s.K), (per(lambda s: s.K_inf[0]), per(lambda s: s.K_inf[1])),
         per(lambda s: s.tau), SeriesValue(per(lambda s: s.eps.value), per(lambda s: s.eps.tail)),
-        per(lambda s: s.seed_tail_bound), replace(sols[0].table, mode=mode, C=None),
+        per(lambda s: s.seed_tail_bound), sols[0].table,
     )
 
 

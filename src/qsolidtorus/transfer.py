@@ -4,22 +4,23 @@ Each mode (m, n) carries one step matrix A_{m,n}(k+1) and one propagation
 matrix C_{m,n}(k); kernel solutions of the mode system evolve by
 h(k+1) = C_{m,n}(k) h(k).  Products are ordered right-to-left,
 P(k) = C(k-1) ... C(0), and converge because sum_k ||C(k) - I||_1 is finite.
-Only the C stack depends on m: ``Levels`` evaluates the rest of each radial
-level once per command, and its ``table`` adds a mode's C stack to it.  This
-module sweeps the table's partial products by ``sweep``, the one step loop,
-and gives a certified tail bound for their remainder and checks on the limit.
+Only the C stack depends on m: ``Levels`` evaluates each radial level's table
+once per command, shared by every m, and builds a mode's C stack from it
+where a sweep needs one.  This module sweeps the partial products by
+``sweep``, the one step loop, and gives a certified tail bound for their
+remainder and checks on the limit.
 
-m enters C_{m,n}(k) only as m off the diagonal and m^2 on it, so the tables
-of (-m, n) are those of (m, n) with their off-diagonals negated, bit for bit:
+m enters C_{m,n}(k) only as m off the diagonal and m^2 on it, so the C stack
+of (-m, n) is that of (m, n) with its off-diagonals negated, bit for bit:
 float negation is exact and rounding is symmetric.  The exception is a sum
 that cancels to zero, which is +0.0 for either sign; ``flips_exactly`` tells
-where a negated table is what a direct evaluation would give.
+where a negated array is what a direct evaluation would give.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,23 +84,21 @@ def scalar_det_prefix(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ModeTable:
-    """Per-mode data on the window 0 <= k <= k_hi.
+class LevelTable:
+    """Level n's data on the window 0 <= k <= k_hi, shared by every mode (m, n).
 
-    ``an`` and ``an1`` hold a_n(k) and a_{n+1}(k) for k = 0..k_hi; ``c1``,
-    ``c2`` and the propagation matrices ``C`` cover k = 0..k_hi-1; ``prefix[k]``
-    is prod_{i<k} c_2(i)/c_1(i).  No entry depends on a later index, so a
-    shorter window is a slice of a longer one, bit for bit.  All but ``C`` are
-    the level's, shared by every m.
+    ``an`` and ``an1`` hold a_n(k) and a_{n+1}(k) for k = 0..k_hi; ``c1`` and
+    ``c2`` cover k = 0..k_hi-1; ``prefix[k]`` is prod_{i<k} c_2(i)/c_1(i).  No
+    entry depends on a later index, so a shorter window is a slice of a longer
+    one, bit for bit.
     """
 
-    mode: ModeIndex
+    n: int
     k_hi: int
     an: np.ndarray
     an1: np.ndarray
     c1: np.ndarray
     c2: np.ndarray
-    C: np.ndarray
     prefix: np.ndarray
 
 
@@ -112,12 +111,12 @@ def _read_only(arr) -> np.ndarray:
 class Levels:
     """One command's m-free data of its radial levels, each evaluated once: a_{n+1} serves levels n and n + 1.
 
-    The last mode's table is kept, so a build and its sweeps share one C stack;
+    The last mode's C stack is kept, so a build and its sweeps share one;
     a command drops its Levels when it returns, so no run serves another.
     """
 
     def __init__(self, w: WeightFamily, c: CoefficientFamily, k_hi: int) -> None:
-        self.w, self.c, self.k_hi, self._memo, self._table = w, c, k_hi, {}, None
+        self.w, self.c, self.k_hi, self._memo, self._last_C = w, c, k_hi, {}, (None, None)
 
     def once(self, key, compute):
         if key not in self._memo:
@@ -130,15 +129,21 @@ class Levels:
     def sup_inv(self, n: int, k0: int) -> float:
         return self.once(("sup", n, k0), lambda: sup_inv_weight(self.w, n, k0))
 
-    def table(self, mode: ModeIndex) -> ModeTable:
-        if self._table is None or self._table.mode != mode:
-            n, k_hi = mode.n, self.k_hi
-            c1, c2 = self.once(("c", n), lambda: tuple(_read_only(self.c.c(i, n, np.arange(k_hi))) for i in (1, 2)))
-            prefix = self.once(("prefix", n), lambda: _read_only(scalar_det_prefix(c1, c2)))
+    def table(self, n: int) -> LevelTable:
+        def build() -> LevelTable:
+            k_hi = self.k_hi
+            c1, c2 = (_read_only(self.c.c(i, n, np.arange(k_hi))) for i in (1, 2))
             an, an1 = self.a(n, k_hi + 1), self.a(n + 1, k_hi + 1)
-            C = _read_only(build_C_range(mode.m, an, an1, c1, c2))
-            self._table = ModeTable(mode, k_hi, an, an1, c1, c2, C, prefix)
-        return self._table
+            return LevelTable(n, k_hi, an, an1, c1, c2, _read_only(scalar_det_prefix(c1, c2)))
+
+        return self.once(("table", n), build)
+
+    def C(self, mode: ModeIndex) -> np.ndarray:
+        """The mode's propagation matrices C(0..k_hi-1), read-only; consecutive calls for one mode build them once."""
+        if self._last_C[0] != mode:
+            t = self.table(mode.n)
+            self._last_C = (mode, _read_only(build_C_range(mode.m, t.an, t.an1, t.c1, t.c2)))
+        return self._last_C[1]
 
 
 # negates the off-diagonals of a stack of 2x2 matrices by broadcasting
@@ -152,19 +157,6 @@ def flips_exactly(*parts: np.ndarray) -> bool:
     a cancellation, +0.0 for either sign, and a NaN's sign is the hardware's.
     """
     return all(np.abs(p).min(initial=np.inf) > 0 for p in parts)
-
-
-def mirror_table(table: ModeTable) -> ModeTable | None:
-    """The table of (-m, n) from that of (m, n), or None where a direct build could differ.
-
-    The weights, gaps and prefix do not depend on m and are shared; the C
-    stack has its off-diagonals negated.
-    """
-    C = table.C * OFFDIAG_FLIP
-    if not flips_exactly(C[:, 0, 1], C[:, 1, 0]):
-        return None
-    C.setflags(write=False)
-    return replace(table, mode=ModeIndex(-table.mode.m, table.mode.n), C=C)
 
 
 def sweep(steps: np.ndarray, x: float, y: float) -> np.ndarray:
@@ -201,46 +193,47 @@ def tail_sum_C_minus_I(mode: ModeIndex, levels: Levels, k0: int) -> float:
 
 @dataclass(frozen=True)
 class TransferProduct:
-    """Partial products of one mode's C matrices on its table.
+    """One mode's C matrices C(0..K-1), K = levels.k_hi, and their partial products.
 
-    ``table`` holds the mode's per-k data up to the truncation K = table.k_hi;
     ``partials[k]`` is P(k) = C(k-1)...C(0) and ``limit`` is P(K).
     """
 
-    table: ModeTable
+    mode: ModeIndex
+    C: np.ndarray
     partials: np.ndarray
 
     @property
     def limit(self) -> np.ndarray:
-        return self.partials[self.table.k_hi]
+        return self.partials[-1]
 
 
 def limit_product(mode: ModeIndex, levels: Levels) -> TransferProduct:
-    """The ordered products P(k) of the mode's table up to P(K), K = levels.k_hi.
+    """The ordered products P(k) of the mode's C stack up to P(K), K = levels.k_hi.
 
     Raises SingularMatrixError when det P(K) falls below the floor.
     """
-    table = levels.table(mode)
     # det P(K) is the scalar product prod c2/c1, so it is read there and not
     # from p00 p11 - p01 p10, which cancels to 0 where the entries are large
-    if abs(table.prefix[-1]) < DET_FLOOR:
+    if abs(levels.table(mode.n).prefix[-1]) < DET_FLOOR:
         raise SingularMatrixError("limit product determinant underflowed")
-    return TransferProduct(table=table, partials=partial_products(table.C))
+    C = levels.C(mode)
+    return TransferProduct(mode, C, partial_products(C))
 
 
 def mirror_product(tp: TransferProduct) -> TransferProduct | None:
     """The products of (-m, n) from those of (m, n), or None where a direct build could differ.
 
-    Every P(k) has its off-diagonals negated, except P(0) = I, whose zeros
-    are +0.0 for every m.  The determinants are equal, so a product whose
-    limit fell below the floor has a partner that falls below it too.
+    C and every P(k) have their off-diagonals negated, except P(0) = I, whose
+    zeros are +0.0 for every m.  The determinants are equal, so a product
+    whose limit fell below the floor has a partner that falls below it too.
     """
-    table = mirror_table(tp.table)
+    C = tp.C * OFFDIAG_FLIP
     parts = tp.partials * OFFDIAG_FLIP
     parts[0] = tp.partials[0]
-    if table is None or not flips_exactly(parts[1:, 0, 1], parts[1:, 1, 0]):
+    if not flips_exactly(C[:, 0, 1], C[:, 1, 0], parts[1:, 0, 1], parts[1:, 1, 0]):
         return None
-    return TransferProduct(table=table, partials=parts)
+    C.setflags(write=False)
+    return TransferProduct(ModeIndex(-tp.mode.m, tp.mode.n), C, parts)
 
 
 def structure_check(tp: TransferProduct, levels: Levels) -> CheckReport:
@@ -255,8 +248,8 @@ def structure_check(tp: TransferProduct, levels: Levels) -> CheckReport:
     once per level through ``levels``.  Together the two determinant clauses
     bound det P(K) - J_2/J_1.
     """
-    mode, K, c1, c2 = tp.table.mode, tp.table.k_hi, tp.table.c1, tp.table.c2
-    m, n = mode.m, mode.n
+    mode, t = tp.mode, levels.table(tp.mode.n)
+    m, n, K, c1, c2 = mode.m, mode.n, t.k_hi, t.c1, t.c2
     # first, so a family without a tail certificate raises before prod 1/c1 can overflow
     tail = tail_sum_C_minus_I(mode, levels, K)
     j1, j2 = levels.once(("J", n), lambda: (eval_J(levels.c, 1, n), eval_J(levels.c, 2, n)))
@@ -278,7 +271,7 @@ def structure_check(tp: TransferProduct, levels: Levels) -> CheckReport:
                         f"off-diagonals {p01:.6g}, {p10:.6g} for m={m}"),
         ]
 
-    det_scalar = float(tp.table.prefix[K])
+    det_scalar = float(t.prefix[K])
     # P(K) / 2^e, exact, has its entries below 1, so no product of two overflows
     e = max(math.frexp(max(abs(p00), abs(p01), abs(p10), abs(p11)))[1], 0)
     s00, s01, s10, s11 = (math.ldexp(p, -e) for p in (p00, p01, p10, p11))

@@ -11,7 +11,8 @@ solution, so it holds to 1e-10 only at small |m|.
 
 The second half holds the one-mode versions of the stages the package now
 runs once per level on a stack of modes: ``mode_table`` and ``epsilon``
-evaluate the families themselves, and ``apply_A``, ``apply_Q``, the three
+evaluate the families themselves (``mode_table`` gives the level's table and
+the mode's C stack), and ``apply_A``, ``apply_Q``, the three
 norms, ``wronskian_residuals``, ``verify_lemma_suite`` and ``hs_norms`` work
 on one solution's 1-D tables.  Their arithmetic is the package's before the
 stacking, so ``tests/test_stacked.py`` can compare the stacked stages with
@@ -49,8 +50,8 @@ from qsolidtorus.parametrix import ParametrixResult, RhsPair, WeightedSeq, Weigh
 from qsolidtorus.solutions import EPS_HEAD, KernelSolution, cumulative_product_sum, suffix_sum
 from qsolidtorus.transfer import (
     DET_FLOOR,
+    LevelTable,
     ModeIndex,
-    ModeTable,
     SingularMatrixError,
     build_C_range,
     partial_products,
@@ -84,6 +85,12 @@ def invert(mat: np.ndarray) -> np.ndarray:
     return np.array([[mat[1, 1], -mat[0, 1]], [-mat[1, 0], mat[0, 0]]]) / d
 
 
+def C_stack(sol: KernelSolution) -> np.ndarray:
+    """The solution's C stack, built from its level's table."""
+    t = sol.table
+    return build_C_range(sol.mode.m, t.an, t.an1, t.c1, t.c2)
+
+
 def perp_transport_residual(sol: KernelSolution) -> float:
     """Check K(k)^perp = prod(c2/c1) (P(k)^-1)^T K(0)^perp, worst relative error, for k <= 48.
 
@@ -92,7 +99,7 @@ def perp_transport_residual(sol: KernelSolution) -> float:
     against a Wronskian residual of 4.5e-16 there.  It is a small-m check.
     """
     k_hi = min(sol.k_table, 48)
-    parts = partial_products(sol.table.C[:k_hi])
+    parts = partial_products(C_stack(sol)[:k_hi])
     pref = sol.table.prefix
     k0_perp = np.array([sol.K[0, 1], -sol.K[0, 0]])
     worst = 0.0
@@ -206,7 +213,7 @@ def apply_Q_direct(
     m = sol.mode.m
     t = sol.table
     k_max = sol.k_table if k_max is None else k_max
-    parts = partial_products(t.C[:k_max])
+    parts = partial_products(C_stack(sol)[:k_max])
     v = np.zeros((k_max + 1, 2))
     v[0] = (0.0, r.q0 / t.an[0])
     a_row1 = t.an1[:k_max] * t.c1[:k_max]
@@ -249,14 +256,14 @@ def first_difference(got: str, want: str):
 # ---------------------------------------------------------------- one mode at a time
 
 
-def mode_table(mode: ModeIndex, w: WeightFamily, c: CoefficientFamily, k_hi: int) -> ModeTable:
-    """One mode's weights and gaps from four family calls, then its C stack and c2/c1 prefix."""
+def mode_table(mode: ModeIndex, w: WeightFamily, c: CoefficientFamily, k_hi: int) -> tuple[LevelTable, np.ndarray]:
+    """One mode's level table (weights and gaps from four family calls, c2/c1 prefix) and its C stack."""
     n = mode.n
     ks = np.arange(k_hi + 1)
     an, an1 = (np.asarray(w.a(i, ks), dtype=float) for i in (n, n + 1))
     c1, c2 = (np.asarray(c.c(i, n, ks[:-1]), dtype=float) for i in (1, 2))
-    C = build_C_range(mode.m, an, an1, c1, c2)
-    return ModeTable(mode=mode, k_hi=k_hi, an=an, an1=an1, c1=c1, c2=c2, C=C, prefix=scalar_det_prefix(c1, c2))
+    table = LevelTable(n=n, k_hi=k_hi, an=an, an1=an1, c1=c1, c2=c2, prefix=scalar_det_prefix(c1, c2))
+    return table, build_C_range(mode.m, an, an1, c1, c2)
 
 
 def epsilon(mode: ModeIndex, w: WeightFamily) -> SeriesValue:
@@ -281,24 +288,24 @@ def epsilon(mode: ModeIndex, w: WeightFamily) -> SeriesValue:
     return SeriesValue(value=value, tail=0.5 * corr + 1e-15 * abs(value))
 
 
-def norm_seq(seq: WeightedSeq, t: ModeTable) -> float:
-    n = t.mode.n
+def norm_seq(seq: WeightedSeq, t: LevelTable) -> float:
+    n = t.n
     if seq.level not in (n, n + 1):
         raise WeightTagMismatch(f"level {seq.level} is neither {n} nor {n + 1}")
     a = t.an if seq.level == n else t.an1
     return float(np.sqrt(np.sum(seq.values**2 / a[: len(seq.values)])))
 
 
-def norm_rhs(r: RhsPair, t: ModeTable) -> float:
+def norm_rhs(r: RhsPair, t: LevelTable) -> float:
     return float(np.sqrt(norm_seq(r.r1, t) ** 2 + norm_seq(r.r2, t) ** 2 + r.q0**2 / t.an[0]))
 
 
-def norm_result(res: ParametrixResult, t: ModeTable) -> float:
+def norm_result(res: ParametrixResult, t: LevelTable) -> float:
     return float(np.sqrt(norm_seq(res.h_g, t) ** 2 + norm_seq(res.h_f, t) ** 2))
 
 
-def apply_A(t: ModeTable, h_g: WeightedSeq, h_f: WeightedSeq) -> RhsPair:
-    m, n = t.mode.m, t.mode.n
+def apply_A(t: LevelTable, mode: ModeIndex, h_g: WeightedSeq, h_f: WeightedSeq) -> RhsPair:
+    m, n = mode.m, mode.n
     if h_g.level != n or h_f.level != n + 1:
         raise WeightTagMismatch(f"expected levels ({n}, {n + 1})")
     x = h_g.values
@@ -514,19 +521,18 @@ def hs_norms(sol: KernelSolution, w: WeightFamily, c: CoefficientFamily) -> HsRe
 # ---------------------------------------------------------------- the step loops, one per recurrence
 
 
-def compute_I_loop(mode: ModeIndex, table: ModeTable) -> np.ndarray:
+def compute_I_loop(mode: ModeIndex, table: LevelTable, C: np.ndarray) -> np.ndarray:
     """Forward table I(0..k_hi) from I(0) = (-1, m/a_n(0)) by its own plain-float loop, without the overflow guard."""
     x, y = -1.0, float(mode.m / table.an[0])
     flat = [x, y]
-    for c00, c01, c10, c11 in table.C.reshape(-1, 4).tolist():
+    for c00, c01, c10, c11 in C.reshape(-1, 4).tolist():
         x, y = c00 * x + c01 * y, c10 * x + c11 * y
         flat += (x, y)
     return np.array(flat).reshape(-1, 2)
 
 
-def compute_K_loop(table: ModeTable, k_inf: tuple[float, float]) -> np.ndarray:
+def compute_K_loop(table: LevelTable, c_arr: np.ndarray, k_inf: tuple[float, float]) -> np.ndarray:
     """Backward table K(0..k_hi) from K(k_hi) = k_inf by its own plain-float loop over adj(C)/det C."""
-    c_arr = table.C
     inv = np.stack((c_arr[:, 1, 1], -c_arr[:, 0, 1], -c_arr[:, 1, 0], c_arr[:, 0, 0]), axis=1)
     inv /= (table.c2 / table.c1)[:, None]
     x, y = float(k_inf[0]), float(k_inf[1])
@@ -595,7 +601,7 @@ def banded_oracle_solve(sol: KernelSolution, r: RhsPair) -> tuple[np.ndarray, np
     """(h_g, h_f) by a banded LU of ``oracle_band`` on the table's window, plus one refinement step.
 
     The refinement residual is the raw system's, as in ``oracle_solve``:
-    ``apply_A`` on the solution's table plus the boundary row.  A zero pivot
+    ``apply_A`` on the solution's table and mode plus the boundary row.  A zero pivot
     is ``np.linalg.LinAlgError``.
     """
     n = sol.mode.n
@@ -609,7 +615,7 @@ def banded_oracle_solve(sol: KernelSolution, r: RhsPair) -> tuple[np.ndarray, np
     rhs[1 : 2 * n_fill : 2] = r.r1.values[:n_fill]
     rhs[2 : 2 * n_fill + 1 : 2] = r.r2.values[:n_fill]
     hvec, _ = dgbtrs(lu, 2, 1, rhs, piv)
-    back = apply_A(sol.table, WeightedSeq(hvec[0::2], n), WeightedSeq(hvec[1::2], n + 1))
+    back = apply_A(sol.table, sol.mode, WeightedSeq(hvec[0::2], n), WeightedSeq(hvec[1::2], n + 1))
     b1, b2 = sol.K[k_max]
     resid = rhs.copy()
     resid[0] -= back.q0

@@ -84,9 +84,10 @@ def test_criterion_1_right_inverse():
     t0 = time.time()
     worst = 0.0
     for (m, n) in grid_modes():
-        t = solution(m, n).table
+        sol = solution(m, n)
+        t = sol.table
         for r, res in zip(fixtures(m, n), q_results(m, n)):
-            back = apply_A(t, res.h_g, res.h_f)
+            back = apply_A(sol, res.h_g, res.h_f)
             worst = max(worst, rhs_rel_diff(back, r, t))
     elapsed = time.time() - t0
     assert worst <= 1e-9, f"worst right-inverse residual {worst:.3e}"
@@ -128,7 +129,7 @@ def test_criterion_3_kernel_triviality():
         sigma_floor = min(sigma_floor, sv[-1] / sv[0])
         assert sv[-1] > 0.0
 
-        out = apply_A(sol.table, WeightedSeq(sol.I[: K_MAX + 1, 0], n), WeightedSeq(sol.I[: K_MAX + 1, 1], n + 1))
+        out = apply_A(sol, WeightedSeq(sol.I[: K_MAX + 1, 0], n), WeightedSeq(sol.I[: K_MAX + 1, 1], n + 1))
         scale = float(np.max(np.abs(sol.I[: K_MAX + 1]))) * W.a(n + 1, K_MAX)
         resid = max(float(np.max(np.abs(out.r1.values))), float(np.max(np.abs(out.r2.values))), abs(out.q0)) / scale
         worst_ai = max(worst_ai, resid)
@@ -287,7 +288,7 @@ def test_criterion_8_mode_equivalence():
             g[k_imp] = 1.0
             f[min(k_imp + 1, 32)] = 1.0
             mode = ModeIndex(m, n)
-            d_mat = apply_A(Levels(W, C, 32).table(mode), WeightedSeq(g, n), WeightedSeq(f, n + 1))
+            d_mat = apply_A(solution(m, n), WeightedSeq(g, n), WeightedSeq(f, n + 1))
             d_del = apply_D_delta(mode, W, C, g, f)
             for a, b in (
                 (d_mat.r1.values, d_del.r1.values),

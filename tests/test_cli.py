@@ -388,6 +388,22 @@ def test_repeated_modes_option_runs_each_m_once(small_config):
     assert sorted((rec["m"], rec["n"]) for rec in recs) == [(m, n) for m in (-2, 1) for n in (0, 1, 2)]
 
 
+@pytest.mark.parametrize("command", [["solve"], ["scan"], ["dump", "--what", "solution"]])
+def test_modes_may_start_with_a_negative_m(small_config, tmp_path, command):
+    """--modes -2,1 runs what --modes=-2,1 runs; argparse alone reads -2,1 as an option and exits 2."""
+    path, _ = small_config
+    texts = []
+    for spelling in (["--modes", "-2,1"], ["--modes=-2,1"]):
+        out = tmp_path / spelling[-1]
+        assert main(["--config", str(path), "--out", str(out), *command, *spelling, "--kmax", "8"]) == 0
+        texts.append({f.name: "\n".join(line for line in f.read_text().splitlines() if '"generated_at": ' not in line)
+                      for f in sorted(out.glob("*.json"))})
+    assert texts[0] and texts[0] == texts[1]
+    if command == ["solve"]:
+        recs = json.loads(texts[0]["solutions.json"])["solutions"]
+        assert sorted((rec["m"], rec["n"]) for rec in recs) == [(m, n) for m in (-2, 1) for n in (0, 1, 2)]
+
+
 # a family section or tail object holds exactly its law's keys, and each law
 # checks its parameters with or without a table in front of it
 BAD_FAMILIES = {

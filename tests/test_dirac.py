@@ -33,8 +33,8 @@ def impulses(k_g, k_f, k_max):
 
 
 def apply_A_on(mode: ModeIndex, w, c, g: np.ndarray, f: np.ndarray) -> RhsPair:
-    t = Levels(w, c, len(g) - 1).table(mode)
-    return apply_A(t, WeightedSeq(g, mode.n), WeightedSeq(f, mode.n + 1))
+    sol = build_solution(mode, Levels(w, c, len(g) - 1))
+    return apply_A(sol, WeightedSeq(g, mode.n), WeightedSeq(f, mode.n + 1))
 
 
 def rhs_close(a: RhsPair, b: RhsPair, tol: float) -> bool:
@@ -81,7 +81,7 @@ def test_global_right_inverse(families, rng):
         rhs = apply_A_on(mode, w, c, g, f)
         sol = build_solution(mode, Levels(w, c, 32))
         res = apply_Q(sol, rhs)
-        back = apply_A(sol.table, res.h_g, res.h_f)
+        back = apply_A(sol, res.h_g, res.h_f)
         assert rhs_close(back, rhs, 1e-9)
 
 
@@ -93,7 +93,7 @@ def test_global_left_inverse_on_domain(families, rng):
         g, f = rng.standard_normal(33), rng.standard_normal(33)
         sol = build_solution(mode, Levels(w, c, 32))
         domain = apply_Q(sol, apply_A_on(mode, w, c, g, f))
-        again = apply_Q(sol, apply_A(sol.table, domain.h_g, domain.h_f))
+        again = apply_Q(sol, apply_A(sol, domain.h_g, domain.h_f))
         a = np.concatenate((domain.h_g.values, domain.h_f.values))
         b = np.concatenate((again.h_g.values, again.h_f.values))
         assert np.max(np.abs(a - b)) <= 1e-8 * max(np.max(np.abs(a)), 1e-300)

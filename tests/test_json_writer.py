@@ -216,7 +216,7 @@ def test_dump_tables_equal_json_dumps(tmp_path):
                 expected["solution"].append({**rec, "k": k, "m": m, "n": n})
             tp = limit_product(mode, Levels(conf.weights, conf.coeffs, k_max))
             for k in range(k_max):
-                rec = {"C": tp.table.C[k].ravel().tolist(), "P": tp.partials[k].ravel().tolist()}
+                rec = {"C": tp.C[k].ravel().tolist(), "P": tp.partials[k].ravel().tolist()}
                 expected["transfer"].append({**rec, "k": k, "m": m, "n": n})
     for what, rows in expected.items():
         assert main(["--config", str(path), "dump", "--what", what]) == 0

@@ -47,7 +47,7 @@ def rhs_diff(a: RhsPair, b: RhsPair, t) -> float:
 def test_apply_A_zero(families):
     w, c = families
     mode = ModeIndex(3, 1)
-    out = apply_A(Levels(w, c, 8).table(mode), WeightedSeq(np.zeros(9), 1), WeightedSeq(np.zeros(9), 2))
+    out = apply_A(build_solution(mode, Levels(w, c, 8)), WeightedSeq(np.zeros(9), 1), WeightedSeq(np.zeros(9), 2))
     assert not np.any(out.r1.values) and not np.any(out.r2.values) and out.q0 == 0.0
 
 
@@ -55,7 +55,7 @@ def test_apply_A_annihilates_I(families):
     w, c = families
     for mode in (ModeIndex(1, 0), ModeIndex(-6, 2), ModeIndex(32, 0)):
         sol = build_solution(mode, Levels(w, c, 64))
-        out = apply_A(sol.table, WeightedSeq(sol.I[:, 0], mode.n), WeightedSeq(sol.I[:, 1], mode.n + 1))
+        out = apply_A(sol, WeightedSeq(sol.I[:, 0], mode.n), WeightedSeq(sol.I[:, 1], mode.n + 1))
         scale = np.max(np.abs(sol.I)) * w.a(mode.n + 1, 64)
         assert float(np.max(np.abs(out.r1.values))) <= 1e-12 * scale
         assert float(np.max(np.abs(out.r2.values))) <= 1e-12 * scale
@@ -66,7 +66,7 @@ def test_apply_A_annihilates_K_with_nonzero_datum(families):
     w, c = families
     mode = ModeIndex(2, 1)
     sol = build_solution(mode, Levels(w, c, 64))
-    out = apply_A(sol.table, WeightedSeq(sol.K[:, 0], 1), WeightedSeq(sol.K[:, 1], 2))
+    out = apply_A(sol, WeightedSeq(sol.K[:, 0], 1), WeightedSeq(sol.K[:, 1], 2))
     scale = np.max(np.abs(sol.K)) * w.a(2, 64)
     assert float(np.max(np.abs(out.r1.values))) <= 1e-12 * scale
     assert float(np.max(np.abs(out.r2.values))) <= 1e-12 * scale
@@ -76,8 +76,9 @@ def test_apply_A_annihilates_K_with_nonzero_datum(families):
 
 def test_apply_A_tag_mismatch(families):
     w, c = families
+    sol = build_solution(ModeIndex(1, 0), Levels(w, c, 3))
     with pytest.raises(WeightTagMismatch):
-        apply_A(Levels(w, c, 3).table(ModeIndex(1, 0)), WeightedSeq(np.zeros(4), 3), WeightedSeq(np.zeros(4), 1))
+        apply_A(sol, WeightedSeq(np.zeros(4), 3), WeightedSeq(np.zeros(4), 1))
 
 
 def test_mode_table_is_the_only_evaluator(families, rng, monkeypatch):
@@ -90,7 +91,7 @@ def test_mode_table_is_the_only_evaluator(families, rng, monkeypatch):
         res = apply_Q(sol, r)
 
         def values():
-            back = apply_A(sol.table, res.h_g, res.h_f)
+            back = apply_A(sol, res.h_g, res.h_f)
             orc = oracle_solve(sol, r)
             return (back.r1.values, back.r2.values, back.q0, r.norm(sol.table), res.norm(sol.table),
                     res.h_g.norm(sol.table), orc.h_g.values, orc.h_f.values)
@@ -98,7 +99,7 @@ def test_mode_table_is_the_only_evaluator(families, rng, monkeypatch):
         before = values()
 
         def no_family(*args, **kwargs):
-            raise AssertionError("a family was evaluated outside the mode table")
+            raise AssertionError("a family was evaluated outside the level table")
 
         with monkeypatch.context() as patch:
             patch.setattr(WeightFamily, "a", no_family)
@@ -110,7 +111,7 @@ def test_mode_table_is_the_only_evaluator(families, rng, monkeypatch):
 
 def test_norm_at_a_foreign_level_raises(families):
     w, c = families
-    t = Levels(w, c, 8).table(ModeIndex(1, 2))
+    t = Levels(w, c, 8).table(2)
     for level in (2, 3):
         assert WeightedSeq(np.ones(9), level).norm(t) == float(np.sqrt(np.sum(1.0 / w.a(level, np.arange(9)))))
     for level in (1, 4):
@@ -248,7 +249,7 @@ def test_right_inverse_roundtrip(families, rng):
     for _ in range(5):
         r = random_rhs(mode, 128, rng)
         res = apply_Q(sol, r)
-        back = apply_A(sol.table, res.h_g, res.h_f)
+        back = apply_A(sol, res.h_g, res.h_f)
         assert rhs_diff(back, r, sol.table) <= 1e-9
 
 
@@ -285,7 +286,7 @@ def test_left_inverse_on_domain(families, rng):
         sol = build_solution(mode, Levels(w, c, 48))
         r = random_rhs(mode, 48, rng)
         orc = oracle_solve(sol, r)
-        back = apply_A(sol.table, orc.h_g, orc.h_f)
+        back = apply_A(sol, orc.h_g, orc.h_f)
         res = apply_Q(sol, back)
         num = max(
             float(np.max(np.abs(res.h_g.values - orc.h_g.values))),
@@ -390,7 +391,7 @@ def test_oracle_matrix_applies_the_operator(families, rng):
         for n in (0, 4):
             sol = build_solution(ModeIndex(m, n), Levels(w, c, K))
             x, y = rng.standard_normal((2, K + 1))
-            back = apply_A(sol.table, WeightedSeq(x, n), WeightedSeq(y, n + 1))
+            back = apply_A(sol, WeightedSeq(x, n), WeightedSeq(y, n + 1))
             k1, k2 = sol.K[K]
             want = np.concatenate((np.stack((back.r1.values, back.r2.values), axis=1).ravel(),
                                    [back.q0, k2 * x[-1] - k1 * y[-1]]))

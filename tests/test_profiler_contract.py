@@ -6,12 +6,13 @@ solution build would silently change what the benchmark reports.
 """
 
 import importlib.util
+import inspect
 import json
 from pathlib import Path
 
 import numpy as np
 
-from qsolidtorus import cli, dirac, families
+from qsolidtorus import cli, dirac, families, solutions
 from qsolidtorus.cli import main
 from qsolidtorus.config import default_config_dict
 
@@ -36,6 +37,22 @@ def _tiny_config(tmp_path, grid: dict) -> Path:
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     return path
+
+
+def test_tracer_positional_reads_match_the_signatures():
+    """The tracer's counters read arguments by position, so the signatures they read are pinned here.
+
+    ``_sweep_K_steps`` reads compute_K's ``k_hi`` at args[3] and a seed index
+    at args[5]: a fifth positional parameter would be read as that seed index.
+    ``_eval_elements`` reads the ``k`` of a(n, k) and c(i, n, k) as args[-1].
+    """
+    positional = (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
+    params = inspect.signature(solutions.compute_K).parameters.values()
+    assert [p.name for p in params] == ["mode", "levels", "k_inf", "k_hi"]
+    assert all(p.kind in positional for p in params)
+    for method in (families.WeightFamily.a, families.CoefficientFamily.c):
+        *_, last = inspect.signature(method).parameters.values()
+        assert last.name == "k" and last.kind in positional, method
 
 
 def test_tracer_targets_and_build_counts(tmp_path):

@@ -18,7 +18,9 @@ from qsolidtorus.solutions import (
     compute_K,
     cumulative_product_sum,
     epsilon,
+    mirror_solution,
     pairing,
+    stack,
     verify_lemma_suite,
     wronskian_residuals,
 )
@@ -376,6 +378,22 @@ def test_every_lemma_clause_has_a_mutant(families):
     assert len(names) == 19
 
 
+def test_a_level_shares_one_table_and_holds_no_C_stack(families):
+    """Built solutions, their mirrors and their stack all hold the level's one table, and none of them a C stack."""
+    w, c = families
+    K = 32
+    levels = Levels(w, c, K)
+    built = [build_solution(ModeIndex(m, 1), levels) for m in (3, 0, 1)]
+    twins = [mirror_solution(sol) for sol in built if sol.mode.m]
+    assert [sol.mode.m for sol in twins] == [-3, -1]
+    sols = [*built, *twins]
+    st = stack(sols)
+    assert all(sol.table is levels.table(1) for sol in (*sols, st))
+    for obj in (*sols, st, st.table):
+        for f in dataclasses.fields(obj):
+            assert f.name != "C" and np.shape(getattr(obj, f.name))[-3:] != (K, 2, 2), f.name
+
+
 def test_compute_K_tolerance_guard(families):
     """compute_K returns the seed tail certificate; a caller compares it with its own tolerance."""
     from qsolidtorus.transfer import tail_sum_C_minus_I
@@ -454,7 +472,7 @@ def test_scalar_sweeps_match_matmul_reference(families):
     for m in DEFAULT_GRID_M:
         for n in DEFAULT_GRID_N:
             mode = ModeIndex(m, n)
-            C = Levels(w, c, K).table(mode).C
+            C = Levels(w, c, K).C(mode)
             ref_I = np.empty((K + 1, 2))
             ref_I[0] = (-1.0, m / w.a(n, 0))
             ref_P = np.empty((K + 1, 2, 2))
@@ -482,13 +500,14 @@ def test_sweeps_match_step_loops_bit_for_bit(families):
     cases = [(ModeIndex(m, n), 128) for m in DEFAULT_GRID_M for n in DEFAULT_GRID_N]
     cases += [(ModeIndex(m, n), 8192) for m in (1, -1, 1024, -1024) for n in (0, 16)]
     for mode, K in cases:
-        table = Levels(w, c, K).table(mode)
+        levels = Levels(w, c, K)
+        table, C = levels.table(mode.n), levels.C(mode)
         k_inf = BoundaryRule()(mode.m)
         x, r = 1.0 / table.an, table.c2**2
         pairs = [
-            (compute_I(mode, Levels(w, c, K)), compute_I_loop(mode, table)),
-            (compute_K(mode, Levels(w, c, K), k_inf, K)[0], compute_K_loop(table, k_inf)),
-            (partial_products(table.C), partial_products_loop(table.C)),
+            (compute_I(mode, Levels(w, c, K)), compute_I_loop(mode, table, C)),
+            (compute_K(mode, Levels(w, c, K), k_inf, K)[0], compute_K_loop(table, C, k_inf)),
+            (partial_products(C), partial_products_loop(C)),
             (cumulative_product_sum(x, r), cumulative_product_sum_loop(x, r)),
         ]
         for got, want in pairs:

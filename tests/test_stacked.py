@@ -1,6 +1,7 @@
 """The level data and the stacked stages give, bit for bit, what one mode at a time gives.
 
-``reference`` holds the one-mode versions of ``mode_table``, ``epsilon``,
+``reference`` holds the one-mode versions of ``mode_table`` (a level table
+and a C stack), ``epsilon``,
 ``apply_Q``, ``apply_A``, the norms, ``wronskian_residuals``,
 ``verify_lemma_suite`` and ``hs_norms``, with the arithmetic the package used
 before it evaluated each level once and checked a level's modes as one stack.
@@ -73,14 +74,14 @@ def check_against_one_mode(sols, rs, w, c, stacked: bool):
         st = stack(sols)
         r = stack_rhs(rs)
         res = apply_Q(st, r)
-        back = apply_A(st.table, res.h_g, res.h_f)
+        back = apply_A(st, res.h_g, res.h_f)
         norms = (r.norm(st.table), res.norm(st.table), res.h_g.norm(st.table), back.r1.norm(st.table))
         lemmas = verify_lemma_suite(st) if st.mode.m.all() else None
         hs = hs_norms(st, w, c) if st.mode.m.all() else None
         wr = wronskian_residuals(st)
     for j, (sol, rj) in enumerate(zip(sols, rs)):
         want = reference.apply_Q(sol, rj)
-        want_back = reference.apply_A(sol.table, want.h_g, want.h_f)
+        want_back = reference.apply_A(sol.table, sol.mode, want.h_g, want.h_f)
         want_norms = (
             reference.norm_rhs(rj, sol.table),
             reference.norm_result(want, sol.table),
@@ -89,7 +90,7 @@ def check_against_one_mode(sols, rs, w, c, stacked: bool):
         )
         if not stacked:
             res_j = apply_Q(sol, rj)
-            back_j = apply_A(sol.table, res_j.h_g, res_j.h_f)
+            back_j = apply_A(sol, res_j.h_g, res_j.h_f)
             got = (res_j.h_g.values, res_j.h_f.values, res_j.beta, res_j.boundary_residual, res_j.boundary_tol)
             got_back = (back_j.r1.values, back_j.r2.values, back_j.q0)
             got_norms = (rj.norm(sol.table), res_j.norm(sol.table), res_j.h_g.norm(sol.table), back_j.r1.norm(sol.table))
@@ -118,10 +119,12 @@ def test_stacked_stages_equal_one_mode_at_a_time(families, rule, k_max, ms, n):
     levels = Levels(w, c, k_max)
     sols = [build_solution(ModeIndex(m, n), levels, rule=rule) for m in ms]
     for sol in sols:
-        want = reference.mode_table(sol.mode, w, c, k_max)
+        want, want_C = reference.mode_table(sol.mode, w, c, k_max)
         alone = Levels(w, c, k_max)
-        for table in (sol.table, alone.table(sol.mode)):
-            assert all(same(getattr(table, f), getattr(want, f)) for f in ("an", "an1", "c1", "c2", "C", "prefix"))
+        for table in (sol.table, alone.table(n)):
+            assert all(same(getattr(table, f), getattr(want, f)) for f in ("an", "an1", "c1", "c2", "prefix"))
+        for C in (levels.C(sol.mode), alone.C(sol.mode)):
+            assert same(C, want_C), sol.mode
         want_eps = reference.epsilon(sol.mode, w)
         for eps in (sol.eps, epsilon(sol.mode, alone)):
             assert same((eps.value, eps.tail), (want_eps.value, want_eps.tail)), sol.mode

@@ -70,7 +70,7 @@ def test_tabulated_hypotheses_pass(tab_families):
 def test_tabulated_tail_certificate(tab_families):
     w, c = tab_families
     mode = ModeIndex(2, 0)
-    c_arr = Levels(w, c, 20000).table(mode).C
+    c_arr = Levels(w, c, 20000).C(mode)
     direct = sum(mat_abs_norm(c_arr[k] - np.eye(2)) for k in range(5, 20000))
     assert tail_sum_C_minus_I(mode, Levels(w, c, 5), 5) >= direct
 
@@ -87,7 +87,7 @@ def test_tabulated_oracle_equivalence_and_identities(tab_families, rng):
         scale = max(np.max(np.abs(orc.h_g.values)), np.max(np.abs(orc.h_f.values)))
         assert np.max(np.abs(res.h_g.values - orc.h_g.values)) <= 1e-10 * scale
         assert np.max(np.abs(res.h_f.values - orc.h_f.values)) <= 1e-10 * scale
-        back = apply_A(sol.table, res.h_g, res.h_f)
+        back = apply_A(sol, res.h_g, res.h_f)
         assert np.max(np.abs(back.r1.values - r.r1.values)) <= 1e-9 * max(1.0, scale)
         if m > 0:
             assert verify_lemma_suite(sol).all_passed
@@ -203,7 +203,7 @@ def test_constant_tail_certificate_counts_the_row():
     w = WeightFamily()
     c = CoefficientFamily(table1=(0.5, 0.8), table2=(0.6,), tail_rule="constant", tail_value=1.0)
     mode = ModeIndex(0, 0)
-    c_arr = Levels(w, c, 8).table(mode).C
+    c_arr = Levels(w, c, 8).C(mode)
     direct = sum(mat_abs_norm(c_arr[k] - np.eye(2)) for k in range(8))
     assert direct > 1.0
     assert tail_sum_C_minus_I(mode, Levels(w, c, 0), 0) >= direct

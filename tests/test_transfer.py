@@ -65,19 +65,50 @@ def test_mode_table_makes_four_family_calls(families, monkeypatch):
         monkeypatch.setattr(cls, name, counted)
     levels = Levels(w, c, 32)
     for m in (3, -3, 5, 0):
-        table = levels.table(ModeIndex(m, 1))
+        C, table = levels.C(ModeIndex(m, 1)), levels.table(1)
         assert sorted(calls) == ["a", "a", "c", "c"]
-        assert table.C.shape == (32, 2, 2) and table.prefix.shape == (33,)
+        assert C.shape == (32, 2, 2) and table.prefix.shape == (33,)
     # level 2 shares a_2 with level 1 and adds a_3, c1 and c2
-    levels.table(ModeIndex(3, 2))
+    levels.table(2)
     assert sorted(calls) == ["a", "a", "a", "c", "c", "c", "c"]
+
+
+def test_level_table_evaluates_each_row_once_for_any_modes(families, monkeypatch):
+    """Levels.table(n) is one object per level, whichever modes of whichever levels ask in between;
+    a mode's C stack is built once for consecutive calls and again when another mode asked last."""
+    import qsolidtorus.transfer as transfer
+
+    w, c = families
+    seen, builds = [], []
+    for cls, name in ((WeightFamily, "a"), (CoefficientFamily, "c")):
+        def counted(self, *args, _orig=getattr(cls, name), _name=name):
+            seen.append((_name, *args[:-1], np.size(args[-1])))
+            return _orig(self, *args)
+
+        monkeypatch.setattr(cls, name, counted)
+
+    def counted_C(m, *args, _orig=transfer.build_C_range):
+        builds.append(m)
+        return _orig(m, *args)
+
+    monkeypatch.setattr(transfer, "build_C_range", counted_C)
+    levels = Levels(w, c, 16)
+    tables = {}
+    for m, n in ((1, 0), (1, 0), (-1, 2), (0, 0), (5, 2), (5, 2), (1, 0)):
+        C = levels.C(ModeIndex(m, n))
+        assert not C.flags.writeable and C is levels.C(ModeIndex(m, n))
+        assert tables.setdefault(n, levels.table(n)) is levels.table(n)
+    assert builds == [1, -1, 0, 5, 1]
+    # a_n and a_{n+1} on the window and c1, c2 of levels 0 and 2, each once
+    assert len(seen) == len(set(seen))
+    assert set(seen) == {("a", n, 17) for n in range(4)} | {("c", i, n, 16) for i in (1, 2) for n in (0, 2)}
 
 
 def test_build_C_worked_examples(families):
     w, c = families
-    got = Levels(w, c, 1).table(ModeIndex(1, 0)).C[0]
+    got = Levels(w, c, 1).C(ModeIndex(1, 0))[0]
     assert np.allclose(got, [[2.0, -1.0], [-0.5, 0.75]], rtol=0, atol=0)
-    diag = Levels(w, c, 1).table(ModeIndex(0, 0)).C[0]
+    diag = Levels(w, c, 1).C(ModeIndex(0, 0))[0]
     assert np.array_equal(diag, np.diag([2.0, 0.5]))
 
 
@@ -86,11 +117,11 @@ def test_det_C_is_coefficient_ratio():
     c = CoefficientFamily(t1=0.5, t2=0.25, kappa=2.0)
     for m in (-5, 0, 1, 9):
         for k in (0, 1, 4):
-            got = det2(Levels(w, c, k + 1).table(ModeIndex(m, 2)).C[k])
+            got = det2(Levels(w, c, k + 1).C(ModeIndex(m, 2))[k])
             expect = c.c(2, 2, k) / c.c(1, 2, k)
             assert got == pytest.approx(expect, rel=1e-13)
     # k = 0 instance of the worked example: c1 = 1/2, c2 = 3/4
-    got = det2(Levels(w, c, 1).table(ModeIndex(7, 0)).C[0])
+    got = det2(Levels(w, c, 1).C(ModeIndex(7, 0))[0])
     assert got == pytest.approx(1.5, rel=1e-13)
 
 
@@ -98,7 +129,7 @@ def test_invert(families):
     w, c = families
     assert np.array_equal(invert(np.eye(2)), np.eye(2))
     assert np.array_equal(invert(np.diag([2.0, 0.5])), np.diag([0.5, 2.0]))
-    mat = Levels(w, c, 1).table(ModeIndex(1, 0)).C[0]
+    mat = Levels(w, c, 1).C(ModeIndex(1, 0))[0]
     assert np.max(np.abs(mat @ invert(mat) - np.eye(2))) <= 1e-15
     with pytest.raises(SingularMatrixError):
         invert(np.zeros((2, 2)))
@@ -108,7 +139,7 @@ def test_partial_products_order_and_dets(families):
     w, c = families
     mode = ModeIndex(3, 1)
     K = 24
-    c_arr = Levels(w, c, K).table(mode).C
+    c_arr = Levels(w, c, K).C(mode)
     parts = partial_products(c_arr)
     # independent right-to-left reduction
     for k in (0, 1, 5, K):
@@ -121,8 +152,8 @@ def test_partial_products_order_and_dets(families):
 
 def test_C_off_diagonals_flip_with_m(families):
     w, c = families
-    a = Levels(w, c, 4).table(ModeIndex(4, 2)).C[3]
-    b = Levels(w, c, 4).table(ModeIndex(-4, 2)).C[3]
+    a = Levels(w, c, 4).C(ModeIndex(4, 2))[3]
+    b = Levels(w, c, 4).C(ModeIndex(-4, 2))[3]
     assert a[0, 0] == b[0, 0] and a[1, 1] == b[1, 1]
     assert a[0, 1] == -b[0, 1] and a[1, 0] == -b[1, 0]
 
@@ -154,7 +185,7 @@ def test_limit_product_det_tracks_J_ratio(families):
 def test_tail_bound_certificate_dominates_direct_sum(families):
     w, c = families
     for mode in (ModeIndex(1, 0), ModeIndex(-7, 2), ModeIndex(0, 1)):
-        c_arr = Levels(w, c, 50000).table(mode).C
+        c_arr = Levels(w, c, 50000).C(mode)
         for k0 in (4, 32, 200):
             # the entries of every |C(k) - I|, k0 <= k < 50000, summed exactly
             direct = math.fsum(np.abs(c_arr[k0:] - np.eye(2)).ravel().tolist())
@@ -221,21 +252,28 @@ def test_large_products_pass_without_cancelling_to_zero(families):
         levels = Levels(w, c, k_max)
         for m in ms:
             tp = limit_product(ModeIndex(m, 0), levels)
-            assert np.isfinite(tp.limit).all() and tp.table.prefix[-1] == 1.0
+            assert np.isfinite(tp.limit).all() and levels.table(0).prefix[-1] == 1.0
             report = structure_check(tp, levels)
             assert report.all_passed, (m, k_max, [ch.witness for ch in report.failed()])
     assert det2(limit_product(ModeIndex(64, 0), Levels(w, c, 1024)).limit) == 98304.0
 
 
 def _entry(i: int, j: int, value):
-    """A mutant: the product with entry (i, j) of P(K) set to value(P(K), table)."""
+    """A mutant: the product with entry (i, j) of P(K) set to value(P(K), level table)."""
 
     def mutate(tp, levels):
         parts = tp.partials.copy()
-        parts[-1, i, j] = value(parts[-1], tp.table)
+        parts[-1, i, j] = value(parts[-1], levels.table(tp.mode.n))
         return dataclasses.replace(tp, partials=parts), levels
 
     return mutate
+
+
+def _J_of_t2(tp, levels):
+    """A mutant: J_1, J_2 and the tail of a family with t2 = 0.6, on the product's own level table."""
+    other = Levels(levels.w, CoefficientFamily(t2=0.6), levels.k_hi)
+    other.once(("table", tp.mode.n), lambda: levels.table(tp.mode.n))
+    return tp, other
 
 
 # each mutant of (P(K), levels) and the full set of structure_check names it
@@ -252,9 +290,7 @@ STRUCTURE_MUTANTS = {
         ({DET, "diag_entry_2_dominates"}, {DET, "diag_entry_2_dominates"}, {DET}),
     ),
     "1.001 p01 + 1e-300": (_entry(0, 1, lambda P, t: 1.001 * P[0, 1] + 1e-300), ({DET}, {DET}, {"offdiag_zero"})),
-    "J from t2 = 0.6": (
-        lambda tp, levels: (tp, Levels(levels.w, CoefficientFamily(t2=0.6), levels.k_hi)),
-        ({"det_limit_matches_J_ratio"},) * 3,
+    "J from t2 = 0.6": (_J_of_t2, ({"det_limit_matches_J_ratio"},) * 3,
     ),
 }
 
