@@ -28,6 +28,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -183,9 +184,9 @@ def decay_scan(
     """HS reports and lemma reports over a mode grid, plus the decay checks along both axes.
 
     The grid runs level by level (``solutions.by_level``), and only the
-    reports outlive a level.  Where the rule is odd at m, the first of m and
-    -m to come is built and checked (a level's built m != 0 modes as one
-    ``stack``), and the other's solution and reports are its exact mirror.  A
+    reports outlive a level.  The modes that ``by_level`` built are checked
+    (a level's m != 0 modes as one ``stack``); a mode it mirrored takes its
+    partner's reports, since its solution is the partner's exact mirror.  A
     mode whose solution fails to build is recorded in ``failures``; the decay
     checks compare the modes that built.  A repeated m or n is a ValueError.
 
@@ -197,73 +198,65 @@ def decay_scan(
         if len(set(values)) < len(values):
             raise ValueError(f"decay_scan lists {name}={next(v for v in values if values.count(v) > 1)} more than once")
     w, c = levels.w, levels.c
-    built = set()
-    table, lemma_of, failed = {}, {}, {}
+    # each (m, n) that built: its HS report, its lemma report and its worst Wronskian residual (None at m = 0)
+    record, failed = {}, {}
 
-    def build(mode: ModeIndex) -> KernelSolution:
-        built.add(mode)
-        return build_solution(mode, levels, rule)
-
-    def check(n: int, sols: dict) -> None:
+    def check(n: int, sols: dict, mirrored: dict) -> None:
         # the level's built m != 0 solutions are checked as one stack, m = 0 alone
-        checked = [sol for mode, sol in sols.items() if mode.m != 0 and mode in built]
-        if checked:
-            st = stack(checked)
+        own = [sol for mode, sol in sols.items() if mode.m != 0 and mode not in mirrored]
+        if own:
+            st = stack(own)
             wronskian = per_mode(wronskian_residuals(st).max(axis=-1))
-            for sol, report, lemma, wr in zip(checked, hs_norms(st, w, c), verify_lemma_suite(st), wronskian):
-                table[(sol.mode.m, n)], lemma_of[(sol.mode.m, n)] = report, (lemma, wr)
+            for sol, *rec in zip(own, hs_norms(st, w, c), verify_lemma_suite(st), wronskian):
+                record[sol.mode.m, n] = tuple(rec)
         for mode, sol in sols.items():
             if mode.m == 0:
-                table[(0, n)], lemma_of[(0, n)] = hs_norms(sol, w, c), (verify_lemma_suite(sol), None)
-            elif mode not in built:
-                # mirrored from its partner's solution, whose reports are its own
-                report, (lemma, wr) = table[(-mode.m, n)], lemma_of[(-mode.m, n)]
-                table[(mode.m, n)], lemma_of[(mode.m, n)] = replace(report, mode=mode), (replace(lemma, mode=mode), wr)
+                record[0, n] = hs_norms(sol, w, c), verify_lemma_suite(sol), None
+            elif mode in mirrored:
+                # its solution is its partner's mirrored, so its reports are the partner's
+                report, lemma, wr = record[mirrored[mode].m, n]
+                record[mode.m, n] = replace(report, mode=mode), replace(lemma, mode=mode), wr
 
     grid = [(m, n) for m in m_list for n in n_list]
-    for n, sols, errors in by_level([ModeIndex(*mn) for mn in grid], build, lambda sol: mirror_solution(sol, rule)):
+    modes = [ModeIndex(*mn) for mn in grid]
+    for n, sols, errors, mirrored in by_level(modes, lambda mode: build_solution(mode, levels, rule),
+                                              lambda sol: mirror_solution(sol, rule)):
         failed.update(((mode.m, n), msg) for mode, msg in errors.items())
-        check(n, sols)
-    rows = [table[mn] for mn in grid if mn in table]
-    lemmas = {mn: lemma_of[mn] for mn in grid if mn in lemma_of}
-    failures = {mn: failed[mn] for mn in grid if mn in failed}
-    checks = []
+        check(n, sols, mirrored)
+    rows = {mn: record[mn][0] for mn in grid if mn in record}
 
-    abs_ms = sorted({abs(m) for (m, _) in table if m != 0})
+    def decays(name: str, pairs: list, held: str, broke: Callable[[HsReport, HsReport], str]) -> CheckResult:
+        """Whether the second mode of each (first, second) pair that built has the smaller proxy."""
+        bad = [(rows[a], rows[b]) for a, b in pairs if a in rows and b in rows and not rows[b].proxy < rows[a].proxy]
+        return CheckResult(name, not bad, broke(*bad[-1]) if bad else held)
+
+    checks = []
+    abs_ms = sorted({abs(m) for m, _ in rows if m != 0})
     if len(abs_ms) >= 2:
         lo, hi = abs_ms[0], abs_ms[-1]
-        ok = True
-        wit = f"proxy(|m|={hi}, n) < proxy(|m|={lo}, n) for all n"
-        for n in n_list:
-            for sgn in (1, -1):
-                small = table.get((sgn * lo, n))
-                m_big = next((mb for mb in (sgn * hi, -sgn * hi) if (mb, n) in table), None)
-                if small is None or m_big is None:
-                    continue
-                big = table[(m_big, n)]
-                if not big.proxy < small.proxy:
-                    ok = False
-                    wit = f"proxy({m_big},{n})={big.proxy:.3g} >= proxy({sgn*lo},{n})={small.proxy:.3g}"
-        checks.append(CheckResult("proxy_decays_in_m", ok, wit))
+        # each sign's smallest |m| against its largest, or the other sign's where that did not build
+        pairs = [((sgn * lo, n), next(((mb, n) for mb in (sgn * hi, -sgn * hi) if (mb, n) in rows), None))
+                 for n in n_list for sgn in (1, -1)]
+        checks.append(decays(
+            "proxy_decays_in_m", pairs, f"proxy(|m|={hi}, n) < proxy(|m|={lo}, n) for all n",
+            lambda a, b: f"proxy({b.mode.m},{b.mode.n})={b.proxy:.3g} >= proxy({a.mode.m},{a.mode.n})={a.proxy:.3g}",
+        ))
     if len(n_list) >= 2:
         n_lo, n_hi = min(n_list), max(n_list)
-        ok = True
-        wit = f"proxy(m, {n_hi}) < proxy(m, {n_lo}) for all m"
-        for m in m_list:
-            if (m, n_hi) not in table or (m, n_lo) not in table:
-                continue
-            if not table[(m, n_hi)].proxy < table[(m, n_lo)].proxy:
-                ok = False
-                wit = f"proxy({m},{n_hi}) >= proxy({m},{n_lo})"
-        checks.append(CheckResult("proxy_decays_in_n", ok, wit))
+        checks.append(decays(
+            "proxy_decays_in_n", [((m, n_lo), (m, n_hi)) for m in m_list],
+            f"proxy(m, {n_hi}) < proxy(m, {n_lo}) for all m",
+            lambda a, b: f"proxy({b.mode.m},{b.mode.n}) >= proxy({a.mode.m},{a.mode.n})",
+        ))
 
-    eps_ok = all(r.eps <= eval_s(w, r.mode.n).upper * (1.0 + 1e-12) for r in rows)
+    s_upper = {n: eval_s(w, n).upper for n in {n for _, n in rows}}
+    eps_ok = all(r.eps <= s_upper[r.mode.n] * (1.0 + 1e-12) for r in rows.values())
     checks.append(CheckResult("eps_below_s", eps_ok, "eps(m,n) <= s(n) on the grid"))
     return ScanTable(
-        rows=tuple(rows),
+        rows=tuple(rows.values()),
         checks=tuple(checks),
-        failures=failures,
-        lemmas=lemmas,
+        failures={mn: failed[mn] for mn in grid if mn in failed},
+        lemmas={mn: record[mn][1:] for mn in grid if mn in record},
     )
 
 

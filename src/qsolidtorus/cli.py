@@ -148,7 +148,7 @@ def cmd_solve(
     modes = [ModeIndex(m, n) for (m, n) in sorted(rhs_map)]
     # each mode's record, or the text of the error that stopped it
     done = {}
-    for n, built, failed in _by_level(cfg, Levels(cfg.weights, cfg.coeffs, k_max), modes):
+    for n, built, failed, _ in _by_level(cfg, Levels(cfg.weights, cfg.coeffs, k_max), modes):
         done.update(failed)
         if built:
             done.update(_solve_level(n, built, rhs_map))
@@ -243,7 +243,7 @@ def cmd_dump(cfg: ExperimentConfig, out_dir: Path, what: str, only_m: list[int] 
         raise ConfigError(f"dump needs |m| <= {m_max}, the range of its int64 m column")
     # each mode's rows (None where it failed) and the note it prints, made as its level goes
     done, levels = {}, Levels(cfg.weights, cfg.coeffs, k_max)
-    for _, built, failed in _by_level(cfg, levels, modes, what):
+    for _, built, failed, _ in _by_level(cfg, levels, modes, what):
         done.update((mode, (None, f"mode ({mode.m}, {mode.n}) failed: {msg}")) for mode, msg in failed.items())
         done.update((mode, _dump_block(what, mode, res, levels)) for mode, res in built.items())
     notes = [note for _, note in map(done.get, modes) if note is not None]
@@ -258,8 +258,9 @@ def cmd_dump(cfg: ExperimentConfig, out_dir: Path, what: str, only_m: list[int] 
 
 def build_parser() -> argparse.ArgumentParser:
     # SUPPRESS defaults let the shared flags appear before or after the
-    # subcommand without the unset position clobbering the set one
-    common = argparse.ArgumentParser(add_help=False)
+    # subcommand without the unset position clobbering the set one; no
+    # parser takes a prefix of an option, so each option has one spelling
+    common = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     common.add_argument("--config", default=argparse.SUPPRESS, help="path to the experiment JSON config")
     common.add_argument("--out", default=argparse.SUPPRESS, help="output directory (default: config output.dir)")
     common.add_argument("--seed", default=argparse.SUPPRESS, help="seed for generated fixtures")
@@ -269,13 +270,15 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qsolidtorus",
         description="Mode-system solver and verification driver for the quantum solid torus operator",
         parents=[common],
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("validate", help="check the family hypotheses", parents=[common])
-    p_solve = sub.add_parser("solve", help="apply the inverse to a right-hand side", parents=[common])
+    sub.add_parser("validate", help="check the family hypotheses", parents=[common], allow_abbrev=False)
+    p_solve = sub.add_parser("solve", help="apply the inverse to a right-hand side", parents=[common],
+                             allow_abbrev=False)
     p_solve.add_argument("--rhs", default=None, help="rhs JSON file (default: seeded random fixtures)")
-    sub.add_parser("scan", help="Hilbert-Schmidt decay and inequality scan", parents=[common])
-    p_dump = sub.add_parser("dump", help="debug tables", parents=[common])
+    sub.add_parser("scan", help="Hilbert-Schmidt decay and inequality scan", parents=[common], allow_abbrev=False)
+    p_dump = sub.add_parser("dump", help="debug tables", parents=[common], allow_abbrev=False)
     p_dump.add_argument("--what", choices=("transfer", "solution"), default="solution")
     return parser
 

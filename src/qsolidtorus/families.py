@@ -330,14 +330,10 @@ def eval_J(c: CoefficientFamily, i: int, n: int) -> SeriesValue:
         )
 
     k_hi = 64
-    while True:
-        ks = np.arange(k_hi)
-        # every law and row is positive, as the family checked when it was built
-        log_sum = float(np.sum(np.log(c.c(i, n, ks))))
-        t_log = log_tail(k_hi - 1 + 1)
-        if t_log < SERIES_TOL or k_hi >= 1 << 20:
-            break
+    while not (t_log := log_tail(k_hi)) < SERIES_TOL and k_hi < 1 << 20:
         k_hi *= 2
+    # every law and row is positive, as the family checked when it was built
+    log_sum = float(np.sum(np.log(c.c(i, n, np.arange(k_hi)))))
     value = math.exp(log_sum)
     if value < COLLAPSE_FLOOR:
         raise HypothesisViolation("coefficient product collapsed to zero")

@@ -277,34 +277,38 @@ def mirror_solution(sol: KernelSolution, rule: BoundaryRule = DEFAULT_RULE) -> K
 
 def by_level(
     modes: Iterable[ModeIndex], build: Callable[[ModeIndex], object], mirror: Callable[[object], object | None]
-) -> Iterator[tuple[int, dict, dict]]:
-    """Each radial level of ``modes`` as ``(n, results, errors)``, in the order the modes first reach it.
+) -> Iterator[tuple[int, dict, dict, dict]]:
+    """Each radial level of ``modes`` as ``(n, results, errors, mirrored)``, in the order the modes first reach it.
 
     ``results`` maps each mode of the level that built to its result, in the
     modes' order, and ``errors`` each mode whose build raised one of
     ``MODE_ERRORS`` to the error's text (not the error, whose traceback would
     hold the build's frames).  The second of a +-m pair is ``mirror`` of the
     first's result, or a build where ``mirror`` gives None or the first build
-    failed, so its own error names its own mode.  ``results`` is emptied when
-    the next level is asked for, so no result outlives its level.
+    failed, so its own error names its own mode.  ``mirrored`` maps each mode
+    that ``mirror`` made to the mode it mirrors; every other result was
+    built.  ``results`` is emptied when the next level is asked for, so no
+    result outlives its level.
 
     Building both of each pair instead raised the minimum ``grid-k128``
     benchmark pass from 0.140 s to 0.148-0.152 s (2-vCPU shared host).
     """
     modes = list(dict.fromkeys(modes))
     for n in dict.fromkeys(mode.n for mode in modes):
-        results, errors = {}, {}
+        results, errors, mirrored = {}, {}, {}
         for mode in (mode for mode in modes if mode.n == n):
-            src = results.get(ModeIndex(-mode.m, n))
-            result = None if src is None else mirror(src)
-            if result is None:
+            partner = ModeIndex(-mode.m, n)
+            result = mirror(results[partner]) if partner in results else None
+            if result is not None:
+                mirrored[mode] = partner
+            else:
                 try:
                     result = build(mode)
                 except MODE_ERRORS as exc:
                     errors[mode] = str(exc)
                     continue
             results[mode] = result
-        yield n, results, errors
+        yield n, results, errors, mirrored
         results.clear()
 
 

@@ -339,3 +339,58 @@ def test_every_envelope_check_has_a_mutant(families):
     names = {ch.name for ch in table.checks} | {"pass_%s%d%d" % key for row in table.rows for key in row.pass_flags}
     assert len(names) == 12
     assert names == set().union(*(failing for _, failing in ENVELOPE_MUTANTS.values()))
+
+
+@pytest.mark.parametrize(("name", "witness"), [
+    ("proxy_decays_in_m", "proxy(2,0)=685 >= proxy(1,0)=0.928"),
+    ("proxy_decays_in_n", "proxy(1,1) >= proxy(1,0)"),
+])
+def test_each_proxy_mutant_names_its_failing_pair(families, monkeypatch, name, witness):
+    """The failing decay check's witness is its last failing pair; the other checks keep their pass texts."""
+    import qsolidtorus.analysis as analysis
+
+    w, c = families
+    held = {
+        "proxy_decays_in_m": "proxy(|m|=2, n) < proxy(|m|=1, n) for all n",
+        "proxy_decays_in_n": "proxy(m, 1) < proxy(m, 0) for all m",
+        "eps_below_s": "eps(m,n) <= s(n) on the grid",
+    }
+    monkeypatch.setattr(analysis, "hs_norms", ENVELOPE_MUTANTS[name][0](analysis.hs_norms))
+    table = decay_scan((0, 1, 2), (0, 1), Levels(w, c, 32))
+    assert [(ch.name, ch.passed, ch.witness) for ch in table.checks] == [
+        (check, check != name, witness if check == name else text) for check, text in held.items()
+    ]
+
+
+def test_proxy_decays_in_m_compares_a_sign_with_the_other_signs_largest_m(families, monkeypatch):
+    """With no m = 2 on the grid, m = 1 is compared with m = -2; the witness is the last level's pair."""
+    import qsolidtorus.analysis as analysis
+
+    w, c = families
+    monkeypatch.setattr(analysis, "hs_norms", _at((-2, 4), proxy=lambda rep: 1e3 * rep.proxy)(analysis.hs_norms))
+    table = decay_scan((1, -2), (0, 4), Levels(w, c, 32))
+    rows = {(r.mode.m, r.mode.n): r.proxy for r in table.rows}
+    check = table.checks[0]
+    assert check.name == "proxy_decays_in_m" and not check.passed
+    assert check.witness == f"proxy(-2,4)={rows[-2, 4]:.3g} >= proxy(1,4)={rows[1, 4]:.3g}"
+
+
+def test_scan_checks_each_level_once_and_no_mirrored_mode(families, monkeypatch):
+    """On the default grid, hs_norms and the lemma suite run once on each level's built m != 0 stack and once
+    on its m = 0 solution, never on a -m mode, which mirrors its +m partner."""
+    import qsolidtorus.analysis as analysis
+    from qsolidtorus.config import default_config_dict
+
+    grid = default_config_dict()["grid"]
+    calls = {"hs_norms": [], "verify_lemma_suite": []}
+    for name in calls:
+        def counting(sol, *args, _real=getattr(analysis, name), _calls=calls[name]):
+            _calls.append((np.asarray(sol.mode.m).tolist(), sol.mode.n))
+            return _real(sol, *args)
+
+        monkeypatch.setattr(analysis, name, counting)
+    w, c = families
+    table = decay_scan(tuple(grid["m_list"]), tuple(grid["n_list"]), Levels(w, c, 32))
+    assert table.all_passed and len(table.rows) == 78
+    want = [call for n in grid["n_list"] for call in (([1, 2, 4, 8, 16, 32], n), (0, n))]
+    assert calls == {"hs_norms": want, "verify_lemma_suite": want}

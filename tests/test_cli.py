@@ -404,6 +404,36 @@ def test_modes_may_start_with_a_negative_m(small_config, tmp_path, command):
         assert sorted((rec["m"], rec["n"]) for rec in recs) == [(m, n) for m in (-2, 1) for n in (0, 1, 2)]
 
 
+ABBREVIATED = {
+    "solve --mod 1": ["solve", "--mod", "1"],
+    "solve --mo 2": ["solve", "--mo", "2"],
+    "solve --kma 16": ["solve", "--kma", "16"],
+    "solve --con FILE": ["solve", "--con", "cfg.json"],
+    "solve --mod -1,1": ["solve", "--mod", "-1,1"],
+    "scan --mod 1": ["scan", "--mod", "1"],
+    "--mod=1 validate": ["--mod=1", "validate"],
+}
+
+
+@pytest.mark.parametrize("name", ABBREVIATED)
+def test_an_abbreviated_option_exit_two(small_config, capsys, name):
+    """Each option has one spelling: argparse's prefix matching is off in every parser."""
+    path, _ = small_config
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(path), *ABBREVIATED[name]])
+    assert exc.value.code == 2
+    unrecognized = " ".join(arg for arg in ABBREVIATED[name] if arg not in ("solve", "scan", "validate"))
+    assert f"unrecognized arguments: {unrecognized}\n" in capsys.readouterr().err
+    assert not (path.parent / "out").exists()
+
+
+def test_a_full_option_may_take_its_value_after_an_equals_sign(small_config):
+    path, _ = small_config
+    assert main(["--config", str(path), "solve", "--modes=1", "--kmax=8"]) == 0
+    recs = read_out(path, "solutions.json")["solutions"]
+    assert sorted((rec["m"], rec["n"]) for rec in recs) == [(1, n) for n in (0, 1, 2)]
+
+
 # a family section or tail object holds exactly its law's keys, and each law
 # checks its parameters with or without a table in front of it
 BAD_FAMILIES = {

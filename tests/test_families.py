@@ -117,9 +117,58 @@ def test_J_bracket_contains_longer_truncations(monkeypatch):
     assert got.lower <= deep.value <= got.upper
 
 
+# eval_J(c, i, 0) as the bits of its value and tail, and k_hi: it evaluates c_{i,n}(k) once, on one window of
+# k_hi entries, with k_hi doubled from 64 until the scalar log tail is below SERIES_TOL
+J_BITS = {
+    "default": (CoefficientFamily(), {
+        1: ("0x1.27b810ff7c009p-2", "0x1.a0b7eb5be275dp-49", 64),
+        2: ("0x1.27b810ff7c009p-2", "0x1.a0b7eb5be275dp-49", 64),
+    }),
+    "t 0.9, 0.99": (CoefficientFamily(t1=0.9, t2=0.99, kappa=100.0), {
+        1: ("0x1.5939e191c80fap-20", "0x1.28bfd09682843p-60", 512),
+        2: ("0x1.6ef029bd9ea71p-232", "0x1.ccc058e47aea6p-266", 4096),
+    }),
+    "tabulated": (CoefficientFamily(table1=(0.9,) * 100, table2=(0.6, 0.7, 0.8), t1=0.3, t2=0.7, kappa=4.0), {
+        1: ("0x1.bda056ed493eep-16", "0x1.35eded538376bp-58", 128),
+        2: ("0x1.21ada60226e1fp-3", "0x1.2d09f4d291daap-48", 128),
+    }),
+    "unit": (CoefficientFamily(tail_rule="constant"), {1: ("0x1.0000000000000p+0", "0x0.0p+0", 64)}),
+}
+
+
+def _counting_c(monkeypatch) -> list[int]:
+    """The number of k of each CoefficientFamily.c call from here on."""
+    sizes, real = [], CoefficientFamily.c
+
+    def counting(self, i, n, k):
+        sizes.append(np.size(k))
+        return real(self, i, n, k)
+
+    monkeypatch.setattr(CoefficientFamily, "c", counting)
+    return sizes
+
+
+@pytest.mark.parametrize(("name", "i"), [(name, i) for name, (_, rows) in J_BITS.items() for i in rows])
+def test_J_evaluates_one_window(monkeypatch, name, i):
+    c, rows = J_BITS[name]
+    value, tail, k_hi = rows[i]
+    sizes = _counting_c(monkeypatch)
+    got = eval_J(c, i, 0)
+    assert (got.value.hex(), got.tail.hex()) == (value, tail)
+    assert sizes == [k_hi]
+
+
+def test_J_at_the_window_cap_evaluates_it_once(monkeypatch):
+    """At t1 = 0.999999 the log tail stays above SERIES_TOL up to the 2^20 cap, and the product collapses."""
+    sizes = _counting_c(monkeypatch)
+    with pytest.raises(HypothesisViolation, match="coefficient product collapsed to zero"):
+        eval_J(CoefficientFamily(t1=0.999999, kappa=1e7), 1, 0)
+    assert sizes == [1 << 20]
+
+
 def test_J_collapse_raises():
     c = CoefficientFamily(table1=(0.5,), table2=(0.5,), tail_rule="constant", tail_value=0.5)
-    with pytest.raises(HypothesisViolation):
+    with pytest.raises(HypothesisViolation, match="collapses to zero under a constant tail below 1"):
         eval_J(c, 1, 0)
 
 

@@ -84,7 +84,7 @@ def test_singular_limit_raises_on_the_mirrored_path(families):
         calls.append(mode)
         return limit_product(mode, Levels(w, c, 16))
 
-    levels = [(n, dict(results), dict(errors)) for n, results, errors in by_level(modes, build, mirror_product)]
+    levels = [(n, dict(results), dict(errors)) for n, results, errors, _ in by_level(modes, build, mirror_product)]
     assert [(n, results) for n, results, _ in levels] == [(0, {})]
     assert levels[0][2] == dict.fromkeys(modes, "limit product determinant underflowed")
     assert calls == modes
@@ -116,6 +116,34 @@ def test_a_rule_that_is_not_odd_is_not_mirrored(families):
     assert mirror_solution(build_solution(ModeIndex(3, 0), Levels(w, c, 32), rule=rule), rule) is not None
 
 
+def test_by_level_names_the_mirrored_modes(families):
+    """``mirrored`` holds each mode that mirror_solution made, and no mode that was built: not one whose
+    partner has a zero entry, not one where the rule is not odd, and not one whose partner failed."""
+    from qsolidtorus.solutions import BoundaryRule
+
+    w, c = families
+    levels, rule = Levels(w, c, 32), BoundaryRule({2: (0.1, 1.0)})
+
+    def build(mode):
+        if mode.m == 5:
+            raise SingularMatrixError(f"mode {mode}")
+        sol = build_solution(mode, levels, rule)
+        if mode.m == 3:
+            I_tab = sol.I.copy()
+            I_tab[5, 1] = 0.0
+            sol = dataclasses.replace(sol, I=I_tab)
+        return sol
+
+    modes = [ModeIndex(m, n) for n in (0, 1) for m in (0, 1, -1, 2, -2, 3, -3, 5, -5)]
+    got = []
+    for n, results, errors, mirrored in by_level(modes, build, lambda sol: mirror_solution(sol, rule)):
+        assert all(results[mode].mode == mode for mode in results)
+        got.append((n, mirrored, sorted(mode.m for mode in results), sorted(mode.m for mode in errors)))
+    assert got == [
+        (n, {ModeIndex(-1, n): ModeIndex(1, n)}, [-5, -3, -2, -1, 0, 1, 2, 3], [5]) for n in (0, 1)
+    ]
+
+
 def test_by_level_pairs_plus_minus_m_within_each_level():
     class Built:
         def __init__(self, mode, derived=False):
@@ -136,17 +164,20 @@ def test_by_level_pairs_plus_minus_m_within_each_level():
     order = [(-1, 1), (2, 0), (1, 1), (0, 0), (-2, 0), (5, 0), (-5, 0), (3, 0), (-3, 0), (1, 0), (2, 0), (-1, 2)]
     modes = [ModeIndex(m, n) for m, n in order]
     levels, kept = [], []
-    for n, results, errors in by_level(modes, build, mirror):
+    for n, results, errors, mirrored in by_level(modes, build, mirror):
         gc.collect()
         # the results of the level before are gone
         assert [ref() for ref in kept] == [None] * len(kept)
         derived = {mode.m: res.derived for mode, res in results.items()}
-        levels.append((n, derived, {mode.m: msg for mode, msg in errors.items()}))
+        assert all(src.n == n for src in mirrored.values())
+        levels.append((n, derived, {mode.m: msg for mode, msg in errors.items()},
+                       {mode.m: src.m for mode, src in mirrored.items()}))
         kept = [weakref.ref(res) for res in results.values()]
-    # levels in the order the modes first reach them, each level's modes in the modes' order, each mode once
+    # levels in the order the modes first reach them, each level's modes in the modes' order, each mode once;
+    # mirrored names exactly the derived modes, not -3 (its mirror gave None) nor -5 (its partner failed)
     level_0 = {2: False, 0: False, -2: True, 3: False, -3: False, 1: False}
     failed = {m: f"mode {ModeIndex(m, 0)}" for m in (5, -5)}
-    assert levels == [(1, {-1: False, 1: True}, {}), (0, level_0, failed), (2, {-1: False}, {})]
+    assert levels == [(1, {-1: False, 1: True}, {}, {1: -1}), (0, level_0, failed, {-2: 2}), (2, {-1: False}, {}, {})]
     # a failed build is not mirrored: its partner is built and names its own mode;
     # an equal |m| on another level is not a partner
     assert built == [modes[j] for j in (0, 1, 3, 5, 6, 7, 8, 9, 11)]

@@ -329,6 +329,29 @@ def test_apply_Q_satisfies_boundary_certificate(families, rng):
         assert res.boundary_residual <= res.boundary_tol
 
 
+@pytest.mark.parametrize("k2", [1.0, 3.0, 0.7])
+def test_boundary_residual_is_zero_where_K2_at_infinity_is_one(families, k2):
+    """h(K) = e2(K) K(K), and K(K) is the seed K(inf): where K2(inf) = 1, h_x K2 and h_y K1 are one float.
+
+    The default rule has K2(inf) = 1, so its boundary residual is exactly 0 and certifies nothing; under
+    a rule with K2(inf) != 1 it is a rounding-level residual, within its tolerance.
+    """
+    from qsolidtorus.solutions import BoundaryRule
+
+    w, c = families
+    rule = BoundaryRule({m: (k2 * np.sign(m) / (1.0 + m * m), k2) for m in (1, -1, 4, 16)})
+    rng = np.random.default_rng(5)
+    ratios = []
+    for k_max in (128, 1024):
+        levels = Levels(w, c, k_max)
+        for mode in (ModeIndex(m, n) for m in (1, -1, 4, 16, 0) for n in (0, 4)):
+            res = apply_Q(build_solution(mode, levels, rule), random_rhs(mode, k_max, rng))
+            assert res.boundary_residual <= res.boundary_tol
+            ratios.append(res.boundary_residual / res.boundary_tol)
+    assert (max(ratios) == 0.0) == (k2 == 1.0)
+    assert max(ratios) < 1e-4
+
+
 def test_dropping_boundary_row_leaves_I_direction(families):
     w, c = families
     for mode in (ModeIndex(1, 0), ModeIndex(-5, 1)):
