@@ -3,9 +3,11 @@
 For each mode the eight kernel operators (four X, four Y) get their squared
 weighted Hilbert-Schmidt sums evaluated directly from the I/K tables, compared
 against the closed-form upper bounds tau^2 kappa (eps + ratio) s(n) and
-tau^2 kappa eps s(n+1); the m = 0 mode contributes the cumulative kernel with
-bound s(n) s(n+1).  The assembled inverse carries a 1/tau prefactor, so the
+tau^2 kappa eps s(n+1).  The assembled inverse carries a 1/tau prefactor, so the
 compactness surrogate reported per mode is sqrt(sum of the eight sums) / |tau|.
+At m = 0 the same sums run, and only X12 and Y21 are nonzero; the mode reports
+Z00 = X12 / tau^2, the x <- r1 block of the inverse, with bound s(n) s(n+1)
+and proxy sqrt(Z00).
 
 Truncation bookkeeping: inner sums are capped by table index (the shifted
 beta = 2 kernels therefore reach one slot further), which makes the two cross
@@ -43,7 +45,6 @@ from .families import (
 )
 from .solutions import DEFAULT_RULE, BoundaryRule, KernelSolution, build_solution, by_level
 from .solutions import (
-    cumulative_product_sum,
     each_mode,
     lone_m_zero,
     mirror_solution,
@@ -111,38 +112,34 @@ def hs_norms(sol: KernelSolution, w: WeightFamily, c: CoefficientFamily) -> HsRe
     tau = sol.tau
     an = sol.table.an
     an1 = sol.table.an1
+    mI1, I2, K1, K2 = sol.oriented()
+    R2 = (1.0 / sol.table.prefix) ** 2
+    zero = np.zeros(K1.shape[:-1] + (1,))  # the shifted beta = 2 kernels start one slot later
+    # X^{alpha beta} sums outer[X, alpha] * inner[X, beta], each factor made once; X's inner
+    # sum runs over its K kernel above k, Y's over its I kernel up to k
+    inner = {
+        ("X", 1): suffix_sum(R2 * K1**2 / an),
+        # shifted kernel argument: the upper sum reaches the table end
+        ("X", 2): suffix_sum(np.concatenate((zero, R2 * K2**2 / an1), axis=-1))[..., :-1],
+        ("Y", 1): (R2 * mI1**2 / an).cumsum(axis=-1),
+        ("Y", 2): np.concatenate((zero, (R2 * I2**2 / an1).cumsum(axis=-1)[..., :-1]), axis=-1),
+    }
+    outer = {("X", 1): mI1**2 / an, ("X", 2): I2**2 / an1, ("Y", 1): K1**2 / an, ("Y", 2): K2**2 / an1}
+    # keys X before Y: proxy adds hs.values() in this order
+    hs = {(op, alpha, beta): (outer[op, alpha] * inner[op, beta]).sum(axis=-1)
+          for op, alpha in outer for beta in (1, 2)}
 
+    ratio = np.abs(sol.ratio_at_infinity)
+    bound_s = tau * tau * c.kappa * (sol.eps.upper + ratio) * s_n.upper
+    bound_s1 = tau * tau * c.kappa * sol.eps.upper * s_n1.upper
+    # X^{alpha beta} takes the bound of level n - 1 + alpha, Y^{alpha beta} that of n - 1 + beta
+    bounds = {(op, a, b): bound_s if (a if op == "X" else b) == 1 else bound_s1 for op, a, b in hs}
+    proxy = np.sqrt(sum(hs.values())) / np.abs(tau)
     if lone_m_zero(sol):
-        inner = cumulative_product_sum(1.0 / an, sol.table.c2**2)
-        # summed in order: np.sum adds pairwise, which rounds differently
-        hs = {("Z", 0, 0): np.cumsum(inner / an1)[-1]}
+        # I2 = K1 = 0 leave X12 and Y21; X12 / tau^2 is the x <- r1 block, which carries c1 (Y21 carries c2)
+        hs = {("Z", 0, 0): hs["X", 1, 2] / (tau * tau)}
         bounds = {("Z", 0, 0): s_n.upper * s_n1.upper}
-        ratio = 0.0
         proxy = np.sqrt(hs["Z", 0, 0])
-    else:
-        mI1, I2, K1, K2 = sol.oriented()
-        R2 = (1.0 / sol.table.prefix) ** 2
-        zero = np.zeros(K1.shape[:-1] + (1,))  # the shifted beta = 2 kernels start one slot later
-        # X^{alpha beta} sums outer[X, alpha] * inner[X, beta], each factor made once; X's inner
-        # sum runs over its K kernel above k, Y's over its I kernel up to k
-        inner = {
-            ("X", 1): suffix_sum(R2 * K1**2 / an),
-            # shifted kernel argument: the upper sum reaches the table end
-            ("X", 2): suffix_sum(np.concatenate((zero, R2 * K2**2 / an1), axis=-1))[..., :-1],
-            ("Y", 1): (R2 * mI1**2 / an).cumsum(axis=-1),
-            ("Y", 2): np.concatenate((zero, (R2 * I2**2 / an1).cumsum(axis=-1)[..., :-1]), axis=-1),
-        }
-        outer = {("X", 1): mI1**2 / an, ("X", 2): I2**2 / an1, ("Y", 1): K1**2 / an, ("Y", 2): K2**2 / an1}
-        # keys X before Y: proxy adds hs.values() in this order
-        hs = {(op, alpha, beta): (outer[op, alpha] * inner[op, beta]).sum(axis=-1)
-              for op, alpha in outer for beta in (1, 2)}
-
-        ratio = np.abs(sol.ratio_at_infinity)
-        bound_s = tau * tau * c.kappa * (sol.eps.upper + ratio) * s_n.upper
-        bound_s1 = tau * tau * c.kappa * sol.eps.upper * s_n1.upper
-        # X^{alpha beta} takes the bound of level n - 1 + alpha, Y^{alpha beta} that of n - 1 + beta
-        bounds = {(op, a, b): bound_s if (a if op == "X" else b) == 1 else bound_s1 for op, a, b in hs}
-        proxy = np.sqrt(sum(hs.values())) / np.abs(tau)
     # an inf sum under an inf bound fails its flag as well as the finite gate
     flags = {key: np.isfinite(hs[key]) & np.isfinite(bounds[key]) & (hs[key] <= bounds[key] * (1.0 + BOUND_SLACK))
              for key in hs}

@@ -8,8 +8,8 @@ sequences (x at level n, y at level n+1) through
 together with the initial regularity datum  a_n(0) y(0) + m x(0) = q0  and the
 boundary requirement that h be proportional to the K function at the far end.
 The inverse is assembled from the I/K kernel tables by variation of constants;
-in expanded form it is a sum of upper-tail (X-type), lower-triangle (Y-type)
-and, on the diagonal mode m = 0, cumulative (Z-type) kernel operators.
+in expanded form it is a sum of upper-tail (X-type) and lower-triangle (Y-type)
+kernel operators, of which only X^{12} and Y^{21} remain at m = 0.
 
 An independent solve of the same truncated system (an orthogonal elimination
 of the raw difference equations that ``apply_A`` applies, not variation of

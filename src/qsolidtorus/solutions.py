@@ -9,7 +9,7 @@ h(k+1) = C_{m,n}(k) h(k).  Two distinguished solutions are computed here:
 * the K function, prescribed at radial infinity by a sign/decay rule and
   propagated backward from a seed index (it is the recessive direction, so
   backward recursion is stable, exactly as for modified Bessel K).
-Both, and the m = 0 inner sum, run on ``transfer.sweep``, the one step loop.
+Both run on ``transfer.sweep``, the one step loop.
 
 The pairing tau = <K(0), I(0)^perp> measures their independence and
 propagates by the scalar product of c_2/c_1 (a Wronskian analog).  The module
@@ -358,19 +358,6 @@ def suffix_sum(v: np.ndarray) -> np.ndarray:
     out = np.zeros(v.shape)
     out[..., :-1] = np.cumsum(v[..., ::-1], axis=-1)[..., ::-1][..., 1:]
     return out
-
-
-def cumulative_product_sum(x: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """out[k] = out[k-1] r(k-1) + x(k) from out[-1] = 0: the m = 0 kernel's recurrence, for len(r) >= len(x) - 1.
-
-    It is the sweep of (out[k-1], 1) by the affine steps [[r(k-1), x(k)], [0, 1]], with r(-1) = 1, so
-    from two steps after an entry reaches inf the rest read nan (0 * inf in the constant row).
-    """
-    steps = np.zeros((len(x), 2, 2))
-    steps[:, 0, 0] = np.concatenate(([1.0], r[: len(x) - 1]))
-    steps[:, 0, 1] = x
-    steps[:, 1, 1] = 1.0
-    return sweep(steps, 0.0, 1.0)[1:, 0]
 
 
 def wronskian_residuals(sol: KernelSolution) -> np.ndarray:

@@ -2,11 +2,17 @@ import numpy as np
 import pytest
 
 from qsolidtorus.families import CoefficientFamily, default_families
+from reference import TABULATED
 
 
 @pytest.fixture(scope="session")
 def families():
     return default_families()
+
+
+@pytest.fixture(scope="session")
+def tab_families():
+    return TABULATED
 
 
 @pytest.fixture(scope="session")

@@ -4,6 +4,7 @@ Imported by the test modules as ``reference`` (pytest puts ``tests/`` on the
 import path); nothing under ``src/`` imports it.
 
 The first section holds fixtures and checks no command runs: among them
+``TABULATED``, the tabulated families whose c1 and c2 differ at k < 2,
 ``FUBINI_PAIRS``, the HS sums the acceptance suite compares in pairs, the
 2x2 ``det2`` and ``invert`` and ``perp_transport_residual``, which checks the
 transport of K(0)^perp by inverting forward products of the recessive
@@ -18,10 +19,10 @@ on one solution's 1-D tables.  Their arithmetic is the package's before the
 stacking, so ``tests/test_stacked.py`` can compare the stacked stages with
 them bit for bit.
 
-The next section holds the four recurrences that ``transfer.sweep`` runs
-(I, K, the partial products and the m = 0 inner sum), each as its own
-plain-float loop, so ``tests/test_solutions.py`` can check the sweeps' tables
-against them bit for bit.
+The next section holds the three recurrences that ``transfer.sweep`` runs
+(I, K and the partial products), each as its own plain-float loop, so
+``tests/test_solutions.py`` can check the sweeps' tables against them bit for
+bit, and the cumulative c2-product sum that ``apply_XYZ("Z")`` runs.
 
 The last section holds the banded LU oracle the package ran before its
 orthogonal cyclic reduction: the constrained system in LAPACK band form,
@@ -47,7 +48,7 @@ from qsolidtorus.families import (
     tail_inv_weight,
 )
 from qsolidtorus.parametrix import ParametrixResult, RhsPair, WeightedSeq, WeightTagMismatch, _phi
-from qsolidtorus.solutions import EPS_HEAD, KernelSolution, cumulative_product_sum, suffix_sum
+from qsolidtorus.solutions import EPS_HEAD, KernelSolution, suffix_sum
 from qsolidtorus.transfer import (
     DET_FLOOR,
     LevelTable,
@@ -56,6 +57,12 @@ from qsolidtorus.transfer import (
     build_C_range,
     partial_products,
     scalar_det_prefix,
+)
+
+# tabulated rows continued by declared tails; c1 != c2 at k = 0, 1, so a c1/c2 swap shows
+TABULATED = (
+    WeightFamily(table=((1.5, 3.0, 7.5), (2.5, 9.0)), tail_rule="power", lam=1.0, p=1.0, q=2.0),
+    CoefficientFamily(table1=(0.5, 0.8), table2=(0.6,), tail_rule="geometric", t1=0.5, t2=0.5, kappa=2.0),
 )
 
 # the HS sums of analysis.hs_norms that the continuum Fubini swap pairs: the cross
@@ -176,9 +183,10 @@ def apply_XYZ(
 
     X sums the upper tail i > k against K-components, Y the lower triangle
     i <= k against I-components, both with the scalar prefix products of
-    c1/c2; Z (m = 0 only) is the cumulative c2-product kernel.  Input tags
-    must match a_{n-1+beta} for X/Y and a_n for Z.  ``parametrix.apply_Q``
-    is their combination; ``analysis.hs_norms`` sums their squared kernels.
+    c1/c2; Z (m = 0 only) is the cumulative c2-product kernel, -Y^{21}/tau
+    at m = 0.  Input tags must match a_{n-1+beta} for X/Y and a_n for Z.
+    ``parametrix.apply_Q`` is the X/Y combination; ``analysis.hs_norms`` sums
+    their squared kernels, and at m = 0 reports X^{12}/tau^2, not Z's.
     """
     n = sol.mode.n
     vals = np.asarray(r.values, dtype=float)
@@ -188,7 +196,7 @@ def apply_XYZ(
     if kind == "Z":
         if r.level != n:
             raise WeightTagMismatch("Z input must live at level n")
-        out = cumulative_product_sum(vals / sol.table.an[: k_max + 1], sol.table.c2)
+        out = cumulative_product_sum_loop(vals / sol.table.an[: k_max + 1], sol.table.c2)
         return WeightedSeq(out, n + 1)
 
     if kind not in ("X", "Y") or alpha not in (1, 2) or beta not in (1, 2):
@@ -455,51 +463,48 @@ def hs_norms(sol: KernelSolution, w: WeightFamily, c: CoefficientFamily) -> HsRe
     tau = sol.tau
     an = sol.table.an
     an1 = sol.table.an1
+    I = sol.I
+    Kf = sol.K
+    R = 1.0 / sol.table.prefix
+    a_of = {1: an, 2: an1}
+    Ic = {1: I[:, 0], 2: I[:, 1]}
+    Kc = {1: Kf[:, 0], 2: Kf[:, 1]}
+    kernel_K = {1: R**2 * Kc[1] ** 2 / an, 2: R**2 * Kc[2] ** 2 / an1}
+    kernel_I = {1: R**2 * Ic[1] ** 2 / an, 2: R**2 * Ic[2] ** 2 / an1}
+    hs = {}
+    for alpha in (1, 2):
+        out_w = Ic[alpha] ** 2 / a_of[alpha]
+        for beta in (1, 2):
+            if beta == 1:
+                s_inner = _suffix_sum(kernel_K[1])
+            else:
+                s_inner = _suffix_sum(np.append(0.0, kernel_K[2]))[:-1]
+            hs[("X", alpha, beta)] = float(np.sum(out_w * s_inner))
+    for alpha in (1, 2):
+        out_w = Kc[alpha] ** 2 / a_of[alpha]
+        for beta in (1, 2):
+            pre = np.cumsum(kernel_I[beta])
+            if beta == 2:
+                pre = np.concatenate(([0.0], pre[:-1]))
+            hs[("Y", alpha, beta)] = float(np.sum(out_w * pre))
+    ratio = abs(sol.ratio_at_infinity)
+    bound_s = tau * tau * c.kappa * (sol.eps.upper + ratio) * s_n.upper
+    bound_s1 = tau * tau * c.kappa * sol.eps.upper * s_n1.upper
+    bounds = {
+        ("X", 1, 1): bound_s,
+        ("X", 1, 2): bound_s,
+        ("X", 2, 1): bound_s1,
+        ("X", 2, 2): bound_s1,
+        ("Y", 1, 1): bound_s,
+        ("Y", 2, 1): bound_s,
+        ("Y", 1, 2): bound_s1,
+        ("Y", 2, 2): bound_s1,
+    }
+    proxy = float(np.sqrt(sum(hs.values())) / abs(tau))
     if m == 0:
-        inner = cumulative_product_sum(1.0 / an, sol.table.c2**2)
-        hs = {("Z", 0, 0): float(np.cumsum(inner / an1)[-1])}
+        hs = {("Z", 0, 0): hs[("X", 1, 2)] / (tau * tau)}
         bounds = {("Z", 0, 0): s_n.upper * s_n1.upper}
-        ratio = 0.0
         proxy = float(np.sqrt(hs["Z", 0, 0]))
-    else:
-        I = sol.I
-        Kf = sol.K
-        R = 1.0 / sol.table.prefix
-        a_of = {1: an, 2: an1}
-        Ic = {1: I[:, 0], 2: I[:, 1]}
-        Kc = {1: Kf[:, 0], 2: Kf[:, 1]}
-        kernel_K = {1: R**2 * Kc[1] ** 2 / an, 2: R**2 * Kc[2] ** 2 / an1}
-        kernel_I = {1: R**2 * Ic[1] ** 2 / an, 2: R**2 * Ic[2] ** 2 / an1}
-        hs = {}
-        for alpha in (1, 2):
-            out_w = Ic[alpha] ** 2 / a_of[alpha]
-            for beta in (1, 2):
-                if beta == 1:
-                    s_inner = _suffix_sum(kernel_K[1])
-                else:
-                    s_inner = _suffix_sum(np.append(0.0, kernel_K[2]))[:-1]
-                hs[("X", alpha, beta)] = float(np.sum(out_w * s_inner))
-        for alpha in (1, 2):
-            out_w = Kc[alpha] ** 2 / a_of[alpha]
-            for beta in (1, 2):
-                pre = np.cumsum(kernel_I[beta])
-                if beta == 2:
-                    pre = np.concatenate(([0.0], pre[:-1]))
-                hs[("Y", alpha, beta)] = float(np.sum(out_w * pre))
-        ratio = abs(sol.ratio_at_infinity)
-        bound_s = tau * tau * c.kappa * (sol.eps.upper + ratio) * s_n.upper
-        bound_s1 = tau * tau * c.kappa * sol.eps.upper * s_n1.upper
-        bounds = {
-            ("X", 1, 1): bound_s,
-            ("X", 1, 2): bound_s,
-            ("X", 2, 1): bound_s1,
-            ("X", 2, 2): bound_s1,
-            ("Y", 1, 1): bound_s,
-            ("Y", 2, 1): bound_s,
-            ("Y", 1, 2): bound_s1,
-            ("Y", 2, 2): bound_s1,
-        }
-        proxy = float(np.sqrt(sum(hs.values())) / abs(tau))
     flags = {
         key: bool(np.isfinite(hs[key]) and np.isfinite(bounds[key]) and hs[key] <= bounds[key] * (1.0 + BOUND_SLACK))
         for key in hs
@@ -559,7 +564,7 @@ def partial_products_loop(c_arr: np.ndarray) -> np.ndarray:
 
 
 def cumulative_product_sum_loop(x: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """out[k] = out[k-1] r(k-1) + x(k) from out[-1] = 0 by its own plain-float loop."""
+    """out[k] = out[k-1] r(k-1) + x(k) from out[-1] = 0 by a plain-float loop: ``apply_XYZ("Z")``'s kernel."""
     out = [0.0]
     for xk, rk in zip(x.tolist(), [1.0, *r.tolist()]):
         out.append(out[-1] * rk + xk)

@@ -6,6 +6,7 @@ import pytest
 
 from qsolidtorus.analysis import decay_scan, hs_norms, scan_to_files
 from qsolidtorus.families import eval_s
+from qsolidtorus.parametrix import RhsPair, WeightedSeq, apply_Q
 from qsolidtorus.solutions import build_solution
 from qsolidtorus.transfer import Levels, ModeIndex, scalar_det_prefix
 from reference import FUBINI_PAIRS
@@ -28,21 +29,63 @@ def test_hs_z_direct_double_sum(families, unit_coeffs):
     assert report.proxy == pytest.approx(math.sqrt(got))
 
 
-def test_hs_z_with_gap_coefficients(families):
-    w, c = families
-    mode = ModeIndex(0, 2)
-    sol = build_solution(mode, Levels(w, c, 64))
-    report = hs_norms(sol, w, c)
-    got = report.hs[("Z", 0, 0)]
-    brute = 0.0
-    c2 = np.asarray(c.c(2, 2, np.arange(64)), dtype=float)
-    for k in range(65):
-        inner = 0.0
-        for i in range(k + 1):
-            inner += float(np.prod(c2[i:k] ** 2)) / w.a(2, i)
-        brute += inner / w.a(3, k)
-    assert got == pytest.approx(brute, rel=1e-11)
-    assert got <= eval_s(w, 2).upper * eval_s(w, 3).upper
+def test_hs_z_with_gap_coefficients(families, tab_families):
+    """Z00 sums the gap c1 that the m = 0 x equation carries, on matched and on tabulated (c1 != c2) families."""
+    for w, c in (families, tab_families):
+        mode = ModeIndex(0, 2)
+        sol = build_solution(mode, Levels(w, c, 64))
+        report = hs_norms(sol, w, c)
+        got = report.hs[("Z", 0, 0)]
+        brute = 0.0
+        c1 = np.asarray(c.c(1, 2, np.arange(64)), dtype=float)
+        for k in range(65):
+            inner = 0.0
+            for i in range(k + 1):
+                inner += float(np.prod(c1[i:k] ** 2)) / w.a(2, i)
+            brute += inner / w.a(3, k)
+        assert got == pytest.approx(brute, rel=1e-11)
+        assert got <= eval_s(w, 2).upper * eval_s(w, 3).upper
+
+
+def inverse_block_hs2(sol) -> dict:
+    """The squared HS norm of each (output, input) block of the inverse that ``apply_Q`` applies.
+
+    The dense inverse is ``apply_Q`` on the 2K + 1 unit right-hand sides, each column scaled by its
+    ``RhsPair.norm`` and each output measured by the norms ``ParametrixResult.norm`` adds up:
+    x at level n, y at level n + 1.
+    """
+    K, n, t = sol.k_table, sol.mode.n, sol.table
+    blocks = {(out, inp): 0.0 for out in "xy" for inp in ("r1", "r2", "q0")}
+    for j in range(2 * K + 1):
+        unit = np.zeros(2 * K + 1)
+        unit[j] = 1.0
+        r = RhsPair(WeightedSeq(unit[:K], n + 1), WeightedSeq(unit[K:-1], n), unit[-1])
+        res = apply_Q(sol, r)
+        inp = "r1" if j < K else "r2" if j < 2 * K else "q0"
+        blocks["x", inp] += float(res.h_g.norm(t)) ** 2 / float(r.norm(t)) ** 2
+        blocks["y", inp] += float(res.h_f.norm(t)) ** 2 / float(r.norm(t)) ** 2
+    return blocks
+
+
+@pytest.mark.parametrize("n", [0, 1, 4])
+def test_hs_z_is_the_x_from_r1_block_of_the_inverse(families, tab_families, n):
+    """At m = 0, Z00 is the x <- r1 block's squared HS norm up to an edge term, and the cross blocks are 0."""
+    for w, c in (families, tab_families):
+        sol = build_solution(ModeIndex(0, n), Levels(w, c, 128))
+        blocks = inverse_block_hs2(sol)
+        assert hs_norms(sol, w, c).hs["Z", 0, 0] == pytest.approx(blocks["x", "r1"], rel=1e-4)
+        assert blocks["y", "r1"] == 0.0 and blocks["x", "r2"] == 0.0
+
+
+@pytest.mark.parametrize("m, n", [(0, 0), (1, 0), (4, 1), (-2, 0)])
+def test_proxy_is_not_the_hs_norm_of_the_inverse(families, tab_families, m, n):
+    """proxy^2 over the weighted inverse's Frobenius^2 (all six blocks), K = 128: 0.52-0.53 at (0, 0), where
+    the y blocks are in no sum, and 1.07-1.11 at m != 0."""
+    low, high = (0.50, 0.55) if m == 0 else (1.05, 1.12)
+    for w, c in (families, tab_families):
+        sol = build_solution(ModeIndex(m, n), Levels(w, c, 128))
+        ratio = hs_norms(sol, w, c).proxy ** 2 / sum(inverse_block_hs2(sol).values())
+        assert low < ratio < high, ratio
 
 
 def test_hs_x_brute_force_single_entry(families):
@@ -114,7 +157,7 @@ def test_decay_scan_envelopes_and_outputs(families, tmp_path):
     assert table.all_passed, table.failed()
     assert len(table.rows) == 15
     rows = {(r.mode.m, r.mode.n): r for r in table.rows}
-    # m = 0 rows carry only the cumulative kernel
+    # m = 0 rows carry only Z00
     assert set(rows[(0, 0)].hs) == {("Z", 0, 0)}
     # ratio column matches the configured boundary rule
     assert rows[(4, 1)].ratio == pytest.approx(1.0 / 17.0)
@@ -291,20 +334,20 @@ def _scaled(table: str, j: int, factor: float):
 # each decay_scan envelope check and each HS pass_* flag: a mutant of hs_norms (its reports, or the solutions
 # it is given) and the full set of envelope checks and pass_* flags of any row that the mutant fails, as
 # measured on m in (0, 1, 2), n in (0, 1), K = 32.  Scaling an I or K column scales the four sums that read
-# it by factor^2; tau / 1000 shrinks all eight X/Y bounds by 1e6.
+# it by factor^2, and Z00 = X12 / tau^2 where that is I1 or K2; tau / 1000 shrinks all eight X/Y bounds by
+# 1e6 and grows Z00 by 1e6.
 ENVELOPE_MUTANTS = {
     "proxy_decays_in_m": (_at((2, 0), proxy=lambda rep: 1e3 * rep.proxy), {"proxy_decays_in_m"}),
     "proxy_decays_in_n": (_at((1, 1), proxy=lambda rep: 1e3 * rep.proxy), {"proxy_decays_in_n"}),
     "eps_below_s": (_at((2, 0), eps=lambda rep: 2.0 * rep.s_n), {"eps_below_s"}),
     "K1 x 100": (_scaled("K", 0, 100.0), {"pass_X11", "pass_X21", "pass_Y11", "pass_Y12", "proxy_decays_in_m"}),
-    "K2 x 10": (_scaled("K", 1, 10.0), {"pass_X12", "pass_X22", "pass_Y21"}),
-    "I1 x 10": (_scaled("I", 0, 10.0), {"pass_X12", "pass_Y11", "pass_Y21"}),
+    "K2 x 10": (_scaled("K", 1, 10.0), {"pass_X12", "pass_X22", "pass_Y21", "pass_Z00"}),
+    "I1 x 10": (_scaled("I", 0, 10.0), {"pass_X12", "pass_Y11", "pass_Y21", "pass_Z00"}),
     "I2 x 100": (_scaled("I", 1, 100.0), {"pass_X21", "pass_X22", "pass_Y12", "pass_Y22", "proxy_decays_in_m"}),
     "tau / 1000": (
         _on_inputs(lambda sol: dataclasses.replace(sol, tau=1e-3 * sol.tau)),
-        {f"pass_{op}{a}{b}" for op in "XY" for a in (1, 2) for b in (1, 2)},
+        {"pass_Z00"} | {f"pass_{op}{a}{b}" for op in "XY" for a in (1, 2) for b in (1, 2)},
     ),
-    # the m = 0 sum reads a_n, not the I or K tables
     "a_n / 4": (
         _on_inputs(lambda sol: dataclasses.replace(sol, table=dataclasses.replace(sol.table, an=sol.table.an / 4))),
         {"pass_Z00"},

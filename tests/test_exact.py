@@ -8,10 +8,11 @@ problem has a kernel; not at m = 0, where tau(1, 0) = 0), and the solution of
 the raw truncated system (the rows that ``oracle_solve`` factors: the
 difference equations of ``apply_A``, the datum row and the boundary row) by
 banded exact elimination, for one fixed right-hand side; and from the exact
-sweeps, ``analysis.hs_norms``' eight X/Y Hilbert-Schmidt sums (the m = 0 Z
-sum at m = 0) and each lemma clause's margins lhs - rhs, k by k.  The
-families' own rounding stays outside the comparison: both sides start from
-the same floats.
+sweeps, ``analysis.hs_norms``' eight X/Y Hilbert-Schmidt sums (at m = 0 the
+report's Z00 is X12 / tau^2) and each lemma clause's margins lhs - rhs, k by
+k.  The families' own rounding stays outside the comparison: both sides start
+from the same floats.  The HS sums also run on the tabulated families, whose
+c1 and c2 differ, so a c1/c2 swap in any sum shows.
 
 The package's float64 values are compared against them.  Each bound is
 c * K * 2^-53 relative, with c stated at the comparison, and each test prints
@@ -31,10 +32,13 @@ from qsolidtorus.families import default_families
 from qsolidtorus.parametrix import apply_Q, oracle_solve, random_rhs
 from qsolidtorus.solutions import build_solution, compute_I, compute_K, pairing, verify_lemma_suite
 from qsolidtorus.transfer import Levels, ModeIndex
+from reference import TABULATED
 
 CASES = [(0, 4, 16), (1, 0, 16), (-4, 0, 64), (32, 4, 64)]
 # the HS sums, lemma margins, oracle and inverse also at n = 16, K = 128: more time than the others together
 DEEP_CASES = [*CASES, (0, 16, 128), (4, 16, 128)]
+# on the tabulated families, c1 != c2 at k = 0, 1
+TABULATED_CASES = [(0, 0, 16), (1, 0, 16)]
 ULP = 2.0**-53
 
 
@@ -125,10 +129,14 @@ def _running(v: list[Fraction], reverse: bool = False, strict: bool = False) -> 
     return out[::-1] if reverse else out
 
 
+def _families(tabulated: bool):
+    return TABULATED if tabulated else default_families()
+
+
 @functools.cache
-def exact_case(m: int, n: int, K: int):
-    """The default families' solution of (m, n) on K, its exact steps and its exact I and K sweeps."""
-    sol = build_solution(ModeIndex(m, n), Levels(*default_families(), K))
+def exact_case(m: int, n: int, K: int, tabulated: bool = False):
+    """The solution of (m, n) on K (default or tabulated families), its exact steps and its exact I and K sweeps."""
+    sol = build_solution(ModeIndex(m, n), Levels(*_families(tabulated), K))
     ex = Exact(sol)
     return sol, ex, ex.sweep_I(), ex.sweep_K(sol.K_inf)
 
@@ -138,15 +146,9 @@ def exact_hs(ex: Exact, I, Kt) -> dict:
 
     X^{alpha beta} sums outer I_alpha(k)^2 / a against the kernel R^2 K_beta^2 / a above k, Y^{alpha beta}
     outer K_alpha(k)^2 / a against R^2 I_beta^2 / a up to k, with R = prod c1/c2 and a = a_n (index 1) or
-    a_{n+1} (index 2); the beta = 2 kernels are shifted one slot.  At m = 0 it is the one Z sum.
+    a_{n+1} (index 2); the beta = 2 kernels are shifted one slot.  The same eight sums run at m = 0.
     """
     an, an1, K = ex.an, ex.an1, ex.K
-    if ex.m == 0:
-        inner, acc = [], Fraction(0)
-        for k in range(K + 1):
-            acc = acc * (ex.c2[k - 1] ** 2 if k else 1) + 1 / an[k]
-            inner.append(acc)
-        return {("Z", 0, 0): sum(v / a for v, a in zip(inner, an1))}
     R2 = [Fraction(1)]
     for a, b in zip(ex.c1, ex.c2):
         R2.append(R2[-1] * (a / b) ** 2)
@@ -277,18 +279,37 @@ def test_oracle_and_inverse_match_exact_elimination(families, m, n, K):
 
 
 
-@pytest.mark.parametrize("m, n, K", DEEP_CASES)
-def test_hs_sums_match_the_exact_reference(m, n, K):
-    """hs_norms' sums, each within 2 K ulps relative of its exact value: every term is a positive square, so
-    nothing cancels."""
-    sol, ex, I, Kt = exact_case(m, n, K)
+def _check_hs_sums(m: int, n: int, K: int, tabulated: bool) -> None:
+    """hs_norms' sums, each within 2 K ulps relative of its exact value.
+
+    At m = 0 the exact X/Y sums other than X12 and Y21 are 0, X12 equals Y21 exactly where c1 = c2 on the
+    window, and the report's one sum Z00 is compared with X12 / tau^2.
+    """
+    sol, ex, I, Kt = exact_case(m, n, K, tabulated)
     want = exact_hs(ex, I, Kt)
-    got = hs_norms(sol, *default_families()).hs
+    if m == 0:
+        x12, y21 = want.pop(("X", 1, 2)), want.pop(("Y", 2, 1))
+        assert set(want.values()) == {0}
+        assert (x12 == y21) == (ex.c1 == ex.c2)
+        want = {("Z", 0, 0): x12 / (Kt[0][0] * I[0][1] - Kt[0][1] * I[0][0]) ** 2}
+    got = hs_norms(sol, *_families(tabulated)).hs
     assert set(got) == set(want)
     errs = {"%s%d%d" % key: float(abs(Fraction(got[key]) - v) / v) for key, v in want.items()}
     worst = max(errs, key=errs.get)
     print(f"\n({m}, {n}) K={K}: worst HS error {errs[worst]:.3g} ({worst})")
     assert all(v <= 2 * K * ULP for v in errs.values()), errs
+
+
+@pytest.mark.parametrize("m, n, K", DEEP_CASES)
+def test_hs_sums_match_the_exact_reference(m, n, K):
+    """Every term is a positive square, so nothing cancels."""
+    _check_hs_sums(m, n, K, tabulated=False)
+
+
+@pytest.mark.parametrize("m, n, K", TABULATED_CASES)
+def test_hs_sums_with_unequal_gaps_match_the_exact_reference(m, n, K):
+    """On the tabulated families, where prod c1/c2 != 1, X12 != Y21 at m = 0 and Z00 is X12's."""
+    _check_hs_sums(m, n, K, tabulated=True)
 
 
 def _rel_margin(lhs: Fraction, rhs: Fraction) -> Fraction:

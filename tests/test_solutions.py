@@ -6,7 +6,7 @@ import pytest
 
 from qsolidtorus.analysis import hs_norms
 from qsolidtorus.config import DEFAULT_GRID_M, DEFAULT_GRID_N
-from qsolidtorus.families import CoefficientFamily, WeightFamily, eval_s
+from qsolidtorus.families import eval_s
 from qsolidtorus.solutions import (
     M_PROBE,
     BoundaryRule,
@@ -16,7 +16,6 @@ from qsolidtorus.solutions import (
     build_solution,
     compute_I,
     compute_K,
-    cumulative_product_sum,
     epsilon,
     mirror_solution,
     pairing,
@@ -27,8 +26,8 @@ from qsolidtorus.solutions import (
 from qsolidtorus.transfer import Levels, ModeIndex, partial_products, scalar_det_prefix
 from reference import (
     compute_I_loop,
+    TABULATED,
     compute_K_loop,
-    cumulative_product_sum_loop,
     partial_products_loop,
     perp_transport_residual,
 )
@@ -406,12 +405,6 @@ def test_compute_K_tolerance_guard(families):
     assert tuple(tab[32]) == k_inf
 
 
-TABULATED = (
-    WeightFamily(table=((1.5, 3.0, 7.5), (2.5, 9.0)), tail_rule="power", lam=1.0, p=1.0, q=2.0),
-    CoefficientFamily(table1=(0.5, 0.8), table2=(0.6,), tail_rule="geometric", t1=0.5, t2=0.5, kappa=2.0),
-)
-
-
 @pytest.mark.parametrize("tabulated", [False, True], ids=["default", "tabulated"])
 @pytest.mark.parametrize("m, n", [(1, 0), (-4, 2), (0, 1), (32, 16)])
 def test_compute_K_seeded_inside_a_longer_window(families, tabulated, m, n):
@@ -495,7 +488,7 @@ def test_scalar_sweeps_match_matmul_reference(families):
 
 
 def test_sweeps_match_step_loops_bit_for_bit(families):
-    """I, K, P and the m = 0 inner sum from ``transfer.sweep`` equal their own plain-float loops byte for byte."""
+    """I, K and P from ``transfer.sweep`` equal their own plain-float loops byte for byte."""
     w, c = families
     cases = [(ModeIndex(m, n), 128) for m in DEFAULT_GRID_M for n in DEFAULT_GRID_N]
     cases += [(ModeIndex(m, n), 8192) for m in (1, -1, 1024, -1024) for n in (0, 16)]
@@ -503,12 +496,10 @@ def test_sweeps_match_step_loops_bit_for_bit(families):
         levels = Levels(w, c, K)
         table, C = levels.table(mode.n), levels.C(mode)
         k_inf = BoundaryRule()(mode.m)
-        x, r = 1.0 / table.an, table.c2**2
         pairs = [
             (compute_I(mode, Levels(w, c, K)), compute_I_loop(mode, table, C)),
             (compute_K(mode, Levels(w, c, K), k_inf, K)[0], compute_K_loop(table, C, k_inf)),
             (partial_products(C), partial_products_loop(C)),
-            (cumulative_product_sum(x, r), cumulative_product_sum_loop(x, r)),
         ]
         for got, want in pairs:
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), mode

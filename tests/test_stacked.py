@@ -26,15 +26,11 @@ from qsolidtorus.solutions import (
 )
 from qsolidtorus.transfer import Levels, ModeIndex
 
-TABULATED = (
-    WeightFamily(table=((1.5, 3.0, 7.5), (2.5, 9.0)), tail_rule="power", lam=1.0, p=1.0, q=2.0),
-    CoefficientFamily(table1=(0.5, 0.8), table2=(0.6,), tail_rule="geometric", t1=0.5, t2=0.5, kappa=2.0),
-)
 TABLE_RULE = BoundaryRule({2: (0.1, 1.0)})
 
 CASES = [
     *((default_families(), DEFAULT_RULE, k, (0, 1, -1, 3, -3, 32, -32)) for k in (16, 128, 1024)),
-    *((TABULATED, DEFAULT_RULE, k, (0, 1, -1, 2, -2, 5)) for k in (16, 128)),
+    *((reference.TABULATED, DEFAULT_RULE, k, (0, 1, -1, 2, -2, 5)) for k in (16, 128)),
     (default_families(), TABLE_RULE, 64, (0, 2, -2, 3, -3)),
 ]
 

@@ -9,7 +9,6 @@ import json
 import math
 
 import numpy as np
-import pytest
 
 from qsolidtorus.analysis import decay_scan
 from qsolidtorus.cli import main
@@ -30,26 +29,6 @@ from qsolidtorus.solutions import (
 )
 from qsolidtorus.transfer import Levels, ModeIndex, tail_sum_C_minus_I
 from reference import mat_abs_norm
-
-
-@pytest.fixture(scope="module")
-def tab_families():
-    w = WeightFamily(
-        table=((1.5, 3.0, 7.5), (2.5, 9.0)),
-        tail_rule="power",
-        lam=1.0,
-        p=1.0,
-        q=2.0,
-    )
-    c = CoefficientFamily(
-        table1=(0.5, 0.8),
-        table2=(0.6,),
-        tail_rule="geometric",
-        t1=0.5,
-        t2=0.5,
-        kappa=2.0,
-    )
-    return w, c
 
 
 def test_tabulated_lookup_and_continuation(tab_families):
