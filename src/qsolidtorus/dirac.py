@@ -192,7 +192,9 @@ def algebra_sanity(
 
     Shift truncation breaks the relations only on the edge rows/columns, so
     the commutation residual is measured on columns whose shifts stay inside
-    the cutoffs; roundtrips use coefficients supported well inside.
+    the cutoffs; roundtrips use coefficients supported well inside.  The
+    roundtrips draw from rng itself, then each trace sample from its own
+    child stream ``rng.spawn(1)[0]``.
     """
     rng = np.random.default_rng(0) if rng is None else rng
     checks: list[CheckResult] = []
@@ -267,29 +269,44 @@ def algebra_sanity(
     # a and b live on the inner block 1 <= k <= k_cut - 1, |l| <= l_cut - 1;
     # Q0 sees only its l = 0 columns, so b is drawn as b Q0 alone
     inner = (rep.Kdiag >= 1) & (rep.Kdiag <= rep.k_cut - 1) & (np.abs(rep.Ldiag) <= rep.l_cut - 1)
-    q0 = np.flatnonzero(rep.Ldiag[inner] == 0)
+    l0 = rep.Ldiag[inner] == 0
+    q0, rest = np.flatnonzero(l0), np.flatnonzero(~l0)
     n_inner = int(inner.sum())
 
-    def draw(shape) -> np.ndarray:
+    def draw(stream: np.random.Generator, shape) -> np.ndarray:
         z = np.empty(shape, dtype=complex)
-        z.real, z.imag = rng.standard_normal(shape), rng.standard_normal(shape)
+        z.real, z.imag = stream.standard_normal(shape), stream.standard_normal(shape)
         return z
+
+    def skips(lhs: float, rows: np.ndarray, b_norm: float) -> bool:
+        """Whether lhs < worst * (a lower bound on ||rows||) * b_norm.
+
+        The largest row, less ten margins, is never above
+        norm_lower_bound(rows), so the power steps run only where it does not skip.
+        """
+        re_im = rows.view(float)
+        largest_row = math.sqrt(float(np.max(np.einsum("ij,ij->i", re_im, re_im), initial=0.0)))
+        return (lhs < worst_trace * largest_row * (1.0 - 10 * NORM_LOWER_MARGIN) * b_norm
+                or lhs < worst_trace * norm_lower_bound(rows) * b_norm)
 
     # running worst exact ratio; a sample whose lhs is below worst * (a lower
     # bound on ||a||) * tau(b* b)^(1/2) cannot raise it or fail, so it skips the
-    # SVD.  The largest row of a, less ten margins, is never above
-    # norm_lower_bound(a), so the power steps run only where it does not skip.
+    # SVD.  lhs reads only a's q0 rows, whose norm is at most ||a||, so a's
+    # other rows are drawn only where the q0 rows alone do not skip.  Each
+    # sample draws from its own child stream: q0 rows, b Q0, then the rest.
     # An empty block gives 0/0, which must fail rather than pass vacuously.
     worst_trace, bounded, n_svd = -np.inf, True, 0
     rank = max(len(q0), 1)
     for _ in range(n_trace):
-        a, bq0 = draw((n_inner, n_inner)), draw((n_inner, len(q0)))
-        lhs = abs(complex(np.sum(a[q0, :] * bq0.T))) / rank
+        stream = rng.spawn(1)[0]
+        a_q0, bq0 = draw(stream, (len(q0), n_inner)), draw(stream, (n_inner, len(q0)))
+        lhs = abs(complex(np.sum(a_q0 * bq0.T))) / rank
         b_norm = float(np.linalg.norm(bq0)) / math.sqrt(rank)  # tau(b* b)^(1/2)
-        re_im = a.view(float)
-        largest_row = math.sqrt(float(np.max(np.einsum("ij,ij->i", re_im, re_im), initial=0.0)))
-        if (lhs < worst_trace * largest_row * (1.0 - 10 * NORM_LOWER_MARGIN) * b_norm
-                or lhs < worst_trace * norm_lower_bound(a) * b_norm):
+        if skips(lhs, a_q0, b_norm):
+            continue
+        a = np.empty((n_inner, n_inner), dtype=complex)
+        a[q0], a[rest] = a_q0, draw(stream, (len(rest), n_inner))
+        if skips(lhs, a, b_norm):
             continue
         lhs, rhs = trace_bound_terms(a, bq0, q0)
         n_svd += 1

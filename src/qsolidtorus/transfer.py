@@ -88,7 +88,8 @@ class LevelTable:
     """Level n's data on the window 0 <= k <= k_hi, shared by every mode (m, n).
 
     ``an`` and ``an1`` hold a_n(k) and a_{n+1}(k) for k = 0..k_hi; ``c1`` and
-    ``c2`` cover k = 0..k_hi-1; ``prefix[k]`` is prod_{i<k} c_2(i)/c_1(i).  No
+    ``c2`` cover k = 0..k_hi-1; ``prefix[k]`` is prod_{i<k} c_2(i)/c_1(i).  The
+    last three are the same arrays on every level of one ``Levels``.  No
     entry depends on a later index, so a shorter window is a slice of a longer
     one, bit for bit.
     """
@@ -130,11 +131,15 @@ class Levels:
         return self.once(("sup", n, k0), lambda: sup_inv_weight(self.w, n, k0))
 
     def table(self, n: int) -> LevelTable:
+        def c_rows() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            # c_{i,n}(k) does not depend on n, so c1, c2 and the prefix are
+            # evaluated once and every level's table shares them
+            c1, c2 = (_read_only(self.c.c(i, n, np.arange(self.k_hi))) for i in (1, 2))
+            return c1, c2, _read_only(scalar_det_prefix(c1, c2))
+
         def build() -> LevelTable:
-            k_hi = self.k_hi
-            c1, c2 = (_read_only(self.c.c(i, n, np.arange(k_hi))) for i in (1, 2))
-            an, an1 = self.a(n, k_hi + 1), self.a(n + 1, k_hi + 1)
-            return LevelTable(n, k_hi, an, an1, c1, c2, _read_only(scalar_det_prefix(c1, c2)))
+            an, an1 = self.a(n, self.k_hi + 1), self.a(n + 1, self.k_hi + 1)
+            return LevelTable(n, self.k_hi, an, an1, *self.once("c", c_rows))
 
         return self.once(("table", n), build)
 

@@ -187,15 +187,25 @@ def test_trace_block_formula_matches_dense():
 
 
 def trace_every_sample(rep, seed, n_trace):
-    """Worst ratio and verdict of algebra_sanity's trace draws, with the SVD on every sample."""
+    """Worst ratio and verdict of algebra_sanity's trace draws, with the SVD on every sample.
+
+    Sample i draws from the i-th child stream of rng: a's q0 rows, b Q0, then a's other rows.
+    """
     rng = np.random.default_rng(seed)
-    algebra_sanity(rep, rng, n_trace=0)  # advances rng past the roundtrip draws
+    algebra_sanity(rep, rng, n_trace=0)  # runs the draws before the trace loop, as algebra_sanity does
     inner, q0 = inner_block(rep)
     n = len(inner)
+    rest = np.setdiff1d(np.arange(n), q0)
+
+    def draw(stream, rows, cols):
+        return stream.standard_normal((rows, cols)) + 1j * stream.standard_normal((rows, cols))
+
     lhs, rhs = np.zeros(n_trace), np.zeros(n_trace)
-    for i in range(n_trace):
-        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        bq0 = rng.standard_normal((n, len(q0))) + 1j * rng.standard_normal((n, len(q0)))
+    for i, stream in enumerate(rng.spawn(n_trace)):
+        a = np.empty((n, n), dtype=complex)
+        a[q0] = draw(stream, len(q0), n)
+        bq0 = draw(stream, n, len(q0))
+        a[rest] = draw(stream, len(rest), n)
         lhs[i], rhs[i] = trace_bound_terms(a, bq0, q0)
     worst = float(np.max(lhs / np.where(rhs > 0.0, rhs, np.nan), initial=-np.inf))
     return worst, bool(np.isfinite(worst) and np.all(lhs <= rhs * (1.0 + 1e-12)))
@@ -231,6 +241,23 @@ def test_trace_check_skips_most_svds():
     check = {ch.name: ch for ch in report.checks}["trace_functional_bound"]
     n_svd, n_trace = map(int, re.search(r"\(SVD on (\d+) of (\d+) samples\)$", check.witness).groups())
     assert n_trace == 100 and 1 <= n_svd <= 25, check.witness
+
+
+def test_trace_check_draws_the_rest_of_a_only_where_needed():
+    """Every sample draws a's q0 rows and b Q0; a's other rows only where the q0 rows do not skip it."""
+    drawn = []
+
+    class Counting(np.random.Generator):
+        # spawn returns this subclass, so the per-sample streams count too
+        def standard_normal(self, size=None, *args, **kwargs):
+            drawn.append(int(np.prod(size)))
+            return super().standard_normal(size, *args, **kwargs)
+
+    rep = TruncatedAlgebraRep(GOLDEN, 12, 6)
+    n, r = 121, 11  # the inner block and its q0 rows
+    report = algebra_sanity(rep, Counting(np.random.PCG64(9)), n_roundtrip=0, n_trace=100)
+    assert {ch.name: ch for ch in report.checks}["trace_functional_bound"].passed
+    assert 100 * 2 * (2 * n * r) <= sum(drawn) <= 0.5 * 100 * 2 * (n * n + n * r)
 
 
 def test_trace_check_fails_on_a_violation_or_no_samples(monkeypatch):

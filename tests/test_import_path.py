@@ -39,6 +39,10 @@ def loaded(package: str, code: str, *args: str) -> list[str]:
     return [m for m in mods if m == package or m.startswith(package + ".")]
 
 
+# the CLI's import and its config load, on the config in argv[2]
+CLI_SET_UP = "import qsolidtorus.cli\nfrom qsolidtorus.config import load_config\nload_config(sys.argv[2])"
+
+
 @pytest.fixture()
 def k16_config(tmp_path):
     cfg = default_config_dict()
@@ -59,12 +63,17 @@ def run_commands(*commands: str) -> str:
 
 
 def test_cli_import_and_config_load_skip_scipy(k16_config):
-    code = "import qsolidtorus.cli\nfrom qsolidtorus.config import load_config\nload_config(sys.argv[2])"
-    assert loaded("scipy", code, str(k16_config)) == []
+    assert loaded("scipy", CLI_SET_UP, str(k16_config)) == []
 
 
 def test_dirac_import_skips_scipy():
     assert loaded("scipy", "import qsolidtorus.dirac") == []
+
+
+def test_set_up_probes_skip_numpy_random(k16_config):
+    """numpy loads numpy.random lazily, and loading it would add about 10 ms to either import."""
+    assert loaded("numpy.random", "import qsolidtorus.dirac") == []
+    assert loaded("numpy.random", CLI_SET_UP, str(k16_config)) == []
 
 
 def test_dirac_import_loads_only_families():

@@ -54,7 +54,7 @@ def test_det_A_formula(families, m, n, k):
 
 
 def test_mode_table_makes_four_family_calls(families, monkeypatch):
-    """a_n, a_{n+1}, c1 and c2 once per level; every m's C stack and the prefix reuse them."""
+    """a_n and a_{n+1} once per level, c1 and c2 once for every level; every m's C stack and the prefix reuse them."""
     w, c = families
     calls = []
     for cls, name in ((WeightFamily, "a"), (CoefficientFamily, "c")):
@@ -68,9 +68,9 @@ def test_mode_table_makes_four_family_calls(families, monkeypatch):
         C, table = levels.C(ModeIndex(m, 1)), levels.table(1)
         assert sorted(calls) == ["a", "a", "c", "c"]
         assert C.shape == (32, 2, 2) and table.prefix.shape == (33,)
-    # level 2 shares a_2 with level 1 and adds a_3, c1 and c2
-    levels.table(2)
-    assert sorted(calls) == ["a", "a", "a", "c", "c", "c", "c"]
+    # level 2 shares a_2 with level 1 and adds a_3; c1, c2 and the prefix are level 1's
+    assert levels.table(2).c1 is levels.table(1).c1 and levels.table(2).prefix is levels.table(1).prefix
+    assert sorted(calls) == ["a", "a", "a", "c", "c"]
 
 
 def test_level_table_evaluates_each_row_once_for_any_modes(families, monkeypatch):
@@ -99,9 +99,11 @@ def test_level_table_evaluates_each_row_once_for_any_modes(families, monkeypatch
         assert not C.flags.writeable and C is levels.C(ModeIndex(m, n))
         assert tables.setdefault(n, levels.table(n)) is levels.table(n)
     assert builds == [1, -1, 0, 5, 1]
-    # a_n and a_{n+1} on the window and c1, c2 of levels 0 and 2, each once
+    # a_n and a_{n+1} on the window, each once, and c1, c2 once for both levels,
+    # evaluated at the first level asked: the rows do not depend on n
     assert len(seen) == len(set(seen))
-    assert set(seen) == {("a", n, 17) for n in range(4)} | {("c", i, n, 16) for i in (1, 2) for n in (0, 2)}
+    assert set(seen) == {("a", n, 17) for n in range(4)} | {("c", i, 0, 16) for i in (1, 2)}
+    assert levels.table(0).c1 is levels.table(4).c1 and sum(name == "c" for name, *_ in seen) == 2
 
 
 def test_build_C_worked_examples(families):
