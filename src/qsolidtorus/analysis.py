@@ -32,6 +32,7 @@ import io
 import json
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -276,151 +277,60 @@ def scan_to_files(table: ScanTable, out_dir, meta: dict):
 # json's own tokens for the non-finite magnitudes (it writes them with allow_nan)
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity"}
 
-# rows of a table gathered into one buffer per write to the file
+# rows of a table formatted into one text per write to the file
 WRITE_BLOCK_ROWS = 512
 
 # distinct values formatted per step, so that only this many of their str objects live at once
 _FORMAT_CHUNK = 4096
 
+# a cell's sign, by the low bit of its code
+_SIGNS = np.array([b"", b"-"])
 
-class _TableText:
-    """A table's JSON rows, held as its distinct texts and each cell's index into them.
 
-    The table comes as blocks of rows, each a dict of numpy columns that
-    share their names and their length; a column is 1-D int, 1-D float, or
-    ``(rows, w)`` float, and the last is written as a list of ``w`` numbers
-    per row.  Blocks whose columns differ are a ValueError.  The columns are
-    joined one name at a time, each block's part taken out of its dict
-    (``pop``), and each joined column is dropped once it is coded, so the
-    blocks and the columns are never all held at once.
+def _texts(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The column's distinct texts, as fixed-width bytes, and each cell's code.
 
-    Every text is made on construction, which raises TypeError for a column
-    the writer cannot render; ``write`` then streams the rows to a file in
-    blocks of ``WRITE_BLOCK_ROWS``, so no more than one block's text exists.
-    The text equals what ``json.dumps(indent=2, sort_keys=True)`` writes for
-    the list of row dicts under a top-level key.
-
-    Each distinct value of a column is formatted once.  A float is formatted
-    by its magnitude, and a negative one is "-" and that text: repr(-x) ==
-    "-" + repr(x) for every non-NaN x >= +0.0, -0.0 and inf included.  The
-    texts lie end to end in one byte buffer, each after a "-" byte: text i is
-    ``pool[at[i] + 1 : at[i + 1]]``, and widened one byte to the left it is
-    the negative's text.  A cell's code is twice its text's index, plus one
-    for a negative float.
-
-    A per-row ``%`` formatter in place of the pool took the two ``grid-k128``
-    benchmark dumps from 0.06-0.08 s to 0.10-0.11 s (2-vCPU shared host).
+    A cell's code is twice its text's index, plus one for a negative float:
+    a float is formatted by its magnitude, as repr(-x) == "-" + repr(x) for
+    every non-NaN x >= +0.0, -0.0 and inf included.  The widths hold the
+    longest repr, 23 characters for a float64 magnitude and 20 for an int64
+    or uint64.  The distinct values come from one sort, as in
+    ``np.unique``, which would hold several more full-size copies of the
+    column at once.
     """
-
-    def __init__(self, blocks: list[dict[str, np.ndarray]]):
-        names = sorted(blocks[0]) if blocks else []
-        for block in blocks:
-            if sorted(block) != names or len({len(col) for col in block.values()}) > 1:
-                raise ValueError("table blocks differ in their column names or lengths")
-        self.n_rows = sum(len(block[names[0]]) for block in blocks) if names else 0
-        if not self.n_rows:
-            return
-        self._data, self._at, self._count = bytearray(), [], 0
-        # "\0" marks a cell in the template: json.dumps escapes it in every key
-        fields, self.cells, firsts = [], [], []
-        for name in names:
-            key = json.dumps(name)
-            codes, first = self._codes(np.concatenate([block.pop(name) for block in blocks]))
-            if codes.ndim == 1:
-                fields.append(f"{key}: \0")
-                self.cells.append(codes)
-                firsts.append(first)
-                continue
-            width = codes.shape[1]
-            items = ",".join(["\n        \0"] * width)
-            fields.append(f"{key}: [{items}\n      ]" if width else f"{key}: []")
-            self.cells.extend(codes[:, j] for j in range(width))
-            firsts.extend([first] * width)
-        self.firsts = np.array(firsts, dtype=np.int64)
-        row = "    {\n      " + ",\n      ".join(fields) + "\n    }"
-        literals = row.split("\0")
-        # the row separator rides on each row's last literal; the table's last row has none
-        first = self._add([*literals[:-1], literals[-1] + ",\n", literals[-1]])
-        self.literals = 2 * np.arange(first, first + len(literals))
-        self.last = self.literals[-1] + 2
-        self.pool = np.frombuffer(self._data, dtype=np.uint8)
-        self.at = np.concatenate([*self._at, [len(self._data)]])
-        del self._at
-
-    def _add(self, texts: list[str]) -> int:
-        """Append ASCII ``texts`` to the buffer; returns the index of the first."""
-        sizes = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts)) + 1
-        self._at.append(len(self._data) + np.cumsum(sizes) - sizes)
-        self._data += ("-" + "-".join(texts)).encode("ascii")
-        self._count += len(texts)
-        return self._count - len(texts)
-
-    def _codes(self, col: np.ndarray) -> tuple[np.ndarray, int]:
-        """The column's cell codes, relative to that of its first text, and that code.
-
-        The distinct values come from one sort, as in ``np.unique``, which
-        would hold several more full-size copies of the column at once.
-        """
-        flat = col.ravel()
-        kind = flat.dtype.kind
-        if kind not in "iuf":
-            raise TypeError(f"table column of dtype {col.dtype}")
-        order = np.argsort(np.abs(flat) if kind == "f" else flat)
-        keys = flat[order]
-        if kind == "f":
-            np.abs(keys, out=keys)
-        # a key starts a run of equal keys unless it equals the one before; the NaNs, sorted last, are one run
-        new = np.empty(len(keys), dtype=bool)
-        new[:1] = True
-        np.not_equal(keys[1:], keys[:-1], out=new[1:])
-        if kind == "f":
-            new[1:] &= ~np.isnan(keys[:-1])
-        vals = keys[new]
-        del keys
-        codes = np.empty(len(flat), dtype=np.min_scalar_type(2 * len(vals)))
-        ranks = np.cumsum(new, dtype=codes.dtype)
-        ranks -= 1
-        ranks *= 2
-        codes[order] = ranks
-        del new, order, ranks
-        if kind == "f":
-            codes += np.signbit(flat) & ~np.isnan(flat)
-        first = self._count
-        fmt = float.__repr__ if kind == "f" else int.__repr__
-        for lo in range(0, len(vals), _FORMAT_CHUNK):
-            chunk = vals[lo : lo + _FORMAT_CHUNK]
-            texts = list(map(fmt, chunk.tolist()))
-            if not np.isfinite(chunk).all():
-                texts = [_JSON_NON_FINITE.get(s, s) for s in texts]
-            self._add(texts)
-        return codes.reshape(col.shape), 2 * first
-
-    def write(self, f) -> None:
-        """Write the rows as json's indent=2 list text under a top-level key."""
-        if not self.n_rows:
-            f.write(b"[]")
-            return
-        f.write(b"[\n")
-        stride = 2 * len(self.cells) + 1
-        for lo in range(0, self.n_rows, WRITE_BLOCK_ROWS):
-            hi = min(lo + WRITE_BLOCK_ROWS, self.n_rows)
-            codes = np.empty((hi - lo, stride), dtype=np.int64)
-            codes[:, 0::2] = self.literals
-            for j, cell in enumerate(self.cells):
-                codes[:, 2 * j + 1] = cell[lo:hi]
-            codes[:, 1::2] += self.firsts
-            if hi == self.n_rows:
-                codes[-1, -1] = self.last
-            codes = codes.ravel()
-            text = codes >> 1
-            start = self.at[text] + 1 - (codes & 1)
-            size = self.at[text + 1] - start
-            end = np.cumsum(size)
-            # each byte of the block is read from the pool at its offset in the block plus its text's shift
-            src = np.repeat(start - end + size, size)
-            src += np.arange(end[-1])
-            f.write(self.pool[src])
-        f.write(b"\n  ]")
+    flat = col.ravel()
+    kind = flat.dtype.kind
+    if kind not in "iuf":
+        raise TypeError(f"table column of dtype {col.dtype}")
+    order = np.argsort(np.abs(flat) if kind == "f" else flat)
+    keys = flat[order]
+    if kind == "f":
+        np.abs(keys, out=keys)
+    # a key starts a run of equal keys unless it equals the one before; the NaNs, sorted last, are one run
+    new = np.empty(len(keys), dtype=bool)
+    new[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    if kind == "f":
+        new[1:] &= ~np.isnan(keys[:-1])
+    vals = keys[new]
+    del keys
+    codes = np.empty(len(flat), dtype=np.min_scalar_type(2 * len(vals)))
+    ranks = np.cumsum(new, dtype=codes.dtype)
+    ranks -= 1
+    ranks *= 2
+    codes[order] = ranks
+    del new, order, ranks
+    if kind == "f":
+        codes += np.signbit(flat) & ~np.isnan(flat)
+    fmt = float.__repr__ if kind == "f" else int.__repr__
+    texts = np.empty(len(vals), dtype="S23" if kind == "f" else "S20")
+    for lo in range(0, len(vals), _FORMAT_CHUNK):
+        chunk = vals[lo : lo + _FORMAT_CHUNK]
+        strs = list(map(fmt, chunk.tolist()))
+        if not np.isfinite(chunk).all():
+            strs = [_JSON_NON_FINITE.get(s, s) for s in strs]
+        texts[lo : lo + len(strs)] = strs
+    return texts, codes.reshape(col.shape)
 
 
 def write_json(path: Path, payload: dict) -> None:
@@ -436,17 +346,48 @@ def write_json(path: Path, payload: dict) -> None:
 def write_table(path: Path, meta: dict, blocks: list[dict[str, np.ndarray]]) -> None:
     """Write ``{"meta": meta, "rows": rows}`` as ``write_json`` would, the rows given as blocks of columns.
 
-    The bytes equal those ``write_json`` gives for the list of row dicts, at
-    a fraction of the time and memory (``_TableText``).  The blocks' columns
-    are taken out of their dicts as they are read.  A column or a meta value
-    the writer cannot render is a TypeError, raised before the file is
-    opened.
+    The blocks are dicts of numpy columns that share their names and their
+    length; a column is 1-D int, 1-D float, or ``(rows, w)`` float, and the
+    last is written as a list of ``w`` numbers per row.  Blocks whose
+    columns differ are a ValueError.  The columns are joined one name at a
+    time, each block's part taken out of its dict (``pop``), and each joined
+    column is dropped once it is coded (``_texts``), so the blocks and the
+    columns are never all held at once.
+
+    A column or a meta value the writer cannot render is a TypeError, raised
+    before the file is opened.  The rows then fill one row template per
+    ``WRITE_BLOCK_ROWS`` rows, a sign and a text per cell, so no more than
+    one block's text exists.
     """
-    rows = _TableText(blocks)
+    names = sorted(blocks[0]) if blocks else []
+    for block in blocks:
+        if sorted(block) != names or len({len(col) for col in block.values()}) > 1:
+            raise ValueError("table blocks differ in their column names or lengths")
+    n_rows = sum(len(block[names[0]]) for block in blocks) if names else 0
+    fields, cells = [], []
+    for name in names:
+        key = json.dumps(name).replace("%", "%%")
+        texts, codes = _texts(np.concatenate([block.pop(name) for block in blocks]))
+        if codes.ndim == 1:
+            fields.append(f"{key}: %s%s")
+            cells.append((texts, codes))
+            continue
+        width = codes.shape[1]
+        items = ",".join(["\n        %s%s"] * width)
+        fields.append(f"{key}: [{items}\n      ]" if width else f"{key}: []")
+        cells.extend((texts, codes[:, j]) for j in range(width))
+    row = ("    {\n      " + ",\n      ".join(fields) + "\n    }").encode("ascii")
     # "meta" sorts before "rows", so the rows' text is the last value
     head = json.dumps({"meta": meta, "rows": []}, indent=2, sort_keys=True).removesuffix("[]\n}")
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as f:
         f.write(head.encode("ascii"))
-        rows.write(f)
-        f.write(b"\n}")
+        for lo in range(0, n_rows, WRITE_BLOCK_ROWS):
+            f.write(b",\n" if lo else b"[\n")
+            parts = []
+            for texts, codes in cells:
+                c = codes[lo : lo + WRITE_BLOCK_ROWS]
+                parts += [_SIGNS[c & 1].tolist(), texts[c >> 1].tolist()]
+            size = min(WRITE_BLOCK_ROWS, n_rows - lo)
+            f.write(b",\n".join([row] * size) % tuple(chain.from_iterable(zip(*parts))))
+        f.write(b"\n  ]\n}" if n_rows else b"[]\n}")

@@ -249,15 +249,16 @@ def structure_check(tp: TransferProduct, levels: Levels) -> CheckReport:
     P(K) = p00 p11 - p01 p10 tracks the scalar product of c_2/c_1 up to the
     rounding of that cancellation, computed on P(K) / 2^e, exact, so no finite
     P(K) overflows.  The scalar product matches J_2/J_1 up to the certified
-    tail sum_{k >= K} ||C(k) - I||_1; the level's J_i and tail terms are read
-    once per level through ``levels``.  Together the two determinant clauses
-    bound det P(K) - J_2/J_1.
+    tail sum_{k >= K} ||C(k) - I||_1; J_1 and J_2 are read once per
+    ``levels``, the tail terms once per level.  Together the two determinant
+    clauses bound det P(K) - J_2/J_1.
     """
     mode, t = tp.mode, levels.table(tp.mode.n)
     m, n, K, c1, c2 = mode.m, mode.n, t.k_hi, t.c1, t.c2
     # first, so a family without a tail certificate raises before prod 1/c1 can overflow
     tail = tail_sum_C_minus_I(mode, levels, K)
-    j1, j2 = levels.once(("J", n), lambda: (eval_J(levels.c, 1, n), eval_J(levels.c, 2, n)))
+    # J_i(n) reads only c_{i,n}(k), which does not depend on n, so one pair serves every level
+    j1, j2 = levels.once("J", lambda: (eval_J(levels.c, 1, n), eval_J(levels.c, 2, n)))
     # Python floats, so an inf entry fails its clauses without a numpy warning
     p00, p01, p10, p11 = tp.limit.ravel().tolist()
     checks = []

@@ -76,6 +76,9 @@ META = {"k_max": 3, "boundary_rule": "default"}
 @given(cols=columns(), cuts=st.lists(st.integers(0, 25), max_size=4))
 @example(cols={"x": np.array(EDGES + [-x for x in EDGES]).reshape(8, 2), "m": np.array([3, -3] * 4)}, cuts=[3, 5])
 @example(cols={"w": np.arange(-14.0, 14.0).reshape(7, 4), "e": np.zeros((7, 0)), "k": np.arange(7)}, cuts=[])
+# the longest reprs: 23 characters for a float64 magnitude, 20 for an int64 or uint64
+@example(cols={"x": np.array([2.2250738585072014e-308, -1.7976931348623157e308, 0.00012345678901234567]),
+               "i": np.array([-(2**63), 2**63 - 1, 0]), "u": np.array([2**64 - 1, 0, 1], dtype=np.uint64)}, cuts=[])
 def test_row_table_bytes_equal_json_dumps(tmp_path_factory, cols, cuts):
     """Blocks of 3 rows: the 0-25-row tables are empty, one block, or many with a partial last one.
 
@@ -117,11 +120,11 @@ def test_blocks_whose_columns_differ_are_a_value_error(tmp_path, blocks):
 
 
 def test_write_memory_does_not_scale_with_the_text(tmp_path):
-    """100k rows (a ~21 MB file) write within a 16 MB traced peak: 7.2 MB measured, 68 MB for a whole-text writer.
+    """100k rows (a ~21 MB file) write within a 16 MB traced peak: 10.4 MB measured, 68 MB for a whole-text writer.
 
     The floats are drawn from 16,384 values, so the test makes few reprs.
-    The bound leaves ~2x headroom over the measured peak, which the sort of
-    the widest column sets.
+    The bound leaves ~1.5x headroom over the peak measured with numpy 2.4.6,
+    which the sort of the widest column sets.
     """
     rng = np.random.default_rng(11)
     n = 100_000
@@ -136,6 +139,26 @@ def test_write_memory_does_not_scale_with_the_text(tmp_path):
         tracemalloc.stop()
     assert (tmp_path / "t.json").stat().st_size > 20e6
     assert peak < 16e6
+
+
+def test_write_phase_holds_about_one_block_of_text(tmp_path):
+    """2,048 rows whose key is 5,000 characters write within a traced peak of 4 blocks' text (2.3 measured).
+
+    The rows are four write blocks of about 2.6 MB of text each, and the
+    column's codes and texts are small beside them; a writer that gathers
+    a block through an int64 index per output byte peaks at 16 blocks.
+    """
+    rows = 2048
+    blocks = [{"x" * 5000: np.random.default_rng(13).standard_normal(rows)}]
+    tracemalloc.start()
+    try:
+        write_table(tmp_path / "t.json", {}, blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block_text = (tmp_path / "t.json").stat().st_size * analysis.WRITE_BLOCK_ROWS / rows
+    assert block_text > 2.5e6
+    assert peak < 4 * block_text, (peak, block_text)
 
 
 def test_blocks_are_freed_column_by_column(tmp_path):
@@ -165,7 +188,11 @@ def test_blocks_are_freed_column_by_column(tmp_path):
 
 
 def test_each_distinct_value_is_formatted_once(tmp_path, monkeypatch):
-    """1,000 cells of +-x pairs over 500 magnitudes take 500 float reprs; 1,000 ints of 5 values take 5."""
+    """1,000 cells of +-x pairs over 500 magnitudes take 500 float reprs; 1,000 ints of 5 values take 5.
+
+    A (250, 4) column is deduplicated as a whole: with +x in its first two
+    entries and -x in its last two, its 1,000 cells take 500 reprs too.
+    """
     calls = {"float": 0, "int": 0}
 
     class CountingFloat(float):
@@ -184,11 +211,16 @@ def test_each_distinct_value_is_formatted_once(tmp_path, monkeypatch):
     x = np.concatenate([mags, -mags])
     m = np.arange(1000) % 5 - 2
     write_table(tmp_path / "t.json", {}, [{"x": x[:300], "m": m[:300]}, {"x": x[300:], "m": m[300:]}])
+    assert calls == {"float": 500, "int": 5}
+    w = np.hstack([mags.reshape(250, 2), -np.roll(mags, 1).reshape(250, 2)])
+    write_table(tmp_path / "w.json", {}, [{"w": w}])
     monkeypatch.undo()
+    assert calls == {"float": 1000, "int": 5}
     rows = [{"m": int(mi), "x": float(xi)} for mi, xi in zip(m, x)]
     want = json.dumps({"meta": {}, "rows": rows}, indent=2, sort_keys=True)
     assert first_difference((tmp_path / "t.json").read_text(), want) is None
-    assert calls == {"float": 500, "int": 5}
+    want = json.dumps({"meta": {}, "rows": [{"w": row} for row in w.tolist()]}, indent=2, sort_keys=True)
+    assert first_difference((tmp_path / "w.json").read_text(), want) is None
 
 
 def test_dump_tables_equal_json_dumps(tmp_path):

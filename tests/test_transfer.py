@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 from functools import reduce
 
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsolidtorus.config import DEFAULT_GRID_M, DEFAULT_GRID_N
+from qsolidtorus.cli import main
+from qsolidtorus.config import DEFAULT_GRID_M, DEFAULT_GRID_N, default_config_dict
 from qsolidtorus.families import (
     CoefficientFamily,
     HypothesisViolation,
@@ -319,11 +321,10 @@ def test_every_structure_clause_has_a_mutant(families):
     assert names == set().union(*(s for _, sets in STRUCTURE_MUTANTS.values() for s in sets))
 
 
-def test_structure_check_reads_J_and_the_tail_once_per_level(families, monkeypatch):
-    """J_1(n), J_2(n) and the tail's level terms are evaluated once per level, for every m."""
+def counted_J(monkeypatch) -> list:
+    """The (i, n) of every ``eval_J`` call that ``structure_check`` makes from here on."""
     import qsolidtorus.transfer as transfer
 
-    w, c = families
     calls = []
 
     def counted(*args, _orig=transfer.eval_J):
@@ -331,11 +332,28 @@ def test_structure_check_reads_J_and_the_tail_once_per_level(families, monkeypat
         return _orig(*args)
 
     monkeypatch.setattr(transfer, "eval_J", counted)
+    return calls
+
+
+def test_structure_check_reads_J_once_per_levels(families, monkeypatch):
+    """J_1 and J_2 are evaluated once per Levels, as c_{i,n}(k) does not depend on n, for every m and n."""
+    w, c = families
+    calls = counted_J(monkeypatch)
     levels = Levels(w, c, 64)
     for m in (0, 1, -1, 5):
         for n in (0, 2):
             assert structure_check(limit_product(ModeIndex(m, n), levels), levels).all_passed
-    assert sorted(calls) == [(1, 0), (1, 2), (2, 0), (2, 2)]
+    assert sorted(calls) == [(1, 0), (2, 0)]
+
+
+def test_default_transfer_dump_evaluates_J_twice(tmp_path, monkeypatch):
+    """One default-config ``dump --what transfer`` at K = 128 checks six levels and evaluates J_1 and J_2 once each."""
+    calls = counted_J(monkeypatch)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(default_config_dict()))
+    assert main(["--config", str(path), "dump", "--what", "transfer", "--out", str(tmp_path / "out")]) == 0
+    assert len(DEFAULT_GRID_N) == 6
+    assert sorted(i for i, _ in calls) == [1, 2]
 
 
 def test_limit_product_det_floor(families):
